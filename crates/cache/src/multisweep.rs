@@ -129,9 +129,8 @@ pub fn stack_profile<S: AddressStream>(
         match stack.iter().position(|b| b.tag == tag) {
             Some(depth) => {
                 profile.depth_hits[depth] += 1;
-                let mut hit = stack.remove(depth);
-                hit.dirty |= dirty;
-                stack.insert(0, hit);
+                stack[..=depth].rotate_right(1);
+                stack[0].dirty |= dirty;
             }
             None => {
                 profile.misses += 1;

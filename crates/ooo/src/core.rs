@@ -1,4 +1,4 @@
-//! The cycle-level out-of-order engine.
+//! The out-of-order engine.
 //!
 //! A unified RUU-style window models dispatch, wakeup, select, execute and
 //! in-order commit. Each cycle, in order:
@@ -19,108 +19,116 @@
 //! Progress is guaranteed: the window head's producers are always already
 //! committed, so the head is always issuable.
 //!
-//! # Wakeup bookkeeping
+//! # Scheduling at dispatch
 //!
-//! Readiness is tracked *incrementally* rather than by scanning the whole
-//! window every cycle: each entry counts its outstanding producers, a
-//! producer's issue schedules completion wakeups for its registered
-//! consumers, and entries whose count reaches zero enter an oldest-first
-//! ready queue. Per-cycle work is proportional to the instructions that
-//! actually commit, issue, complete or dispatch — not to window
-//! occupancy — which is what makes large-window sweeps affordable. The
-//! schedule is provably identical to the naive full scan (an instruction
-//! issued this cycle completes no earlier than the next, so readiness
-//! never changes mid-cycle); [`crate::reference::ScanCore`] keeps the
-//! scan implementation alive and `cap-verify` diffs the two at scale.
+//! The engine does not simulate the cycles one by one. Select is
+//! oldest-first, so a younger instruction can never delay an older one:
+//! it cannot take an issue slot the older one wanted, cannot hold a
+//! window entry the older one needs (entries free in order), and cannot
+//! retire first. An instruction's whole lifetime therefore depends only
+//! on older instructions, and is computed once, when it dispatches.
+//!
+//! Number instructions `i` in dispatch order and cycles from 1. With
+//! fetch, issue and commit widths `F`, `IW`, `CW` and window `W`:
+//!
+//! * dispatch `D_i = max(D_{i-1}, D_{i-F} + 1, R_{i-W}, floor)` — in
+//!   order, at most `F` per cycle, and only once instruction `i - W` has
+//!   freed its entry;
+//! * ready `= max(D_i + 1, C_p)` over the producers `p` still in the
+//!   window (a committed producer completed before `i` dispatched);
+//! * issue `I_i` = the first cycle at or after ready in which fewer than
+//!   `IW` older instructions issue;
+//! * completion `C_i = I_i + latency`;
+//! * commit `R_i = max(C_i, I_i + 1, R_{i-1}, R_{i-CW} + 1)` — commit
+//!   precedes issue within a cycle, so even a zero-latency instruction
+//!   commits after the cycle it issues in.
+//!
+//! [`OooCore::step`] and [`OooCore::run`] read from the stream exactly
+//! the instructions with `D_i` at or before the current cycle, so a
+//! stream is consumed precisely as a cycle-stepped machine would consume
+//! it. A resize between calls changes `W` and raises `floor` to the next
+//! cycle for the instructions not yet dispatched. A draining shrink needs
+//! no special case in the schedule: with `W` already at the new size, the
+//! first undispatched instruction cannot dispatch before the shrink has
+//! drained. [`crate::reference::ScanCore`] keeps the naive cycle-stepped
+//! full scan alive, and `cap-verify` diffs the two at scale.
+//!
+//! `D`, `C` and `R` live in a ring over the most recent instructions,
+//! long enough for every lookback above; issue counts live in a ring of
+//! cycles that grows when a long latency outruns it.
 
 use crate::config::{CoreConfig, WindowSize};
 use crate::error::OooError;
-use cap_trace::inst::{Inst, InstStream};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use cap_trace::inst::InstStream;
 
-const NOT_ISSUED: u64 = u64::MAX;
+/// Initial span of the issue-count ring, in cycles. Far beyond the
+/// latencies the workload profiles generate; [`IssueSlots`] grows past it
+/// on demand.
+const ISSUE_SPAN: usize = 64;
 
-/// Sentinel terminating an entry's intrusive waiter list.
-const NO_WAITER: u64 = u64::MAX;
+/// One scheduled instruction's cycles.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sched {
+    dispatch: u64,
+    complete: u64,
+    commit: u64,
+}
 
+/// Per-cycle issue counts, as a ring. Every cycle before `horizon` owns
+/// its slot; the ring is extended half a ring at a time, zeroing the
+/// slots of cycles that have left the window of live cycles. A cycle is
+/// live from the latest dispatch + 1 on: no instruction dispatched later
+/// can issue before it.
 #[derive(Debug, Clone)]
-struct Entry {
-    inst: Inst,
-    /// Cycle at which the result becomes available; `NOT_ISSUED` before
-    /// issue.
-    done_cycle: u64,
-    /// Producers not yet known complete. Zero means issuable.
-    outstanding: u32,
-    /// Head of the intrusive list of consumers to wake when this entry
-    /// issues: `(consumer seq << 1) | dep slot`, or [`NO_WAITER`].
-    /// Consumers register only while the producer is un-issued; at issue
-    /// the list is walked into the completion calendar. Intrusive links
-    /// keep registration allocation-free — the hot path of every
-    /// dependent dispatch.
-    waiter_head: u64,
-    /// The continuation of the producer's waiter list this entry sits in,
-    /// one link per dependence slot.
-    next_waiter: [u64; 2],
+struct IssueSlots {
+    counts: Vec<u32>,
+    horizon: u64,
 }
 
-/// The completion calendar: a ring of buckets indexed by cycle. Latencies
-/// are small, so scheduling and draining are O(1) per event — no heap.
-#[derive(Debug, Clone, Default)]
-struct Calendar {
-    /// `buckets[t % len]` holds the wakeups for cycle `t`; the ring is
-    /// kept longer than the largest in-flight latency, so slots never
-    /// collide.
-    buckets: Vec<Vec<(u64, u64)>>,
-    scratch: Vec<(u64, u64)>,
-}
-
-impl Calendar {
-    fn with_capacity(horizon: usize) -> Self {
-        Calendar { buckets: vec![Vec::new(); horizon.max(2)], scratch: Vec::new() }
+impl IssueSlots {
+    fn new(len: usize) -> Self {
+        IssueSlots { counts: vec![0; len], horizon: len as u64 }
     }
 
-    /// Schedules consumer `seq` to wake at cycle `t` (`t >= now`).
-    fn schedule(&mut self, now: u64, t: u64, seq: u64) {
-        let needed = (t - now) as usize + 1;
-        if needed > self.buckets.len() {
-            self.grow(needed.next_power_of_two());
+    /// Claims an issue slot in the first cycle at or after `ready` with
+    /// fewer than `width` issues. `live` is the first live cycle.
+    #[inline]
+    fn claim(&mut self, ready: u64, live: u64, width: u32) -> u64 {
+        let mut t = ready;
+        loop {
+            if t >= self.horizon {
+                self.extend(t, live);
+            }
+            let mask = self.counts.len() - 1;
+            let count = &mut self.counts[t as usize & mask];
+            if *count < width {
+                *count += 1;
+                return t;
+            }
+            t += 1;
         }
-        let len = self.buckets.len() as u64;
-        self.buckets[(t % len) as usize].push((t, seq));
     }
 
-    /// Extends the ring, re-binning in-flight events.
-    fn grow(&mut self, new_len: usize) {
-        let old = std::mem::replace(&mut self.buckets, vec![Vec::new(); new_len]);
-        let len = new_len as u64;
-        for bucket in old {
-            for (t, seq) in bucket {
-                self.buckets[(t % len) as usize].push((t, seq));
+    /// Moves `horizon` past `t`, to at most `t` + half a ring. The slots
+    /// it takes over belonged to the cycles a ring earlier, before
+    /// `t` - half a ring; when live cycles reach back that far, the ring
+    /// first grows, keeping them.
+    #[cold]
+    fn extend(&mut self, t: u64, live: u64) {
+        if t - live > (self.counts.len() / 2) as u64 {
+            let len = (2 * (t - live + 1)).next_power_of_two() as usize;
+            let old = std::mem::replace(&mut self.counts, vec![0; len]);
+            for c in live..self.horizon {
+                self.counts[c as usize & (len - 1)] = old[c as usize & (old.len() - 1)];
             }
         }
-    }
-
-    /// Takes every wakeup scheduled for cycle `now`. The bucket is
-    /// swapped out through a scratch buffer so a latency-zero reschedule
-    /// during processing lands in the (empty) live bucket, not the batch
-    /// being iterated; return the batch via [`Calendar::put_back`] so its
-    /// capacity is reused.
-    fn take_bucket(&mut self, now: u64) -> Vec<(u64, u64)> {
-        let len = self.buckets.len() as u64;
-        let bucket = &mut self.buckets[(now % len) as usize];
-        std::mem::swap(bucket, &mut self.scratch);
-        std::mem::take(&mut self.scratch)
-    }
-
-    fn put_back(&mut self, mut batch: Vec<(u64, u64)>) {
-        batch.clear();
-        self.scratch = batch;
-    }
-
-    fn has_events_at(&self, now: u64) -> bool {
-        let len = self.buckets.len() as u64;
-        !self.buckets[(now % len) as usize].is_empty()
+        let (half, mask) = ((self.counts.len() / 2) as u64, self.counts.len() - 1);
+        while t >= self.horizon {
+            for c in self.horizon..self.horizon + half {
+                self.counts[c as usize & mask] = 0;
+            }
+            self.horizon += half;
+        }
     }
 }
 
@@ -151,14 +159,26 @@ impl RunStats {
 pub struct OooCore {
     config: CoreConfig,
     active_window: usize,
-    pending_shrink: Option<usize>,
-    window: VecDeque<Entry>,
-    /// Un-issued entries with no outstanding producers, oldest first.
-    ready: BinaryHeap<Reverse<u64>>,
-    /// Completion calendar of `(cycle, consumer seq)` wakeups.
-    wakeups: Calendar,
+    /// A draining shrink: the requested size and the committed count at
+    /// which the window has drained to it.
+    pending_shrink: Option<(usize, u64)>,
+    /// The window that governs instructions not yet dispatched: the
+    /// latest requested size, draining or not.
+    dispatch_window: u64,
+    /// No instruction not yet dispatched may dispatch before this cycle.
+    floor: u64,
+    /// The widths, capped at the physical window: wider limits never
+    /// bind, as the window holds no more instructions.
+    fetch_width: u64,
+    issue_width: u32,
+    commit_width: u64,
+    /// Ring of the most recent instructions' schedules, by dispatch index.
+    sched: Vec<Sched>,
+    mask: usize,
+    issues: IssueSlots,
     cycle: u64,
     committed: u64,
+    dispatched: u64,
     next_seq: Option<u64>,
 }
 
@@ -173,15 +193,23 @@ impl OooCore {
     /// [`CoreConfig::validate`].
     pub fn try_new(config: CoreConfig) -> Result<Self, OooError> {
         config.validate()?;
+        let physical = config.window.entries();
+        let ring = (physical + 1).next_power_of_two();
         Ok(OooCore {
             config,
-            active_window: config.window.entries(),
+            active_window: physical,
             pending_shrink: None,
-            window: VecDeque::with_capacity(config.window.entries()),
-            ready: BinaryHeap::new(),
-            wakeups: Calendar::with_capacity(16),
+            dispatch_window: physical as u64,
+            floor: 1,
+            fetch_width: config.fetch_width.min(physical) as u64,
+            issue_width: config.issue_width.min(physical) as u32,
+            commit_width: config.commit_width.min(physical) as u64,
+            sched: vec![Sched::default(); ring],
+            mask: ring - 1,
+            issues: IssueSlots::new(ISSUE_SPAN),
             cycle: 0,
             committed: 0,
+            dispatched: 0,
             next_seq: None,
         })
     }
@@ -225,7 +253,7 @@ impl OooCore {
 
     /// Current window occupancy.
     pub fn occupancy(&self) -> usize {
-        self.window.len()
+        (self.dispatched - self.committed) as usize
     }
 
     /// Requests a window reconfiguration. Growth takes effect
@@ -245,38 +273,89 @@ impl OooCore {
         if n > self.config.window.entries() {
             return Err(OooError::InvalidWindow { entries: n });
         }
-        if n >= self.active_window || self.window.len() <= n {
+        if n >= self.active_window || self.occupancy() <= n {
             self.active_window = n;
             self.pending_shrink = None;
         } else {
-            self.pending_shrink = Some(n);
+            self.pending_shrink = Some((n, self.dispatched - n as u64));
         }
+        self.dispatch_window = n as u64;
+        self.floor = self.cycle + 1;
         Ok(())
     }
 
-    fn index_of(&self, seq: u64) -> usize {
-        let front = self.window.front().expect("windowed seq implies non-empty window");
-        (seq - front.inst.seq) as usize
+    #[inline]
+    fn at(&self, index: u64) -> &Sched {
+        &self.sched[index as usize & self.mask]
     }
 
-    /// Delivers every completion scheduled for `now`: the registered
-    /// consumer loses one outstanding producer and becomes ready when
-    /// none remain.
-    fn drain_wakeups(&mut self, now: u64) {
-        if !self.wakeups.has_events_at(now) {
-            return;
+    /// The dispatch cycle of the next instruction (`D_i` in the module
+    /// documentation). Lookbacks before the first instruction land on
+    /// never-written zero slots, which constrain nothing.
+    #[inline]
+    fn next_dispatch(&self) -> u64 {
+        let i = self.dispatched;
+        let in_order = self.at(i.wrapping_sub(1)).dispatch;
+        let fetch = self.at(i.wrapping_sub(self.fetch_width)).dispatch + 1;
+        let entry_free = self.at(i.wrapping_sub(self.dispatch_window)).commit;
+        in_order.max(fetch).max(entry_free).max(self.floor)
+    }
+
+    /// Reads the next instruction, dispatching it in cycle `dispatch`,
+    /// and schedules its issue, completion and commit.
+    fn dispatch<S: InstStream>(&mut self, stream: &mut S, dispatch: u64) {
+        let inst = stream.next_inst();
+        if let Some(expect) = self.next_seq {
+            assert_eq!(inst.seq, expect, "instruction stream must be contiguous");
         }
-        let batch = self.wakeups.take_bucket(now);
-        for &(t, seq) in &batch {
-            debug_assert_eq!(t, now, "calendar slot holds only its own cycle");
-            let idx = self.index_of(seq);
-            let e = &mut self.window[idx];
-            e.outstanding -= 1;
-            if e.outstanding == 0 {
-                self.ready.push(Reverse(seq));
+        self.next_seq = Some(inst.seq + 1);
+        let i = self.dispatched;
+        // Producers older than the ring have committed; so have those
+        // before the stream, whose slots were never written.
+        let operand = |dep: Option<u64>| {
+            let age = dep.map_or(0, |p| inst.seq.wrapping_sub(p));
+            let complete = self.at(i.wrapping_sub(age)).complete;
+            if age.wrapping_sub(1) < self.mask as u64 { complete } else { 0 }
+        };
+        let ready = (dispatch + 1).max(operand(inst.dep1)).max(operand(inst.dep2));
+        let issue = self.issues.claim(ready, dispatch + 1, self.issue_width);
+        let complete = issue + u64::from(inst.latency);
+        let commit = complete
+            .max(issue + 1)
+            .max(self.at(i.wrapping_sub(1)).commit)
+            .max(self.at(i.wrapping_sub(self.commit_width)).commit + 1);
+        self.sched[i as usize & self.mask] = Sched { dispatch, complete, commit };
+        self.dispatched += 1;
+    }
+
+    /// Dispatches every instruction due by cycle `t`.
+    fn dispatch_through<S: InstStream>(&mut self, stream: &mut S, t: u64) {
+        loop {
+            let d = self.next_dispatch();
+            if d > t {
+                break;
+            }
+            self.dispatch(stream, d);
+        }
+    }
+
+    /// Counts the instructions committed by the end of cycle `t`.
+    #[inline]
+    fn retire_through(&mut self, t: u64) {
+        while self.committed < self.dispatched && self.at(self.committed).commit <= t {
+            self.committed += 1;
+        }
+    }
+
+    /// Applies a shrink whose entries have drained.
+    #[inline]
+    fn settle_shrink(&mut self) {
+        if let Some((n, drained_at)) = self.pending_shrink {
+            if self.committed >= drained_at {
+                self.active_window = n;
+                self.pending_shrink = None;
             }
         }
-        self.wakeups.put_back(batch);
     }
 
     /// Advances the machine one cycle, dispatching from `stream` as window
@@ -284,118 +363,36 @@ impl OooCore {
     /// cycle.
     pub fn step<S: InstStream>(&mut self, stream: &mut S) -> usize {
         self.cycle += 1;
-        let now = self.cycle;
-
-        // 0. Deliver completions scheduled for this cycle: producers
-        // finishing now make their registered consumers ready.
-        self.drain_wakeups(now);
-
-        // 1. Commit.
-        let mut retired = 0;
-        while retired < self.config.commit_width {
-            match self.window.front() {
-                Some(e) if e.done_cycle != NOT_ISSUED && e.done_cycle <= now => {
-                    self.window.pop_front();
-                    self.committed += 1;
-                    retired += 1;
-                }
-                _ => break,
-            }
-        }
-
-        // 2. Wakeup + select + issue, oldest first. Everything issuable
-        // this cycle is already in the ready queue: an instruction issued
-        // now completes next cycle at the earliest, so no entry becomes
-        // ready mid-phase.
-        let mut issued = 0;
-        while issued < self.config.issue_width {
-            let Some(&Reverse(seq)) = self.ready.peek() else { break };
-            self.ready.pop();
-            let front_seq = self.window.front().expect("ready entry is windowed").inst.seq;
-            let idx = (seq - front_seq) as usize;
-            let done = now + u64::from(self.window[idx].inst.latency);
-            self.window[idx].done_cycle = done;
-            // Walk the waiter list into the completion calendar.
-            let mut cur = std::mem::replace(&mut self.window[idx].waiter_head, NO_WAITER);
-            while cur != NO_WAITER {
-                let (cseq, slot) = (cur >> 1, (cur & 1) as usize);
-                let cidx = (cseq - front_seq) as usize;
-                cur = self.window[cidx].next_waiter[slot];
-                self.wakeups.schedule(now, done, cseq);
-            }
-            // Instructions carry latency >= 1, so `done > now` and this is
-            // a no-op; it keeps the schedule identical to the full scan
-            // even for hand-built zero-latency instructions, where a
-            // consumer may chain in the same cycle.
-            if done <= now {
-                self.drain_wakeups(now);
-            }
-            issued += 1;
-        }
-
-        // 3. Apply a drained shrink, then dispatch.
-        if let Some(n) = self.pending_shrink {
-            if self.window.len() <= n {
-                self.active_window = n;
-                self.pending_shrink = None;
-            }
-        }
-        if self.pending_shrink.is_none() {
-            let mut fetched = 0;
-            while fetched < self.config.fetch_width && self.window.len() < self.active_window {
-                let inst = stream.next_inst();
-                if let Some(expect) = self.next_seq {
-                    assert_eq!(inst.seq, expect, "instruction stream must be contiguous");
-                }
-                self.next_seq = Some(inst.seq + 1);
-                let mut outstanding = 0;
-                let mut next_waiter = [NO_WAITER; 2];
-                let front_seq = self.window.front().map(|e| e.inst.seq);
-                for (slot, dep) in inst.deps().enumerate() {
-                    let Some(front) = front_seq else { continue };
-                    if dep < front {
-                        continue; // producer already committed
-                    }
-                    let idx = (dep - front) as usize;
-                    let p = &mut self.window[idx];
-                    if p.done_cycle == NOT_ISSUED {
-                        // Splice into the producer's waiter list.
-                        next_waiter[slot] = p.waiter_head;
-                        p.waiter_head = (inst.seq << 1) | slot as u64;
-                        outstanding += 1;
-                    } else if p.done_cycle > now {
-                        let done = p.done_cycle;
-                        self.wakeups.schedule(now, done, inst.seq);
-                        outstanding += 1;
-                    }
-                }
-                self.window.push_back(Entry {
-                    inst,
-                    done_cycle: NOT_ISSUED,
-                    outstanding,
-                    waiter_head: NO_WAITER,
-                    next_waiter,
-                });
-                if outstanding == 0 {
-                    self.ready.push(Reverse(inst.seq));
-                }
-                fetched += 1;
-            }
-        }
-
-        retired
+        let before = self.committed;
+        self.retire_through(self.cycle);
+        self.settle_shrink();
+        self.dispatch_through(stream, self.cycle);
+        (self.committed - before) as usize
     }
 
     /// Runs until at least `insts` further instructions have committed,
     /// returning the cycles and instructions of exactly that span. Because
     /// commit retires up to `commit_width` instructions per cycle, the
     /// span may overshoot the target by up to `commit_width - 1`.
+    ///
+    /// Equivalent to calling [`OooCore::step`] until the target is met,
+    /// without visiting the cycles in between.
     pub fn run<S: InstStream>(&mut self, stream: &mut S, insts: u64) -> RunStats {
-        let c0 = self.cycle;
-        let i0 = self.committed;
+        let (c0, i0) = (self.cycle, self.committed);
         let target = i0 + insts;
-        while self.committed < target {
-            self.step(stream);
+        if insts > 0 {
+            while self.dispatched < target {
+                let d = self.next_dispatch();
+                self.dispatch(stream, d);
+            }
+            // The span ends when its last instruction commits; everything
+            // due to dispatch by then is read, as a stepped run would.
+            let end = self.at(target - 1).commit;
+            self.dispatch_through(stream, end);
+            self.cycle = end;
+            self.committed = target;
+            self.retire_through(end);
+            self.settle_shrink();
         }
         RunStats { cycles: self.cycle - c0, committed: self.committed - i0 }
     }
@@ -405,7 +402,7 @@ impl OooCore {
 mod tests {
     use super::*;
     use crate::reference::ScanCore;
-    use cap_trace::inst::{IlpParams, SegmentIlp};
+    use cap_trace::inst::{IlpParams, Inst, SegmentIlp};
 
     /// A fixed list of instructions, then independent filler.
     struct ListStream {
@@ -621,7 +618,7 @@ mod tests {
 
     #[test]
     fn matches_reference_scan_core_cycle_for_cycle() {
-        // The incremental-wakeup engine against the naive full-scan
+        // The schedule-at-dispatch engine against the naive full-scan
         // reference, compared at every step over diverse dependence
         // structures (cap-verify fuzzes the same pairing at scale).
         let mut cases: Vec<(IlpParams, u64)> = Vec::new();
@@ -677,5 +674,192 @@ mod tests {
     #[test]
     fn empty_stats_ipc_is_zero() {
         assert_eq!(RunStats::default().ipc(), 0.0);
+    }
+
+    /// Counts the instructions a core has read.
+    struct Counted<S> {
+        inner: S,
+        reads: u64,
+    }
+
+    impl<S: InstStream> InstStream for Counted<S> {
+        fn next_inst(&mut self) -> Inst {
+            self.reads += 1;
+            self.inner.next_inst()
+        }
+    }
+
+    /// A dependence shape the workload profiles never generate.
+    #[derive(Clone, Copy)]
+    struct Shape {
+        /// Operands depend on one of the previous `reach` instructions.
+        reach: u64,
+        /// Chance in 256 that an operand has a producer.
+        dep_chance: u64,
+        /// Chance in 256 that `dep2` repeats `dep1`'s producer.
+        same_chance: u64,
+        latencies: &'static [u32],
+        first_seq: u64,
+    }
+
+    /// Pseudo-random instructions of a [`Shape`] (SplitMix64).
+    struct ShapeStream {
+        shape: Shape,
+        state: u64,
+        next: u64,
+    }
+
+    impl ShapeStream {
+        fn new(shape: Shape, seed: u64) -> Counted<Self> {
+            Counted { inner: ShapeStream { shape, state: seed, next: shape.first_seq }, reads: 0 }
+        }
+
+        fn draw(&mut self, below: u64) -> u64 {
+            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % below
+        }
+
+        fn producer(&mut self, seq: u64) -> Option<u64> {
+            // Producers may precede the stream's first instruction.
+            let age = 1 + self.draw(self.shape.reach);
+            (self.draw(256) < self.shape.dep_chance)
+                .then(|| seq.saturating_sub(age))
+                .filter(|&p| p < seq)
+        }
+    }
+
+    impl InstStream for ShapeStream {
+        fn next_inst(&mut self) -> Inst {
+            let seq = self.next;
+            self.next += 1;
+            let dep1 = self.producer(seq);
+            let dep2 = if dep1.is_some() && self.draw(256) < self.shape.same_chance {
+                dep1
+            } else {
+                self.producer(seq)
+            };
+            let lats = self.shape.latencies;
+            let latency = lats[self.draw(lats.len() as u64) as usize];
+            Inst { seq, dep1, dep2, latency }
+        }
+    }
+
+    const BASE: Shape =
+        Shape { reach: 24, dep_chance: 160, same_chance: 0, latencies: &[1, 2], first_seq: 0 };
+
+    /// `(name, core config, shape)` for every shape the profiles miss.
+    fn unprofiled_shapes() -> Vec<(&'static str, CoreConfig, Shape)> {
+        let isca = |w| CoreConfig::isca98(w).unwrap();
+        let mut narrow = isca(48);
+        (narrow.fetch_width, narrow.issue_width, narrow.commit_width) = (3, 2, 5);
+        let mut narrow_issue = isca(128);
+        narrow_issue.issue_width = 2;
+        let mut wide = isca(32);
+        (wide.fetch_width, wide.issue_width, wide.commit_width) = (200, 6, 100);
+        vec![
+            ("zero-latency producers", isca(64), Shape { latencies: &[0, 0, 1, 3], ..BASE }),
+            ("dep2 on dep1's producer", isca(64), Shape { same_chance: 128, ..BASE }),
+            ("dep2, far producers", isca(128), Shape { reach: 200, dep_chance: 220, ..BASE }),
+            ("latency >= 100", isca(128), Shape { latencies: &[1, 100, 170, 400], ..BASE }),
+            ("latency >= 100, issue 2", narrow_issue, Shape { latencies: &[1, 150, 300], ..BASE }),
+            ("fetch 3 issue 2 commit 5", narrow, BASE),
+            ("widths beyond the window", wide, Shape { latencies: &[0, 1, 4], ..BASE }),
+            ("first seq 1000", isca(32), Shape { first_seq: 1000, ..BASE }),
+        ]
+    }
+
+    /// The core has read exactly the instructions it committed or holds,
+    /// as did the reference, and both agree on the window state.
+    fn assert_reads_match<S>(
+        core: &OooCore,
+        reads: &Counted<S>,
+        scan: &ScanCore,
+        scan_reads: &Counted<S>,
+        ctx: &str,
+    ) {
+        assert_eq!(reads.reads, core.committed() + core.occupancy() as u64, "{ctx}: core reads");
+        assert_eq!(reads.reads, scan_reads.reads, "{ctx}: reads differ from the reference");
+        assert_eq!(core.active_window(), scan.active_window(), "{ctx}: active window");
+        assert_eq!(core.resize_pending(), scan.resize_pending(), "{ctx}: resize pending");
+    }
+
+    #[test]
+    fn unprofiled_shapes_match_reference_cycle_for_cycle() {
+        for (name, config, shape) in unprofiled_shapes() {
+            for seed in 0..3u64 {
+                let mut fast = OooCore::new(config);
+                let mut slow = ScanCore::new(config);
+                let mut s1 = ShapeStream::new(shape, seed);
+                let mut s2 = ShapeStream::new(shape, seed);
+                for step in 0..4000 {
+                    if step % 700 == 699 {
+                        let sizes = config.window.entries() / 16;
+                        let w = WindowSize::new(16 * (1 + (step / 700 + seed as usize) % sizes));
+                        let w = w.unwrap();
+                        fast.request_resize(w).unwrap();
+                        slow.request_resize(w).unwrap();
+                    }
+                    let ctx = format!("{name}, seed {seed}, step {step}");
+                    assert_eq!(fast.step(&mut s1), slow.step(&mut s2), "{ctx}: retired");
+                    assert_eq!(fast.committed(), slow.committed(), "{ctx}");
+                    assert_eq!(fast.occupancy(), slow.occupancy(), "{ctx}");
+                    assert_reads_match(&fast, &s1, &slow, &s2, &ctx);
+                }
+                assert!(fast.committed() > 100, "{name}: the shape must make progress");
+            }
+        }
+    }
+
+    #[test]
+    fn run_matches_stepped_reference_across_resizes() {
+        // Spans end mid-drain, and requests supersede draining shrinks.
+        let spans = [1u64, 7, 2000, 3, 500, 1, 2000, 64, 9];
+        let sizes = [16usize, 128, 32, 16, 112, 48, 16, 64, 128];
+        for (name, config, shape) in unprofiled_shapes() {
+            let physical = config.window.entries();
+            let mut fast = OooCore::new(config);
+            let mut slow = ScanCore::new(config);
+            let mut s1 = ShapeStream::new(shape, 11);
+            let mut s2 = ShapeStream::new(shape, 11);
+            for (round, (&span, &n)) in spans.iter().zip(&sizes).enumerate() {
+                let ctx = format!("{name}, round {round}");
+                let a = fast.run(&mut s1, span);
+                let b = slow.run(&mut s2, span);
+                assert_eq!(a, b, "{ctx}: run stats");
+                assert_eq!(fast.cycles(), slow.cycles(), "{ctx}");
+                assert_eq!(fast.occupancy(), slow.occupancy(), "{ctx}");
+                assert_reads_match(&fast, &s1, &slow, &s2, &ctx);
+                let w = WindowSize::new(n.min(physical)).unwrap();
+                fast.request_resize(w).unwrap();
+                slow.request_resize(w).unwrap();
+                assert_reads_match(&fast, &s1, &slow, &s2, &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn issue_slots_keep_live_counts_across_far_claims() {
+        let mut slots = IssueSlots::new(4);
+        assert_eq!(slots.claim(3, 2, 1), 3);
+        // A claim far past the ring while cycle 3 is still live must not
+        // reuse cycle 3's slot.
+        assert_eq!(slots.claim(20, 3, 1), 20);
+        assert_eq!(slots.claim(3, 3, 1), 4, "cycle 3 is still full");
+        assert_eq!(slots.claim(20, 4, 1), 21, "cycle 20 is still full");
+    }
+
+    #[test]
+    fn run_of_nothing_is_a_no_op() {
+        let mut core = OooCore::new(CoreConfig::isca98(64).unwrap());
+        let mut s = ShapeStream::new(BASE, 1);
+        assert_eq!(core.run(&mut s, 0), RunStats::default());
+        assert_eq!((core.cycles(), s.reads), (0, 0));
+        core.run(&mut s, 100);
+        let (cycles, reads) = (core.cycles(), s.reads);
+        assert_eq!(core.run(&mut s, 0), RunStats::default());
+        assert_eq!((core.cycles(), s.reads), (cycles, reads));
     }
 }

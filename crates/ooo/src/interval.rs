@@ -75,17 +75,8 @@ pub fn record_intervals_observed<S: InstStream>(
     }
     let mut out = Vec::with_capacity(intervals as usize);
     for index in 0..intervals {
-        let start_cycles = core.cycles();
-        let start_insts = core.committed();
-        let target = start_insts + interval_len;
-        while core.committed() < target {
-            core.step(stream);
-        }
-        let sample = IntervalSample {
-            index,
-            cycles: core.cycles() - start_cycles,
-            insts: core.committed() - start_insts,
-        };
+        let stats = core.run(stream, interval_len);
+        let sample = IntervalSample { index, cycles: stats.cycles, insts: stats.committed };
         if recorder.enabled() {
             recorder.record(&Event::Sample(SampleEvent {
                 app: label.map(str::to_string),

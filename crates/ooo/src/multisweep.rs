@@ -18,7 +18,7 @@
 //!
 //! The tape is lazy and grows only as far as the hungriest configuration
 //! reads (a core fetches roughly `insts + occupancy` instructions), so
-//! peak memory is one `Inst` (~40 bytes) per simulated instruction.
+//! peak memory is one `Inst` (48 bytes) per simulated instruction.
 
 use crate::config::WindowSize;
 use crate::error::OooError;

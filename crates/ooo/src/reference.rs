@@ -1,17 +1,20 @@
 //! The naive full-scan reference engine.
 //!
 //! [`ScanCore`] is the original [`OooCore`](crate::core::OooCore)
-//! implementation, kept verbatim: every cycle it re-examines the whole
-//! window to find ready instructions, recomputing each entry's producer
-//! status from scratch. That is O(occupancy · issue-scan) per cycle —
-//! simple to audit, slow for large windows.
+//! implementation, kept verbatim: it steps the pipeline one cycle at a
+//! time, and every cycle it re-examines the whole window to find ready
+//! instructions, recomputing each entry's producer status from scratch.
+//! That is O(occupancy · issue-scan) per cycle — simple to audit, slow
+//! for large windows.
 //!
-//! The production core replaced the scan with incremental wakeup
-//! bookkeeping that is schedule-identical by construction. This module
-//! exists so the claim stays *checked* rather than believed:
-//! `cap-ooo`'s tests lock the two engines together cycle-for-cycle, and
-//! `cap-verify` fuzzes the pairing across generators, seeds and window
-//! sizes. If the fast path ever drifts, the drift is attributable here.
+//! The production core visits no cycles: it computes each instruction's
+//! issue, completion and commit cycles once, at dispatch, from a
+//! recurrence over older instructions that is exact because select is
+//! oldest-first. This module exists so that claim stays *checked*
+//! rather than believed: `cap-ooo`'s tests lock the two engines together
+//! cycle-for-cycle, and `cap-verify` fuzzes the pairing across
+//! generators, seeds, window sizes and `run` intervals. If the fast path
+//! ever drifts, the drift is attributable here.
 //!
 //! The resize API mirrors the production core exactly (including
 //! [`OooError::InvalidWindow`] on requests beyond the physical window)

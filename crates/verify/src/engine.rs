@@ -13,7 +13,9 @@ use crate::invariants::{
     curve_best_invariants, greedy_equals_degenerate_confidence, journal_replay_roundtrip,
     offline_optima_match_series, oracle_bound, reference_oracle_bound,
 };
-use crate::multisweep::{cache_one_pass_vs_legacy, core_vs_scan_reference, queue_tape_vs_legacy};
+use crate::multisweep::{
+    cache_one_pass_vs_legacy, core_run_vs_scan, core_vs_scan_reference, queue_tape_vs_legacy,
+};
 use crate::rng::Rng;
 use crate::scenario::{Scenario, StreamKind};
 use crate::shrink::{shrink, DEFAULT_SHRINK_BUDGET};
@@ -282,6 +284,10 @@ pub fn run_verify(cfg: &VerifyConfig, progress: &mut dyn FnMut(&PropertyReport))
         core_vs_scan_reference(rng)
     });
     push(r, progress);
+    let r = run_seeded_property("sweep/ooo/run-vs-scan", cfg, sweep_cases, &|rng, _| {
+        core_run_vs_scan(rng)
+    });
+    push(r, progress);
 
     VerifyReport { seed: cfg.seed, properties }
 }
@@ -349,6 +355,7 @@ pub fn replay(text: &str, scratch: &Path) -> Result<ReplayOutcome, String> {
         }
         "sweep/queue/tape-vs-legacy" => outcome_of(queue_tape_vs_legacy(&mut rng).map(|()| true)),
         "sweep/ooo/core-vs-scan" => outcome_of(core_vs_scan_reference(&mut rng).map(|()| true)),
+        "sweep/ooo/run-vs-scan" => outcome_of(core_run_vs_scan(&mut rng).map(|()| true)),
         other => Err(format!("repro names an unknown property {other:?}")),
     }
 }
@@ -374,8 +381,8 @@ mod tests {
         assert!(!report.failed());
         assert_eq!(lines, report.properties.len());
         // 16 diff + 8 oracle + 2 equiv + curve + journal + offline
-        // + 3 sweep-engine differentials.
-        assert_eq!(report.properties.len(), 32);
+        // + 4 sweep-engine differentials.
+        assert_eq!(report.properties.len(), 33);
     }
 
     #[test]

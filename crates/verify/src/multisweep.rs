@@ -8,9 +8,11 @@
 //!   ([`cap_cache::multisweep`]);
 //! * the queue sweep records the generated instruction stream on a
 //!   shared tape and replays it at every window size
-//!   ([`cap_ooo::multisweep`]), on a core whose wakeup bookkeeping is
-//!   incremental rather than a full window scan
-//!   ([`cap_ooo::core::OooCore`] vs [`cap_ooo::reference::ScanCore`]).
+//!   ([`cap_ooo::multisweep`]), on a core that schedules each
+//!   instruction once, at dispatch, rather than scanning the window
+//!   every cycle ([`cap_ooo::core::OooCore`] vs
+//!   [`cap_ooo::reference::ScanCore`]), checked both cycle by cycle and
+//!   over the interval-sized `run` calls of a managed run.
 //!
 //! Each fast path is claimed *bit-identical* to its reference — that is
 //! what lets the goldens stay byte-for-byte stable across the engine
@@ -23,7 +25,8 @@ use cap_cache::config::Boundary;
 use cap_cache::perf::PerfParams;
 use cap_cache::sim::SweepPoint;
 use cap_ooo::config::{CoreConfig, WindowSize};
-use cap_ooo::core::OooCore;
+use cap_ooo::core::{OooCore, RunStats};
+use cap_ooo::interval::PAPER_INTERVAL_INSTS;
 use cap_ooo::perf::QueueSweepPoint;
 use cap_ooo::reference::ScanCore;
 use cap_timing::cacti::CacheTimingModel;
@@ -173,8 +176,9 @@ fn compare_queue_points(
     Ok(())
 }
 
-/// One fuzzed core case: the incremental-wakeup production core and the
-/// full-scan reference stepped in lockstep over the same generated
+/// One fuzzed core case: the production core (which schedules each
+/// instruction once, at dispatch) and the full-scan reference stepped in
+/// lockstep over the same generated
 /// stream, including a mid-run window resize, comparing every observable
 /// each cycle.
 ///
@@ -236,6 +240,77 @@ pub fn core_vs_scan_reference(rng: &mut Rng) -> Result<(), String> {
     Ok(())
 }
 
+/// One fuzzed case of the managed-run call pattern: [`OooCore::run`]
+/// over intervals of [`PAPER_INTERVAL_INSTS`], with random window
+/// requests between them. Some requests land on a shrink that is still
+/// draining — back to back, or after a short run that stops mid-drain —
+/// and supersede it. After every run the production core's [`RunStats`],
+/// active window and pending flag must equal the reference's, stepped to
+/// the same commit target.
+///
+/// # Errors
+///
+/// Returns a message naming the first diverging run and observable.
+pub fn core_run_vs_scan(rng: &mut Rng) -> Result<(), String> {
+    let apps: Vec<App> = App::queue_suite().collect();
+    let app = *rng.pick(&apps);
+    let seed = rng.next_u64();
+    let sizes: Vec<WindowSize> = WindowSize::paper_sweep().collect();
+    let physical = *sizes.last().expect("paper sweep is non-empty");
+    let intervals = rng.range(2, 6);
+
+    let config = CoreConfig::isca98(physical.entries())
+        .map_err(|e| format!("config construction failed: {e}"))?;
+    let mut fast =
+        OooCore::try_new(config).map_err(|e| format!("production core rejected config: {e}"))?;
+    let mut scan =
+        ScanCore::try_new(config).map_err(|e| format!("reference core rejected config: {e}"))?;
+    let mut fast_stream = app.ilp_profile().build(seed);
+    let mut scan_stream = app.ilp_profile().build(seed);
+    let mut ctx = format!("app {} seed {seed}:", app.name());
+
+    let compare = |ctx: &str, fast: &OooCore, scan: &ScanCore, runs: (RunStats, RunStats)| {
+        let observables = [
+            ("run cycles", runs.0.cycles, runs.1.cycles),
+            ("run committed", runs.0.committed, runs.1.committed),
+            ("cycles", fast.cycles(), scan.cycles()),
+            ("occupancy", fast.occupancy() as u64, scan.occupancy() as u64),
+            ("active_window", fast.active_window() as u64, scan.active_window() as u64),
+            ("resize_pending", u64::from(fast.resize_pending()), u64::from(scan.resize_pending())),
+        ];
+        for (name, fv, sv) in observables {
+            if fv != sv {
+                return Err(format!("{ctx} {name} diverged — {fv} (production) vs {sv} (scan)"));
+            }
+        }
+        Ok(())
+    };
+    for _ in 0..intervals {
+        for request in 0..rng.range(1, 3) {
+            if request > 0 && rng.chance(0.5) {
+                let insts = rng.range(1, 16);
+                ctx.push_str(&format!(" run {insts}"));
+                let runs = (fast.run(&mut fast_stream, insts), scan.run(&mut scan_stream, insts));
+                compare(&ctx, &fast, &scan, runs)?;
+            }
+            let w = *rng.pick(&sizes);
+            ctx.push_str(&format!(" resize {}", w.entries()));
+            let (f, s) = (fast.request_resize(w), scan.request_resize(w));
+            if f.is_ok() != s.is_ok() {
+                return Err(format!("{ctx}: resize outcomes differ ({f:?} vs {s:?})"));
+            }
+            compare(&ctx, &fast, &scan, (RunStats::default(), RunStats::default()))?;
+        }
+        ctx.push_str(&format!(" run {PAPER_INTERVAL_INSTS}"));
+        let runs = (
+            fast.run(&mut fast_stream, PAPER_INTERVAL_INSTS),
+            scan.run(&mut scan_stream, PAPER_INTERVAL_INSTS),
+        );
+        compare(&ctx, &fast, &scan, runs)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,6 +328,14 @@ mod tests {
         let mut rng = Rng::for_case(1, "queue-sweep-unit", 0);
         for _ in 0..8 {
             queue_tape_vs_legacy(&mut rng).unwrap();
+        }
+    }
+
+    #[test]
+    fn interval_runs_agree_on_a_quick_sample() {
+        let mut rng = Rng::for_case(1, "run-diff-unit", 0);
+        for _ in 0..8 {
+            core_run_vs_scan(&mut rng).unwrap();
         }
     }
 
