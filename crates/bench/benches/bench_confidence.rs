@@ -5,7 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cap_core::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
-use cap_core::manager::{run_managed_queue, ConfidencePolicy, IntervalManager};
+use cap_core::manager::{
+    run_managed, ConfidencePolicy, IntervalManager, QueueIntervalSim, SwitchRetryPolicy,
+};
 use cap_core::structure::{AdaptiveStructure, QueueStructure};
 use cap_timing::queue::QueueTimingModel;
 use cap_workloads::App;
@@ -18,8 +20,10 @@ fn run_policy(policy: ConfidencePolicy) -> (f64, u64) {
     let mut clock = DynamicClock::new(table, DEFAULT_SWITCH_PENALTY_CYCLES).unwrap();
     let mut manager = IntervalManager::new(8, 40, policy).unwrap();
     let mut stream = App::Vortex.ilp_profile().build(3);
-    let run =
-        run_managed_queue(&mut structure, &mut stream, &mut manager, &mut clock, 300, 2_000).unwrap();
+    let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, 2_000).unwrap();
+    let run = run_managed(&mut sim, &mut manager, &mut clock, 300, None, SwitchRetryPolicy::default())
+        .unwrap()
+        .run;
     (run.average_tpi().value(), run.switches)
 }
 

@@ -2,7 +2,9 @@
 //! artifact takes to reproduce.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cap_core::experiments::{CacheExperiment, ExperimentScale, IntervalExperiment, QueueExperiment};
+use cap_core::experiments::{
+    CacheExperiment, ExecPolicy, ExperimentScale, IntervalExperiment, QueueExperiment,
+};
 use cap_workloads::App;
 use std::hint::black_box;
 
@@ -19,7 +21,7 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("fig13_snapshots", |b| {
         let exp = IntervalExperiment::new();
-        b.iter(|| black_box(exp.figure13().unwrap()))
+        b.iter(|| black_box(exp.figure13(&ExecPolicy::serial()).unwrap()))
     });
     group.finish();
 

@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cap_core::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
-use cap_core::manager::{run_managed_queue, ConfidencePolicy, IntervalManager};
+use cap_core::manager::{
+    run_managed, ConfidencePolicy, IntervalManager, QueueIntervalSim, SwitchRetryPolicy,
+};
 use cap_core::structure::{AdaptiveStructure, QueueStructure};
 use cap_timing::queue::QueueTimingModel;
 use cap_workloads::App;
@@ -18,15 +20,17 @@ fn managed_tpi(interval_len: u64) -> (f64, u64) {
     let mut manager = IntervalManager::new(8, 50, ConfidencePolicy::default_policy()).unwrap();
     let mut stream = App::Vortex.ilp_profile().build(3);
     let budget: u64 = 400_000;
-    let run = run_managed_queue(
-        &mut structure,
-        &mut stream,
+    let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, interval_len).unwrap();
+    let run = run_managed(
+        &mut sim,
         &mut manager,
         &mut clock,
         budget / interval_len,
-        interval_len,
+        None,
+        SwitchRetryPolicy::default(),
     )
-    .unwrap();
+    .unwrap()
+    .run;
     (run.average_tpi().value(), run.switches)
 }
 

@@ -5,6 +5,7 @@
 use cap_bench::emit_json;
 use cap_core::experiments::IntervalExperiment;
 use cap_core::manager::ConfidencePolicy;
+use cap_core::policy::{PolicyConfig, PolicyKind};
 use cap_workloads::App;
 
 fn main() {
@@ -21,7 +22,10 @@ fn main() {
                 ("confident", ConfidencePolicy::default_policy(), 50),
                 ("eager", ConfidencePolicy::none(), 50),
             ] {
-                let r = exp.adaptive_comparison_with(app, intervals, policy, explore, exec)?;
+                let config = PolicyConfig::new(PolicyKind::Confidence)
+                    .with_explore_period(explore)
+                    .with_confidence(policy);
+                let r = exp.policy_comparison(app, intervals, &config, exec)?;
                 println!(
                     "{:>8} {:>12} {:>14.3} {:>12.3} {:>12.3} {:>9}",
                     r.app, name, r.process_level_tpi, r.managed_tpi, r.oracle_tpi, r.switches

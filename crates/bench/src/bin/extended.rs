@@ -5,15 +5,15 @@
 use cap_bench::emit_json;
 use cap_core::experiments::DEFAULT_SEED;
 use cap_core::extended::{
-    asynchronous_study_with, bpred_study_with, reconfiguration_frequency_study_with,
-    run_managed_combined_with, technology_study_with, tlb_study_with, CombinedExperiment,
+    asynchronous_study, bpred_study, reconfiguration_frequency_study, run_managed_combined,
+    technology_study, tlb_study, CombinedExperiment,
 };
 use cap_core::manager::ConfidencePolicy;
 use cap_workloads::App;
 
 fn main() {
     cap_bench::run("Extended", "future-work studies: TLB, branch predictor, combined", |exec, scale| {
-        let tlb = tlb_study_with(scale, DEFAULT_SEED, exec)?;
+        let tlb = tlb_study(scale, DEFAULT_SEED, exec)?;
         println!("Adaptive TLB (primary/backup split; machine cycle from the 16KB-L1 clock):");
         println!("{:>10} {:>14} {:>14} {:>14} {:>10}", "app", "best primary", "tpi@16 (ns)", "tpi@best (ns)", "miss");
         for r in &tlb {
@@ -24,7 +24,7 @@ fn main() {
         }
         emit_json("tlb_study", &tlb);
 
-        let bp = bpred_study_with(scale, DEFAULT_SEED, exec)?;
+        let bp = bpred_study(scale, DEFAULT_SEED, exec)?;
         println!("\nAdaptive gshare PHT (machine cycle from the 64-entry queue clock):");
         println!("{:>10} {:>10} {:>10} {:>10} {:>12}", "app", "best PHT", "acc@1K", "acc@best", "tpi (ns)");
         for r in &bp {
@@ -47,7 +47,7 @@ fn main() {
         let exp = CombinedExperiment::new(scale);
         let mut combined = Vec::new();
         for app in [App::Stereo, App::Appcg, App::Compress, App::M88ksim, App::Fpppp] {
-            let s = exp.study_with(app, exec)?;
+            let s = exp.study(app, exec)?;
             let b = s.best();
             println!(
                 "{:>10} {:>9}KB,{:>4} {:>9}KB,{:>4} {:>12.3} {:>12.3}",
@@ -59,7 +59,7 @@ fn main() {
 
         println!("\nTechnology scaling (paper §2, quantified):");
         println!("{:>12} {:>22} {:>22}", "feature um", "cache clock spread", "adaptive TPI gain");
-        let tech = technology_study_with(scale, DEFAULT_SEED, exec)?;
+        let tech = technology_study(scale, DEFAULT_SEED, exec)?;
         for r in &tech {
             println!(
                 "{:>12.2} {:>21.2}x {:>21.1}%",
@@ -70,7 +70,7 @@ fn main() {
 
         println!("\nReconfiguration frequency (paper §4.2) on turb3d:");
         println!("{:>14} {:>14} {:>10}", "interval", "managed TPI", "switches");
-        let freq = reconfiguration_frequency_study_with(
+        let freq = reconfiguration_frequency_study(
             App::Turb3d,
             800_000,
             &[500, 2_000, 8_000, 32_000],
@@ -84,7 +84,7 @@ fn main() {
 
         println!("\nAsynchronous design (paper §4.1): average vs worst-case L1 access at 64KB:");
         println!("{:>10} {:>12} {:>12} {:>9}", "app", "sync (ns)", "async (ns)", "speedup");
-        let asy = asynchronous_study_with(scale, DEFAULT_SEED, exec)?;
+        let asy = asynchronous_study(scale, DEFAULT_SEED, exec)?;
         for r in &asy {
             println!("{:>10} {:>12.3} {:>12.3} {:>8.2}x", r.app, r.sync_access_ns, r.async_access_ns, r.speedup);
         }
@@ -94,7 +94,7 @@ fn main() {
         println!("{:>10} {:>12} {:>10} {:>16}", "app", "avg TPI", "switches", "settled config");
         let mut joint = Vec::new();
         for app in [App::M88ksim, App::Stereo, App::Appcg] {
-            let r = run_managed_combined_with(
+            let r = run_managed_combined(
                 app,
                 400,
                 DEFAULT_SEED,

@@ -8,7 +8,7 @@ use cap_core::report::{cache_curve_csv, cache_curves_table};
 
 fn main() {
     cap_bench::run("Figure 7", "average TPI vs L1 D-cache size (ns), fixed boundary", |exec, scale| {
-        let curves = CacheExperiment::new(scale)?.figure7_with(exec)?;
+        let curves = CacheExperiment::new(scale)?.figure7(exec)?;
         let (int, fp): (Vec<_>, Vec<_>) = curves.iter().partition(|c| c.integer_panel);
         println!("{}", cache_curves_table("(a) integer benchmarks", &int));
         println!("{}", cache_curves_table("(b) floating point / CMU / NAS benchmarks", &fp));

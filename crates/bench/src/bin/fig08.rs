@@ -8,7 +8,7 @@ use cap_core::report::bar_chart_table;
 
 fn main() {
     cap_bench::run("Figure 8", "average TPImiss (ns): conventional vs process-level adaptive", |exec, scale| {
-        let chart = CacheExperiment::new(scale)?.figure8_with(exec)?;
+        let chart = CacheExperiment::new(scale)?.figure8(exec)?;
         println!("{}", bar_chart_table("TPImiss per application", "ns", &chart));
         emit_json("fig08", &chart);
         Ok(())

@@ -8,7 +8,7 @@ use cap_core::report::{bar_chart_csv, bar_chart_table};
 
 fn main() {
     cap_bench::run("Figure 9", "average TPI (ns): conventional vs process-level adaptive", |exec, scale| {
-        let chart = CacheExperiment::new(scale)?.figure9_with(exec)?;
+        let chart = CacheExperiment::new(scale)?.figure9(exec)?;
         println!("{}", bar_chart_table("TPI per application", "ns", &chart));
         emit_json("fig09", &chart);
         emit_csv("fig09", &bar_chart_csv(&chart));

@@ -8,7 +8,7 @@ use cap_core::report::{queue_curve_csv, queue_curves_table};
 
 fn main() {
     cap_bench::run("Figure 10", "average TPI vs instruction queue size (ns)", |exec, scale| {
-        let curves = QueueExperiment::new(scale).figure10_with(exec)?;
+        let curves = QueueExperiment::new(scale).figure10(exec)?;
         let (int, fp): (Vec<_>, Vec<_>) = curves.iter().partition(|c| c.integer_panel);
         println!("{}", queue_curves_table("(a) integer benchmarks", &int));
         println!("{}", queue_curves_table("(b) floating point / CMU / NAS benchmarks", &fp));

@@ -8,7 +8,7 @@ use cap_core::report::{bar_chart_csv, bar_chart_table};
 
 fn main() {
     cap_bench::run("Figure 11", "average TPI (ns): conventional (64-entry) vs process-level adaptive", |exec, scale| {
-        let chart = QueueExperiment::new(scale).figure11_with(exec)?;
+        let chart = QueueExperiment::new(scale).figure11(exec)?;
         println!("{}", bar_chart_table("TPI per application", "ns", &chart));
         emit_json("fig11", &chart);
         emit_csv("fig11", &bar_chart_csv(&chart));

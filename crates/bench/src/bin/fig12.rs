@@ -9,7 +9,7 @@ use cap_core::report::interval_figure_table;
 
 fn main() {
     cap_bench::run("Figure 12", "turb3d interval snapshots: 64 vs 128 entries", |exec, _| {
-        let fig = IntervalExperiment::new().figure12_with(exec)?;
+        let fig = IntervalExperiment::new().figure12(exec)?;
         println!("{}", interval_figure_table("TPI (ns) per 2000-instruction interval", &fig));
         let (a_s, a_l) = fig.snapshot_a_wins();
         let (b_s, b_l) = fig.snapshot_b_wins();

@@ -9,7 +9,7 @@ use cap_core::report::interval_figure_table;
 
 fn main() {
     cap_bench::run("Figure 13", "vortex interval snapshots: 16 vs 64 entries", |exec, _| {
-        let fig = IntervalExperiment::new().figure13_with(exec)?;
+        let fig = IntervalExperiment::new().figure13(exec)?;
         println!("{}", interval_figure_table("TPI (ns) per 2000-instruction interval", &fig));
         let winners: Vec<&str> =
             fig.snapshot_a.iter().map(|p| if p.tpi_small < p.tpi_large { "16" } else { "64" }).collect();

@@ -14,8 +14,8 @@ struct HeadlineRow {
 
 fn main() {
     cap_bench::run("Headline", "paper-reported vs measured reductions", |exec, scale| {
-        let cache = CacheExperiment::new(scale)?.headline_with(exec)?;
-        let queue = QueueExperiment::new(scale).headline_with(exec)?;
+        let cache = CacheExperiment::new(scale)?.headline(exec)?;
+        let queue = QueueExperiment::new(scale).headline(exec)?;
         let rows = vec![
             HeadlineRow { metric: "cache: average TPImiss reduction".into(), paper: 0.26, measured: cache.tpimiss_reduction },
             HeadlineRow { metric: "cache: average TPI reduction".into(), paper: 0.09, measured: cache.tpi_reduction },

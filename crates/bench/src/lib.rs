@@ -159,11 +159,20 @@ pub fn banner(figure: &str, what: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes the tests that set or remove the process-global
+    /// `CAP_JSON_DIR` / `CAP_CSV_DIR` variables: the test harness runs
+    /// them on parallel threads.
+    fn env_lock() -> MutexGuard<'static, ()> {
+        static ENV: Mutex<()> = Mutex::new(());
+        ENV.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn emit_json_writes_when_dir_set() {
+        let _env = env_lock();
         let dir = std::env::temp_dir().join(format!("cap-bench-test-{}", std::process::id()));
-        // Serialize access to the env var within this test binary.
         std::env::set_var("CAP_JSON_DIR", &dir);
         emit_json("probe", &vec![1, 2, 3]);
         std::env::remove_var("CAP_JSON_DIR");
@@ -174,6 +183,7 @@ mod tests {
 
     #[test]
     fn emit_csv_writes_when_dir_set() {
+        let _env = env_lock();
         let dir = std::env::temp_dir().join(format!("cap-bench-csv-{}", std::process::id()));
         std::env::set_var("CAP_CSV_DIR", &dir);
         emit_csv("probe", "a,b\n1,2\n");
@@ -185,6 +195,7 @@ mod tests {
 
     #[test]
     fn emit_json_noop_without_dir() {
+        let _env = env_lock();
         std::env::remove_var("CAP_JSON_DIR");
         emit_json("never-written", &1);
     }

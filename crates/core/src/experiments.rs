@@ -10,14 +10,20 @@
 //! | [`IntervalExperiment::figure12`] | Fig 12(a,b): turb3d interval snapshots |
 //! | [`IntervalExperiment::figure13`] | Fig 13(a,b): vortex interval snapshots |
 //! | [`CacheExperiment::headline`], [`QueueExperiment::headline`] | §5 headline reductions |
-//! | [`IntervalExperiment::adaptive_comparison`] | §6 extension: interval manager vs process level vs oracle |
+//! | [`IntervalExperiment::policy_comparison`] | §6 extension: interval manager vs process level vs oracle |
+//!
+//! Each experiment has one entry point, which takes the [`ExecPolicy`]
+//! it runs under as its last argument (`&ExecPolicy::serial()` for the
+//! plain serial run). Three keep a policy-free form: the single-curve
+//! `sweep`s, and [`IntervalExperiment::compare_policies`] next to
+//! [`IntervalExperiment::compare_policies_with`].
 //!
 //! All result types are `serde::Serialize` so the bench binaries can emit
 //! machine-readable records alongside their tables.
 
 use crate::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
 use crate::error::CapError;
-use crate::manager::{run_managed_queue, ConfidencePolicy, ManagedRun};
+use crate::manager::{run_managed, ManagedRun, QueueIntervalSim, SwitchRetryPolicy};
 use crate::metrics::{BarChart, BarPair};
 use crate::plan::{self, Executor, ExperimentSpec, Leg, LegId};
 use crate::policy::{PolicyConfig, PolicyKind};
@@ -25,11 +31,9 @@ use crate::replay::{field, FromJson};
 use crate::structure::{AdaptiveStructure, QueueStructure};
 use cap_cache::config::Boundary;
 use cap_cache::perf::PerfParams;
-use cap_cache::sim as cache_sim;
 use cap_ooo::config::{CoreConfig, WindowSize};
 use cap_ooo::core::OooCore;
 use cap_ooo::interval::{record_intervals, PAPER_INTERVAL_INSTS};
-use cap_ooo::perf as queue_perf;
 use cap_obs::{
     CacheProbeEvent, CacheQuarantineEvent, CacheStoreEvent, Event, JournalLegEvent,
     LegTimeoutEvent, Recorder,
@@ -123,57 +127,6 @@ impl ExperimentScale {
 /// The deterministic root seed used by all experiments unless overridden.
 pub const DEFAULT_SEED: u64 = 0x15CA_1998;
 
-/// Which sweep engine computes a configuration curve.
-///
-/// Results are bit-identical between engines (held as an invariant by
-/// `cap-verify` and the crate's tests); the choice affects only
-/// wall-clock and the shape of the leg stream — single-pass computes one
-/// whole curve per leg, the legacy engine one configuration per leg.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepEngine {
-    /// One traversal per application answers every configuration: the
-    /// cache study classifies each reference by stack distance
-    /// ([`cap_cache::multisweep`]), the queue study replays one recorded
-    /// instruction tape through every window ([`cap_ooo::multisweep`]).
-    #[default]
-    SinglePass,
-    /// One full simulation per (application, configuration) pair — the
-    /// original fan-out, kept as the reference and the fallback.
-    Legacy,
-}
-
-impl SweepEngine {
-    /// The engine selected by `CAP_SWEEP_ENGINE` (`single-pass` or
-    /// `legacy`; unset means single-pass).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CapError::Environment`] for an unknown value.
-    pub fn from_env() -> Result<Self, CapError> {
-        match std::env::var("CAP_SWEEP_ENGINE") {
-            Err(_) => Ok(SweepEngine::SinglePass),
-            Ok(v) => match v.as_str() {
-                "single-pass" => Ok(SweepEngine::SinglePass),
-                "legacy" => Ok(SweepEngine::Legacy),
-                other => Err(CapError::Environment {
-                    message: format!(
-                        "CAP_SWEEP_ENGINE={other:?} is not a known engine \
-                         (expected single-pass or legacy)"
-                    ),
-                }),
-            },
-        }
-    }
-
-    /// The engine's canonical name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SweepEngine::SinglePass => "single-pass",
-            SweepEngine::Legacy => "legacy",
-        }
-    }
-}
-
 /// Bump whenever simulator, workload, or timing semantics change: it is
 /// baked into every result-cache key, so old cached sweeps stop
 /// replaying the moment the physics moves.
@@ -190,8 +143,7 @@ pub const SWEEP_RESULTS_VERSION: u32 = 1;
 /// Every sweep leg is a pure function of
 /// `(experiment kind, app, scale, seed, config range)`, so none of these
 /// knobs can change results — only wall-clock (and, for the journal,
-/// what survives a crash). The default (and the plain `sweep()` /
-/// `figureN()` entry points) is the serial policy.
+/// what survives a crash). The default is the serial policy.
 #[derive(Debug, Clone)]
 pub struct ExecPolicy {
     jobs: usize,
@@ -200,7 +152,6 @@ pub struct ExecPolicy {
     journal: Option<Arc<Mutex<Journal>>>,
     watchdog: WatchdogPolicy,
     chaos: Option<ChaosInjector>,
-    sweep_engine: SweepEngine,
     flight: Option<Arc<LegFlight>>,
     gate: Option<Arc<Gate>>,
 }
@@ -222,7 +173,6 @@ impl ExecPolicy {
             journal: None,
             watchdog: WatchdogPolicy::none(),
             chaos: None,
-            sweep_engine: SweepEngine::default(),
             flight: None,
             gate: None,
         }
@@ -298,21 +248,12 @@ impl ExecPolicy {
         self
     }
 
-    /// Selects the sweep engine (results are identical; see
-    /// [`SweepEngine`]).
-    #[must_use]
-    pub fn with_sweep_engine(mut self, engine: SweepEngine) -> Self {
-        self.sweep_engine = engine;
-        self
-    }
-
     /// The policy selected by the environment: `jobs` (CLI `--jobs`)
     /// falls back to `CAP_JOBS`, then to the machine's parallelism; the
     /// cache comes from `CAP_CACHE_DIR` unless `CAP_NO_CACHE` is set;
     /// tracing comes from `CAP_TRACE` (a JSONL output path); the
     /// watchdog deadline from `CAP_LEG_TIMEOUT`; chaos injection from
-    /// `CAP_CHAOS_PANIC` / `CAP_CHAOS_STALL`; the sweep engine from
-    /// `CAP_SWEEP_ENGINE`.
+    /// `CAP_CHAOS_PANIC` / `CAP_CHAOS_STALL`.
     ///
     /// A cache directory named by `CAP_CACHE_DIR` is probed for
     /// writability up front, so a campaign fails before its first leg —
@@ -339,7 +280,6 @@ impl ExecPolicy {
                 message: format!("CAP_CACHE_DIR is unusable: {e}"),
             })?;
         }
-        let sweep_engine = SweepEngine::from_env()?;
         Ok(ExecPolicy {
             jobs,
             cache,
@@ -347,7 +287,6 @@ impl ExecPolicy {
             journal: None,
             watchdog,
             chaos,
-            sweep_engine,
             flight: None,
             gate: None,
         })
@@ -376,11 +315,6 @@ impl ExecPolicy {
     /// The per-leg watchdog policy.
     pub fn watchdog(&self) -> &WatchdogPolicy {
         &self.watchdog
-    }
-
-    /// The sweep engine in effect.
-    pub fn sweep_engine(&self) -> SweepEngine {
-        self.sweep_engine
     }
 
     pub(crate) fn pool(&self) -> Pool {
@@ -529,6 +463,32 @@ pub(crate) fn decode_leg<T>(
     decode: impl Fn(&Value) -> Option<T>,
 ) -> Result<T, CapError> {
     decode(value).ok_or(CapError::InvalidParameter { what })
+}
+
+/// Runs a plan named `name` over `legs` under `exec` and decodes every
+/// leg's value, in `legs` order (see [`decode_leg`]).
+pub(crate) fn run_legs<T>(
+    name: &str,
+    legs: impl IntoIterator<Item = Leg>,
+    exec: &ExecPolicy,
+    what: &'static str,
+    decode: impl Fn(&Value) -> Option<T>,
+) -> Result<Vec<T>, CapError> {
+    let mut spec = ExperimentSpec::new(name);
+    let ids: Vec<LegId> = legs.into_iter().map(|leg| spec.leg(leg)).collect();
+    let run = Executor::run(&spec, exec)?;
+    ids.into_iter().map(|id| decode_leg(run.value(id), what, &decode)).collect()
+}
+
+/// [`run_legs`] for a one-leg plan.
+pub(crate) fn run_leg<T>(
+    name: &str,
+    leg: Leg,
+    exec: &ExecPolicy,
+    what: &'static str,
+    decode: impl Fn(&Value) -> Option<T>,
+) -> Result<T, CapError> {
+    Ok(run_legs(name, [leg], exec, what, decode)?.remove(0))
 }
 
 // Decoders for cache and journal replay. The generic `FromJson` trait
@@ -697,38 +657,13 @@ impl CacheExperiment {
         &self.timing
     }
 
-    /// One leg of the cache study: one application at one fixed
-    /// boundary. Every sweep entry point — serial or parallel — funnels
-    /// through this function, which is what makes their outputs
-    /// identical.
-    fn leg(&self, app: App, boundary: Boundary) -> Result<CachePoint, CapError> {
-        let profile = app.memory_profile();
-        let stream = profile.build(self.seed ^ app.seed_salt());
-        let p = cache_sim::sweep_point(
-            stream,
-            self.scale.cache_refs(),
-            boundary,
-            &self.timing,
-            PerfParams::isca98(profile.insts_per_ref),
-        )?;
-        Ok(CachePoint {
-            l1_kb: p.boundary.l1_kb(),
-            l1_assoc: p.boundary.l1_assoc(),
-            cycle_ns: p.tpi.cycle.value(),
-            tpi_ns: p.tpi.total_tpi().value(),
-            tpi_miss_ns: p.tpi.miss_tpi.value(),
-            l1_miss_ratio: p.stats.l1_miss_ratio(),
-            global_miss_ratio: p.stats.global_miss_ratio(),
-        })
-    }
-
-    /// The whole curve in one traversal: the single-pass engine
-    /// classifies every reference by stack distance and answers all
-    /// boundaries at once ([`cap_cache::multisweep`]). Falls back to the
-    /// legacy per-boundary path when the one-pass preconditions do not
-    /// hold, so the output is bit-identical to a serial fold over
-    /// [`CacheExperiment::leg`] either way.
-    fn curve_points_single_pass(&self, app: App) -> Result<Vec<CachePoint>, CapError> {
+    /// The whole curve in one traversal: every reference is classified
+    /// by stack distance once and all boundaries are answered from the
+    /// histogram ([`cap_cache::multisweep`]), falling back to one
+    /// simulation per boundary when the one-pass preconditions do not
+    /// hold. `cap-verify` holds it bit-identical to the per-boundary
+    /// reference [`cap_cache::sim::sweep_point`].
+    fn curve_points(&self, app: App) -> Result<Vec<CachePoint>, CapError> {
         let profile = app.memory_profile();
         let points = cap_cache::multisweep::sweep_one_pass(
             || profile.build(self.seed ^ app.seed_salt()),
@@ -780,83 +715,46 @@ impl CacheExperiment {
     }
 
     /// One application's curve as a content-addressed plan leg. The
-    /// compute closure owns the sweep-engine dispatch and the guarded
-    /// leg labels (`…|curve` / `…|point=i`), so a plan-built sweep is
-    /// leg-for-leg identical to the historical driver.
+    /// compute closure runs the whole curve under the guarded leg label
+    /// `…|curve`.
     pub(crate) fn curve_leg(&self, app: App) -> Leg {
         let key = self.curve_key(app);
-        let canon = key.canonical();
+        let label = format!("{}|curve", key.canonical());
         let me = self.clone();
         Leg::cached(
             key,
             move |exec| {
-                let points = match exec.sweep_engine() {
-                    SweepEngine::SinglePass => exec.guarded(&format!("{canon}|curve"), || {
-                        me.curve_points_single_pass(app)
-                    })?,
-                    SweepEngine::Legacy => exec
-                        .pool()
-                        .ordered_map(Boundary::paper_sweep().collect(), |i, b| {
-                            exec.guarded(&format!("{canon}|point={i}"), || me.leg(app, b))
-                        })
-                        .into_iter()
-                        .collect::<Result<Vec<_>, _>>()?,
-                };
+                let points = exec.guarded(&label, || me.curve_points(app))?;
                 Ok(plan::to_value(&Self::assemble_curve(app, points)))
             },
             |v| CacheCurve::from_json(v).is_some(),
         )
     }
 
-    /// Sweeps every boundary for one application (one Figure 7 curve).
+    /// Sweeps every boundary for one application (one Figure 7 curve),
+    /// serially and without memoization.
     ///
     /// # Errors
     ///
     /// Propagates timing-model errors.
     pub fn sweep(&self, app: App) -> Result<CacheCurve, CapError> {
-        self.sweep_with(app, &ExecPolicy::serial())
+        let serial = ExecPolicy::serial();
+        run_leg("cache-sweep", self.curve_leg(app), &serial, "cache curve replay", CacheCurve::from_json)
     }
 
-    /// [`CacheExperiment::sweep`] under an execution policy: a one-leg
-    /// plan over the [`Executor`] kernel, which contributes journal
-    /// replay and result-cache memoization.
+    /// All 21 Figure 7 curves: a plan of one content-addressed curve leg
+    /// per application, executed by the one [`Executor`] kernel — curves
+    /// already journaled or cached replay, the rest run as one pool
+    /// batch, and completed curves are committed even when another leg
+    /// fails or the batch drains, so `--resume` replays finished work
+    /// instead of recomputing it.
     ///
     /// # Errors
     ///
     /// Propagates timing-model errors.
-    pub fn sweep_with(&self, app: App, exec: &ExecPolicy) -> Result<CacheCurve, CapError> {
-        let mut spec = ExperimentSpec::new("cache-sweep");
-        let id = spec.leg(self.curve_leg(app));
-        let run = Executor::run(&spec, exec)?;
-        decode_leg(run.value(id), "cache curve replay", CacheCurve::from_json)
-    }
-
-    /// All 21 Figure 7 curves.
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-model errors.
-    pub fn figure7(&self) -> Result<Vec<CacheCurve>, CapError> {
-        self.figure7_with(&ExecPolicy::serial())
-    }
-
-    /// [`CacheExperiment::figure7`] under an execution policy: a plan of
-    /// one content-addressed curve leg per application, executed by the
-    /// one [`Executor`] kernel — curves already journaled or cached
-    /// replay, the rest run as one pool batch, and completed curves are
-    /// committed even when another leg fails or the batch drains, so
-    /// `--resume` replays finished work instead of recomputing it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-model errors.
-    pub fn figure7_with(&self, exec: &ExecPolicy) -> Result<Vec<CacheCurve>, CapError> {
-        let mut spec = ExperimentSpec::new("figure7");
-        let ids: Vec<LegId> = App::cache_suite().map(|app| spec.leg(self.curve_leg(app))).collect();
-        let run = Executor::run(&spec, exec)?;
-        ids.into_iter()
-            .map(|id| decode_leg(run.value(id), "cache curve replay", CacheCurve::from_json))
-            .collect()
+    pub fn figure7(&self, exec: &ExecPolicy) -> Result<Vec<CacheCurve>, CapError> {
+        let legs = App::cache_suite().map(|app| self.curve_leg(app));
+        run_legs("figure7", legs, exec, "cache curve replay", CacheCurve::from_json)
     }
 
     /// The Figure 8/9 bar chart derived purely from already-swept
@@ -881,7 +779,7 @@ impl CacheExperiment {
     }
 
     fn bar_chart(&self, exec: &ExecPolicy, metric: impl Fn(&CachePoint) -> f64) -> Result<BarChart, CapError> {
-        Ok(Self::chart_from_curves(&self.figure7_with(exec)?, metric))
+        Ok(Self::chart_from_curves(&self.figure7(exec)?, metric))
     }
 
     /// Figure 8: TPImiss, best conventional versus process-level adaptive.
@@ -889,16 +787,7 @@ impl CacheExperiment {
     /// # Errors
     ///
     /// Propagates timing-model errors.
-    pub fn figure8(&self) -> Result<BarChart, CapError> {
-        self.figure8_with(&ExecPolicy::serial())
-    }
-
-    /// [`CacheExperiment::figure8`] under an execution policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-model errors.
-    pub fn figure8_with(&self, exec: &ExecPolicy) -> Result<BarChart, CapError> {
+    pub fn figure8(&self, exec: &ExecPolicy) -> Result<BarChart, CapError> {
         // The adaptive column fixes the *TPI-optimal* configuration per
         // app (the paper optimizes overall TPI, which is why adaptive
         // TPImiss is occasionally higher than conventional).
@@ -910,36 +799,18 @@ impl CacheExperiment {
     /// # Errors
     ///
     /// Propagates timing-model errors.
-    pub fn figure9(&self) -> Result<BarChart, CapError> {
-        self.figure9_with(&ExecPolicy::serial())
-    }
-
-    /// [`CacheExperiment::figure9`] under an execution policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-model errors.
-    pub fn figure9_with(&self, exec: &ExecPolicy) -> Result<BarChart, CapError> {
+    pub fn figure9(&self, exec: &ExecPolicy) -> Result<BarChart, CapError> {
         self.bar_chart(exec, |p| p.tpi_ns)
     }
 
-    /// The §5.2.3 headline numbers.
+    /// The §5.2.3 headline numbers (one curve sweep; both charts reduce
+    /// from the same curves).
     ///
     /// # Errors
     ///
     /// Propagates timing-model errors.
-    pub fn headline(&self) -> Result<CacheHeadline, CapError> {
-        self.headline_with(&ExecPolicy::serial())
-    }
-
-    /// [`CacheExperiment::headline`] under an execution policy (one
-    /// curve sweep; both charts reduce from the same curves).
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-model errors.
-    pub fn headline_with(&self, exec: &ExecPolicy) -> Result<CacheHeadline, CapError> {
-        Ok(Self::headline_from_curves(&self.figure7_with(exec)?))
+    pub fn headline(&self, exec: &ExecPolicy) -> Result<CacheHeadline, CapError> {
+        Ok(Self::headline_from_curves(&self.figure7(exec)?))
     }
 
     /// The §5.2.3 headline numbers as a pure reduction over curves.
@@ -1048,26 +919,11 @@ impl QueueExperiment {
         &self.timing
     }
 
-    /// One leg of the queue study: one application at one fixed window
-    /// size. Every sweep entry point — serial or parallel — funnels
-    /// through this function, which is what makes their outputs
-    /// identical.
-    fn leg(&self, app: App, window: WindowSize) -> Result<QueuePoint, CapError> {
-        let stream = app.ilp_profile().build(self.seed ^ app.seed_salt());
-        let p = queue_perf::sweep_point(stream, self.scale.queue_insts(), window, &self.timing)?;
-        Ok(QueuePoint {
-            entries: p.window.entries(),
-            cycle_ns: p.cycle.value(),
-            ipc: p.stats.ipc(),
-            tpi_ns: p.tpi.value(),
-        })
-    }
-
-    /// The whole curve from one generated stream: the single-pass engine
-    /// records the instruction tape once and replays a cursor per window
-    /// size ([`cap_ooo::multisweep`]), bit-identical to a serial fold
-    /// over [`QueueExperiment::leg`].
-    fn curve_points_single_pass(&self, app: App) -> Result<Vec<QueuePoint>, CapError> {
+    /// The whole curve from one generated stream: the instruction tape
+    /// is recorded once and a cursor per window size replays it
+    /// ([`cap_ooo::multisweep`]). `cap-verify` holds it bit-identical to
+    /// the per-window reference [`cap_ooo::perf::sweep_point`].
+    fn curve_points(&self, app: App) -> Result<Vec<QueuePoint>, CapError> {
         let stream = app.ilp_profile().build(self.seed ^ app.seed_salt());
         let points = cap_ooo::multisweep::multisweep(
             stream,
@@ -1118,23 +974,12 @@ impl QueueExperiment {
     /// [`CacheExperiment::curve_leg`]).
     pub(crate) fn curve_leg(&self, app: App) -> Leg {
         let key = self.curve_key(app);
-        let canon = key.canonical();
+        let label = format!("{}|curve", key.canonical());
         let me = self.clone();
         Leg::cached(
             key,
             move |exec| {
-                let points = match exec.sweep_engine() {
-                    SweepEngine::SinglePass => exec.guarded(&format!("{canon}|curve"), || {
-                        me.curve_points_single_pass(app)
-                    })?,
-                    SweepEngine::Legacy => exec
-                        .pool()
-                        .ordered_map(WindowSize::paper_sweep().collect(), |i, w| {
-                            exec.guarded(&format!("{canon}|point={i}"), || me.leg(app, w))
-                        })
-                        .into_iter()
-                        .collect::<Result<Vec<_>, _>>()?,
-                };
+                let points = exec.guarded(&label, || me.curve_points(app))?;
                 Ok(plan::to_value(&Self::assemble_curve(app, points)))
             },
             |v| QueueCurve::from_json(v).is_some(),
@@ -1142,51 +987,25 @@ impl QueueExperiment {
     }
 
     /// Sweeps every window size for one application (one Figure 10
-    /// curve).
+    /// curve), serially and without memoization.
     ///
     /// # Errors
     ///
     /// Propagates timing-model errors.
     pub fn sweep(&self, app: App) -> Result<QueueCurve, CapError> {
-        self.sweep_with(app, &ExecPolicy::serial())
+        let serial = ExecPolicy::serial();
+        run_leg("queue-sweep", self.curve_leg(app), &serial, "queue curve replay", QueueCurve::from_json)
     }
 
-    /// [`QueueExperiment::sweep`] under an execution policy: a one-leg
-    /// plan over the [`Executor`] kernel.
+    /// All 22 Figure 10 curves: one plan leg per application, deduped
+    /// and batched by the [`Executor`].
     ///
     /// # Errors
     ///
     /// Propagates timing-model errors.
-    pub fn sweep_with(&self, app: App, exec: &ExecPolicy) -> Result<QueueCurve, CapError> {
-        let mut spec = ExperimentSpec::new("queue-sweep");
-        let id = spec.leg(self.curve_leg(app));
-        let run = Executor::run(&spec, exec)?;
-        decode_leg(run.value(id), "queue curve replay", QueueCurve::from_json)
-    }
-
-    /// All 22 Figure 10 curves.
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-model errors.
-    pub fn figure10(&self) -> Result<Vec<QueueCurve>, CapError> {
-        self.figure10_with(&ExecPolicy::serial())
-    }
-
-    /// [`QueueExperiment::figure10`] under an execution policy: one plan
-    /// leg per application, deduped and batched by the [`Executor`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-model errors.
-    pub fn figure10_with(&self, exec: &ExecPolicy) -> Result<Vec<QueueCurve>, CapError> {
-        let mut spec = ExperimentSpec::new("figure10");
-        let ids: Vec<LegId> =
-            App::queue_suite().map(|app| spec.leg(self.curve_leg(app))).collect();
-        let run = Executor::run(&spec, exec)?;
-        ids.into_iter()
-            .map(|id| decode_leg(run.value(id), "queue curve replay", QueueCurve::from_json))
-            .collect()
+    pub fn figure10(&self, exec: &ExecPolicy) -> Result<Vec<QueueCurve>, CapError> {
+        let legs = App::queue_suite().map(|app| self.curve_leg(app));
+        run_legs("figure10", legs, exec, "queue curve replay", QueueCurve::from_json)
     }
 
     /// Figure 11: TPI, best conventional (64-entry) versus process-level
@@ -1195,17 +1014,8 @@ impl QueueExperiment {
     /// # Errors
     ///
     /// Propagates timing-model errors.
-    pub fn figure11(&self) -> Result<BarChart, CapError> {
-        self.figure11_with(&ExecPolicy::serial())
-    }
-
-    /// [`QueueExperiment::figure11`] under an execution policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-model errors.
-    pub fn figure11_with(&self, exec: &ExecPolicy) -> Result<BarChart, CapError> {
-        Ok(Self::chart_from_curves(&self.figure10_with(exec)?))
+    pub fn figure11(&self, exec: &ExecPolicy) -> Result<BarChart, CapError> {
+        Ok(Self::chart_from_curves(&self.figure10(exec)?))
     }
 
     /// The Figure 11 bar chart as a pure reduction over Figure 10 curves.
@@ -1229,17 +1039,8 @@ impl QueueExperiment {
     /// # Errors
     ///
     /// Propagates timing-model errors.
-    pub fn headline(&self) -> Result<QueueHeadline, CapError> {
-        self.headline_with(&ExecPolicy::serial())
-    }
-
-    /// [`QueueExperiment::headline`] under an execution policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-model errors.
-    pub fn headline_with(&self, exec: &ExecPolicy) -> Result<QueueHeadline, CapError> {
-        Ok(Self::headline_from_curves(&self.figure10_with(exec)?))
+    pub fn headline(&self, exec: &ExecPolicy) -> Result<QueueHeadline, CapError> {
+        Ok(Self::headline_from_curves(&self.figure10(exec)?))
     }
 
     /// The §5.3 headline as a pure reduction over Figure 10 curves.
@@ -1382,34 +1183,28 @@ impl IntervalExperiment {
         self
     }
 
-    /// Per-interval TPI of one application under a fixed window size.
+    /// Per-interval TPI of one application under a fixed window size. A
+    /// series is one leg (a managed-clock trace cannot split), so the
+    /// policy contributes memoization, not fan-out — callers fan out
+    /// across windows.
     ///
     /// # Errors
     ///
     /// Propagates timing-model errors.
-    pub fn interval_series(&self, app: App, window: usize, intervals: u64) -> Result<Vec<f64>, CapError> {
-        self.interval_series_with(app, window, intervals, &ExecPolicy::serial())
-    }
-
-    /// [`IntervalExperiment::interval_series`] under an execution
-    /// policy. A series is one leg (a managed-clock trace cannot split),
-    /// so the policy contributes memoization, not fan-out — callers fan
-    /// out across windows.
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-model errors.
-    pub fn interval_series_with(
+    pub fn interval_series(
         &self,
         app: App,
         window: usize,
         intervals: u64,
         exec: &ExecPolicy,
     ) -> Result<Vec<f64>, CapError> {
-        let mut spec = ExperimentSpec::new("interval-series");
-        let id = spec.leg(self.series_leg(app, window, intervals));
-        let run = Executor::run(&spec, exec)?;
-        decode_leg(run.value(id), "interval series replay", <Vec<f64>>::from_json)
+        run_leg(
+            "interval-series",
+            self.series_leg(app, window, intervals),
+            exec,
+            "interval series replay",
+            <Vec<f64>>::from_json,
+        )
     }
 
     fn series_key(&self, app: App, window: usize, intervals: u64) -> CacheKey {
@@ -1476,7 +1271,7 @@ impl IntervalExperiment {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn snapshot_with(
+    fn snapshot(
         &self,
         app: App,
         small: usize,
@@ -1486,13 +1281,10 @@ impl IntervalExperiment {
         exec: &ExecPolicy,
     ) -> Result<IntervalFigure, CapError> {
         let total = range_a.end.max(range_b.end);
-        let mut spec = ExperimentSpec::new("interval-snapshot");
-        let s_id = spec.leg(self.series_leg(app, small, total));
-        let l_id = spec.leg(self.series_leg(app, large, total));
-        let run = Executor::run(&spec, exec)?;
-        let s = decode_leg(run.value(s_id), "interval series replay", <Vec<f64>>::from_json)?;
-        let l = decode_leg(run.value(l_id), "interval series replay", <Vec<f64>>::from_json)?;
-        Ok(Self::assemble_figure(app, small, large, range_a, range_b, &s, &l))
+        let legs = [self.series_leg(app, small, total), self.series_leg(app, large, total)];
+        let series =
+            run_legs("interval-snapshot", legs, exec, "interval series replay", <Vec<f64>>::from_json)?;
+        Ok(Self::assemble_figure(app, small, large, range_a, range_b, &series[0], &series[1]))
     }
 
     /// Intra-application ILP variation at a fixed 128-entry window:
@@ -1518,87 +1310,29 @@ impl IntervalExperiment {
 
     /// Figure 12: turb3d under 64- and 128-entry windows. Snapshot (a)
     /// falls in a 64-preferring phase, snapshot (b) in a 128-preferring
-    /// phase.
+    /// phase. The two window series run as parallel legs.
     ///
     /// # Errors
     ///
     /// Propagates timing-model errors.
-    pub fn figure12(&self) -> Result<IntervalFigure, CapError> {
-        self.figure12_with(&ExecPolicy::serial())
-    }
-
-    /// [`IntervalExperiment::figure12`] under an execution policy (the
-    /// two window series run as parallel legs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-model errors.
-    pub fn figure12_with(&self, exec: &ExecPolicy) -> Result<IntervalFigure, CapError> {
+    pub fn figure12(&self, exec: &ExecPolicy) -> Result<IntervalFigure, CapError> {
         // Phases are 760k + 440k instructions = 380 + 220 intervals.
-        self.snapshot_with(App::Turb3d, 64, 128, 60..260, 420..540, exec)
+        self.snapshot(App::Turb3d, 64, 128, 60..260, 420..540, exec)
     }
 
     /// Figure 13: vortex under 16- and 64-entry windows. Snapshot (a)
     /// covers the regular ~15-interval alternation; snapshot (b) covers
-    /// the irregular micro-phase stretch.
+    /// the irregular micro-phase stretch. The two window series run as
+    /// parallel legs.
     ///
     /// # Errors
     ///
     /// Propagates timing-model errors.
-    pub fn figure13(&self) -> Result<IntervalFigure, CapError> {
-        self.figure13_with(&ExecPolicy::serial())
-    }
-
-    /// [`IntervalExperiment::figure13`] under an execution policy (the
-    /// two window series run as parallel legs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-model errors.
-    pub fn figure13_with(&self, exec: &ExecPolicy) -> Result<IntervalFigure, CapError> {
+    pub fn figure13(&self, exec: &ExecPolicy) -> Result<IntervalFigure, CapError> {
         // Regular region: the first 3 alternations (90 intervals).
         // Irregular region: the micro-phase tail at 180k..220k
         // instructions = intervals 90..110.
-        self.snapshot_with(App::Vortex, 16, 64, 0..90, 90..110, exec)
-    }
-
-    /// Runs the §6 interval-adaptive manager on an application and
-    /// compares it with the process-level choice and the per-interval
-    /// oracle.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors.
-    pub fn adaptive_comparison(
-        &self,
-        app: App,
-        intervals: u64,
-        policy: ConfidencePolicy,
-        explore_period: u64,
-    ) -> Result<AdaptiveComparison, CapError> {
-        self.adaptive_comparison_with(app, intervals, policy, explore_period, &ExecPolicy::serial())
-    }
-
-    /// [`IntervalExperiment::adaptive_comparison`] under an execution
-    /// policy: the fixed-configuration reference series (one per window
-    /// size) run as parallel legs; the managed run itself is inherently
-    /// serial — its clock and manager state are a chain.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors.
-    pub fn adaptive_comparison_with(
-        &self,
-        app: App,
-        intervals: u64,
-        policy: ConfidencePolicy,
-        explore_period: u64,
-        exec: &ExecPolicy,
-    ) -> Result<AdaptiveComparison, CapError> {
-        let config = PolicyConfig::new(PolicyKind::Confidence)
-            .with_explore_period(explore_period)
-            .with_confidence(policy);
-        self.policy_comparison_with(app, intervals, &config, exec)
+        self.snapshot(App::Vortex, 16, 64, 0..90, 90..110, exec)
     }
 
     /// The offline references every managed run is judged against: the
@@ -1606,15 +1340,9 @@ impl IntervalExperiment {
     /// oracle envelope, both averaged over `intervals`.
     fn offline_optima(&self, app: App, intervals: u64, exec: &ExecPolicy) -> Result<(f64, f64), CapError> {
         // Fixed runs at every configuration (for process level + oracle).
-        let mut spec = ExperimentSpec::new("offline-optima");
-        let ids: Vec<LegId> = WindowSize::paper_sweep()
-            .map(|w| spec.leg(self.series_leg(app, w.entries(), intervals)))
-            .collect();
-        let run = Executor::run(&spec, exec)?;
-        let series: Vec<Vec<f64>> = ids
-            .into_iter()
-            .map(|id| decode_leg(run.value(id), "interval series replay", <Vec<f64>>::from_json))
-            .collect::<Result<_, _>>()?;
+        let legs = WindowSize::paper_sweep().map(|w| self.series_leg(app, w.entries(), intervals));
+        let series =
+            run_legs("offline-optima", legs, exec, "interval series replay", <Vec<f64>>::from_json)?;
         let totals: Vec<f64> = series.iter().map(|s| s.iter().sum::<f64>()).collect();
         let process_level = totals.iter().cloned().fold(f64::INFINITY, f64::min) / intervals as f64;
         let oracle = (0..intervals as usize)
@@ -1642,25 +1370,29 @@ impl IntervalExperiment {
             Some(app.name().to_string()),
         )?;
         let mut stream = app.ilp_profile().build(self.seed ^ app.seed_salt());
-        run_managed_queue(
-            &mut structure,
-            &mut stream,
+        let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, PAPER_INTERVAL_INSTS)?;
+        let run = run_managed(
+            &mut sim,
             &mut *policy,
             &mut clock,
             intervals,
-            PAPER_INTERVAL_INSTS,
-        )
+            None,
+            SwitchRetryPolicy::default(),
+        )?;
+        Ok(run.run)
     }
 
-    /// [`IntervalExperiment::adaptive_comparison_with`] generalized over
-    /// the policy catalog: drives the managed run under any
-    /// [`PolicyConfig`] and reports it against the same process-level
-    /// and oracle references.
+    /// Runs the §6 interval-adaptive manager — or any other
+    /// [`PolicyConfig`] in the catalog — on an application and compares
+    /// it with the process-level choice and the per-interval oracle. The
+    /// fixed-configuration reference series (one per window size) run as
+    /// parallel legs; the managed run itself is inherently serial — its
+    /// clock and manager state are a chain.
     ///
     /// # Errors
     ///
     /// Propagates configuration errors.
-    pub fn policy_comparison_with(
+    pub fn policy_comparison(
         &self,
         app: App,
         intervals: u64,
@@ -1695,7 +1427,7 @@ impl IntervalExperiment {
     /// but cacheable, keyed by the policy name on top of the usual leg
     /// identity. Only default-knob runs are plan legs: custom
     /// [`PolicyConfig`] knobs are not part of the cache key, so
-    /// [`IntervalExperiment::policy_comparison_with`] stays off-plan.
+    /// [`IntervalExperiment::policy_comparison`] stays off-plan.
     pub(crate) fn policy_leg(&self, app: App, intervals: u64, kind: PolicyKind) -> Leg {
         let me = self.clone();
         Leg::cached(
@@ -1732,16 +1464,8 @@ impl IntervalExperiment {
         intervals: u64,
         exec: &ExecPolicy,
     ) -> Result<PolicyComparison, CapError> {
-        let mut spec = ExperimentSpec::new("compare-policies");
-        let ids: Vec<LegId> = PolicyKind::ALL
-            .iter()
-            .map(|&kind| spec.leg(self.policy_leg(app, intervals, kind)))
-            .collect();
-        let run = Executor::run(&spec, exec)?;
-        let rows: Vec<PolicyRow> = ids
-            .into_iter()
-            .map(|id| decode_leg(run.value(id), "policy row replay", PolicyRow::from_json))
-            .collect::<Result<_, _>>()?;
+        let legs = PolicyKind::ALL.iter().map(|&kind| self.policy_leg(app, intervals, kind));
+        let rows = run_legs("compare-policies", legs, exec, "policy row replay", PolicyRow::from_json)?;
         Ok(PolicyComparison { app: app.name().to_string(), intervals, rows })
     }
 }
@@ -1794,7 +1518,7 @@ mod tests {
     #[test]
     fn figure12_snapshots_disagree() {
         let exp = IntervalExperiment::new();
-        let fig = exp.figure12().unwrap();
+        let fig = exp.figure12(&ExecPolicy::serial()).unwrap();
         let (a_small, a_large) = fig.snapshot_a_wins();
         let (b_small, b_large) = fig.snapshot_b_wins();
         // Snapshot (a): the 64-entry configuration dominates; snapshot
@@ -1806,7 +1530,7 @@ mod tests {
     #[test]
     fn figure13_alternates_then_muddles() {
         let exp = IntervalExperiment::new();
-        let fig = exp.figure13().unwrap();
+        let fig = exp.figure13(&ExecPolicy::serial()).unwrap();
         let (a_small, a_large) = fig.snapshot_a_wins();
         // The regular region alternates: both configurations win
         // substantial stretches.
@@ -1840,33 +1564,41 @@ mod tests {
         assert!(json.contains("radar"));
     }
 
+    /// One queue curve leg as a one-leg plan under `exec`: the
+    /// executor path every figure and campaign takes for each curve.
+    fn queue_curve(q: &QueueExperiment, app: App, exec: &ExecPolicy) -> Result<QueueCurve, CapError> {
+        run_leg("queue-sweep", q.curve_leg(app), exec, "queue curve replay", QueueCurve::from_json)
+    }
+
+    /// [`queue_curve`] for the cache study.
+    fn cache_curve(c: &CacheExperiment, app: App, exec: &ExecPolicy) -> Result<CacheCurve, CapError> {
+        run_leg("cache-sweep", c.curve_leg(app), exec, "cache curve replay", CacheCurve::from_json)
+    }
+
     #[test]
     fn parallel_sweeps_equal_serial_exactly() {
         let q = QueueExperiment::new(ExperimentScale::Smoke);
         assert_eq!(
-            q.sweep_with(App::Gcc, &ExecPolicy::serial()).unwrap(),
-            q.sweep_with(App::Gcc, &ExecPolicy::with_jobs(8)).unwrap()
+            q.sweep(App::Gcc).unwrap(),
+            queue_curve(&q, App::Gcc, &ExecPolicy::with_jobs(8)).unwrap()
         );
         let c = CacheExperiment::new(ExperimentScale::Smoke).unwrap();
         assert_eq!(
             c.sweep(App::Stereo).unwrap(),
-            c.sweep_with(App::Stereo, &ExecPolicy::with_jobs(4)).unwrap()
+            cache_curve(&c, App::Stereo, &ExecPolicy::with_jobs(4)).unwrap()
         );
     }
 
     #[test]
     fn parallel_figure_batches_equal_serial_exactly() {
         let exp = IntervalExperiment::new();
-        assert_eq!(exp.figure13().unwrap(), exp.figure13_with(&ExecPolicy::with_jobs(2)).unwrap());
+        assert_eq!(
+            exp.figure13(&ExecPolicy::serial()).unwrap(),
+            exp.figure13(&ExecPolicy::with_jobs(2)).unwrap()
+        );
+        let config = PolicyConfig::new(PolicyKind::Confidence).with_explore_period(30);
         let cmp = |jobs| {
-            exp.adaptive_comparison_with(
-                App::Vortex,
-                60,
-                ConfidencePolicy::default_policy(),
-                30,
-                &ExecPolicy::with_jobs(jobs),
-            )
-            .unwrap()
+            exp.policy_comparison(App::Vortex, 60, &config, &ExecPolicy::with_jobs(jobs)).unwrap()
         };
         assert_eq!(cmp(1), cmp(8));
     }
@@ -1878,19 +1610,19 @@ mod tests {
         let cache = cap_par::ResultCache::at(&dir);
 
         let q = QueueExperiment::new(ExperimentScale::Smoke);
-        let q_cold = q.sweep_with(App::Radar, &ExecPolicy::with_jobs(2).cached(cache.clone())).unwrap();
+        let q_cold = queue_curve(&q, App::Radar, &ExecPolicy::with_jobs(2).cached(cache.clone())).unwrap();
         // A warm run must decode the stored curve to the identical bits
         // (PartialEq on the f64 fields is exact equality).
-        let q_warm = q.sweep_with(App::Radar, &ExecPolicy::serial().cached(cache.clone())).unwrap();
+        let q_warm = queue_curve(&q, App::Radar, &ExecPolicy::serial().cached(cache.clone())).unwrap();
         assert_eq!(q_cold, q_warm);
 
         let c = CacheExperiment::new(ExperimentScale::Smoke).unwrap();
-        let c_cold = c.sweep_with(App::Compress, &ExecPolicy::serial().cached(cache.clone())).unwrap();
-        let c_warm = c.sweep_with(App::Compress, &ExecPolicy::with_jobs(3).cached(cache.clone())).unwrap();
+        let c_cold = cache_curve(&c, App::Compress, &ExecPolicy::serial().cached(cache.clone())).unwrap();
+        let c_warm = cache_curve(&c, App::Compress, &ExecPolicy::with_jobs(3).cached(cache.clone())).unwrap();
         assert_eq!(c_cold, c_warm);
 
         // A different seed must not hit the same entry.
-        let other = q.clone().with_seed(7).sweep_with(App::Radar, &ExecPolicy::serial().cached(cache)).unwrap();
+        let other = queue_curve(&q.clone().with_seed(7), App::Radar, &ExecPolicy::serial().cached(cache)).unwrap();
         assert_ne!(q_warm.points[0].tpi_ns, other.points[0].tpi_ns);
 
         let _ = std::fs::remove_dir_all(&dir);
@@ -1909,12 +1641,12 @@ mod tests {
         // entirely (an array where a curve object belongs) ...
         assert!(cache.store(&key, &vec![1.0f64, 2.0]));
         let exec = ExecPolicy::serial().cached(cache.clone());
-        assert_eq!(q.sweep_with(App::Radar, &exec).unwrap(), clean);
+        assert_eq!(queue_curve(&q, App::Radar, &exec).unwrap(), clean);
 
         // ... or subtly (an object missing the curve fields) must decode
         // as a miss and recompute, never panic or replay garbage.
         assert!(cache.store(&key, &clean.points[0]));
-        assert_eq!(q.sweep_with(App::Radar, &exec).unwrap(), clean);
+        assert_eq!(queue_curve(&q, App::Radar, &exec).unwrap(), clean);
 
         // Both recomputes repaired the entry in place.
         assert!(QueueCurve::from_json(&cache.lookup(&key).unwrap()).is_some());
@@ -1930,10 +1662,15 @@ mod tests {
         assert!(cmp.rows.iter().all(|r| r.tpi_ns.is_finite() && r.tpi_ns > 0.0));
 
         // The confidence row is the default manager: it must agree
-        // exactly with the Section 6 adaptive comparison at the same
+        // exactly with the Section 6 policy comparison at the same
         // knobs.
         let adaptive = exp
-            .adaptive_comparison(App::Vortex, 60, ConfidencePolicy::default_policy(), 40)
+            .policy_comparison(
+                App::Vortex,
+                60,
+                &PolicyConfig::new(PolicyKind::Confidence),
+                &ExecPolicy::serial(),
+            )
             .unwrap();
         assert_eq!(cmp.rows[2].tpi_ns, adaptive.managed_tpi);
         assert_eq!(cmp.rows[2].switches, adaptive.switches);
@@ -1983,7 +1720,7 @@ mod tests {
 
         let journal = Journal::begin(&path, smoke_header("sweep-queue"), false).unwrap();
         let exec = ExecPolicy::with_jobs(2).with_journal(journal);
-        assert_eq!(q.sweep_with(App::Radar, &exec).unwrap(), cold);
+        assert_eq!(queue_curve(&q, App::Radar, &exec).unwrap(), cold);
         drop(exec); // release the journal writer lock before reopening
 
         // Reopen with resume: the committed leg replays from the journal
@@ -1992,7 +1729,7 @@ mod tests {
         assert_eq!(journal.len(), 1, "one curve leg committed");
         let ring = Arc::new(cap_obs::RingRecorder::new());
         let exec = ExecPolicy::serial().with_journal(journal).with_recorder(ring.clone());
-        assert_eq!(q.sweep_with(App::Radar, &exec).unwrap(), cold);
+        assert_eq!(queue_curve(&q, App::Radar, &exec).unwrap(), cold);
         let replays = ring
             .events()
             .iter()
@@ -2019,14 +1756,14 @@ mod tests {
 
         // Warm the result cache without a journal.
         let warmup = ExecPolicy::serial().cached(cache.clone());
-        let cold = q.sweep_with(App::Gcc, &warmup).unwrap();
+        let cold = queue_curve(&q, App::Gcc, &warmup).unwrap();
 
         // A journaled warm run commits the replayed-from-cache leg too,
         // so resume bookkeeping is independent of cache temperature.
         let path = dir.join("sweep-queue.jsonl");
         let journal = Journal::begin(&path, smoke_header("sweep-queue"), false).unwrap();
         let exec = ExecPolicy::serial().cached(cache).with_journal(journal);
-        assert_eq!(q.sweep_with(App::Gcc, &exec).unwrap(), cold);
+        assert_eq!(queue_curve(&q, App::Gcc, &exec).unwrap(), cold);
         drop(exec); // release the journal writer lock before reopening
         let journal = Journal::begin(&path, smoke_header("sweep-queue"), true).unwrap();
         assert_eq!(journal.len(), 1, "cache hit was journaled");
@@ -2046,7 +1783,7 @@ mod tests {
         let exec = ExecPolicy::from_env(Some(1)).unwrap();
         assert!(exec.watchdog().timeout.is_some());
         let q = QueueExperiment::new(ExperimentScale::Smoke);
-        match q.sweep_with(App::Radar, &exec) {
+        match queue_curve(&q, App::Radar, &exec) {
             Err(CapError::LegTimedOut { leg, attempts }) => {
                 assert!(leg.contains("queue-sweep|radar"), "{leg}");
                 assert!(attempts >= 1);

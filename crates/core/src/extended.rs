@@ -22,10 +22,8 @@
 //!   use a larger window than the standalone study would pick.
 
 use crate::error::CapError;
-use crate::experiments::{
-    decode_leg, ExecPolicy, ExperimentScale, DEFAULT_SEED, SWEEP_RESULTS_VERSION,
-};
-use crate::plan::{self, Executor, ExperimentSpec, Leg};
+use crate::experiments::{run_leg, ExecPolicy, ExperimentScale, DEFAULT_SEED, SWEEP_RESULTS_VERSION};
+use crate::plan::{self, Leg};
 use crate::replay::{field, FromJson};
 use cap_par::CacheKey;
 use cap_cache::config::Boundary;
@@ -59,15 +57,8 @@ pub struct TlbStudyRow {
     pub miss_ratio: f64,
 }
 
-/// Runs the TLB primary/backup sweep over the cache suite.
-///
-/// The machine cycle is the best-conventional cache clock (the TLB study
-/// piggybacks on the cache study's machine, like a real L1 DTLB would).
-///
-/// # Errors
-///
-/// Propagates timing-model errors.
-pub fn tlb_study(scale: ExperimentScale, seed: u64) -> Result<Vec<TlbStudyRow>, CapError> {
+/// The TLB study's computation (see [`tlb_study`]).
+fn tlb_rows(scale: ExperimentScale, seed: u64) -> Result<Vec<TlbStudyRow>, CapError> {
     let tech = Technology::isca98_evaluation();
     let cam = CamTimingModel::tlb(tech);
     let cache_timing = CacheTimingModel::isca98(tech);
@@ -108,14 +99,8 @@ pub struct BpredStudyRow {
     pub tpi_best: f64,
 }
 
-/// Runs the gshare PHT sweep over the full suite.
-///
-/// The machine cycle is the best-conventional queue clock (64 entries).
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn bpred_study(scale: ExperimentScale, seed: u64) -> Result<Vec<BpredStudyRow>, CapError> {
+/// The branch-predictor study's computation (see [`bpred_study`]).
+fn bpred_rows(scale: ExperimentScale, seed: u64) -> Result<Vec<BpredStudyRow>, CapError> {
     let qt = QueueTimingModel::new(Technology::isca98_evaluation());
     let cycle = qt.cycle_time(WindowSize::best_conventional().entries())?;
     let branches = scale.queue_insts() / 4;
@@ -213,18 +198,15 @@ impl CombinedExperiment {
         self
     }
 
-    /// Evaluates the full joint space for one application.
+    /// Evaluates the full joint space for one application (see
+    /// [`CombinedExperiment::study`]).
     ///
     /// Combined CPI model: the queue side contributes `1 / IPC(w)` cycles
     /// per instruction (measured, clock-independent); the cache side
     /// contributes its stall cycles per instruction with latencies
     /// requantized at the joint clock. The joint clock is the slower of
     /// the two structures' requirements.
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-model errors.
-    pub fn study(&self, app: App) -> Result<CombinedStudy, CapError> {
+    fn joint_space(&self, app: App) -> Result<CombinedStudy, CapError> {
         // Cache-side raw counters per boundary (clock-independent).
         let mem = app.memory_profile();
         let pristine = mem.build(self.seed ^ app.seed_salt());
@@ -303,24 +285,9 @@ pub struct AsyncStudyRow {
     pub speedup: f64,
 }
 
-/// Quantifies the paper's §4.1 asynchronous-design advantage.
-///
-/// *"With a complexity-adaptive approach, very large structures can be
-/// designed, yet the average stage delay can be much lower than the
-/// worst-case delay if faster elements are frequently accessed."*
-///
-/// Each application runs at the largest studied boundary (64 KB L1);
-/// the per-increment hit histogram then gives the average access delay
-/// an asynchronous (handshaking) design would see, versus the worst-case
-/// delay a synchronous clock must assume. Applications whose hot set
-/// concentrates in the near increments approach the small-structure
-/// latency automatically — "obviating the need for a Configuration
-/// Manager".
-///
-/// # Errors
-///
-/// Propagates timing-model errors.
-pub fn asynchronous_study(scale: ExperimentScale, seed: u64) -> Result<Vec<AsyncStudyRow>, CapError> {
+/// The asynchronous-design study's computation (see
+/// [`asynchronous_study`]).
+fn asynchronous_rows(scale: ExperimentScale, seed: u64) -> Result<Vec<AsyncStudyRow>, CapError> {
     use cap_cache::hierarchy::AdaptiveCacheHierarchy;
     use cap_trace::mem::AddressStream;
 
@@ -371,22 +338,9 @@ pub struct TechStudyRow {
     pub cache_tpi_reduction: f64,
 }
 
-/// Runs the cache study across the paper's three technology nodes.
-///
-/// The paper's Section 2 argument, quantified: as features shrink,
-/// transistor delays scale down but wire delays do not, so the
-/// wire-dominated cost of a big L1 grows *relative* to the rest of the
-/// machine — the rows show the cache **clock spread** (cycle at 64 KB
-/// over cycle at 8 KB) widening from 0.25 µm to 0.12 µm. The aggregate
-/// adaptive TPI gain is also reported; note that it is *not* monotone in
-/// feature size: a wider spread raises the gains of fast-clock
-/// applications but taxes the big-cache winners (stereo, appcg), and the
-/// fixed 30 ns miss latency looms larger as cycles shrink.
-///
-/// # Errors
-///
-/// Propagates timing-model errors.
-pub fn technology_study(scale: ExperimentScale, seed: u64) -> Result<Vec<TechStudyRow>, CapError> {
+/// The technology-scaling study's computation (see
+/// [`technology_study`]).
+fn technology_rows(scale: ExperimentScale, seed: u64) -> Result<Vec<TechStudyRow>, CapError> {
     let mut rows = Vec::new();
     for tech in Technology::paper_sweep() {
         let timing = CacheTimingModel::isca98(tech);
@@ -439,25 +393,18 @@ pub struct FrequencyStudyRow {
     pub switches: u64,
 }
 
-/// Sweeps the manager's interval length on a phased application.
-///
-/// Paper §4.2: *"A second challenge regards the determination of the
-/// optimal reconfiguration frequency, a tradeoff between maintaining
-/// processor efficiency and minimizing reconfiguration overhead."* Short
-/// intervals react faster but pay exploration and switch penalties more
-/// often; long intervals straddle phase boundaries.
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn reconfiguration_frequency_study(
+/// The reconfiguration-frequency study's computation (see
+/// [`reconfiguration_frequency_study`]).
+fn frequency_rows(
     app: App,
     insts_budget: u64,
     interval_lens: &[u64],
     seed: u64,
 ) -> Result<Vec<FrequencyStudyRow>, CapError> {
     use crate::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
-    use crate::manager::{run_managed_queue, ConfidencePolicy, IntervalManager};
+    use crate::manager::{
+        run_managed, ConfidencePolicy, IntervalManager, QueueIntervalSim, SwitchRetryPolicy,
+    };
     use crate::structure::{AdaptiveStructure, QueueStructure};
 
     let timing = QueueTimingModel::new(Technology::isca98_evaluation());
@@ -472,18 +419,19 @@ pub fn reconfiguration_frequency_study(
         let mut manager =
             IntervalManager::new(structure.num_configs(), 40, ConfidencePolicy::default_policy())?;
         let mut stream = app.ilp_profile().build(seed ^ app.seed_salt());
-        let run = run_managed_queue(
-            &mut structure,
-            &mut stream,
+        let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, len)?;
+        let run = run_managed(
+            &mut sim,
             &mut manager,
             &mut clock,
             insts_budget / len,
-            len,
+            None,
+            SwitchRetryPolicy::default(),
         )?;
         rows.push(FrequencyStudyRow {
             interval_len: len,
-            managed_tpi: run.average_tpi().value(),
-            switches: run.switches,
+            managed_tpi: run.run.average_tpi().value(),
+            switches: run.run.switches,
         });
     }
     Ok(rows)
@@ -506,24 +454,14 @@ pub struct ManagedCombined {
     pub final_entries: usize,
 }
 
-/// Runs both structures under *independent* interval managers sharing one
-/// machine — the multi-structure configuration problem the paper flags:
-/// *"Because of the amount of performance information that must be
-/// gleaned, and the interactions between different hardware structures,
-/// predicting the best-performing configuration for the next interval of
-/// operation can be quite complex."*
+/// The online joint managed run's computation (see
+/// [`run_managed_combined`]).
 ///
-/// Each manager observes the same joint TPI at its own configuration and
-/// decides independently; their exploration periods are co-prime so they
-/// rarely probe simultaneously. Each interval simulates the out-of-order
-/// core for the interval's instructions (IPC at the current window) and
-/// the D-cache for the corresponding references (stalls at the current
-/// boundary); the joint clock is the slower structure's.
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn run_managed_combined(
+/// Each interval simulates the out-of-order core for the interval's
+/// instructions (IPC at the current window) and the D-cache for the
+/// corresponding references (stalls at the current boundary); the joint
+/// clock is the slower structure's.
+fn managed_combined(
     app: App,
     intervals: u64,
     seed: u64,
@@ -621,14 +559,13 @@ pub fn run_managed_combined(
 pub const CACHE_STUDY_BASE_IPC: f64 = BASE_IPC;
 
 // ---------------------------------------------------------------------------
-// Plan integration: every §7 study as a one-leg content-addressed plan
+// Entry points: every study as a one-leg content-addressed plan
 // ---------------------------------------------------------------------------
 //
 // Each study is a serial computation (interval managers and clocks carry
 // state), so the plan contributes content-addressed caching, journaling
-// and dedup rather than intra-study fan-out. The `*_with` variants below
-// are what the `extended` binary calls; the plain functions remain the
-// underlying computations (and the API for callers that want no policy).
+// and dedup rather than intra-study fan-out. The private functions above
+// are the computations; the public functions below run them as plan legs.
 
 impl FromJson for TlbStudyRow {
     fn from_json(v: &Value) -> Option<Self> {
@@ -734,89 +671,114 @@ fn study_key(what: &str, app: &str, scale_tag: String, seed: u64) -> CacheKey {
     }
 }
 
-/// Wraps a serial study computation as one cached plan leg.
-fn study_leg<T>(key: CacheKey, compute: impl Fn() -> Result<T, CapError> + Send + Sync + 'static) -> Leg
-where
-    T: Serialize + FromJson,
-{
-    Leg::cached(key, move |_exec| Ok(plan::to_value(&compute()?)), |v| T::from_json(v).is_some())
+/// Runs a serial study computation as a one-leg cached plan on the
+/// shared executor and decodes the result.
+fn run_study<T: Serialize + FromJson>(
+    name: &str,
+    key: CacheKey,
+    compute: impl Fn() -> Result<T, CapError> + Send + Sync + 'static,
+    exec: &ExecPolicy,
+) -> Result<T, CapError> {
+    let leg =
+        Leg::cached(key, move |_exec| Ok(plan::to_value(&compute()?)), |v| T::from_json(v).is_some());
+    run_leg(name, leg, exec, "extended study replay", T::from_json)
 }
 
-/// Runs a one-leg study plan on the shared executor and decodes the
-/// result.
-fn run_study<T: FromJson>(name: &'static str, leg: Leg, exec: &ExecPolicy) -> Result<T, CapError> {
-    let mut spec = ExperimentSpec::new(name);
-    let id = spec.leg(leg);
-    let run = Executor::run(&spec, exec)?;
-    decode_leg(run.value(id), "extended study replay", T::from_json)
-}
-
-/// [`tlb_study`] under an execution policy: one content-addressed plan
-/// leg over the [`Executor`] kernel, so repeated studies replay from the
-/// result cache and journaled runs resume.
+/// Runs the TLB primary/backup sweep over the cache suite.
+///
+/// The machine cycle is the best-conventional cache clock (the TLB study
+/// piggybacks on the cache study's machine, like a real L1 DTLB would).
 ///
 /// # Errors
 ///
 /// Propagates timing-model errors.
-pub fn tlb_study_with(
+pub fn tlb_study(
     scale: ExperimentScale,
     seed: u64,
     exec: &ExecPolicy,
 ) -> Result<Vec<TlbStudyRow>, CapError> {
     let key = study_key("tlb primary/backup split", "suite", scale.name().to_string(), seed);
-    run_study("tlb-study", study_leg(key, move || tlb_study(scale, seed)), exec)
+    run_study("tlb-study", key, move || tlb_rows(scale, seed), exec)
 }
 
-/// [`bpred_study`] under an execution policy (one cached plan leg).
+/// Runs the gshare PHT sweep over the full suite.
+///
+/// The machine cycle is the best-conventional queue clock (64 entries).
 ///
 /// # Errors
 ///
 /// Propagates configuration errors.
-pub fn bpred_study_with(
+pub fn bpred_study(
     scale: ExperimentScale,
     seed: u64,
     exec: &ExecPolicy,
 ) -> Result<Vec<BpredStudyRow>, CapError> {
     let key = study_key("bpred gshare pht", "suite", scale.name().to_string(), seed);
-    run_study("bpred-study", study_leg(key, move || bpred_study(scale, seed)), exec)
+    run_study("bpred-study", key, move || bpred_rows(scale, seed), exec)
 }
 
-/// [`technology_study`] under an execution policy (one cached plan leg).
+/// Runs the cache study across the paper's three technology nodes.
+///
+/// The paper's Section 2 argument, quantified: as features shrink,
+/// transistor delays scale down but wire delays do not, so the
+/// wire-dominated cost of a big L1 grows *relative* to the rest of the
+/// machine — the rows show the cache **clock spread** (cycle at 64 KB
+/// over cycle at 8 KB) widening from 0.25 µm to 0.12 µm. The aggregate
+/// adaptive TPI gain is also reported; note that it is *not* monotone in
+/// feature size: a wider spread raises the gains of fast-clock
+/// applications but taxes the big-cache winners (stereo, appcg), and the
+/// fixed 30 ns miss latency looms larger as cycles shrink.
 ///
 /// # Errors
 ///
 /// Propagates timing-model errors.
-pub fn technology_study_with(
+pub fn technology_study(
     scale: ExperimentScale,
     seed: u64,
     exec: &ExecPolicy,
 ) -> Result<Vec<TechStudyRow>, CapError> {
     let key = study_key("technology 3 nodes", "suite", scale.name().to_string(), seed);
-    run_study("technology-study", study_leg(key, move || technology_study(scale, seed)), exec)
+    run_study("technology-study", key, move || technology_rows(scale, seed), exec)
 }
 
-/// [`asynchronous_study`] under an execution policy (one cached plan
-/// leg).
+/// Quantifies the paper's §4.1 asynchronous-design advantage.
+///
+/// *"With a complexity-adaptive approach, very large structures can be
+/// designed, yet the average stage delay can be much lower than the
+/// worst-case delay if faster elements are frequently accessed."*
+///
+/// Each application runs at the largest studied boundary (64 KB L1);
+/// the per-increment hit histogram then gives the average access delay
+/// an asynchronous (handshaking) design would see, versus the worst-case
+/// delay a synchronous clock must assume. Applications whose hot set
+/// concentrates in the near increments approach the small-structure
+/// latency automatically — "obviating the need for a Configuration
+/// Manager".
 ///
 /// # Errors
 ///
 /// Propagates timing-model errors.
-pub fn asynchronous_study_with(
+pub fn asynchronous_study(
     scale: ExperimentScale,
     seed: u64,
     exec: &ExecPolicy,
 ) -> Result<Vec<AsyncStudyRow>, CapError> {
     let key = study_key("async 64KB access", "suite", scale.name().to_string(), seed);
-    run_study("async-study", study_leg(key, move || asynchronous_study(scale, seed)), exec)
+    run_study("async-study", key, move || asynchronous_rows(scale, seed), exec)
 }
 
-/// [`reconfiguration_frequency_study`] under an execution policy (one
-/// cached plan leg).
+/// Sweeps the manager's interval length on a phased application.
+///
+/// Paper §4.2: *"A second challenge regards the determination of the
+/// optimal reconfiguration frequency, a tradeoff between maintaining
+/// processor efficiency and minimizing reconfiguration overhead."* Short
+/// intervals react faster but pay exploration and switch penalties more
+/// often; long intervals straddle phase boundaries.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors.
-pub fn reconfiguration_frequency_study_with(
+pub fn reconfiguration_frequency_study(
     app: App,
     insts_budget: u64,
     interval_lens: &[u64],
@@ -831,20 +793,25 @@ pub fn reconfiguration_frequency_study_with(
         format!("{insts_budget}insts"),
         seed,
     );
-    run_study(
-        "frequency-study",
-        study_leg(key, move || reconfiguration_frequency_study(app, insts_budget, &lens, seed)),
-        exec,
-    )
+    run_study("frequency-study", key, move || frequency_rows(app, insts_budget, &lens, seed), exec)
 }
 
-/// [`run_managed_combined`] under an execution policy (one cached plan
-/// leg; the confidence parameters are part of the content address).
+/// Runs both structures under *independent* interval managers sharing one
+/// machine — the multi-structure configuration problem the paper flags:
+/// *"Because of the amount of performance information that must be
+/// gleaned, and the interactions between different hardware structures,
+/// predicting the best-performing configuration for the next interval of
+/// operation can be quite complex."*
+///
+/// Each manager observes the same joint TPI at its own configuration and
+/// decides independently; their exploration periods are co-prime so they
+/// rarely probe simultaneously. The confidence parameters are part of
+/// the leg's content address.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors.
-pub fn run_managed_combined_with(
+pub fn run_managed_combined(
     app: App,
     intervals: u64,
     seed: u64,
@@ -857,21 +824,17 @@ pub fn run_managed_combined_with(
         format!("{intervals}iv"),
         seed,
     );
-    run_study(
-        "joint-managed",
-        study_leg(key, move || run_managed_combined(app, intervals, seed, policy)),
-        exec,
-    )
+    run_study("joint-managed", key, move || managed_combined(app, intervals, seed, policy), exec)
 }
 
 impl CombinedExperiment {
-    /// [`CombinedExperiment::study`] under an execution policy (one
-    /// cached plan leg).
+    /// Evaluates the full joint (cache boundary × window size) space for
+    /// one application as one cached plan leg.
     ///
     /// # Errors
     ///
     /// Propagates timing-model errors.
-    pub fn study_with(&self, app: App, exec: &ExecPolicy) -> Result<CombinedStudy, CapError> {
+    pub fn study(&self, app: App, exec: &ExecPolicy) -> Result<CombinedStudy, CapError> {
         let key = study_key(
             "combined cache x queue",
             app.name(),
@@ -879,7 +842,7 @@ impl CombinedExperiment {
             self.seed,
         );
         let me = self.clone();
-        run_study("combined-study", study_leg(key, move || me.study(app)), exec)
+        run_study("combined-study", key, move || me.joint_space(app), exec)
     }
 }
 
@@ -889,7 +852,7 @@ mod tests {
 
     #[test]
     fn tlb_study_shows_diversity() {
-        let rows = tlb_study(ExperimentScale::Smoke, DEFAULT_SEED).unwrap();
+        let rows = tlb_rows(ExperimentScale::Smoke, DEFAULT_SEED).unwrap();
         assert_eq!(rows.len(), 21);
         let splits: std::collections::HashSet<usize> = rows.iter().map(|r| r.best_primary).collect();
         assert!(splits.len() >= 2, "TLB requirements must differ across apps: {splits:?}");
@@ -900,7 +863,7 @@ mod tests {
 
     #[test]
     fn bpred_study_shows_diversity() {
-        let rows = bpred_study(ExperimentScale::Smoke, DEFAULT_SEED).unwrap();
+        let rows = bpred_rows(ExperimentScale::Smoke, DEFAULT_SEED).unwrap();
         assert_eq!(rows.len(), 22);
         let gcc = rows.iter().find(|r| r.app == "gcc").unwrap();
         let swim = rows.iter().find(|r| r.app == "swim").unwrap();
@@ -918,7 +881,7 @@ mod tests {
     #[test]
     fn combined_joint_space_is_full() {
         let exp = CombinedExperiment::new(ExperimentScale::Smoke);
-        let s = exp.study(App::M88ksim).unwrap();
+        let s = exp.joint_space(App::M88ksim).unwrap();
         assert_eq!(s.points.len(), 64, "8 boundaries x 8 windows");
         assert!(s.best().tpi_ns <= s.composed_tpi() + 1e-12, "joint optimum can't lose to composition");
     }
@@ -929,7 +892,7 @@ mod tests {
         // clock), window upsizing is clock-free for a while, so the
         // jointly optimal window is at least the standalone one.
         let exp = CombinedExperiment::new(ExperimentScale::Smoke);
-        let s = exp.study(App::Stereo).unwrap();
+        let s = exp.joint_space(App::Stereo).unwrap();
         let best = s.best();
         assert!(best.l1_kb >= 40, "stereo still wants the big L1, got {}", best.l1_kb);
         assert!(best.entries >= s.solo_window, "joint window {} vs solo {}", best.entries, s.solo_window);
@@ -942,7 +905,7 @@ mod tests {
 
     #[test]
     fn async_average_beats_sync_worst_case() {
-        let rows = asynchronous_study(ExperimentScale::Smoke, DEFAULT_SEED).unwrap();
+        let rows = asynchronous_rows(ExperimentScale::Smoke, DEFAULT_SEED).unwrap();
         assert_eq!(rows.len(), 21);
         for r in &rows {
             assert!(
@@ -962,7 +925,7 @@ mod tests {
 
     #[test]
     fn adaptivity_pays_more_at_smaller_features() {
-        let rows = technology_study(ExperimentScale::Smoke, DEFAULT_SEED).unwrap();
+        let rows = technology_rows(ExperimentScale::Smoke, DEFAULT_SEED).unwrap();
         assert_eq!(rows.len(), 3);
         // paper_sweep order: 0.25, 0.18, 0.12 um. Both the clock spread
         // and the adaptive gain must widen as features shrink.
@@ -984,14 +947,13 @@ mod tests {
         // intervals burn switches; the study must show the switch count
         // falling as intervals lengthen.
         let rows =
-            reconfiguration_frequency_study(App::Turb3d, 600_000, &[500, 2_000, 8_000], DEFAULT_SEED)
-                .unwrap();
+            frequency_rows(App::Turb3d, 600_000, &[500, 2_000, 8_000], DEFAULT_SEED).unwrap();
         assert_eq!(rows.len(), 3);
         assert!(rows[0].switches > rows[2].switches, "{:?}", rows);
         for r in &rows {
             assert!(r.managed_tpi > 0.0 && r.managed_tpi < 1.0, "{:?}", r);
         }
-        assert!(reconfiguration_frequency_study(App::Turb3d, 1000, &[0], DEFAULT_SEED).is_err());
+        assert!(frequency_rows(App::Turb3d, 1000, &[0], DEFAULT_SEED).is_err());
     }
 
     #[test]
@@ -1000,9 +962,9 @@ mod tests {
         // A stationary app: after exploration the two managers must land
         // within 25 % of the offline joint optimum despite observing each
         // other's noise.
-        let r = run_managed_combined(App::M88ksim, 400, DEFAULT_SEED, ConfidencePolicy::default_policy())
+        let r = managed_combined(App::M88ksim, 400, DEFAULT_SEED, ConfidencePolicy::default_policy())
             .unwrap();
-        let offline = CombinedExperiment::new(ExperimentScale::Smoke).study(App::M88ksim).unwrap();
+        let offline = CombinedExperiment::new(ExperimentScale::Smoke).joint_space(App::M88ksim).unwrap();
         let best = offline.best().tpi_ns;
         assert!(
             r.avg_tpi < best * 1.25,
@@ -1020,7 +982,7 @@ mod tests {
     fn online_joint_management_is_deterministic() {
         use crate::manager::ConfidencePolicy;
         let run = || {
-            run_managed_combined(App::Radar, 150, DEFAULT_SEED, ConfidencePolicy::default_policy())
+            managed_combined(App::Radar, 150, DEFAULT_SEED, ConfidencePolicy::default_policy())
                 .unwrap()
         };
         assert_eq!(run(), run());
@@ -1029,7 +991,7 @@ mod tests {
     #[test]
     fn combined_is_deterministic() {
         let exp = CombinedExperiment::new(ExperimentScale::Smoke);
-        assert_eq!(exp.study(App::Radar).unwrap(), exp.study(App::Radar).unwrap());
+        assert_eq!(exp.joint_space(App::Radar).unwrap(), exp.joint_space(App::Radar).unwrap());
     }
 
     #[test]
@@ -1041,7 +1003,7 @@ mod tests {
         let qt = QueueTimingModel::new(tech);
         let exp = CombinedExperiment::new(ExperimentScale::Smoke);
         for app in [App::M88ksim, App::Stereo] {
-            let s = exp.study(app).unwrap();
+            let s = exp.joint_space(app).unwrap();
             assert_eq!(s.points.len(), 64);
             for p in &s.points {
                 let want =
@@ -1067,7 +1029,7 @@ mod tests {
         // only restricts the space, so it can never win.
         let exp = CombinedExperiment::new(ExperimentScale::Smoke);
         for app in [App::M88ksim, App::Radar, App::Turb3d] {
-            let s = exp.study(app).unwrap();
+            let s = exp.joint_space(app).unwrap();
             let best = s.best().tpi_ns;
             assert!(best <= s.composed_tpi() + 1e-12, "{}", s.app);
             let pinned = |f: &dyn Fn(&CombinedPoint) -> bool| {

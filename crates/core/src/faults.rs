@@ -24,7 +24,7 @@
 use crate::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
 use crate::error::CapError;
 use crate::manager::{
-    run_managed_cache_resilient, run_managed_queue_resilient, FaultedRun, ResiliencePolicy,
+    run_managed, CacheIntervalSim, FaultedRun, QueueIntervalSim, ResiliencePolicy,
     ResilienceStats, SwitchRetryPolicy,
 };
 use crate::policy::{ConfigPolicy, PolicyConfig, PolicyKind};
@@ -424,13 +424,11 @@ impl FaultCampaign {
         let mut clock = DynamicClock::new(clean_structure.period_table()?, DEFAULT_SWITCH_PENALTY_CYCLES)?;
         let mut manager = self.manager(clean_structure.num_configs(), recorder, "queue:clean")?;
         let mut stream = self.app.ilp_profile().build(stream_seed);
-        let clean = run_managed_queue_resilient(
-            &mut clean_structure,
-            &mut stream,
+        let clean = run_managed(
+            &mut QueueIntervalSim::new(&mut clean_structure, &mut stream, self.interval_len)?,
             &mut *manager,
             &mut clock,
             self.queue_intervals,
-            self.interval_len,
             None,
             retry,
         )?;
@@ -440,13 +438,11 @@ impl FaultCampaign {
         let mut manager = self.manager(structure.num_configs(), recorder, "queue:faulty")?;
         let mut injector = FaultInjector::new(self.spec, self.seed ^ 0xFA17_0001, structure.num_configs())?;
         let mut stream = self.app.ilp_profile().build(stream_seed);
-        let faulty = run_managed_queue_resilient(
-            &mut structure,
-            &mut stream,
+        let faulty = run_managed(
+            &mut QueueIntervalSim::new(&mut structure, &mut stream, self.interval_len)?,
             &mut *manager,
             &mut clock,
             self.queue_intervals,
-            self.interval_len,
             Some(&mut injector),
             retry,
         )?;
@@ -464,14 +460,16 @@ impl FaultCampaign {
         let mut clock = DynamicClock::new(clean_structure.period_table()?, DEFAULT_SWITCH_PENALTY_CYCLES)?;
         let mut manager = self.manager(clean_structure.num_configs(), recorder, "cache:clean")?;
         let mut stream = profile.build(stream_seed);
-        let clean = run_managed_cache_resilient(
-            &mut clean_structure,
-            &mut stream,
+        let clean = run_managed(
+            &mut CacheIntervalSim::new(
+                &mut clean_structure,
+                &mut stream,
+                self.refs_per_interval,
+                profile.insts_per_ref,
+            )?,
             &mut *manager,
             &mut clock,
             self.cache_intervals,
-            self.refs_per_interval,
-            profile.insts_per_ref,
             None,
             retry,
         )?;
@@ -490,14 +488,16 @@ impl FaultCampaign {
             manager.mask_unavailable(&unavailable)?;
         }
         let mut stream = profile.build(stream_seed);
-        let faulty = run_managed_cache_resilient(
-            &mut structure,
-            &mut stream,
+        let faulty = run_managed(
+            &mut CacheIntervalSim::new(
+                &mut structure,
+                &mut stream,
+                self.refs_per_interval,
+                profile.insts_per_ref,
+            )?,
             &mut *manager,
             &mut clock,
             self.cache_intervals,
-            self.refs_per_interval,
-            profile.insts_per_ref,
             Some(&mut injector),
             retry,
         )?;
@@ -505,7 +505,10 @@ impl FaultCampaign {
         Ok(Self::leg_report("cache", &clean, &faulty, injector.stats(), &*manager, &structure))
     }
 
-    /// Runs both legs and assembles the report.
+    /// Runs both legs serially and assembles the report. The legs are
+    /// independent (separate structures, managers and streams; injector
+    /// seeds derived per leg); [`FaultCampaign::plan`] runs them under
+    /// any execution policy, with journaling, resume and the watchdog.
     ///
     /// # Errors
     ///
@@ -514,7 +517,11 @@ impl FaultCampaign {
     /// boundary at all (cannot happen with at least two increments
     /// alive).
     pub fn run(&self) -> Result<DegradationReport, CapError> {
-        self.run_with(&crate::experiments::ExecPolicy::serial())
+        let mut spec = crate::plan::ExperimentSpec::new("fault-campaign");
+        let queue_id = spec.leg(self.plan_leg(true));
+        let cache_id = spec.leg(self.plan_leg(false));
+        let run = crate::plan::Executor::run(&spec, &crate::experiments::ExecPolicy::serial())?;
+        self.assemble(run.value(queue_id), run.value(cache_id))
     }
 
     /// The journal identity of one campaign leg: every knob that can
@@ -561,29 +568,6 @@ impl FaultCampaign {
             },
             |v| LegReport::from_json(v).is_some(),
         )
-    }
-
-    /// [`FaultCampaign::run`] under an execution policy: the queue and
-    /// cache legs are independent (separate structures, managers and
-    /// streams; injector seeds derived per leg) and run as one two-leg
-    /// plan. Output is identical to the serial path — the report merges
-    /// in leg order.
-    ///
-    /// When the policy carries a journal, completed legs are committed
-    /// to it and replayed on `--resume`; each leg runs under the
-    /// policy's watchdog, and a graceful drain stops between legs.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FaultCampaign::run`], plus [`CapError::LegTimedOut`]
-    /// for a leg abandoned by the watchdog and [`CapError::Interrupted`]
-    /// for a drained campaign.
-    pub fn run_with(&self, exec: &crate::experiments::ExecPolicy) -> Result<DegradationReport, CapError> {
-        let mut spec = crate::plan::ExperimentSpec::new("fault-campaign");
-        let queue_id = spec.leg(self.plan_leg(true));
-        let cache_id = spec.leg(self.plan_leg(false));
-        let run = crate::plan::Executor::run(&spec, exec)?;
-        self.assemble(run.value(queue_id), run.value(cache_id))
     }
 
     /// Assembles the campaign report from the two decoded leg values.

@@ -25,9 +25,11 @@
 //!    [`ConfidencePolicy::hysteresis`] for
 //!    [`ConfidencePolicy::threshold`] consecutive intervals.
 //!
-//! [`run_managed_queue`] drives a [`QueueStructure`] under any manager,
-//! charging reconfigurations with the dynamic clock's switch penalty and
-//! the slower period during transition intervals.
+//! [`run_managed`] drives any structure — a [`QueueStructure`] through
+//! [`QueueIntervalSim`], a [`CacheStructure`] through
+//! [`CacheIntervalSim`] — under any manager, charging reconfigurations
+//! with the dynamic clock's switch penalty and the slower period during
+//! transition intervals.
 //!
 //! # Hardening
 //!
@@ -47,8 +49,8 @@
 //!   falls back to a designated **safe static configuration** instead of
 //!   oscillating or panicking.
 //!
-//! [`run_managed_queue_resilient`] and [`run_managed_cache_resilient`]
-//! add the runner half: transient reconfiguration failures are retried
+//! [`run_managed`] with a [`FaultInjector`] adds the runner half:
+//! transient reconfiguration failures are retried
 //! with bounded exponential backoff (charged as extra switch-penalty
 //! cycles at the conservative slower-of-two period), and exhausted or
 //! permanent failures are reported to the manager, which quarantines the
@@ -1035,7 +1037,9 @@ impl<S: InstStream> IntervalSim for QueueIntervalSim<'_, S> {
 /// [`IntervalSim`] over a [`CacheStructure`]: each interval simulates
 /// `refs_per_interval` D-cache references and evaluates the §5.1
 /// blocking TPI model at the current boundary, quantized into the
-/// whole-cycle counters an interval recorder would have seen.
+/// whole-cycle counters an interval recorder would have seen. Moving the
+/// L1/L2 boundary needs no drain (contents are preserved), so a switch
+/// costs only the dynamic clock's penalty.
 pub struct CacheIntervalSim<'a, S: cap_trace::mem::AddressStream> {
     structure: &'a mut CacheStructure,
     stream: &'a mut S,
@@ -1105,9 +1109,11 @@ impl<S: cap_trace::mem::AddressStream> IntervalSim for CacheIntervalSim<'_, S> {
 /// are an optional layer: with `injector` `None` the kernel is the
 /// clean-run path, bit for bit.
 ///
-/// Every managed-run entry point (`run_managed_queue`,
-/// `run_managed_cache` and their `_resilient` variants) is a thin
-/// wrapper over this function.
+/// The fault layer corrupts the monitoring path only (the physical run
+/// is unaffected — only the TPI the manager sees) and fails switch
+/// attempts, which are retried per `retry` and reported to the manager.
+/// Transition intervals are charged at the slower of the two periods
+/// (the new clock cannot start faster before the old domain drains).
 ///
 /// # Errors
 ///
@@ -1156,113 +1162,6 @@ pub fn run_managed(
         }
     }
     Ok(out)
-}
-
-/// Runs an instruction stream on a managed queue structure for
-/// `intervals` intervals of `interval_len` committed instructions,
-/// letting `manager` pick configurations between intervals.
-///
-/// Transition intervals are charged at the slower of the two periods
-/// (the new clock cannot start faster before the old domain drains), and
-/// every switch costs the clock's penalty.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the structure or clock.
-pub fn run_managed_queue<S: InstStream>(
-    structure: &mut QueueStructure,
-    stream: &mut S,
-    policy: &mut dyn ConfigPolicy,
-    clock: &mut DynamicClock,
-    intervals: u64,
-    interval_len: u64,
-) -> Result<ManagedRun, CapError> {
-    run_managed_queue_resilient(structure, stream, policy, clock, intervals, interval_len, None, SwitchRetryPolicy::default())
-        .map(|f| f.run)
-}
-
-/// The fault-aware variant of [`run_managed_queue`]: an optional
-/// [`FaultInjector`] corrupts the monitoring path (the physical run is
-/// unaffected — only the TPI the manager sees) and fails switch
-/// attempts, which are retried per `retry` and reported to the manager.
-///
-/// With `injector` `None` this is exactly [`run_managed_queue`].
-///
-/// # Errors
-///
-/// Propagates configuration errors from the structure or clock.
-#[allow(clippy::too_many_arguments)]
-pub fn run_managed_queue_resilient<S: InstStream>(
-    structure: &mut QueueStructure,
-    stream: &mut S,
-    policy: &mut dyn ConfigPolicy,
-    clock: &mut DynamicClock,
-    intervals: u64,
-    interval_len: u64,
-    injector: Option<&mut FaultInjector>,
-    retry: SwitchRetryPolicy,
-) -> Result<FaultedRun, CapError> {
-    let mut sim = QueueIntervalSim::new(structure, stream, interval_len)?;
-    run_managed(&mut sim, policy, clock, intervals, injector, retry)
-}
-
-/// Runs a reference stream on a managed cache structure for `intervals`
-/// intervals of `refs_per_interval` D-cache references, letting `manager`
-/// pick boundaries between intervals.
-///
-/// The cache-side analogue of [`run_managed_queue`], with one structural
-/// difference straight from the paper: moving the L1/L2 boundary needs no
-/// drain (contents are preserved), so only the dynamic clock's switch
-/// penalty is charged. Interval cycle counts follow the §5.1 blocking
-/// model: `insts / base_ipc` base cycles plus per-miss stalls at the
-/// current boundary's latencies.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the structure or clock.
-pub fn run_managed_cache<S: cap_trace::mem::AddressStream>(
-    structure: &mut crate::structure::CacheStructure,
-    stream: &mut S,
-    policy: &mut dyn ConfigPolicy,
-    clock: &mut DynamicClock,
-    intervals: u64,
-    refs_per_interval: u64,
-    insts_per_ref: f64,
-) -> Result<ManagedRun, CapError> {
-    run_managed_cache_resilient(
-        structure,
-        stream,
-        policy,
-        clock,
-        intervals,
-        refs_per_interval,
-        insts_per_ref,
-        None,
-        SwitchRetryPolicy::default(),
-    )
-    .map(|f| f.run)
-}
-
-/// The fault-aware variant of [`run_managed_cache`]; see
-/// [`run_managed_queue_resilient`] for the fault semantics.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the structure or clock.
-#[allow(clippy::too_many_arguments)]
-pub fn run_managed_cache_resilient<S: cap_trace::mem::AddressStream>(
-    structure: &mut crate::structure::CacheStructure,
-    stream: &mut S,
-    policy: &mut dyn ConfigPolicy,
-    clock: &mut DynamicClock,
-    intervals: u64,
-    refs_per_interval: u64,
-    insts_per_ref: f64,
-    injector: Option<&mut FaultInjector>,
-    retry: SwitchRetryPolicy,
-) -> Result<FaultedRun, CapError> {
-    let mut sim = CacheIntervalSim::new(structure, stream, refs_per_interval, insts_per_ref)?;
-    run_managed(&mut sim, policy, clock, intervals, injector, retry)
 }
 
 #[cfg(test)]
@@ -1510,7 +1409,10 @@ mod tests {
         let mut clock = DynamicClock::new(table, 30).unwrap();
         let mut manager = IntervalManager::new(8, 0, ConfidencePolicy::default_policy()).unwrap();
         let mut stream = SegmentIlp::new(IlpParams::balanced(), 9).unwrap();
-        let run = run_managed_queue(&mut structure, &mut stream, &mut manager, &mut clock, 40, 2000).unwrap();
+        let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, 2000).unwrap();
+        let run = run_managed(&mut sim, &mut manager, &mut clock, 40, None, SwitchRetryPolicy::default())
+            .unwrap()
+            .run;
         assert_eq!(run.intervals.len(), 40);
         // Exploration alone forces several switches.
         assert!(run.switches >= 7, "got {}", run.switches);
@@ -1611,8 +1513,10 @@ mod tests {
         let mut clock = DynamicClock::new(table, 30).unwrap();
         let mut manager =
             IntervalManager::new(structure.num_configs(), 25, ConfidencePolicy::default_policy()).unwrap();
-        let run = run_managed_cache(&mut structure, &mut stream, &mut manager, &mut clock, 120, 4_000, 3.0)
-            .unwrap();
+        let mut sim = CacheIntervalSim::new(&mut structure, &mut stream, 4_000, 3.0).unwrap();
+        let run = run_managed(&mut sim, &mut manager, &mut clock, 120, None, SwitchRetryPolicy::default())
+            .unwrap()
+            .run;
         assert_eq!(run.intervals.len(), 120);
         assert!(run.switches >= 8, "exploration + phase tracking, got {}", run.switches);
         // During the second phase the manager must spend most intervals at
@@ -1635,109 +1539,7 @@ mod tests {
 
         let timing = CacheTimingModel::isca98(Technology::isca98_evaluation());
         let mut structure = CacheStructure::isca98(timing, 0).unwrap();
-        let table = structure.period_table().unwrap();
-        let mut clock = DynamicClock::new(table, 30).unwrap();
-        let mut manager = IntervalManager::new(8, 0, ConfidencePolicy::default_policy()).unwrap();
         let mut stream = RegionMix::builder(1).region(Region::random(0, 4096), 1.0).build().unwrap();
-        assert!(run_managed_cache(&mut structure, &mut stream, &mut manager, &mut clock, 1, 0, 3.0).is_err());
-    }
-
-    /// queue + cache, clean + faulty: the named wrappers and a direct
-    /// [`run_managed`] call over the matching [`IntervalSim`] adapter
-    /// must produce identical runs from identically-seeded fresh state —
-    /// there is exactly one managed-run code path.
-    #[test]
-    fn wrappers_are_thin_over_the_one_kernel() {
-        use crate::faults::{FaultInjector, FaultSpec};
-        use crate::structure::{CacheStructure, QueueStructure};
-        use cap_timing::cacti::CacheTimingModel;
-        use cap_timing::queue::QueueTimingModel;
-        use cap_timing::Technology;
-        use cap_trace::inst::{IlpParams, SegmentIlp};
-        use cap_trace::mem::{Region, RegionMix};
-
-        let injector =
-            |on: bool| on.then(|| FaultInjector::new(FaultSpec::standard(), 99, 8).unwrap());
-
-        for faulty in [false, true] {
-            let queue_run = |direct: bool| {
-                let timing = QueueTimingModel::default();
-                let mut structure = QueueStructure::isca98(timing, 0).unwrap();
-                let table = structure.period_table().unwrap();
-                let mut clock = DynamicClock::new(table, 30).unwrap();
-                let mut policy =
-                    IntervalManager::new(8, 0, ConfidencePolicy::default_policy()).unwrap();
-                let mut stream = SegmentIlp::new(IlpParams::balanced(), 9).unwrap();
-                let mut inj = injector(faulty);
-                if direct {
-                    let mut sim =
-                        QueueIntervalSim::new(&mut structure, &mut stream, 2000).unwrap();
-                    run_managed(
-                        &mut sim,
-                        &mut policy,
-                        &mut clock,
-                        30,
-                        inj.as_mut(),
-                        SwitchRetryPolicy::default(),
-                    )
-                    .unwrap()
-                } else {
-                    run_managed_queue_resilient(
-                        &mut structure,
-                        &mut stream,
-                        &mut policy,
-                        &mut clock,
-                        30,
-                        2000,
-                        inj.as_mut(),
-                        SwitchRetryPolicy::default(),
-                    )
-                    .unwrap()
-                }
-            };
-            assert_eq!(queue_run(false), queue_run(true), "queue, faulty={faulty}");
-
-            let cache_run = |direct: bool| {
-                let timing = CacheTimingModel::isca98(Technology::isca98_evaluation());
-                let mut structure = CacheStructure::isca98(timing, 0).unwrap();
-                let table = structure.period_table().unwrap();
-                let mut clock = DynamicClock::new(table, 30).unwrap();
-                let mut policy =
-                    IntervalManager::new(structure.num_configs(), 0, ConfidencePolicy::default_policy())
-                        .unwrap();
-                let mut stream = RegionMix::builder(3)
-                    .region(Region::sequential_loop(0, 24 * 1024, 32), 1.0)
-                    .build()
-                    .unwrap();
-                let mut inj = injector(faulty);
-                if direct {
-                    let mut sim =
-                        CacheIntervalSim::new(&mut structure, &mut stream, 4_000, 3.0).unwrap();
-                    run_managed(
-                        &mut sim,
-                        &mut policy,
-                        &mut clock,
-                        30,
-                        inj.as_mut(),
-                        SwitchRetryPolicy::default(),
-                    )
-                    .unwrap()
-                } else {
-                    run_managed_cache_resilient(
-                        &mut structure,
-                        &mut stream,
-                        &mut policy,
-                        &mut clock,
-                        30,
-                        4_000,
-                        3.0,
-                        inj.as_mut(),
-                        SwitchRetryPolicy::default(),
-                    )
-                    .unwrap()
-                }
-            };
-            assert_eq!(cache_run(false), cache_run(true), "cache, faulty={faulty}");
-        }
+        assert!(CacheIntervalSim::new(&mut structure, &mut stream, 0, 3.0).is_err());
     }
 }

@@ -64,8 +64,8 @@ type Render = Arc<dyn Fn(&[&Value]) -> Result<String, CapError> + Send + Sync>;
 /// One content-addressed unit of campaign work.
 ///
 /// A leg owns its compute closure (including any [`ExecPolicy::guarded`]
-/// wrapping and sweep-engine dispatch — the executor imposes none, so
-/// drivers keep their historical guarding exactly) and a validator that
+/// wrapping — the executor imposes none, so drivers keep their
+/// historical guard labels exactly) and a validator that
 /// decides whether a journaled or cached [`Value`] has the shape the
 /// plan expects; anything else is treated as a miss, never a panic.
 pub struct Leg {

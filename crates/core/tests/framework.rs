@@ -3,7 +3,7 @@
 //! between the pattern predictor and the figure-13 machinery.
 
 use cap_core::clock::DynamicClock;
-use cap_core::experiments::{ExperimentScale, IntervalExperiment, QueueExperiment};
+use cap_core::experiments::{ExecPolicy, ExperimentScale, IntervalExperiment, QueueExperiment};
 use cap_core::manager::{ConfidencePolicy, IntervalManager, ManagerDecision};
 use cap_core::pattern::PatternPredictor;
 use cap_core::power::{queue_frontier, PowerModel};
@@ -142,7 +142,7 @@ proptest! {
 fn fig13_winners_feed_the_predictor() {
     // The whole §6 chain: figure-13 snapshot (a) -> winner sequence ->
     // pattern predictor -> confident, accurate predictions.
-    let fig = IntervalExperiment::new().figure13().expect("valid configuration");
+    let fig = IntervalExperiment::new().figure13(&ExecPolicy::serial()).expect("valid configuration");
     let (a, b) = fig.pattern_predictability(0.8);
     assert!(a.coverage() > 0.5, "regular snapshot coverage {}", a.coverage());
     assert!(a.accuracy() > 0.8, "regular snapshot accuracy {}", a.accuracy());
@@ -171,15 +171,17 @@ fn managed_runs_respect_the_clock_table() {
     // Every interval of a managed run must be charged at one of the
     // structure's table periods (or the max of two adjacent ones during
     // a transition).
-    use cap_core::manager::run_managed_queue;
+    use cap_core::manager::{run_managed, QueueIntervalSim, SwitchRetryPolicy};
     let timing = QueueTimingModel::default();
     let mut structure = QueueStructure::isca98(timing, 0).unwrap();
     let table = structure.period_table().unwrap();
     let mut clock = DynamicClock::new(table.clone(), 30).unwrap();
     let mut manager = IntervalManager::new(8, 0, ConfidencePolicy::default_policy()).unwrap();
     let mut stream = App::Gcc.ilp_profile().build(13);
-    let run = run_managed_queue(&mut structure, &mut stream, &mut manager, &mut clock, 30, 1000).unwrap();
-    for rec in &run.intervals {
+    let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, 1000).unwrap();
+    let run = run_managed(&mut sim, &mut manager, &mut clock, 30, None, SwitchRetryPolicy::default())
+        .unwrap();
+    for rec in &run.run.intervals {
         let ok = table.iter().any(|&p| (p - rec.period).value().abs() < 1e-12);
         assert!(ok, "period {} not in table", rec.period);
     }

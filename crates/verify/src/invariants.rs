@@ -270,7 +270,7 @@ pub fn offline_optima_match_series(app: App, intervals: u64) -> Result<(), Strin
     let exp = IntervalExperiment::new();
     let series: Vec<Vec<f64>> = PAPER_SIZES
         .iter()
-        .map(|&w| exp.interval_series(app, w, intervals))
+        .map(|&w| exp.interval_series(app, w, intervals, &ExecPolicy::serial()))
         .collect::<Result<_, _>>()
         .map_err(|e| format!("interval series failed: {e}"))?;
     // Recompute exactly as documented: totals per window, then min;
@@ -283,7 +283,7 @@ pub fn offline_optima_match_series(app: App, intervals: u64) -> Result<(), Strin
         / intervals as f64;
 
     let cmp = exp
-        .policy_comparison_with(app, intervals, &PolicyConfig::new(PolicyKind::Confidence), &ExecPolicy::serial())
+        .policy_comparison(app, intervals, &PolicyConfig::new(PolicyKind::Confidence), &ExecPolicy::serial())
         .map_err(|e| format!("policy comparison failed: {e}"))?;
     if cmp.process_level_tpi.to_bits() != process_level.to_bits() {
         return Err(format!(

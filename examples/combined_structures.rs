@@ -4,14 +4,14 @@
 //!
 //! Run with: `cargo run --release --example combined_structures`
 
-use cap::core::experiments::ExperimentScale;
+use cap::core::experiments::{ExecPolicy, ExperimentScale};
 use cap::core::extended::CombinedExperiment;
 use cap::workloads::App;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exp = CombinedExperiment::new(ExperimentScale::Smoke);
     for app in [App::Stereo, App::M88ksim, App::Appcg] {
-        let s = exp.study(app)?;
+        let s = exp.study(app, &ExecPolicy::serial())?;
         let b = s.best();
         println!("{}:", s.app);
         println!("  standalone choices: L1={} KB, {}-entry window", s.solo_cache_kb, s.solo_window);

@@ -7,8 +7,11 @@
 //! Run with: `cargo run --release --example interval_adaptation`
 
 use cap::core::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
-use cap::core::experiments::IntervalExperiment;
-use cap::core::manager::{run_managed_queue, ConfidencePolicy, IntervalManager};
+use cap::core::experiments::{ExecPolicy, IntervalExperiment};
+use cap::core::manager::{
+    run_managed, ConfidencePolicy, IntervalManager, QueueIntervalSim, SwitchRetryPolicy,
+};
+use cap::core::policy::{PolicyConfig, PolicyKind};
 use cap::core::structure::{AdaptiveStructure, QueueStructure};
 use cap::timing::queue::QueueTimingModel;
 use cap::workloads::App;
@@ -25,7 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut clock = DynamicClock::new(table, DEFAULT_SWITCH_PENALTY_CYCLES)?;
     let mut manager = IntervalManager::new(structure.num_configs(), 40, ConfidencePolicy::default_policy())?;
     let mut stream = app.ilp_profile().build(7);
-    let run = run_managed_queue(&mut structure, &mut stream, &mut manager, &mut clock, intervals, 2000)?;
+    let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, 2000)?;
+    let run =
+        run_managed(&mut sim, &mut manager, &mut clock, intervals, None, SwitchRetryPolicy::default())?
+            .run;
 
     println!("Managed run of {app} over {intervals} intervals of 2000 instructions:");
     let mut last = usize::MAX;
@@ -43,7 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The summary comparison the ablation bench runs at scale.
     let exp = IntervalExperiment::new();
-    let cmp = exp.adaptive_comparison(app, intervals, ConfidencePolicy::default_policy(), 40)?;
+    let confidence = PolicyConfig::new(PolicyKind::Confidence);
+    let cmp = exp.policy_comparison(app, intervals, &confidence, &ExecPolicy::serial())?;
     println!("process-level best fixed config: {:.3} ns", cmp.process_level_tpi);
     println!("interval-adaptive manager:       {:.3} ns", cmp.managed_tpi);
     println!("per-interval oracle envelope:    {:.3} ns", cmp.oracle_tpi);

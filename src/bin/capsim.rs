@@ -21,7 +21,7 @@
 //! capsim verify [--cases N] [--seed S] [--replay FILE] [--self-check]
 //!                                  differential-oracle + property-fuzz suite
 //! capsim bench [--quick] [--seed S] [--out FILE]
-//!                                  time the sweep engines, emit BENCH_sweep.json
+//!                                  time cold and warm sweeps, emit BENCH_sweep.json
 //! capsim serve [--addr HOST:PORT] [--jobs N] [--max-inflight M]
 //!                                  run the campaign service
 //! capsim submit <campaign> [--addr HOST:PORT]
@@ -49,8 +49,8 @@
 //! against deterministic injected faults.
 
 use cap::core::experiments::{
-    CacheExperiment, ExecPolicy, ExperimentScale, IntervalExperiment, QueueExperiment, SweepEngine,
-    DEFAULT_SEED, SWEEP_RESULTS_VERSION,
+    CacheExperiment, ExecPolicy, ExperimentScale, IntervalExperiment, QueueExperiment, DEFAULT_SEED,
+    SWEEP_RESULTS_VERSION,
 };
 use cap::core::extended::run_managed_combined;
 use cap::core::faults::FaultCampaign;
@@ -102,8 +102,8 @@ const USAGE: &str = "usage: capsim <list|cache|queue|sweep|managed|compare-polic
                         --replay FILE: re-run a shrunk repro file,
                         --self-check: plant a known bug, prove it is detected;
                         repro files land in CAP_VERIFY_DIR, default cwd)
-  bench                time full cold sweeps under both engines plus a warm
-                       (memoized) replay; writes a machine-readable summary
+  bench                time a full cold sweep plus a warm (memoized) replay;
+                       writes a machine-readable summary
                        (--quick: force smoke scale, --seed S: root seed,
                         --out FILE: summary path, default BENCH_sweep.json)
   serve                run the campaign service: accept submitted campaigns over
@@ -624,7 +624,7 @@ fn run(args: &[&str]) -> Result<String, String> {
                 config = config.with_pattern(64, 0.85);
             }
             let cmp = IntervalExperiment::new()
-                .policy_comparison_with(app, 400, &config, &exec)
+                .policy_comparison(app, 400, &config, &exec)
                 .map_err(|e| e.to_string())?;
             let label = if eager {
                 "eager (no confidence)".to_string()
@@ -646,7 +646,8 @@ fn run(args: &[&str]) -> Result<String, String> {
         }
         ["joint", name] => {
             let app = find_app(name)?;
-            let r = run_managed_combined(app, 300, 0x15CA_1998, ConfidencePolicy::default_policy())
+            let policy = ConfidencePolicy::default_policy();
+            let r = run_managed_combined(app, 300, 0x15CA_1998, policy, &ExecPolicy::serial())
                 .map_err(|e| e.to_string())?;
             let _ = writeln!(out, "intervals:      {}", r.intervals);
             let _ = writeln!(out, "average TPI:    {:.3} ns", r.avg_tpi);
@@ -705,11 +706,12 @@ fn run(args: &[&str]) -> Result<String, String> {
             }
         }
         ["headline"] => {
+            let serial = ExecPolicy::serial();
             let cache = CacheExperiment::new(scale)
                 .map_err(|e| e.to_string())?
-                .headline()
+                .headline(&serial)
                 .map_err(|e| e.to_string())?;
-            let queue = QueueExperiment::new(scale).headline().map_err(|e| e.to_string())?;
+            let queue = QueueExperiment::new(scale).headline(&serial).map_err(|e| e.to_string())?;
             let rows = [
                 ("cache: mean TPImiss reduction", 0.26, cache.tpimiss_reduction),
                 ("cache: mean TPI reduction", 0.09, cache.tpi_reduction),
@@ -947,64 +949,50 @@ impl BenchOpts {
 /// `capsim bench` — wall-clock timing of the full-suite sweeps.
 ///
 /// Times a cold (uncached, unjournaled, serial) `figure7 + figure10`
-/// run under each sweep engine, then a warm replay of the single-pass
-/// run from a throwaway result cache, and writes the measurements as
-/// JSON. Timings are the one output in the whole CLI that is *not* a
-/// pure function of the command line — they measure this machine — so
-/// they are never compared against goldens; the JSON exists for CI
-/// artifacts and README refreshes.
+/// run, then a warm replay of it from a throwaway result cache, and
+/// writes the measurements as JSON. Timings are the one output in the
+/// whole CLI that is *not* a pure function of the command line — they
+/// measure this machine — so they are never compared against goldens;
+/// the JSON exists for CI artifacts and README refreshes.
 fn run_bench(out: &mut String, scale: ExperimentScale, opts: &BenchOpts) -> Result<(), String> {
     use std::time::Instant;
     let cache_exp =
         CacheExperiment::new(scale).map_err(|e| e.to_string())?.with_seed(opts.seed);
     let queue_exp = QueueExperiment::new(scale).with_seed(opts.seed);
 
-    let cold = |engine: SweepEngine| -> Result<(f64, f64), String> {
-        let exec = ExecPolicy::serial().with_sweep_engine(engine);
-        let t = Instant::now();
-        cache_exp.figure7_with(&exec).map_err(|e| e.to_string())?;
-        let cache_s = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        queue_exp.figure10_with(&exec).map_err(|e| e.to_string())?;
-        Ok((cache_s, t.elapsed().as_secs_f64()))
-    };
-    let (legacy_cache, legacy_queue) = cold(SweepEngine::Legacy)?;
-    let (sp_cache, sp_queue) = cold(SweepEngine::SinglePass)?;
+    let serial = ExecPolicy::serial();
+    let t = Instant::now();
+    cache_exp.figure7(&serial).map_err(|e| e.to_string())?;
+    let cold_cache = t.elapsed().as_secs_f64();
+    let t = Instant::now();
+    queue_exp.figure10(&serial).map_err(|e| e.to_string())?;
+    let cold_queue = t.elapsed().as_secs_f64();
 
     // Warm: replay both figures from a populated result cache.
     let warm_dir =
         std::env::temp_dir().join(format!("capsim-bench-{}-{:x}", std::process::id(), opts.seed));
     let warm = (|| -> Result<f64, String> {
-        let exec = ExecPolicy::serial()
-            .with_sweep_engine(SweepEngine::SinglePass)
-            .cached(ResultCache::at(&warm_dir));
-        cache_exp.figure7_with(&exec).map_err(|e| e.to_string())?;
-        queue_exp.figure10_with(&exec).map_err(|e| e.to_string())?;
+        let exec = ExecPolicy::serial().cached(ResultCache::at(&warm_dir));
+        cache_exp.figure7(&exec).map_err(|e| e.to_string())?;
+        queue_exp.figure10(&exec).map_err(|e| e.to_string())?;
         let t = Instant::now();
-        cache_exp.figure7_with(&exec).map_err(|e| e.to_string())?;
-        queue_exp.figure10_with(&exec).map_err(|e| e.to_string())?;
+        cache_exp.figure7(&exec).map_err(|e| e.to_string())?;
+        queue_exp.figure10(&exec).map_err(|e| e.to_string())?;
         Ok(t.elapsed().as_secs_f64())
     })();
     let _ = std::fs::remove_dir_all(&warm_dir);
     let warm = warm?;
 
-    let legacy_total = legacy_cache + legacy_queue;
-    let sp_total = sp_cache + sp_queue;
-    let speedup = if sp_total > 0.0 { legacy_total / sp_total } else { f64::INFINITY };
+    let cold_total = cold_cache + cold_queue;
     let _ = writeln!(out, "== sweep bench: scale {}, seed {:#x}", scale.name(), opts.seed);
     let _ = writeln!(
         out,
-        "  legacy       cold: cache {legacy_cache:.2} s + queue {legacy_queue:.2} s = {legacy_total:.2} s"
+        "  cold: cache {cold_cache:.2} s + queue {cold_queue:.2} s = {cold_total:.2} s"
     );
-    let _ = writeln!(
-        out,
-        "  single-pass  cold: cache {sp_cache:.2} s + queue {sp_queue:.2} s = {sp_total:.2} s"
-    );
-    let _ = writeln!(out, "  single-pass  warm (result cache): {warm:.3} s");
-    let _ = writeln!(out, "  cold speedup: {speedup:.2}x");
+    let _ = writeln!(out, "  warm (result cache): {warm:.3} s");
 
     let json = format!(
-        "{{\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \"engines\": {{\n    \"legacy\": {{ \"cache_cold_s\": {legacy_cache:.6}, \"queue_cold_s\": {legacy_queue:.6}, \"total_cold_s\": {legacy_total:.6} }},\n    \"single-pass\": {{ \"cache_cold_s\": {sp_cache:.6}, \"queue_cold_s\": {sp_queue:.6}, \"total_cold_s\": {sp_total:.6}, \"warm_s\": {warm:.6} }}\n  }},\n  \"cold_speedup\": {speedup:.4}\n}}\n",
+        "{{\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \"engines\": {{\n    \"single-pass\": {{ \"cache_cold_s\": {cold_cache:.6}, \"queue_cold_s\": {cold_queue:.6}, \"total_cold_s\": {cold_total:.6}, \"warm_s\": {warm:.6} }}\n  }}\n}}\n",
         scale.name(),
         opts.seed,
     );

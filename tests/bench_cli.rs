@@ -1,6 +1,6 @@
 //! Process-level tests for `capsim bench`: the sweep-timing harness
-//! must run both engines, write the JSON summary where asked, and
-//! reject malformed flags with usage text.
+//! must time a cold and a warm sweep, write the JSON summary where
+//! asked, and reject malformed flags with usage text.
 
 mod common;
 
@@ -15,15 +15,15 @@ fn bench_quick_writes_summary_json() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("sweep bench"), "{text}");
-    assert!(text.contains("legacy"), "{text}");
-    assert!(text.contains("single-pass"), "{text}");
-    assert!(text.contains("cold speedup"), "{text}");
+    assert!(text.contains("cold: cache"), "{text}");
+    assert!(text.contains("warm (result cache)"), "{text}");
 
     let json = std::fs::read_to_string(&out_path).unwrap();
-    for key in
-        ["\"legacy\"", "\"single-pass\"", "cache_cold_s", "queue_cold_s", "warm_s", "cold_speedup"]
-    {
+    for key in ["\"single-pass\"", "cache_cold_s", "queue_cold_s", "total_cold_s", "warm_s"] {
         assert!(json.contains(key), "summary lacks {key}:\n{json}");
+    }
+    for gone in ["legacy", "cold_speedup"] {
+        assert!(!json.contains(gone), "summary still reports {gone}:\n{json}");
     }
     // The summary must be machine-readable; a quick structural check
     // without pulling a JSON parser into the test.

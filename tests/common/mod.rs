@@ -18,9 +18,8 @@ pub const KILL_EXIT: i32 = 86;
 
 /// Environment variables scrubbed from every spawn; a test that needs
 /// one sets it explicitly via [`Capsim::env`].
-const SCRUBBED: [&str; 11] = [
+const SCRUBBED: [&str; 10] = [
     "CAP_JOBS",
-    "CAP_SWEEP_ENGINE",
     "CAP_CACHE_DIR",
     "CAP_NO_CACHE",
     "CAP_LEG_TIMEOUT",

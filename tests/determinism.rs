@@ -1,7 +1,9 @@
 //! Reproducibility: every experiment is a pure function of its seed.
 
-use cap::core::experiments::{CacheExperiment, ExperimentScale, IntervalExperiment, QueueExperiment};
-use cap::core::manager::ConfidencePolicy;
+use cap::core::experiments::{
+    CacheExperiment, ExecPolicy, ExperimentScale, IntervalExperiment, QueueExperiment,
+};
+use cap::core::policy::{PolicyConfig, PolicyKind};
 use cap::workloads::App;
 
 #[test]
@@ -23,15 +25,16 @@ fn queue_experiments_reproduce_exactly() {
 
 #[test]
 fn interval_experiments_reproduce_exactly() {
-    let run = || IntervalExperiment::new().figure13().expect("valid configuration");
+    let run = || IntervalExperiment::new().figure13(&ExecPolicy::serial()).expect("valid configuration");
     assert_eq!(run(), run());
 }
 
 #[test]
 fn managed_runs_reproduce_exactly() {
     let run = || {
+        let config = PolicyConfig::new(PolicyKind::Confidence).with_explore_period(30);
         IntervalExperiment::new()
-            .adaptive_comparison(App::Vortex, 150, ConfidencePolicy::default_policy(), 30)
+            .policy_comparison(App::Vortex, 150, &config, &ExecPolicy::serial())
             .expect("valid configuration")
     };
     assert_eq!(run(), run());

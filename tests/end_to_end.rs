@@ -3,8 +3,11 @@
 //! factor, and crossover structure — when the full pipeline (workloads →
 //! simulators → timing → managers) runs at smoke scale.
 
-use cap::core::experiments::{CacheExperiment, ExperimentScale, IntervalExperiment, QueueExperiment};
+use cap::core::experiments::{
+    CacheExperiment, ExecPolicy, ExperimentScale, IntervalExperiment, QueueExperiment,
+};
 use cap::core::manager::ConfidencePolicy;
+use cap::core::policy::{PolicyConfig, PolicyKind};
 use cap::workloads::App;
 
 fn cache() -> CacheExperiment {
@@ -15,9 +18,15 @@ fn queue() -> QueueExperiment {
     QueueExperiment::new(ExperimentScale::Smoke)
 }
 
+/// The Section 6 confidence manager (explore period 40) at the given
+/// gating.
+fn confidence(gating: ConfidencePolicy) -> PolicyConfig {
+    PolicyConfig::new(PolicyKind::Confidence).with_confidence(gating)
+}
+
 #[test]
 fn e1_cache_headline_directions() {
-    let h = cache().headline().expect("valid sweep");
+    let h = cache().headline(&ExecPolicy::serial()).expect("valid sweep");
     // Paper: TPImiss -26 %, TPI -9 % on average; stereo -46 %/-65 %;
     // appcg -22 %; compress TPImiss -43 %. Accept generous bands around
     // the paper's numbers, but the directions and rough factors must
@@ -33,14 +42,14 @@ fn e1_cache_headline_directions() {
 
 #[test]
 fn e1_stereo_dominates_the_cache_study() {
-    let f9 = cache().figure9().expect("valid sweep");
+    let f9 = cache().figure9(&ExecPolicy::serial()).expect("valid sweep");
     let best = f9.best_improvement().expect("nonempty");
     assert_eq!(best.app, "stereo", "stereo is the headline cache win");
 }
 
 #[test]
 fn e2_queue_headline_directions() {
-    let h = queue().headline().expect("valid sweep");
+    let h = queue().headline(&ExecPolicy::serial()).expect("valid sweep");
     // Paper: mean -7 %; appcg -28 %, fpppp -21 %, radar -10 %,
     // compress -8 %.
     assert!((0.02..=0.20).contains(&h.tpi_reduction), "mean {:.3}", h.tpi_reduction);
@@ -53,7 +62,7 @@ fn e2_queue_headline_directions() {
 #[test]
 fn e3_diversity_structure() {
     // Fig 7: most apps best at 8-16 KB; the named exceptions are not.
-    let curves = cache().figure7().expect("valid sweep");
+    let curves = cache().figure7(&ExecPolicy::serial()).expect("valid sweep");
     let small = curves.iter().filter(|c| c.best().l1_kb <= 16).count();
     assert!(small >= 13, "only {small} of {} apps prefer a small L1", curves.len());
     let by_name = |n: &str| curves.iter().find(|c| c.app == n).expect("app in suite");
@@ -63,7 +72,7 @@ fn e3_diversity_structure() {
 
     // Fig 10: most apps best at 64 entries; compress at 128; the three
     // recurrence-bound apps at 16.
-    let curves = queue().figure10().expect("valid sweep");
+    let curves = queue().figure10(&ExecPolicy::serial()).expect("valid sweep");
     let at64 = curves.iter().filter(|c| c.best().entries == 64).count();
     assert!(at64 >= 12, "only {at64} of {} apps peak at 64 entries", curves.len());
     let by_name = |n: &str| curves.iter().find(|c| c.app == n).expect("app in suite");
@@ -78,11 +87,11 @@ fn e3_adaptive_never_loses_at_process_level() {
     // By construction the process-level adaptive scheme picks the argmin
     // of the same sweep the conventional configuration belongs to, so no
     // application may regress in TPI.
-    let f9 = cache().figure9().expect("valid sweep");
+    let f9 = cache().figure9(&ExecPolicy::serial()).expect("valid sweep");
     for b in &f9.bars {
         assert!(b.adaptive <= b.conventional + 1e-12, "{}: {} > {}", b.app, b.adaptive, b.conventional);
     }
-    let f11 = queue().figure11().expect("valid sweep");
+    let f11 = queue().figure11(&ExecPolicy::serial()).expect("valid sweep");
     for b in &f11.bars {
         assert!(b.adaptive <= b.conventional + 1e-12, "{}", b.app);
     }
@@ -93,7 +102,7 @@ fn e1_adaptive_tpimiss_may_regress() {
     // Paper §5.2.3: "The TPImiss of the adaptive approach is in some
     // cases higher than that of the conventional design" — optimizing
     // overall TPI sometimes picks a faster clock over fewer misses.
-    let f8 = cache().figure8().expect("valid sweep");
+    let f8 = cache().figure8(&ExecPolicy::serial()).expect("valid sweep");
     let regressions = f8.bars.iter().filter(|b| b.adaptive > b.conventional).count();
     assert!(regressions >= 1, "expected at least one TPImiss regression (applu-style)");
 }
@@ -103,14 +112,14 @@ fn e4_interval_snapshots() {
     let exp = IntervalExperiment::new();
 
     // Fig 12: turb3d has long one-sided stretches.
-    let f12 = exp.figure12().expect("valid configuration");
+    let f12 = exp.figure12(&ExecPolicy::serial()).expect("valid configuration");
     let (a64, a128) = f12.snapshot_a_wins();
     let (b64, b128) = f12.snapshot_b_wins();
     assert!(a64 > 3 * a128, "snapshot a must favor 64 entries: {a64} vs {a128}");
     assert!(b128 > 3 * b64, "snapshot b must favor 128 entries: {b64} vs {b128}");
 
     // Fig 13: vortex alternates regularly in (a).
-    let f13 = exp.figure13().expect("valid configuration");
+    let f13 = exp.figure13(&ExecPolicy::serial()).expect("valid configuration");
     let (s16, s64) = f13.snapshot_a_wins();
     assert!(s16 >= 15 && s64 >= 15, "both configs win long stretches: {s16} vs {s64}");
 }
@@ -119,7 +128,7 @@ fn e4_interval_snapshots() {
 fn e4_interval_manager_between_fixed_and_oracle() {
     let exp = IntervalExperiment::new();
     let cmp = exp
-        .adaptive_comparison(App::Turb3d, 500, ConfidencePolicy::default_policy(), 40)
+        .policy_comparison(App::Turb3d, 500, &confidence(ConfidencePolicy::default_policy()), &ExecPolicy::serial())
         .expect("valid configuration");
     // The oracle bounds everything from below.
     assert!(cmp.oracle_tpi <= cmp.process_level_tpi + 1e-9);
@@ -139,10 +148,10 @@ fn e4_interval_manager_between_fixed_and_oracle() {
 fn e4_confidence_reduces_thrash_on_irregular_phases() {
     let exp = IntervalExperiment::new();
     let confident = exp
-        .adaptive_comparison(App::Vortex, 400, ConfidencePolicy::default_policy(), 40)
+        .policy_comparison(App::Vortex, 400, &confidence(ConfidencePolicy::default_policy()), &ExecPolicy::serial())
         .expect("valid configuration");
     let eager = exp
-        .adaptive_comparison(App::Vortex, 400, ConfidencePolicy::none(), 40)
+        .policy_comparison(App::Vortex, 400, &confidence(ConfidencePolicy::none()), &ExecPolicy::serial())
         .expect("valid configuration");
     assert!(
         confident.switches < eager.switches,

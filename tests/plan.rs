@@ -52,6 +52,18 @@ fn deduped_plan_execution_matches_independent_commands() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The figures leg graph is a contract: `results/plan_figures.txt` holds
+/// the cold default-scale dry run, in the same environment the CI
+/// golden-drift job regenerates it with. A changed leg key, leg kind or
+/// plan shape shows up here as a byte diff.
+#[test]
+fn figures_dry_run_matches_the_checked_in_leg_graph() {
+    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/plan_figures.txt");
+    let golden = std::fs::read_to_string(golden_path).expect("results/plan_figures.txt is checked in");
+    let out = Capsim::new(&["plan", "figures", "--dry-run"]).env("CAP_SCALE", "default").run();
+    assert_eq!(stdout(&out), golden, "the figures leg graph drifted from {golden_path}");
+}
+
 /// The acceptance criterion of the plan IR: after `sweep all` has warmed
 /// the result cache, `plan figures --dry-run` classifies 100 % of the
 /// shared curve legs as cache hits (only the figure12/13 interval legs

@@ -6,7 +6,7 @@
 mod common;
 
 use cap::core::experiments::{CacheExperiment, ExecPolicy, ExperimentScale, IntervalExperiment};
-use cap::core::manager::ConfidencePolicy;
+use cap::core::policy::{PolicyConfig, PolicyKind};
 use cap::obs::summary::TraceSummary;
 use cap::obs::{Event, JsonlRecorder, RingRecorder};
 use cap::workloads::App;
@@ -18,7 +18,7 @@ fn traced_comparison(app: App) -> (cap::core::experiments::AdaptiveComparison, V
     let ring = Arc::new(RingRecorder::new());
     let exec = ExecPolicy::serial().with_recorder(ring.clone());
     let cmp = IntervalExperiment::new()
-        .adaptive_comparison_with(app, INTERVALS, ConfidencePolicy::default_policy(), 40, &exec)
+        .policy_comparison(app, INTERVALS, &PolicyConfig::new(PolicyKind::Confidence), &exec)
         .unwrap();
     let events = ring.events();
     (cmp, events)
@@ -58,7 +58,7 @@ fn clock_switch_events_match_the_reported_switch_count() {
 fn tracing_does_not_perturb_the_managed_run() {
     let (traced, _) = traced_comparison(App::Gcc);
     let untraced = IntervalExperiment::new()
-        .adaptive_comparison(App::Gcc, INTERVALS, ConfidencePolicy::default_policy(), 40)
+        .policy_comparison(App::Gcc, INTERVALS, &PolicyConfig::new(PolicyKind::Confidence), &ExecPolicy::serial())
         .unwrap();
     assert_eq!(traced.switches, untraced.switches);
     assert_eq!(traced.managed_tpi.to_bits(), untraced.managed_tpi.to_bits());
@@ -69,9 +69,9 @@ fn tracing_does_not_perturb_the_managed_run() {
 #[test]
 fn tracing_does_not_perturb_a_cache_sweep() {
     let exp = CacheExperiment::new(ExperimentScale::Smoke).unwrap();
-    let plain = exp.figure7_with(&ExecPolicy::serial()).unwrap();
+    let plain = exp.figure7(&ExecPolicy::serial()).unwrap();
     let ring = Arc::new(RingRecorder::new());
-    let traced = exp.figure7_with(&ExecPolicy::serial().with_recorder(ring)).unwrap();
+    let traced = exp.figure7(&ExecPolicy::serial().with_recorder(ring)).unwrap();
     assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
 }
 
@@ -82,7 +82,7 @@ fn jsonl_trace_round_trips_through_the_summary_reducer() {
     let recorder = Arc::new(JsonlRecorder::create(&path).unwrap());
     let exec = ExecPolicy::serial().with_recorder(recorder);
     let cmp = IntervalExperiment::new()
-        .adaptive_comparison_with(App::Radar, INTERVALS, ConfidencePolicy::default_policy(), 40, &exec)
+        .policy_comparison(App::Radar, INTERVALS, &PolicyConfig::new(PolicyKind::Confidence), &exec)
         .unwrap();
 
     let text = std::fs::read_to_string(&path).unwrap();
