@@ -1,9 +1,13 @@
 //! Throughput of the out-of-order core (committed instructions per
-//! second) at several window sizes.
+//! second) at several window sizes, fed by the generator and replaying a
+//! recorded tape as a sweep does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use cap_ooo::config::CoreConfig;
+use cap_ooo::config::{CoreConfig, WindowSize};
 use cap_ooo::core::OooCore;
+use cap_ooo::multisweep::multisweep;
+use cap_timing::queue::QueueTimingModel;
+use cap_timing::Technology;
 use cap_workloads::App;
 use cap_trace::inst::InstStream;
 use std::hint::black_box;
@@ -21,6 +25,20 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+
+    // A queue curve: one tape recorded, then replayed at all eight window
+    // sizes. Throughput counts the instructions committed over the curve.
+    let mut group = c.benchmark_group("tape_replay");
+    let windows: Vec<WindowSize> = WindowSize::paper_sweep().collect();
+    group.throughput(Throughput::Elements(N * windows.len() as u64));
+    let timing = QueueTimingModel::new(Technology::isca98_evaluation());
+    group.bench_function("multisweep_gcc", |b| {
+        b.iter(|| {
+            let stream = App::Gcc.ilp_profile().build(5);
+            black_box(multisweep(stream, N, windows.iter().copied(), &timing).unwrap())
+        })
+    });
     group.finish();
 
     // Keep the stream generator itself honest: it must be far cheaper

@@ -54,8 +54,11 @@
 //! full scan alive, and `cap-verify` diffs the two at scale.
 //!
 //! `D`, `C` and `R` live in a ring over the most recent instructions,
-//! long enough for every lookback above; issue counts live in a ring of
-//! cycles that grows when a long latency outruns it.
+//! long enough for every lookback above, and the previous instruction's
+//! are also carried in locals through the dispatch loop; issue counts
+//! live in a ring of cycles that grows when a long latency outruns it.
+//! The core reads instructions in packed form
+//! ([`InstStream::next_packed`]), with producers as distances back.
 
 use crate::config::{CoreConfig, WindowSize};
 use crate::error::OooError;
@@ -179,7 +182,9 @@ pub struct OooCore {
     cycle: u64,
     committed: u64,
     dispatched: u64,
-    next_seq: Option<u64>,
+    /// The seq of the first instruction dispatched, once one has been:
+    /// instruction `i` must carry `first_seq + i`.
+    first_seq: u64,
 }
 
 impl OooCore {
@@ -210,7 +215,7 @@ impl OooCore {
             cycle: 0,
             committed: 0,
             dispatched: 0,
-            next_seq: None,
+            first_seq: 0,
         })
     }
 
@@ -289,54 +294,65 @@ impl OooCore {
         &self.sched[index as usize & self.mask]
     }
 
-    /// The dispatch cycle of the next instruction (`D_i` in the module
-    /// documentation). Lookbacks before the first instruction land on
-    /// never-written zero slots, which constrain nothing.
-    #[inline]
-    fn next_dispatch(&self) -> u64 {
-        let i = self.dispatched;
-        let in_order = self.at(i.wrapping_sub(1)).dispatch;
-        let fetch = self.at(i.wrapping_sub(self.fetch_width)).dispatch + 1;
-        let entry_free = self.at(i.wrapping_sub(self.dispatch_window)).commit;
-        in_order.max(fetch).max(entry_free).max(self.floor)
-    }
-
-    /// Reads the next instruction, dispatching it in cycle `dispatch`,
-    /// and schedules its issue, completion and commit.
-    fn dispatch<S: InstStream>(&mut self, stream: &mut S, dispatch: u64) {
-        let inst = stream.next_inst();
-        if let Some(expect) = self.next_seq {
-            assert_eq!(inst.seq, expect, "instruction stream must be contiguous");
-        }
-        self.next_seq = Some(inst.seq + 1);
-        let i = self.dispatched;
-        // Producers older than the ring have committed; so have those
-        // before the stream, whose slots were never written.
-        let operand = |dep: Option<u64>| {
-            let age = dep.map_or(0, |p| inst.seq.wrapping_sub(p));
-            let complete = self.at(i.wrapping_sub(age)).complete;
-            if age.wrapping_sub(1) < self.mask as u64 { complete } else { 0 }
-        };
-        let ready = (dispatch + 1).max(operand(inst.dep1)).max(operand(inst.dep2));
-        let issue = self.issues.claim(ready, dispatch + 1, self.issue_width);
-        let complete = issue + u64::from(inst.latency);
-        let commit = complete
-            .max(issue + 1)
-            .max(self.at(i.wrapping_sub(1)).commit)
-            .max(self.at(i.wrapping_sub(self.commit_width)).commit + 1);
-        self.sched[i as usize & self.mask] = Sched { dispatch, complete, commit };
-        self.dispatched += 1;
-    }
-
-    /// Dispatches every instruction due by cycle `t`.
-    fn dispatch_through<S: InstStream>(&mut self, stream: &mut S, t: u64) {
+    /// Reads instructions and dispatches each in its cycle `D_i` (see the
+    /// module documentation), scheduling its issue, completion and
+    /// commit. Keeps going while fewer than `count` instructions have
+    /// dispatched or the next one is due by cycle `through`.
+    ///
+    /// Lookbacks before the first instruction land on never-written zero
+    /// slots, which constrain nothing. The previous instruction's
+    /// schedule is carried in a local rather than reloaded from the slot
+    /// just written, since that store-to-load round trip would sit on the
+    /// recurrence's serial chain; it enters each maximum last, so the
+    /// chain passes through one comparison.
+    fn dispatch_until<S: InstStream>(&mut self, stream: &mut S, count: u64, through: u64) {
+        let (mask, floor, width) = (self.mask, self.floor, self.issue_width);
+        let (fetch_width, window, commit_width) =
+            (self.fetch_width, self.dispatch_window, self.commit_width);
+        // Sliced to `mask + 1` entries, so that no masked index needs a
+        // bounds check.
+        let (sched, issues) = (&mut self.sched[..=mask], &mut self.issues);
+        let at = |sched: &[Sched], index: u64| sched[index as usize & mask];
+        let mut i = self.dispatched;
+        let mut prev = at(sched, i.wrapping_sub(1));
+        let mut first_seq = self.first_seq;
         loop {
-            let d = self.next_dispatch();
-            if d > t {
+            let fetch = at(sched, i.wrapping_sub(fetch_width)).dispatch + 1;
+            let entry_free = at(sched, i.wrapping_sub(window)).commit;
+            let dispatch = fetch.max(entry_free).max(floor).max(prev.dispatch);
+            if i >= count && dispatch > through {
                 break;
             }
-            self.dispatch(stream, d);
+            let inst = stream.next_packed();
+            if i == 0 {
+                first_seq = inst.seq;
+            }
+            let expect = first_seq.wrapping_add(i);
+            assert_eq!(inst.seq, expect, "instruction stream must be contiguous");
+            // Producers older than the ring have committed; so have those
+            // before the stream, whose slots were never written. A
+            // producer one back is `prev`.
+            let operand = |dist: u32| {
+                if dist == 1 {
+                    return prev.complete;
+                }
+                let age = u64::from(dist);
+                let complete = at(sched, i.wrapping_sub(age)).complete;
+                if age.wrapping_sub(1) < mask as u64 { complete } else { 0 }
+            };
+            let ready = (dispatch + 1).max(operand(inst.dist[0])).max(operand(inst.dist[1]));
+            let issue = issues.claim(ready, dispatch + 1, width);
+            let complete = issue + u64::from(inst.latency);
+            let commit = complete
+                .max(issue + 1)
+                .max(at(sched, i.wrapping_sub(commit_width)).commit + 1)
+                .max(prev.commit);
+            prev = Sched { dispatch, complete, commit };
+            sched[i as usize & mask] = prev;
+            i += 1;
         }
+        self.dispatched = i;
+        self.first_seq = first_seq;
     }
 
     /// Counts the instructions committed by the end of cycle `t`.
@@ -366,7 +382,7 @@ impl OooCore {
         let before = self.committed;
         self.retire_through(self.cycle);
         self.settle_shrink();
-        self.dispatch_through(stream, self.cycle);
+        self.dispatch_until(stream, 0, self.cycle);
         (self.committed - before) as usize
     }
 
@@ -381,14 +397,11 @@ impl OooCore {
         let (c0, i0) = (self.cycle, self.committed);
         let target = i0 + insts;
         if insts > 0 {
-            while self.dispatched < target {
-                let d = self.next_dispatch();
-                self.dispatch(stream, d);
-            }
+            self.dispatch_until(stream, target, 0);
             // The span ends when its last instruction commits; everything
             // due to dispatch by then is read, as a stepped run would.
             let end = self.at(target - 1).commit;
-            self.dispatch_through(stream, end);
+            self.dispatch_until(stream, 0, end);
             self.cycle = end;
             self.committed = target;
             self.retire_through(end);
@@ -402,7 +415,8 @@ impl OooCore {
 mod tests {
     use super::*;
     use crate::reference::ScanCore;
-    use cap_trace::inst::{IlpParams, Inst, SegmentIlp};
+    use cap_trace::inst::{IlpParams, Inst, PackedInst, SegmentIlp};
+    use cap_trace::tape::InstTape;
 
     /// A fixed list of instructions, then independent filler.
     struct ListStream {
@@ -672,20 +686,43 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "instruction stream must be contiguous")]
+    fn a_gap_in_the_stream_panics() {
+        let mut list = chain(10, 1);
+        list[5].seq = 6;
+        let mut core = OooCore::new(CoreConfig::isca98(64).unwrap());
+        core.run(&mut ListStream::new(list), 8);
+    }
+
+    #[test]
     fn empty_stats_ipc_is_zero() {
         assert_eq!(RunStats::default().ipc(), 0.0);
     }
 
-    /// Counts the instructions a core has read.
+    /// Counts the instructions a core has read, and how many of them it
+    /// read unpacked.
     struct Counted<S> {
         inner: S,
         reads: u64,
+        unpacked: u64,
+    }
+
+    impl<S> Counted<S> {
+        fn new(inner: S) -> Self {
+            Counted { inner, reads: 0, unpacked: 0 }
+        }
     }
 
     impl<S: InstStream> InstStream for Counted<S> {
         fn next_inst(&mut self) -> Inst {
             self.reads += 1;
+            self.unpacked += 1;
             self.inner.next_inst()
+        }
+
+        fn next_packed(&mut self) -> PackedInst {
+            self.reads += 1;
+            self.inner.next_packed()
         }
     }
 
@@ -711,7 +748,7 @@ mod tests {
 
     impl ShapeStream {
         fn new(shape: Shape, seed: u64) -> Counted<Self> {
-            Counted { inner: ShapeStream { shape, state: seed, next: shape.first_seq }, reads: 0 }
+            Counted::new(ShapeStream { shape, state: seed, next: shape.first_seq })
         }
 
         fn draw(&mut self, below: u64) -> u64 {
@@ -773,11 +810,11 @@ mod tests {
 
     /// The core has read exactly the instructions it committed or holds,
     /// as did the reference, and both agree on the window state.
-    fn assert_reads_match<S>(
+    fn assert_reads_match<S, T>(
         core: &OooCore,
         reads: &Counted<S>,
         scan: &ScanCore,
-        scan_reads: &Counted<S>,
+        scan_reads: &Counted<T>,
         ctx: &str,
     ) {
         assert_eq!(reads.reads, core.committed() + core.occupancy() as u64, "{ctx}: core reads");
@@ -786,30 +823,75 @@ mod tests {
         assert_eq!(core.resize_pending(), scan.resize_pending(), "{ctx}: resize pending");
     }
 
+    /// Steps a core reading `s1` and the reference reading a fresh
+    /// `shape` stream in lockstep, with resizes, comparing every step.
+    fn assert_steps_match_reference<S: InstStream>(
+        name: &str,
+        config: CoreConfig,
+        shape: Shape,
+        seed: u64,
+        s1: &mut Counted<S>,
+    ) {
+        let mut fast = OooCore::new(config);
+        let mut slow = ScanCore::new(config);
+        let mut s2 = ShapeStream::new(shape, seed);
+        for step in 0..4000 {
+            if step % 700 == 699 {
+                let sizes = config.window.entries() / 16;
+                let w = WindowSize::new(16 * (1 + (step / 700 + seed as usize) % sizes));
+                let w = w.unwrap();
+                fast.request_resize(w).unwrap();
+                slow.request_resize(w).unwrap();
+            }
+            let ctx = format!("{name}, seed {seed}, step {step}");
+            assert_eq!(fast.step(s1), slow.step(&mut s2), "{ctx}: retired");
+            assert_eq!(fast.committed(), slow.committed(), "{ctx}");
+            assert_eq!(fast.occupancy(), slow.occupancy(), "{ctx}");
+            assert_reads_match(&fast, s1, &slow, &s2, &ctx);
+        }
+        assert!(fast.committed() > 100, "{name}: the shape must make progress");
+    }
+
     #[test]
     fn unprofiled_shapes_match_reference_cycle_for_cycle() {
         for (name, config, shape) in unprofiled_shapes() {
             for seed in 0..3u64 {
-                let mut fast = OooCore::new(config);
-                let mut slow = ScanCore::new(config);
-                let mut s1 = ShapeStream::new(shape, seed);
-                let mut s2 = ShapeStream::new(shape, seed);
-                for step in 0..4000 {
-                    if step % 700 == 699 {
-                        let sizes = config.window.entries() / 16;
-                        let w = WindowSize::new(16 * (1 + (step / 700 + seed as usize) % sizes));
-                        let w = w.unwrap();
-                        fast.request_resize(w).unwrap();
-                        slow.request_resize(w).unwrap();
-                    }
-                    let ctx = format!("{name}, seed {seed}, step {step}");
-                    assert_eq!(fast.step(&mut s1), slow.step(&mut s2), "{ctx}: retired");
-                    assert_eq!(fast.committed(), slow.committed(), "{ctx}");
-                    assert_eq!(fast.occupancy(), slow.occupancy(), "{ctx}");
-                    assert_reads_match(&fast, &s1, &slow, &s2, &ctx);
-                }
-                assert!(fast.committed() > 100, "{name}: the shape must make progress");
+                let mut stream = ShapeStream::new(shape, seed);
+                assert_steps_match_reference(name, config, shape, seed, &mut stream);
             }
+        }
+    }
+
+    #[test]
+    fn tape_fed_core_matches_reference_cycle_for_cycle() {
+        // The reference reads the generator; the core reads the packed
+        // records of a tape, including the shape that starts at seq 1000
+        // with producers before the stream's first instruction. Another
+        // cursor has read ahead, so the core reads sealed blocks, then
+        // the open block, then records it generates itself.
+        for (name, config, shape) in unprofiled_shapes() {
+            for seed in 0..3u64 {
+                let tape = InstTape::new(ShapeStream::new(shape, seed));
+                let _ = tape.cursor().take_insts(1500 * seed as usize);
+                let mut cursor = Counted::new(tape.cursor());
+                assert_steps_match_reference(name, config, shape, seed, &mut cursor);
+                assert_eq!(cursor.unpacked, 0, "{name}: the core reads records as they are");
+            }
+        }
+    }
+
+    #[test]
+    fn run_through_a_reborrowed_cursor_matches_a_direct_run() {
+        for (name, config, shape) in unprofiled_shapes() {
+            let tape = InstTape::new(ShapeStream::new(shape, 4));
+            let (mut a, mut b) = (Counted::new(tape.cursor()), Counted::new(tape.cursor()));
+            let (mut direct, mut reborrowed) = (OooCore::new(config), OooCore::new(config));
+            for span in [1u64, 700, 3, 2000] {
+                let stats = reborrowed.run(&mut &mut b, span);
+                assert_eq!(direct.run(&mut a, span), stats, "{name}: span {span}");
+                assert_eq!(a.reads, b.reads, "{name}: span {span}");
+            }
+            assert_eq!((a.unpacked, b.unpacked), (0, 0), "{name}: `&mut` forwards packed reads");
         }
     }
 

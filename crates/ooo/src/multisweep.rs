@@ -1,24 +1,28 @@
 //! Single-pass window sweeps over a shared instruction tape.
 //!
-//! The legacy sweep ([`crate::perf::sweep`]) re-synthesizes the
-//! instruction stream for every window size: eight configurations mean
-//! eight full generator runs over ~identical prefixes. This module
-//! records the stream once in a [`cap_trace::tape::InstTape`] and replays
-//! an independent cursor per configuration, so generation cost is paid a
-//! single time per sweep and the cores spend their cycles simulating.
+//! The reference sweep ([`crate::perf::sweep`], which `cap-verify` diffs
+//! against) re-synthesizes the instruction stream for every window
+//! size: eight configurations mean eight full generator runs over
+//! ~identical prefixes. This module records the stream once in a
+//! [`cap_trace::tape::InstTape`] and replays an independent cursor per
+//! configuration, so generation cost is paid a single time per sweep
+//! and the cores spend their cycles simulating.
 //!
 //! Unlike the cache multisweep — where one traversal literally computes
 //! all boundaries at once from stack distances — the window simulations
 //! cannot be fused: IPC at window `W` depends on the full scheduling
 //! dynamics at that size. What *is* shared is the input. Each
-//! configuration still runs on its own [`OooCore`], driven by a cursor
-//! that replays exactly the instructions a pristine generator would have
-//! produced, so every [`QueueSweepPoint`] is bit-identical to the legacy
-//! path's (the tests and `cap-verify` hold this as an invariant).
+//! configuration still runs on its own [`crate::core::OooCore`], driven
+//! by a cursor that replays exactly the instructions a pristine
+//! generator would have produced, so every [`QueueSweepPoint`] is
+//! bit-identical to the reference sweep's (the tests and `cap-verify`
+//! hold this as an invariant). The cores read the tape's packed records
+//! as they are, with no conversion back to [`cap_trace::Inst`].
 //!
 //! The tape is lazy and grows only as far as the hungriest configuration
 //! reads (a core fetches roughly `insts + occupancy` instructions), so
-//! peak memory is one `Inst` (48 bytes) per simulated instruction.
+//! peak memory is one 12-byte record per simulated instruction: 3.6 MB
+//! for a 300 k-instruction curve, replayed once per window.
 
 use crate::config::WindowSize;
 use crate::error::OooError;
@@ -35,7 +39,7 @@ use cap_trace::tape::InstTape;
 ///
 /// # Errors
 ///
-/// Propagates timing-model errors, exactly as the legacy sweep does.
+/// Propagates timing-model errors, exactly as the reference sweep does.
 pub fn multisweep<S: InstStream>(
     gen: S,
     insts: u64,

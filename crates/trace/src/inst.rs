@@ -59,10 +59,52 @@ impl Inst {
     }
 }
 
+/// An instruction with its producers given as distances back from it:
+/// the form an out-of-order core consumes.
+///
+/// A distance of 0 means no producer; producer `p` of instruction `seq`
+/// is at distance `seq - p`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PackedInst {
+    /// This instruction's index in the dynamic stream.
+    pub seq: u64,
+    /// Distances back to the two operands' producers (0 = none).
+    pub dist: [u32; 2],
+    /// Execution latency in cycles.
+    pub latency: u32,
+}
+
+impl PackedInst {
+    /// Packs `inst`, saturating each distance at `u32::MAX`. A producer
+    /// at or after `inst` packs to distance 0 or a saturated distance;
+    /// like any producer further back than a core's window, both read as
+    /// already committed.
+    #[inline]
+    pub fn saturating(inst: Inst) -> Self {
+        let dist = |dep: Option<u64>| {
+            dep.map_or(0, |p| u32::try_from(inst.seq.wrapping_sub(p)).unwrap_or(u32::MAX))
+        };
+        PackedInst {
+            seq: inst.seq,
+            dist: [dist(inst.dep1), dist(inst.dep2)],
+            latency: inst.latency,
+        }
+    }
+}
+
 /// An infinite stream of instructions.
 pub trait InstStream {
     /// Produces the next instruction.
     fn next_inst(&mut self) -> Inst;
+
+    /// Produces the next instruction in packed form. The default packs
+    /// [`InstStream::next_inst`] with [`PackedInst::saturating`]; a
+    /// stream that already holds packed instructions returns them as
+    /// they are.
+    #[inline]
+    fn next_packed(&mut self) -> PackedInst {
+        PackedInst::saturating(self.next_inst())
+    }
 
     /// Collects the next `n` instructions (convenience for tests).
     fn take_insts(&mut self, n: usize) -> Vec<Inst>
@@ -76,6 +118,11 @@ pub trait InstStream {
 impl<S: InstStream + ?Sized> InstStream for &mut S {
     fn next_inst(&mut self) -> Inst {
         (**self).next_inst()
+    }
+
+    #[inline]
+    fn next_packed(&mut self) -> PackedInst {
+        (**self).next_packed()
     }
 }
 
@@ -347,6 +394,20 @@ mod tests {
         assert_eq!(v[2].latency, 2);
         assert_eq!(v[3].latency, 1);
         assert_eq!(v[4].latency, 1);
+    }
+
+    #[test]
+    fn packing_saturates_distances() {
+        let pack = |seq, dep1, dep2| PackedInst::saturating(Inst { seq, dep1, dep2, latency: 3 });
+        assert_eq!(pack(10, Some(7), None), PackedInst { seq: 10, dist: [3, 0], latency: 3 });
+        assert_eq!(pack(1 << 40, Some(0), Some((1 << 40) - 1)).dist, [u32::MAX, 1]);
+        // A producer at or after its consumer packs as committed.
+        assert_eq!(pack(5, Some(5), Some(6)).dist, [0, u32::MAX]);
+        let mut g = SegmentIlp::new(IlpParams::balanced(), 3).unwrap();
+        let mut h = g.clone();
+        for _ in 0..1000 {
+            assert_eq!(g.next_packed(), PackedInst::saturating(h.next_inst()));
+        }
     }
 
     #[test]

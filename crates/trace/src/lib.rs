@@ -57,6 +57,6 @@ pub mod stack;
 pub mod tape;
 
 pub use error::TraceError;
-pub use inst::{Inst, InstStream};
+pub use inst::{Inst, InstStream, PackedInst};
 pub use mem::{AccessKind, AddressStream, MemRef};
 pub use rng::TraceRng;

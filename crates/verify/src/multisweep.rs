@@ -12,7 +12,8 @@
 //!   instruction once, at dispatch, rather than scanning the window
 //!   every cycle ([`cap_ooo::core::OooCore`] vs
 //!   [`cap_ooo::reference::ScanCore`]), checked both cycle by cycle and
-//!   over the interval-sized `run` calls of a managed run.
+//!   over the interval-sized `run` calls of a managed run — the latter
+//!   also with the production core reading the tape's packed records.
 //!
 //! Each fast path is claimed *bit-identical* to its reference — that is
 //! what lets the goldens stay byte-for-byte stable across the engine
@@ -32,6 +33,8 @@ use cap_ooo::reference::ScanCore;
 use cap_timing::cacti::CacheTimingModel;
 use cap_timing::queue::QueueTimingModel;
 use cap_timing::Technology;
+use cap_trace::inst::InstStream;
+use cap_trace::tape::InstTape;
 use cap_workloads::App;
 
 /// One fuzzed cache case: a random suite application, seed and trace
@@ -246,7 +249,11 @@ pub fn core_vs_scan_reference(rng: &mut Rng) -> Result<(), String> {
 /// draining — back to back, or after a short run that stops mid-drain —
 /// and supersede it. After every run the production core's [`RunStats`],
 /// active window and pending flag must equal the reference's, stepped to
-/// the same commit target.
+/// the same commit target. The reference always reads the generator; in
+/// half the cases the production core reads the packed records of an
+/// [`InstTape`] instead, as a sweep's cores do, after another cursor has
+/// recorded a random prefix: the core replays that prefix, then records
+/// the rest itself.
 ///
 /// # Errors
 ///
@@ -255,19 +262,41 @@ pub fn core_run_vs_scan(rng: &mut Rng) -> Result<(), String> {
     let apps: Vec<App> = App::queue_suite().collect();
     let app = *rng.pick(&apps);
     let seed = rng.next_u64();
+    let intervals = rng.range(2, 6);
+    let taped = rng.chance(0.5);
+    let scan_stream = app.ilp_profile().build(seed);
+    if taped {
+        let tape = InstTape::new(app.ilp_profile().build(seed));
+        let recorded = rng.below(intervals * PAPER_INTERVAL_INSTS);
+        let mut leader = tape.cursor();
+        for _ in 0..recorded {
+            leader.next_packed();
+        }
+        let ctx = format!("app {} seed {seed}, core on a tape of {recorded}:", app.name());
+        run_vs_scan(rng, intervals, &mut tape.cursor(), scan_stream, ctx)
+    } else {
+        let ctx = format!("app {} seed {seed}:", app.name());
+        run_vs_scan(rng, intervals, &mut app.ilp_profile().build(seed), scan_stream, ctx)
+    }
+}
+
+/// The body of [`core_run_vs_scan`], with the production core reading
+/// `fast_stream`.
+fn run_vs_scan<S: InstStream>(
+    rng: &mut Rng,
+    intervals: u64,
+    fast_stream: &mut S,
+    mut scan_stream: impl InstStream,
+    mut ctx: String,
+) -> Result<(), String> {
     let sizes: Vec<WindowSize> = WindowSize::paper_sweep().collect();
     let physical = *sizes.last().expect("paper sweep is non-empty");
-    let intervals = rng.range(2, 6);
-
     let config = CoreConfig::isca98(physical.entries())
         .map_err(|e| format!("config construction failed: {e}"))?;
     let mut fast =
         OooCore::try_new(config).map_err(|e| format!("production core rejected config: {e}"))?;
     let mut scan =
         ScanCore::try_new(config).map_err(|e| format!("reference core rejected config: {e}"))?;
-    let mut fast_stream = app.ilp_profile().build(seed);
-    let mut scan_stream = app.ilp_profile().build(seed);
-    let mut ctx = format!("app {} seed {seed}:", app.name());
 
     let compare = |ctx: &str, fast: &OooCore, scan: &ScanCore, runs: (RunStats, RunStats)| {
         let observables = [
@@ -290,7 +319,7 @@ pub fn core_run_vs_scan(rng: &mut Rng) -> Result<(), String> {
             if request > 0 && rng.chance(0.5) {
                 let insts = rng.range(1, 16);
                 ctx.push_str(&format!(" run {insts}"));
-                let runs = (fast.run(&mut fast_stream, insts), scan.run(&mut scan_stream, insts));
+                let runs = (fast.run(fast_stream, insts), scan.run(&mut scan_stream, insts));
                 compare(&ctx, &fast, &scan, runs)?;
             }
             let w = *rng.pick(&sizes);
@@ -303,7 +332,7 @@ pub fn core_run_vs_scan(rng: &mut Rng) -> Result<(), String> {
         }
         ctx.push_str(&format!(" run {PAPER_INTERVAL_INSTS}"));
         let runs = (
-            fast.run(&mut fast_stream, PAPER_INTERVAL_INSTS),
+            fast.run(fast_stream, PAPER_INTERVAL_INSTS),
             scan.run(&mut scan_stream, PAPER_INTERVAL_INSTS),
         );
         compare(&ctx, &fast, &scan, runs)?;
