@@ -1,10 +1,12 @@
 //! Throughput of the out-of-order core (committed instructions per
 //! second) at several window sizes, fed by the generator and replaying a
-//! recorded tape as a sweep does.
+//! recorded tape as a sweep does, and of the instruction generator on
+//! its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cap_ooo::config::{CoreConfig, WindowSize};
 use cap_ooo::core::OooCore;
+use cap_ooo::interval::PAPER_INTERVAL_INSTS;
 use cap_ooo::multisweep::multisweep;
 use cap_timing::queue::QueueTimingModel;
 use cap_timing::Technology;
@@ -50,6 +52,21 @@ fn bench(c: &mut Criterion) {
             let mut s = App::Gcc.ilp_profile().build(5);
             for _ in 0..N {
                 black_box(s.next_inst());
+            }
+        })
+    });
+    group.finish();
+
+    // The managed-run hot path: the packed instructions of one 400-interval
+    // turb3d run, read as the core reads them.
+    let mut group = c.benchmark_group("generator");
+    const MANAGED: u64 = 400 * PAPER_INTERVAL_INSTS;
+    group.throughput(Throughput::Elements(MANAGED));
+    group.bench_function("turb3d_next_packed", |b| {
+        b.iter(|| {
+            let mut s = App::Turb3d.ilp_profile().build(5);
+            for _ in 0..MANAGED {
+                black_box(s.next_packed());
             }
         })
     });

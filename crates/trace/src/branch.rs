@@ -108,6 +108,8 @@ struct StaticBranch {
 pub struct SyntheticBranches {
     branches: Vec<StaticBranch>,
     weights: Vec<f64>,
+    /// `weights.iter().sum()`, computed once at build time.
+    total: f64,
     rng: TraceRng,
     /// Global history of recent outcomes (bit 0 = most recent).
     global_history: u64,
@@ -128,7 +130,11 @@ impl SyntheticBranches {
 
 impl BranchStream for SyntheticBranches {
     fn next_branch(&mut self) -> BranchEvent {
-        let i = if self.branches.len() == 1 { 0 } else { self.rng.weighted(&self.weights) };
+        let i = if self.branches.len() == 1 {
+            0
+        } else {
+            self.rng.weighted(&self.weights, self.total)
+        };
         let b = &mut self.branches[i];
         let taken = match b.behavior {
             BranchBehavior::Biased(p) => self.rng.chance(p),
@@ -200,8 +206,9 @@ impl SyntheticBranchesBuilder {
                 phase: 0,
             })
             .collect();
-        let weights = self.behaviors.iter().map(|(_, w)| *w).collect();
-        Ok(SyntheticBranches { branches, weights, rng, global_history: 0 })
+        let weights: Vec<f64> = self.behaviors.iter().map(|(_, w)| *w).collect();
+        let total = weights.iter().sum();
+        Ok(SyntheticBranches { branches, weights, total, rng, global_history: 0 })
     }
 }
 

@@ -116,6 +116,7 @@ pub trait InstStream {
 }
 
 impl<S: InstStream + ?Sized> InstStream for &mut S {
+    #[inline]
     fn next_inst(&mut self) -> Inst {
         (**self).next_inst()
     }
@@ -202,12 +203,6 @@ impl Default for IlpParams {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum SegState {
-    Chain { left: u64, head: bool },
-    Burst { left: u64, pos: u64 },
-}
-
 /// The segment-model instruction generator.
 ///
 /// # Example
@@ -224,12 +219,32 @@ enum SegState {
 /// assert_eq!(i1.dep1, Some(0));
 /// # Ok::<(), cap_trace::TraceError>(())
 /// ```
+///
+/// # Hot and cold paths
+///
+/// Most instructions depend on their predecessor, draw no random number
+/// and end nothing, so one private `step` handles them with two
+/// countdowns and inlines into the caller of
+/// [`InstStream::next_packed`]. The rest leave that path for `#[cold]`
+/// out-of-line functions: a chain or burst sub-chain head, which may
+/// draw a producer, and the end of a chain or burst, which draws the
+/// next part's jittered length. The draws come in the order the
+/// segment model in the module documentation makes them.
 #[derive(Debug, Clone)]
 pub struct SegmentIlp {
     params: IlpParams,
     rng: TraceRng,
     idx: u64,
-    state: SegState,
+    /// Whether the current part is a burst (else a chain).
+    in_burst: bool,
+    /// Instructions left in the current part.
+    left: u64,
+    /// Instructions until the next head: 0 means the next instruction
+    /// heads a chain or burst sub-chain. Within a chain, after its head,
+    /// it never reaches 0.
+    to_head: u64,
+    /// The latency of the current part's instructions.
+    latency: u32,
     last_chain_tail: Option<u64>,
 }
 
@@ -241,15 +256,18 @@ impl SegmentIlp {
     /// Returns an error if the parameters fail [`IlpParams::validate`].
     pub fn new(params: IlpParams, seed: u64) -> Result<Self, TraceError> {
         params.validate()?;
-        let mut rng = TraceRng::seeded(seed);
-        let first = rng.jitter(params.chain_len, params.jitter);
-        Ok(SegmentIlp {
+        let mut gen = SegmentIlp {
             params,
-            rng,
+            rng: TraceRng::seeded(seed),
             idx: 0,
-            state: SegState::Chain { left: first, head: true },
+            in_burst: false,
+            left: 0,
+            to_head: 0,
+            latency: 0,
             last_chain_tail: None,
-        })
+        };
+        gen.start_chain();
+        Ok(gen)
     }
 
     /// Replaces the parameters mid-stream (used by phase schedules). The
@@ -262,8 +280,7 @@ impl SegmentIlp {
     pub fn set_params(&mut self, params: IlpParams) -> Result<(), TraceError> {
         params.validate()?;
         self.params = params;
-        let first = self.rng.jitter(params.chain_len, params.jitter);
-        self.state = SegState::Chain { left: first, head: true };
+        self.start_chain();
         self.last_chain_tail = None;
         Ok(())
     }
@@ -277,60 +294,98 @@ impl SegmentIlp {
     pub fn position(&self) -> u64 {
         self.idx
     }
+
+    /// Produces the next instruction as `(seq, distance back to its
+    /// producer or 0, latency)`. Only heads and part ends leave the
+    /// inlined path.
+    #[inline]
+    fn step(&mut self) -> (u64, u64, u32) {
+        let seq = self.idx;
+        self.idx += 1;
+        let dist = if self.to_head > 0 {
+            self.to_head -= 1;
+            1
+        } else {
+            self.head(seq)
+        };
+        let latency = self.latency;
+        self.left -= 1;
+        if self.left == 0 {
+            self.end_part(seq);
+        }
+        (seq, dist, latency)
+    }
+
+    /// The producer distance of a head at `seq`. A chain head depends on
+    /// the previous chain's tail with probability `cross_dep_prob`; a
+    /// burst sub-chain head carries a far-back dependence with
+    /// probability `far_dep_prob`.
+    #[cold]
+    #[inline(never)]
+    fn head(&mut self, seq: u64) -> u64 {
+        let p = &self.params;
+        if !self.in_burst {
+            // No further head in this chain.
+            self.to_head = u64::MAX;
+            return match self.last_chain_tail {
+                Some(t) if self.rng.chance(p.cross_dep_prob) => seq - t,
+                _ => 0,
+            };
+        }
+        self.to_head = p.burst_chain_len - 1;
+        if self.rng.chance(p.far_dep_prob) && seq > 0 {
+            // Usually already committed.
+            let span = (8 * (p.chain_len + p.burst_len)).min(seq);
+            self.rng.between(1, span.max(1))
+        } else {
+            0
+        }
+    }
+
+    /// Ends the chain or burst whose last instruction is `seq` and starts
+    /// the other.
+    #[cold]
+    #[inline(never)]
+    fn end_part(&mut self, seq: u64) {
+        if self.in_burst {
+            self.start_chain();
+        } else {
+            self.last_chain_tail = Some(seq);
+            self.in_burst = true;
+            self.left = self.rng.jitter(self.params.burst_len, self.params.jitter);
+            self.to_head = 0;
+            self.latency = self.params.burst_latency;
+        }
+    }
+
+    fn start_chain(&mut self) {
+        self.in_burst = false;
+        self.left = self.rng.jitter(self.params.chain_len, self.params.jitter);
+        self.to_head = 0;
+        self.latency = self.params.chain_latency;
+    }
 }
 
 impl InstStream for SegmentIlp {
+    #[inline]
     fn next_inst(&mut self) -> Inst {
-        let p = self.params;
-        let seq = self.idx;
-        let inst = match &mut self.state {
-            SegState::Chain { left, head } => {
-                let dep1 = if *head {
-                    match self.last_chain_tail {
-                        Some(t) if self.rng.chance(p.cross_dep_prob) => Some(t),
-                        _ => None,
-                    }
-                } else {
-                    Some(seq - 1)
-                };
-                *head = false;
-                *left -= 1;
-                if *left == 0 {
-                    self.last_chain_tail = Some(seq);
-                    let burst = self.rng.jitter(p.burst_len, p.jitter);
-                    self.state = SegState::Burst { left: burst, pos: 0 };
-                }
-                Inst { seq, dep1, dep2: None, latency: p.chain_latency }
-            }
-            SegState::Burst { left, pos } => {
-                let dep1 = if *pos % p.burst_chain_len != 0 {
-                    // Within a burst sub-chain: serial dependence.
-                    Some(seq - 1)
-                } else if self.rng.chance(p.far_dep_prob) && seq > 0 {
-                    // Sub-chain head with a far-back dependence, usually
-                    // already committed.
-                    let span = (8 * (p.chain_len + p.burst_len)).min(seq);
-                    Some(seq - self.rng.between(1, span.max(1)))
-                } else {
-                    None
-                };
-                *pos += 1;
-                *left -= 1;
-                if *left == 0 {
-                    let chain = self.rng.jitter(p.chain_len, p.jitter);
-                    self.state = SegState::Chain { left: chain, head: true };
-                }
-                Inst { seq, dep1, dep2: None, latency: p.burst_latency }
-            }
-        };
-        self.idx += 1;
-        inst
+        let (seq, dist, latency) = self.step();
+        let dep1 = (dist > 0).then(|| seq - dist);
+        Inst { seq, dep1, dep2: None, latency }
+    }
+
+    #[inline]
+    fn next_packed(&mut self) -> PackedInst {
+        let (seq, dist, latency) = self.step();
+        let dist = u32::try_from(dist).unwrap_or(u32::MAX);
+        PackedInst { seq, dist: [dist, 0], latency }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phase::{Phase, PhasedIlp};
 
     fn no_jitter(chain: u64, burst: u64, q: f64) -> IlpParams {
         IlpParams {
@@ -404,6 +459,16 @@ mod tests {
         // A producer at or after its consumer packs as committed.
         assert_eq!(pack(5, Some(5), Some(6)).dist, [0, u32::MAX]);
         let mut g = SegmentIlp::new(IlpParams::balanced(), 3).unwrap();
+        let mut h = g.clone();
+        for _ in 0..1000 {
+            assert_eq!(g.next_packed(), PackedInst::saturating(h.next_inst()));
+        }
+        // Across phase switches, with heads on every burst instruction.
+        let mut p = IlpParams::balanced();
+        p.burst_chain_len = 1;
+        p.far_dep_prob = 0.5;
+        let schedule = vec![Phase::new(IlpParams::balanced(), 70), Phase::new(p, 130)];
+        let mut g = PhasedIlp::new(schedule, 3).unwrap();
         let mut h = g.clone();
         for _ in 0..1000 {
             assert_eq!(g.next_packed(), PackedInst::saturating(h.next_inst()));

@@ -149,6 +149,7 @@ struct RegionState {
 }
 
 impl RegionState {
+    #[inline]
     fn next_addr(&mut self, rng: &mut TraceRng) -> u64 {
         let r = &self.region;
         match r.pattern {
@@ -193,6 +194,8 @@ impl RegionState {
 pub struct RegionMix {
     states: Vec<RegionState>,
     weights: Vec<f64>,
+    /// `weights.iter().sum()`, computed once at build time.
+    total: f64,
     rng: TraceRng,
 }
 
@@ -214,8 +217,13 @@ impl RegionMix {
 }
 
 impl AddressStream for RegionMix {
+    #[inline]
     fn next_ref(&mut self) -> MemRef {
-        let i = if self.states.len() == 1 { 0 } else { self.rng.weighted(&self.weights) };
+        let i = if self.states.len() == 1 {
+            0
+        } else {
+            self.rng.weighted(&self.weights, self.total)
+        };
         let write_frac = self.states[i].region.write_frac;
         let addr = self.states[i].next_addr(&mut self.rng);
         let kind = if self.rng.chance(write_frac) { AccessKind::Write } else { AccessKind::Read };
@@ -257,6 +265,7 @@ impl RegionMixBuilder {
         let (regions, weights): (Vec<_>, Vec<_>) = self.regions.into_iter().unzip();
         Ok(RegionMix {
             states: regions.into_iter().map(|region| RegionState { region, cursor: 0 }).collect(),
+            total: weights.iter().sum(),
             weights,
             rng: TraceRng::seeded(self.seed),
         })

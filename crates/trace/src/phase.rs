@@ -11,7 +11,7 @@
 //! region mixtures.
 
 use crate::error::TraceError;
-use crate::inst::{IlpParams, Inst, InstStream, SegmentIlp};
+use crate::inst::{IlpParams, Inst, InstStream, PackedInst, SegmentIlp};
 use crate::mem::{AddressStream, MemRef, RegionMix};
 
 /// One phase of a schedule: parameters plus a duration in events.
@@ -92,17 +92,39 @@ impl PhasedIlp {
     }
 }
 
-impl InstStream for PhasedIlp {
-    fn next_inst(&mut self) -> Inst {
+impl PhasedIlp {
+    /// Counts the next instruction against the current phase, switching
+    /// phase first if it is used up.
+    #[inline]
+    fn tick(&mut self) {
         if self.remaining == 0 {
-            self.phase_idx = (self.phase_idx + 1) % self.schedule.len();
-            self.remaining = self.schedule[self.phase_idx].len;
-            self.gen
-                .set_params(self.schedule[self.phase_idx].params)
-                .expect("schedule parameters were validated at construction");
+            self.next_phase();
         }
         self.remaining -= 1;
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn next_phase(&mut self) {
+        self.phase_idx = (self.phase_idx + 1) % self.schedule.len();
+        self.remaining = self.schedule[self.phase_idx].len;
+        self.gen
+            .set_params(self.schedule[self.phase_idx].params)
+            .expect("schedule parameters were validated at construction");
+    }
+}
+
+impl InstStream for PhasedIlp {
+    #[inline]
+    fn next_inst(&mut self) -> Inst {
+        self.tick();
         self.gen.next_inst()
+    }
+
+    #[inline]
+    fn next_packed(&mut self) -> PackedInst {
+        self.tick();
+        self.gen.next_packed()
     }
 }
 

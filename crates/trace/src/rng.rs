@@ -44,6 +44,7 @@ impl TraceRng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         self.inner.gen_range(0..bound)
@@ -54,17 +55,20 @@ impl TraceRng {
     /// # Panics
     ///
     /// Panics if `lo > hi`.
+    #[inline]
     pub fn between(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi, "empty range");
         self.inner.gen_range(lo..=hi)
     }
 
     /// A uniform float in `[0, 1)`.
+    #[inline]
     pub fn unit(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
 
     /// A Bernoulli trial with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit() < p.clamp(0.0, 1.0)
     }
@@ -72,6 +76,7 @@ impl TraceRng {
     /// A geometric variate with the given mean (support `1, 2, 3, ...`).
     ///
     /// Returns 1 when `mean <= 1`.
+    #[inline]
     pub fn geometric(&mut self, mean: f64) -> u64 {
         if mean <= 1.0 {
             return 1;
@@ -83,13 +88,15 @@ impl TraceRng {
         v.max(1)
     }
 
-    /// Chooses an index according to the given non-negative weights.
+    /// Chooses an index according to the given non-negative weights,
+    /// whose sum `total` the caller computes once, as
+    /// `weights.iter().sum()`, rather than on every draw.
     ///
     /// # Panics
     ///
-    /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+    /// Panics if `weights` is empty or `total` is not positive.
+    #[inline]
+    pub fn weighted(&mut self, weights: &[f64], total: f64) -> usize {
         assert!(!weights.is_empty() && total > 0.0, "weights must be nonempty with positive sum");
         let mut x = self.unit() * total;
         for (i, w) in weights.iter().enumerate() {
@@ -103,6 +110,7 @@ impl TraceRng {
 
     /// Jitters `value` multiplicatively by up to `frac` in either
     /// direction, never returning less than 1.
+    #[inline]
     pub fn jitter(&mut self, value: u64, frac: f64) -> u64 {
         if frac <= 0.0 || value == 0 {
             return value.max(1);
@@ -176,7 +184,7 @@ mod tests {
         let mut r = TraceRng::seeded(8);
         let mut counts = [0usize; 3];
         for _ in 0..30_000 {
-            counts[r.weighted(&[1.0, 2.0, 7.0])] += 1;
+            counts[r.weighted(&[1.0, 2.0, 7.0], 10.0)] += 1;
         }
         assert!(counts[2] > counts[1] && counts[1] > counts[0]);
         let frac2 = counts[2] as f64 / 30_000.0;
@@ -187,14 +195,14 @@ mod tests {
     fn weighted_zero_weight_never_chosen() {
         let mut r = TraceRng::seeded(8);
         for _ in 0..5_000 {
-            assert_ne!(r.weighted(&[1.0, 0.0, 1.0]), 1);
+            assert_ne!(r.weighted(&[1.0, 0.0, 1.0], 2.0), 1);
         }
     }
 
     #[test]
     #[should_panic(expected = "weights must be nonempty")]
     fn weighted_rejects_empty() {
-        TraceRng::seeded(0).weighted(&[]);
+        TraceRng::seeded(0).weighted(&[], 0.0);
     }
 
     #[test]

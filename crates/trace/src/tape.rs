@@ -70,6 +70,7 @@ impl Record {
     ///
     /// Panics if `inst` is not at `seq`, or a producer is not before it
     /// and at most `u32::MAX` instructions back.
+    #[inline]
     fn new(inst: Inst, seq: u64) -> Self {
         assert_eq!(inst.seq, seq, "instruction tape: the stream's seqs must be contiguous");
         let dist = |dep: Option<u64>| {
@@ -108,6 +109,7 @@ impl<S: InstStream> TapeInner<S> {
     }
 
     /// Generates and records the next instruction.
+    #[inline]
     fn record(&mut self) -> Record {
         let inst = self.gen.next_inst();
         let pos = self.len();

@@ -16,6 +16,7 @@ use crate::invariants::{
 use crate::multisweep::{
     cache_one_pass_vs_legacy, core_run_vs_scan, core_vs_scan_reference, queue_tape_vs_legacy,
 };
+use crate::packed::packed_vs_inst;
 use crate::rng::Rng;
 use crate::scenario::{Scenario, StreamKind};
 use crate::shrink::{shrink, DEFAULT_SHRINK_BUDGET};
@@ -289,6 +290,10 @@ pub fn run_verify(cfg: &VerifyConfig, progress: &mut dyn FnMut(&PropertyReport))
     });
     push(r, progress);
 
+    // The generators' native packed path against packing `next_inst`.
+    let r = run_seeded_property("trace/packed-vs-inst", cfg, cfg.cases, &packed_vs_inst);
+    push(r, progress);
+
     VerifyReport { seed: cfg.seed, properties }
 }
 
@@ -356,6 +361,7 @@ pub fn replay(text: &str, scratch: &Path) -> Result<ReplayOutcome, String> {
         "sweep/queue/tape-vs-legacy" => outcome_of(queue_tape_vs_legacy(&mut rng).map(|()| true)),
         "sweep/ooo/core-vs-scan" => outcome_of(core_vs_scan_reference(&mut rng).map(|()| true)),
         "sweep/ooo/run-vs-scan" => outcome_of(core_run_vs_scan(&mut rng).map(|()| true)),
+        "trace/packed-vs-inst" => outcome_of(packed_vs_inst(&mut rng, case).map(|()| true)),
         other => Err(format!("repro names an unknown property {other:?}")),
     }
 }
@@ -381,8 +387,8 @@ mod tests {
         assert!(!report.failed());
         assert_eq!(lines, report.properties.len());
         // 16 diff + 8 oracle + 2 equiv + curve + journal + offline
-        // + 4 sweep-engine differentials.
-        assert_eq!(report.properties.len(), 33);
+        // + 4 sweep-engine differentials + the packed generator path.
+        assert_eq!(report.properties.len(), 34);
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! * the single-pass sweep engines (stack-distance cache multisweep,
 //!   shared-tape queue multisweep, schedule-at-dispatch core) are
 //!   bit-identical to their per-configuration reference paths
-//!   ([`multisweep`]).
+//!   ([`multisweep`]);
+//! * each synthetic generator's native packed instructions equal its
+//!   unpacked ones, packed ([`packed`]).
 //!
 //! Everything is deterministic: cases are a pure function of
 //! `(seed, property, case)` ([`rng::Rng::for_case`]), failures shrink
@@ -35,6 +37,7 @@ pub mod diff;
 pub mod engine;
 pub mod invariants;
 pub mod multisweep;
+pub mod packed;
 pub mod reference;
 pub mod rng;
 pub mod scenario;

@@ -31,7 +31,7 @@
 //! | vortex | ~15-interval 16/64 alternation plus an irregular stretch (Figure 13) | 30 k-instruction phases + micro-phases |
 
 use crate::app::App;
-use cap_trace::inst::{IlpParams, Inst, InstStream, SegmentIlp};
+use cap_trace::inst::{IlpParams, Inst, InstStream, PackedInst, SegmentIlp};
 use cap_trace::phase::{Phase, PhasedIlp};
 
 /// A calibrated ILP behaviour: either a single parameter set or a phase
@@ -76,10 +76,19 @@ pub enum AppInstStream {
 }
 
 impl InstStream for AppInstStream {
+    #[inline]
     fn next_inst(&mut self) -> Inst {
         match self {
             AppInstStream::Flat(g) => g.next_inst(),
             AppInstStream::Phased(g) => g.next_inst(),
+        }
+    }
+
+    #[inline]
+    fn next_packed(&mut self) -> PackedInst {
+        match self {
+            AppInstStream::Flat(g) => g.next_packed(),
+            AppInstStream::Phased(g) => g.next_packed(),
         }
     }
 }
@@ -195,6 +204,17 @@ mod tests {
                 for d in inst.deps() {
                     assert!(d < inst.seq, "{app}: forward dep");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn packing_matches_next_inst_for_every_app() {
+        for app in App::ALL {
+            let mut g = app.ilp_profile().build(3);
+            let mut h = g.clone();
+            for _ in 0..1000 {
+                assert_eq!(g.next_packed(), PackedInst::saturating(h.next_inst()), "{app}");
             }
         }
     }

@@ -122,6 +122,7 @@ const USAGE: &str = "usage: capsim <list|cache|queue|sweep|managed|compare-polic
                        request/leg counters (--addr HOST:PORT)
 policies: process-level | interval-greedy | confidence (default) | hysteresis
 scale via CAP_SCALE = smoke | default | full
+seeds (--seed) in decimal or 0x hex
 sweep memoization under results/cache (CAP_CACHE_DIR overrides, CAP_NO_CACHE=1 disables)
 campaign leg journals under results/journal (CAP_JOURNAL_DIR overrides); SIGINT/SIGTERM
   drain at the next leg boundary and --resume replays completed legs byte-identically
@@ -147,6 +148,19 @@ struct Flags {
     leg_timeout: Option<Duration>,
 }
 
+/// The value of a `--seed` flag: an unsigned integer in decimal, or in
+/// hex after `0x`, the form reports and journal names print seeds in.
+fn parse_seed(v: Option<&&str>) -> Result<u64, String> {
+    let v = v.ok_or_else(|| format!("--seed wants a value\n{USAGE}"))?;
+    let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    };
+    parsed.map_err(|_| {
+        format!("--seed wants an unsigned integer, decimal or 0x hex, got `{v}`\n{USAGE}")
+    })
+}
+
 fn parse_flags(rest: &[&str]) -> Result<Flags, String> {
     let mut flags = Flags::default();
     let mut it = rest.iter();
@@ -161,13 +175,7 @@ fn parse_flags(rest: &[&str]) -> Result<Flags, String> {
                     .ok_or_else(|| format!("--jobs wants a positive integer, got `{v}`\n{USAGE}"))?;
                 flags.jobs = Some(n);
             }
-            "--seed" => {
-                let v = it.next().ok_or_else(|| format!("--seed wants a value\n{USAGE}"))?;
-                let s: u64 = v
-                    .parse()
-                    .map_err(|_| format!("--seed wants an unsigned integer, got `{v}`\n{USAGE}"))?;
-                flags.seed = Some(s);
-            }
+            "--seed" => flags.seed = Some(parse_seed(it.next())?),
             "--trace" => {
                 let v = it.next().ok_or_else(|| format!("--trace wants a file path\n{USAGE}"))?;
                 flags.trace = Some((*v).to_string());
@@ -511,12 +519,7 @@ impl VerifyOpts {
                             format!("--cases wants a positive integer, got `{v}`\n{USAGE}")
                         })?;
                 }
-                "--seed" => {
-                    let v = it.next().ok_or_else(|| format!("--seed wants a value\n{USAGE}"))?;
-                    opts.seed = v.parse().map_err(|_| {
-                        format!("--seed wants an unsigned integer, got `{v}`\n{USAGE}")
-                    })?;
-                }
+                "--seed" => opts.seed = parse_seed(it.next())?,
                 "--replay" => {
                     let v =
                         it.next().ok_or_else(|| format!("--replay wants a file path\n{USAGE}"))?;
@@ -929,12 +932,7 @@ impl BenchOpts {
         while let Some(&flag) = it.next() {
             match flag {
                 "--quick" => opts.quick = true,
-                "--seed" => {
-                    let v = it.next().ok_or_else(|| format!("--seed wants a value\n{USAGE}"))?;
-                    opts.seed = v.parse().map_err(|_| {
-                        format!("--seed wants an unsigned integer, got `{v}`\n{USAGE}")
-                    })?;
-                }
+                "--seed" => opts.seed = parse_seed(it.next())?,
                 "--out" => {
                     let v = it.next().ok_or_else(|| format!("--out wants a file path\n{USAGE}"))?;
                     opts.out = (*v).to_string();
@@ -1517,7 +1515,7 @@ mod tests {
         std::env::set_var("CAP_VERIFY_DIR", &dir);
         let out = run(&["verify", "--cases", "3", "--seed", "5"]).unwrap();
         std::env::remove_var("CAP_VERIFY_DIR");
-        assert!(out.contains("33 properties passed"), "{out}");
+        assert!(out.contains("34 properties passed"), "{out}");
         assert!(out.contains("seed 5"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -26,6 +26,17 @@ fn malformed_seed_flag_fails_with_usage() {
     assert_usage_failure(&["sweep", "queue", "--seed"]);
     assert_usage_failure(&["sweep", "queue", "--seed", "-1"]);
     assert_usage_failure(&["faults", "radar", "--seed", "nope"]);
+    assert_usage_failure(&["faults", "radar", "--seed", "0x"]);
+    assert_usage_failure(&["faults", "radar", "--seed", "0xfg"]);
+}
+
+#[test]
+fn hex_and_decimal_seeds_print_identical_bytes() {
+    let hex = capsim(&["faults", "radar", "--seed", "0x15ca1998"]);
+    assert!(hex.status.success(), "{}", String::from_utf8_lossy(&hex.stderr));
+    let dec = capsim(&["faults", "radar", "--seed", "365566360"]);
+    assert!(dec.status.success(), "{}", String::from_utf8_lossy(&dec.stderr));
+    assert_eq!(hex.stdout, dec.stdout);
 }
 
 #[test]
