@@ -5,9 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cap_core::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
-use cap_core::manager::{
-    run_managed, ConfidencePolicy, IntervalManager, QueueIntervalSim, SwitchRetryPolicy,
-};
+use cap_core::manager::{run_managed, ConfidencePolicy, QueueIntervalSim, SwitchRetryPolicy};
+use cap_core::policy::{PolicyConfig, PolicyKind};
 use cap_core::structure::{AdaptiveStructure, QueueStructure};
 use cap_timing::queue::QueueTimingModel;
 use cap_workloads::App;
@@ -18,10 +17,14 @@ fn run_policy(policy: ConfidencePolicy) -> (f64, u64) {
     let mut structure = QueueStructure::isca98(timing, 0).unwrap();
     let table = structure.period_table().unwrap();
     let mut clock = DynamicClock::new(table, DEFAULT_SWITCH_PENALTY_CYCLES).unwrap();
-    let mut manager = IntervalManager::new(8, 40, policy).unwrap();
+    let mut manager = PolicyConfig::new(PolicyKind::Confidence)
+        .with_explore_period(40)
+        .with_confidence(policy)
+        .build(8, cap_obs::noop(), None)
+        .unwrap();
     let mut stream = App::Vortex.ilp_profile().build(3);
     let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, 2_000).unwrap();
-    let run = run_managed(&mut sim, &mut manager, &mut clock, 300, None, SwitchRetryPolicy::default())
+    let run = run_managed(&mut sim, &mut *manager, &mut clock, 300, None, SwitchRetryPolicy::default())
         .unwrap()
         .run;
     (run.average_tpi().value(), run.switches)

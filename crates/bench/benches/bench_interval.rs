@@ -4,9 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cap_core::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
-use cap_core::manager::{
-    run_managed, ConfidencePolicy, IntervalManager, QueueIntervalSim, SwitchRetryPolicy,
-};
+use cap_core::manager::{run_managed, QueueIntervalSim, SwitchRetryPolicy};
+use cap_core::policy::{PolicyConfig, PolicyKind};
 use cap_core::structure::{AdaptiveStructure, QueueStructure};
 use cap_timing::queue::QueueTimingModel;
 use cap_workloads::App;
@@ -17,13 +16,16 @@ fn managed_tpi(interval_len: u64) -> (f64, u64) {
     let mut structure = QueueStructure::isca98(timing, 0).unwrap();
     let table = structure.period_table().unwrap();
     let mut clock = DynamicClock::new(table, DEFAULT_SWITCH_PENALTY_CYCLES).unwrap();
-    let mut manager = IntervalManager::new(8, 50, ConfidencePolicy::default_policy()).unwrap();
+    let mut manager = PolicyConfig::new(PolicyKind::Confidence)
+        .with_explore_period(50)
+        .build(8, cap_obs::noop(), None)
+        .unwrap();
     let mut stream = App::Vortex.ilp_profile().build(3);
     let budget: u64 = 400_000;
     let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, interval_len).unwrap();
     let run = run_managed(
         &mut sim,
-        &mut manager,
+        &mut *manager,
         &mut clock,
         budget / interval_len,
         None,

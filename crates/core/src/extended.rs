@@ -402,9 +402,8 @@ fn frequency_rows(
     seed: u64,
 ) -> Result<Vec<FrequencyStudyRow>, CapError> {
     use crate::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
-    use crate::manager::{
-        run_managed, ConfidencePolicy, IntervalManager, QueueIntervalSim, SwitchRetryPolicy,
-    };
+    use crate::manager::{run_managed, QueueIntervalSim, SwitchRetryPolicy};
+    use crate::policy::{PolicyConfig, PolicyKind};
     use crate::structure::{AdaptiveStructure, QueueStructure};
 
     let timing = QueueTimingModel::new(Technology::isca98_evaluation());
@@ -416,13 +415,16 @@ fn frequency_rows(
         let mut structure = QueueStructure::isca98(timing, 0)?;
         let table = structure.period_table()?;
         let mut clock = DynamicClock::new(table, DEFAULT_SWITCH_PENALTY_CYCLES)?;
-        let mut manager =
-            IntervalManager::new(structure.num_configs(), 40, ConfidencePolicy::default_policy())?;
+        let mut manager = PolicyConfig::new(PolicyKind::Confidence).build(
+            structure.num_configs(),
+            cap_obs::noop(),
+            None,
+        )?;
         let mut stream = app.ilp_profile().build(seed ^ app.seed_salt());
         let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, len)?;
         let run = run_managed(
             &mut sim,
-            &mut manager,
+            &mut *manager,
             &mut clock,
             insts_budget / len,
             None,
@@ -468,7 +470,8 @@ fn managed_combined(
     policy: crate::manager::ConfidencePolicy,
 ) -> Result<ManagedCombined, CapError> {
     use crate::clock::DEFAULT_SWITCH_PENALTY_CYCLES;
-    use crate::manager::{IntervalManager, ManagerDecision};
+    use crate::manager::ManagerDecision;
+    use crate::policy::{PolicyConfig, PolicyKind};
     use cap_cache::hierarchy::AdaptiveCacheHierarchy;
     use cap_ooo::interval::PAPER_INTERVAL_INSTS;
     use cap_trace::mem::AddressStream;
@@ -491,8 +494,14 @@ fn managed_combined(
     let largest = *windows.last().expect("paper sweep is non-empty");
     let mut core = OooCore::try_new(CoreConfig::isca98(largest)?)?;
     core.request_resize(WindowSize::new(windows[0])?)?;
-    let mut cache_mgr = IntervalManager::new(boundaries.len(), 31, policy)?;
-    let mut queue_mgr = IntervalManager::new(windows.len(), 37, policy)?;
+    let manager = |explore_period, num_configs| {
+        PolicyConfig::new(PolicyKind::Confidence)
+            .with_explore_period(explore_period)
+            .with_confidence(policy)
+            .build(num_configs, cap_obs::noop(), None)
+    };
+    let mut cache_mgr = manager(31, boundaries.len())?;
+    let mut queue_mgr = manager(37, windows.len())?;
     let mut cache_cfg = 0usize;
     let mut queue_cfg = 0usize;
     let mut switches = 0u64;

@@ -12,14 +12,16 @@
 //! * [`structure`] — the [`structure::AdaptiveStructure`] abstraction: a
 //!   discrete configuration space, each configuration with its own clock
 //!   period.
-//! * [`manager`] — configuration managers: the paper's process-level
-//!   scheme (one configuration per application, chosen by exploration)
-//!   and the Section 6 extension — an interval-based manager with a
-//!   next-configuration predictor and a confidence counter to avoid
-//!   needless reconfiguration.
-//! * [`policy`] — the pluggable [`policy::ConfigPolicy`] catalog:
-//!   process-level, interval-greedy, confidence (the default) and
-//!   hysteresis managers, all driven by one generic run kernel.
+//! * [`manager`] — the managed-run kernel that drives a configuration
+//!   manager over an adaptive structure, plus the decision types and
+//!   knobs the managers share.
+//! * [`policy`] — the pluggable [`policy::ConfigPolicy`] catalog: the
+//!   paper's process-level scheme (one configuration per application,
+//!   chosen by exploration), the Section 6 extension — an
+//!   interval-based manager with a next-configuration predictor and a
+//!   confidence counter to avoid needless reconfiguration — plus
+//!   interval-greedy and hysteresis, all decision rules over one shared
+//!   estimate/quarantine/trace core.
 //! * [`pattern`] — the Section 6 periodic-pattern predictor with
 //!   confidence, evaluated on the Figure 13 winner sequences.
 //! * [`power`] — the §4.1 power-management story: per-configuration
@@ -78,6 +80,6 @@ pub mod structure;
 pub use clock::DynamicClock;
 pub use error::CapError;
 pub use faults::{FaultCampaign, FaultInjector, FaultSpec};
-pub use manager::{ConfidencePolicy, IntervalManager, ManagerDecision, ResiliencePolicy};
+pub use manager::{ConfidencePolicy, ManagerDecision, ResiliencePolicy};
 pub use policy::{ConfigPolicy, PolicyConfig, PolicyKind};
 pub use structure::AdaptiveStructure;

@@ -4,8 +4,35 @@
 //! harness's NaN/dropped classes) cannot fabricate confidence either.
 
 use cap_core::faults::{FaultInjector, FaultSpec};
-use cap_core::manager::{ConfidencePolicy, IntervalManager, ManagerDecision, ResiliencePolicy};
+use cap_core::manager::{ConfidencePolicy, ManagerDecision, ResiliencePolicy};
+use cap_core::policy::{ConfigPolicy, PolicyConfig, PolicyKind};
+use cap_obs::{Event, RingRecorder};
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// The confidence manager over two configurations, no re-sampling,
+/// tracing its decisions to the returned ring.
+fn manager(
+    gating: ConfidencePolicy,
+    resilience: ResiliencePolicy,
+) -> (Box<dyn ConfigPolicy>, Arc<RingRecorder>) {
+    let ring = Arc::new(RingRecorder::new());
+    let m = PolicyConfig::new(PolicyKind::Confidence)
+        .with_explore_period(0)
+        .with_confidence(gating)
+        .with_resilience(resilience)
+        .build(2, ring.clone(), None)
+        .unwrap();
+    (m, ring)
+}
+
+/// The configuration the last traced decision predicted.
+fn predicted(ring: &RingRecorder) -> Option<usize> {
+    match ring.events().pop() {
+        Some(Event::Decision(d)) => d.predicted,
+        other => panic!("the last event is not a decision: {other:?}"),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -14,7 +41,7 @@ proptest! {
     /// intervals before a switch fires — never earlier, always then.
     #[test]
     fn no_switch_before_threshold_consecutive_wins(threshold in 1u32..6) {
-        let mut m = IntervalManager::new(2, 0, ConfidencePolicy { threshold, hysteresis: 0.0 }).unwrap();
+        let (mut m, _) = manager(ConfidencePolicy { threshold, hysteresis: 0.0 }, ResiliencePolicy::legacy());
         // Exploration: both configurations sampled once.
         prop_assert_eq!(m.observe(0, 5.0), ManagerDecision::SwitchTo(1));
         prop_assert_eq!(m.observe(1, 1.0), ManagerDecision::Stay);
@@ -31,7 +58,7 @@ proptest! {
     /// streak.
     #[test]
     fn broken_streaks_reset_confidence(threshold in 2u32..6, partial in 1u32..6) {
-        let mut m = IntervalManager::new(2, 0, ConfidencePolicy { threshold, hysteresis: 0.0 }).unwrap();
+        let (mut m, _) = manager(ConfidencePolicy { threshold, hysteresis: 0.0 }, ResiliencePolicy::legacy());
         let _ = m.observe(0, 5.0);
         let _ = m.observe(1, 1.0);
         // A partial win streak, strictly short of the threshold.
@@ -61,7 +88,7 @@ proptest! {
         // the hysteresis margin.
         let gain = hysteresis * frac;
         let better = 1.0 - gain;
-        let mut m = IntervalManager::new(2, 0, ConfidencePolicy { threshold: 0, hysteresis }).unwrap();
+        let (mut m, ring) = manager(ConfidencePolicy { threshold: 0, hysteresis }, ResiliencePolicy::legacy());
         let _ = m.observe(0, 1.0);
         let _ = m.observe(1, better);
         for i in 0..32 {
@@ -70,7 +97,7 @@ proptest! {
             // move and confidence must not build either way.
             let v = if drop_mask & (1 << i) != 0 { -1.0 } else { 1.0 };
             prop_assert_eq!(m.observe(0, v), ManagerDecision::Stay);
-            prop_assert_eq!(m.predicted_best(), None, "sub-hysteresis gain built confidence");
+            prop_assert_eq!(predicted(&ring), None, "sub-hysteresis gain built confidence");
         }
     }
 
@@ -85,13 +112,11 @@ proptest! {
             ..FaultSpec::disabled()
         };
         let mut inj = FaultInjector::new(spec, seed, 2).unwrap();
-        let mut m = IntervalManager::new(2, 0, ConfidencePolicy { threshold: 1, hysteresis: 0.02 })
-            .unwrap()
-            .with_resilience(ResiliencePolicy::hardened())
-            .unwrap();
+        let (mut m, ring) =
+            manager(ConfidencePolicy { threshold: 1, hysteresis: 0.02 }, ResiliencePolicy::hardened());
         let mut at = 0usize;
         for _ in 0..200 {
-            let explored = m.estimates().iter().all(|e| e.is_some());
+            let explored = m.estimates_snapshot().iter().all(|e| e.is_some());
             match m.observe(at, inj.corrupt_tpi(1.0)) {
                 ManagerDecision::SwitchTo(c) => {
                     prop_assert!(!explored, "switched on equal TPIs after exploration");
@@ -99,7 +124,7 @@ proptest! {
                 }
                 ManagerDecision::Stay => {}
             }
-            prop_assert_eq!(m.predicted_best(), None);
+            prop_assert_eq!(predicted(&ring), None);
         }
         let s = inj.stats();
         prop_assert_eq!(s.samples_corrupted_outlier, 0);

@@ -4,8 +4,9 @@
 
 use cap_core::clock::DynamicClock;
 use cap_core::experiments::{ExecPolicy, ExperimentScale, IntervalExperiment, QueueExperiment};
-use cap_core::manager::{ConfidencePolicy, IntervalManager, ManagerDecision};
+use cap_core::manager::{ConfidencePolicy, ManagerDecision};
 use cap_core::pattern::PatternPredictor;
+use cap_core::policy::{ConfigPolicy, PolicyConfig, PolicyKind};
 use cap_core::power::{queue_frontier, PowerModel};
 use cap_core::structure::{AdaptiveStructure, CacheStructure, QueueStructure};
 use cap_timing::cacti::CacheTimingModel;
@@ -15,10 +16,19 @@ use cap_timing::Technology;
 use cap_workloads::App;
 use proptest::prelude::*;
 
+/// The confidence manager over `n` configurations, no re-sampling.
+fn manager(n: usize, gating: ConfidencePolicy) -> Box<dyn ConfigPolicy> {
+    PolicyConfig::new(PolicyKind::Confidence)
+        .with_explore_period(0)
+        .with_confidence(gating)
+        .build(n, cap_obs::noop(), None)
+        .unwrap()
+}
+
 #[test]
 fn manager_follows_a_phase_change() {
     // Config 0 is best for a while, then config 1 becomes much better.
-    let mut m = IntervalManager::new(2, 0, ConfidencePolicy { threshold: 1, hysteresis: 0.02 }).unwrap();
+    let mut m = manager(2, ConfidencePolicy { threshold: 1, hysteresis: 0.02 });
     let mut at = 0usize;
     // Exploration.
     for _ in 0..2 {
@@ -45,7 +55,7 @@ fn manager_follows_a_phase_change() {
 
 #[test]
 fn manager_never_switches_on_flat_series() {
-    let mut m = IntervalManager::new(4, 0, ConfidencePolicy::default_policy()).unwrap();
+    let mut m = manager(4, ConfidencePolicy::default_policy());
     let mut at = 0usize;
     let mut switches_after_explore = 0;
     for i in 0..60 {
@@ -176,10 +186,10 @@ fn managed_runs_respect_the_clock_table() {
     let mut structure = QueueStructure::isca98(timing, 0).unwrap();
     let table = structure.period_table().unwrap();
     let mut clock = DynamicClock::new(table.clone(), 30).unwrap();
-    let mut manager = IntervalManager::new(8, 0, ConfidencePolicy::default_policy()).unwrap();
+    let mut manager = manager(8, ConfidencePolicy::default_policy());
     let mut stream = App::Gcc.ilp_profile().build(13);
     let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, 1000).unwrap();
-    let run = run_managed(&mut sim, &mut manager, &mut clock, 30, None, SwitchRetryPolicy::default())
+    let run = run_managed(&mut sim, &mut *manager, &mut clock, 30, None, SwitchRetryPolicy::default())
         .unwrap();
     for rec in &run.run.intervals {
         let ok = table.iter().any(|&p| (p - rec.period).value().abs() < 1e-12);

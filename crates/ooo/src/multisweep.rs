@@ -94,7 +94,6 @@ mod tests {
         let gen = SegmentIlp::new(IlpParams::balanced(), 5).unwrap();
         let tape = InstTape::new(gen);
         let points: Vec<_> = WindowSize::paper_sweep()
-            .into_iter()
             .map(|w| sweep_point(tape.cursor(), 10_000, w, &timing()).unwrap())
             .collect();
         assert_eq!(points.len(), 8);

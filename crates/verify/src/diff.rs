@@ -12,9 +12,20 @@
 
 use crate::reference::RefPolicy;
 use crate::scenario::{Scenario, SwitchPlan};
-use cap_core::manager::{ManagerDecision, SwitchOutcome};
+use cap_core::manager::{ManagerDecision, ResiliencePolicy, SwitchOutcome};
 use cap_core::policy::PolicyConfig;
 use std::fmt;
+
+/// Which production tuning a differential run builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resilience {
+    /// `PolicyConfig::new(kind)`: default knobs, legacy resilience.
+    Legacy,
+    /// The fault campaign's tuning: explore period 25 and
+    /// [`ResiliencePolicy::hardened`] (outlier clamping, probation,
+    /// thrash watchdog).
+    Hardened,
+}
 
 /// The first observable difference between the production policy and
 /// its reference model.
@@ -55,14 +66,24 @@ fn estimate_bits(estimates: &[Option<f64>]) -> Vec<Option<u64>> {
 }
 
 /// Runs the scenario through the production policy and the reference
-/// model in lockstep. `Ok(())` means every observable agreed at every
-/// step; `Err` carries the first divergence.
+/// model, both built with `resilience`, in lockstep. `Ok(())` means
+/// every observable agreed at every step; `Err` carries the first
+/// divergence.
 ///
 /// Construction failures (which the generator never produces) are
 /// reported as a step-0 divergence rather than a panic, so hand-edited
 /// repro files stay safe to replay.
-pub fn run_differential(sc: &Scenario) -> Result<(), Divergence> {
-    let mut prod = match PolicyConfig::new(sc.policy).build(sc.num_configs, cap_obs::noop(), None) {
+pub fn run_differential(sc: &Scenario, resilience: Resilience) -> Result<(), Divergence> {
+    let (config, mut reference) = match resilience {
+        Resilience::Legacy => (PolicyConfig::new(sc.policy), RefPolicy::new(sc.policy, sc.num_configs)),
+        Resilience::Hardened => (
+            PolicyConfig::new(sc.policy)
+                .with_explore_period(25)
+                .with_resilience(ResiliencePolicy::hardened()),
+            RefPolicy::hardened(sc.policy, sc.num_configs),
+        ),
+    };
+    let mut prod = match config.build(sc.num_configs, cap_obs::noop(), None) {
         Ok(p) => p,
         Err(e) => {
             return Err(Divergence {
@@ -73,7 +94,6 @@ pub fn run_differential(sc: &Scenario) -> Result<(), Divergence> {
             })
         }
     };
-    let mut reference = RefPolicy::new(sc.policy, sc.num_configs);
 
     let mut at = 0usize;
     let mut attempts = 0usize;
@@ -183,8 +203,10 @@ mod tests {
                     let mut rng = Rng::for_case(0xD1FF, "diff-unit", (p * 4 + k * 2) as u64 + faulty as u64);
                     for _ in 0..25 {
                         let sc = Scenario::generate(&mut rng, policy, kind, faulty);
-                        if let Err(d) = run_differential(&sc) {
-                            panic!("{policy} diverged: {d}\nrepro: {}", sc.to_json());
+                        for resilience in [Resilience::Legacy, Resilience::Hardened] {
+                            if let Err(d) = run_differential(&sc, resilience) {
+                                panic!("{policy} ({resilience:?}) diverged: {d}\nrepro: {}", sc.to_json());
+                            }
                         }
                     }
                 }

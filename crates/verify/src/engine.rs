@@ -8,7 +8,7 @@
 //! the per-case RNG, appear in repro files and select the replay path,
 //! so renaming one invalidates old repros and is a breaking change.
 
-use crate::diff::run_differential;
+use crate::diff::{run_differential, Resilience};
 use crate::invariants::{
     curve_best_invariants, greedy_equals_degenerate_confidence, journal_replay_roundtrip,
     offline_optima_match_series, oracle_bound, reference_oracle_bound,
@@ -180,8 +180,18 @@ fn run_seeded_property(
 }
 
 /// Checks a diff property: bit-lockstep against the reference model.
-fn diff_check(sc: &Scenario) -> Result<bool, String> {
-    run_differential(sc).map(|()| true).map_err(|d| d.to_string())
+fn diff_check(sc: &Scenario, resilience: Resilience) -> Result<bool, String> {
+    run_differential(sc, resilience).map(|()| true).map_err(|d| d.to_string())
+}
+
+/// The resilience a diff property runs under, named by its second path
+/// segment: `diff/confidence-hardened/...` is hardened, every other
+/// `diff/<policy>/...` legacy.
+fn diff_resilience(property: &str) -> Resilience {
+    match property.split('/').nth(1) {
+        Some(policy) if policy.ends_with("-hardened") => Resilience::Hardened,
+        _ => Resilience::Legacy,
+    }
 }
 
 /// Checks an oracle property on both the production policy and the
@@ -216,11 +226,24 @@ pub fn run_verify(cfg: &VerifyConfig, progress: &mut dyn FnMut(&PropertyReport))
                     &name,
                     cfg,
                     &move |rng| Scenario::generate(rng, policy, kind, faulty),
-                    &diff_check,
+                    &|sc| diff_check(sc, Resilience::Legacy),
                 );
                 push(r, progress);
             }
         }
+    }
+
+    // The fault campaign's hardened confidence manager: outlier
+    // clamping, probation and the thrash watchdog under faulty streams.
+    for kind in [StreamKind::Queue, StreamKind::Cache] {
+        let name = format!("diff/confidence-hardened/{}/faulty", kind.name());
+        let r = run_scenario_property(
+            &name,
+            cfg,
+            &move |rng| Scenario::generate(rng, PolicyKind::Confidence, kind, true),
+            &|sc| diff_check(sc, Resilience::Hardened),
+        );
+        push(r, progress);
     }
 
     // Offline-optimum bound: clean streams only.
@@ -328,7 +351,7 @@ pub fn replay(text: &str, scratch: &Path) -> Result<ReplayOutcome, String> {
 
     if property.starts_with("diff/") {
         let sc = Scenario::from_json(text)?;
-        return outcome_of(diff_check(&sc));
+        return outcome_of(diff_check(&sc, diff_resilience(&property)));
     }
     if property.starts_with("oracle/") {
         let sc = Scenario::from_json(text)?;
@@ -386,9 +409,10 @@ mod tests {
         }
         assert!(!report.failed());
         assert_eq!(lines, report.properties.len());
-        // 16 diff + 8 oracle + 2 equiv + curve + journal + offline
-        // + 4 sweep-engine differentials + the packed generator path.
-        assert_eq!(report.properties.len(), 34);
+        // 16 diff + 2 hardened diff + 8 oracle + 2 equiv + curve
+        // + journal + offline + 4 sweep-engine differentials + the
+        // packed generator path.
+        assert_eq!(report.properties.len(), 36);
     }
 
     #[test]
@@ -401,11 +425,15 @@ mod tests {
             StreamKind::Queue,
             true,
         );
-        let text = scenario_repro_json("diff/confidence/queue/faulty", 0, &sc);
-        let a = replay(&text, &cfg.out_dir).unwrap();
-        let b = replay(&text, &cfg.out_dir).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, ReplayOutcome::Clean, "production matches its reference");
+        for property in ["diff/confidence/queue/faulty", "diff/confidence-hardened/queue/faulty"] {
+            let text = scenario_repro_json(property, 0, &sc);
+            let a = replay(&text, &cfg.out_dir).unwrap();
+            let b = replay(&text, &cfg.out_dir).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(a, ReplayOutcome::Clean, "{property}: production matches its reference");
+        }
+        assert_eq!(diff_resilience("diff/confidence/queue/faulty"), Resilience::Legacy);
+        assert_eq!(diff_resilience("diff/confidence-hardened/cache/faulty"), Resilience::Hardened);
     }
 
     #[test]

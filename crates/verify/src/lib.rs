@@ -44,7 +44,7 @@ pub mod scenario;
 pub mod selfcheck;
 pub mod shrink;
 
-pub use diff::{run_differential, Divergence};
+pub use diff::{run_differential, Divergence, Resilience};
 pub use engine::{replay, run_verify, PropertyReport, ReplayOutcome, VerifyConfig, VerifyReport};
 pub use reference::RefPolicy;
 pub use rng::Rng;

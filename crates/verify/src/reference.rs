@@ -23,18 +23,55 @@ use std::cmp::Ordering;
 
 /// EWMA weight every policy uses.
 const ALPHA: f64 = 0.5;
-/// Failed switches toward a configuration before quarantine (both the
-/// simple policies' constant and the legacy resilience default).
-const QUARANTINE_AFTER: u32 = 3;
 /// Confidence defaults (`ConfidencePolicy::default_policy`).
 const CONF_THRESHOLD: u32 = 2;
 const CONF_HYSTERESIS: f64 = 0.03;
-/// `PolicyConfig::new` default re-exploration period.
-const EXPLORE_PERIOD: u64 = 40;
 /// Hysteresis-policy defaults.
 const HYST_MIN_GAIN: f64 = 0.05;
 const HYST_SUSTAIN: u32 = 3;
 const HYST_DWELL: u64 = 10;
+
+/// The confidence manager's re-exploration period and degradation
+/// knobs, spelled out field by field (see `ResiliencePolicy`).
+#[derive(Debug, Clone, Copy)]
+struct Tuning {
+    explore_period: u64,
+    /// Samples beyond this factor of the estimate are clamped to it
+    /// (`<= 1.0`: no clamping).
+    outlier_factor: f64,
+    quarantine_after: u32,
+    /// 0: no probation.
+    probation_period: u64,
+    thrash_window: u64,
+    /// 0: no watchdog.
+    thrash_limit: u32,
+    safe_config: usize,
+}
+
+/// `PolicyConfig::new(kind)`: explore period 40 and legacy resilience —
+/// no clamping, quarantine after three failures, no probation, no
+/// watchdog. The simple policies always run with these knobs.
+const DEFAULT_TUNING: Tuning = Tuning {
+    explore_period: 40,
+    outlier_factor: 0.0,
+    quarantine_after: 3,
+    probation_period: 0,
+    thrash_window: 0,
+    thrash_limit: 0,
+    safe_config: 0,
+};
+
+/// The fault campaign's confidence tuning: explore period 25 and
+/// `ResiliencePolicy::hardened()`.
+const HARDENED_TUNING: Tuning = Tuning {
+    explore_period: 25,
+    outlier_factor: 16.0,
+    quarantine_after: 2,
+    probation_period: 40,
+    thrash_window: 30,
+    thrash_limit: 10,
+    safe_config: 0,
+};
 
 /// Estimate/mask state shared by all four reference models.
 #[derive(Debug, Clone)]
@@ -61,15 +98,29 @@ impl RefBase {
         }
     }
 
-    /// Reject invalid samples, fold survivors into the EWMA.
-    fn update(&mut self, config: usize, tpi_ns: f64) {
+    /// Reject invalid samples, clamp outliers to `factor` times (or a
+    /// `factor`-th of) the current estimate when `factor > 1`, and fold
+    /// survivors into the EWMA.
+    fn update(&mut self, config: usize, tpi_ns: f64, factor: f64) {
         if !tpi_ns.is_finite() || tpi_ns <= 0.0 {
             self.stats.samples_rejected += 1;
             return;
         }
+        let mut v = tpi_ns;
+        if factor > 1.0 {
+            if let Some(est) = self.estimates[config] {
+                if v > est * factor {
+                    v = est * factor;
+                    self.stats.samples_clamped += 1;
+                } else if v < est / factor {
+                    v = est / factor;
+                    self.stats.samples_clamped += 1;
+                }
+            }
+        }
         self.estimates[config] = Some(match self.estimates[config] {
-            Some(prev) => prev + ALPHA * (tpi_ns - prev),
-            None => tpi_ns,
+            Some(prev) => prev + ALPHA * (v - prev),
+            None => v,
         });
     }
 
@@ -113,17 +164,15 @@ impl RefBase {
         }
     }
 
-    /// The simple policies' switch-outcome handling (no predictor
-    /// bookkeeping).
-    fn simple_outcome(&mut self, target: usize, outcome: SwitchOutcome) {
-        if target >= self.estimates.len() {
-            return;
-        }
+    /// Switch-outcome handling every policy shares (no predictor
+    /// bookkeeping): `quarantine_after` consecutive transient failures
+    /// or one permanent failure mask the target.
+    fn outcome(&mut self, target: usize, outcome: SwitchOutcome, quarantine_after: u32) {
         match outcome {
             SwitchOutcome::Succeeded => self.fail_counts[target] = 0,
             SwitchOutcome::TransientFailure => {
                 self.fail_counts[target] = self.fail_counts[target].saturating_add(1);
-                if self.fail_counts[target] >= QUARANTINE_AFTER && !self.masked[target] {
+                if self.fail_counts[target] >= quarantine_after && !self.masked[target] {
                     self.masked[target] = true;
                     self.stats.quarantines += 1;
                 }
@@ -158,6 +207,7 @@ impl RefBase {
 #[derive(Debug, Clone)]
 pub struct RefPolicy {
     kind: PolicyKind,
+    tuning: Tuning,
     base: RefBase,
     /// `process-level`: the chosen-forever configuration.
     settled: Option<usize>,
@@ -170,14 +220,33 @@ pub struct RefPolicy {
     confidence: u32,
     sampling_home: Option<usize>,
     safe_mode: bool,
+    /// Round-robin start of the next probation search.
+    probe_cursor: usize,
+    /// Intervals at which recent predictor switches were issued.
+    switch_times: Vec<u64>,
 }
 
 impl RefPolicy {
     /// A reference model over `num_configs` configurations, tuned exactly
     /// like `PolicyConfig::new(kind)` (default knobs, legacy resilience).
     pub fn new(kind: PolicyKind, num_configs: usize) -> Self {
+        Self::tuned(kind, num_configs, DEFAULT_TUNING)
+    }
+
+    /// A reference model tuned like the fault campaign's
+    /// `PolicyConfig::new(kind).with_explore_period(25)
+    /// .with_resilience(ResiliencePolicy::hardened())`. Only the
+    /// confidence manager reads those knobs; the simple policies keep
+    /// their fixed behaviour.
+    pub fn hardened(kind: PolicyKind, num_configs: usize) -> Self {
+        let tuning = if kind == PolicyKind::Confidence { HARDENED_TUNING } else { DEFAULT_TUNING };
+        Self::tuned(kind, num_configs, tuning)
+    }
+
+    fn tuned(kind: PolicyKind, num_configs: usize, tuning: Tuning) -> Self {
         RefPolicy {
             kind,
+            tuning,
             base: RefBase::new(num_configs),
             settled: None,
             candidate: None,
@@ -187,6 +256,8 @@ impl RefPolicy {
             confidence: 0,
             sampling_home: None,
             safe_mode: false,
+            probe_cursor: 0,
+            switch_times: Vec::new(),
         }
     }
 
@@ -227,7 +298,7 @@ impl RefPolicy {
             return ManagerDecision::Stay;
         }
         self.base.intervals_seen += 1;
-        self.base.update(config, tpi_ns);
+        self.base.update(config, tpi_ns, self.tuning.outlier_factor);
         let (decision, reason) = match self.kind {
             PolicyKind::ProcessLevel => self.decide_process_level(config),
             PolicyKind::IntervalGreedy => self.decide_greedy(config),
@@ -310,25 +381,35 @@ impl RefPolicy {
         if self.safe_mode {
             return (self.safe_decision(config), "safe-mode-hold");
         }
-        // Legacy resilience: no probation, no outlier clamp, no watchdog.
+        // Probation: every `probation_period` intervals, release the
+        // first transiently quarantined configuration at or after the
+        // cursor, one failure short of re-quarantine and unsampled.
+        let period = self.tuning.probation_period;
+        if period > 0 && self.base.intervals_seen.is_multiple_of(period) {
+            let n = self.base.estimates.len();
+            for off in 0..n {
+                let i = (self.probe_cursor + off) % n;
+                if self.base.masked[i] && !self.base.dead[i] {
+                    self.base.masked[i] = false;
+                    self.base.fail_counts[i] = self.tuning.quarantine_after - 1;
+                    self.base.estimates[i] = None;
+                    self.base.stats.probations += 1;
+                    self.probe_cursor = (i + 1) % n;
+                    break;
+                }
+            }
+        }
         if let Some(u) = self.base.first_unseen() {
             return (ManagerDecision::SwitchTo(u), "explore");
         }
         let home = self.sampling_home.take();
         let Some(best) = self.base.best() else {
             // Every candidate quarantined: park on the safe config.
-            self.safe_mode = true;
-            self.base.stats.safe_mode_entries += 1;
-            self.predicted = None;
-            self.confidence = 0;
-            self.sampling_home = None;
-            return (self.safe_decision(config), "all-quarantined");
+            return (self.enter_safe_mode(config), "all-quarantined");
         };
         let anchor = home.unwrap_or(config);
-        if EXPLORE_PERIOD > 0
-            && self.base.intervals_seen.is_multiple_of(EXPLORE_PERIOD)
-            && home.is_none()
-        {
+        let explore = self.tuning.explore_period;
+        if explore > 0 && self.base.intervals_seen.is_multiple_of(explore) && home.is_none() {
             let mut runner_up: Option<(usize, f64)> = None;
             for i in 0..self.base.estimates.len() {
                 if i == config || self.base.masked[i] {
@@ -368,6 +449,24 @@ impl RefPolicy {
         if wins && self.confidence > CONF_THRESHOLD {
             self.confidence = 0;
             self.predicted = None;
+            // Thrash watchdog: more than `thrash_limit` predictor
+            // switches within the last `thrash_window` intervals
+            // (inclusive of this one) trips safe mode instead.
+            let (window, limit) = (self.tuning.thrash_window, self.tuning.thrash_limit);
+            if window > 0 && limit > 0 {
+                let now = self.base.intervals_seen;
+                let mut recent: Vec<u64> = Vec::new();
+                for &t in &self.switch_times {
+                    if t + window > now {
+                        recent.push(t);
+                    }
+                }
+                recent.push(now);
+                self.switch_times = recent;
+                if self.switch_times.len() > limit as usize {
+                    return (self.enter_safe_mode(config), "watchdog");
+                }
+            }
             (ManagerDecision::SwitchTo(best), "predicted")
         } else if let Some(h) = home {
             if h == config {
@@ -380,14 +479,25 @@ impl RefPolicy {
         }
     }
 
+    /// Locks onto the safe configuration for good.
+    fn enter_safe_mode(&mut self, config: usize) -> ManagerDecision {
+        self.safe_mode = true;
+        self.base.stats.safe_mode_entries += 1;
+        self.predicted = None;
+        self.confidence = 0;
+        self.sampling_home = None;
+        self.safe_decision(config)
+    }
+
     /// Safe-mode holding pattern: sit on the safe configuration,
-    /// redirected past permanently dead ones (safe config 0 by default).
+    /// redirected to the first live one when it is permanently dead.
     fn safe_decision(&self, config: usize) -> ManagerDecision {
-        let safe = if !self.base.dead.first().copied().unwrap_or(true) {
-            0
-        } else {
-            (0..self.base.dead.len()).find(|&i| !self.base.dead[i]).unwrap_or(0)
-        };
+        let mut safe = self.tuning.safe_config;
+        if self.base.dead[safe] {
+            if let Some(i) = (0..self.base.dead.len()).find(|&i| !self.base.dead[i]) {
+                safe = i;
+            }
+        }
         if safe == config || self.base.dead[safe] {
             ManagerDecision::Stay
         } else {
@@ -400,20 +510,16 @@ impl RefPolicy {
         if target >= self.base.estimates.len() {
             return;
         }
-        if self.kind == PolicyKind::Confidence {
-            self.base.simple_outcome(target, outcome);
-            if outcome != SwitchOutcome::Succeeded {
-                // Predictor bookkeeping only the confidence manager has.
-                if self.predicted == Some(target) {
-                    self.predicted = None;
-                    self.confidence = 0;
-                }
-                if self.sampling_home == Some(target) {
-                    self.sampling_home = None;
-                }
+        self.base.outcome(target, outcome, self.tuning.quarantine_after);
+        if self.kind == PolicyKind::Confidence && outcome != SwitchOutcome::Succeeded {
+            // Predictor bookkeeping only the confidence manager has.
+            if self.predicted == Some(target) {
+                self.predicted = None;
+                self.confidence = 0;
             }
-        } else {
-            self.base.simple_outcome(target, outcome);
+            if self.sampling_home == Some(target) {
+                self.sampling_home = None;
+            }
         }
     }
 

@@ -8,9 +8,7 @@
 
 use cap::core::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
 use cap::core::experiments::{ExecPolicy, IntervalExperiment};
-use cap::core::manager::{
-    run_managed, ConfidencePolicy, IntervalManager, QueueIntervalSim, SwitchRetryPolicy,
-};
+use cap::core::manager::{run_managed, QueueIntervalSim, SwitchRetryPolicy};
 use cap::core::policy::{PolicyConfig, PolicyKind};
 use cap::core::structure::{AdaptiveStructure, QueueStructure};
 use cap::timing::queue::QueueTimingModel;
@@ -26,11 +24,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut structure = QueueStructure::isca98(timing, 0)?;
     let table = structure.period_table()?;
     let mut clock = DynamicClock::new(table, DEFAULT_SWITCH_PENALTY_CYCLES)?;
-    let mut manager = IntervalManager::new(structure.num_configs(), 40, ConfidencePolicy::default_policy())?;
+    let confidence = PolicyConfig::new(PolicyKind::Confidence);
+    let mut manager = confidence.build(structure.num_configs(), cap::obs::noop(), None)?;
     let mut stream = app.ilp_profile().build(7);
     let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, 2000)?;
     let run =
-        run_managed(&mut sim, &mut manager, &mut clock, intervals, None, SwitchRetryPolicy::default())?
+        run_managed(&mut sim, &mut *manager, &mut clock, intervals, None, SwitchRetryPolicy::default())?
             .run;
 
     println!("Managed run of {app} over {intervals} intervals of 2000 instructions:");
@@ -49,7 +48,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The summary comparison the ablation bench runs at scale.
     let exp = IntervalExperiment::new();
-    let confidence = PolicyConfig::new(PolicyKind::Confidence);
     let cmp = exp.policy_comparison(app, intervals, &confidence, &ExecPolicy::serial())?;
     println!("process-level best fixed config: {:.3} ns", cmp.process_level_tpi);
     println!("interval-adaptive manager:       {:.3} ns", cmp.managed_tpi);

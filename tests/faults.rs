@@ -6,8 +6,12 @@
 //! configuration — either one the manager still trusts, or the
 //! designated safe static fallback.
 
+use cap::core::experiments::DEFAULT_SEED;
 use cap::core::faults::{FaultCampaign, FaultSpec};
+use cap::core::policy::PolicyKind;
+use cap::core::report::degradation_table;
 use cap::workloads::App;
+use std::path::Path;
 
 fn assert_leg_survived(leg: &cap::core::faults::LegReport) {
     assert!(leg.faulty_tpi_ns > 0.0, "{}: faulted run produced no work", leg.structure);
@@ -89,5 +93,46 @@ fn disabled_spec_matches_clean_run() {
         assert_eq!(leg.retries, 0);
         assert_eq!(leg.quarantined_configs, 0);
         assert!(!leg.safe_mode);
+    }
+}
+
+/// `results/faults.txt` locks the turb3d campaign at the default seed
+/// under every policy: the `capsim faults turb3d --policy <kind>` bytes
+/// (degradation table + JSON report), in `PolicyKind::ALL` order. The
+/// campaign asks every policy for hardened resilience, so the simple
+/// policies' rows also pin that they ignore it. Regenerate after an
+/// intentional change with `UPDATE_GOLDENS=1 cargo test --test faults`.
+#[test]
+fn turb3d_campaign_under_every_policy_matches_its_golden() {
+    let mut text = String::new();
+    for kind in PolicyKind::ALL {
+        let report = FaultCampaign::new(App::Turb3d, DEFAULT_SEED)
+            .with_policy(kind)
+            .run()
+            .expect("campaign runs");
+        text.push_str(&degradation_table(&report));
+        text.push_str(&report.to_json());
+        text.push('\n');
+    }
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/faults.txt");
+    if std::env::var_os("UPDATE_GOLDENS").is_some() {
+        std::fs::write(&path, &text).expect("golden must be writable");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+    if text != want {
+        let line = text.lines().zip(want.lines()).position(|(a, b)| a != b);
+        let (got_line, want_line) = match line {
+            Some(i) => (text.lines().nth(i).unwrap_or(""), want.lines().nth(i).unwrap_or("")),
+            None => ("<line-count differs>", "<line-count differs>"),
+        };
+        panic!(
+            "fault campaigns drifted from {} at line {}:\n  golden: {want_line}\n  now:    {got_line}\n\
+             If the change is intentional, regenerate with:\n  \
+             UPDATE_GOLDENS=1 cargo test --test faults",
+            path.display(),
+            line.map_or(0, |i| i + 1),
+        );
     }
 }
