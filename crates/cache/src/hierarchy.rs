@@ -41,6 +41,49 @@ pub enum Level {
     L2,
 }
 
+/// Splits an address into its set index and tag:
+/// `block = addr / block_bytes`, set `block % sets`, tag `block / sets`.
+/// Both cache engines index sets through it, so they agree by
+/// construction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SetIndex {
+    /// Block size and set count are powers of two, as in every paper
+    /// geometry: shifts and a mask.
+    Pow2 { block_shift: u32, set_shift: u32, set_mask: u64 },
+    /// Anything else: the exact divisions.
+    Div { block_bytes: u64, sets: u64 },
+}
+
+impl SetIndex {
+    pub(crate) fn new(geometry: &CacheGeometry) -> Self {
+        let (block_bytes, sets) = (geometry.block_bytes as u64, geometry.sets() as u64);
+        if block_bytes.is_power_of_two() && sets.is_power_of_two() {
+            SetIndex::Pow2 {
+                block_shift: block_bytes.trailing_zeros(),
+                set_shift: sets.trailing_zeros(),
+                set_mask: sets - 1,
+            }
+        } else {
+            SetIndex::Div { block_bytes, sets }
+        }
+    }
+
+    /// The set index and tag of `addr`.
+    #[inline]
+    pub(crate) fn split(self, addr: u64) -> (usize, u64) {
+        match self {
+            SetIndex::Pow2 { block_shift, set_shift, set_mask } => {
+                let block = addr >> block_shift;
+                ((block & set_mask) as usize, block >> set_shift)
+            }
+            SetIndex::Div { block_bytes, sets } => {
+                let block = addr / block_bytes;
+                ((block % sets) as usize, block / sets)
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Block {
     tag: u64,
@@ -60,6 +103,7 @@ struct CacheSet {
 #[derive(Debug, Clone)]
 pub struct AdaptiveCacheHierarchy {
     geometry: CacheGeometry,
+    index: SetIndex,
     boundary: Boundary,
     sets: Vec<CacheSet>,
     clock: u64,
@@ -97,6 +141,7 @@ impl AdaptiveCacheHierarchy {
             .collect();
         Ok(AdaptiveCacheHierarchy {
             geometry,
+            index: SetIndex::new(&geometry),
             boundary,
             sets,
             clock: 0,
@@ -229,12 +274,6 @@ impl AdaptiveCacheHierarchy {
         self.boundary.increments().min(self.usable_increments()) * self.geometry.increment_assoc
     }
 
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let block = addr / self.geometry.block_bytes as u64;
-        let sets = self.geometry.sets() as u64;
-        ((block % sets) as usize, block / sets)
-    }
-
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
@@ -263,7 +302,7 @@ impl AdaptiveCacheHierarchy {
     /// Stores mark the block dirty; dirty blocks evicted from the L2 side
     /// count as writebacks.
     pub fn access(&mut self, r: MemRef) -> AccessOutcome {
-        let (set_idx, tag) = self.set_and_tag(r.addr);
+        let (set_idx, tag) = self.index.split(r.addr);
         let l1_ways = self.l1_ways();
         let dirty = r.kind == AccessKind::Write;
 
@@ -333,7 +372,7 @@ impl AdaptiveCacheHierarchy {
 
     /// Looks up an address without disturbing replacement state.
     pub fn probe(&self, addr: u64) -> Option<Level> {
-        let (set_idx, tag) = self.set_and_tag(addr);
+        let (set_idx, tag) = self.index.split(addr);
         let l1_ways = self.l1_ways();
         self.sets[set_idx]
             .ways
@@ -380,6 +419,25 @@ mod tests {
 
     fn rd(addr: u64) -> MemRef {
         MemRef { addr, kind: Read }
+    }
+
+    #[test]
+    fn set_index_shifts_agree_with_the_divisions() {
+        for geometry in [
+            CacheGeometry::isca98(),
+            CacheGeometry { block_bytes: 64, increment_bytes: 4096, ..CacheGeometry::isca98() },
+        ] {
+            let (block_bytes, sets) = (geometry.block_bytes as u64, geometry.sets() as u64);
+            let fast = SetIndex::new(&geometry);
+            assert!(matches!(fast, SetIndex::Pow2 { .. }));
+            let exact = SetIndex::Div { block_bytes, sets };
+            let mut addr = 0x9E37_79B9_7F4A_7C15u64;
+            for _ in 0..10_000 {
+                addr = addr.rotate_left(7) ^ addr.wrapping_mul(0x2545_F491_4F6C_DD1D);
+                assert_eq!(fast.split(addr), exact.split(addr), "address {addr:#x}");
+            }
+            assert_eq!(fast.split(u64::MAX), exact.split(u64::MAX));
+        }
     }
 
     fn wr(addr: u64) -> MemRef {

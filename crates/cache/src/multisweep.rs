@@ -50,6 +50,7 @@
 
 use crate::config::Boundary;
 use crate::error::CacheError;
+use crate::hierarchy::SetIndex;
 use crate::perf::{evaluate, PerfParams};
 use crate::sim::{sweep, SweepPoint};
 use crate::stats::CacheStats;
@@ -109,10 +110,9 @@ pub fn stack_profile<S: AddressStream>(
     geometry: &CacheGeometry,
 ) -> StackProfile {
     let total_ways = geometry.increments * geometry.increment_assoc;
-    let sets = geometry.sets() as u64;
-    let block_bytes = geometry.block_bytes as u64;
+    let index = SetIndex::new(geometry);
     let mut stacks: Vec<Vec<StackBlock>> =
-        (0..sets).map(|_| Vec::with_capacity(total_ways)).collect();
+        (0..geometry.sets()).map(|_| Vec::with_capacity(total_ways)).collect();
     let mut profile = StackProfile {
         depth_hits: vec![0; total_ways],
         refs,
@@ -122,9 +122,8 @@ pub fn stack_profile<S: AddressStream>(
 
     for _ in 0..refs {
         let r = stream.next_ref();
-        let block = r.addr / block_bytes;
-        let stack = &mut stacks[(block % sets) as usize];
-        let tag = block / sets;
+        let (set, tag) = index.split(r.addr);
+        let stack = &mut stacks[set];
         let dirty = r.kind == AccessKind::Write;
         match stack.iter().position(|b| b.tag == tag) {
             Some(depth) => {
@@ -309,6 +308,23 @@ mod tests {
             let simulated = run(mixed_stream(7), 50_000, &mut cache);
             assert_eq!(p.stats_at(k * 2), simulated, "boundary {k}");
         }
+    }
+
+    #[test]
+    fn non_power_of_two_sets_match_the_hierarchy_at_every_boundary() {
+        // Three ways per increment give 85 sets, so both engines take the
+        // exact division path; they must still agree at every boundary.
+        let geometry = CacheGeometry { increment_assoc: 3, ..CacheGeometry::isca98() };
+        assert_eq!(geometry.sets(), 85);
+        assert!(matches!(SetIndex::new(&geometry), SetIndex::Div { .. }));
+        let p = stack_profile(mixed_stream(4), 30_000, &geometry);
+        for k in 1..geometry.increments {
+            let boundary = Boundary::for_geometry(k, &geometry).unwrap();
+            let mut cache = AdaptiveCacheHierarchy::with_geometry(geometry, boundary);
+            let simulated = run(mixed_stream(4), 30_000, &mut cache);
+            assert_eq!(p.stats_at(k * 3), simulated, "boundary {k}");
+        }
+        assert!(p.misses > 0 && p.misses < 30_000);
     }
 
     #[test]

@@ -920,7 +920,7 @@ impl QueueExperiment {
     }
 
     /// The whole curve from one generated stream: the instruction tape
-    /// is recorded once and a cursor per window size replays it
+    /// is recorded once and every window size replays it
     /// ([`cap_ooo::multisweep`]). `cap-verify` holds it bit-identical to
     /// the per-window reference [`cap_ooo::perf::sweep_point`].
     fn curve_points(&self, app: App) -> Result<Vec<QueuePoint>, CapError> {

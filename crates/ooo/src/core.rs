@@ -57,12 +57,31 @@
 //! long enough for every lookback above, and the previous instruction's
 //! are also carried in locals through the dispatch loop; issue counts
 //! live in a ring of cycles that grows when a long latency outruns it.
-//! The core reads instructions in packed form
-//! ([`InstStream::next_packed`]), with producers as distances back.
+//! Since `D` is monotone, `floor` is folded once per call into the
+//! carried `D_{i-1}`, and bounds every instruction of the call from
+//! there.
+//!
+//! # Two drivers, one schedule
+//!
+//! The schedule above is written once, as an `#[inline(always)]` loop
+//! body, and two drivers inline it:
+//!
+//! * the **stream-fed** driver ([`OooCore::step`], [`OooCore::run`])
+//!   reads instructions in packed form ([`InstStream::next_packed`]),
+//!   with producers as distances back, and asserts that their seqs are
+//!   contiguous. Managed runs use it, reading straight from a generator;
+//! * the **slice-fed** driver ([`OooCore::run_records`]) reads
+//!   instruction `i` from a slice of tape [`Record`]s, with `i` held in
+//!   a local. Positions imply seqs, and the tape checked them when it
+//!   recorded them, so there is nothing to assert. Window sweeps use it.
+//!
+//! [`OooCore::run_reach`] bounds how far a run reads, so a sweep can
+//! record every instruction its windows need before any of them runs.
 
 use crate::config::{CoreConfig, WindowSize};
 use crate::error::OooError;
 use cap_trace::inst::InstStream;
+use cap_trace::tape::Record;
 
 /// Initial span of the issue-count ring, in cycles. Far beyond the
 /// latencies the workload profiles generate; [`IssueSlots`] grows past it
@@ -294,19 +313,22 @@ impl OooCore {
         &self.sched[index as usize & self.mask]
     }
 
-    /// Reads instructions and dispatches each in its cycle `D_i` (see the
-    /// module documentation), scheduling its issue, completion and
-    /// commit. Keeps going while fewer than `count` instructions have
-    /// dispatched or the next one is due by cycle `through`.
+    /// Dispatches instructions, each in its cycle `D_i` (see the module
+    /// documentation), scheduling its issue, completion and commit.
+    /// Keeps going while fewer than `count` instructions have dispatched
+    /// or the next one is due by cycle `through`. `read(i)` supplies
+    /// instruction `i`, and is called once per instruction, in order.
     ///
+    /// This is the one copy of the schedule; both drivers inline it.
     /// Lookbacks before the first instruction land on never-written zero
     /// slots, which constrain nothing. The previous instruction's
     /// schedule is carried in a local rather than reloaded from the slot
     /// just written, since that store-to-load round trip would sit on the
     /// recurrence's serial chain; it enters each maximum last, so the
     /// chain passes through one comparison.
-    fn dispatch_until<S: InstStream>(&mut self, stream: &mut S, count: u64, through: u64) {
-        let (mask, floor, width) = (self.mask, self.floor, self.issue_width);
+    #[inline(always)]
+    fn dispatch_with(&mut self, count: u64, through: u64, mut read: impl FnMut(u64) -> Record) {
+        let (mask, width) = (self.mask, self.issue_width);
         let (fetch_width, window, commit_width) =
             (self.fetch_width, self.dispatch_window, self.commit_width);
         // Sliced to `mask + 1` entries, so that no masked index needs a
@@ -315,20 +337,17 @@ impl OooCore {
         let at = |sched: &[Sched], index: u64| sched[index as usize & mask];
         let mut i = self.dispatched;
         let mut prev = at(sched, i.wrapping_sub(1));
-        let mut first_seq = self.first_seq;
+        // Dispatch is monotone, so the floor, folded once into the
+        // carried dispatch, bounds every instruction of this call.
+        prev.dispatch = prev.dispatch.max(self.floor);
         loop {
             let fetch = at(sched, i.wrapping_sub(fetch_width)).dispatch + 1;
             let entry_free = at(sched, i.wrapping_sub(window)).commit;
-            let dispatch = fetch.max(entry_free).max(floor).max(prev.dispatch);
+            let dispatch = fetch.max(entry_free).max(prev.dispatch);
             if i >= count && dispatch > through {
                 break;
             }
-            let inst = stream.next_packed();
-            if i == 0 {
-                first_seq = inst.seq;
-            }
-            let expect = first_seq.wrapping_add(i);
-            assert_eq!(inst.seq, expect, "instruction stream must be contiguous");
+            let inst = read(i);
             // Producers older than the ring have committed; so have those
             // before the stream, whose slots were never written. A
             // producer one back is `prev`.
@@ -352,7 +371,37 @@ impl OooCore {
             i += 1;
         }
         self.dispatched = i;
+    }
+
+    /// The stream-fed driver: [`OooCore::dispatch_with`] reading
+    /// `stream`, whose seqs must be contiguous.
+    fn dispatch_until<S: InstStream>(&mut self, stream: &mut S, count: u64, through: u64) {
+        let mut first_seq = self.first_seq;
+        self.dispatch_with(count, through, |i| {
+            let inst = stream.next_packed();
+            // The assertion borrows a copy of the seq, not `inst`: a
+            // borrowed `inst` would be stored to the stack and its
+            // distances reloaded as one wider word, which the store
+            // buffer cannot forward.
+            let seq = inst.seq;
+            if i == 0 {
+                first_seq = seq;
+            }
+            let expect = first_seq.wrapping_add(i);
+            assert_eq!(seq, expect, "instruction stream must be contiguous");
+            Record { dist: inst.dist, latency: inst.latency }
+        });
         self.first_seq = first_seq;
+    }
+
+    /// The slice-fed driver: [`OooCore::dispatch_with`] reading
+    /// instruction `i` from `records[i]`. Positions imply seqs, and the
+    /// tape checked their contiguity when it recorded them.
+    fn dispatch_records(&mut self, records: &[Record], count: u64, through: u64) {
+        self.dispatch_with(count, through, |i| match records.get(i as usize) {
+            Some(&record) => record,
+            None => panic!("record slice of {} ends before instruction {i}", records.len()),
+        });
     }
 
     /// Counts the instructions committed by the end of cycle `t`.
@@ -394,14 +443,57 @@ impl OooCore {
     /// Equivalent to calling [`OooCore::step`] until the target is met,
     /// without visiting the cycles in between.
     pub fn run<S: InstStream>(&mut self, stream: &mut S, insts: u64) -> RunStats {
+        self.run_span(insts, |core, count, through| core.dispatch_until(stream, count, through))
+    }
+
+    /// [`OooCore::run`], reading instruction `k` of the core's stream
+    /// from `records[k]`: the slice holds the stream from the core's
+    /// first instruction on, as [`InstTape::into_records`] returns it. The
+    /// results are those of [`OooCore::run`] over the same instructions.
+    /// A core reads either streams or one slice, never both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run reads past the end of `records`; a slice of
+    /// [`OooCore::run_reach`] records is long enough.
+    ///
+    /// [`InstTape::into_records`]: cap_trace::tape::InstTape::into_records
+    pub fn run_records(&mut self, records: &[Record], insts: u64) -> RunStats {
+        self.run_span(insts, |core, count, through| core.dispatch_records(records, count, through))
+    }
+
+    /// The most instructions the core will have read from its stream
+    /// once [`OooCore::run`] of `insts` returns.
+    ///
+    /// The span's last instruction `t - 1`, with `t` = committed +
+    /// `insts`, commits in cycle `R_{t-1}`, and the run reads every
+    /// instruction due to dispatch by then. Commit takes at most `CW`
+    /// instructions a cycle, so `R_{t-1+CW} > R_{t-1}`; an instruction
+    /// `i >= t - 1 + CW + W` waits for `R_{i-W} >= R_{t-1+CW}`, after
+    /// the span. So the run reads at most `t - 1 + CW + W` instructions
+    /// in all, with `W` the window governing dispatch and `CW` the commit
+    /// width capped at the physical window. For a fresh 128-entry isca98
+    /// core that is `insts + 135`.
+    pub fn run_reach(&self, insts: u64) -> u64 {
+        if insts == 0 {
+            return self.dispatched;
+        }
+        let reach = self.committed + insts + self.dispatch_window + self.commit_width - 1;
+        reach.max(self.dispatched)
+    }
+
+    /// The body of a run; `dispatch(core, count, through)` is the
+    /// driver's [`OooCore::dispatch_with`].
+    #[inline(always)]
+    fn run_span(&mut self, insts: u64, mut dispatch: impl FnMut(&mut Self, u64, u64)) -> RunStats {
         let (c0, i0) = (self.cycle, self.committed);
         let target = i0 + insts;
         if insts > 0 {
-            self.dispatch_until(stream, target, 0);
+            dispatch(self, target, 0);
             // The span ends when its last instruction commits; everything
             // due to dispatch by then is read, as a stepped run would.
             let end = self.at(target - 1).commit;
-            self.dispatch_until(stream, 0, end);
+            dispatch(self, 0, end);
             self.cycle = end;
             self.committed = target;
             self.retire_through(end);
@@ -920,6 +1012,42 @@ mod tests {
                 assert_reads_match(&fast, &s1, &slow, &s2, &ctx);
             }
         }
+    }
+
+    #[test]
+    fn slice_fed_runs_match_stream_fed_runs_across_resizes() {
+        // The same spans and resizes as the stepped-reference test, with
+        // one core reading the stream and one the recorded slice. Each
+        // span reads no further than the reach computed before it.
+        let spans = [1u64, 7, 2000, 3, 500, 1, 2000, 64, 9];
+        let sizes = [16usize, 128, 32, 16, 112, 48, 16, 64, 128];
+        for (name, config, shape) in unprofiled_shapes() {
+            let physical = config.window.entries();
+            let tape = InstTape::new(ShapeStream::new(shape, 11));
+            let records = tape.into_records(spans.iter().sum::<u64>() as usize + 2 * physical + 200);
+            let mut stream = ShapeStream::new(shape, 11);
+            let (mut fed, mut sliced) = (OooCore::new(config), OooCore::new(config));
+            for (round, (&span, &n)) in spans.iter().zip(&sizes).enumerate() {
+                let ctx = format!("{name}, round {round}");
+                let reach = sliced.run_reach(span);
+                let b = sliced.run_records(&records[..reach as usize], span);
+                assert_eq!(fed.run(&mut stream, span), b, "{ctx}: run stats");
+                assert_eq!(fed.cycles(), sliced.cycles(), "{ctx}");
+                assert_eq!(fed.occupancy(), sliced.occupancy(), "{ctx}");
+                assert_eq!(stream.reads, sliced.committed() + sliced.occupancy() as u64, "{ctx}");
+                assert!(stream.reads <= reach, "{ctx}: read {} past the reach {reach}", stream.reads);
+                let w = WindowSize::new(n.min(physical)).unwrap();
+                fed.request_resize(w).unwrap();
+                sliced.request_resize(w).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "record slice of 100 ends before instruction 100")]
+    fn a_slice_shorter_than_the_run_panics() {
+        let records = InstTape::new(ShapeStream::new(BASE, 3)).into_records(100);
+        OooCore::new(CoreConfig::isca98(64).unwrap()).run_records(&records, 100);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   reconfigure to a smaller queue size, entries in the portion of the
 //!   queue to be disabled must first issue");
 //! * interval TPI recording for the Section 6 snapshots (Figures 12–13);
-//! * a **single-pass window sweep** ([`multisweep`]) that replays one
-//!   recorded instruction tape through every window size, and the
+//! * a **single-pass window sweep** ([`multisweep`]) that records the
+//!   instruction stream once and replays the record slice through every
+//!   window size, and the
 //!   preserved full-scan engine ([`reference`]) that pins the fast core's
 //!   schedule differentially.
 //!

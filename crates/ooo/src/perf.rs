@@ -72,8 +72,21 @@ pub fn sweep_point<S: InstStream>(
     window: WindowSize,
     timing: &QueueTimingModel,
 ) -> Result<QueueSweepPoint, OooError> {
-    let mut core = OooCore::try_new(CoreConfig::isca98(window.entries())?)?;
-    let stats = core.run(&mut stream, insts);
+    let stats = window_core(window)?.run(&mut stream, insts);
+    point(window, stats, timing)
+}
+
+/// A fresh paper core with `window` entries, as one sweep leg runs it.
+pub(crate) fn window_core(window: WindowSize) -> Result<OooCore, OooError> {
+    OooCore::try_new(CoreConfig::isca98(window.entries())?)
+}
+
+/// The sweep point of a run at `window`.
+pub(crate) fn point(
+    window: WindowSize,
+    stats: RunStats,
+    timing: &QueueTimingModel,
+) -> Result<QueueSweepPoint, OooError> {
     let (cycle, t) = tpi(window, stats, timing)?;
     Ok(QueueSweepPoint { window, stats, cycle, tpi: t })
 }

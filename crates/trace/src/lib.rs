@@ -21,8 +21,9 @@
 //!   (Figures 12–13).
 //! * [`stack`] — an LRU stack-distance profiler used to validate the
 //!   memory generators against their calibration targets.
-//! * [`tape`] — a lazily recorded instruction tape so one synthesized
-//!   stream can drive many simulations (the window multisweep).
+//! * [`tape`] — an instruction tape, recorded in bulk or lazily, so one
+//!   synthesized stream can drive many simulations (the window
+//!   multisweep).
 //! * [`rng`] — a small deterministic RNG wrapper so every trace is exactly
 //!   reproducible from a `u64` seed.
 //!

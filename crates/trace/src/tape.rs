@@ -1,21 +1,29 @@
-//! A shared, lazily materialized instruction tape.
+//! A recorded instruction tape, read lazily or in bulk.
 //!
 //! A window sweep replays the *same* instruction stream at every window
 //! size. Rather than re-synthesize the stream per configuration (the
 //! reference path `cap-verify` keeps, which clones a pristine generator
-//! per window), [`InstTape`] records the generator's output once and
-//! hands out independent [`TapeCursor`]s, so the synthesis cost is paid a
-//! single time per sweep.
+//! per window), [`InstTape`] records the generator's output once, so the
+//! synthesis cost is paid a single time per sweep. It can be read two
+//! ways:
 //!
-//! The tape is lazy: it generates only as far as its furthest cursor has
-//! read. Different window sizes drain slightly different prefixes (a
-//! core fetches `committed + occupancy` instructions), so the tape ends
-//! up holding the longest prefix any configuration needed — no
-//! over-generation, no truncation.
+//! * **Lazily**, through independent [`TapeCursor`]s. The tape generates
+//!   only as far as its furthest cursor has read. Different window sizes
+//!   drain slightly different prefixes (a core fetches `committed +
+//!   occupancy` instructions), so the tape ends up holding the longest
+//!   prefix any configuration needed — no over-generation, no
+//!   truncation.
+//! * **In bulk**, with [`InstTape::into_records`], by a reader that knows
+//!   how far it can read. A window sweep does: a run of `insts` reads at
+//!   most `OooCore::run_reach` instructions (`insts + W + CW - 1` for a
+//!   fresh core; `cap-ooo` derives the bound). The tape records up to
+//!   that length in one tight loop and hands over every record as one
+//!   flat vector, which each window replays with its position in a
+//!   local. Consuming the tape means no cursor can still be reading it.
 //!
 //! # Record layout
 //!
-//! Each instruction is one 12-byte record of three `u32`s: the distance
+//! Each instruction is one 12-byte [`Record`] of three `u32`s: the distance
 //! back to its first producer, the distance back to its second, and its
 //! latency. A distance of 0 means no producer. The seq is not stored: it
 //! is the first recorded seq plus the record's position. A sweep replays
@@ -23,8 +31,8 @@
 //! replays stream from cache or from memory; 300 k instructions take
 //! 3.6 MB.
 //!
-//! Recording checks that the packed form is exact, and panics if the
-//! generator breaks it:
+//! Recording checks that the packed form is exact, lazily and in bulk
+//! alike, and panics if the generator breaks it:
 //!
 //! * each seq must follow the previous one;
 //! * each producer must come before its consumer;
@@ -53,12 +61,13 @@ use std::sync::Arc;
 /// Instructions per sealed block.
 const BLOCK: usize = 1024;
 
-/// One recorded instruction; its seq is implied by its position.
-#[derive(Debug, Clone, Copy)]
-struct Record {
-    /// Distances back to the producers (0 = none).
-    dist: [u32; 2],
-    latency: u32,
+/// One recorded instruction, with its seq implied by its position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record {
+    /// Distances back to the two operands' producers (0 = none).
+    pub dist: [u32; 2],
+    /// Execution latency in cycles.
+    pub latency: u32,
 }
 
 const _: () = assert!(std::mem::size_of::<Record>() == 12);
@@ -108,15 +117,21 @@ impl<S: InstStream> TapeInner<S> {
         self.sealed.len() * BLOCK + self.open.len()
     }
 
-    /// Generates and records the next instruction.
+    /// Generates and checks the instruction at stream position `pos`,
+    /// the next one the generator has not yet produced.
     #[inline]
-    fn record(&mut self) -> Record {
+    fn generate(&mut self, pos: usize) -> Record {
         let inst = self.gen.next_inst();
-        let pos = self.len();
         if pos == 0 {
             self.first = inst.seq;
         }
-        let record = Record::new(inst, self.first + pos as u64);
+        Record::new(inst, self.first + pos as u64)
+    }
+
+    /// Generates and records the next instruction.
+    #[inline]
+    fn record(&mut self) -> Record {
+        let record = self.generate(self.len());
         self.open.push(record);
         if self.open.len() == BLOCK {
             self.sealed.push(Arc::from(&self.open[..]));
@@ -140,6 +155,9 @@ impl<S: InstStream> TapeInner<S> {
 /// let b: Vec<_> = tape.cursor().take_insts(100);
 /// assert_eq!(a, b, "every cursor replays the same prefix");
 /// assert_eq!(tape.generated(), 100, "generated once, not twice");
+/// let records = tape.into_records(150);
+/// assert_eq!(records.len(), 150, "the first 100 recorded, 50 more generated");
+/// assert_eq!(records[99].latency, a[99].latency);
 /// # Ok::<(), cap_trace::TraceError>(())
 /// ```
 pub struct InstTape<S> {
@@ -161,6 +179,25 @@ impl<S: InstStream> InstTape<S> {
     /// How many instructions have been materialized so far.
     pub fn generated(&self) -> usize {
         self.inner.borrow().len()
+    }
+
+    /// The first `len` records of the stream, as one flat vector: those
+    /// already recorded, then the missing ones, generated and checked in
+    /// one loop. Record `k` is the instruction at the first seq plus `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the generator breaks the record checks.
+    pub fn into_records(self, len: usize) -> Vec<Record> {
+        let mut inner = self.inner.into_inner();
+        let mut records = Vec::with_capacity(len.max(inner.len()));
+        for block in &inner.sealed {
+            records.extend_from_slice(block);
+        }
+        records.extend_from_slice(&inner.open);
+        records.extend((records.len()..len).map(|pos| inner.generate(pos)));
+        records.truncate(len);
+        records
     }
 }
 
@@ -342,6 +379,49 @@ mod tests {
     fn recording_rejects_a_distance_past_u32() {
         let seq = u64::from(u32::MAX) + 1;
         let _ = list_tape(vec![inst(seq, None, Some(0))]).cursor().next_packed();
+    }
+
+    #[test]
+    fn bulk_records_match_cursor_reads() {
+        let n = 2 * BLOCK + 9;
+        let mut direct = gen(5);
+        let want: Vec<_> = (0..n).map(|_| PackedInst::saturating(direct.next_inst())).collect();
+        let unpack = |r: &Record| (r.dist, r.latency);
+        let pack = |p: &PackedInst| (p.dist, p.latency);
+        // From a fresh tape, and from one that cursors have read past a
+        // sealed block and into the open one.
+        for read in [0, BLOCK + 7] {
+            let tape = InstTape::new(gen(5));
+            let mut cursor = tape.cursor();
+            for want in &want[..read] {
+                assert_eq!(cursor.next_packed(), *want);
+            }
+            let records = tape.into_records(n);
+            assert!(records.iter().map(unpack).eq(want.iter().map(pack)), "read {read} first");
+        }
+        let tape = InstTape::new(gen(5));
+        let _ = tape.cursor().take_insts(n);
+        let records = tape.into_records(10);
+        assert!(records.iter().map(unpack).eq(want[..10].iter().map(pack)), "cut to length");
+    }
+
+    #[test]
+    #[should_panic(expected = "seqs must be contiguous")]
+    fn bulk_recording_rejects_a_gap_in_seq() {
+        let _ = list_tape(vec![inst(5, None, None), inst(7, Some(5), None)]).into_records(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "instruction 4 depends on 4, not an older one")]
+    fn bulk_recording_rejects_a_producer_at_its_consumer() {
+        let _ = list_tape(vec![inst(3, None, None), inst(4, Some(3), Some(4))]).into_records(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "is over u32::MAX back")]
+    fn bulk_recording_rejects_a_distance_past_u32() {
+        let seq = u64::from(u32::MAX) + 1;
+        let _ = list_tape(vec![inst(seq, None, Some(0))]).into_records(1);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * the cache sweep classifies each reference by stack distance once
 //!   and derives every boundary's counters from the shared profile
 //!   ([`cap_cache::multisweep`]);
-//! * the queue sweep records the generated instruction stream on a
-//!   shared tape and replays it at every window size
+//! * the queue sweep records the generated instruction stream once, in
+//!   bulk, and replays the record slice at every window size
 //!   ([`cap_ooo::multisweep`]), on a core that schedules each
 //!   instruction once, at dispatch, rather than scanning the window
 //!   every cycle ([`cap_ooo::core::OooCore`] vs
@@ -121,7 +121,7 @@ fn compare_cache_points(
 /// One fuzzed queue case: a random suite application, seed and run
 /// length, swept over every paper window size by both engines (the
 /// legacy path regenerates the stream per window; the fast path replays
-/// one shared tape).
+/// one bulk-recorded record slice).
 ///
 /// # Errors
 ///
@@ -251,9 +251,10 @@ pub fn core_vs_scan_reference(rng: &mut Rng) -> Result<(), String> {
 /// active window and pending flag must equal the reference's, stepped to
 /// the same commit target. The reference always reads the generator; in
 /// half the cases the production core reads the packed records of an
-/// [`InstTape`] instead, as a sweep's cores do, after another cursor has
+/// [`InstTape`] through a lazy cursor instead, after another cursor has
 /// recorded a random prefix: the core replays that prefix, then records
-/// the rest itself.
+/// the rest itself. (A sweep's cores read a bulk-recorded record slice;
+/// [`queue_tape_vs_legacy`] covers that path.)
 ///
 /// # Errors
 ///
