@@ -1,4 +1,4 @@
-//! Shared harness for the figure-regeneration binaries and benches.
+//! Shared harness for the figure-regeneration and study binaries.
 //!
 //! Every `figNN` binary prints the data series of one figure of the
 //! paper. Scale is selected with the `CAP_SCALE` environment variable

@@ -16,6 +16,9 @@ pub enum CacheError {
     },
     /// The underlying timing model rejected the geometry.
     Timing(cap_timing::TimingError),
+    /// A stack profile was priced with a timing model of a different
+    /// geometry from the one it was traversed with.
+    GeometryMismatch,
 }
 
 impl fmt::Display for CacheError {
@@ -26,6 +29,9 @@ impl fmt::Display for CacheError {
                 "boundary {requested} must leave at least one of {increments} increments on each side"
             ),
             CacheError::Timing(e) => write!(f, "timing model error: {e}"),
+            CacheError::GeometryMismatch => {
+                write!(f, "the timing model's geometry differs from the stack profile's")
+            }
         }
     }
 }

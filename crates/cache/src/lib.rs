@@ -22,9 +22,11 @@
 //! * [`stats`] — access outcome counters;
 //! * [`perf`] — the blocking-cache TPI model (paper §5.1 methodology);
 //! * [`sim`] — drivers that run an address stream through one or many
-//!   boundary configurations;
+//!   boundary configurations ([`sim::sweep`], one simulation per
+//!   boundary, is the tests' reference);
 //! * [`multisweep`] — the single-pass stack-distance engine that answers
-//!   every boundary from one traversal, bit-identical to [`sim::sweep`].
+//!   every boundary from one traversal, bit-identical to [`sim::sweep`];
+//!   every production sweep runs it.
 //!
 //! # Example
 //!

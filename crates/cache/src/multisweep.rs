@@ -1,7 +1,7 @@
 //! Single-pass multi-boundary sweeps (Mattson stack-distance counting).
 //!
-//! The legacy [`crate::sim::sweep`] replays the same address stream once
-//! per boundary — 8 full traversals for the paper's Figure 7. But the
+//! The reference [`crate::sim::sweep`] replays the same address stream
+//! once per boundary — 8 full traversals for the paper's Figure 7. But the
 //! adaptive structure's replacement discipline makes every boundary's
 //! counters recoverable from **one** traversal:
 //!
@@ -34,16 +34,16 @@
 //! boundary, which is what the differential properties in `cap-verify`
 //! assert at scale.
 //!
-//! **Where the argument holds, and where the fallback engages.** The
-//! reasoning above needs (a) a freshly constructed, non-degraded
-//! structure — true for every sweep, which builds a pristine hierarchy
-//! per leg — and (b) boundaries that leave at least one increment of L2
-//! (`k < increments`), so the legacy path's degraded-operation clamp
-//! never fires. [`sweep_one_pass`] checks (b) per request and falls back
-//! to the legacy multi-traversal [`sweep`] when any boundary reaches the
-//! clamped regime (possible only when a 16-increment [`Boundary`] is
-//! applied to a smaller custom geometry). Counters outside
-//! [`SweepPoint`] — the per-way hit histograms used by the §4.1
+//! **Where the argument holds.** The reasoning above needs (a) a freshly
+//! constructed, non-degraded structure — true for every sweep, which
+//! builds a pristine hierarchy per leg — and (b) boundaries that leave at
+//! least one increment of L2 (`k < increments`), so the per-boundary
+//! simulator's degraded-operation clamp never fires
+//! ([`one_pass_supported`]). A boundary outside (b) is possible only when
+//! a 16-increment [`Boundary`] is applied to a smaller custom geometry,
+//! and there both engines return the same error: the timing model's
+//! cycle time rejects the boundary whatever the counters are. Counters
+//! outside [`SweepPoint`] — the per-way hit histograms used by the §4.1
 //! asynchronous-design analysis — are tied to physical way positions and
 //! cannot be recovered from stack distances; callers needing them must
 //! run the per-boundary path.
@@ -52,7 +52,7 @@ use crate::config::Boundary;
 use crate::error::CacheError;
 use crate::hierarchy::SetIndex;
 use crate::perf::{evaluate, PerfParams};
-use crate::sim::{sweep, SweepPoint};
+use crate::sim::SweepPoint;
 use crate::stats::CacheStats;
 use cap_timing::cacti::{CacheGeometry, CacheTimingModel};
 use cap_trace::mem::{AccessKind, AddressStream};
@@ -71,6 +71,7 @@ struct StackBlock {
 /// the histogram into the [`CacheStats`] of any L1 way count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StackProfile {
+    geometry: CacheGeometry,
     depth_hits: Vec<u64>,
     refs: u64,
     misses: u64,
@@ -97,6 +98,41 @@ impl StackProfile {
             writebacks: self.writebacks,
         }
     }
+
+    /// The sweep point of every boundary, evaluated with `timing`: the
+    /// counters of [`StackProfile::stats_at`] at each boundary's L1 ways,
+    /// priced by the shared [`evaluate`] arithmetic.
+    ///
+    /// One profile serves any number of timing models, such as one per
+    /// technology node, as long as they share the geometry it was
+    /// traversed with.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::GeometryMismatch`] if `timing` models a
+    /// different geometry from the profile's, and propagates timing-model
+    /// errors for out-of-range boundaries.
+    pub fn points(
+        &self,
+        boundaries: impl IntoIterator<Item = Boundary>,
+        timing: &CacheTimingModel,
+        params: PerfParams,
+    ) -> Result<Vec<SweepPoint>, CacheError> {
+        let geometry = timing.geometry();
+        if *geometry != self.geometry {
+            return Err(CacheError::GeometryMismatch);
+        }
+        boundaries
+            .into_iter()
+            .map(|boundary| {
+                let l1_ways =
+                    boundary.increments().min(geometry.increments) * geometry.increment_assoc;
+                let stats = self.stats_at(l1_ways);
+                let tpi = evaluate(&stats, boundary, timing, params)?;
+                Ok(SweepPoint { boundary, stats, tpi })
+            })
+            .collect()
+    }
 }
 
 /// Runs `refs` references through per-set LRU stacks, producing the
@@ -114,6 +150,7 @@ pub fn stack_profile<S: AddressStream>(
     let mut stacks: Vec<Vec<StackBlock>> =
         (0..geometry.sets()).map(|_| Vec::with_capacity(total_ways)).collect();
     let mut profile = StackProfile {
+        geometry: *geometry,
         depth_hits: vec![0; total_ways],
         refs,
         misses: 0,
@@ -146,17 +183,18 @@ pub fn stack_profile<S: AddressStream>(
     profile
 }
 
-/// Whether the one-pass engine reproduces the legacy path bit-for-bit
-/// for every requested boundary: each boundary must leave at least one
-/// increment on the L2 side of this geometry (see the
-/// [module documentation](self) for why the clamped regime is excluded).
+/// Whether the one-pass engine classifies every requested boundary the
+/// way the per-boundary simulator does: each boundary must leave at least
+/// one increment on the L2 side of this geometry (see the
+/// [module documentation](self) for why the clamped regime is excluded;
+/// there both engines return the timing model's error instead of points).
 pub fn one_pass_supported(geometry: &CacheGeometry, boundaries: &[Boundary]) -> bool {
     boundaries.iter().all(|b| b.increments() < geometry.increments)
 }
 
 /// Simulates every boundary from a single traversal of `stream` — the
-/// one-pass equivalent of [`sweep`], bit-identical on every
-/// [`SweepPoint`].
+/// one-pass equivalent of [`crate::sim::sweep`], bit-identical on every
+/// [`SweepPoint`], and the same error where that returns one.
 ///
 /// # Errors
 ///
@@ -168,51 +206,14 @@ pub fn multisweep<S: AddressStream>(
     timing: &CacheTimingModel,
     params: PerfParams,
 ) -> Result<Vec<SweepPoint>, CacheError> {
-    let geometry = timing.geometry();
-    let profile = stack_profile(stream, refs, geometry);
-    boundaries
-        .into_iter()
-        .map(|boundary| {
-            let l1_ways = boundary.increments().min(geometry.increments) * geometry.increment_assoc;
-            let stats = profile.stats_at(l1_ways);
-            let tpi = evaluate(&stats, boundary, timing, params)?;
-            Ok(SweepPoint { boundary, stats, tpi })
-        })
-        .collect()
-}
-
-/// Drop-in replacement for [`sweep`]: uses the one-pass engine when
-/// [`one_pass_supported`] holds for every requested boundary, and falls
-/// back to the legacy per-boundary traversal otherwise. Output is
-/// byte-identical either way.
-///
-/// # Errors
-///
-/// Propagates timing-model errors for out-of-range boundaries.
-pub fn sweep_one_pass<S, F>(
-    mut make_stream: F,
-    refs: u64,
-    boundaries: impl IntoIterator<Item = Boundary>,
-    timing: &CacheTimingModel,
-    params: PerfParams,
-) -> Result<Vec<SweepPoint>, CacheError>
-where
-    S: AddressStream,
-    F: FnMut() -> S,
-{
-    let boundaries: Vec<Boundary> = boundaries.into_iter().collect();
-    if one_pass_supported(timing.geometry(), &boundaries) {
-        multisweep(make_stream(), refs, boundaries, timing, params)
-    } else {
-        sweep(make_stream, refs, boundaries, timing, params)
-    }
+    stack_profile(stream, refs, timing.geometry()).points(boundaries, timing, params)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hierarchy::AdaptiveCacheHierarchy;
-    use crate::sim::{run, sweep_point};
+    use crate::sim::{run, sweep, sweep_point};
     use cap_timing::Technology;
     use cap_trace::mem::{Region, RegionMix};
 
@@ -328,11 +329,10 @@ mod tests {
     }
 
     #[test]
-    fn fallback_engages_on_clamped_custom_geometry() {
+    fn clamped_custom_geometry_errs_like_the_per_boundary_sweep() {
         // A 16-increment boundary applied to a 4-increment geometry
-        // reaches the legacy path's clamped regime: sweep_one_pass must
-        // detect it, route through the legacy engine, and agree with it —
-        // here both surface the same timing-model rejection.
+        // reaches the per-boundary simulator's clamped regime. There the
+        // one-pass engine must return the same timing-model rejection.
         let mut geometry = CacheGeometry::isca98();
         geometry.increments = 4;
         let timing = CacheTimingModel::new(geometry, Technology::isca98_evaluation()).unwrap();
@@ -342,19 +342,31 @@ mod tests {
         let params = PerfParams::isca98(3.0);
         let legacy =
             sweep(|| pristine.clone(), 20_000, boundaries.clone(), &timing, params).unwrap_err();
-        let routed =
-            sweep_one_pass(|| pristine.clone(), 20_000, boundaries, &timing, params).unwrap_err();
-        assert_eq!(legacy, routed);
+        let onepass =
+            multisweep(pristine.clone(), 20_000, boundaries, &timing, params).unwrap_err();
+        assert_eq!(legacy, onepass);
 
-        // In-range boundaries on the same custom geometry stay on the
-        // one-pass engine and still match the legacy counters.
+        // In-range boundaries on the same custom geometry match the
+        // per-boundary counters.
         let ok = vec![Boundary::for_geometry(1, &geometry).unwrap(), Boundary::for_geometry(3, &geometry).unwrap()];
         assert!(one_pass_supported(&geometry, &ok));
         let legacy = sweep(|| pristine.clone(), 20_000, ok.clone(), &timing, params).unwrap();
-        let onepass = sweep_one_pass(|| pristine.clone(), 20_000, ok, &timing, params).unwrap();
-        for (a, b) in legacy.iter().zip(&onepass) {
-            assert_eq!(a.stats, b.stats);
-        }
+        let onepass = multisweep(pristine.clone(), 20_000, ok, &timing, params).unwrap();
+        assert_eq!(legacy, onepass);
+    }
+
+    #[test]
+    fn points_reject_a_timing_model_of_another_geometry() {
+        let p = stack_profile(mixed_stream(6), 5_000, &CacheGeometry::isca98());
+        let mut geometry = CacheGeometry::isca98();
+        geometry.increments = 8;
+        let other = CacheTimingModel::new(geometry, Technology::isca98_evaluation()).unwrap();
+        let params = PerfParams::isca98(3.0);
+        assert_eq!(
+            p.points(Boundary::paper_sweep(), &other, params),
+            Err(CacheError::GeometryMismatch)
+        );
+        assert_eq!(p.points(Boundary::paper_sweep(), &timing(), params).unwrap().len(), 8);
     }
 
     #[test]
@@ -365,11 +377,11 @@ mod tests {
     }
 
     #[test]
-    fn sweep_one_pass_matches_sweep_point_per_leg() {
+    fn multisweep_matches_sweep_point_per_leg() {
         let pristine = mixed_stream(13);
         let params = PerfParams::isca98(3.0);
         let points =
-            sweep_one_pass(|| pristine.clone(), 30_000, Boundary::paper_sweep(), &timing(), params)
+            multisweep(pristine.clone(), 30_000, Boundary::paper_sweep(), &timing(), params)
                 .unwrap();
         assert_eq!(points.len(), 8);
         for p in &points {

@@ -77,6 +77,10 @@ pub struct SweepPoint {
 /// `make_stream` must return an identical pristine stream each call —
 /// typically a clone of a seeded generator.
 ///
+/// This is the per-boundary reference: production sweeps run
+/// [`crate::multisweep::multisweep`], which the unit tests and
+/// `cap-verify` hold bit-identical to it.
+///
 /// # Errors
 ///
 /// Propagates timing-model errors for out-of-range boundaries.
@@ -94,10 +98,9 @@ where
     boundaries.into_iter().map(|b| sweep_point(make_stream(), refs, b, timing, params)).collect()
 }
 
-/// Simulates one fixed boundary — a single leg of a sweep. This is the
-/// unit of work the parallel sweep engine fans out; [`sweep`] is exactly
-/// a serial fold over it, which is what makes `--jobs N` output
-/// byte-identical to `--jobs 1`.
+/// Simulates one fixed boundary — a single leg of the reference
+/// [`sweep`], which is exactly a serial fold over it. Like [`sweep`], it
+/// is a test reference for [`crate::multisweep::multisweep`].
 ///
 /// # Errors
 ///

@@ -659,14 +659,13 @@ impl CacheExperiment {
 
     /// The whole curve in one traversal: every reference is classified
     /// by stack distance once and all boundaries are answered from the
-    /// histogram ([`cap_cache::multisweep`]), falling back to one
-    /// simulation per boundary when the one-pass preconditions do not
-    /// hold. `cap-verify` holds it bit-identical to the per-boundary
-    /// reference [`cap_cache::sim::sweep_point`].
+    /// histogram ([`cap_cache::multisweep`]). `cap-verify` holds it
+    /// bit-identical to the per-boundary reference
+    /// [`cap_cache::sim::sweep_point`].
     fn curve_points(&self, app: App) -> Result<Vec<CachePoint>, CapError> {
         let profile = app.memory_profile();
-        let points = cap_cache::multisweep::sweep_one_pass(
-            || profile.build(self.seed ^ app.seed_salt()),
+        let points = cap_cache::multisweep::multisweep(
+            profile.build(self.seed ^ app.seed_salt()),
             self.scale.cache_refs(),
             Boundary::paper_sweep(),
             &self.timing,

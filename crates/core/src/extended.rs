@@ -27,8 +27,8 @@ use crate::plan::{self, Leg};
 use crate::replay::{field, FromJson};
 use cap_par::CacheKey;
 use cap_cache::config::Boundary;
+use cap_cache::multisweep::stack_profile;
 use cap_cache::perf::{PerfParams, BASE_IPC};
-use cap_cache::sim as cache_sim;
 use cap_cache::tlb;
 use cap_ooo::bpred;
 use cap_ooo::config::{CoreConfig, WindowSize};
@@ -108,7 +108,7 @@ fn bpred_rows(scale: ExperimentScale, seed: u64) -> Result<Vec<BpredStudyRow>, C
     for app in App::queue_suite() {
         let profile = app.branch_profile();
         let points = bpred::sweep(
-            || profile.build(seed ^ app.seed_salt()),
+            profile.build(seed ^ app.seed_salt()),
             branches,
             cycle,
             profile.branch_frac,
@@ -209,9 +209,8 @@ impl CombinedExperiment {
     fn joint_space(&self, app: App) -> Result<CombinedStudy, CapError> {
         // Cache-side raw counters per boundary (clock-independent).
         let mem = app.memory_profile();
-        let pristine = mem.build(self.seed ^ app.seed_salt());
-        let cache_points = cache_sim::sweep(
-            || pristine.clone(),
+        let cache_points = cap_cache::multisweep::multisweep(
+            mem.build(self.seed ^ app.seed_salt()),
             self.scale.cache_refs(),
             Boundary::paper_sweep(),
             &self.cache_timing,
@@ -219,22 +218,20 @@ impl CombinedExperiment {
         )?;
 
         // Queue-side IPC per window (clock-independent).
-        let ilp = app.ilp_profile();
-        let mut ipcs = Vec::new();
-        for w in WindowSize::paper_sweep() {
-            let mut core = OooCore::try_new(CoreConfig::isca98(w.entries())?)?;
-            let mut stream = ilp.build(self.seed ^ app.seed_salt());
-            ipcs.push((w.entries(), core.run(&mut stream, self.scale.queue_insts()).ipc()));
-        }
+        let queue_points = cap_ooo::multisweep::multisweep(
+            app.ilp_profile().build(self.seed ^ app.seed_salt()),
+            self.scale.queue_insts(),
+            WindowSize::paper_sweep(),
+            &self.queue_timing,
+        )?;
 
         let mut points = Vec::new();
         for cp in &cache_points {
             let k = cp.boundary.increments();
             let cache_cycle = self.cache_timing.cycle_time(k)?;
             let l2_access = self.cache_timing.l2_access(k)?;
-            for &(entries, ipc) in &ipcs {
-                let queue_cycle = self.queue_timing.cycle_time(entries)?;
-                let cycle = cache_cycle.max(queue_cycle);
+            for qp in &queue_points {
+                let cycle = cache_cycle.max(qp.cycle);
                 // Requantize cache latencies at the joint clock.
                 let l2_extra =
                     ((l2_access / cycle).ceil() as u64).saturating_sub(u64::from(L1_LATENCY_CYCLES));
@@ -243,30 +240,20 @@ impl CombinedExperiment {
                 let stall_cpi = (cp.stats.l2_hits as f64 * l2_extra as f64
                     + cp.stats.misses as f64 * mem_extra as f64)
                     / insts;
-                let cpi = 1.0 / ipc + stall_cpi;
+                let cpi = 1.0 / qp.stats.ipc() + stall_cpi;
                 points.push(CombinedPoint {
                     l1_kb: cp.boundary.l1_kb(),
-                    entries,
+                    entries: qp.window.entries(),
                     cycle_ns: cycle.value(),
                     tpi_ns: cycle.value() * cpi,
                 });
             }
         }
 
-        let solo_cache_kb = cache_points
-            .iter()
-            .min_by(|a, b| a.tpi.total_tpi().value().total_cmp(&b.tpi.total_tpi().value()))
-            .expect("nonempty")
-            .boundary
-            .l1_kb();
-        let solo_window = {
-            let qt = &self.queue_timing;
-            ipcs.iter()
-                .map(|&(w, ipc)| (w, qt.cycle_time(w).expect("paper size").value() / ipc))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("nonempty")
-                .0
-        };
+        let solo_cache_kb =
+            cap_cache::sim::best_point(&cache_points).expect("nonempty").boundary.l1_kb();
+        let solo_window =
+            cap_ooo::perf::best_point(&queue_points).expect("nonempty").window.entries();
 
         Ok(CombinedStudy { app: app.name().to_string(), points, solo_cache_kb, solo_window })
     }
@@ -340,24 +327,30 @@ pub struct TechStudyRow {
 
 /// The technology-scaling study's computation (see
 /// [`technology_study`]).
+///
+/// Every node prices the same per-app stack profile: the nodes scale
+/// delays, not the geometry, and [`StackProfile::points`] rejects a node
+/// whose geometry differs from the profile's.
+///
+/// [`StackProfile::points`]: cap_cache::multisweep::StackProfile::points
 fn technology_rows(scale: ExperimentScale, seed: u64) -> Result<Vec<TechStudyRow>, CapError> {
-    let mut rows = Vec::new();
-    for tech in Technology::paper_sweep() {
-        let timing = CacheTimingModel::isca98(tech);
-        let spread = timing.cycle_time(8)? / timing.cycle_time(1)?;
-        // Per-app best vs best-conventional, exactly like figure9 but at
-        // this node.
-        let mut conv_sum = 0.0;
-        let mut best_sum = 0.0;
-        for app in App::cache_suite() {
-            let profile = app.memory_profile();
-            let pristine = profile.build(seed ^ app.seed_salt());
-            let points = cache_sim::sweep(
-                || pristine.clone(),
-                scale.cache_refs() / 4,
+    let nodes = Technology::paper_sweep().map(|tech| (tech, CacheTimingModel::isca98(tech)));
+    // Per-app best vs best-conventional, exactly like figure9 but at
+    // each node; each node sums over the apps in suite order.
+    let mut conv_sums = vec![0.0; nodes.len()];
+    let mut best_sums = vec![0.0; nodes.len()];
+    for app in App::cache_suite() {
+        let mem = app.memory_profile();
+        let profile = stack_profile(
+            mem.build(seed ^ app.seed_salt()),
+            scale.cache_refs() / 4,
+            nodes[0].1.geometry(),
+        );
+        for (n, (_, timing)) in nodes.iter().enumerate() {
+            let points = profile.points(
                 Boundary::paper_sweep(),
-                &timing,
-                PerfParams::isca98(profile.insts_per_ref),
+                timing,
+                PerfParams::isca98(mem.insts_per_ref),
             )?;
             let conv = points
                 .iter()
@@ -370,16 +363,21 @@ fn technology_rows(scale: ExperimentScale, seed: u64) -> Result<Vec<TechStudyRow
                 .iter()
                 .map(|p| p.tpi.total_tpi().value())
                 .fold(f64::INFINITY, f64::min);
-            conv_sum += conv;
-            best_sum += best;
+            conv_sums[n] += conv;
+            best_sums[n] += best;
         }
-        rows.push(TechStudyRow {
-            feature_um: tech.feature_um(),
-            cache_cycle_spread: spread,
-            cache_tpi_reduction: 1.0 - best_sum / conv_sum,
-        });
     }
-    Ok(rows)
+    nodes
+        .iter()
+        .zip(conv_sums.iter().zip(&best_sums))
+        .map(|((tech, timing), (conv_sum, best_sum))| {
+            Ok(TechStudyRow {
+                feature_um: tech.feature_um(),
+                cache_cycle_spread: timing.cycle_time(8)? / timing.cycle_time(1)?,
+                cache_tpi_reduction: 1.0 - best_sum / conv_sum,
+            })
+        })
+        .collect()
 }
 
 /// One row of the reconfiguration-frequency study.
@@ -947,6 +945,37 @@ mod tests {
         );
         for r in &rows {
             assert!(r.cache_tpi_reduction > 0.0, "adaptive never loses at process level");
+        }
+    }
+
+    #[test]
+    fn technology_rows_match_a_per_node_per_boundary_sweep() {
+        // The reference: one full simulation per node and boundary.
+        let scale = ExperimentScale::Smoke;
+        let rows = technology_rows(scale, DEFAULT_SEED).unwrap();
+        for (tech, row) in Technology::paper_sweep().into_iter().zip(&rows) {
+            let timing = CacheTimingModel::isca98(tech);
+            let (mut conv_sum, mut best_sum) = (0.0, 0.0);
+            for app in App::cache_suite() {
+                let mem = app.memory_profile();
+                let pristine = mem.build(DEFAULT_SEED ^ app.seed_salt());
+                let points = cap_cache::sim::sweep(
+                    || pristine.clone(),
+                    scale.cache_refs() / 4,
+                    Boundary::paper_sweep(),
+                    &timing,
+                    PerfParams::isca98(mem.insts_per_ref),
+                )
+                .unwrap();
+                let tpi = |p: &cap_cache::sim::SweepPoint| p.tpi.total_tpi().value();
+                let conv = points.iter().find(|p| p.boundary == Boundary::best_conventional());
+                conv_sum += tpi(conv.unwrap());
+                best_sum += points.iter().map(tpi).fold(f64::INFINITY, f64::min);
+            }
+            let spread = timing.cycle_time(8).unwrap() / timing.cycle_time(1).unwrap();
+            assert_eq!(row.feature_um.to_bits(), tech.feature_um().to_bits());
+            assert_eq!(row.cache_cycle_spread.to_bits(), spread.to_bits());
+            assert_eq!(row.cache_tpi_reduction.to_bits(), (1.0 - best_sum / conv_sum).to_bits());
         }
     }
 

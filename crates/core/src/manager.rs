@@ -93,7 +93,7 @@ impl ConfidencePolicy {
     }
 
     /// No gating at all: switch to the predicted best immediately. Used
-    /// by the ablation benches to demonstrate reconfiguration thrash on
+    /// by the `ablation` binary to demonstrate reconfiguration thrash on
     /// irregular phases (the paper's Figure 13b caution).
     pub fn none() -> Self {
         ConfidencePolicy { threshold: 0, hysteresis: 0.0 }

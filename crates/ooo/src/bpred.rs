@@ -166,52 +166,56 @@ pub struct BpredSweepPoint {
 /// same stream (process-level adaptive methodology, applied to the
 /// predictor).
 ///
+/// The stream is read once: every event trains all five table sizes,
+/// one [`Gshare`] each. A predictor's state depends only on the event
+/// sequence, so each size sees exactly what a run of its own would.
+///
 /// `branch_frac` is the fraction of instructions that are conditional
 /// branches; `cycle` the machine cycle time set by the rest of the core.
 ///
 /// # Errors
 ///
-/// Returns [`OooError::InvalidWidth`] if `branch_frac` is outside
-/// `(0, 1]` (a zero branch fraction makes the study meaningless).
-pub fn sweep<S, F>(
-    mut make_stream: F,
+/// Returns [`OooError::InvalidWidth`] if `branches` is zero (there is no
+/// accuracy to measure) or `branch_frac` is outside `(0, 1]` (a zero
+/// branch fraction makes the study meaningless).
+pub fn sweep<S: BranchStream>(
+    mut stream: S,
     branches: u64,
     cycle: Ns,
     branch_frac: f64,
-) -> Result<Vec<BpredSweepPoint>, OooError>
-where
-    S: BranchStream,
-    F: FnMut() -> S,
-{
+) -> Result<Vec<BpredSweepPoint>, OooError> {
+    if branches == 0 {
+        return Err(OooError::InvalidWidth { what: "branch count must be positive" });
+    }
     if !(branch_frac > 0.0 && branch_frac <= 1.0) {
         return Err(OooError::InvalidWidth { what: "branch fraction must be in (0,1]" });
     }
-    let mut out = Vec::new();
-    for config in PhtConfig::sweep() {
-        let mut predictor = Gshare::new(config);
-        let mut stream = make_stream();
-        let mut correct = 0u64;
-        let mut taken = 0u64;
-        for _ in 0..branches {
-            let e = stream.next_branch();
-            if predictor.update(e) {
-                correct += 1;
-            }
-            if e.taken {
-                taken += 1;
-            }
+    let mut predictors: Vec<Gshare> = PhtConfig::sweep().map(Gshare::new).collect();
+    let mut correct = vec![0u64; predictors.len()];
+    let mut taken = 0u64;
+    for _ in 0..branches {
+        let e = stream.next_branch();
+        for (predictor, correct) in predictors.iter_mut().zip(&mut correct) {
+            *correct += u64::from(predictor.update(e));
         }
-        let accuracy = correct as f64 / branches as f64;
-        let taken_ratio = taken as f64 / branches as f64;
-        let latency = config.latency_cycles(cycle);
-        // Stall cycles per branch: refill on a miss, plus the fetch
-        // bubble of a multi-cycle predictor on every taken branch.
-        let stalls = (1.0 - accuracy) * MISPREDICT_PENALTY_CYCLES as f64
-            + taken_ratio * (latency - 1) as f64;
-        let tpi_ns = cycle.value() * branch_frac * stalls;
-        out.push(BpredSweepPoint { config, accuracy, taken_ratio, latency_cycles: latency, tpi_ns });
+        taken += u64::from(e.taken);
     }
-    Ok(out)
+    let taken_ratio = taken as f64 / branches as f64;
+    Ok(predictors
+        .iter()
+        .zip(correct)
+        .map(|(predictor, correct)| {
+            let config = predictor.config();
+            let accuracy = correct as f64 / branches as f64;
+            let latency = config.latency_cycles(cycle);
+            // Stall cycles per branch: refill on a miss, plus the fetch
+            // bubble of a multi-cycle predictor on every taken branch.
+            let stalls = (1.0 - accuracy) * MISPREDICT_PENALTY_CYCLES as f64
+                + taken_ratio * (latency - 1) as f64;
+            let tpi_ns = cycle.value() * branch_frac * stalls;
+            BpredSweepPoint { config, accuracy, taken_ratio, latency_cycles: latency, tpi_ns }
+        })
+        .collect())
 }
 
 /// The sweep point with the lowest branch-induced TPI; ties break toward
@@ -304,7 +308,7 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let points = sweep(build, 60_000, Ns(0.8), 0.15).unwrap();
+        let points = sweep(build(), 60_000, Ns(0.8), 0.15).unwrap();
         let small = points.first().unwrap();
         let large = points.last().unwrap();
         assert!(large.accuracy > small.accuracy + 0.03, "{} vs {}", small.accuracy, large.accuracy);
@@ -318,7 +322,7 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let points = sweep(build, 40_000, Ns(0.8), 0.15).unwrap();
+        let points = sweep(build(), 40_000, Ns(0.8), 0.15).unwrap();
         let best = best_point(&points).unwrap();
         assert!(best.config.entries() <= 8192, "best was {}", best.config);
         assert_eq!(best.latency_cycles, 1, "a loop app never pays the 2-cycle table");
@@ -335,14 +339,14 @@ mod tests {
         };
         // At a 0.9 ns machine cycle everything up to 8K is single-cycle:
         // the aliasing relief decides, and the big table wins.
-        let points = sweep(build, 80_000, Ns(0.9), 0.2).unwrap();
+        let points = sweep(build(), 80_000, Ns(0.9), 0.2).unwrap();
         let best = best_point(&points).unwrap();
         assert!(best.config.entries() >= 8192, "best was {}", best.config);
         // For this heavily aliased population the accuracy gap dwarfs the
         // fetch-bubble tax, so even at a fast clock where only the 1K
         // table is single-cycle, the big table stays worthwhile — the
         // mirror image of the loop-dominated case below.
-        let fast = sweep(build, 80_000, Ns(0.76), 0.2).unwrap();
+        let fast = sweep(build(), 80_000, Ns(0.76), 0.2).unwrap();
         let fast_best = best_point(&fast).unwrap();
         assert!(fast_best.accuracy > points[0].accuracy + 0.05);
     }
@@ -380,7 +384,19 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        assert!(sweep(build, 100, Ns(0.8), 0.0).is_err());
-        assert!(sweep(build, 100, Ns(0.8), 1.5).is_err());
+        assert!(sweep(build(), 100, Ns(0.8), 0.0).is_err());
+        assert!(sweep(build(), 100, Ns(0.8), 1.5).is_err());
+    }
+
+    #[test]
+    fn sweep_rejects_zero_branches() {
+        let stream = SyntheticBranches::builder(8)
+            .branch(BranchBehavior::Loop(4), 1.0)
+            .build()
+            .unwrap();
+        assert_eq!(
+            sweep(stream, 0, Ns(0.8), 0.15).unwrap_err(),
+            OooError::InvalidWidth { what: "branch count must be positive" }
+        );
     }
 }

@@ -42,6 +42,10 @@ pub fn tpi(window: WindowSize, stats: RunStats, timing: &QueueTimingModel) -> Re
 /// (Figure 10 methodology). `make_stream` must return an identical
 /// pristine stream each call.
 ///
+/// This is the per-window reference: production sweeps run
+/// [`crate::multisweep::multisweep`], which the unit tests and
+/// `cap-verify` hold bit-identical to it.
+///
 /// # Errors
 ///
 /// Propagates timing-model errors.
@@ -58,10 +62,9 @@ where
     windows.into_iter().map(|w| sweep_point(make_stream(), insts, w, timing)).collect()
 }
 
-/// Simulates one fixed window size — a single leg of a sweep. This is
-/// the unit of work the parallel sweep engine fans out; [`sweep`] is
-/// exactly a serial fold over it, which is what makes `--jobs N` output
-/// byte-identical to `--jobs 1`.
+/// Simulates one fixed window size — a single leg of the reference
+/// [`sweep`], which is exactly a serial fold over it. Like [`sweep`], it
+/// is a test reference for [`crate::multisweep::multisweep`].
 ///
 /// # Errors
 ///

@@ -14,7 +14,8 @@ use crate::invariants::{
     offline_optima_match_series, oracle_bound, reference_oracle_bound,
 };
 use crate::multisweep::{
-    cache_one_pass_vs_legacy, core_run_vs_scan, core_vs_scan_reference, queue_tape_vs_legacy,
+    bpred_fused_vs_per_size, cache_one_pass_vs_legacy, core_run_vs_scan, core_vs_scan_reference,
+    queue_tape_vs_legacy,
 };
 use crate::packed::packed_vs_inst;
 use crate::rng::Rng;
@@ -312,6 +313,10 @@ pub fn run_verify(cfg: &VerifyConfig, progress: &mut dyn FnMut(&PropertyReport))
         core_run_vs_scan(rng)
     });
     push(r, progress);
+    let r = run_seeded_property("sweep/bpred/fused-vs-per-size", cfg, sweep_cases, &|rng, _| {
+        bpred_fused_vs_per_size(rng)
+    });
+    push(r, progress);
 
     // The generators' native packed path against packing `next_inst`.
     let r = run_seeded_property("trace/packed-vs-inst", cfg, cfg.cases, &packed_vs_inst);
@@ -384,6 +389,9 @@ pub fn replay(text: &str, scratch: &Path) -> Result<ReplayOutcome, String> {
         "sweep/queue/tape-vs-legacy" => outcome_of(queue_tape_vs_legacy(&mut rng).map(|()| true)),
         "sweep/ooo/core-vs-scan" => outcome_of(core_vs_scan_reference(&mut rng).map(|()| true)),
         "sweep/ooo/run-vs-scan" => outcome_of(core_run_vs_scan(&mut rng).map(|()| true)),
+        "sweep/bpred/fused-vs-per-size" => {
+            outcome_of(bpred_fused_vs_per_size(&mut rng).map(|()| true))
+        }
         "trace/packed-vs-inst" => outcome_of(packed_vs_inst(&mut rng, case).map(|()| true)),
         other => Err(format!("repro names an unknown property {other:?}")),
     }
@@ -412,7 +420,7 @@ mod tests {
         // 16 diff + 2 hardened diff + 8 oracle + 2 equiv + curve
         // + journal + offline + 4 sweep-engine differentials + the
         // packed generator path.
-        assert_eq!(report.properties.len(), 36);
+        assert_eq!(report.properties.len(), 37);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!   every cycle ([`cap_ooo::core::OooCore`] vs
 //!   [`cap_ooo::reference::ScanCore`]), checked both cycle by cycle and
 //!   over the interval-sized `run` calls of a managed run — the latter
-//!   also with the production core reading the tape's packed records.
+//!   also with the production core reading the tape's packed records;
+//! * the branch-predictor sweep reads its branch stream once and trains
+//!   every PHT size on each event ([`cap_ooo::bpred::sweep`]), against
+//!   [`per_size_bpred_sweep`], which regenerates the stream per size.
 //!
 //! Each fast path is claimed *bit-identical* to its reference — that is
 //! what lets the goldens stay byte-for-byte stable across the engine
@@ -25,6 +28,7 @@ use crate::rng::Rng;
 use cap_cache::config::Boundary;
 use cap_cache::perf::PerfParams;
 use cap_cache::sim::SweepPoint;
+use cap_ooo::bpred::{BpredSweepPoint, Gshare, PhtConfig, MISPREDICT_PENALTY_CYCLES};
 use cap_ooo::config::{CoreConfig, WindowSize};
 use cap_ooo::core::{OooCore, RunStats};
 use cap_ooo::interval::PAPER_INTERVAL_INSTS;
@@ -32,7 +36,9 @@ use cap_ooo::perf::QueueSweepPoint;
 use cap_ooo::reference::ScanCore;
 use cap_timing::cacti::CacheTimingModel;
 use cap_timing::queue::QueueTimingModel;
+use cap_timing::units::Ns;
 use cap_timing::Technology;
+use cap_trace::branch::BranchStream;
 use cap_trace::inst::InstStream;
 use cap_trace::tape::InstTape;
 use cap_workloads::App;
@@ -174,6 +180,103 @@ fn compare_queue_points(
                 "{ctx} window {w}: tpi bits differ — {} (legacy) vs {}",
                 l.tpi, t.tpi
             ));
+        }
+    }
+    Ok(())
+}
+
+/// The reference branch-predictor sweep: one fresh stream and one
+/// [`Gshare`] per PHT size, run to `branches` events each.
+/// `make_stream` must return an identical pristine stream each call.
+pub fn per_size_bpred_sweep<S, F>(
+    mut make_stream: F,
+    branches: u64,
+    cycle: Ns,
+    branch_frac: f64,
+) -> Vec<BpredSweepPoint>
+where
+    S: BranchStream,
+    F: FnMut() -> S,
+{
+    let mut out = Vec::new();
+    for config in PhtConfig::sweep() {
+        let mut predictor = Gshare::new(config);
+        let mut stream = make_stream();
+        let mut correct = 0u64;
+        let mut taken = 0u64;
+        for _ in 0..branches {
+            let e = stream.next_branch();
+            if predictor.update(e) {
+                correct += 1;
+            }
+            if e.taken {
+                taken += 1;
+            }
+        }
+        let accuracy = correct as f64 / branches as f64;
+        let taken_ratio = taken as f64 / branches as f64;
+        let latency = config.latency_cycles(cycle);
+        let stalls = (1.0 - accuracy) * MISPREDICT_PENALTY_CYCLES as f64
+            + taken_ratio * (latency - 1) as f64;
+        let tpi_ns = cycle.value() * branch_frac * stalls;
+        out.push(BpredSweepPoint {
+            config,
+            accuracy,
+            taken_ratio,
+            latency_cycles: latency,
+            tpi_ns,
+        });
+    }
+    out
+}
+
+/// One fuzzed branch-predictor case: a random suite application, seed,
+/// branch count and machine clock (one of the paper windows' clocks),
+/// swept over every PHT size by the one-stream sweep and by
+/// [`per_size_bpred_sweep`].
+///
+/// # Errors
+///
+/// Returns a message naming the first diverging table size and field.
+pub fn bpred_fused_vs_per_size(rng: &mut Rng) -> Result<(), String> {
+    let apps: Vec<App> = App::queue_suite().collect();
+    let app = *rng.pick(&apps);
+    let seed = rng.next_u64();
+    let branches = rng.range(1, 8_000);
+    let windows: Vec<WindowSize> = WindowSize::paper_sweep().collect();
+    let window = *rng.pick(&windows);
+    let cycle = QueueTimingModel::new(Technology::isca98_evaluation())
+        .cycle_time(window.entries())
+        .map_err(|e| format!("queue clock failed: {e}"))?;
+    let profile = app.branch_profile();
+    let reference =
+        per_size_bpred_sweep(|| profile.build(seed), branches, cycle, profile.branch_frac);
+    let fused = cap_ooo::bpred::sweep(profile.build(seed), branches, cycle, profile.branch_frac)
+        .map_err(|e| format!("fused sweep failed: {e}"))?;
+    let ctx = format!("app {} seed {seed} branches {branches} window {window}", app.name());
+    if reference.len() != fused.len() {
+        return Err(format!(
+            "{ctx}: point counts differ (per-size {} vs fused {})",
+            reference.len(),
+            fused.len()
+        ));
+    }
+    for (r, f) in reference.iter().zip(&fused) {
+        let c = r.config;
+        if f.config != c || f.latency_cycles != r.latency_cycles {
+            return Err(format!("{ctx}: {c} diverged — {r:?} (per-size) vs {f:?} (fused)"));
+        }
+        let values = [
+            ("accuracy", r.accuracy, f.accuracy),
+            ("taken_ratio", r.taken_ratio, f.taken_ratio),
+            ("tpi_ns", r.tpi_ns, f.tpi_ns),
+        ];
+        for (name, rv, fv) in values {
+            if rv.to_bits() != fv.to_bits() {
+                return Err(format!(
+                    "{ctx} {c}: {name} bits differ — {rv} (per-size) vs {fv} (fused)"
+                ));
+            }
         }
     }
     Ok(())
@@ -358,6 +461,14 @@ mod tests {
         let mut rng = Rng::for_case(1, "queue-sweep-unit", 0);
         for _ in 0..8 {
             queue_tape_vs_legacy(&mut rng).unwrap();
+        }
+    }
+
+    #[test]
+    fn bpred_sweeps_agree_on_a_quick_sample() {
+        let mut rng = Rng::for_case(1, "bpred-sweep-unit", 0);
+        for _ in 0..8 {
+            bpred_fused_vs_per_size(&mut rng).unwrap();
         }
     }
 

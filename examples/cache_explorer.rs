@@ -6,6 +6,7 @@
 
 use cap::cache::config::Boundary;
 use cap::cache::hierarchy::AdaptiveCacheHierarchy;
+use cap::cache::multisweep::multisweep;
 use cap::cache::perf::{evaluate, PerfParams};
 use cap::cache::sim;
 use cap::timing::cacti::CacheTimingModel;
@@ -24,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("Boundary sweep for a 24 KB working set + 1 MB heap:\n");
     println!("{:>12} {:>10} {:>10} {:>10}", "config", "L1 miss", "TPI ns", "verdict");
-    let points = sim::sweep(|| pristine.clone(), 120_000, Boundary::paper_sweep(), &timing, params)?;
+    let points = multisweep(pristine.clone(), 120_000, Boundary::paper_sweep(), &timing, params)?;
     let best = sim::best_point(&points).expect("sweep is nonempty").boundary;
     for p in &points {
         println!(
