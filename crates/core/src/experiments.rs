@@ -918,10 +918,10 @@ impl QueueExperiment {
         &self.timing
     }
 
-    /// The whole curve from one generated stream: the instruction tape
-    /// is recorded once and every window size replays it
-    /// ([`cap_ooo::multisweep`]). `cap-verify` holds it bit-identical to
-    /// the per-window reference [`cap_ooo::perf::sweep_point`].
+    /// The whole curve from one pass over the generated stream: every
+    /// window size is scheduled in lock step ([`cap_ooo::multisweep`]).
+    /// `cap-verify` holds it bit-identical to the per-window reference
+    /// [`cap_ooo::perf::sweep_point`].
     fn curve_points(&self, app: App) -> Result<Vec<QueuePoint>, CapError> {
         let stream = app.ilp_profile().build(self.seed ^ app.seed_salt());
         let points = cap_ooo::multisweep::multisweep(

@@ -61,27 +61,23 @@
 //! carried `D_{i-1}`, and bounds every instruction of the call from
 //! there.
 //!
-//! # Two drivers, one schedule
+//! # One schedule, two copies
 //!
-//! The schedule above is written once, as an `#[inline(always)]` loop
-//! body, and two drivers inline it:
+//! The core runs it in one dispatch loop, which reads instructions in
+//! packed form ([`InstStream::next_packed`]), with producers as distances
+//! back, and asserts that their seqs are contiguous. [`OooCore::step`]
+//! and [`OooCore::run`], and so managed runs, read straight from a
+//! generator through it.
 //!
-//! * the **stream-fed** driver ([`OooCore::step`], [`OooCore::run`])
-//!   reads instructions in packed form ([`InstStream::next_packed`]),
-//!   with producers as distances back, and asserts that their seqs are
-//!   contiguous. Managed runs use it, reading straight from a generator;
-//! * the **slice-fed** driver ([`OooCore::run_records`]) reads
-//!   instruction `i` from a slice of tape [`Record`]s, with `i` held in
-//!   a local. Positions imply seqs, and the tape checked them when it
-//!   recorded them, so there is nothing to assert. Window sweeps use it.
-//!
-//! [`OooCore::run_reach`] bounds how far a run reads, so a sweep can
-//! record every instruction its windows need before any of them runs.
+//! Fixed-window sweeps run a second copy of the same recurrence:
+//! [`crate::multisweep`] schedules every window size in lock step, one
+//! `u32` lane per window, over one pass of the generator, with this
+//! module's issue-slot ring per lane. The unit tests and `cap-verify`
+//! hold the two copies bit-identical.
 
 use crate::config::{CoreConfig, WindowSize};
 use crate::error::OooError;
-use cap_trace::inst::InstStream;
-use cap_trace::tape::Record;
+use cap_trace::inst::{InstStream, PackedInst};
 
 /// Initial span of the issue-count ring, in cycles. Far beyond the
 /// latencies the workload profiles generate; [`IssueSlots`] grows past it
@@ -102,20 +98,21 @@ struct Sched {
 /// live from the latest dispatch + 1 on: no instruction dispatched later
 /// can issue before it.
 #[derive(Debug, Clone)]
-struct IssueSlots {
+pub(crate) struct IssueSlots {
     counts: Vec<u32>,
     horizon: u64,
 }
 
 impl IssueSlots {
-    fn new(len: usize) -> Self {
+    /// An empty ring of `len` cycles, a power of two.
+    pub(crate) fn new(len: usize) -> Self {
         IssueSlots { counts: vec![0; len], horizon: len as u64 }
     }
 
     /// Claims an issue slot in the first cycle at or after `ready` with
     /// fewer than `width` issues. `live` is the first live cycle.
     #[inline]
-    fn claim(&mut self, ready: u64, live: u64, width: u32) -> u64 {
+    pub(crate) fn claim(&mut self, ready: u64, live: u64, width: u32) -> u64 {
         let mut t = ready;
         loop {
             if t >= self.horizon {
@@ -129,6 +126,21 @@ impl IssueSlots {
             }
             t += 1;
         }
+    }
+
+    /// Whether cycle `t` is before the horizon and has fewer than
+    /// `width` issues, so that a claim from `t` takes its slot at once.
+    #[inline(always)]
+    pub(crate) fn has_room(&self, t: u64, width: u32) -> bool {
+        let mask = self.counts.len() - 1;
+        (t < self.horizon) & (self.counts[t as usize & mask] < width)
+    }
+
+    /// Takes a slot in cycle `t`, which [`IssueSlots::has_room`].
+    #[inline(always)]
+    pub(crate) fn take(&mut self, t: u64) {
+        let mask = self.counts.len() - 1;
+        self.counts[t as usize & mask] += 1;
     }
 
     /// Moves `horizon` past `t`, to at most `t` + half a ring. The slots
@@ -152,6 +164,28 @@ impl IssueSlots {
             self.horizon += half;
         }
     }
+}
+
+/// Reads instruction `i` of `stream`, whose instruction 0 carried seq
+/// `first_seq` (set when `i` is 0), and asserts that it carries
+/// `first_seq + i`. Both copies of the schedule read through it.
+#[inline(always)]
+pub(crate) fn read_contiguous<S: InstStream>(
+    stream: &mut S,
+    first_seq: &mut u64,
+    i: u64,
+) -> PackedInst {
+    let inst = stream.next_packed();
+    // The assertion borrows a copy of the seq, not `inst`: a borrowed
+    // `inst` would be stored to the stack and its distances reloaded as
+    // one wider word, which the store buffer cannot forward.
+    let seq = inst.seq;
+    if i == 0 {
+        *first_seq = seq;
+    }
+    let expect = first_seq.wrapping_add(i);
+    assert_eq!(seq, expect, "instruction stream must be contiguous");
+    inst
 }
 
 /// Aggregate results of a run.
@@ -313,21 +347,19 @@ impl OooCore {
         &self.sched[index as usize & self.mask]
     }
 
-    /// Dispatches instructions, each in its cycle `D_i` (see the module
-    /// documentation), scheduling its issue, completion and commit.
-    /// Keeps going while fewer than `count` instructions have dispatched
-    /// or the next one is due by cycle `through`. `read(i)` supplies
-    /// instruction `i`, and is called once per instruction, in order.
+    /// Dispatches instructions from `stream`, each in its cycle `D_i`
+    /// (see the module documentation), scheduling its issue, completion
+    /// and commit. Keeps going while fewer than `count` instructions have
+    /// dispatched or the next one is due by cycle `through`. The stream's
+    /// seqs must be contiguous.
     ///
-    /// This is the one copy of the schedule; both drivers inline it.
     /// Lookbacks before the first instruction land on never-written zero
     /// slots, which constrain nothing. The previous instruction's
     /// schedule is carried in a local rather than reloaded from the slot
     /// just written, since that store-to-load round trip would sit on the
     /// recurrence's serial chain; it enters each maximum last, so the
     /// chain passes through one comparison.
-    #[inline(always)]
-    fn dispatch_with(&mut self, count: u64, through: u64, mut read: impl FnMut(u64) -> Record) {
+    fn dispatch_until<S: InstStream>(&mut self, stream: &mut S, count: u64, through: u64) {
         let (mask, width) = (self.mask, self.issue_width);
         let (fetch_width, window, commit_width) =
             (self.fetch_width, self.dispatch_window, self.commit_width);
@@ -335,6 +367,7 @@ impl OooCore {
         // bounds check.
         let (sched, issues) = (&mut self.sched[..=mask], &mut self.issues);
         let at = |sched: &[Sched], index: u64| sched[index as usize & mask];
+        let mut first_seq = self.first_seq;
         let mut i = self.dispatched;
         let mut prev = at(sched, i.wrapping_sub(1));
         // Dispatch is monotone, so the floor, folded once into the
@@ -347,7 +380,7 @@ impl OooCore {
             if i >= count && dispatch > through {
                 break;
             }
-            let inst = read(i);
+            let inst = read_contiguous(stream, &mut first_seq, i);
             // Producers older than the ring have committed; so have those
             // before the stream, whose slots were never written. A
             // producer one back is `prev`.
@@ -371,37 +404,7 @@ impl OooCore {
             i += 1;
         }
         self.dispatched = i;
-    }
-
-    /// The stream-fed driver: [`OooCore::dispatch_with`] reading
-    /// `stream`, whose seqs must be contiguous.
-    fn dispatch_until<S: InstStream>(&mut self, stream: &mut S, count: u64, through: u64) {
-        let mut first_seq = self.first_seq;
-        self.dispatch_with(count, through, |i| {
-            let inst = stream.next_packed();
-            // The assertion borrows a copy of the seq, not `inst`: a
-            // borrowed `inst` would be stored to the stack and its
-            // distances reloaded as one wider word, which the store
-            // buffer cannot forward.
-            let seq = inst.seq;
-            if i == 0 {
-                first_seq = seq;
-            }
-            let expect = first_seq.wrapping_add(i);
-            assert_eq!(seq, expect, "instruction stream must be contiguous");
-            Record { dist: inst.dist, latency: inst.latency }
-        });
         self.first_seq = first_seq;
-    }
-
-    /// The slice-fed driver: [`OooCore::dispatch_with`] reading
-    /// instruction `i` from `records[i]`. Positions imply seqs, and the
-    /// tape checked their contiguity when it recorded them.
-    fn dispatch_records(&mut self, records: &[Record], count: u64, through: u64) {
-        self.dispatch_with(count, through, |i| match records.get(i as usize) {
-            Some(&record) => record,
-            None => panic!("record slice of {} ends before instruction {i}", records.len()),
-        });
     }
 
     /// Counts the instructions committed by the end of cycle `t`.
@@ -443,57 +446,14 @@ impl OooCore {
     /// Equivalent to calling [`OooCore::step`] until the target is met,
     /// without visiting the cycles in between.
     pub fn run<S: InstStream>(&mut self, stream: &mut S, insts: u64) -> RunStats {
-        self.run_span(insts, |core, count, through| core.dispatch_until(stream, count, through))
-    }
-
-    /// [`OooCore::run`], reading instruction `k` of the core's stream
-    /// from `records[k]`: the slice holds the stream from the core's
-    /// first instruction on, as [`InstTape::into_records`] returns it. The
-    /// results are those of [`OooCore::run`] over the same instructions.
-    /// A core reads either streams or one slice, never both.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run reads past the end of `records`; a slice of
-    /// [`OooCore::run_reach`] records is long enough.
-    ///
-    /// [`InstTape::into_records`]: cap_trace::tape::InstTape::into_records
-    pub fn run_records(&mut self, records: &[Record], insts: u64) -> RunStats {
-        self.run_span(insts, |core, count, through| core.dispatch_records(records, count, through))
-    }
-
-    /// The most instructions the core will have read from its stream
-    /// once [`OooCore::run`] of `insts` returns.
-    ///
-    /// The span's last instruction `t - 1`, with `t` = committed +
-    /// `insts`, commits in cycle `R_{t-1}`, and the run reads every
-    /// instruction due to dispatch by then. Commit takes at most `CW`
-    /// instructions a cycle, so `R_{t-1+CW} > R_{t-1}`; an instruction
-    /// `i >= t - 1 + CW + W` waits for `R_{i-W} >= R_{t-1+CW}`, after
-    /// the span. So the run reads at most `t - 1 + CW + W` instructions
-    /// in all, with `W` the window governing dispatch and `CW` the commit
-    /// width capped at the physical window. For a fresh 128-entry isca98
-    /// core that is `insts + 135`.
-    pub fn run_reach(&self, insts: u64) -> u64 {
-        if insts == 0 {
-            return self.dispatched;
-        }
-        let reach = self.committed + insts + self.dispatch_window + self.commit_width - 1;
-        reach.max(self.dispatched)
-    }
-
-    /// The body of a run; `dispatch(core, count, through)` is the
-    /// driver's [`OooCore::dispatch_with`].
-    #[inline(always)]
-    fn run_span(&mut self, insts: u64, mut dispatch: impl FnMut(&mut Self, u64, u64)) -> RunStats {
         let (c0, i0) = (self.cycle, self.committed);
         let target = i0 + insts;
         if insts > 0 {
-            dispatch(self, target, 0);
+            self.dispatch_until(stream, target, 0);
             // The span ends when its last instruction commits; everything
             // due to dispatch by then is read, as a stepped run would.
             let end = self.at(target - 1).commit;
-            dispatch(self, 0, end);
+            self.dispatch_until(stream, 0, end);
             self.cycle = end;
             self.committed = target;
             self.retire_through(end);
@@ -507,7 +467,8 @@ impl OooCore {
 mod tests {
     use super::*;
     use crate::reference::ScanCore;
-    use cap_trace::inst::{IlpParams, Inst, PackedInst, SegmentIlp};
+    use crate::testing::{Counted, Shape, ShapeStream, BASE};
+    use cap_trace::inst::{IlpParams, Inst, SegmentIlp};
     use cap_trace::tape::InstTape;
 
     /// A fixed list of instructions, then independent filler.
@@ -791,94 +752,6 @@ mod tests {
         assert_eq!(RunStats::default().ipc(), 0.0);
     }
 
-    /// Counts the instructions a core has read, and how many of them it
-    /// read unpacked.
-    struct Counted<S> {
-        inner: S,
-        reads: u64,
-        unpacked: u64,
-    }
-
-    impl<S> Counted<S> {
-        fn new(inner: S) -> Self {
-            Counted { inner, reads: 0, unpacked: 0 }
-        }
-    }
-
-    impl<S: InstStream> InstStream for Counted<S> {
-        fn next_inst(&mut self) -> Inst {
-            self.reads += 1;
-            self.unpacked += 1;
-            self.inner.next_inst()
-        }
-
-        fn next_packed(&mut self) -> PackedInst {
-            self.reads += 1;
-            self.inner.next_packed()
-        }
-    }
-
-    /// A dependence shape the workload profiles never generate.
-    #[derive(Clone, Copy)]
-    struct Shape {
-        /// Operands depend on one of the previous `reach` instructions.
-        reach: u64,
-        /// Chance in 256 that an operand has a producer.
-        dep_chance: u64,
-        /// Chance in 256 that `dep2` repeats `dep1`'s producer.
-        same_chance: u64,
-        latencies: &'static [u32],
-        first_seq: u64,
-    }
-
-    /// Pseudo-random instructions of a [`Shape`] (SplitMix64).
-    struct ShapeStream {
-        shape: Shape,
-        state: u64,
-        next: u64,
-    }
-
-    impl ShapeStream {
-        fn new(shape: Shape, seed: u64) -> Counted<Self> {
-            Counted::new(ShapeStream { shape, state: seed, next: shape.first_seq })
-        }
-
-        fn draw(&mut self, below: u64) -> u64 {
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % below
-        }
-
-        fn producer(&mut self, seq: u64) -> Option<u64> {
-            // Producers may precede the stream's first instruction.
-            let age = 1 + self.draw(self.shape.reach);
-            (self.draw(256) < self.shape.dep_chance)
-                .then(|| seq.saturating_sub(age))
-                .filter(|&p| p < seq)
-        }
-    }
-
-    impl InstStream for ShapeStream {
-        fn next_inst(&mut self) -> Inst {
-            let seq = self.next;
-            self.next += 1;
-            let dep1 = self.producer(seq);
-            let dep2 = if dep1.is_some() && self.draw(256) < self.shape.same_chance {
-                dep1
-            } else {
-                self.producer(seq)
-            };
-            let lats = self.shape.latencies;
-            let latency = lats[self.draw(lats.len() as u64) as usize];
-            Inst { seq, dep1, dep2, latency }
-        }
-    }
-
-    const BASE: Shape =
-        Shape { reach: 24, dep_chance: 160, same_chance: 0, latencies: &[1, 2], first_seq: 0 };
-
     /// `(name, core config, shape)` for every shape the profiles miss.
     fn unprofiled_shapes() -> Vec<(&'static str, CoreConfig, Shape)> {
         let isca = |w| CoreConfig::isca98(w).unwrap();
@@ -1012,42 +885,6 @@ mod tests {
                 assert_reads_match(&fast, &s1, &slow, &s2, &ctx);
             }
         }
-    }
-
-    #[test]
-    fn slice_fed_runs_match_stream_fed_runs_across_resizes() {
-        // The same spans and resizes as the stepped-reference test, with
-        // one core reading the stream and one the recorded slice. Each
-        // span reads no further than the reach computed before it.
-        let spans = [1u64, 7, 2000, 3, 500, 1, 2000, 64, 9];
-        let sizes = [16usize, 128, 32, 16, 112, 48, 16, 64, 128];
-        for (name, config, shape) in unprofiled_shapes() {
-            let physical = config.window.entries();
-            let tape = InstTape::new(ShapeStream::new(shape, 11));
-            let records = tape.into_records(spans.iter().sum::<u64>() as usize + 2 * physical + 200);
-            let mut stream = ShapeStream::new(shape, 11);
-            let (mut fed, mut sliced) = (OooCore::new(config), OooCore::new(config));
-            for (round, (&span, &n)) in spans.iter().zip(&sizes).enumerate() {
-                let ctx = format!("{name}, round {round}");
-                let reach = sliced.run_reach(span);
-                let b = sliced.run_records(&records[..reach as usize], span);
-                assert_eq!(fed.run(&mut stream, span), b, "{ctx}: run stats");
-                assert_eq!(fed.cycles(), sliced.cycles(), "{ctx}");
-                assert_eq!(fed.occupancy(), sliced.occupancy(), "{ctx}");
-                assert_eq!(stream.reads, sliced.committed() + sliced.occupancy() as u64, "{ctx}");
-                assert!(stream.reads <= reach, "{ctx}: read {} past the reach {reach}", stream.reads);
-                let w = WindowSize::new(n.min(physical)).unwrap();
-                fed.request_resize(w).unwrap();
-                sliced.request_resize(w).unwrap();
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "record slice of 100 ends before instruction 100")]
-    fn a_slice_shorter_than_the_run_panics() {
-        let records = InstTape::new(ShapeStream::new(BASE, 3)).into_records(100);
-        OooCore::new(CoreConfig::isca98(64).unwrap()).run_records(&records, 100);
     }
 
     #[test]

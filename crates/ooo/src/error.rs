@@ -21,6 +21,18 @@ pub enum OooError {
     },
     /// An interval recording was requested with a zero interval length.
     ZeroIntervalLength,
+    /// A window sweep was given more window sizes than it has lanes
+    /// ([`crate::multisweep::LANES`]).
+    TooManyWindows {
+        /// The number of window sizes given.
+        windows: usize,
+    },
+    /// A window sweep's cycle counts could pass `u32::MAX`, the range of
+    /// its lanes.
+    SweepCycleOverflow {
+        /// The index of the instruction at which the bound passed it.
+        inst: u64,
+    },
 }
 
 impl fmt::Display for OooError {
@@ -35,6 +47,16 @@ impl fmt::Display for OooError {
             }
             OooError::InvalidWidth { what } => write!(f, "pipeline width must be positive: {what}"),
             OooError::ZeroIntervalLength => write!(f, "interval length must be positive"),
+            OooError::TooManyWindows { windows } => write!(
+                f,
+                "a window sweep runs at most {} window sizes, got {windows}",
+                crate::multisweep::LANES
+            ),
+            OooError::SweepCycleOverflow { inst } => write!(
+                f,
+                "window sweep: cycle counts may pass u32::MAX by instruction {inst}; \
+                 run fewer or shorter-latency instructions"
+            ),
         }
     }
 }
@@ -50,5 +72,8 @@ mod tests {
         assert!(!OooError::InvalidWindow { entries: 5 }.to_string().is_empty());
         assert!(!OooError::InvalidWidth { what: "fetch" }.to_string().is_empty());
         assert!(OooError::ZeroIntervalLength.to_string().contains("interval length"));
+        let many = OooError::TooManyWindows { windows: 9 }.to_string();
+        assert!(many.contains("at most 8") && many.contains("got 9"), "{many}");
+        assert!(OooError::SweepCycleOverflow { inst: 3 }.to_string().contains("u32::MAX"));
     }
 }

@@ -15,11 +15,10 @@
 //!   reconfigure to a smaller queue size, entries in the portion of the
 //!   queue to be disabled must first issue");
 //! * interval TPI recording for the Section 6 snapshots (Figures 12–13);
-//! * a **single-pass window sweep** ([`multisweep`]) that records the
-//!   instruction stream once and replays the record slice through every
-//!   window size, and the
-//!   preserved full-scan engine ([`reference`]) that pins the fast core's
-//!   schedule differentially.
+//! * a **single-pass window sweep** ([`multisweep`]) that reads the
+//!   instruction stream once and schedules every window size in lock
+//!   step, one `u32` lane per window, and the preserved full-scan engine
+//!   ([`mod@reference`]) that pins the fast core's schedule differentially.
 //!
 //! The cycle time of each window size comes from
 //! [`cap_timing::QueueTimingModel`]; combining it with measured IPC gives
@@ -50,6 +49,8 @@ pub mod interval;
 pub mod multisweep;
 pub mod perf;
 pub mod reference;
+#[cfg(test)]
+mod testing;
 
 pub use config::{CoreConfig, WindowSize};
 pub use core::{OooCore, RunStats};

@@ -21,9 +21,8 @@
 //!   (Figures 12–13).
 //! * [`stack`] — an LRU stack-distance profiler used to validate the
 //!   memory generators against their calibration targets.
-//! * [`tape`] — an instruction tape, recorded in bulk or lazily, so one
-//!   synthesized stream can drive many simulations (the window
-//!   multisweep).
+//! * [`tape`] — an instruction tape, recorded once and replayed by lazy
+//!   cursors, so one synthesized stream can drive many simulations.
 //! * [`rng`] — a small deterministic RNG wrapper so every trace is exactly
 //!   reproducible from a `u64` seed.
 //!

@@ -15,7 +15,7 @@ use crate::invariants::{
 };
 use crate::multisweep::{
     bpred_fused_vs_per_size, cache_one_pass_vs_legacy, core_run_vs_scan, core_vs_scan_reference,
-    queue_tape_vs_legacy,
+    queue_lanes_vs_legacy, queue_lanes_vs_legacy_shapes,
 };
 use crate::packed::packed_vs_inst;
 use crate::rng::Rng;
@@ -302,8 +302,13 @@ pub fn run_verify(cfg: &VerifyConfig, progress: &mut dyn FnMut(&PropertyReport))
     });
     push(r, progress);
     let r = run_seeded_property("sweep/queue/tape-vs-legacy", cfg, sweep_cases, &|rng, _| {
-        queue_tape_vs_legacy(rng)
+        queue_lanes_vs_legacy(rng)
     });
+    push(r, progress);
+    let r =
+        run_seeded_property("sweep/queue/lanes-vs-legacy-shapes", cfg, sweep_cases, &|rng, _| {
+            queue_lanes_vs_legacy_shapes(rng)
+        });
     push(r, progress);
     let r = run_seeded_property("sweep/ooo/core-vs-scan", cfg, sweep_cases, &|rng, _| {
         core_vs_scan_reference(rng)
@@ -386,7 +391,10 @@ pub fn replay(text: &str, scratch: &Path) -> Result<ReplayOutcome, String> {
         "sweep/cache/one-pass-vs-legacy" => {
             outcome_of(cache_one_pass_vs_legacy(&mut rng).map(|()| true))
         }
-        "sweep/queue/tape-vs-legacy" => outcome_of(queue_tape_vs_legacy(&mut rng).map(|()| true)),
+        "sweep/queue/tape-vs-legacy" => outcome_of(queue_lanes_vs_legacy(&mut rng).map(|()| true)),
+        "sweep/queue/lanes-vs-legacy-shapes" => {
+            outcome_of(queue_lanes_vs_legacy_shapes(&mut rng).map(|()| true))
+        }
         "sweep/ooo/core-vs-scan" => outcome_of(core_vs_scan_reference(&mut rng).map(|()| true)),
         "sweep/ooo/run-vs-scan" => outcome_of(core_run_vs_scan(&mut rng).map(|()| true)),
         "sweep/bpred/fused-vs-per-size" => {
@@ -418,9 +426,9 @@ mod tests {
         assert!(!report.failed());
         assert_eq!(lines, report.properties.len());
         // 16 diff + 2 hardened diff + 8 oracle + 2 equiv + curve
-        // + journal + offline + 4 sweep-engine differentials + the
+        // + journal + offline + 6 sweep-engine differentials + the
         // packed generator path.
-        assert_eq!(report.properties.len(), 37);
+        assert_eq!(report.properties.len(), 38);
     }
 
     #[test]

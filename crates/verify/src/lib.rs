@@ -20,7 +20,7 @@
 //! * the experiment layer's offline optima equal a from-scratch
 //!   recomputation ([`invariants::offline_optima_match_series`]);
 //! * the single-pass sweep engines (stack-distance cache multisweep,
-//!   shared-tape queue multisweep, schedule-at-dispatch core) are
+//!   lock-step queue multisweep, schedule-at-dispatch core) are
 //!   bit-identical to their per-configuration reference paths
 //!   ([`multisweep`]);
 //! * each synthetic generator's native packed instructions equal its

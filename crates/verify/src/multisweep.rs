@@ -6,14 +6,17 @@
 //! * the cache sweep classifies each reference by stack distance once
 //!   and derives every boundary's counters from the shared profile
 //!   ([`cap_cache::multisweep`]);
-//! * the queue sweep records the generated instruction stream once, in
-//!   bulk, and replays the record slice at every window size
-//!   ([`cap_ooo::multisweep`]), on a core that schedules each
-//!   instruction once, at dispatch, rather than scanning the window
-//!   every cycle ([`cap_ooo::core::OooCore`] vs
-//!   [`cap_ooo::reference::ScanCore`]), checked both cycle by cycle and
-//!   over the interval-sized `run` calls of a managed run — the latter
-//!   also with the production core reading the tape's packed records;
+//! * the queue sweep reads the generated instruction stream once and
+//!   schedules every window size in lock step, one lane per window
+//!   ([`cap_ooo::multisweep`]), with the recurrence of a core that
+//!   schedules each instruction once, at dispatch, rather than scanning
+//!   the window every cycle ([`cap_ooo::core::OooCore`] vs
+//!   [`cap_ooo::reference::ScanCore`]). The lanes are checked against a
+//!   core per window on the suite's streams and on dependence shapes the
+//!   suite never produces; the core against the scan, both cycle by
+//!   cycle and over the interval-sized `run` calls of a managed run — the
+//!   latter also with the production core reading a tape's packed
+//!   records;
 //! * the branch-predictor sweep reads its branch stream once and trains
 //!   every PHT size on each event ([`cap_ooo::bpred::sweep`]), against
 //!   [`per_size_bpred_sweep`], which regenerates the stream per size.
@@ -32,6 +35,7 @@ use cap_ooo::bpred::{BpredSweepPoint, Gshare, PhtConfig, MISPREDICT_PENALTY_CYCL
 use cap_ooo::config::{CoreConfig, WindowSize};
 use cap_ooo::core::{OooCore, RunStats};
 use cap_ooo::interval::PAPER_INTERVAL_INSTS;
+use cap_ooo::multisweep::{multisweep, LANES};
 use cap_ooo::perf::QueueSweepPoint;
 use cap_ooo::reference::ScanCore;
 use cap_timing::cacti::CacheTimingModel;
@@ -39,7 +43,7 @@ use cap_timing::queue::QueueTimingModel;
 use cap_timing::units::Ns;
 use cap_timing::Technology;
 use cap_trace::branch::BranchStream;
-use cap_trace::inst::InstStream;
+use cap_trace::inst::{Inst, InstStream};
 use cap_trace::tape::InstTape;
 use cap_workloads::App;
 
@@ -124,15 +128,16 @@ fn compare_cache_points(
     Ok(())
 }
 
-/// One fuzzed queue case: a random suite application, seed and run
-/// length, swept over every paper window size by both engines (the
-/// legacy path regenerates the stream per window; the fast path replays
-/// one bulk-recorded record slice).
+/// One fuzzed queue case (`sweep/queue/tape-vs-legacy`, an ID kept from
+/// an earlier engine): a random suite application, seed and run length,
+/// swept over every paper window size by both engines. The legacy path
+/// regenerates the stream and runs a core per window; the lane sweep
+/// reads the stream once and schedules all windows in lock step.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first diverging window and field.
-pub fn queue_tape_vs_legacy(rng: &mut Rng) -> Result<(), String> {
+pub fn queue_lanes_vs_legacy(rng: &mut Rng) -> Result<(), String> {
     let apps: Vec<App> = App::queue_suite().collect();
     let app = *rng.pick(&apps);
     let seed = rng.next_u64();
@@ -142,33 +147,131 @@ pub fn queue_tape_vs_legacy(rng: &mut Rng) -> Result<(), String> {
     let legacy =
         cap_ooo::perf::sweep(|| profile.build(seed), insts, WindowSize::paper_sweep(), &timing)
             .map_err(|e| format!("legacy sweep failed: {e}"))?;
-    let tape =
+    let lanes =
         cap_ooo::multisweep::multisweep(profile.build(seed), insts, WindowSize::paper_sweep(), &timing)
-            .map_err(|e| format!("tape sweep failed: {e}"))?;
+            .map_err(|e| format!("lane sweep failed: {e}"))?;
     let ctx = format!("app {} seed {seed} insts {insts}", app.name());
-    compare_queue_points(&ctx, &legacy, &tape)
+    compare_queue_points(&ctx, &legacy, &lanes)
+}
+
+/// A dependence shape the workload profiles never produce.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// Producers lie up to this many instructions back: past the lanes'
+    /// 512-instruction ring, and before the stream's first instruction.
+    reach: u64,
+    /// Chances in 256 of a first and of a second operand.
+    operand_chance: [u64; 2],
+    /// Chance in 256 that the second operand repeats the first's
+    /// producer.
+    same_chance: u64,
+    /// The latencies drawn from, zero and long ones included.
+    latencies: [u32; 4],
+    /// The seq of the stream's first instruction.
+    first_seq: u64,
+}
+
+impl Shape {
+    fn random(rng: &mut Rng) -> Self {
+        let mut latency = || match rng.below(4) {
+            0 => 0,
+            1 => rng.range(1, 4) as u32,
+            2 => rng.range(5, 40) as u32,
+            _ => rng.range(100, 1_000) as u32,
+        };
+        let latencies = [latency(), latency(), latency(), latency()];
+        Shape {
+            reach: *rng.pick(&[8, 64, 300, 1_200]),
+            operand_chance: [rng.below(257), rng.below(257)],
+            same_chance: *rng.pick(&[0, 128, 256]),
+            latencies,
+            first_seq: *rng.pick(&[0, 0, 1_000]),
+        }
+    }
+}
+
+/// The instructions of a [`Shape`], a pure function of the shape and a
+/// seed.
+struct ShapeStream {
+    shape: Shape,
+    rng: Rng,
+    next: u64,
+}
+
+impl ShapeStream {
+    fn new(shape: Shape, seed: u64) -> Self {
+        ShapeStream { shape, rng: Rng::new(seed), next: shape.first_seq }
+    }
+
+    fn producer(&mut self, seq: u64, chance: u64) -> Option<u64> {
+        let age = self.rng.range(1, self.shape.reach);
+        (self.rng.below(256) < chance).then(|| seq.checked_sub(age)).flatten()
+    }
+}
+
+impl InstStream for ShapeStream {
+    fn next_inst(&mut self) -> Inst {
+        let seq = self.next;
+        self.next += 1;
+        let [first, second] = self.shape.operand_chance;
+        let dep1 = self.producer(seq, first);
+        let dep2 = if dep1.is_some() && self.rng.below(256) < self.shape.same_chance {
+            dep1
+        } else {
+            self.producer(seq, second)
+        };
+        let latency = *self.rng.pick(&self.shape.latencies);
+        Inst { seq, dep1, dep2, latency }
+    }
+}
+
+/// One fuzzed queue case on a stream of a random dependence shape: long and
+/// zero latencies, far producers and second operands, swept over one to
+/// eight random window sizes of 16–256 entries by the lane sweep and by
+/// the legacy per-window cores.
+///
+/// # Errors
+///
+/// Returns a message naming the first diverging window and field.
+pub fn queue_lanes_vs_legacy_shapes(rng: &mut Rng) -> Result<(), String> {
+    let shape = Shape::random(rng);
+    let seed = rng.next_u64();
+    let insts = rng.range(1, 3_000);
+    let windows = (0..rng.range(1, LANES as u64))
+        .map(|_| WindowSize::new(16 * rng.range(1, 16) as usize))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("window construction failed: {e}"))?;
+    let timing = QueueTimingModel::new(Technology::isca98_evaluation());
+    let legacy =
+        cap_ooo::perf::sweep(|| ShapeStream::new(shape, seed), insts, windows.clone(), &timing)
+            .map_err(|e| format!("legacy sweep failed: {e}"))?;
+    let lanes = multisweep(ShapeStream::new(shape, seed), insts, windows.clone(), &timing)
+        .map_err(|e| format!("lane sweep failed: {e}"))?;
+    let sizes: Vec<usize> = windows.iter().map(|w| w.entries()).collect();
+    let ctx = format!("{shape:?} seed {seed} insts {insts} windows {sizes:?}");
+    compare_queue_points(&ctx, &legacy, &lanes)
 }
 
 fn compare_queue_points(
     ctx: &str,
     legacy: &[QueueSweepPoint],
-    tape: &[QueueSweepPoint],
+    lanes: &[QueueSweepPoint],
 ) -> Result<(), String> {
-    if legacy.len() != tape.len() {
+    if legacy.len() != lanes.len() {
         return Err(format!(
-            "{ctx}: point counts differ (legacy {} vs tape {})",
+            "{ctx}: point counts differ (legacy {} vs lanes {})",
             legacy.len(),
-            tape.len()
+            lanes.len()
         ));
     }
-    for (l, t) in legacy.iter().zip(tape) {
+    for (l, t) in legacy.iter().zip(lanes) {
         let w = l.window;
         if t.window != w {
             return Err(format!("{ctx}: window order diverged at {w} vs {}", t.window));
         }
         if l.stats.cycles != t.stats.cycles || l.stats.committed != t.stats.committed {
             return Err(format!(
-                "{ctx} window {w}: stats {:?} (legacy) != {:?} (tape)",
+                "{ctx} window {w}: stats {:?} (legacy) != {:?} (lanes)",
                 l.stats, t.stats
             ));
         }
@@ -356,8 +459,9 @@ pub fn core_vs_scan_reference(rng: &mut Rng) -> Result<(), String> {
 /// half the cases the production core reads the packed records of an
 /// [`InstTape`] through a lazy cursor instead, after another cursor has
 /// recorded a random prefix: the core replays that prefix, then records
-/// the rest itself. (A sweep's cores read a bulk-recorded record slice;
-/// [`queue_tape_vs_legacy`] covers that path.)
+/// the rest itself. (Sweeps schedule their windows in lanes instead;
+/// [`queue_lanes_vs_legacy`] and [`queue_lanes_vs_legacy_shapes`] cover
+/// that path.)
 ///
 /// # Errors
 ///
@@ -460,7 +564,15 @@ mod tests {
     fn queue_engines_agree_on_a_quick_sample() {
         let mut rng = Rng::for_case(1, "queue-sweep-unit", 0);
         for _ in 0..8 {
-            queue_tape_vs_legacy(&mut rng).unwrap();
+            queue_lanes_vs_legacy(&mut rng).unwrap();
+        }
+    }
+
+    #[test]
+    fn queue_engines_agree_on_unprofiled_shapes() {
+        let mut rng = Rng::for_case(1, "queue-shapes-unit", 0);
+        for _ in 0..24 {
+            queue_lanes_vs_legacy_shapes(&mut rng).unwrap();
         }
     }
 

@@ -989,8 +989,12 @@ fn run_bench(out: &mut String, scale: ExperimentScale, opts: &BenchOpts) -> Resu
     );
     let _ = writeln!(out, "  warm (result cache): {warm:.3} s");
 
+    // The core count, and whether the build may use AVX2: the queue
+    // sweep's lanes run about twice as fast with it.
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+    let avx2 = cfg!(target_feature = "avx2");
     let json = format!(
-        "{{\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \"engines\": {{\n    \"single-pass\": {{ \"cache_cold_s\": {cold_cache:.6}, \"queue_cold_s\": {cold_queue:.6}, \"total_cold_s\": {cold_total:.6}, \"warm_s\": {warm:.6} }}\n  }}\n}}\n",
+        "{{\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \"nproc\": {nproc},\n  \"avx2\": {avx2},\n  \"engines\": {{\n    \"single-pass\": {{ \"cache_cold_s\": {cold_cache:.6}, \"queue_cold_s\": {cold_queue:.6}, \"total_cold_s\": {cold_total:.6}, \"warm_s\": {warm:.6} }}\n  }}\n}}\n",
         scale.name(),
         opts.seed,
     );
@@ -1515,7 +1519,7 @@ mod tests {
         std::env::set_var("CAP_VERIFY_DIR", &dir);
         let out = run(&["verify", "--cases", "3", "--seed", "5"]).unwrap();
         std::env::remove_var("CAP_VERIFY_DIR");
-        assert!(out.contains("37 properties passed"), "{out}");
+        assert!(out.contains("38 properties passed"), "{out}");
         assert!(out.contains("seed 5"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -22,6 +22,16 @@ fn bench_quick_writes_summary_json() {
     for key in ["\"single-pass\"", "cache_cold_s", "queue_cold_s", "total_cold_s", "warm_s"] {
         assert!(json.contains(key), "summary lacks {key}:\n{json}");
     }
+    // The machine facts a timing depends on: the core count, and the
+    // codegen the lanes of the queue sweep were built with.
+    let value = |key: &str| {
+        let at = json.find(&format!("\"{key}\": ")).unwrap_or_else(|| panic!("no {key}:\n{json}"));
+        let rest = &json[at + key.len() + 4..];
+        rest[..rest.find(',').unwrap_or(rest.len())].trim().to_string()
+    };
+    let nproc: usize = value("nproc").parse().unwrap_or_else(|e| panic!("nproc: {e}\n{json}"));
+    assert!(nproc >= 1, "{json}");
+    assert_eq!(value("avx2"), cfg!(target_feature = "avx2").to_string(), "{json}");
     for gone in ["legacy", "cold_speedup"] {
         assert!(!json.contains(gone), "summary still reports {gone}:\n{json}");
     }
