@@ -25,9 +25,8 @@ use crate::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
 use crate::error::CapError;
 use crate::manager::{run_managed, ManagedRun, QueueIntervalSim, SwitchRetryPolicy};
 use crate::metrics::{BarChart, BarPair};
-use crate::plan::{self, Executor, ExperimentSpec, Leg, LegId};
+use crate::plan::{run_leg, run_legs, Leg};
 use crate::policy::{PolicyConfig, PolicyKind};
-use crate::replay::{field, FromJson};
 use crate::structure::{AdaptiveStructure, QueueStructure};
 use cap_cache::config::Boundary;
 use cap_cache::perf::PerfParams;
@@ -48,7 +47,7 @@ use cap_timing::queue::QueueTimingModel;
 use cap_timing::Technology;
 use cap_workloads::App;
 use serde::Serialize;
-use serde_json::Value;
+use serde_json::{FromJson, Value};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// How much work each experiment simulates.
@@ -452,114 +451,12 @@ impl Default for ExecPolicy {
     }
 }
 
-/// Decodes one resolved plan-leg value back into its typed form. The
-/// executor only resolves legs whose values pass the leg's validator,
-/// so failure here means the validator and decoder drifted apart — a
-/// programming error reported as [`CapError::InvalidParameter`], never
-/// a panic.
-pub(crate) fn decode_leg<T>(
-    value: &Value,
-    what: &'static str,
-    decode: impl Fn(&Value) -> Option<T>,
-) -> Result<T, CapError> {
-    decode(value).ok_or(CapError::InvalidParameter { what })
-}
-
-/// Runs a plan named `name` over `legs` under `exec` and decodes every
-/// leg's value, in `legs` order (see [`decode_leg`]).
-pub(crate) fn run_legs<T>(
-    name: &str,
-    legs: impl IntoIterator<Item = Leg>,
-    exec: &ExecPolicy,
-    what: &'static str,
-    decode: impl Fn(&Value) -> Option<T>,
-) -> Result<Vec<T>, CapError> {
-    let mut spec = ExperimentSpec::new(name);
-    let ids: Vec<LegId> = legs.into_iter().map(|leg| spec.leg(leg)).collect();
-    let run = Executor::run(&spec, exec)?;
-    ids.into_iter().map(|id| decode_leg(run.value(id), what, &decode)).collect()
-}
-
-/// [`run_legs`] for a one-leg plan.
-pub(crate) fn run_leg<T>(
-    name: &str,
-    leg: Leg,
-    exec: &ExecPolicy,
-    what: &'static str,
-    decode: impl Fn(&Value) -> Option<T>,
-) -> Result<T, CapError> {
-    Ok(run_legs(name, [leg], exec, what, decode)?.remove(0))
-}
-
-// Decoders for cache and journal replay. The generic `FromJson` trait
-// (and the fault-campaign impls) live in `crate::replay`; the
-// experiment-curve impls stay here, next to their types. Each impl must
-// invert the derived `Serialize` impl exactly; the round-trip tests in
-// `tests/parallel_equiv.rs` and the in-module tests below hold them to
-// that. Any shape mismatch decodes to `None`, which the memo layer
-// treats as a miss — a corrupt cache entry can never panic a run.
-
-impl FromJson for CachePoint {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(CachePoint {
-            l1_kb: field(v, "l1_kb")?,
-            l1_assoc: field(v, "l1_assoc")?,
-            cycle_ns: field(v, "cycle_ns")?,
-            tpi_ns: field(v, "tpi_ns")?,
-            tpi_miss_ns: field(v, "tpi_miss_ns")?,
-            l1_miss_ratio: field(v, "l1_miss_ratio")?,
-            global_miss_ratio: field(v, "global_miss_ratio")?,
-        })
-    }
-}
-
-impl FromJson for CacheCurve {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(CacheCurve {
-            app: field(v, "app")?,
-            integer_panel: field(v, "integer_panel")?,
-            points: field(v, "points")?,
-        })
-    }
-}
-
-impl FromJson for QueuePoint {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(QueuePoint {
-            entries: field(v, "entries")?,
-            cycle_ns: field(v, "cycle_ns")?,
-            ipc: field(v, "ipc")?,
-            tpi_ns: field(v, "tpi_ns")?,
-        })
-    }
-}
-
-impl FromJson for QueueCurve {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(QueueCurve {
-            app: field(v, "app")?,
-            integer_panel: field(v, "integer_panel")?,
-            points: field(v, "points")?,
-        })
-    }
-}
-
-impl FromJson for PolicyRow {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(PolicyRow {
-            policy: field(v, "policy")?,
-            tpi_ns: field(v, "tpi_ns")?,
-            switches: field(v, "switches")?,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Cache study (Figures 7, 8, 9)
 // ---------------------------------------------------------------------------
 
 /// One point of a Figure 7 curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, FromJson)]
 pub struct CachePoint {
     /// L1 capacity in KB.
     pub l1_kb: usize,
@@ -578,7 +475,7 @@ pub struct CachePoint {
 }
 
 /// One application's Figure 7 series.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct CacheCurve {
     /// Application name.
     pub app: String,
@@ -720,14 +617,10 @@ impl CacheExperiment {
         let key = self.curve_key(app);
         let label = format!("{}|curve", key.canonical());
         let me = self.clone();
-        Leg::cached(
-            key,
-            move |exec| {
-                let points = exec.guarded(&label, || me.curve_points(app))?;
-                Ok(plan::to_value(&Self::assemble_curve(app, points)))
-            },
-            |v| CacheCurve::from_json(v).is_some(),
-        )
+        Leg::cached(key, move |exec| {
+            let points = exec.guarded(&label, || me.curve_points(app))?;
+            Ok(Self::assemble_curve(app, points))
+        })
     }
 
     /// Sweeps every boundary for one application (one Figure 7 curve),
@@ -738,11 +631,11 @@ impl CacheExperiment {
     /// Propagates timing-model errors.
     pub fn sweep(&self, app: App) -> Result<CacheCurve, CapError> {
         let serial = ExecPolicy::serial();
-        run_leg("cache-sweep", self.curve_leg(app), &serial, "cache curve replay", CacheCurve::from_json)
+        run_leg("cache-sweep", self.curve_leg(app), &serial)
     }
 
     /// All 21 Figure 7 curves: a plan of one content-addressed curve leg
-    /// per application, executed by the one [`Executor`] kernel — curves
+    /// per application, executed by the one [`Executor`](crate::plan::Executor) kernel — curves
     /// already journaled or cached replay, the rest run as one pool
     /// batch, and completed curves are committed even when another leg
     /// fails or the batch drains, so `--resume` replays finished work
@@ -753,7 +646,7 @@ impl CacheExperiment {
     /// Propagates timing-model errors.
     pub fn figure7(&self, exec: &ExecPolicy) -> Result<Vec<CacheCurve>, CapError> {
         let legs = App::cache_suite().map(|app| self.curve_leg(app));
-        run_legs("figure7", legs, exec, "cache curve replay", CacheCurve::from_json)
+        run_legs("figure7", legs, exec)
     }
 
     /// The Figure 8/9 bar chart derived purely from already-swept
@@ -833,7 +726,7 @@ impl CacheExperiment {
 // ---------------------------------------------------------------------------
 
 /// One point of a Figure 10 curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, FromJson)]
 pub struct QueuePoint {
     /// Window entries.
     pub entries: usize,
@@ -846,7 +739,7 @@ pub struct QueuePoint {
 }
 
 /// One application's Figure 10 series.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct QueueCurve {
     /// Application name.
     pub app: String,
@@ -975,14 +868,10 @@ impl QueueExperiment {
         let key = self.curve_key(app);
         let label = format!("{}|curve", key.canonical());
         let me = self.clone();
-        Leg::cached(
-            key,
-            move |exec| {
-                let points = exec.guarded(&label, || me.curve_points(app))?;
-                Ok(plan::to_value(&Self::assemble_curve(app, points)))
-            },
-            |v| QueueCurve::from_json(v).is_some(),
-        )
+        Leg::cached(key, move |exec| {
+            let points = exec.guarded(&label, || me.curve_points(app))?;
+            Ok(Self::assemble_curve(app, points))
+        })
     }
 
     /// Sweeps every window size for one application (one Figure 10
@@ -993,18 +882,18 @@ impl QueueExperiment {
     /// Propagates timing-model errors.
     pub fn sweep(&self, app: App) -> Result<QueueCurve, CapError> {
         let serial = ExecPolicy::serial();
-        run_leg("queue-sweep", self.curve_leg(app), &serial, "queue curve replay", QueueCurve::from_json)
+        run_leg("queue-sweep", self.curve_leg(app), &serial)
     }
 
     /// All 22 Figure 10 curves: one plan leg per application, deduped
-    /// and batched by the [`Executor`].
+    /// and batched by the [`Executor`](crate::plan::Executor).
     ///
     /// # Errors
     ///
     /// Propagates timing-model errors.
     pub fn figure10(&self, exec: &ExecPolicy) -> Result<Vec<QueueCurve>, CapError> {
         let legs = App::queue_suite().map(|app| self.curve_leg(app));
-        run_legs("figure10", legs, exec, "queue curve replay", QueueCurve::from_json)
+        run_legs("figure10", legs, exec)
     }
 
     /// Figure 11: TPI, best conventional (64-entry) versus process-level
@@ -1070,6 +959,50 @@ pub struct SnapshotPoint {
     /// TPI of the larger configuration (ns).
     pub tpi_large: f64,
 }
+
+/// The windows and interval ranges of one Figure 12/13 snapshot pair.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SnapshotWindows {
+    /// The figure's name (`"figure12"`).
+    pub(crate) name: &'static str,
+    /// The application traced.
+    pub(crate) app: App,
+    /// The smaller window, in entries.
+    pub(crate) small: usize,
+    /// The larger window, in entries.
+    pub(crate) large: usize,
+    /// Snapshot (a)'s intervals.
+    pub(crate) range_a: std::ops::Range<u64>,
+    /// Snapshot (b)'s intervals.
+    pub(crate) range_b: std::ops::Range<u64>,
+}
+
+/// Figures 12 and 13, as run by [`IntervalExperiment::figure12`] and
+/// [`IntervalExperiment::figure13`] and planned by
+/// [`crate::plan::figures_plan`].
+pub(crate) const SNAPSHOT_FIGURES: [SnapshotWindows; 2] = [
+    // turb3d's phases are 760k + 440k instructions = 380 + 220
+    // intervals: (a) falls in a 64-preferring phase, (b) in a
+    // 128-preferring one.
+    SnapshotWindows {
+        name: "figure12",
+        app: App::Turb3d,
+        small: 64,
+        large: 128,
+        range_a: 60..260,
+        range_b: 420..540,
+    },
+    // vortex: (a) is the first 3 regular alternations (90 intervals),
+    // (b) the irregular micro-phase tail at 180k..220k instructions.
+    SnapshotWindows {
+        name: "figure13",
+        app: App::Vortex,
+        small: 16,
+        large: 64,
+        range_a: 0..90,
+        range_b: 90..110,
+    },
+];
 
 /// A Figure 12/13-style pair of execution snapshots.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -1141,7 +1074,7 @@ pub struct AdaptiveComparison {
 }
 
 /// One configuration-management policy's line of a comparison table.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct PolicyRow {
     /// Policy name (see [`PolicyKind::name`]).
     pub policy: String,
@@ -1197,13 +1130,7 @@ impl IntervalExperiment {
         intervals: u64,
         exec: &ExecPolicy,
     ) -> Result<Vec<f64>, CapError> {
-        run_leg(
-            "interval-series",
-            self.series_leg(app, window, intervals),
-            exec,
-            "interval series replay",
-            <Vec<f64>>::from_json,
-        )
+        run_leg("interval-series", self.series_leg(app, window, intervals), exec)
     }
 
     fn series_key(&self, app: App, window: usize, intervals: u64) -> CacheKey {
@@ -1223,36 +1150,27 @@ impl IntervalExperiment {
     /// the plan contributes caching and dedup, not intra-leg fan-out.
     pub(crate) fn series_leg(&self, app: App, window: usize, intervals: u64) -> Leg {
         let me = self.clone();
-        Leg::cached(
-            self.series_key(app, window, intervals),
-            move |_exec| {
-                let cycle = me.timing.cycle_time(window)?;
-                let mut core = OooCore::try_new(CoreConfig::isca98(window)?)?;
-                let mut stream = app.ilp_profile().build(me.seed ^ app.seed_salt());
-                let samples =
-                    record_intervals(&mut core, &mut stream, intervals, PAPER_INTERVAL_INSTS)?;
-                Ok(plan::to_value(
-                    &samples.iter().map(|s| s.tpi(cycle).value()).collect::<Vec<f64>>(),
-                ))
-            },
-            |v| <Vec<f64>>::from_json(v).is_some(),
-        )
+        Leg::cached(self.series_key(app, window, intervals), move |_exec| {
+            let cycle = me.timing.cycle_time(window)?;
+            let mut core = OooCore::try_new(CoreConfig::isca98(window)?)?;
+            let mut stream = app.ilp_profile().build(me.seed ^ app.seed_salt());
+            let samples = record_intervals(&mut core, &mut stream, intervals, PAPER_INTERVAL_INSTS)?;
+            Ok(samples.iter().map(|s| s.tpi(cycle).value()).collect::<Vec<f64>>())
+        })
     }
 
-    /// Slices two fixed-window series into a Figure 12/13-style pair of
-    /// snapshots (a pure reduction over the series legs).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble_figure(
-        app: App,
-        small: usize,
-        large: usize,
-        range_a: std::ops::Range<u64>,
-        range_b: std::ops::Range<u64>,
-        s: &[f64],
-        l: &[f64],
-    ) -> IntervalFigure {
-        let slice = |r: std::ops::Range<u64>| {
-            (r.start..r.end)
+    /// The two fixed-window series legs one snapshot figure slices:
+    /// `[small, large]`, each long enough for both snapshots.
+    pub(crate) fn snapshot_legs(&self, fig: &SnapshotWindows) -> [Leg; 2] {
+        let total = fig.range_a.end.max(fig.range_b.end);
+        [self.series_leg(fig.app, fig.small, total), self.series_leg(fig.app, fig.large, total)]
+    }
+
+    /// Slices the two fixed-window series of [`Self::snapshot_legs`] into
+    /// a Figure 12/13-style pair of snapshots (a pure reduction).
+    pub(crate) fn assemble_figure(fig: &SnapshotWindows, s: &[f64], l: &[f64]) -> IntervalFigure {
+        let slice = |r: &std::ops::Range<u64>| {
+            r.clone()
                 .map(|i| SnapshotPoint {
                     interval: i,
                     tpi_small: s[i as usize],
@@ -1261,29 +1179,17 @@ impl IntervalExperiment {
                 .collect()
         };
         IntervalFigure {
-            app: app.name().to_string(),
-            small_label: format!("{small} entries"),
-            large_label: format!("{large} entries"),
-            snapshot_a: slice(range_a),
-            snapshot_b: slice(range_b),
+            app: fig.app.name().to_string(),
+            small_label: format!("{} entries", fig.small),
+            large_label: format!("{} entries", fig.large),
+            snapshot_a: slice(&fig.range_a),
+            snapshot_b: slice(&fig.range_b),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn snapshot(
-        &self,
-        app: App,
-        small: usize,
-        large: usize,
-        range_a: std::ops::Range<u64>,
-        range_b: std::ops::Range<u64>,
-        exec: &ExecPolicy,
-    ) -> Result<IntervalFigure, CapError> {
-        let total = range_a.end.max(range_b.end);
-        let legs = [self.series_leg(app, small, total), self.series_leg(app, large, total)];
-        let series =
-            run_legs("interval-snapshot", legs, exec, "interval series replay", <Vec<f64>>::from_json)?;
-        Ok(Self::assemble_figure(app, small, large, range_a, range_b, &series[0], &series[1]))
+    fn snapshot(&self, fig: &SnapshotWindows, exec: &ExecPolicy) -> Result<IntervalFigure, CapError> {
+        let series: Vec<Vec<f64>> = run_legs("interval-snapshot", self.snapshot_legs(fig), exec)?;
+        Ok(Self::assemble_figure(fig, &series[0], &series[1]))
     }
 
     /// Intra-application ILP variation at a fixed 128-entry window:
@@ -1315,8 +1221,7 @@ impl IntervalExperiment {
     ///
     /// Propagates timing-model errors.
     pub fn figure12(&self, exec: &ExecPolicy) -> Result<IntervalFigure, CapError> {
-        // Phases are 760k + 440k instructions = 380 + 220 intervals.
-        self.snapshot(App::Turb3d, 64, 128, 60..260, 420..540, exec)
+        self.snapshot(&SNAPSHOT_FIGURES[0], exec)
     }
 
     /// Figure 13: vortex under 16- and 64-entry windows. Snapshot (a)
@@ -1328,10 +1233,7 @@ impl IntervalExperiment {
     ///
     /// Propagates timing-model errors.
     pub fn figure13(&self, exec: &ExecPolicy) -> Result<IntervalFigure, CapError> {
-        // Regular region: the first 3 alternations (90 intervals).
-        // Irregular region: the micro-phase tail at 180k..220k
-        // instructions = intervals 90..110.
-        self.snapshot(App::Vortex, 16, 64, 0..90, 90..110, exec)
+        self.snapshot(&SNAPSHOT_FIGURES[1], exec)
     }
 
     /// The offline references every managed run is judged against: the
@@ -1340,8 +1242,7 @@ impl IntervalExperiment {
     fn offline_optima(&self, app: App, intervals: u64, exec: &ExecPolicy) -> Result<(f64, f64), CapError> {
         // Fixed runs at every configuration (for process level + oracle).
         let legs = WindowSize::paper_sweep().map(|w| self.series_leg(app, w.entries(), intervals));
-        let series =
-            run_legs("offline-optima", legs, exec, "interval series replay", <Vec<f64>>::from_json)?;
+        let series: Vec<Vec<f64>> = run_legs("offline-optima", legs, exec)?;
         let totals: Vec<f64> = series.iter().map(|s| s.iter().sum::<f64>()).collect();
         let process_level = totals.iter().cloned().fold(f64::INFINITY, f64::min) / intervals as f64;
         let oracle = (0..intervals as usize)
@@ -1441,13 +1342,12 @@ impl IntervalExperiment {
             },
             move |exec| {
                 let run = me.managed_run(app, intervals, &PolicyConfig::new(kind), exec)?;
-                Ok(plan::to_value(&PolicyRow {
+                Ok(PolicyRow {
                     policy: kind.name().to_string(),
                     tpi_ns: run.average_tpi().value(),
                     switches: run.switches,
-                }))
+                })
             },
-            |v| PolicyRow::from_json(v).is_some(),
         )
     }
 
@@ -1464,7 +1364,7 @@ impl IntervalExperiment {
         exec: &ExecPolicy,
     ) -> Result<PolicyComparison, CapError> {
         let legs = PolicyKind::ALL.iter().map(|&kind| self.policy_leg(app, intervals, kind));
-        let rows = run_legs("compare-policies", legs, exec, "policy row replay", PolicyRow::from_json)?;
+        let rows = run_legs("compare-policies", legs, exec)?;
         Ok(PolicyComparison { app: app.name().to_string(), intervals, rows })
     }
 }
@@ -1566,12 +1466,12 @@ mod tests {
     /// One queue curve leg as a one-leg plan under `exec`: the
     /// executor path every figure and campaign takes for each curve.
     fn queue_curve(q: &QueueExperiment, app: App, exec: &ExecPolicy) -> Result<QueueCurve, CapError> {
-        run_leg("queue-sweep", q.curve_leg(app), exec, "queue curve replay", QueueCurve::from_json)
+        run_leg("queue-sweep", q.curve_leg(app), exec)
     }
 
     /// [`queue_curve`] for the cache study.
     fn cache_curve(c: &CacheExperiment, app: App, exec: &ExecPolicy) -> Result<CacheCurve, CapError> {
-        run_leg("cache-sweep", c.curve_leg(app), exec, "cache curve replay", CacheCurve::from_json)
+        run_leg("cache-sweep", c.curve_leg(app), exec)
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //!   use a larger window than the standalone study would pick.
 
 use crate::error::CapError;
-use crate::experiments::{run_leg, ExecPolicy, ExperimentScale, DEFAULT_SEED, SWEEP_RESULTS_VERSION};
-use crate::plan::{self, Leg};
-use crate::replay::{field, FromJson};
+use crate::experiments::{ExecPolicy, ExperimentScale, DEFAULT_SEED, SWEEP_RESULTS_VERSION};
+use crate::plan::{run_leg, Leg};
 use cap_par::CacheKey;
 use cap_cache::config::Boundary;
 use cap_cache::multisweep::stack_profile;
@@ -40,10 +39,10 @@ use cap_timing::units::Ns;
 use cap_timing::Technology;
 use cap_workloads::App;
 use serde::Serialize;
-use serde_json::Value;
+use serde_json::FromJson;
 
 /// One row of the TLB study.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct TlbStudyRow {
     /// Application name.
     pub app: String,
@@ -85,7 +84,7 @@ fn tlb_rows(scale: ExperimentScale, seed: u64) -> Result<Vec<TlbStudyRow>, CapEr
 }
 
 /// One row of the branch-predictor study.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct BpredStudyRow {
     /// Application name.
     pub app: String,
@@ -126,7 +125,7 @@ fn bpred_rows(scale: ExperimentScale, seed: u64) -> Result<Vec<BpredStudyRow>, C
 }
 
 /// One point of the joint configuration space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, FromJson)]
 pub struct CombinedPoint {
     /// L1 capacity in KB.
     pub l1_kb: usize,
@@ -139,7 +138,7 @@ pub struct CombinedPoint {
 }
 
 /// The outcome of a joint cache × queue optimization for one application.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct CombinedStudy {
     /// Application name.
     pub app: String,
@@ -260,7 +259,7 @@ impl CombinedExperiment {
 }
 
 /// One row of the asynchronous-design study.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct AsyncStudyRow {
     /// Application name.
     pub app: String,
@@ -314,7 +313,7 @@ fn asynchronous_rows(scale: ExperimentScale, seed: u64) -> Result<Vec<AsyncStudy
 }
 
 /// One row of the technology-scaling study.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct TechStudyRow {
     /// Feature size in micrometres.
     pub feature_um: f64,
@@ -381,7 +380,7 @@ fn technology_rows(scale: ExperimentScale, seed: u64) -> Result<Vec<TechStudyRow
 }
 
 /// One row of the reconfiguration-frequency study.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct FrequencyStudyRow {
     /// Interval length in instructions.
     pub interval_len: u64,
@@ -438,7 +437,7 @@ fn frequency_rows(
 }
 
 /// Result of an online joint (cache + queue) managed run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct ManagedCombined {
     /// Application name.
     pub app: String,
@@ -574,96 +573,6 @@ pub const CACHE_STUDY_BASE_IPC: f64 = BASE_IPC;
 // and dedup rather than intra-study fan-out. The private functions above
 // are the computations; the public functions below run them as plan legs.
 
-impl FromJson for TlbStudyRow {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(TlbStudyRow {
-            app: field(v, "app")?,
-            best_primary: field(v, "best_primary")?,
-            tpi_smallest: field(v, "tpi_smallest")?,
-            tpi_best: field(v, "tpi_best")?,
-            miss_ratio: field(v, "miss_ratio")?,
-        })
-    }
-}
-
-impl FromJson for BpredStudyRow {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(BpredStudyRow {
-            app: field(v, "app")?,
-            best_entries: field(v, "best_entries")?,
-            accuracy_smallest: field(v, "accuracy_smallest")?,
-            accuracy_best: field(v, "accuracy_best")?,
-            tpi_best: field(v, "tpi_best")?,
-        })
-    }
-}
-
-impl FromJson for CombinedPoint {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(CombinedPoint {
-            l1_kb: field(v, "l1_kb")?,
-            entries: field(v, "entries")?,
-            cycle_ns: field(v, "cycle_ns")?,
-            tpi_ns: field(v, "tpi_ns")?,
-        })
-    }
-}
-
-impl FromJson for CombinedStudy {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(CombinedStudy {
-            app: field(v, "app")?,
-            points: field(v, "points")?,
-            solo_cache_kb: field(v, "solo_cache_kb")?,
-            solo_window: field(v, "solo_window")?,
-        })
-    }
-}
-
-impl FromJson for AsyncStudyRow {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(AsyncStudyRow {
-            app: field(v, "app")?,
-            sync_access_ns: field(v, "sync_access_ns")?,
-            async_access_ns: field(v, "async_access_ns")?,
-            speedup: field(v, "speedup")?,
-        })
-    }
-}
-
-impl FromJson for TechStudyRow {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(TechStudyRow {
-            feature_um: field(v, "feature_um")?,
-            cache_cycle_spread: field(v, "cache_cycle_spread")?,
-            cache_tpi_reduction: field(v, "cache_tpi_reduction")?,
-        })
-    }
-}
-
-impl FromJson for FrequencyStudyRow {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(FrequencyStudyRow {
-            interval_len: field(v, "interval_len")?,
-            managed_tpi: field(v, "managed_tpi")?,
-            switches: field(v, "switches")?,
-        })
-    }
-}
-
-impl FromJson for ManagedCombined {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(ManagedCombined {
-            app: field(v, "app")?,
-            intervals: field(v, "intervals")?,
-            avg_tpi: field(v, "avg_tpi")?,
-            switches: field(v, "switches")?,
-            final_l1_kb: field(v, "final_l1_kb")?,
-            final_entries: field(v, "final_entries")?,
-        })
-    }
-}
-
 /// Content address for one extended study: the study's identity is its
 /// description string plus the app/scale/seed axes every key carries.
 fn study_key(what: &str, app: &str, scale_tag: String, seed: u64) -> CacheKey {
@@ -676,19 +585,6 @@ fn study_key(what: &str, app: &str, scale_tag: String, seed: u64) -> CacheKey {
         version: SWEEP_RESULTS_VERSION,
         policy: None,
     }
-}
-
-/// Runs a serial study computation as a one-leg cached plan on the
-/// shared executor and decodes the result.
-fn run_study<T: Serialize + FromJson>(
-    name: &str,
-    key: CacheKey,
-    compute: impl Fn() -> Result<T, CapError> + Send + Sync + 'static,
-    exec: &ExecPolicy,
-) -> Result<T, CapError> {
-    let leg =
-        Leg::cached(key, move |_exec| Ok(plan::to_value(&compute()?)), |v| T::from_json(v).is_some());
-    run_leg(name, leg, exec, "extended study replay", T::from_json)
 }
 
 /// Runs the TLB primary/backup sweep over the cache suite.
@@ -705,7 +601,7 @@ pub fn tlb_study(
     exec: &ExecPolicy,
 ) -> Result<Vec<TlbStudyRow>, CapError> {
     let key = study_key("tlb primary/backup split", "suite", scale.name().to_string(), seed);
-    run_study("tlb-study", key, move || tlb_rows(scale, seed), exec)
+    run_leg("tlb-study", Leg::cached(key, move |_| tlb_rows(scale, seed)), exec)
 }
 
 /// Runs the gshare PHT sweep over the full suite.
@@ -721,7 +617,7 @@ pub fn bpred_study(
     exec: &ExecPolicy,
 ) -> Result<Vec<BpredStudyRow>, CapError> {
     let key = study_key("bpred gshare pht", "suite", scale.name().to_string(), seed);
-    run_study("bpred-study", key, move || bpred_rows(scale, seed), exec)
+    run_leg("bpred-study", Leg::cached(key, move |_| bpred_rows(scale, seed)), exec)
 }
 
 /// Runs the cache study across the paper's three technology nodes.
@@ -745,7 +641,7 @@ pub fn technology_study(
     exec: &ExecPolicy,
 ) -> Result<Vec<TechStudyRow>, CapError> {
     let key = study_key("technology 3 nodes", "suite", scale.name().to_string(), seed);
-    run_study("technology-study", key, move || technology_rows(scale, seed), exec)
+    run_leg("technology-study", Leg::cached(key, move |_| technology_rows(scale, seed)), exec)
 }
 
 /// Quantifies the paper's §4.1 asynchronous-design advantage.
@@ -771,7 +667,7 @@ pub fn asynchronous_study(
     exec: &ExecPolicy,
 ) -> Result<Vec<AsyncStudyRow>, CapError> {
     let key = study_key("async 64KB access", "suite", scale.name().to_string(), seed);
-    run_study("async-study", key, move || asynchronous_rows(scale, seed), exec)
+    run_leg("async-study", Leg::cached(key, move |_| asynchronous_rows(scale, seed)), exec)
 }
 
 /// Sweeps the manager's interval length on a phased application.
@@ -800,7 +696,8 @@ pub fn reconfiguration_frequency_study(
         format!("{insts_budget}insts"),
         seed,
     );
-    run_study("frequency-study", key, move || frequency_rows(app, insts_budget, &lens, seed), exec)
+    let leg = Leg::cached(key, move |_| frequency_rows(app, insts_budget, &lens, seed));
+    run_leg("frequency-study", leg, exec)
 }
 
 /// Runs both structures under *independent* interval managers sharing one
@@ -831,7 +728,8 @@ pub fn run_managed_combined(
         format!("{intervals}iv"),
         seed,
     );
-    run_study("joint-managed", key, move || managed_combined(app, intervals, seed, policy), exec)
+    let leg = Leg::cached(key, move |_| managed_combined(app, intervals, seed, policy));
+    run_leg("joint-managed", leg, exec)
 }
 
 impl CombinedExperiment {
@@ -849,7 +747,7 @@ impl CombinedExperiment {
             self.seed,
         );
         let me = self.clone();
-        run_study("combined-study", key, move || me.joint_space(app), exec)
+        run_leg("combined-study", Leg::cached(key, move |_| me.joint_space(app)), exec)
     }
 }
 

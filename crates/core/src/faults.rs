@@ -28,7 +28,6 @@ use crate::manager::{
     ResilienceStats, SwitchRetryPolicy,
 };
 use crate::policy::{ConfigPolicy, PolicyConfig, PolicyKind};
-use crate::replay::FromJson;
 use crate::structure::{AdaptiveStructure, CacheStructure, QueueStructure};
 use cap_obs::{DecisionCounts, Recorder};
 use cap_timing::cacti::CacheTimingModel;
@@ -37,6 +36,7 @@ use cap_timing::Technology;
 use cap_trace::TraceRng;
 use cap_workloads::App;
 use serde::Serialize;
+use serde_json::FromJson;
 use std::sync::Arc;
 
 /// What an injected switch fault did to a reconfiguration attempt.
@@ -133,7 +133,7 @@ impl Default for FaultSpec {
 }
 
 /// Counters of faults actually injected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, FromJson)]
 pub struct FaultStats {
     /// Switch attempts failed transiently.
     pub transient_switch_faults: u64,
@@ -244,7 +244,7 @@ impl FaultInjector {
 }
 
 /// One structure's clean-vs-faulty comparison.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, FromJson)]
 pub struct LegReport {
     /// Which structure ran ("queue" or "cache").
     pub structure: String,
@@ -517,11 +517,9 @@ impl FaultCampaign {
     /// boundary at all (cannot happen with at least two increments
     /// alive).
     pub fn run(&self) -> Result<DegradationReport, CapError> {
-        let mut spec = crate::plan::ExperimentSpec::new("fault-campaign");
-        let queue_id = spec.leg(self.plan_leg(true));
-        let cache_id = spec.leg(self.plan_leg(false));
-        let run = crate::plan::Executor::run(&spec, &crate::experiments::ExecPolicy::serial())?;
-        self.assemble(run.value(queue_id), run.value(cache_id))
+        let legs = [self.plan_leg(true), self.plan_leg(false)];
+        let serial = crate::experiments::ExecPolicy::serial();
+        self.assemble(crate::plan::run_legs("fault-campaign", legs, &serial)?)
     }
 
     /// The journal identity of one campaign leg: every knob that can
@@ -552,40 +550,31 @@ impl FaultCampaign {
     pub(crate) fn plan_leg(&self, queue: bool) -> crate::plan::Leg {
         let key = self.leg_key(if queue { "queue" } else { "cache" });
         let me = self.clone();
-        crate::plan::Leg::journaled(
-            key.clone(),
-            "fault-campaign",
-            move |exec| {
-                let recorder = exec.recorder().clone();
-                let report = exec.guarded(&key, || {
-                    if queue {
-                        me.queue_leg(&recorder)
-                    } else {
-                        me.cache_leg(&recorder)
-                    }
-                })?;
-                Ok(crate::plan::to_value(&report))
-            },
-            |v| LegReport::from_json(v).is_some(),
-        )
+        crate::plan::Leg::journaled(key.clone(), "fault-campaign", move |exec| {
+            let recorder = exec.recorder().clone();
+            exec.guarded(&key, || {
+                if queue {
+                    me.queue_leg(&recorder)
+                } else {
+                    me.cache_leg(&recorder)
+                }
+            })
+        })
     }
 
-    /// Assembles the campaign report from the two decoded leg values.
-    fn assemble(
-        &self,
-        queue: &serde_json::Value,
-        cache: &serde_json::Value,
-    ) -> Result<DegradationReport, CapError> {
-        let decode = |v: &serde_json::Value| -> Result<LegReport, CapError> {
-            LegReport::from_json(v).ok_or(CapError::InvalidParameter { what: "fault leg replay" })
-        };
+    /// Assembles the campaign report from the decoded `[queue, cache]`
+    /// leg reports.
+    fn assemble(&self, legs: Vec<LegReport>) -> Result<DegradationReport, CapError> {
+        let [queue, cache] = <[LegReport; 2]>::try_from(legs).map_err(|legs| CapError::Internal {
+            what: format!("a fault campaign has 2 legs, got {}", legs.len()),
+        })?;
         Ok(DegradationReport {
             app: self.app.name().to_string(),
             seed: self.seed,
             policy: self.policy.name().to_string(),
             spec: self.spec,
-            queue: decode(queue)?,
-            cache: decode(cache)?,
+            queue,
+            cache,
         })
     }
 
@@ -599,7 +588,7 @@ impl FaultCampaign {
         let cache_id = spec.leg(self.plan_leg(false));
         let me = self.clone();
         spec.reduce("degradation-report", vec![queue_id, cache_id], move |deps| {
-            let report = me.assemble(deps[0], deps[1])?;
+            let report = me.assemble(crate::plan::decode_all(deps)?)?;
             Ok(format!("{}{}\n", crate::report::degradation_table(&report), report.to_json()))
         });
         spec

@@ -72,7 +72,7 @@ pub mod pattern;
 pub mod plan;
 pub mod policy;
 pub mod power;
-pub(crate) mod replay;
+mod replay;
 pub mod report;
 pub mod serve;
 pub mod structure;

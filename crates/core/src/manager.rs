@@ -66,6 +66,7 @@ use cap_ooo::interval::IntervalSample;
 use cap_timing::units::Ns;
 use cap_trace::inst::InstStream;
 use serde::Serialize;
+use serde_json::FromJson;
 
 /// The manager's verdict for the next interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,7 +173,7 @@ impl Default for ResiliencePolicy {
 }
 
 /// Counters for the manager's degradation handling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, FromJson)]
 pub struct ResilienceStats {
     /// Samples rejected outright (non-finite or non-positive TPI).
     pub samples_rejected: u64,

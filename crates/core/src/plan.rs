@@ -34,40 +34,30 @@
 use crate::error::CapError;
 use crate::experiments::{
     CacheCurve, CacheExperiment, CachePoint, ExecPolicy, ExperimentScale, IntervalExperiment,
-    PolicyRow, QueueCurve, QueueExperiment,
+    PolicyRow, QueueCurve, QueueExperiment, SNAPSHOT_FIGURES,
 };
 use crate::policy::PolicyKind;
-use crate::replay::FromJson;
 use crate::report;
 use cap_obs::{Event, LegDedupEvent};
 use cap_par::{BatchResult, CacheKey};
 use cap_workloads::App;
 use serde::Serialize;
-use serde_json::Value;
+use serde_json::{FromJson, Value};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Converts any serializable result into the [`Value`] currency the
-/// executor journals, caches and hands to reduces. The vendored emitter
-/// and parser round-trip exactly (numbers keep raw text), so this is
-/// lossless.
-pub(crate) fn to_value<T: Serialize>(value: &T) -> Value {
-    let text = serde_json::to_string(value).expect("vendored serializer is infallible");
-    serde_json::from_str(&text).expect("emitted JSON parses back")
-}
-
 type Compute = Arc<dyn Fn(&ExecPolicy) -> Result<Value, CapError> + Send + Sync>;
-type Validate = Arc<dyn Fn(&Value) -> bool + Send + Sync>;
+type Validate = fn(&Value) -> bool;
 type Render = Arc<dyn Fn(&[&Value]) -> Result<String, CapError> + Send + Sync>;
 
 /// One content-addressed unit of campaign work.
 ///
 /// A leg owns its compute closure (including any [`ExecPolicy::guarded`]
 /// wrapping — the executor imposes none, so drivers keep their
-/// historical guard labels exactly) and a validator that
-/// decides whether a journaled or cached [`Value`] has the shape the
-/// plan expects; anything else is treated as a miss, never a panic.
+/// historical guard labels exactly). The closure's result type fixes
+/// the leg's shape: a journaled or cached [`Value`] that does not
+/// decode as that type is treated as a miss, never a panic.
 pub struct Leg {
     key: String,
     kind: String,
@@ -79,34 +69,42 @@ pub struct Leg {
 impl Leg {
     /// A result-cacheable leg. Its plan identity, journal identity and
     /// cache identity are all the key's canonical string.
-    pub(crate) fn cached(
+    pub(crate) fn cached<T: Serialize + FromJson>(
         cache_key: CacheKey,
-        compute: impl Fn(&ExecPolicy) -> Result<Value, CapError> + Send + Sync + 'static,
-        validate: impl Fn(&Value) -> bool + Send + Sync + 'static,
+        compute: impl Fn(&ExecPolicy) -> Result<T, CapError> + Send + Sync + 'static,
     ) -> Self {
-        Leg {
-            key: cache_key.canonical(),
-            kind: cache_key.kind.clone(),
-            cache_key: Some(cache_key),
-            compute: Arc::new(compute),
-            validate: Arc::new(validate),
-        }
+        let kind = cache_key.kind.clone();
+        Self::typed(cache_key.canonical(), kind, Some(cache_key), compute)
     }
 
     /// A journal-only leg (fault-campaign legs: resumable but not
     /// persisted to the result cache).
-    pub(crate) fn journaled(
+    pub(crate) fn journaled<T: Serialize + FromJson>(
         key: String,
         kind: &str,
-        compute: impl Fn(&ExecPolicy) -> Result<Value, CapError> + Send + Sync + 'static,
-        validate: impl Fn(&Value) -> bool + Send + Sync + 'static,
+        compute: impl Fn(&ExecPolicy) -> Result<T, CapError> + Send + Sync + 'static,
+    ) -> Self {
+        Self::typed(key, kind.to_string(), None, compute)
+    }
+
+    fn typed<T: Serialize + FromJson>(
+        key: String,
+        kind: String,
+        cache_key: Option<CacheKey>,
+        compute: impl Fn(&ExecPolicy) -> Result<T, CapError> + Send + Sync + 'static,
     ) -> Self {
         Leg {
             key,
-            kind: kind.to_string(),
-            cache_key: None,
-            compute: Arc::new(compute),
-            validate: Arc::new(validate),
+            kind,
+            cache_key,
+            // The typed result becomes the `Value` the executor journals,
+            // caches and hands to reduces; the vendored emitter and
+            // parser round-trip exactly, so this is lossless.
+            compute: Arc::new(move |exec| {
+                let value = compute(exec)?;
+                Ok(serde_json::to_value(&value).expect("emitted JSON parses back"))
+            }),
+            validate: |v| T::from_json(v).is_some(),
         }
     }
 
@@ -212,18 +210,21 @@ impl ExperimentSpec {
 /// across requests to *prove* single-flight dedup: for two concurrent
 /// submissions of the same campaign, `computed` across both runs equals
 /// the leg count of one, and the overlap shows up as `deduped`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+///
+/// Its JSON form is the `stats` object of a `capsim serve` submit
+/// response.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, FromJson)]
 pub struct RunStats {
-    /// Legs replayed from the attached journal.
-    pub journal_hits: u64,
-    /// Legs decoded from the result cache (including late hits observed
-    /// inside a single-flight slot after waiting for the map lock).
-    pub cache_hits: u64,
     /// Legs actually computed by this run.
     pub computed: u64,
     /// Legs whose value was shared from a concurrent run's in-flight
     /// computation (single-flight dedup; only under the service).
     pub deduped: u64,
+    /// Legs decoded from the result cache (including late hits observed
+    /// inside a single-flight slot after waiting for the map lock).
+    pub cache_hits: u64,
+    /// Legs replayed from the attached journal.
+    pub journal_hits: u64,
 }
 
 /// The outcome of [`Executor::run`]: every leg's value plus the
@@ -558,14 +559,37 @@ impl Executor {
 // Campaign plans: the capsim subcommands as declarative specs
 // ---------------------------------------------------------------------------
 
-/// Decodes every reduce dependency with one shape decoder, surfacing a
-/// stable [`CapError::InvalidParameter`] on drift instead of panicking.
-fn decode_all<T>(
-    deps: &[&Value],
-    what: &'static str,
-    decode: impl Fn(&Value) -> Option<T>,
+/// Decodes resolved leg values as `T`. The executor resolves only
+/// values that decode as their leg's result type, so a failure here
+/// means a reduce asked for another type than its legs produce — a
+/// broken invariant reported as [`CapError::Internal`], never a panic.
+pub(crate) fn decode_all<T: FromJson>(values: &[&Value]) -> Result<Vec<T>, CapError> {
+    values
+        .iter()
+        .map(|v| {
+            T::from_json(v).ok_or_else(|| CapError::Internal {
+                what: format!("a leg value does not decode as {}", std::any::type_name::<T>()),
+            })
+        })
+        .collect()
+}
+
+/// Runs a plan named `name` over `legs` under `exec` and decodes every
+/// leg's value, in `legs` order.
+pub(crate) fn run_legs<T: FromJson>(
+    name: &str,
+    legs: impl IntoIterator<Item = Leg>,
+    exec: &ExecPolicy,
 ) -> Result<Vec<T>, CapError> {
-    deps.iter().map(|v| decode(v).ok_or(CapError::InvalidParameter { what })).collect()
+    let mut spec = ExperimentSpec::new(name);
+    let ids: Vec<LegId> = legs.into_iter().map(|leg| spec.leg(leg)).collect();
+    let run = Executor::run(&spec, exec)?;
+    decode_all(&ids.iter().map(|&id| run.value(id)).collect::<Vec<_>>())
+}
+
+/// [`run_legs`] for a one-leg plan.
+pub(crate) fn run_leg<T: FromJson>(name: &str, leg: Leg, exec: &ExecPolicy) -> Result<T, CapError> {
+    Ok(run_legs(name, [leg], exec)?.remove(0))
 }
 
 fn add_cache_sweep(
@@ -576,7 +600,7 @@ fn add_cache_sweep(
     let exp = CacheExperiment::new(scale)?.with_seed(seed);
     let ids: Vec<LegId> = App::cache_suite().map(|app| spec.leg(exp.curve_leg(app))).collect();
     spec.reduce("cache-sweep-report", ids.clone(), move |deps| {
-        let curves = decode_all(deps, "cache curve replay", CacheCurve::from_json)?;
+        let curves = decode_all::<CacheCurve>(deps)?;
         let mut out = String::new();
         let _ = writeln!(out, "== cache sweep: TPI vs L1 boundary, seed {seed:#x}");
         let (int, fp): (Vec<&CacheCurve>, Vec<&CacheCurve>) =
@@ -604,7 +628,7 @@ fn add_queue_sweep(spec: &mut ExperimentSpec, scale: ExperimentScale, seed: u64)
     let exp = QueueExperiment::new(scale).with_seed(seed);
     let ids: Vec<LegId> = App::queue_suite().map(|app| spec.leg(exp.curve_leg(app))).collect();
     spec.reduce("queue-sweep-report", ids.clone(), move |deps| {
-        let curves = decode_all(deps, "queue curve replay", QueueCurve::from_json)?;
+        let curves = decode_all::<QueueCurve>(deps)?;
         let mut out = String::new();
         let _ = writeln!(out, "== queue sweep: TPI vs window size, seed {seed:#x}");
         let (int, fp): (Vec<&QueueCurve>, Vec<&QueueCurve>) =
@@ -659,26 +683,13 @@ pub fn figures_plan(scale: ExperimentScale, seed: u64) -> Result<ExperimentSpec,
     add_cache_reduces(&mut spec, scale, seed)?;
     add_queue_reduces(&mut spec, scale, seed);
     let interval = IntervalExperiment::new().with_seed(seed);
-    for (name, app, small, large, range_a, range_b) in [
-        ("figure12", App::Turb3d, 64usize, 128usize, 60u64..260u64, 420u64..540u64),
-        ("figure13", App::Vortex, 16, 64, 0..90, 90..110),
-    ] {
-        let total = range_a.end.max(range_b.end);
-        let s_id = spec.leg(interval.series_leg(app, small, total));
-        let l_id = spec.leg(interval.series_leg(app, large, total));
-        let title = format!("{} ({}): TPI per interval", name, app.name());
-        spec.reduce(name, vec![s_id, l_id], move |deps| {
-            let series = decode_all(deps, "interval series replay", <Vec<f64>>::from_json)?;
-            let fig = IntervalExperiment::assemble_figure(
-                app,
-                small,
-                large,
-                range_a.clone(),
-                range_b.clone(),
-                &series[0],
-                &series[1],
-            );
-            Ok(report::interval_figure_table(&title, &fig))
+    for fig in SNAPSHOT_FIGURES {
+        let ids = interval.snapshot_legs(&fig).map(|leg| spec.leg(leg)).to_vec();
+        let title = format!("{} ({}): TPI per interval", fig.name, fig.app.name());
+        spec.reduce(fig.name, ids, move |deps| {
+            let series = decode_all::<Vec<f64>>(deps)?;
+            let figure = IntervalExperiment::assemble_figure(&fig, &series[0], &series[1]);
+            Ok(report::interval_figure_table(&title, &figure))
         });
     }
     Ok(spec)
@@ -689,7 +700,7 @@ fn cache_chart(
     title: &str,
     deps: &[&Value],
 ) -> Result<String, CapError> {
-    let curves = decode_all(deps, "cache curve replay", CacheCurve::from_json)?;
+    let curves = decode_all::<CacheCurve>(deps)?;
     Ok(report::bar_chart_table(title, "ns", &CacheExperiment::chart_from_curves(&curves, metric)))
 }
 
@@ -711,7 +722,7 @@ fn add_cache_reduces(
 fn add_queue_reduces(spec: &mut ExperimentSpec, scale: ExperimentScale, seed: u64) -> Vec<LegId> {
     let ids = add_queue_sweep(spec, scale, seed);
     spec.reduce("figure11", ids.clone(), move |deps| {
-        let curves = decode_all(deps, "queue curve replay", QueueCurve::from_json)?;
+        let curves = decode_all::<QueueCurve>(deps)?;
         Ok(report::bar_chart_table(
             "figure11: TPI, conventional vs adaptive",
             "ns",
@@ -741,9 +752,9 @@ pub fn headline_plan(scale: ExperimentScale, seed: u64) -> Result<ExperimentSpec
     deps.extend(queue_ids);
     spec.reduce("headline-table", deps, move |deps| {
         let cache_curves =
-            decode_all(&deps[..split], "cache curve replay", CacheCurve::from_json)?;
+            decode_all::<CacheCurve>(&deps[..split])?;
         let queue_curves =
-            decode_all(&deps[split..], "queue curve replay", QueueCurve::from_json)?;
+            decode_all::<QueueCurve>(&deps[split..])?;
         let cache = CacheExperiment::headline_from_curves(&cache_curves);
         let queue = QueueExperiment::headline_from_curves(&queue_curves);
         let rows = [
@@ -771,7 +782,7 @@ pub fn compare_policies_plan(app: App, intervals: u64, seed: u64) -> ExperimentS
     let ids: Vec<LegId> =
         PolicyKind::ALL.iter().map(|&kind| spec.leg(exp.policy_leg(app, intervals, kind))).collect();
     spec.reduce("policy-table", ids, move |deps| {
-        let rows = decode_all(deps, "policy row replay", PolicyRow::from_json)?;
+        let rows = decode_all::<PolicyRow>(deps)?;
         let mut out = String::new();
         let _ = writeln!(out, "== policy comparison: {} ({} intervals)", app.name(), intervals);
         let _ = writeln!(out, "{:>16} {:>12} {:>10}", "policy", "TPI ns", "switches");
@@ -799,14 +810,10 @@ mod tests {
             policy: None,
         };
         let app = app.to_string();
-        Leg::cached(
-            key,
-            move |_| {
-                runs.fetch_add(1, Ordering::SeqCst);
-                Ok(to_value(&vec![app.clone()]))
-            },
-            |v| v.as_array().is_some(),
-        )
+        Leg::cached(key, move |_| {
+            runs.fetch_add(1, Ordering::SeqCst);
+            Ok(vec![app.clone()])
+        })
     }
 
     #[test]
@@ -871,8 +878,8 @@ mod tests {
         let leg = leg_named("k", "alpha", runs.clone());
         let key = leg.cache_key.clone().unwrap();
         spec.leg(leg);
-        // Store a wrong-shape value under the right key: the validator
-        // rejects it, so the leg classifies as a miss and recomputes.
+        // Store a wrong-shape value under the right key: it does not
+        // decode as the leg's result type, so the leg classifies as a miss and recomputes.
         assert!(cache.store(&key, &42u64));
         let res = Executor::resolve(&spec, &exec);
         assert_eq!(res.legs[0].class, LegClass::Miss);
@@ -884,18 +891,12 @@ mod tests {
     #[test]
     fn leg_errors_surface_in_plan_order() {
         let mut spec = ExperimentSpec::new("unit");
-        spec.leg(Leg::journaled(
-            "boom|1".to_string(),
-            "boom",
-            |_| Err(CapError::InvalidParameter { what: "first" }),
-            |_| true,
-        ));
-        spec.leg(Leg::journaled(
-            "boom|2".to_string(),
-            "boom",
-            |_| Err(CapError::InvalidParameter { what: "second" }),
-            |_| true,
-        ));
+        spec.leg(Leg::journaled::<u64>("boom|1".to_string(), "boom", |_| {
+            Err(CapError::InvalidParameter { what: "first" })
+        }));
+        spec.leg(Leg::journaled::<u64>("boom|2".to_string(), "boom", |_| {
+            Err(CapError::InvalidParameter { what: "second" })
+        }));
         let err = Executor::run(&spec, &ExecPolicy::serial()).unwrap_err();
         assert_eq!(err, CapError::InvalidParameter { what: "first" });
     }

@@ -1,138 +1,20 @@
-//! JSON decoders for cached and journaled results.
+//! Round-trip tests for the cached and journaled result types.
 //!
 //! Every result that the memo layer or the leg journal can replay
-//! decodes through one generic [`FromJson`] trait whose impl must invert
-//! the derived `Serialize` impl exactly; the round-trip tests in
-//! `tests/parallel_equiv.rs` and the in-module tests below hold them to
-//! that. Any shape mismatch decodes to `None`, which callers treat as a
-//! miss — a corrupt cache entry or journal line can never panic a run.
-//!
-//! The experiment-curve impls live next to their types in
-//! [`crate::experiments`]; this module owns the trait, the primitive
-//! impls, and the fault-campaign decoders ([`LegReport`] and its nested
-//! counter blocks) that let `capsim faults --resume` replay completed
-//! legs.
-
-use crate::faults::{FaultStats, LegReport};
-use crate::manager::ResilienceStats;
-use cap_obs::DecisionCounts;
-use serde_json::Value;
-
-/// Inverts a derived `Serialize` impl over the vendored [`Value`].
-pub(crate) trait FromJson: Sized {
-    /// Decodes `v`, or `None` on any shape mismatch.
-    fn from_json(v: &Value) -> Option<Self>;
-}
-
-impl FromJson for f64 {
-    fn from_json(v: &Value) -> Option<Self> {
-        v.as_f64()
-    }
-}
-
-impl FromJson for u64 {
-    fn from_json(v: &Value) -> Option<Self> {
-        v.as_u64()
-    }
-}
-
-impl FromJson for usize {
-    fn from_json(v: &Value) -> Option<Self> {
-        v.as_usize()
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(v: &Value) -> Option<Self> {
-        v.as_bool()
-    }
-}
-
-impl FromJson for String {
-    fn from_json(v: &Value) -> Option<Self> {
-        v.as_str().map(str::to_string)
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Value) -> Option<Self> {
-        v.as_array()?.iter().map(T::from_json).collect()
-    }
-}
-
-/// Decodes one named field of a JSON object.
-pub(crate) fn field<T: FromJson>(v: &Value, key: &str) -> Option<T> {
-    T::from_json(v.get(key)?)
-}
-
-impl FromJson for FaultStats {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(FaultStats {
-            transient_switch_faults: field(v, "transient_switch_faults")?,
-            permanent_switch_faults: field(v, "permanent_switch_faults")?,
-            samples_corrupted_nan: field(v, "samples_corrupted_nan")?,
-            samples_corrupted_outlier: field(v, "samples_corrupted_outlier")?,
-            samples_dropped: field(v, "samples_dropped")?,
-            dead_increments: field(v, "dead_increments")?,
-            broken_configs: field(v, "broken_configs")?,
-        })
-    }
-}
-
-impl FromJson for ResilienceStats {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(ResilienceStats {
-            samples_rejected: field(v, "samples_rejected")?,
-            samples_clamped: field(v, "samples_clamped")?,
-            quarantines: field(v, "quarantines")?,
-            probations: field(v, "probations")?,
-            safe_mode_entries: field(v, "safe_mode_entries")?,
-        })
-    }
-}
-
-impl FromJson for DecisionCounts {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(DecisionCounts {
-            intervals: field(v, "intervals")?,
-            stays: field(v, "stays")?,
-            explore_switches: field(v, "explore_switches")?,
-            resample_switches: field(v, "resample_switches")?,
-            predicted_switches: field(v, "predicted_switches")?,
-            pattern_switches: field(v, "pattern_switches")?,
-            home_returns: field(v, "home_returns")?,
-            safe_mode_holds: field(v, "safe_mode_holds")?,
-        })
-    }
-}
-
-impl FromJson for LegReport {
-    fn from_json(v: &Value) -> Option<Self> {
-        Some(LegReport {
-            structure: field(v, "structure")?,
-            clean_tpi_ns: field(v, "clean_tpi_ns")?,
-            faulty_tpi_ns: field(v, "faulty_tpi_ns")?,
-            tpi_degradation: field(v, "tpi_degradation")?,
-            clean_switches: field(v, "clean_switches")?,
-            faulty_switches: field(v, "faulty_switches")?,
-            retries: field(v, "retries")?,
-            retry_penalty_ns: field(v, "retry_penalty_ns")?,
-            switch_failures: field(v, "switch_failures")?,
-            faults: field(v, "faults")?,
-            resilience: field(v, "resilience")?,
-            decisions: field(v, "decisions")?,
-            quarantined_configs: field(v, "quarantined_configs")?,
-            safe_mode: field(v, "safe_mode")?,
-            final_config: field(v, "final_config")?,
-            final_config_label: field(v, "final_config_label")?,
-            final_config_quarantined: field(v, "final_config_quarantined")?,
-        })
-    }
-}
+//! decodes through `serde_json::FromJson`, derived next to its
+//! `Serialize` derive on the struct itself, so the field list a type
+//! writes is the field list it reads back. Any shape mismatch decodes
+//! to `None`, which callers treat as a miss — a corrupt cache entry or
+//! journal line can never panic a run. The tests below, the ones in
+//! `tests/parallel_equiv.rs` and the `json/derive-roundtrip` property of
+//! `capsim verify` hold the derives to that.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::faults::{FaultStats, LegReport};
+    use crate::manager::ResilienceStats;
+    use cap_obs::DecisionCounts;
+    use serde_json::{FromJson, Value};
 
     fn sample_leg() -> LegReport {
         LegReport {
@@ -203,16 +85,5 @@ mod tests {
         assert!(LegReport::from_json(&doc).is_none(), "nested hole");
 
         assert!(LegReport::from_json(&Value::Null).is_none());
-    }
-
-    #[test]
-    fn primitive_decoders_are_strict() {
-        let doc: Value = serde_json::from_str("{\"a\":1,\"b\":\"two\",\"c\":[1,2,3]}").unwrap();
-        assert_eq!(field::<u64>(&doc, "a"), Some(1));
-        assert_eq!(field::<String>(&doc, "b"), Some("two".to_string()));
-        assert_eq!(field::<Vec<u64>>(&doc, "c"), Some(vec![1, 2, 3]));
-        assert_eq!(field::<u64>(&doc, "b"), None);
-        assert_eq!(field::<Vec<u64>>(&doc, "b"), None);
-        assert_eq!(field::<bool>(&doc, "missing"), None);
     }
 }

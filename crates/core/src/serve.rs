@@ -51,7 +51,8 @@ use crate::experiments::{ExecPolicy, LegFlight};
 use crate::plan::{Executor, ExperimentSpec, RunStats};
 use cap_obs::{Event, ServeRequestEvent};
 use cap_par::{Gate, Journal, JournalHeader};
-use serde_json::Value;
+use serde::Serialize;
+use serde_json::{FromJson, Value};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -145,11 +146,20 @@ impl Counters {
         self.legs_cache_hit.fetch_add(stats.cache_hits, Ordering::Relaxed);
         self.legs_journal_hit.fetch_add(stats.journal_hits, Ordering::Relaxed);
     }
-}
 
-struct InflightEntry {
-    campaign: String,
-    legs: usize,
+    fn snapshot(&self) -> ServeSummary {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ServeSummary {
+            accepted: load(&self.accepted),
+            done: load(&self.done),
+            failed: load(&self.failed),
+            rejected: load(&self.rejected),
+            legs_computed: load(&self.legs_computed),
+            legs_deduped: load(&self.legs_deduped),
+            legs_cache_hit: load(&self.legs_cache_hit),
+            legs_journal_hit: load(&self.legs_journal_hit),
+        }
+    }
 }
 
 /// Everything request handlers share.
@@ -159,7 +169,7 @@ struct Shared {
     gate: Arc<Gate>,
     journal_dir: PathBuf,
     journals: Mutex<HashMap<String, Arc<Mutex<Journal>>>>,
-    inflight: Mutex<HashMap<u64, InflightEntry>>,
+    inflight: Mutex<HashMap<u64, InflightCampaign>>,
     counters: Counters,
     max_inflight: usize,
     compiler: CampaignCompiler,
@@ -201,40 +211,51 @@ impl Shared {
 }
 
 // ---------------------------------------------------------------------------
-// JSON plumbing (vendored serde_json `Value` only)
+// JSON plumbing: every request and response body is a derived struct
 // ---------------------------------------------------------------------------
 
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// `{"campaign": [...]}`: run a campaign.
+#[derive(Serialize, FromJson)]
+struct CampaignRequest {
+    campaign: Vec<String>,
 }
 
-fn num(n: u64) -> Value {
-    Value::Number(n.to_string())
+/// `{"status": true}`: report the in-flight campaigns and counters.
+#[derive(Serialize)]
+struct StatusRequest {
+    status: bool,
 }
 
-fn text(s: &str) -> Value {
-    Value::String(s.to_string())
+/// A structured rejection or failure.
+#[derive(Serialize, FromJson)]
+struct ErrorResponse {
+    ok: bool,
+    code: String,
+    error: String,
 }
 
 fn error_response(code: &str, message: &str) -> Value {
-    obj(vec![("ok", Value::Bool(false)), ("code", text(code)), ("error", text(message))])
+    let body = ErrorResponse { ok: false, code: code.to_string(), error: message.to_string() };
+    serde_json::to_value(&body).unwrap_or(Value::Null)
 }
 
-fn stats_value(stats: RunStats) -> Value {
-    obj(vec![
-        ("computed", num(stats.computed)),
-        ("deduped", num(stats.deduped)),
-        ("cache_hits", num(stats.cache_hits)),
-        ("journal_hits", num(stats.journal_hits)),
-    ])
+/// `{"ok":true,` followed by `body`'s fields: the success envelope the
+/// client decodes `body`'s type from (the decoder ignores `ok`).
+fn ok_response<T: Serialize>(body: &T) -> Value {
+    let mut response = serde_json::to_value(body).unwrap_or(Value::Null);
+    if let Value::Object(pairs) = &mut response {
+        pairs.insert(0, ("ok".to_string(), Value::Bool(true)));
+    }
+    response
 }
 
 // ---------------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------------
 
-/// Counters at server exit, rendered as the drain salvage summary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// The server's request and leg counters: the `counters` block of a
+/// `status` response, and at exit the drain salvage summary.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, FromJson)]
 pub struct ServeSummary {
     /// Requests admitted for execution.
     pub accepted: u64,
@@ -360,17 +381,7 @@ pub fn serve_until(
     for handle in handles {
         let _ = handle.join();
     }
-    let c = &shared.counters;
-    Ok(ServeSummary {
-        accepted: c.accepted.load(Ordering::Relaxed),
-        done: c.done.load(Ordering::Relaxed),
-        failed: c.failed.load(Ordering::Relaxed),
-        rejected: c.rejected.load(Ordering::Relaxed),
-        legs_computed: c.legs_computed.load(Ordering::Relaxed),
-        legs_deduped: c.legs_deduped.load(Ordering::Relaxed),
-        legs_cache_hit: c.legs_cache_hit.load(Ordering::Relaxed),
-        legs_journal_hit: c.legs_journal_hit.load(Ordering::Relaxed),
-    })
+    Ok(shared.counters.snapshot())
 }
 
 /// One connection, one request, one response line.
@@ -419,25 +430,14 @@ fn respond(shared: &Shared, line: &str) -> Value {
     if request.get("status").is_some() {
         return status_response(shared);
     }
-    match request.get("campaign").and_then(Value::as_array) {
-        Some(tokens) => {
-            let args: Option<Vec<String>> =
-                tokens.iter().map(|t| t.as_str().map(str::to_string)).collect();
-            match args {
-                Some(args) => run_request(shared, &args),
-                None => {
-                    shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    error_response("invalid", "`campaign` must be an array of strings")
-                }
-            }
-        }
-        None => {
-            shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            error_response(
-                "invalid",
-                "request must be {\"campaign\": [...]} or {\"status\": true}",
-            )
-        }
+    if let Some(request) = CampaignRequest::from_json(&request) {
+        return run_request(shared, &request.campaign);
+    }
+    shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+    if request.get("campaign").is_some() {
+        error_response("invalid", "`campaign` must be an array of strings")
+    } else {
+        error_response("invalid", "request must be {\"campaign\": [...]} or {\"status\": true}")
     }
 }
 
@@ -486,7 +486,8 @@ fn run_request(shared: &Shared, args: &[String]) -> Value {
         }
         inflight.insert(
             id,
-            InflightEntry {
+            InflightCampaign {
+                id,
                 campaign: compiled.spec.name().to_string(),
                 legs: compiled.spec.legs().len(),
             },
@@ -502,12 +503,7 @@ fn run_request(shared: &Shared, args: &[String]) -> Value {
             shared.counters.done.fetch_add(1, Ordering::Relaxed);
             shared.counters.absorb(stats);
             shared.emit(id, &display, "done");
-            obj(vec![
-                ("ok", Value::Bool(true)),
-                ("id", num(id)),
-                ("report", text(&report)),
-                ("stats", stats_value(stats)),
-            ])
+            ok_response(&SubmitOutcome { id, report, stats })
         }
         Err((code, why)) => {
             shared.counters.failed.fetch_add(1, Ordering::Relaxed);
@@ -552,39 +548,9 @@ fn execute(
 }
 
 fn status_response(shared: &Shared) -> Value {
-    let mut rows: Vec<(u64, String, usize)> = lock(&shared.inflight)
-        .iter()
-        .map(|(&id, entry)| (id, entry.campaign.clone(), entry.legs))
-        .collect();
-    rows.sort_by_key(|&(id, _, _)| id);
-    let inflight = rows
-        .into_iter()
-        .map(|(id, campaign, legs)| {
-            obj(vec![
-                ("id", num(id)),
-                ("campaign", text(&campaign)),
-                ("legs", num(legs as u64)),
-            ])
-        })
-        .collect();
-    let c = &shared.counters;
-    obj(vec![
-        ("ok", Value::Bool(true)),
-        ("inflight", Value::Array(inflight)),
-        (
-            "counters",
-            obj(vec![
-                ("accepted", num(c.accepted.load(Ordering::Relaxed))),
-                ("done", num(c.done.load(Ordering::Relaxed))),
-                ("failed", num(c.failed.load(Ordering::Relaxed))),
-                ("rejected", num(c.rejected.load(Ordering::Relaxed))),
-                ("legs_computed", num(c.legs_computed.load(Ordering::Relaxed))),
-                ("legs_deduped", num(c.legs_deduped.load(Ordering::Relaxed))),
-                ("legs_cache_hit", num(c.legs_cache_hit.load(Ordering::Relaxed))),
-                ("legs_journal_hit", num(c.legs_journal_hit.load(Ordering::Relaxed))),
-            ]),
-        ),
-    ])
+    let mut inflight: Vec<InflightCampaign> = lock(&shared.inflight).values().cloned().collect();
+    inflight.sort_by_key(|entry| entry.id);
+    ok_response(&StatusReport { inflight, counters: shared.counters.snapshot() })
 }
 
 // ---------------------------------------------------------------------------
@@ -592,7 +558,7 @@ fn status_response(shared: &Shared) -> Value {
 // ---------------------------------------------------------------------------
 
 /// A successful `submit` response.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, FromJson)]
 pub struct SubmitOutcome {
     /// The server-assigned request id.
     pub id: u64,
@@ -603,7 +569,7 @@ pub struct SubmitOutcome {
     pub stats: RunStats,
 }
 
-fn round_trip(addr: &str, request: &Value) -> Result<Value, String> {
+fn round_trip<T: Serialize>(addr: &str, request: &T) -> Result<Value, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| {
         format!("cannot connect to capsim serve at `{addr}`: {e} (is the server running?)")
     })?;
@@ -623,13 +589,16 @@ fn round_trip(addr: &str, request: &Value) -> Result<Value, String> {
         .map_err(|e| format!("malformed response from the server: {e}"))
 }
 
-fn response_error(response: &Value) -> String {
-    let code = response.get("code").and_then(Value::as_str).unwrap_or("error");
-    let why = response
-        .get("error")
-        .and_then(Value::as_str)
-        .unwrap_or("the server reported no detail");
-    format!("{code}: {why}")
+/// Decodes a success response's body as `T`, or the server's structured
+/// error as `code: detail`.
+fn decode_response<T: FromJson>(response: &Value, what: &str) -> Result<T, String> {
+    if response.get("ok").and_then(Value::as_bool) != Some(true) {
+        return Err(match ErrorResponse::from_json(response) {
+            Some(e) => format!("{}: {}", e.code, e.error),
+            None => "error: the server reported no detail".to_string(),
+        });
+    }
+    T::from_json(response).ok_or_else(|| format!("malformed {what} response from the server"))
 }
 
 /// Submits one campaign (CLI tokens, e.g. `["sweep", "all"]`) to a
@@ -641,38 +610,12 @@ fn response_error(response: &Value) -> String {
 /// rejection (`busy`, `invalid`, `failed`, `interrupted`, `internal`)
 /// rendered as `code: detail`.
 pub fn submit(addr: &str, args: &[String]) -> Result<SubmitOutcome, String> {
-    let tokens = args.iter().map(|a| text(a)).collect();
-    let response = round_trip(addr, &obj(vec![("campaign", Value::Array(tokens))]))?;
-    if response.get("ok").and_then(Value::as_bool) != Some(true) {
-        return Err(response_error(&response));
-    }
-    let id = response
-        .get("id")
-        .and_then(Value::as_u64)
-        .ok_or("malformed response: missing `id`")?;
-    let report = response
-        .get("report")
-        .and_then(Value::as_str)
-        .ok_or("malformed response: missing `report`")?
-        .to_string();
-    let pick = |field: &str| {
-        response
-            .get("stats")
-            .and_then(|s| s.get(field))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    };
-    let stats = RunStats {
-        computed: pick("computed"),
-        deduped: pick("deduped"),
-        cache_hits: pick("cache_hits"),
-        journal_hits: pick("journal_hits"),
-    };
-    Ok(SubmitOutcome { id, report, stats })
+    let response = round_trip(addr, &CampaignRequest { campaign: args.to_vec() })?;
+    decode_response(&response, "submit")
 }
 
 /// One in-flight campaign as reported by `status`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, FromJson)]
 pub struct InflightCampaign {
     /// The server-assigned request id.
     pub id: u64,
@@ -683,26 +626,12 @@ pub struct InflightCampaign {
 }
 
 /// The server's `status` snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, FromJson)]
 pub struct StatusReport {
     /// Campaigns currently executing, in admission order.
     pub inflight: Vec<InflightCampaign>,
-    /// Requests admitted for execution.
-    pub accepted: u64,
-    /// Requests that completed with a rendered report.
-    pub done: u64,
-    /// Requests that errored.
-    pub failed: u64,
-    /// Requests turned away.
-    pub rejected: u64,
-    /// Legs computed across all requests.
-    pub legs_computed: u64,
-    /// Legs shared via single-flight.
-    pub legs_deduped: u64,
-    /// Legs served from the result cache.
-    pub legs_cache_hit: u64,
-    /// Legs replayed from a journal.
-    pub legs_journal_hit: u64,
+    /// The server's request and leg counters so far.
+    pub counters: ServeSummary,
 }
 
 impl StatusReport {
@@ -715,15 +644,16 @@ impl StatusReport {
         for entry in &self.inflight {
             let _ = writeln!(out, "  [{}] {}: {} leg(s)", entry.id, entry.campaign, entry.legs);
         }
+        let c = &self.counters;
         let _ = writeln!(
             out,
             "requests: {} accepted, {} done, {} failed, {} rejected",
-            self.accepted, self.done, self.failed, self.rejected
+            c.accepted, c.done, c.failed, c.rejected
         );
         let _ = writeln!(
             out,
             "legs: {} computed, {} deduped, {} cache hit(s), {} journal hit(s)",
-            self.legs_computed, self.legs_deduped, self.legs_cache_hit, self.legs_journal_hit
+            c.legs_computed, c.legs_deduped, c.legs_cache_hit, c.legs_journal_hit
         );
         out
     }
@@ -735,41 +665,8 @@ impl StatusReport {
 ///
 /// Connection and protocol failures.
 pub fn status(addr: &str) -> Result<StatusReport, String> {
-    let response = round_trip(addr, &obj(vec![("status", Value::Bool(true))]))?;
-    if response.get("ok").and_then(Value::as_bool) != Some(true) {
-        return Err(response_error(&response));
-    }
-    let inflight = response
-        .get("inflight")
-        .and_then(Value::as_array)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|row| {
-            Some(InflightCampaign {
-                id: row.get("id").and_then(Value::as_u64)?,
-                campaign: row.get("campaign").and_then(Value::as_str)?.to_string(),
-                legs: row.get("legs").and_then(Value::as_usize)?,
-            })
-        })
-        .collect();
-    let pick = |field: &str| {
-        response
-            .get("counters")
-            .and_then(|c| c.get(field))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    };
-    Ok(StatusReport {
-        inflight,
-        accepted: pick("accepted"),
-        done: pick("done"),
-        failed: pick("failed"),
-        rejected: pick("rejected"),
-        legs_computed: pick("legs_computed"),
-        legs_deduped: pick("legs_deduped"),
-        legs_cache_hit: pick("legs_cache_hit"),
-        legs_journal_hit: pick("legs_journal_hit"),
-    })
+    let response = round_trip(addr, &StatusRequest { status: true })?;
+    decode_response(&response, "status")
 }
 
 #[cfg(test)]
@@ -784,24 +681,16 @@ mod tests {
                 [cmd] if cmd == "demo" => {}
                 [cmd] if cmd == "boom" => {
                     let mut spec = ExperimentSpec::new("boom");
-                    let id = spec.leg(Leg::journaled(
-                        "boom|leg".to_string(),
-                        "boom",
-                        |_| panic!("injected leg panic"),
-                        |_| true,
-                    ));
+                    let id = spec.leg(Leg::journaled::<u64>("boom|leg".to_string(), "boom", |_| {
+                        panic!("injected leg panic")
+                    }));
                     spec.reduce("boom-report", vec![id], |_| Ok(String::new()));
                     return Ok(CompiledCampaign { spec, journal: None, prelude: String::new() });
                 }
                 _ => return Err(format!("unknown campaign `{}`", args.join(" "))),
             }
             let mut spec = ExperimentSpec::new("demo");
-            let id = spec.leg(Leg::journaled(
-                "demo|leg".to_string(),
-                "demo",
-                |_| Ok(Value::Number("42".to_string())),
-                |v| v.as_u64().is_some(),
-            ));
+            let id = spec.leg(Leg::journaled("demo|leg".to_string(), "demo", |_| Ok(42u64)));
             spec.reduce("demo-report", vec![id], |deps| {
                 Ok(format!("demo value: {}\n", deps[0].as_u64().unwrap_or(0)))
             });
@@ -901,21 +790,24 @@ mod tests {
         let after = submit(&server.addr, &["demo".to_string()]).unwrap();
         assert_eq!(after.report, "demo prelude\ndemo value: 42\n");
 
-        // Raw garbage on the wire gets an invalid response.
-        let mut raw = TcpStream::connect(&server.addr).unwrap();
-        writeln!(raw, "this is not json").unwrap();
-        let mut reply = String::new();
-        BufReader::new(raw).read_line(&mut reply).unwrap();
-        assert!(reply.contains("\"invalid\""), "{reply}");
+        // Raw garbage on the wire gets an invalid response — nesting
+        // deep enough to overflow a recursive parser included.
+        for garbage in ["this is not json".to_string(), "[".repeat(500_000)] {
+            let mut raw = TcpStream::connect(&server.addr).unwrap();
+            writeln!(raw, "{garbage}").unwrap();
+            let mut reply = String::new();
+            BufReader::new(raw).read_line(&mut reply).unwrap();
+            assert!(reply.contains("\"invalid\""), "{reply}");
+        }
 
         // Status reflects the tally; nothing is left in flight.
         let report = status(&server.addr).unwrap();
         assert!(report.inflight.is_empty());
-        assert_eq!(report.accepted, 3, "{report:?}");
-        assert_eq!(report.done, 2, "{report:?}");
-        assert_eq!(report.failed, 1, "{report:?}");
-        assert!(report.rejected > 1 + SERVER_OWNED_FLAGS.len() as u64, "{report:?}");
-        assert_eq!(report.legs_computed, 2, "{report:?}");
+        assert_eq!(report.counters.accepted, 3, "{report:?}");
+        assert_eq!(report.counters.done, 2, "{report:?}");
+        assert_eq!(report.counters.failed, 1, "{report:?}");
+        assert!(report.counters.rejected > 1 + SERVER_OWNED_FLAGS.len() as u64, "{report:?}");
+        assert_eq!(report.counters.legs_computed, 2, "{report:?}");
         let rendered = report.render();
         assert!(rendered.contains("serve status: 0 campaign(s) in flight"), "{rendered}");
         assert!(rendered.contains("requests: 3 accepted, 2 done, 1 failed"), "{rendered}");
@@ -945,15 +837,10 @@ mod tests {
                 return Err("unknown campaign".to_string());
             }
             let mut spec = ExperimentSpec::new("slow");
-            let id = spec.leg(Leg::journaled(
-                "slow|leg".to_string(),
-                "slow",
-                |_| {
-                    std::thread::sleep(Duration::from_millis(150));
-                    Ok(Value::Number("7".to_string()))
-                },
-                |v| v.as_u64().is_some(),
-            ));
+            let id = spec.leg(Leg::journaled("slow|leg".to_string(), "slow", |_| {
+                std::thread::sleep(Duration::from_millis(150));
+                Ok(7u64)
+            }));
             spec.reduce("slow-report", vec![id], |deps| {
                 Ok(format!("slow value: {}\n", deps[0].as_u64().unwrap_or(0)))
             });
@@ -1016,14 +903,16 @@ mod tests {
                 campaign: "sweep-all".to_string(),
                 legs: 24,
             }],
-            accepted: 5,
-            done: 3,
-            failed: 1,
-            rejected: 1,
-            legs_computed: 24,
-            legs_deduped: 24,
-            legs_cache_hit: 2,
-            legs_journal_hit: 0,
+            counters: ServeSummary {
+                accepted: 5,
+                done: 3,
+                failed: 1,
+                rejected: 1,
+                legs_computed: 24,
+                legs_deduped: 24,
+                legs_cache_hit: 2,
+                legs_journal_hit: 0,
+            },
         };
         let rendered = report.render();
         assert_eq!(

@@ -1,10 +1,11 @@
 //! The structured event vocabulary and its JSONL encoding.
 //!
 //! Every event serializes to a single-line JSON object whose first field is
-//! `"ev"`, a stable kind tag (`"decision"`, `"clock-switch"`, …). The
-//! encoding is hand-written on top of the vendored `serde` primitives
-//! because the vendored derive does not support enums; keeping it manual
-//! also makes the wire schema an explicit, reviewable artifact.
+//! `"ev"`, a stable kind tag (`"decision"`, `"clock-switch"`, …), followed
+//! by its payload struct's fields in declaration order. Each payload
+//! derives `Serialize`; the vendored derive does not support enums, so
+//! [`Event::write_json`] writes the tag and splices the payload's fields
+//! in after it.
 
 use serde::Serialize;
 
@@ -14,7 +15,7 @@ use serde::Serialize;
 /// sample, what the sanitizer kept of it, the EWMA estimate after folding it
 /// in, the pattern predictor's current output, the confidence counter, and
 /// the decision the manager returned (with the driving `reason`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecisionEvent {
     /// Run label (usually the application name), if one was attached.
     pub app: Option<String>,
@@ -43,7 +44,7 @@ pub struct DecisionEvent {
 }
 
 /// The pattern predictor detecting a periodic phase and pre-switching.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PatternEvent {
     /// Run label, if one was attached.
     pub app: Option<String>,
@@ -58,7 +59,7 @@ pub struct PatternEvent {
 }
 
 /// Outcome of an attempted reconfiguration, as reported back to the manager.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SwitchResultEvent {
     /// Run label, if one was attached.
     pub app: Option<String>,
@@ -71,7 +72,7 @@ pub struct SwitchResultEvent {
 }
 
 /// A completed clock switch, with the penalty the dynamic clock charged.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClockSwitchEvent {
     /// Run label, if one was attached.
     pub app: Option<String>,
@@ -88,7 +89,7 @@ pub struct ClockSwitchEvent {
 }
 
 /// A configuration entering quarantine after repeated switch failures.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QuarantineEvent {
     /// Run label, if one was attached.
     pub app: Option<String>,
@@ -101,7 +102,7 @@ pub struct QuarantineEvent {
 }
 
 /// A quarantined configuration being released for a probation re-probe.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProbationEvent {
     /// Run label, if one was attached.
     pub app: Option<String>,
@@ -112,7 +113,7 @@ pub struct ProbationEvent {
 }
 
 /// The thrash watchdog (or total quarantine) forcing safe-mode fallback.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SafeModeEvent {
     /// Run label, if one was attached.
     pub app: Option<String>,
@@ -123,7 +124,7 @@ pub struct SafeModeEvent {
 }
 
 /// One raw instruction-interval sample from the out-of-order core model.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SampleEvent {
     /// Run label, if one was attached.
     pub app: Option<String>,
@@ -136,7 +137,7 @@ pub struct SampleEvent {
 }
 
 /// One cache-hierarchy simulation interval.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CacheSimEvent {
     /// Run label, if one was attached.
     pub app: Option<String>,
@@ -157,7 +158,7 @@ pub struct CacheSimEvent {
 /// The only event whose content depends on OS scheduling (steal counts and
 /// the per-worker split vary run to run); it is emitted for tuning the pool
 /// and deliberately kept out of every report.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PoolBatchEvent {
     /// Worker threads the batch ran on.
     pub jobs: usize,
@@ -170,7 +171,7 @@ pub struct PoolBatchEvent {
 }
 
 /// A result-cache lookup by the sweep engine.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CacheProbeEvent {
     /// Experiment kind (cache-curve, queue-curve, interval-series, …).
     pub kind: String,
@@ -181,7 +182,7 @@ pub struct CacheProbeEvent {
 }
 
 /// A result-cache store by the sweep engine.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CacheStoreEvent {
     /// Experiment kind.
     pub kind: String,
@@ -193,7 +194,7 @@ pub struct CacheStoreEvent {
 
 /// A leg-journal interaction: a completed leg committed to the journal,
 /// or a journaled leg replayed instead of recomputed (`--resume`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JournalLegEvent {
     /// The leg's canonical key.
     pub leg: String,
@@ -202,7 +203,7 @@ pub struct JournalLegEvent {
 }
 
 /// A cache entry moved to `quarantine/` after failing verification.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CacheQuarantineEvent {
     /// Experiment kind the probe was for.
     pub kind: String,
@@ -213,7 +214,7 @@ pub struct CacheQuarantineEvent {
 }
 
 /// A leg abandoned by the watchdog after exhausting its retry budget.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LegTimeoutEvent {
     /// The leg's stable label.
     pub leg: String,
@@ -224,7 +225,7 @@ pub struct LegTimeoutEvent {
 }
 
 /// A campaign-request lifecycle transition inside `capsim serve`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeRequestEvent {
     /// Server-assigned request id (monotonic per server process).
     pub id: u64,
@@ -236,7 +237,7 @@ pub struct ServeRequestEvent {
 
 /// A leg served from another in-flight campaign's computation instead
 /// of being recomputed (single-flight deduplication).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LegDedupEvent {
     /// The leg's canonical key.
     pub leg: String,
@@ -284,34 +285,6 @@ pub enum Event {
     LegDedup(LegDedupEvent),
 }
 
-/// Incremental single-object JSON writer over the vendored serde primitives.
-struct Obj<'a> {
-    out: &'a mut String,
-    first: bool,
-}
-
-impl<'a> Obj<'a> {
-    fn new(out: &'a mut String) -> Self {
-        out.push('{');
-        Obj { out, first: true }
-    }
-
-    fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) -> &mut Self {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        serde::write_json_string(self.out, key);
-        self.out.push(':');
-        value.json_into(self.out);
-        self
-    }
-
-    fn finish(self) {
-        self.out.push('}');
-    }
-}
-
 impl Event {
     /// Stable kind tag written as the `"ev"` field.
     #[must_use]
@@ -339,112 +312,31 @@ impl Event {
 
     /// Append this event as a single-line JSON object (no trailing newline).
     pub fn write_json(&self, out: &mut String) {
-        let mut obj = Obj::new(out);
-        obj.field("ev", self.kind());
-        match self {
-            Event::Decision(e) => {
-                obj.field("app", &e.app)
-                    .field("interval", &e.interval)
-                    .field("config", &e.config)
-                    .field("raw_tpi_ns", &e.raw_tpi_ns)
-                    .field("sanitized_tpi_ns", &e.sanitized_tpi_ns)
-                    .field("estimate_ns", &e.estimate_ns)
-                    .field("predicted", &e.predicted)
-                    .field("confidence", &e.confidence)
-                    .field("reason", e.reason)
-                    .field("policy", e.policy)
-                    .field("target", &e.target);
-            }
-            Event::SwitchResult(e) => {
-                obj.field("app", &e.app)
-                    .field("interval", &e.interval)
-                    .field("target", &e.target)
-                    .field("outcome", e.outcome);
-            }
-            Event::ClockSwitch(e) => {
-                obj.field("app", &e.app)
-                    .field("interval", &e.interval)
-                    .field("from", &e.from)
-                    .field("to", &e.to)
-                    .field("penalty_ns", &e.penalty_ns)
-                    .field("period_ns", &e.period_ns);
-            }
-            Event::Quarantine(e) => {
-                obj.field("app", &e.app)
-                    .field("interval", &e.interval)
-                    .field("config", &e.config)
-                    .field("permanent", &e.permanent);
-            }
-            Event::Probation(e) => {
-                obj.field("app", &e.app)
-                    .field("interval", &e.interval)
-                    .field("config", &e.config);
-            }
-            Event::SafeMode(e) => {
-                obj.field("app", &e.app)
-                    .field("interval", &e.interval)
-                    .field("safe_config", &e.safe_config);
-            }
-            Event::Pattern(e) => {
-                obj.field("app", &e.app)
-                    .field("interval", &e.interval)
-                    .field("config", &e.config)
-                    .field("confidence", &e.confidence)
-                    .field("period", &e.period);
-            }
-            Event::Sample(e) => {
-                obj.field("app", &e.app)
-                    .field("interval", &e.interval)
-                    .field("cycles", &e.cycles)
-                    .field("insts", &e.insts);
-            }
-            Event::CacheSim(e) => {
-                obj.field("app", &e.app)
-                    .field("interval", &e.interval)
-                    .field("refs", &e.refs)
-                    .field("l1_hits", &e.l1_hits)
-                    .field("l2_hits", &e.l2_hits)
-                    .field("misses", &e.misses);
-            }
-            Event::PoolBatch(e) => {
-                obj.field("jobs", &e.jobs)
-                    .field("tasks", &e.tasks)
-                    .field("executed", &e.executed)
-                    .field("steals", &e.steals);
-            }
-            Event::CacheProbe(e) => {
-                obj.field("kind", e.kind.as_str())
-                    .field("app", e.app.as_str())
-                    .field("outcome", e.outcome);
-            }
-            Event::CacheStore(e) => {
-                obj.field("kind", e.kind.as_str())
-                    .field("app", e.app.as_str())
-                    .field("ok", &e.ok);
-            }
-            Event::JournalLeg(e) => {
-                obj.field("leg", e.leg.as_str()).field("action", e.action);
-            }
-            Event::CacheQuarantine(e) => {
-                obj.field("kind", e.kind.as_str())
-                    .field("app", e.app.as_str())
-                    .field("outcome", e.outcome);
-            }
-            Event::LegTimeout(e) => {
-                obj.field("leg", e.leg.as_str())
-                    .field("attempts", &e.attempts)
-                    .field("timeout_ms", &e.timeout_ms);
-            }
-            Event::ServeRequest(e) => {
-                obj.field("id", &e.id)
-                    .field("campaign", e.campaign.as_str())
-                    .field("action", e.action);
-            }
-            Event::LegDedup(e) => {
-                obj.field("leg", e.leg.as_str());
-            }
-        }
-        obj.finish();
+        out.push_str("{\"ev\":");
+        serde::write_json_string(out, self.kind());
+        let payload: &dyn Serialize = match self {
+            Event::Decision(e) => e,
+            Event::SwitchResult(e) => e,
+            Event::ClockSwitch(e) => e,
+            Event::Quarantine(e) => e,
+            Event::Probation(e) => e,
+            Event::SafeMode(e) => e,
+            Event::Pattern(e) => e,
+            Event::Sample(e) => e,
+            Event::CacheSim(e) => e,
+            Event::PoolBatch(e) => e,
+            Event::CacheProbe(e) => e,
+            Event::CacheStore(e) => e,
+            Event::JournalLeg(e) => e,
+            Event::CacheQuarantine(e) => e,
+            Event::LegTimeout(e) => e,
+            Event::ServeRequest(e) => e,
+            Event::LegDedup(e) => e,
+        };
+        // The payload's opening brace becomes the comma after the tag.
+        let start = out.len();
+        payload.json_into(out);
+        out.replace_range(start..=start, ",");
     }
 
     /// This event as a single-line JSON string.

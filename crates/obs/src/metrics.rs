@@ -1,6 +1,7 @@
 //! Aggregate decision counters maintained by the interval manager.
 
 use serde::Serialize;
+use serde_json::FromJson;
 
 /// Per-run tally of manager decisions, grouped by driving reason.
 ///
@@ -9,7 +10,7 @@ use serde::Serialize;
 /// embedded as a metrics snapshot in the fault-campaign JSON reports.
 /// Every counter is derived solely from the deterministic decision stream,
 /// so reports stay byte-identical across worker counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, FromJson)]
 pub struct DecisionCounts {
     /// Intervals observed (decisions made).
     pub intervals: u64,

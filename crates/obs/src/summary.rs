@@ -15,7 +15,7 @@
 //! dropped, [`TraceSummary::truncated`] is set so the report can warn,
 //! and every complete line still contributes to the totals.
 
-use serde_json::Value;
+use serde_json::{FromJson, Value};
 use std::collections::BTreeMap;
 
 /// Key used for events that carry no `app` label.
@@ -83,23 +83,8 @@ pub struct TraceSummary {
     pub truncated: bool,
 }
 
-fn str_field(v: &Value, key: &str, line: usize) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("line {line}: missing string field `{key}`"))
-}
-
-fn u64_field(v: &Value, key: &str, line: usize) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("line {line}: missing integer field `{key}`"))
-}
-
-fn usize_field(v: &Value, key: &str, line: usize) -> Result<usize, String> {
-    v.get(key)
-        .and_then(Value::as_usize)
-        .ok_or_else(|| format!("line {line}: missing integer field `{key}`"))
+fn field<T: FromJson>(v: &Value, key: &str, line: usize) -> Result<T, String> {
+    serde_json::field(v, key).ok_or_else(|| format!("line {line}: missing or mistyped field `{key}`"))
 }
 
 fn app_label(v: &Value) -> String {
@@ -150,15 +135,15 @@ impl TraceSummary {
         {
             let v: Value = serde_json::from_str(raw)
                 .map_err(|e| format!("line {line}: not valid JSON ({e:?})"))?;
-            let kind = str_field(&v, "ev", line)?;
+            let kind = field::<String>(&v, "ev", line)?;
             sum.events += 1;
             match kind.as_str() {
                 "decision" => {
                     let app = sum.apps.entry(app_label(&v)).or_default();
                     app.decisions += 1;
-                    let reason = str_field(&v, "reason", line)?;
+                    let reason = field::<String>(&v, "reason", line)?;
                     *app.reasons.entry(reason).or_insert(0) += 1;
-                    let config = usize_field(&v, "config", line)?;
+                    let config = field::<usize>(&v, "config", line)?;
                     *app.time_in_config.entry(config).or_insert(0) += 1;
                 }
                 "clock-switch" => {
@@ -169,7 +154,7 @@ impl TraceSummary {
                 }
                 "switch-result" => {
                     let app = sum.apps.entry(app_label(&v)).or_default();
-                    let outcome = str_field(&v, "outcome", line)?;
+                    let outcome = field::<String>(&v, "outcome", line)?;
                     *app.switch_results.entry(outcome).or_insert(0) += 1;
                 }
                 "quarantine" => {
@@ -191,11 +176,11 @@ impl TraceSummary {
                 }
                 "pool-batch" => {
                     sum.pool_batches += 1;
-                    sum.pool_tasks += u64_field(&v, "tasks", line)?;
-                    sum.pool_steals += u64_field(&v, "steals", line)?;
+                    sum.pool_tasks += field::<u64>(&v, "tasks", line)?;
+                    sum.pool_steals += field::<u64>(&v, "steals", line)?;
                 }
                 "result-cache-probe" => {
-                    let outcome = str_field(&v, "outcome", line)?;
+                    let outcome = field::<String>(&v, "outcome", line)?;
                     *sum.cache_probes.entry(outcome).or_insert(0) += 1;
                 }
                 "result-cache-store" => {
@@ -206,25 +191,25 @@ impl TraceSummary {
                         sum.cache_stores_failed += 1;
                     }
                 }
-                "journal-leg" => match str_field(&v, "action", line)?.as_str() {
+                "journal-leg" => match field::<String>(&v, "action", line)?.as_str() {
                     "replayed" => sum.journal_replayed += 1,
                     _ => sum.journal_appended += 1,
                 },
                 "cache-quarantine" => {
-                    str_field(&v, "outcome", line)?;
+                    field::<String>(&v, "outcome", line)?;
                     sum.cache_quarantines += 1;
                 }
                 "leg-timeout" => {
-                    str_field(&v, "leg", line)?;
+                    field::<String>(&v, "leg", line)?;
                     sum.leg_timeouts += 1;
                 }
                 "serve-request" => {
-                    u64_field(&v, "id", line)?;
-                    let action = str_field(&v, "action", line)?;
+                    field::<u64>(&v, "id", line)?;
+                    let action = field::<String>(&v, "action", line)?;
                     *sum.serve_requests.entry(action).or_insert(0) += 1;
                 }
                 "leg-dedup" => {
-                    str_field(&v, "leg", line)?;
+                    field::<String>(&v, "leg", line)?;
                     sum.legs_deduped += 1;
                 }
                 _ => {} // forward compatibility: count it, skip the payload

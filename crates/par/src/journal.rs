@@ -26,18 +26,24 @@
 //! **Single writer, enforced.** The whole-file-rewrite scheme is only
 //! crash-safe with one writer: two processes appending to the same
 //! journal would take turns renaming over each other's view and
-//! silently lose legs. [`Journal::begin`] therefore claims an advisory
-//! `<journal>.lock` file containing the holder's PID, released when the
-//! journal is dropped. A second writer fails fast with an error naming
-//! the holder instead of corrupting anything. A lock naming a dead PID
-//! — the residue of a chaos kill or a crashed campaign — is stale and
-//! reclaimed automatically, so `--resume` after a crash needs no manual
-//! cleanup.
+//! silently lose legs. [`Journal::begin`] therefore holds an exclusive
+//! OS file lock ([`std::fs::File::try_lock`]) on `<journal>.lock` for
+//! the journal's lifetime, and writes its PID into the file for the
+//! error message. A second writer fails fast with an error naming the
+//! holder instead of corrupting anything. The operating system drops
+//! the lock when its holder exits, however it exits, so the file a
+//! chaos kill or a crashed campaign leaves behind is simply locked
+//! again by the next `begin`: `--resume` after a crash needs no manual
+//! cleanup. The lock file itself is never deleted, since two writers
+//! that each locked a different inode under the same name would not
+//! exclude each other.
 
 use crate::cache::fnv64;
 use serde::Serialize;
-use serde_json::Value;
+use serde_json::{FromJson, Value};
 use std::collections::HashMap;
+use std::fs::{File, TryLockError};
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Bump when the journal file layout changes.
@@ -63,44 +69,47 @@ pub struct JournalHeader {
     pub results_version: u32,
 }
 
+/// The journal's first line: its tag and format version, then the
+/// [`JournalHeader`] fields, in this order.
+#[derive(Serialize, FromJson)]
+struct HeaderLine {
+    journal: String,
+    format: u32,
+    experiment: String,
+    seed: u64,
+    scale: String,
+    policy: Option<String>,
+    results_version: u32,
+}
+
+/// The tag that opens every journal's first line.
+const JOURNAL_TAG: &str = "cap-leg-journal";
+
 impl JournalHeader {
     fn to_line(&self) -> String {
-        let mut s = format!(
-            "{{\"journal\":\"cap-leg-journal\",\"format\":{JOURNAL_FORMAT_VERSION},\"experiment\":"
-        );
-        serde::write_json_string(&mut s, &self.experiment);
-        s.push_str(&format!(",\"seed\":{},\"scale\":", self.seed));
-        serde::write_json_string(&mut s, &self.scale);
-        s.push_str(",\"policy\":");
-        match &self.policy {
-            Some(p) => serde::write_json_string(&mut s, p),
-            None => s.push_str("null"),
-        }
-        s.push_str(&format!(",\"results_version\":{}}}", self.results_version));
-        s
+        let h = self.clone();
+        let line = HeaderLine {
+            journal: JOURNAL_TAG.to_string(),
+            format: JOURNAL_FORMAT_VERSION,
+            experiment: h.experiment,
+            seed: h.seed,
+            scale: h.scale,
+            policy: h.policy,
+            results_version: h.results_version,
+        };
+        serde_json::to_string(&line).expect("vendored serializer is infallible")
     }
 
     fn parse_line(line: &str) -> Option<(u32, JournalHeader)> {
-        let doc: Value = serde_json::from_str(line).ok()?;
-        if doc.get("journal").and_then(Value::as_str) != Some("cap-leg-journal") {
-            return None;
-        }
-        let format = u32::try_from(doc.get("format").and_then(Value::as_u64)?).ok()?;
-        let policy = match doc.get("policy")? {
-            Value::Null => None,
-            v => Some(v.as_str()?.to_string()),
+        let h = HeaderLine::from_json(&serde_json::from_str(line).ok()?)?;
+        let header = JournalHeader {
+            experiment: h.experiment,
+            seed: h.seed,
+            scale: h.scale,
+            policy: h.policy,
+            results_version: h.results_version,
         };
-        Some((
-            format,
-            JournalHeader {
-                experiment: doc.get("experiment").and_then(Value::as_str)?.to_string(),
-                seed: doc.get("seed").and_then(Value::as_u64)?,
-                scale: doc.get("scale").and_then(Value::as_str)?.to_string(),
-                policy,
-                results_version: u32::try_from(doc.get("results_version").and_then(Value::as_u64)?)
-                    .ok()?,
-            },
-        ))
+        (h.journal == JOURNAL_TAG).then_some((h.format, header))
     }
 }
 
@@ -133,32 +142,19 @@ fn parse_entry(line: &str) -> Option<(String, String)> {
     Some((leg, value_text.to_string()))
 }
 
-/// Whether a PID belongs to a live process, via procfs. On platforms
-/// without `/proc` this reports "dead", which makes every foreign lock
-/// reclaimable there — the lock is advisory, and such platforms had no
-/// writer protection at all before it existed.
-fn process_alive(pid: u32) -> bool {
-    let proc_root = Path::new("/proc");
-    if !proc_root.is_dir() {
-        return false;
-    }
-    proc_root.join(pid.to_string()).exists()
-}
-
-/// The advisory single-writer lock guarding one journal path; holds
-/// `<journal>.lock` containing our PID until dropped.
+/// The single-writer lock guarding one journal path: an exclusive OS
+/// lock on `<journal>.lock`, held until dropped. The file holds the
+/// holder's PID while locked and is emptied on release.
 #[derive(Debug)]
 struct JournalLock {
-    path: PathBuf,
+    file: File,
 }
 
 impl JournalLock {
-    /// Claims `<journal>.lock` via `create_new` (atomic on every real
-    /// filesystem), writing our PID into it. An existing lock naming a
-    /// dead PID is stale and reclaimed; a live holder — or a lock whose
-    /// contents cannot be read as a PID — is a hard error naming it.
+    /// Locks `<journal>.lock`, creating it if needed, and writes our PID
+    /// into it. A lock held by another writer — another process, or
+    /// another `Journal` of this one — is a hard error naming its PID.
     fn acquire(journal_path: &Path) -> Result<JournalLock, String> {
-        use std::io::Write as _;
         let file_name =
             journal_path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
         let path = journal_path.with_file_name(format!("{file_name}.lock"));
@@ -166,51 +162,41 @@ impl JournalLock {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create journal directory {}: {e}", dir.display()))?;
         }
-        // At most two attempts: the second runs only after a stale lock
-        // was cleared, so a genuinely contended path cannot spin.
-        for _ in 0..2 {
-            match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut file) => {
-                    let _ = file.write_all(std::process::id().to_string().as_bytes());
-                    return Ok(JournalLock { path });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let holder = std::fs::read_to_string(&path)
-                        .ok()
-                        .and_then(|s| s.trim().parse::<u32>().ok());
-                    match holder {
-                        Some(pid) if pid != std::process::id() && !process_alive(pid) => {
-                            let _ = std::fs::remove_file(&path);
-                        }
-                        _ => {
-                            let who = holder.map_or_else(
-                                || String::from("an unidentified process"),
-                                |pid| format!("pid {pid}"),
-                            );
-                            return Err(format!(
-                                "{}: journal is locked by {who} — a second writer would corrupt it; wait for that run to finish, or delete {} if you are certain it is gone",
-                                journal_path.display(),
-                                path.display(),
-                            ));
-                        }
-                    }
-                }
-                Err(e) => {
-                    return Err(format!("cannot create journal lock {}: {e}", path.display()))
-                }
+        let cannot = |e: std::io::Error| format!("cannot lock journal {}: {e}", path.display());
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)
+            .map_err(cannot)?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => {
+                let mut text = String::new();
+                let _ = file.read_to_string(&mut text);
+                let who = text.trim().parse::<u32>().map_or_else(
+                    |_| String::from("an unidentified process"),
+                    |pid| format!("pid {pid}"),
+                );
+                return Err(format!(
+                    "{}: journal is locked by {who} — a second writer would corrupt it; wait for that run to finish",
+                    journal_path.display(),
+                ));
             }
+            Err(TryLockError::Error(e)) => return Err(cannot(e)),
         }
-        Err(format!(
-            "{}: journal lock {} is contended — another writer claimed it while a stale lock was being cleared",
-            journal_path.display(),
-            path.display(),
-        ))
+        file.set_len(0).map_err(cannot)?;
+        file.write_all(std::process::id().to_string().as_bytes()).map_err(cannot)?;
+        Ok(JournalLock { file })
     }
 }
 
 impl Drop for JournalLock {
+    /// Empties the file while still holding the lock; closing the file
+    /// then releases it.
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+        let _ = self.file.set_len(0);
     }
 }
 
@@ -227,10 +213,8 @@ pub struct Journal {
     appends: u64,
     kill_after: Option<u64>,
     dropped: usize,
-    /// Held for the journal's whole lifetime purely for its `Drop`
-    /// (which deletes the lock file). A chaos kill or crash leaves the
-    /// file behind, where the dead-PID check reclaims it on the next
-    /// `begin`.
+    /// Held for the journal's whole lifetime; the OS releases it when
+    /// the journal is dropped or the process exits.
     _lock: JournalLock,
 }
 
@@ -247,7 +231,7 @@ impl Journal {
     /// # Errors
     /// Header/format mismatch, an invalid `CAP_CHAOS_KILL_AFTER_LEG`
     /// value, an unwritable journal path, or a journal already locked by
-    /// a live writer (see the module docs on single-writer enforcement).
+    /// another writer (see the module docs on single-writer enforcement).
     pub fn begin(path: impl Into<PathBuf>, header: JournalHeader, resume: bool) -> Result<Self, String> {
         let path = path.into();
         let lock = JournalLock::acquire(&path)?;
@@ -489,8 +473,8 @@ mod tests {
             assert!(err.contains("different run"), "{err}");
             assert!(err.contains("--resume"), "{err}");
         }
-        // A refused begin must not leave its writer lock behind.
-        assert!(!path.with_file_name("run.jsonl.lock").exists());
+        // A refused begin must not keep its writer lock.
+        drop(Journal::begin(&path, header(), false).expect("lock released"));
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -656,33 +640,39 @@ mod tests {
 
     #[test]
     fn a_stale_lock_from_a_dead_process_is_reclaimed() {
-        let path = tmp_path("stale");
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        let lock = path.with_file_name("run.jsonl.lock");
-        // Beyond Linux's default pid_max, so no live process can own it —
-        // exactly what a chaos kill (`std::process::exit`) leaves behind.
-        std::fs::write(&lock, "4194304999").unwrap();
-        let j = Journal::begin(&path, header(), false).expect("stale lock is reclaimed");
-        assert_eq!(
-            std::fs::read_to_string(&lock).unwrap().trim(),
-            std::process::id().to_string(),
-            "the reclaimed lock names the new holder"
-        );
-        drop(j);
-        assert!(!lock.exists(), "dropping the journal releases the lock");
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        // What a chaos kill or a crash leaves behind: a lock file that
+        // nobody holds, with whatever it last contained.
+        for leftover in ["4194304999", "not-a-pid", ""] {
+            let path = tmp_path("stale");
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            let lock = path.with_file_name("run.jsonl.lock");
+            std::fs::write(&lock, leftover).unwrap();
+            let j = Journal::begin(&path, header(), false).expect("an unheld lock is acquired");
+            assert_eq!(
+                std::fs::read_to_string(&lock).unwrap(),
+                std::process::id().to_string(),
+                "the acquired lock names the new holder"
+            );
+            drop(j);
+            assert_eq!(std::fs::read_to_string(&lock).unwrap(), "", "release empties the lock");
+            let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        }
     }
 
     #[test]
-    fn an_unreadable_lock_is_held_not_stolen() {
-        let path = tmp_path("unreadable-lock");
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    fn a_held_lock_refuses_begin_until_its_holder_drops() {
+        let path = tmp_path("held");
+        let holder = Journal::begin(&path, header(), false).unwrap();
+        for resume in [false, true] {
+            let err = Journal::begin(&path, header(), resume).expect_err("lock is held");
+            assert!(err.contains("locked by pid"), "{err}");
+        }
         let lock = path.with_file_name("run.jsonl.lock");
-        std::fs::write(&lock, "not-a-pid").unwrap();
-        let err = Journal::begin(&path, header(), false).expect_err("cannot prove staleness");
-        assert!(err.contains("unidentified"), "{err}");
-        assert!(err.contains(&lock.display().to_string()), "tells the user what to delete: {err}");
-        assert!(lock.exists(), "an unprovable lock is never deleted");
+        assert!(lock.exists());
+        drop(holder);
+        assert!(lock.exists(), "the lock file is never deleted");
+        let j = Journal::begin(&path, header(), true).expect("dropping the holder frees the path");
+        assert!(j.is_empty());
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -696,5 +686,15 @@ mod tests {
             assert_eq!(format, JOURNAL_FORMAT_VERSION);
             assert_eq!(parsed, h);
         }
+        // The exact bytes journals have always been written with.
+        assert_eq!(
+            JournalHeader { policy: Some("confidence".into()), ..header() }.to_line(),
+            r#"{"journal":"cap-leg-journal","format":1,"experiment":"sweep-queue","seed":365566360,"scale":"smoke","policy":"confidence","results_version":1}"#
+        );
+        assert_eq!(
+            header().to_line(),
+            r#"{"journal":"cap-leg-journal","format":1,"experiment":"sweep-queue","seed":365566360,"scale":"smoke","policy":null,"results_version":1}"#
+        );
+        assert!(JournalHeader::parse_line(&header().to_line().replace("cap-leg", "cap-log")).is_none());
     }
 }

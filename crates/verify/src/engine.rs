@@ -13,6 +13,7 @@ use crate::invariants::{
     curve_best_invariants, greedy_equals_degenerate_confidence, journal_replay_roundtrip,
     offline_optima_match_series, oracle_bound, reference_oracle_bound,
 };
+use crate::json::derive_roundtrip;
 use crate::multisweep::{
     bpred_fused_vs_per_size, cache_one_pass_vs_legacy, core_run_vs_scan, core_vs_scan_reference,
     queue_lanes_vs_legacy, queue_lanes_vs_legacy_shapes,
@@ -327,6 +328,12 @@ pub fn run_verify(cfg: &VerifyConfig, progress: &mut dyn FnMut(&PropertyReport))
     let r = run_seeded_property("trace/packed-vs-inst", cfg, cfg.cases, &packed_vs_inst);
     push(r, progress);
 
+    // Every derived JSON decoder against its derived encoder.
+    let r = run_seeded_property("json/derive-roundtrip", cfg, cfg.cases, &|rng, _| {
+        derive_roundtrip(rng)
+    });
+    push(r, progress);
+
     VerifyReport { seed: cfg.seed, properties }
 }
 
@@ -401,6 +408,7 @@ pub fn replay(text: &str, scratch: &Path) -> Result<ReplayOutcome, String> {
             outcome_of(bpred_fused_vs_per_size(&mut rng).map(|()| true))
         }
         "trace/packed-vs-inst" => outcome_of(packed_vs_inst(&mut rng, case).map(|()| true)),
+        "json/derive-roundtrip" => outcome_of(derive_roundtrip(&mut rng).map(|()| true)),
         other => Err(format!("repro names an unknown property {other:?}")),
     }
 }
@@ -428,7 +436,7 @@ mod tests {
         // 16 diff + 2 hardened diff + 8 oracle + 2 equiv + curve
         // + journal + offline + 6 sweep-engine differentials + the
         // packed generator path.
-        assert_eq!(report.properties.len(), 38);
+        assert_eq!(report.properties.len(), 39);
     }
 
     #[test]

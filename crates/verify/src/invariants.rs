@@ -256,6 +256,8 @@ pub fn journal_replay_roundtrip(rng: &mut Rng, dir: &Path, tag: u64) -> Result<(
     };
     let result = run();
     let _ = std::fs::remove_file(&path);
+    // Every writer is gone, so the scratch journal's lock goes too.
+    let _ = std::fs::remove_file(dir.join(format!("verify-journal-{tag}.jsonl.lock")));
     result
 }
 

@@ -24,7 +24,9 @@
 //!   bit-identical to their per-configuration reference paths
 //!   ([`multisweep`]);
 //! * each synthetic generator's native packed instructions equal its
-//!   unpacked ones, packed ([`packed`]).
+//!   unpacked ones, packed ([`packed`]);
+//! * every derived JSON decoder inverts its derived encoder, and no
+//!   corrupted text panics the decoder or the parser ([`json`]).
 //!
 //! Everything is deterministic: cases are a pure function of
 //! `(seed, property, case)` ([`rng::Rng::for_case`]), failures shrink
@@ -36,6 +38,7 @@
 pub mod diff;
 pub mod engine;
 pub mod invariants;
+pub mod json;
 pub mod multisweep;
 pub mod packed;
 pub mod reference;

@@ -12,7 +12,8 @@
 
 use crate::rng::Rng;
 use cap_core::policy::PolicyKind;
-use serde_json::Value;
+use serde::Serialize;
+use serde_json::{FromJson, Value};
 
 /// Repro-file / scenario format version.
 pub const SCENARIO_FORMAT: u32 = 1;
@@ -61,6 +62,19 @@ pub enum SwitchPlan {
     Transient,
     /// The switch fails permanently (broken configuration).
     Permanent,
+}
+
+impl SwitchPlan {
+    const ALL: [SwitchPlan; 3] = [SwitchPlan::Succeed, SwitchPlan::Transient, SwitchPlan::Permanent];
+
+    /// The letter a repro file writes for this outcome.
+    fn letter(self) -> char {
+        match self {
+            SwitchPlan::Succeed => 's',
+            SwitchPlan::Transient => 't',
+            SwitchPlan::Permanent => 'p',
+        }
+    }
 }
 
 /// One complete fuzz-case input.
@@ -212,61 +226,21 @@ impl Scenario {
 
     /// Serializes to the byte-exact repro JSON (floats as raw bits).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "{{\"cap_verify_scenario\":{SCENARIO_FORMAT},\"policy\":\"{}\",\"kind\":\"{}\",\"configs\":{},",
-            self.policy.name(),
-            self.kind.name(),
-            self.num_configs
-        ));
-        s.push_str("\"landscape\":[");
-        for (t, row) in self.landscape.iter().enumerate() {
-            if t > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            for (c, v) in row.iter().enumerate() {
-                if c > 0 {
-                    s.push(',');
-                }
-                s.push_str(&v.to_bits().to_string());
-            }
-            s.push(']');
-        }
-        s.push_str("],\"corrupt\":[");
-        for (t, v) in self.corrupt.iter().enumerate() {
-            if t > 0 {
-                s.push(',');
-            }
-            match v {
-                Some(x) => s.push_str(&x.to_bits().to_string()),
-                None => s.push_str("null"),
-            }
-        }
-        s.push_str("],\"switch_faults\":\"");
-        for f in &self.switch_faults {
-            s.push(match f {
-                SwitchPlan::Succeed => 's',
-                SwitchPlan::Transient => 't',
-                SwitchPlan::Permanent => 'p',
-            });
-        }
-        s.push_str("\",\"mask_at\":");
-        match &self.mask_at {
-            None => s.push_str("null"),
-            Some((step, configs)) => {
-                s.push_str(&format!("[{step},["));
-                for (i, c) in configs.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&c.to_string());
-                }
-                s.push_str("]]");
-            }
-        }
-        s.push('}');
-        s
+        let doc = ScenarioDoc {
+            cap_verify_scenario: SCENARIO_FORMAT,
+            policy: self.policy.name().to_string(),
+            kind: self.kind.name().to_string(),
+            configs: self.num_configs,
+            landscape: self
+                .landscape
+                .iter()
+                .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                .collect(),
+            corrupt: self.corrupt.iter().map(|v| v.map(f64::to_bits)).collect(),
+            switch_faults: self.switch_faults.iter().map(|f| f.letter()).collect(),
+            mask_at: self.mask_at.clone(),
+        };
+        serde_json::to_string(&doc).expect("vendored serializer is infallible")
     }
 
     /// Parses and validates a repro JSON. Every structural deviation is a
@@ -283,85 +257,62 @@ impl Scenario {
                 "repro format v{format}, this binary replays v{SCENARIO_FORMAT}"
             ));
         }
-        let policy = doc
-            .get("policy")
-            .and_then(Value::as_str)
-            .and_then(PolicyKind::parse)
-            .ok_or("repro names an unknown policy")?;
-        let kind = doc
-            .get("kind")
-            .and_then(Value::as_str)
-            .and_then(StreamKind::parse)
-            .ok_or("repro names an unknown stream kind")?;
-        let num_configs =
-            doc.get("configs").and_then(Value::as_usize).ok_or("repro lacks a config count")?;
+        let doc = ScenarioDoc::from_json(&doc)
+            .ok_or("repro lacks a field, or a field has the wrong type")?;
+        let policy = PolicyKind::parse(&doc.policy).ok_or("repro names an unknown policy")?;
+        let kind = StreamKind::parse(&doc.kind).ok_or("repro names an unknown stream kind")?;
+        let num_configs = doc.configs;
         if num_configs == 0 {
             return Err("repro has zero configurations".into());
         }
-        let landscape: Vec<Vec<f64>> = doc
-            .get("landscape")
-            .and_then(Value::as_array)
-            .ok_or("repro lacks a landscape")?
-            .iter()
-            .map(|row| {
-                row.as_array()
-                    .filter(|r| r.len() == num_configs)
-                    .ok_or("landscape row width differs from the config count")?
-                    .iter()
-                    .map(|v| v.as_u64().map(f64::from_bits).ok_or("landscape value is not raw bits"))
-                    .collect::<Result<Vec<f64>, &str>>()
-            })
-            .collect::<Result<_, _>>()
-            .map_err(str::to_string)?;
-        if landscape.is_empty() {
+        if doc.landscape.is_empty() {
             return Err("repro has an empty landscape".into());
         }
-        let corrupt: Vec<Option<f64>> = doc
-            .get("corrupt")
-            .and_then(Value::as_array)
-            .filter(|c| c.len() == landscape.len())
-            .ok_or("corrupt plan length differs from the landscape")?
-            .iter()
-            .map(|v| match v {
-                Value::Null => Ok(None),
-                other => {
-                    other.as_u64().map(|b| Some(f64::from_bits(b))).ok_or("corrupt value is not raw bits")
-                }
-            })
-            .collect::<Result<_, _>>()
-            .map_err(str::to_string)?;
+        if doc.landscape.iter().any(|row| row.len() != num_configs) {
+            return Err("landscape row width differs from the config count".into());
+        }
+        if doc.corrupt.len() != doc.landscape.len() {
+            return Err("corrupt plan length differs from the landscape".into());
+        }
         let switch_faults: Vec<SwitchPlan> = doc
-            .get("switch_faults")
-            .and_then(Value::as_str)
-            .ok_or("repro lacks a switch-fault plan")?
+            .switch_faults
             .chars()
-            .map(|c| match c {
-                's' => Ok(SwitchPlan::Succeed),
-                't' => Ok(SwitchPlan::Transient),
-                'p' => Ok(SwitchPlan::Permanent),
-                _ => Err("switch-fault plan has an unknown outcome letter"),
-            })
-            .collect::<Result<_, _>>()
-            .map_err(str::to_string)?;
-        let mask_at = match doc.get("mask_at").ok_or("repro lacks a mask plan")? {
-            Value::Null => None,
-            v => {
-                let pair = v.as_array().filter(|p| p.len() == 2).ok_or("mask plan is not [step, configs]")?;
-                let step = pair[0].as_usize().ok_or("mask step is not an index")?;
-                let configs: Vec<usize> = pair[1]
-                    .as_array()
-                    .ok_or("mask configs is not a list")?
-                    .iter()
-                    .map(|c| c.as_usize().ok_or("mask config is not an index"))
-                    .collect::<Result<_, _>>()?;
-                if configs.iter().any(|&c| c >= num_configs) || configs.len() >= num_configs {
-                    return Err("mask plan retires out-of-range or all configurations".into());
-                }
-                Some((step, configs))
+            .map(|c| SwitchPlan::ALL.into_iter().find(|p| p.letter() == c))
+            .collect::<Option<_>>()
+            .ok_or("switch-fault plan has an unknown outcome letter")?;
+        if let Some((_, configs)) = &doc.mask_at {
+            if configs.iter().any(|&c| c >= num_configs) || configs.len() >= num_configs {
+                return Err("mask plan retires out-of-range or all configurations".into());
             }
-        };
-        Ok(Scenario { policy, kind, num_configs, landscape, corrupt, switch_faults, mask_at })
+        }
+        Ok(Scenario {
+            policy,
+            kind,
+            num_configs,
+            landscape: doc
+                .landscape
+                .into_iter()
+                .map(|row| row.into_iter().map(f64::from_bits).collect())
+                .collect(),
+            corrupt: doc.corrupt.into_iter().map(|v| v.map(f64::from_bits)).collect(),
+            switch_faults,
+            mask_at: doc.mask_at,
+        })
     }
+}
+
+/// A [`Scenario`]'s repro-file form: every `f64` as its raw bits, the
+/// switch plan as one letter per attempt, `mask_at` as `[step, configs]`.
+#[derive(Serialize, FromJson)]
+struct ScenarioDoc {
+    cap_verify_scenario: u32,
+    policy: String,
+    kind: String,
+    configs: usize,
+    landscape: Vec<Vec<u64>>,
+    corrupt: Vec<Option<u64>>,
+    switch_faults: String,
+    mask_at: Option<(usize, Vec<usize>)>,
 }
 
 #[cfg(test)]

@@ -592,10 +592,6 @@ fn run(args: &[&str]) -> Result<String, String> {
             let b = curve.best();
             let _ = writeln!(out, "best: {} entries, TPI {:.3} ns (IPC {:.2})", b.entries, b.tpi_ns, b.ipc);
         }
-        ["sweep", _, ..] => {
-            let (campaign, flags) = build_campaign(args, scale)?;
-            let _ = write!(out, "{}", run_campaign(&campaign, &flags)?);
-        }
         ["managed", name, rest @ ..] => {
             let app = find_app(name)?;
             let eager = rest.contains(&"--eager");
@@ -643,10 +639,6 @@ fn run(args: &[&str]) -> Result<String, String> {
             let _ = writeln!(out, "managed:       {:.3} ns ({} switches)", cmp.managed_tpi, cmp.switches);
             let _ = writeln!(out, "oracle:        {:.3} ns", cmp.oracle_tpi);
         }
-        ["compare-policies", _, ..] => {
-            let (campaign, flags) = build_campaign(args, scale)?;
-            let _ = write!(out, "{}", run_campaign(&campaign, &flags)?);
-        }
         ["joint", name] => {
             let app = find_app(name)?;
             let policy = ConfidencePolicy::default_policy();
@@ -669,10 +661,6 @@ fn run(args: &[&str]) -> Result<String, String> {
                     p.entries, p.period_ns, p.tpi_ns, p.power, p.epi
                 );
             }
-        }
-        ["faults", _, ..] => {
-            let (campaign, flags) = build_campaign(args, scale)?;
-            let _ = write!(out, "{}", run_campaign(&campaign, &flags)?);
         }
         ["plan", rest @ ..] => {
             let dry_run = rest.contains(&"--dry-run");
@@ -708,24 +696,9 @@ fn run(args: &[&str]) -> Result<String, String> {
                 let _ = write!(out, "{}{}", campaign.prelude, run.rendered());
             }
         }
-        ["headline"] => {
-            let serial = ExecPolicy::serial();
-            let cache = CacheExperiment::new(scale)
-                .map_err(|e| e.to_string())?
-                .headline(&serial)
-                .map_err(|e| e.to_string())?;
-            let queue = QueueExperiment::new(scale).headline(&serial).map_err(|e| e.to_string())?;
-            let rows = [
-                ("cache: mean TPImiss reduction", 0.26, cache.tpimiss_reduction),
-                ("cache: mean TPI reduction", 0.09, cache.tpi_reduction),
-                ("cache: stereo TPI reduction", 0.46, cache.stereo_tpi_reduction),
-                ("queue: mean TPI reduction", 0.07, queue.tpi_reduction),
-                ("queue: appcg TPI reduction", 0.28, queue.appcg_tpi_reduction),
-            ];
-            let _ = writeln!(out, "{:<34} {:>7} {:>9}", "metric", "paper", "measured");
-            for (m, p, v) in rows {
-                let _ = writeln!(out, "{m:<34} {:>6.0}% {:>8.1}%", p * 100.0, v * 100.0);
-            }
+        ["sweep", _, ..] | ["compare-policies", _, ..] | ["faults", _, ..] | ["headline"] => {
+            let (campaign, flags) = build_campaign(args, scale)?;
+            let _ = write!(out, "{}", run_campaign(&campaign, &flags)?);
         }
         ["trace-summary", path] => {
             let text = std::fs::read_to_string(path)
@@ -1519,7 +1492,7 @@ mod tests {
         std::env::set_var("CAP_VERIFY_DIR", &dir);
         let out = run(&["verify", "--cases", "3", "--seed", "5"]).unwrap();
         std::env::remove_var("CAP_VERIFY_DIR");
-        assert!(out.contains("38 properties passed"), "{out}");
+        assert!(out.contains("39 properties passed"), "{out}");
         assert!(out.contains("seed 5"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -129,6 +129,17 @@ fn campaign_flags_are_accepted_uniformly_on_every_campaign_command() {
 }
 
 #[test]
+fn headline_and_its_plan_print_identical_bytes() {
+    // `capsim headline` runs the same plan `capsim plan headline` does.
+    let direct = capsim(&["headline"]);
+    assert!(direct.status.success(), "{}", String::from_utf8_lossy(&direct.stderr));
+    let planned = capsim(&["plan", "headline"]);
+    assert!(planned.status.success(), "{}", String::from_utf8_lossy(&planned.stderr));
+    assert_eq!(direct.stdout, planned.stdout);
+    assert!(String::from_utf8_lossy(&direct.stdout).starts_with("metric"));
+}
+
+#[test]
 fn plan_dry_run_prints_the_leg_graph_without_side_effects() {
     let dir = common::tmp_dir("cli-plan-dry");
     let journal = dir.join("journal");
