@@ -23,7 +23,9 @@
 
 use crate::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
 use crate::error::CapError;
-use crate::manager::{run_managed, ManagedRun, QueueIntervalSim, SwitchRetryPolicy};
+use crate::manager::{
+    run_managed, run_managed_lanes, ManagedRun, QueueIntervalSim, QueueLane, SwitchRetryPolicy,
+};
 use crate::metrics::{BarChart, BarPair};
 use crate::plan::{run_leg, run_legs, Leg};
 use crate::policy::{PolicyConfig, PolicyKind};
@@ -35,7 +37,7 @@ use cap_ooo::core::OooCore;
 use cap_ooo::interval::{record_intervals, PAPER_INTERVAL_INSTS};
 use cap_obs::{
     CacheProbeEvent, CacheQuarantineEvent, CacheStoreEvent, Event, JournalLegEvent,
-    LegTimeoutEvent, Recorder,
+    LegTimeoutEvent, Recorder, RingRecorder,
 };
 use cap_par::{
     CacheKey, ChaosInjector, Gate, GuardedOutcome, Journal, Pool, ResultCache, SingleFlight,
@@ -48,7 +50,7 @@ use cap_timing::Technology;
 use cap_workloads::App;
 use serde::Serialize;
 use serde_json::{FromJson, Value};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// How much work each experiment simulates.
 ///
@@ -1122,7 +1124,8 @@ impl IntervalExperiment {
     ///
     /// # Errors
     ///
-    /// Propagates timing-model errors.
+    /// [`CapError::InvalidParameter`] for zero intervals; otherwise
+    /// propagates timing-model errors.
     pub fn interval_series(
         &self,
         app: App,
@@ -1130,6 +1133,7 @@ impl IntervalExperiment {
         intervals: u64,
         exec: &ExecPolicy,
     ) -> Result<Vec<f64>, CapError> {
+        check_intervals(intervals)?;
         run_leg("interval-series", self.series_leg(app, window, intervals), exec)
     }
 
@@ -1153,7 +1157,7 @@ impl IntervalExperiment {
         Leg::cached(self.series_key(app, window, intervals), move |_exec| {
             let cycle = me.timing.cycle_time(window)?;
             let mut core = OooCore::try_new(CoreConfig::isca98(window)?)?;
-            let mut stream = app.ilp_profile().build(me.seed ^ app.seed_salt());
+            let mut stream = me.stream(app);
             let samples = record_intervals(&mut core, &mut stream, intervals, PAPER_INTERVAL_INSTS)?;
             Ok(samples.iter().map(|s| s.tpi(cycle).value()).collect::<Vec<f64>>())
         })
@@ -1202,10 +1206,12 @@ impl IntervalExperiment {
     ///
     /// # Errors
     ///
-    /// Propagates timing-model errors.
+    /// [`CapError::InvalidParameter`] for zero intervals; otherwise
+    /// propagates timing-model errors.
     pub fn ilp_variation(&self, app: App, intervals: u64) -> Result<(f64, f64, f64), CapError> {
+        check_intervals(intervals)?;
         let mut core = OooCore::try_new(CoreConfig::isca98(128)?)?;
-        let mut stream = app.ilp_profile().build(self.seed ^ app.seed_salt());
+        let mut stream = self.stream(app);
         let samples = record_intervals(&mut core, &mut stream, intervals, PAPER_INTERVAL_INSTS)?;
         let ipcs: Vec<f64> = samples.iter().map(|s| s.insts as f64 / s.cycles as f64).collect();
         let min = ipcs.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -1261,15 +1267,9 @@ impl IntervalExperiment {
         config: &PolicyConfig,
         exec: &ExecPolicy,
     ) -> Result<ManagedRun, CapError> {
-        let mut structure = QueueStructure::isca98(self.timing, 0)?;
-        let table = structure.period_table()?;
-        let mut clock = DynamicClock::new(table, DEFAULT_SWITCH_PENALTY_CYCLES)?;
-        let mut policy = config.build(
-            structure.num_configs(),
-            exec.recorder().clone(),
-            Some(app.name().to_string()),
-        )?;
-        let mut stream = app.ilp_profile().build(self.seed ^ app.seed_salt());
+        let QueueLane { mut structure, mut policy, mut clock } =
+            self.managed_lane(app, config, exec.recorder().clone())?;
+        let mut stream = self.stream(app);
         let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, PAPER_INTERVAL_INSTS)?;
         let run = run_managed(
             &mut sim,
@@ -1282,6 +1282,25 @@ impl IntervalExperiment {
         Ok(run.run)
     }
 
+    /// A fresh managed queue, clock and `config` policy tracing to
+    /// `recorder`, as every managed run of `app` starts.
+    fn managed_lane(
+        &self,
+        app: App,
+        config: &PolicyConfig,
+        recorder: Arc<dyn Recorder>,
+    ) -> Result<QueueLane, CapError> {
+        let structure = QueueStructure::isca98(self.timing, 0)?;
+        let clock = DynamicClock::new(structure.period_table()?, DEFAULT_SWITCH_PENALTY_CYCLES)?;
+        let policy = config.build(structure.num_configs(), recorder, Some(app.name().to_string()))?;
+        Ok(QueueLane { structure, policy, clock })
+    }
+
+    /// `app`'s instruction stream under this driver's seed.
+    fn stream(&self, app: App) -> impl cap_trace::inst::InstStream {
+        app.ilp_profile().build(self.seed ^ app.seed_salt())
+    }
+
     /// Runs the §6 interval-adaptive manager — or any other
     /// [`PolicyConfig`] in the catalog — on an application and compares
     /// it with the process-level choice and the per-interval oracle. The
@@ -1291,7 +1310,8 @@ impl IntervalExperiment {
     ///
     /// # Errors
     ///
-    /// Propagates configuration errors.
+    /// [`CapError::InvalidParameter`] for zero intervals; otherwise
+    /// propagates configuration errors.
     pub fn policy_comparison(
         &self,
         app: App,
@@ -1299,6 +1319,7 @@ impl IntervalExperiment {
         config: &PolicyConfig,
         exec: &ExecPolicy,
     ) -> Result<AdaptiveComparison, CapError> {
+        check_intervals(intervals)?;
         let (process_level, oracle) = self.offline_optima(app, intervals, exec)?;
         let run = self.managed_run(app, intervals, config, exec)?;
         Ok(AdaptiveComparison {
@@ -1317,38 +1338,81 @@ impl IntervalExperiment {
     ///
     /// # Errors
     ///
-    /// Propagates configuration errors.
+    /// [`CapError::InvalidParameter`] for zero intervals; otherwise
+    /// propagates configuration errors.
     pub fn compare_policies(&self, app: App, intervals: u64) -> Result<PolicyComparison, CapError> {
         self.compare_policies_with(app, intervals, &ExecPolicy::serial())
     }
 
-    /// One policy's managed run as a content-addressed plan leg —
-    /// inherently serial inside (clock and manager state are a chain)
-    /// but cacheable, keyed by the policy name on top of the usual leg
-    /// identity. Only default-knob runs are plan legs: custom
-    /// [`PolicyConfig`] knobs are not part of the cache key, so
-    /// [`IntervalExperiment::policy_comparison`] stays off-plan.
-    pub(crate) fn policy_leg(&self, app: App, intervals: u64, kind: PolicyKind) -> Leg {
-        let me = self.clone();
-        Leg::cached(
-            CacheKey {
-                kind: "managed-policy".to_string(),
-                app: app.name().to_string(),
-                scale: format!("{intervals}x{PAPER_INTERVAL_INSTS}insts"),
-                seed: self.seed,
-                config_range: "W isca98".to_string(),
-                version: SWEEP_RESULTS_VERSION,
-                policy: Some(kind.name().to_string()),
-            },
-            move |exec| {
-                let run = me.managed_run(app, intervals, &PolicyConfig::new(kind), exec)?;
-                Ok(PolicyRow {
+    /// One plan leg per policy in [`PolicyKind::ALL`], in that order:
+    /// each a default-knob managed run, cacheable, keyed by the policy
+    /// name on top of the usual leg identity. Only default-knob runs are
+    /// plan legs: custom [`PolicyConfig`] knobs are not part of the cache
+    /// key, so [`IntervalExperiment::policy_comparison`] stays off-plan.
+    ///
+    /// The legs share one computation. The first of them to run
+    /// simulates every policy as a lane of one pass over the stream
+    /// ([`run_managed_lanes`]), buffering each lane's trace events; each
+    /// leg then replays its own lane's events as it takes its row, so a
+    /// leg traces what its run alone would have, and a leg taken from
+    /// the cache or the journal traces nothing.
+    pub(crate) fn policy_legs(&self, app: App, intervals: u64) -> Vec<Leg> {
+        let lanes: Arc<OnceLock<Result<Vec<PolicyLane>, CapError>>> = Arc::default();
+        PolicyKind::ALL
+            .iter()
+            .enumerate()
+            .map(|(lane, &kind)| {
+                let (me, lanes) = (self.clone(), lanes.clone());
+                let key = CacheKey {
+                    kind: "managed-policy".to_string(),
+                    app: app.name().to_string(),
+                    scale: format!("{intervals}x{PAPER_INTERVAL_INSTS}insts"),
+                    seed: self.seed,
+                    config_range: "W isca98".to_string(),
+                    version: SWEEP_RESULTS_VERSION,
+                    policy: Some(kind.name().to_string()),
+                };
+                Leg::cached(key, move |exec| {
+                    let recorder = exec.recorder();
+                    let lanes = lanes.get_or_init(|| me.policy_lanes(app, intervals, recorder.enabled()));
+                    let PolicyLane { row, events } = &lanes.as_ref().map_err(CapError::clone)?[lane];
+                    for event in events {
+                        recorder.record(event);
+                    }
+                    Ok(row.clone())
+                })
+            })
+            .collect()
+    }
+
+    /// Every policy in [`PolicyKind::ALL`] at its default knobs, as
+    /// lanes of one managed pass over `app`'s stream, with each lane's
+    /// trace events if `traced`.
+    fn policy_lanes(&self, app: App, intervals: u64, traced: bool) -> Result<Vec<PolicyLane>, CapError> {
+        let buffers: Vec<Arc<RingRecorder>> =
+            PolicyKind::ALL.iter().map(|_| Arc::new(RingRecorder::new())).collect();
+        let mut lanes = PolicyKind::ALL
+            .iter()
+            .zip(&buffers)
+            .map(|(&kind, buffer)| {
+                let recorder: Arc<dyn Recorder> = if traced { buffer.clone() } else { cap_obs::noop() };
+                self.managed_lane(app, &PolicyConfig::new(kind), recorder)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let runs = run_managed_lanes(self.stream(app), &mut lanes, intervals, PAPER_INTERVAL_INSTS)?;
+        Ok(PolicyKind::ALL
+            .iter()
+            .zip(runs)
+            .zip(buffers)
+            .map(|((kind, run), buffer)| PolicyLane {
+                row: PolicyRow {
                     policy: kind.name().to_string(),
                     tpi_ns: run.average_tpi().value(),
                     switches: run.switches,
-                })
-            },
-        )
+                },
+                events: buffer.events(),
+            })
+            .collect())
     }
 
     /// [`IntervalExperiment::compare_policies`] under an execution
@@ -1356,17 +1420,35 @@ impl IntervalExperiment {
     ///
     /// # Errors
     ///
-    /// Propagates configuration errors.
+    /// [`CapError::InvalidParameter`] for zero intervals; otherwise
+    /// propagates configuration errors.
     pub fn compare_policies_with(
         &self,
         app: App,
         intervals: u64,
         exec: &ExecPolicy,
     ) -> Result<PolicyComparison, CapError> {
-        let legs = PolicyKind::ALL.iter().map(|&kind| self.policy_leg(app, intervals, kind));
-        let rows = run_legs("compare-policies", legs, exec)?;
+        check_intervals(intervals)?;
+        let rows = run_legs("compare-policies", self.policy_legs(app, intervals), exec)?;
         Ok(PolicyComparison { app: app.name().to_string(), intervals, rows })
     }
+}
+
+/// One policy's lane of [`IntervalExperiment::policy_legs`]: its row and
+/// the trace events its run emitted.
+#[derive(Debug)]
+struct PolicyLane {
+    row: PolicyRow,
+    events: Vec<Event>,
+}
+
+/// [`CapError::InvalidParameter`] unless a run covers some intervals:
+/// averages over none are not numbers.
+fn check_intervals(intervals: u64) -> Result<(), CapError> {
+    if intervals == 0 {
+        return Err(CapError::InvalidParameter { what: "a run needs at least one interval" });
+    }
+    Ok(())
 }
 
 impl Default for IntervalExperiment {
@@ -1573,6 +1655,56 @@ mod tests {
             .unwrap();
         assert_eq!(cmp.rows[2].tpi_ns, adaptive.managed_tpi);
         assert_eq!(cmp.rows[2].switches, adaptive.switches);
+    }
+
+    fn assert_rejects_zero_intervals<T: std::fmt::Debug>(what: &str, result: Result<T, CapError>) {
+        match result {
+            Err(CapError::InvalidParameter { .. }) => {}
+            other => panic!("{what} of zero intervals: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn interval_series_rejects_zero_intervals() {
+        let series = IntervalExperiment::new().interval_series(App::Gcc, 64, 0, &ExecPolicy::serial());
+        assert_rejects_zero_intervals("interval_series", series);
+    }
+
+    #[test]
+    fn policy_comparison_rejects_zero_intervals() {
+        let config = PolicyConfig::new(PolicyKind::Confidence);
+        let cmp = IntervalExperiment::new().policy_comparison(App::Gcc, 0, &config, &ExecPolicy::serial());
+        assert_rejects_zero_intervals("policy_comparison", cmp);
+    }
+
+    #[test]
+    fn compare_policies_rejects_zero_intervals() {
+        let exp = IntervalExperiment::new();
+        assert_rejects_zero_intervals("compare_policies", exp.compare_policies(App::Gcc, 0));
+        let with = exp.compare_policies_with(App::Gcc, 0, &ExecPolicy::with_jobs(2));
+        assert_rejects_zero_intervals("compare_policies_with", with);
+    }
+
+    #[test]
+    fn ilp_variation_rejects_zero_intervals() {
+        assert_rejects_zero_intervals("ilp_variation", IntervalExperiment::new().ilp_variation(App::Gcc, 0));
+    }
+
+    #[test]
+    fn policy_lanes_equal_one_managed_run_per_policy() {
+        // The shared lanes computation against each policy's own
+        // generator-fed run, row by row and event by event.
+        let exp = IntervalExperiment::new();
+        let lanes = exp.policy_lanes(App::Turb3d, 30, true).unwrap();
+        for (kind, lane) in PolicyKind::ALL.into_iter().zip(&lanes) {
+            let ring = Arc::new(RingRecorder::new());
+            let exec = ExecPolicy::serial().with_recorder(ring.clone());
+            let run = exp.managed_run(App::Turb3d, 30, &PolicyConfig::new(kind), &exec).unwrap();
+            assert_eq!(lane.row.tpi_ns.to_bits(), run.average_tpi().value().to_bits(), "{kind}");
+            assert_eq!(lane.row.switches, run.switches, "{kind}");
+            assert_eq!(lane.events, ring.events(), "{kind}");
+        }
+        assert!(exp.policy_lanes(App::Turb3d, 30, false).unwrap().iter().all(|l| l.events.is_empty()));
     }
 
     #[test]

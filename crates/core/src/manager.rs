@@ -28,7 +28,10 @@
 //!   through [`QueueIntervalSim`], a [`CacheStructure`] through
 //!   [`CacheIntervalSim`] — under any manager, charging reconfigurations
 //!   with the dynamic clock's switch penalty and the slower period during
-//!   transition intervals.
+//!   transition intervals;
+//! * [`run_managed_lanes`], which runs several clean managed queue runs
+//!   of one stream as lanes of one pass, each interval end running the
+//!   same per-interval step as [`run_managed`].
 //!
 //! # Hardening
 //!
@@ -62,7 +65,10 @@ use crate::faults::{FaultInjector, SwitchFault};
 use crate::policy::ConfigPolicy;
 use crate::structure::{AdaptiveStructure, CacheStructure, QueueStructure};
 use cap_obs::{ClockSwitchEvent, Event, Recorder};
-use cap_ooo::interval::IntervalSample;
+use cap_ooo::config::CoreConfig;
+use cap_ooo::core::RunStats;
+use cap_ooo::interval::{record_sample, IntervalSample};
+use cap_ooo::multisweep::{run_intervals, IntervalEnds, NextInterval, LANES};
 use cap_timing::units::Ns;
 use cap_trace::inst::InstStream;
 use serde::Serialize;
@@ -529,24 +535,59 @@ pub fn run_managed(
     mut injector: Option<&mut FaultInjector>,
     retry: SwitchRetryPolicy,
 ) -> Result<FaultedRun, CapError> {
-    let mut out = FaultedRun {
-        run: ManagedRun { intervals: Vec::with_capacity(intervals as usize), switches: 0, switch_penalty: Ns(0.0) },
-        retries: 0,
-        retry_penalty: Ns(0.0),
-        switch_failures: 0,
-    };
+    let mut state = ManagedState::new(intervals);
     let recorder = policy.recorder();
     let label = policy.label().map(str::to_string);
-    let mut transition_period: Option<Ns> = None;
     for index in 0..intervals {
-        let config = sim.structure().current();
-        let period = transition_period.take().unwrap_or(clock.period());
         let Some(sample) = sim.simulate(index, &*recorder, label.as_deref())? else {
             continue;
         };
+        state.interval(sim.structure(), policy, clock, sample, &mut injector, retry)?;
+    }
+    Ok(state.out)
+}
+
+/// A managed run between its intervals: what it has recorded, and the
+/// period a completed switch charges the next interval.
+struct ManagedState {
+    out: FaultedRun,
+    transition_period: Option<Ns>,
+}
+
+impl ManagedState {
+    fn new(intervals: u64) -> Self {
+        ManagedState {
+            out: FaultedRun {
+                run: ManagedRun {
+                    intervals: Vec::with_capacity(intervals as usize),
+                    switches: 0,
+                    switch_penalty: Ns(0.0),
+                },
+                retries: 0,
+                retry_penalty: Ns(0.0),
+                switch_failures: 0,
+            },
+            transition_period: None,
+        }
+    }
+
+    /// Books one simulated interval's `sample`, taken at the structure's
+    /// current configuration, lets the policy observe it, and executes
+    /// the switch it asks for: the body of every managed run's loop.
+    fn interval(
+        &mut self,
+        structure: &mut dyn AdaptiveStructure,
+        policy: &mut dyn ConfigPolicy,
+        clock: &mut DynamicClock,
+        sample: IntervalSample,
+        injector: &mut Option<&mut FaultInjector>,
+        retry: SwitchRetryPolicy,
+    ) -> Result<(), CapError> {
+        let config = structure.current();
+        let period = self.transition_period.take().unwrap_or(clock.period());
         let record = ManagedInterval { config, sample, period };
         let tpi = record.tpi();
-        out.run.intervals.push(record);
+        self.out.run.intervals.push(record);
 
         let observed = match injector.as_deref_mut() {
             Some(inj) => inj.corrupt_tpi(tpi.value()),
@@ -556,15 +597,125 @@ pub fn run_managed(
             ManagerDecision::Stay => {}
             ManagerDecision::SwitchTo(next) if next == config => {}
             ManagerDecision::SwitchTo(next) => {
-                if let Some(p) =
-                    execute_switch(sim.structure(), clock, policy, next, &mut injector, retry, &mut out)?
-                {
-                    transition_period = Some(p);
+                if let Some(p) = execute_switch(structure, clock, policy, next, injector, retry, &mut self.out)? {
+                    self.transition_period = Some(p);
                 }
             }
         }
+        Ok(())
     }
-    Ok(out)
+}
+
+/// One lane of [`run_managed_lanes`]: a queue structure under its own
+/// policy and clock.
+pub struct QueueLane {
+    /// The structure, fresh. Its configuration sets the lane's window;
+    /// its core is never run, as the lanes schedule in its place.
+    pub structure: QueueStructure,
+    /// The lane's manager.
+    pub policy: Box<dyn ConfigPolicy>,
+    /// The lane's dynamic clock.
+    pub clock: DynamicClock,
+}
+
+/// Clean managed queue runs of one stream, one per lane, over one pass
+/// of `stream`: each lane's [`ManagedRun`] and trace events are
+/// bit-identical to [`run_managed`] over a [`QueueIntervalSim`] of the
+/// lane's structure reading its own copy of the stream, with no fault
+/// injector. The lanes are [`cap_ooo::multisweep::run_intervals`]'s; each
+/// interval end runs the same per-interval step as [`run_managed`].
+///
+/// # Errors
+///
+/// * [`CapError::InvalidParameter`] for zero intervals, a zero interval
+///   length, more than [`LANES`] lanes, or a structure whose core has
+///   run;
+/// * the lanes' cycle-overflow error, and the structures' and clocks'
+///   configuration errors.
+pub fn run_managed_lanes<S: InstStream>(
+    stream: S,
+    lanes: &mut [QueueLane],
+    intervals: u64,
+    interval_len: u64,
+) -> Result<Vec<ManagedRun>, CapError> {
+    if intervals == 0 {
+        return Err(CapError::InvalidParameter { what: "a managed run needs at least one interval" });
+    }
+    if interval_len == 0 {
+        return Err(CapError::InvalidParameter { what: "interval length must be positive" });
+    }
+    if lanes.len() > LANES {
+        return Err(CapError::InvalidParameter { what: "too many managed lanes" });
+    }
+    if lanes.iter().any(|lane| lane.structure.core().cycles() > 0) {
+        return Err(CapError::InvalidParameter { what: "managed lanes need fresh structures" });
+    }
+    // Every queue structure is built on the same physical core.
+    let Some(config) = lanes.first().map(|lane| *lane.structure.core().config()) else {
+        return Ok(Vec::new());
+    };
+    match lanes.len() {
+        1 => lanes_of::<S, 1>(stream, config, lanes, intervals, interval_len),
+        2 => lanes_of::<S, 2>(stream, config, lanes, intervals, interval_len),
+        3 => lanes_of::<S, 3>(stream, config, lanes, intervals, interval_len),
+        4 => lanes_of::<S, 4>(stream, config, lanes, intervals, interval_len),
+        5 => lanes_of::<S, 5>(stream, config, lanes, intervals, interval_len),
+        6 => lanes_of::<S, 6>(stream, config, lanes, intervals, interval_len),
+        7 => lanes_of::<S, 7>(stream, config, lanes, intervals, interval_len),
+        _ => lanes_of::<S, 8>(stream, config, lanes, intervals, interval_len),
+    }
+}
+
+/// [`run_managed_lanes`] over exactly `L` lanes.
+fn lanes_of<S: InstStream, const L: usize>(
+    stream: S,
+    config: CoreConfig,
+    lanes: &mut [QueueLane],
+    intervals: u64,
+    interval_len: u64,
+) -> Result<Vec<ManagedRun>, CapError> {
+    let mut first = [NextInterval { insts: interval_len, resize: None }; L];
+    for (next, lane) in first.iter_mut().zip(lanes.iter()) {
+        next.resize = Some(lane.structure.window_at(lane.structure.current())?);
+    }
+    let mut ends = ManagedLanes {
+        states: lanes.iter().map(|_| ManagedState::new(intervals)).collect(),
+        lanes,
+        intervals,
+        interval_len,
+    };
+    run_intervals(stream, config, first, &mut ends)?;
+    Ok(ends.states.into_iter().map(|state| state.out.run).collect())
+}
+
+/// The interval ends of [`run_managed_lanes`]: each is one managed-run
+/// step of its lane.
+struct ManagedLanes<'a> {
+    lanes: &'a mut [QueueLane],
+    states: Vec<ManagedState>,
+    intervals: u64,
+    interval_len: u64,
+}
+
+impl IntervalEnds for ManagedLanes<'_> {
+    type Error = CapError;
+
+    fn end(&mut self, lane: usize, stats: RunStats) -> Result<Option<NextInterval>, CapError> {
+        let (state, QueueLane { structure, policy, clock }) = (&mut self.states[lane], &mut self.lanes[lane]);
+        let index = state.out.run.intervals.len() as u64;
+        let sample = IntervalSample { index, cycles: stats.cycles, insts: stats.committed };
+        record_sample(&*policy.recorder(), policy.label(), index + 1, &sample);
+        let config = structure.current();
+        state.interval(structure, &mut **policy, clock, sample, &mut None, SwitchRetryPolicy::default())?;
+        if index + 1 == self.intervals {
+            return Ok(None);
+        }
+        // Only a completed switch resizes, and it always changes the
+        // configuration.
+        let current = structure.current();
+        let resize = (current != config).then(|| structure.window_at(current)).transpose()?;
+        Ok(Some(NextInterval { insts: self.interval_len, resize }))
+    }
 }
 
 #[cfg(test)]
@@ -622,6 +773,40 @@ mod tests {
         // exploring, the manager should settle on a mid-to-large window.
         let final_cfg = run.intervals.last().unwrap().config;
         assert!(final_cfg >= 2, "settled on config {final_cfg}");
+    }
+
+    #[test]
+    fn managed_lanes_reject_bad_runs() {
+        use crate::structure::QueueStructure;
+        use cap_timing::queue::QueueTimingModel;
+        use cap_trace::inst::{IlpParams, SegmentIlp};
+
+        let lane = || {
+            let structure = QueueStructure::isca98(QueueTimingModel::default(), 0).unwrap();
+            let clock = DynamicClock::new(structure.period_table().unwrap(), 30).unwrap();
+            let policy = PolicyConfig::new(PolicyKind::Confidence).build(8, cap_obs::noop(), None).unwrap();
+            QueueLane { structure, policy, clock }
+        };
+        let stream = || SegmentIlp::new(IlpParams::balanced(), 9).unwrap();
+        let rejects = |result: Result<Vec<ManagedRun>, CapError>| {
+            assert!(matches!(result, Err(CapError::InvalidParameter { .. })), "{result:?}");
+        };
+        rejects(run_managed_lanes(stream(), &mut [lane(), lane()], 0, 2000));
+        rejects(run_managed_lanes(stream(), &mut [lane()], 10, 0));
+        rejects(run_managed_lanes(stream(), &mut (0..9).map(|_| lane()).collect::<Vec<_>>(), 10, 2000));
+        let mut used = lane();
+        used.structure.core_mut().run(&mut stream(), 10);
+        rejects(run_managed_lanes(stream(), &mut [lane(), used], 10, 2000));
+        assert_eq!(run_managed_lanes(stream(), &mut [], 10, 2000).unwrap(), Vec::new());
+
+        // One lane is the generator-fed run.
+        let mut lanes = [lane()];
+        let runs = run_managed_lanes(stream(), &mut lanes, 40, 2000).unwrap();
+        let QueueLane { mut structure, mut policy, mut clock } = lane();
+        let mut stream = stream();
+        let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, 2000).unwrap();
+        let run = run_managed(&mut sim, &mut *policy, &mut clock, 40, None, SwitchRetryPolicy::default());
+        assert_eq!(runs, [run.unwrap().run]);
     }
 
     #[test]

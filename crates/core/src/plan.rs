@@ -36,7 +36,6 @@ use crate::experiments::{
     CacheCurve, CacheExperiment, CachePoint, ExecPolicy, ExperimentScale, IntervalExperiment,
     PolicyRow, QueueCurve, QueueExperiment, SNAPSHOT_FIGURES,
 };
-use crate::policy::PolicyKind;
 use crate::report;
 use cap_obs::{Event, LegDedupEvent};
 use cap_par::{BatchResult, CacheKey};
@@ -779,8 +778,7 @@ pub fn headline_plan(scale: ExperimentScale, seed: u64) -> Result<ExperimentSpec
 pub fn compare_policies_plan(app: App, intervals: u64, seed: u64) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new("compare-policies");
     let exp = IntervalExperiment::new().with_seed(seed);
-    let ids: Vec<LegId> =
-        PolicyKind::ALL.iter().map(|&kind| spec.leg(exp.policy_leg(app, intervals, kind))).collect();
+    let ids: Vec<LegId> = exp.policy_legs(app, intervals).into_iter().map(|leg| spec.leg(leg)).collect();
     spec.reduce("policy-table", ids, move |deps| {
         let rows = decode_all::<PolicyRow>(deps)?;
         let mut out = String::new();

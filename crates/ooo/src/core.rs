@@ -69,11 +69,14 @@
 //! and [`OooCore::run`], and so managed runs, read straight from a
 //! generator through it.
 //!
-//! Fixed-window sweeps run a second copy of the same recurrence:
-//! [`crate::multisweep`] schedules every window size in lock step, one
-//! `u32` lane per window, over one pass of the generator, with this
-//! module's issue-slot ring per lane. The unit tests and `cap-verify`
-//! hold the two copies bit-identical.
+//! The lanes run a second copy of the same recurrence:
+//! [`crate::multisweep`] schedules an instruction in several `u32` lanes
+//! in lock step, over one pass of the generator, with this module's
+//! issue-slot ring per lane. Each lane has its own window, dispatch
+//! floor and interval target, so a lane is either a fixed-window sweep
+//! point or a managed core whose window changes at its own interval
+//! ends. The unit tests and `cap-verify` hold the two copies
+//! bit-identical.
 
 use crate::config::{CoreConfig, WindowSize};
 use crate::error::OooError;

@@ -53,7 +53,8 @@ pub fn record_intervals<S: InstStream>(
     record_intervals_observed(core, stream, intervals, interval_len, 0, &cap_obs::NoopRecorder, None)
 }
 
-/// [`record_intervals`] with trace emission: each recorded interval also
+/// [`record_intervals`] with trace emission, for intervals that continue
+/// a longer run: the samples are indexed `base_index ..`, and each also
 /// produces one [`cap_obs::SampleEvent`] carrying the raw cycle/instruction
 /// counters, numbered `base_index + 1 ..` so a managed run's samples line
 /// up with its decision events.
@@ -76,18 +77,24 @@ pub fn record_intervals_observed<S: InstStream>(
     let mut out = Vec::with_capacity(intervals as usize);
     for index in 0..intervals {
         let stats = core.run(stream, interval_len);
-        let sample = IntervalSample { index, cycles: stats.cycles, insts: stats.committed };
-        if recorder.enabled() {
-            recorder.record(&Event::Sample(SampleEvent {
-                app: label.map(str::to_string),
-                interval: base_index + index + 1,
-                cycles: sample.cycles,
-                insts: sample.insts,
-            }));
-        }
+        let sample = IntervalSample { index: base_index + index, cycles: stats.cycles, insts: stats.committed };
+        record_sample(recorder, label, sample.index + 1, &sample);
         out.push(sample);
     }
     Ok(out)
+}
+
+/// Records `sample` as the [`cap_obs::SampleEvent`] of the 1-based
+/// interval `interval` of the run `label`, if `recorder` is enabled.
+pub fn record_sample(recorder: &dyn Recorder, label: Option<&str>, interval: u64, sample: &IntervalSample) {
+    if recorder.enabled() {
+        recorder.record(&Event::Sample(SampleEvent {
+            app: label.map(str::to_string),
+            interval,
+            cycles: sample.cycles,
+            insts: sample.insts,
+        }));
+    }
 }
 
 /// Records exactly one interval at position `index` of a longer run —
@@ -150,6 +157,16 @@ mod tests {
         for (i, s) in v.iter().enumerate() {
             assert_eq!(s.index, i as u64);
             assert!(s.cycles > 0);
+        }
+    }
+
+    #[test]
+    fn a_managed_interval_sample_carries_its_index() {
+        let mut core = OooCore::new(CoreConfig::isca98(64).unwrap());
+        let mut s = SegmentIlp::new(IlpParams::balanced(), 1).unwrap();
+        for index in 0..3 {
+            let sample = record_interval_observed(&mut core, &mut s, 100, index, &cap_obs::NoopRecorder, None);
+            assert_eq!(sample.unwrap().unwrap().index, index);
         }
     }
 

@@ -17,8 +17,10 @@
 //! * interval TPI recording for the Section 6 snapshots (Figures 12–13);
 //! * a **single-pass window sweep** ([`multisweep`]) that reads the
 //!   instruction stream once and schedules every window size in lock
-//!   step, one `u32` lane per window, and the preserved full-scan engine
-//!   ([`mod@reference`]) that pins the fast core's schedule differentially.
+//!   step, one `u32` lane per window, whose lanes can also run as
+//!   managed cores with their own interval ends and resizes, and the
+//!   preserved full-scan engine ([`mod@reference`]) that pins the fast
+//!   core's schedule differentially.
 //!
 //! The cycle time of each window size comes from
 //! [`cap_timing::QueueTimingModel`]; combining it with measured IPC gives

@@ -16,7 +16,7 @@ use crate::invariants::{
 use crate::json::derive_roundtrip;
 use crate::multisweep::{
     bpred_fused_vs_per_size, cache_one_pass_vs_legacy, core_run_vs_scan, core_vs_scan_reference,
-    queue_lanes_vs_legacy, queue_lanes_vs_legacy_shapes,
+    managed_lanes_vs_core, queue_lanes_vs_legacy, queue_lanes_vs_legacy_shapes,
 };
 use crate::packed::packed_vs_inst;
 use crate::rng::Rng;
@@ -323,6 +323,10 @@ pub fn run_verify(cfg: &VerifyConfig, progress: &mut dyn FnMut(&PropertyReport))
         bpred_fused_vs_per_size(rng)
     });
     push(r, progress);
+    let r = run_seeded_property("managed/queue/lanes-vs-core", cfg, sweep_cases, &|rng, _| {
+        managed_lanes_vs_core(rng)
+    });
+    push(r, progress);
 
     // The generators' native packed path against packing `next_inst`.
     let r = run_seeded_property("trace/packed-vs-inst", cfg, cfg.cases, &packed_vs_inst);
@@ -407,6 +411,7 @@ pub fn replay(text: &str, scratch: &Path) -> Result<ReplayOutcome, String> {
         "sweep/bpred/fused-vs-per-size" => {
             outcome_of(bpred_fused_vs_per_size(&mut rng).map(|()| true))
         }
+        "managed/queue/lanes-vs-core" => outcome_of(managed_lanes_vs_core(&mut rng).map(|()| true)),
         "trace/packed-vs-inst" => outcome_of(packed_vs_inst(&mut rng, case).map(|()| true)),
         "json/derive-roundtrip" => outcome_of(derive_roundtrip(&mut rng).map(|()| true)),
         other => Err(format!("repro names an unknown property {other:?}")),
@@ -434,9 +439,9 @@ mod tests {
         assert!(!report.failed());
         assert_eq!(lines, report.properties.len());
         // 16 diff + 2 hardened diff + 8 oracle + 2 equiv + curve
-        // + journal + offline + 6 sweep-engine differentials + the
-        // packed generator path.
-        assert_eq!(report.properties.len(), 39);
+        // + journal + offline + 6 sweep-engine differentials + managed
+        // lanes + the packed generator path + the JSON round trip.
+        assert_eq!(report.properties.len(), 40);
     }
 
     #[test]

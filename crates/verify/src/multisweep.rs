@@ -17,6 +17,10 @@
 //!   cycle and over the interval-sized `run` calls of a managed run — the
 //!   latter also with the production core reading a tape's packed
 //!   records;
+//! * the same lanes run managed cores, each lane with its own policy,
+//!   window, dispatch floor and interval ends
+//!   ([`cap_core::manager::run_managed_lanes`]), against
+//!   [`run_managed`] on a core per lane ([`managed_lanes_vs_core`]);
 //! * the branch-predictor sweep reads its branch stream once and trains
 //!   every PHT size on each event ([`cap_ooo::bpred::sweep`]), against
 //!   [`per_size_bpred_sweep`], which regenerates the stream per size.
@@ -31,6 +35,14 @@ use crate::rng::Rng;
 use cap_cache::config::Boundary;
 use cap_cache::perf::PerfParams;
 use cap_cache::sim::SweepPoint;
+use cap_core::clock::DynamicClock;
+use cap_core::manager::{
+    run_managed, run_managed_lanes, ConfidencePolicy, ManagedRun, QueueIntervalSim, QueueLane,
+    ResiliencePolicy, SwitchRetryPolicy,
+};
+use cap_core::policy::{PolicyConfig, PolicyKind};
+use cap_core::structure::{AdaptiveStructure, QueueStructure};
+use cap_obs::{Recorder, RingRecorder};
 use cap_ooo::bpred::{BpredSweepPoint, Gshare, PhtConfig, MISPREDICT_PENALTY_CYCLES};
 use cap_ooo::config::{CoreConfig, WindowSize};
 use cap_ooo::core::{OooCore, RunStats};
@@ -46,6 +58,7 @@ use cap_trace::branch::BranchStream;
 use cap_trace::inst::{Inst, InstStream};
 use cap_trace::tape::InstTape;
 use cap_workloads::App;
+use std::sync::Arc;
 
 /// One fuzzed cache case: a random suite application, seed and trace
 /// length, swept over every paper boundary by both engines.
@@ -284,6 +297,139 @@ fn compare_queue_points(
                 l.tpi, t.tpi
             ));
         }
+    }
+    Ok(())
+}
+
+/// A random policy of a random kind, with random valid knobs where the
+/// kind takes any.
+fn random_policy(rng: &mut Rng) -> PolicyConfig {
+    let kind = *rng.pick(&PolicyKind::ALL);
+    if kind != PolicyKind::Confidence {
+        return PolicyConfig::new(kind);
+    }
+    let gating = ConfidencePolicy {
+        threshold: rng.range(0, 4) as u32,
+        hysteresis: *rng.pick(&[0.0, 0.01, 0.03, 0.1]),
+    };
+    let mut config = PolicyConfig::new(kind)
+        .with_explore_period(*rng.pick(&[0, 1, 7, 40]))
+        .with_confidence(gating);
+    if rng.chance(0.5) {
+        config = config.with_resilience(ResiliencePolicy::hardened());
+    }
+    if rng.chance(0.3) {
+        config = config.with_pattern(rng.range(8, 24) as usize, rng.unit());
+    }
+    config
+}
+
+/// One managed lane: the queue at configuration `initial`, its clock
+/// charging `penalty` cycles a switch, and `config`'s policy tracing to
+/// a fresh ring.
+fn managed_lane(
+    app: App,
+    config: &PolicyConfig,
+    initial: usize,
+    penalty: u64,
+) -> Result<(QueueLane, Arc<RingRecorder>), String> {
+    let err = |e: cap_core::CapError| format!("building a lane failed: {e}");
+    let timing = QueueTimingModel::new(Technology::isca98_evaluation());
+    let structure = QueueStructure::isca98(timing, initial).map_err(err)?;
+    let clock = DynamicClock::new(structure.period_table().map_err(err)?, penalty).map_err(err)?;
+    let ring = Arc::new(RingRecorder::new());
+    let recorder: Arc<dyn Recorder> = ring.clone();
+    let policy = config
+        .build(structure.num_configs(), recorder, Some(app.name().to_string()))
+        .map_err(err)?;
+    Ok((QueueLane { structure, policy, clock }, ring))
+}
+
+/// One fuzzed managed-lanes case (`managed/queue/lanes-vs-core`): one to
+/// eight lanes over a random suite application and seed, each with a
+/// random policy kind and knobs, initial configuration and switch
+/// penalty, all at one interval length — one instruction, `CW - 1`, an
+/// odd count or the paper's 2000. Each lane's [`ManagedRun`] and trace
+/// events must be bit-identical to [`run_managed`] over a
+/// [`QueueIntervalSim`] of the same lane reading its own copy of the
+/// stream: every interval's configuration, sample and period, the switch
+/// count and penalty, and every decision, sample and clock-switch event.
+///
+/// # Errors
+///
+/// Returns a message naming the first diverging lane and field.
+pub fn managed_lanes_vs_core(rng: &mut Rng) -> Result<(), String> {
+    let apps: Vec<App> = App::queue_suite().collect();
+    let app = *rng.pick(&apps);
+    let seed = rng.next_u64();
+    let odd = 2 * rng.range(1, 500) + 1;
+    let interval_len = *rng.pick(&[1, 7, odd, PAPER_INTERVAL_INSTS]);
+    let intervals = rng.range(1, (40_000 / interval_len).clamp(2, 60));
+    let lanes: Vec<(PolicyConfig, usize, u64)> = (0..rng.range(1, LANES as u64))
+        .map(|_| (random_policy(rng), rng.below(8) as usize, *rng.pick(&[0, 30, 100])))
+        .collect();
+    let ctx = format!("app {} seed {seed} {intervals}x{interval_len} insts", app.name());
+    let stream = || app.ilp_profile().build(seed);
+
+    let mut under_test = Vec::new();
+    let mut rings = Vec::new();
+    for (config, initial, penalty) in &lanes {
+        let (lane, ring) = managed_lane(app, config, *initial, *penalty)?;
+        under_test.push(lane);
+        rings.push(ring);
+    }
+    let runs = run_managed_lanes(stream(), &mut under_test, intervals, interval_len)
+        .map_err(|e| format!("{ctx}: lanes failed: {e}"))?;
+    for (l, ((config, initial, penalty), (run, ring))) in lanes.iter().zip(runs.iter().zip(&rings)).enumerate() {
+        let ctx = format!("{ctx}, lane {l} ({} from config {initial})", config.kind().name());
+        let (mut lane, reference_ring) = managed_lane(app, config, *initial, *penalty)?;
+        let mut stream = stream();
+        let mut sim = QueueIntervalSim::new(&mut lane.structure, &mut stream, interval_len)
+            .map_err(|e| format!("{ctx}: {e}"))?;
+        let reference = run_managed(
+            &mut sim,
+            &mut *lane.policy,
+            &mut lane.clock,
+            intervals,
+            None,
+            SwitchRetryPolicy::default(),
+        )
+        .map_err(|e| format!("{ctx}: core run failed: {e}"))?
+        .run;
+        compare_managed_runs(&ctx, &reference, run)?;
+        let events = |ring: &RingRecorder| ring.events().iter().map(|e| e.to_json()).collect::<Vec<_>>();
+        let (want, got) = (events(&reference_ring), events(ring));
+        if let Some(k) = (0..want.len().max(got.len())).find(|&k| want.get(k) != got.get(k)) {
+            return Err(format!(
+                "{ctx}: trace event {k} differs — {:?} (core) vs {:?} (lanes)",
+                want.get(k),
+                got.get(k)
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn compare_managed_runs(ctx: &str, core: &ManagedRun, lanes: &ManagedRun) -> Result<(), String> {
+    if core.intervals.len() != lanes.intervals.len() {
+        return Err(format!(
+            "{ctx}: interval counts differ (core {} vs lanes {})",
+            core.intervals.len(),
+            lanes.intervals.len()
+        ));
+    }
+    for (k, (c, l)) in core.intervals.iter().zip(&lanes.intervals).enumerate() {
+        if c.config != l.config || c.sample != l.sample || c.period.value().to_bits() != l.period.value().to_bits() {
+            return Err(format!("{ctx}: interval {k} differs — {c:?} (core) vs {l:?} (lanes)"));
+        }
+    }
+    if core.switches != lanes.switches
+        || core.switch_penalty.value().to_bits() != lanes.switch_penalty.value().to_bits()
+    {
+        return Err(format!(
+            "{ctx}: switches {} / penalty {} (core) vs {} / {} (lanes)",
+            core.switches, core.switch_penalty, lanes.switches, lanes.switch_penalty
+        ));
     }
     Ok(())
 }

@@ -1492,7 +1492,7 @@ mod tests {
         std::env::set_var("CAP_VERIFY_DIR", &dir);
         let out = run(&["verify", "--cases", "3", "--seed", "5"]).unwrap();
         std::env::remove_var("CAP_VERIFY_DIR");
-        assert!(out.contains("39 properties passed"), "{out}");
+        assert!(out.contains("40 properties passed"), "{out}");
         assert!(out.contains("seed 5"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
