@@ -9,6 +9,7 @@
 //! two periods, a conservative accounting) per reconfiguration.
 
 use crate::error::CapError;
+use crate::structure::AdaptiveStructure;
 use cap_timing::units::Ns;
 
 /// The default clock-switch penalty, in cycles ("the need to reliably
@@ -56,6 +57,24 @@ impl DynamicClock {
             return Err(CapError::InvalidParameter { what: "clock periods must be positive and finite" });
         }
         Ok(DynamicClock { periods, current: 0, switch_penalty_cycles, switches: 0, total_penalty: Ns(0.0) })
+    }
+
+    /// Creates the clock that times `structure`: one period per
+    /// configuration, with the structure's active configuration
+    /// selected, so the clock and its structure agree from the first
+    /// interval.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the structure's period-table errors and
+    /// [`DynamicClock::new`]'s.
+    pub fn for_structure<S: AdaptiveStructure + ?Sized>(
+        structure: &S,
+        switch_penalty_cycles: u64,
+    ) -> Result<Self, CapError> {
+        let mut clock = Self::new(structure.period_table()?, switch_penalty_cycles)?;
+        clock.current = structure.current();
+        Ok(clock)
     }
 
     /// The currently selected period.
@@ -194,6 +213,18 @@ mod tests {
         assert_eq!(c.total_penalty(), Ns(0.0));
         c.charge_extra_penalty(p);
         assert!((c.total_penalty().value() - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn structure_clock_starts_at_the_structure_configuration() {
+        use crate::structure::QueueStructure;
+        use cap_timing::queue::QueueTimingModel;
+        let structure = QueueStructure::isca98(QueueTimingModel::default(), 3).unwrap();
+        let c = DynamicClock::for_structure(&structure, 30).unwrap();
+        assert_eq!(c.selected(), 3);
+        assert_eq!(c.period(), structure.cycle_time(3).unwrap());
+        assert_eq!(c.periods(), structure.period_table().unwrap());
+        assert_eq!(c.switches(), 0);
     }
 
     #[test]

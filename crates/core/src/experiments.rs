@@ -139,7 +139,10 @@ pub const SWEEP_RESULTS_VERSION: u32 = 1;
 
 /// How an experiment executes: worker count for the leg pool, an
 /// optional persistent result cache, an optional write-ahead leg
-/// journal, and a per-leg watchdog.
+/// journal, a per-leg watchdog, and the single-flight table and worker
+/// gate that every clone of the policy shares — so executors running
+/// under clones (the campaign service's requests) compute each distinct
+/// leg once, and compute at most `jobs` legs at a time between them.
 ///
 /// Every sweep leg is a pure function of
 /// `(experiment kind, app, scale, seed, config range)`, so none of these
@@ -153,35 +156,36 @@ pub struct ExecPolicy {
     journal: Option<Arc<Mutex<Journal>>>,
     watchdog: WatchdogPolicy,
     chaos: Option<ChaosInjector>,
-    flight: Option<Arc<LegFlight>>,
-    gate: Option<Arc<Gate>>,
+    flight: Arc<LegFlight>,
+    gate: Arc<Gate>,
 }
 
-/// The single-flight table the campaign service shares across
-/// concurrent executors. The published value is the computed leg value
-/// plus whether the leader found it already stored in the result cache
-/// (a *late* cache hit — another campaign finished it between this
-/// plan's resolve phase and the leg's dispatch).
+/// The single-flight table every executor holding one policy (or a
+/// clone of it) shares. The published value is the leg value plus
+/// whether the leader found it in the result cache rather than
+/// computing it.
 pub type LegFlight = SingleFlight<Result<(Value, bool), CapError>>;
 
 impl ExecPolicy {
     /// One leg at a time, no memoization — the reference path.
     pub fn serial() -> Self {
+        Self::with_jobs(1)
+    }
+
+    /// A policy with `jobs` workers, a gate of as many permits, and no
+    /// memoization.
+    pub fn with_jobs(jobs: usize) -> Self {
+        let jobs = jobs.max(1);
         ExecPolicy {
-            jobs: 1,
+            jobs,
             cache: None,
             recorder: cap_obs::noop(),
             journal: None,
             watchdog: WatchdogPolicy::none(),
             chaos: None,
-            flight: None,
-            gate: None,
+            flight: Arc::new(LegFlight::new()),
+            gate: Arc::new(Gate::new(jobs)),
         }
-    }
-
-    /// A policy with `jobs` workers and no memoization.
-    pub fn with_jobs(jobs: usize) -> Self {
-        ExecPolicy { jobs: jobs.max(1), ..Self::serial() }
     }
 
     /// Attaches a persistent result cache.
@@ -199,38 +203,12 @@ impl ExecPolicy {
     }
 
     /// Attaches a write-ahead leg journal: completed legs are committed
-    /// to it and replayed on `--resume` instead of recomputed.
+    /// to it and replayed on `--resume` instead of recomputed. Clones of
+    /// the policy share the journal (appends are serialized by its
+    /// mutex and idempotent per leg key).
     #[must_use]
     pub fn with_journal(mut self, journal: Journal) -> Self {
         self.journal = Some(Arc::new(Mutex::new(journal)));
-        self
-    }
-
-    /// Attaches an already-shared journal handle. The campaign service
-    /// uses this to let identical concurrent campaigns commit into one
-    /// journal (appends are serialized by the mutex and idempotent per
-    /// leg key); the single-ownership `with_journal` stays the CLI path.
-    #[must_use]
-    pub fn with_shared_journal(mut self, journal: Arc<Mutex<Journal>>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Attaches a shared single-flight table: concurrent executors
-    /// (campaign-service requests) holding the same table compute each
-    /// distinct leg exactly once and share the result.
-    #[must_use]
-    pub fn with_flight(mut self, flight: Arc<LegFlight>) -> Self {
-        self.flight = Some(flight);
-        self
-    }
-
-    /// Attaches a shared worker gate bounding concurrent leg computation
-    /// across every executor holding it (the campaign service's global
-    /// `--jobs` budget).
-    #[must_use]
-    pub fn with_gate(mut self, gate: Arc<Gate>) -> Self {
-        self.gate = Some(gate);
         self
     }
 
@@ -281,16 +259,7 @@ impl ExecPolicy {
                 message: format!("CAP_CACHE_DIR is unusable: {e}"),
             })?;
         }
-        Ok(ExecPolicy {
-            jobs,
-            cache,
-            recorder,
-            journal: None,
-            watchdog,
-            chaos,
-            flight: None,
-            gate: None,
-        })
+        Ok(ExecPolicy { cache, recorder, watchdog, chaos, ..Self::with_jobs(jobs) })
     }
 
     /// The worker count.
@@ -322,17 +291,16 @@ impl ExecPolicy {
         Pool::new(self.jobs).with_recorder(self.recorder.clone())
     }
 
-    /// The shared single-flight table, when executing under the
-    /// campaign service.
-    pub(crate) fn flight(&self) -> Option<&Arc<LegFlight>> {
-        self.flight.as_ref()
+    /// The single-flight table shared by every clone of this policy.
+    pub(crate) fn flight(&self) -> &LegFlight {
+        &self.flight
     }
 
-    /// Claims a slot from the shared worker gate, when one is attached.
-    /// Callers hold the permit exactly for the duration of a leg's
-    /// compute — never while waiting on a single-flight slot.
-    pub(crate) fn acquire_worker(&self) -> Option<GatePermit<'_>> {
-        self.gate.as_deref().map(Gate::acquire)
+    /// Claims a slot from the worker gate shared by every clone of this
+    /// policy. Callers hold the permit exactly for the duration of a
+    /// leg's compute — never while waiting on a single-flight slot.
+    pub(crate) fn acquire_worker(&self) -> GatePermit<'_> {
+        self.gate.acquire()
     }
 
     /// Journal lookup with a `journal-leg` replay event. Returns the
@@ -1291,7 +1259,7 @@ impl IntervalExperiment {
         recorder: Arc<dyn Recorder>,
     ) -> Result<QueueLane, CapError> {
         let structure = QueueStructure::isca98(self.timing, 0)?;
-        let clock = DynamicClock::new(structure.period_table()?, DEFAULT_SWITCH_PENALTY_CYCLES)?;
+        let clock = DynamicClock::for_structure(&structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
         let policy = config.build(structure.num_configs(), recorder, Some(app.name().to_string()))?;
         Ok(QueueLane { structure, policy, clock })
     }

@@ -410,8 +410,7 @@ fn frequency_rows(
             return Err(CapError::InvalidParameter { what: "interval length must be positive" });
         }
         let mut structure = QueueStructure::isca98(timing, 0)?;
-        let table = structure.period_table()?;
-        let mut clock = DynamicClock::new(table, DEFAULT_SWITCH_PENALTY_CYCLES)?;
+        let mut clock = DynamicClock::for_structure(&structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
         let mut manager = PolicyConfig::new(PolicyKind::Confidence).build(
             structure.num_configs(),
             cap_obs::noop(),

@@ -421,7 +421,7 @@ impl FaultCampaign {
         let stream_seed = self.seed ^ self.app.seed_salt();
 
         let mut clean_structure = QueueStructure::isca98(timing, 0)?;
-        let mut clock = DynamicClock::new(clean_structure.period_table()?, DEFAULT_SWITCH_PENALTY_CYCLES)?;
+        let mut clock = DynamicClock::for_structure(&clean_structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
         let mut manager = self.manager(clean_structure.num_configs(), recorder, "queue:clean")?;
         let mut stream = self.app.ilp_profile().build(stream_seed);
         let clean = run_managed(
@@ -434,7 +434,7 @@ impl FaultCampaign {
         )?;
 
         let mut structure = QueueStructure::isca98(timing, 0)?;
-        let mut clock = DynamicClock::new(structure.period_table()?, DEFAULT_SWITCH_PENALTY_CYCLES)?;
+        let mut clock = DynamicClock::for_structure(&structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
         let mut manager = self.manager(structure.num_configs(), recorder, "queue:faulty")?;
         let mut injector = FaultInjector::new(self.spec, self.seed ^ 0xFA17_0001, structure.num_configs())?;
         let mut stream = self.app.ilp_profile().build(stream_seed);
@@ -457,7 +457,7 @@ impl FaultCampaign {
         let stream_seed = self.seed ^ self.app.seed_salt();
 
         let mut clean_structure = CacheStructure::isca98(timing, 0)?;
-        let mut clock = DynamicClock::new(clean_structure.period_table()?, DEFAULT_SWITCH_PENALTY_CYCLES)?;
+        let mut clock = DynamicClock::for_structure(&clean_structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
         let mut manager = self.manager(clean_structure.num_configs(), recorder, "cache:clean")?;
         let mut stream = profile.build(stream_seed);
         let clean = run_managed(
@@ -475,7 +475,7 @@ impl FaultCampaign {
         )?;
 
         let mut structure = CacheStructure::isca98(timing, 0)?;
-        let mut clock = DynamicClock::new(structure.period_table()?, DEFAULT_SWITCH_PENALTY_CYCLES)?;
+        let mut clock = DynamicClock::for_structure(&structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
         let mut manager = self.manager(structure.num_configs(), recorder, "cache:faulty")?;
         let mut injector = FaultInjector::new(self.spec, self.seed ^ 0xFA17_0002, structure.num_configs())?;
         // Dead increments shrink the usable boundary range up front; the

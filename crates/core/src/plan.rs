@@ -17,15 +17,18 @@
 //! figure 7's curves; `compare-policies` sharing baseline legs) executes
 //! it once and fans the value out to every reduce that depends on it.
 //!
-//! **Execution protocol.** [`Executor::run`] resolves each leg in plan
-//! order: replay from the journal, else decode a result-cache hit (which
-//! is then committed to the journal, so warm and cold runs journal the
-//! same leg sequence), else schedule it for computation. Pending legs
-//! run as one pool batch; completed legs are committed (journal, then
-//! cache) in plan order even when another leg failed or the batch
-//! drained, so `--resume` replays finished work instead of recomputing
-//! it. Reduces are pure functions of leg values and never touch the
-//! journal or cache.
+//! **Execution protocol.** One protocol serves the CLI and the campaign
+//! service. [`Executor::run`] replays journal hits on the calling
+//! thread, then sends every other leg through one pool batch. Inside the
+//! leg's slot in the policy's single-flight table, the leader probes the
+//! result cache once; on a miss it takes a gate permit, computes, and
+//! stores the value before the slot retires. Concurrent runs sharing the
+//! policy (the service's requests) wait on the slot and share the value.
+//! Completed legs — cache hits included, so warm and cold runs journal
+//! the same leg sequence — are committed to the journal in plan order,
+//! even when another leg failed or the batch drained, so `--resume`
+//! replays finished work instead of recomputing it. Reduces are pure
+//! functions of leg values and never touch the journal or cache.
 //!
 //! **Inspection.** [`Executor::resolve`] classifies every leg as a
 //! journal hit, a result-cache hit or a miss *without* executing or
@@ -52,7 +55,7 @@ type Render = Arc<dyn Fn(&[&Value]) -> Result<String, CapError> + Send + Sync>;
 
 /// One content-addressed unit of campaign work.
 ///
-/// A leg owns its compute closure (including any [`ExecPolicy::guarded`]
+/// A leg owns its compute closure (including any `ExecPolicy::guarded`
 /// wrapping — the executor imposes none, so drivers keep their
 /// historical guard labels exactly). The closure's result type fixes
 /// the leg's shape: a journaled or cached [`Value`] that does not
@@ -217,10 +220,9 @@ pub struct RunStats {
     /// Legs actually computed by this run.
     pub computed: u64,
     /// Legs whose value was shared from a concurrent run's in-flight
-    /// computation (single-flight dedup; only under the service).
+    /// computation (single-flight dedup).
     pub deduped: u64,
-    /// Legs decoded from the result cache (including late hits observed
-    /// inside a single-flight slot after waiting for the map lock).
+    /// Legs decoded from the result cache.
     pub cache_hits: u64,
     /// Legs replayed from the attached journal.
     pub journal_hits: u64,
@@ -252,15 +254,16 @@ impl PlanRun {
     }
 }
 
-/// Where one executed leg's value came from (commit-loop bookkeeping).
+/// Where one leg's value came from, when the journal did not hold it
+/// (commit-loop bookkeeping).
 enum LegSource {
     /// This run computed the value itself.
     Computed,
     /// A concurrent run computed it; single-flight shared the value.
     Deduped,
-    /// The result cache filled while this leg waited for its
-    /// single-flight slot — probed again inside the slot, hit.
-    LateCacheHit,
+    /// The result cache held it (found by this run or by the concurrent
+    /// run whose slot this one shared).
+    CacheHit,
 }
 
 /// How [`Executor::resolve`] classified one leg.
@@ -396,9 +399,9 @@ impl Executor {
         }
     }
 
-    /// Executes a spec: resolve each leg (journal → cache → compute),
-    /// run pending legs as one pool batch, commit completed legs in
-    /// plan order, then render the reduces.
+    /// Executes a spec: replay journal hits, resolve every other leg
+    /// (cache → compute) in one pool batch, commit completed legs to the
+    /// journal in plan order, then render the reduces.
     ///
     /// # Errors
     ///
@@ -411,21 +414,9 @@ impl Executor {
         let mut stats = RunStats::default();
         let mut values: Vec<Option<Value>> = legs
             .iter()
-            .map(|leg| {
-                if let Some(hit) =
-                    exec.journal_lookup(&leg.key).filter(|v| (leg.validate)(v))
-                {
-                    stats.journal_hits += 1;
-                    return Some(hit);
-                }
-                let hit = exec
-                    .probe_cache(leg.cache_key.as_ref()?)
-                    .filter(|v| (leg.validate)(v))?;
-                exec.journal_append(&leg.key, &hit);
-                stats.cache_hits += 1;
-                Some(hit)
-            })
+            .map(|leg| exec.journal_lookup(&leg.key).filter(|v| (leg.validate)(v)))
             .collect();
+        stats.journal_hits = values.iter().flatten().count() as u64;
 
         let pending: Vec<usize> = (0..legs.len()).filter(|&i| values[i].is_none()).collect();
         let batch = exec
@@ -443,22 +434,11 @@ impl Executor {
         let mut failed: Option<CapError> = None;
         for item in results {
             match item {
-                Some((i, (Ok(value), source))) => {
+                Some((i, Ok((value, source)))) => {
                     exec.journal_append(&legs[i].key, &value);
                     match source {
-                        LegSource::Computed => {
-                            stats.computed += 1;
-                            // Under a single-flight table the leader
-                            // already stored inside the slot (so the
-                            // store lands before followers observe the
-                            // value); the non-service path stores here,
-                            // keeping the CLI event order golden.
-                            if exec.flight().is_none() {
-                                if let Some(key) = &legs[i].cache_key {
-                                    exec.store_cache(key, &value);
-                                }
-                            }
-                        }
+                        LegSource::Computed => stats.computed += 1,
+                        LegSource::CacheHit => stats.cache_hits += 1,
                         LegSource::Deduped => {
                             stats.deduped += 1;
                             let recorder = exec.recorder();
@@ -468,13 +448,10 @@ impl Executor {
                                 }));
                             }
                         }
-                        LegSource::LateCacheHit => {
-                            stats.cache_hits += 1;
-                        }
                     }
                     values[i] = Some(value);
                 }
-                Some((_, (Err(e), _))) => {
+                Some((_, Err(e))) => {
                     failed.get_or_insert(e);
                 }
                 None => {}
@@ -504,53 +481,35 @@ impl Executor {
         Ok(PlanRun { values, rendered, stats })
     }
 
-    /// Executes one pending leg, routing through the shared
-    /// single-flight table when the policy carries one (the campaign
-    /// service): concurrent runs of the same leg elect one leader, the
-    /// rest share its value. Inside the slot the leader re-probes the
-    /// result cache (another request may have stored the value while
-    /// this one waited), claims a shared-gate permit only for the
-    /// actual compute, and publishes the cache store before followers
-    /// can observe the value — so "computed exactly once" holds even
-    /// against the cache.
-    fn run_leg(leg: &Leg, exec: &ExecPolicy) -> (Result<Value, CapError>, LegSource) {
-        let compute = || {
-            if exec.flight().is_some() {
-                if let Some(hit) = leg
-                    .cache_key
-                    .as_ref()
-                    .and_then(|key| exec.probe_cache(key))
-                    .filter(|v| (leg.validate)(v))
-                {
-                    return Ok((hit, true));
-                }
+    /// Resolves one leg the journal did not hold, inside its slot in the
+    /// policy's single-flight table: concurrent runs of the same leg
+    /// elect one leader, the rest share its value. The leader probes the
+    /// result cache once; on a miss it claims a gate permit only for the
+    /// compute, and stores the value before the slot retires — so a later
+    /// run of the leg finds it in the cache, and "computed exactly once"
+    /// holds even against the cache.
+    fn run_leg(leg: &Leg, exec: &ExecPolicy) -> Result<(Value, LegSource), CapError> {
+        let (result, shared) = exec.flight().work(&leg.key, || {
+            let cache_key = leg.cache_key.as_ref();
+            if let Some(hit) =
+                cache_key.and_then(|key| exec.probe_cache(key)).filter(|v| (leg.validate)(v))
+            {
+                return Ok((hit, true));
             }
             let _permit = exec.acquire_worker();
             let value = (leg.compute)(exec)?;
-            if exec.flight().is_some() {
-                if let Some(key) = &leg.cache_key {
-                    exec.store_cache(key, &value);
-                }
+            if let Some(key) = cache_key {
+                exec.store_cache(key, &value);
             }
             Ok((value, false))
+        });
+        let (value, cache_hit) = result?;
+        let source = match (cache_hit, shared) {
+            (true, _) => LegSource::CacheHit,
+            (false, true) => LegSource::Deduped,
+            (false, false) => LegSource::Computed,
         };
-        let (result, shared) = match exec.flight() {
-            Some(flight) => flight.work(&leg.key, compute),
-            None => (compute(), false),
-        };
-        match result {
-            Ok((value, late_hit)) => {
-                let source = if shared {
-                    LegSource::Deduped
-                } else if late_hit {
-                    LegSource::LateCacheHit
-                } else {
-                    LegSource::Computed
-                };
-                (Ok(value), source)
-            }
-            Err(e) => (Err(e), LegSource::Computed),
-        }
+        Ok((value, source))
     }
 }
 
@@ -897,5 +856,95 @@ mod tests {
         }));
         let err = Executor::run(&spec, &ExecPolicy::serial()).unwrap_err();
         assert_eq!(err, CapError::InvalidParameter { what: "first" });
+    }
+
+    fn probes(ring: &cap_obs::RingRecorder) -> usize {
+        ring.events().iter().filter(|e| matches!(e, Event::CacheProbe(_))).count()
+    }
+
+    #[test]
+    fn cold_run_probes_each_leg_once() {
+        let runs = Arc::new(AtomicUsize::new(0));
+        let dir = std::env::temp_dir().join(format!("cap-plan-probe-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ring = Arc::new(cap_obs::RingRecorder::new());
+        let exec = ExecPolicy::serial()
+            .cached(cap_par::ResultCache::at(&dir))
+            .with_recorder(ring.clone());
+        let mut spec = ExperimentSpec::new("unit");
+        for app in ["alpha", "beta", "gamma"] {
+            spec.leg(leg_named("k", app, runs.clone()));
+        }
+        let run = Executor::run(&spec, &exec).unwrap();
+        assert_eq!(run.stats(), RunStats { computed: 3, ..RunStats::default() });
+        assert_eq!(probes(&ring), 3, "one result-cache probe per leg");
+        let stores = ring.events().iter().filter(|e| matches!(e, Event::CacheStore(_))).count();
+        assert_eq!(stores, 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Holds the first result-cache probe inside its single-flight slot
+    /// long enough for a concurrent run of the same leg to join the slot.
+    #[derive(Debug, Default)]
+    struct SlowFirstProbe {
+        seen: AtomicUsize,
+    }
+
+    impl cap_obs::Recorder for SlowFirstProbe {
+        fn record(&self, event: &Event) {
+            if matches!(event, Event::CacheProbe(_)) && self.seen.fetch_add(1, Ordering::SeqCst) == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(150));
+            }
+        }
+    }
+
+    #[test]
+    fn racing_runs_on_a_cached_leg_count_cache_hits() {
+        let runs = Arc::new(AtomicUsize::new(0));
+        let dir = std::env::temp_dir().join(format!("cap-plan-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut spec = ExperimentSpec::new("unit");
+        spec.leg(leg_named("k", "alpha", runs.clone()));
+        let cache = cap_par::ResultCache::at(&dir);
+        Executor::run(&spec, &ExecPolicy::serial().cached(cache.clone())).unwrap();
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+
+        let exec = ExecPolicy::serial().cached(cache).with_recorder(Arc::new(SlowFirstProbe::default()));
+        let barrier = std::sync::Barrier::new(2);
+        let stats: Vec<RunStats> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        Executor::run(&spec, &exec).unwrap().stats()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for stats in stats {
+            assert_eq!(stats, RunStats { cache_hits: 1, ..RunStats::default() });
+        }
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "a cached leg never recomputes");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn with_jobs_gate_admits_that_many_legs_at_once() {
+        let active = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let mut spec = ExperimentSpec::new("unit");
+        for i in 0..2u64 {
+            let (active, peak) = (active.clone(), peak.clone());
+            spec.leg(Leg::journaled(format!("slow|{i}"), "slow", move |_| {
+                let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(100));
+                active.fetch_sub(1, Ordering::SeqCst);
+                Ok(i)
+            }));
+        }
+        Executor::run(&spec, &ExecPolicy::with_jobs(2)).unwrap();
+        assert_eq!(peak.load(Ordering::SeqCst), 2, "two slow legs overlap under two permits");
     }
 }

@@ -5,21 +5,24 @@
 //! the same campaign builder the CLI uses, and executes the resulting
 //! [`ExperimentSpec`] on shared infrastructure:
 //!
-//! - **One single-flight table** ([`LegFlight`], keyed by the leg's
-//!   canonical [`cap_par::CacheKey`] string): when two concurrent
-//!   requests contain the same content-addressed leg, one computes it
-//!   and the other shares the value. Combined with the shared result
-//!   cache this makes "each distinct leg computed exactly once" hold
-//!   across the whole server, not just within one campaign.
-//! - **One worker gate** ([`cap_par::Gate`]): total concurrent leg
-//!   computation is bounded by the server's `--jobs` budget no matter
-//!   how many campaigns are in flight. Followers waiting on a
-//!   single-flight slot never hold a permit, so the gate cannot
-//!   deadlock against the flight table.
+//! - **One execution policy.** Every request runs under a clone of the
+//!   server's base [`ExecPolicy`], and clones share its single-flight
+//!   table ([`crate::experiments::LegFlight`], keyed by the leg's
+//!   canonical [`cap_par::CacheKey`] string) and its worker gate
+//!   ([`cap_par::Gate`]). When two concurrent requests contain the same
+//!   content-addressed leg, one computes it and the other shares the
+//!   value; combined with the shared result cache this makes "each
+//!   distinct leg computed exactly once" hold across the whole server,
+//!   not just within one campaign. The gate bounds total concurrent leg
+//!   computation by the server's `--jobs` budget no matter how many
+//!   campaigns are in flight. Followers waiting on a single-flight slot
+//!   never hold a permit, so the gate cannot deadlock against the
+//!   flight table.
 //! - **One journal registry**: campaigns with the same journal identity
-//!   share one open [`Journal`] (appends are serialized by its mutex
-//!   and idempotent per leg key), and the journal writer lock keeps a
-//!   concurrent direct CLI run from corrupting it.
+//!   run under one journaled policy, so they share one open [`Journal`]
+//!   (appends are serialized by its mutex and idempotent per leg key),
+//!   and the journal writer lock keeps a concurrent direct CLI run from
+//!   corrupting it.
 //!
 //! **Admission control.** At most `max_inflight` campaigns execute at
 //! once; beyond that a request is rejected with a structured `busy`
@@ -47,10 +50,10 @@
 //! ```
 
 use crate::error::CapError;
-use crate::experiments::{ExecPolicy, LegFlight};
+use crate::experiments::ExecPolicy;
 use crate::plan::{Executor, ExperimentSpec, RunStats};
 use cap_obs::{Event, ServeRequestEvent};
-use cap_par::{Gate, Journal, JournalHeader};
+use cap_par::{Journal, JournalHeader};
 use serde::Serialize;
 use serde_json::{FromJson, Value};
 use std::collections::HashMap;
@@ -165,10 +168,8 @@ impl Counters {
 /// Everything request handlers share.
 struct Shared {
     exec_base: ExecPolicy,
-    flight: Arc<LegFlight>,
-    gate: Arc<Gate>,
     journal_dir: PathBuf,
-    journals: Mutex<HashMap<String, Arc<Mutex<Journal>>>>,
+    journals: Mutex<HashMap<String, ExecPolicy>>,
     inflight: Mutex<HashMap<u64, InflightCampaign>>,
     counters: Counters,
     max_inflight: usize,
@@ -188,25 +189,26 @@ impl Shared {
         }
     }
 
-    /// The shared journal for one campaign identity, opened (with
-    /// resume) on first use and kept for the server's lifetime — the
-    /// server is the single writer for every journal it touches.
-    fn journal_for(
-        &self,
-        file: &str,
-        header: &JournalHeader,
-    ) -> Result<Arc<Mutex<Journal>>, String> {
+    /// The policy one campaign runs under: the base policy, journaled
+    /// when the campaign is resumable. A journal is opened (with resume)
+    /// on first use and kept for the server's lifetime — the server is
+    /// the single writer for every journal it touches — and campaigns
+    /// with the same journal identity clone one policy, so they share it.
+    fn exec_for(&self, journal: Option<&(String, JournalHeader)>) -> Result<ExecPolicy, String> {
+        let Some((file, header)) = journal else {
+            return Ok(self.exec_base.clone());
+        };
         let mut registry = lock(&self.journals);
-        if let Some(journal) = registry.get(file) {
-            return Ok(journal.clone());
+        if let Some(exec) = registry.get(file) {
+            return Ok(exec.clone());
         }
         std::fs::create_dir_all(&self.journal_dir).map_err(|e| {
             format!("cannot create journal directory `{}`: {e}", self.journal_dir.display())
         })?;
         let journal = Journal::begin(self.journal_dir.join(file), header.clone(), true)?;
-        let journal = Arc::new(Mutex::new(journal));
-        registry.insert(file.to_string(), journal.clone());
-        Ok(journal)
+        let exec = self.exec_base.clone().with_journal(journal);
+        registry.insert(file.clone(), exec.clone());
+        Ok(exec)
     }
 }
 
@@ -342,9 +344,7 @@ pub fn serve_until(
     );
 
     let shared = Arc::new(Shared {
-        gate: Arc::new(Gate::new(exec_base.jobs())),
         exec_base,
-        flight: Arc::new(LegFlight::new()),
         journal_dir: config.journal_dir.clone(),
         journals: Mutex::new(HashMap::new()),
         inflight: Mutex::new(HashMap::new()),
@@ -519,15 +519,7 @@ fn execute(
     shared: &Shared,
     compiled: &CompiledCampaign,
 ) -> Result<(String, RunStats), (&'static str, String)> {
-    let mut exec = shared
-        .exec_base
-        .clone()
-        .with_flight(shared.flight.clone())
-        .with_gate(shared.gate.clone());
-    if let Some((file, header)) = &compiled.journal {
-        let journal = shared.journal_for(file, header).map_err(|why| ("failed", why))?;
-        exec = exec.with_shared_journal(journal);
-    }
+    let exec = shared.exec_for(compiled.journal.as_ref()).map_err(|why| ("failed", why))?;
     let run = catch_unwind(AssertUnwindSafe(|| Executor::run(&compiled.spec, &exec)))
         .map_err(|panic| {
             let what = panic
@@ -837,7 +829,16 @@ mod tests {
                 return Err("unknown campaign".to_string());
             }
             let mut spec = ExperimentSpec::new("slow");
-            let id = spec.leg(Leg::journaled("slow|leg".to_string(), "slow", |_| {
+            let key = cap_par::CacheKey {
+                kind: "slow".to_string(),
+                app: "unit".to_string(),
+                scale: "smoke".to_string(),
+                seed: 7,
+                config_range: "unit".to_string(),
+                version: 1,
+                policy: None,
+            };
+            let id = spec.leg(Leg::cached(key, |_| {
                 std::thread::sleep(Duration::from_millis(150));
                 Ok(7u64)
             }));
@@ -854,10 +855,12 @@ mod tests {
         };
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = stop.clone();
+        let ring = Arc::new(cap_obs::RingRecorder::new());
+        let exec = ExecPolicy::serial()
+            .cached(cap_par::ResultCache::at(dir.join("cache")))
+            .with_recorder(ring.clone());
         let server = std::thread::spawn(move || {
-            serve_until(&config, ExecPolicy::serial(), compiler, || {
-                stop_flag.load(Ordering::Relaxed)
-            })
+            serve_until(&config, exec, compiler, || stop_flag.load(Ordering::Relaxed))
         });
         let addr = loop {
             if let Ok(body) = std::fs::read_to_string(&addr_file) {
@@ -886,6 +889,9 @@ mod tests {
             "the shared leg must be computed exactly once: {summary:?}"
         );
         assert_eq!(summary.legs_deduped, 1, "{summary:?}");
+        let count = |kind: &str| ring.events().iter().filter(|e| e.kind() == kind).count();
+        assert_eq!(count("result-cache-probe"), 1, "the cold leg is probed once, by its leader");
+        assert_eq!(count("result-cache-store"), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -43,7 +43,7 @@ impl IntervalSample {
 ///
 /// # Errors
 ///
-/// Returns [`OooError::ZeroIntervalLength`] if `interval_len` is zero.
+/// Returns [`OooError::ZeroIntervalLength`](crate::error::OooError::ZeroIntervalLength) if `interval_len` is zero.
 pub fn record_intervals<S: InstStream>(
     core: &mut OooCore,
     stream: &mut S,
@@ -61,7 +61,7 @@ pub fn record_intervals<S: InstStream>(
 ///
 /// # Errors
 ///
-/// Returns [`OooError::ZeroIntervalLength`] if `interval_len` is zero.
+/// Returns [`OooError::ZeroIntervalLength`](crate::error::OooError::ZeroIntervalLength) if `interval_len` is zero.
 pub fn record_intervals_observed<S: InstStream>(
     core: &mut OooCore,
     stream: &mut S,
@@ -105,7 +105,7 @@ pub fn record_sample(recorder: &dyn Recorder, label: Option<&str>, interval: u64
 ///
 /// # Errors
 ///
-/// Returns [`OooError::ZeroIntervalLength`] if `interval_len` is zero.
+/// Returns [`OooError::ZeroIntervalLength`](crate::error::OooError::ZeroIntervalLength) if `interval_len` is zero.
 ///
 /// [`OooError::ZeroIntervalLength`]: crate::error::OooError::ZeroIntervalLength
 pub fn record_interval_observed<S: InstStream>(

@@ -30,7 +30,7 @@
 //!
 //! Everything is deterministic: cases are a pure function of
 //! `(seed, property, case)` ([`rng::Rng::for_case`]), failures shrink
-//! greedily to a minimal scenario ([`shrink`]), repro files replay
+//! greedily to a minimal scenario ([`shrink()`]), repro files replay
 //! byte-for-byte ([`engine::replay`]), and a mutation self-check
 //! ([`selfcheck`]) plants a known off-by-one to prove the oracle can
 //! actually detect bugs. The CLI front end is `capsim verify`.

@@ -336,7 +336,7 @@ fn managed_lane(
     let err = |e: cap_core::CapError| format!("building a lane failed: {e}");
     let timing = QueueTimingModel::new(Technology::isca98_evaluation());
     let structure = QueueStructure::isca98(timing, initial).map_err(err)?;
-    let clock = DynamicClock::new(structure.period_table().map_err(err)?, penalty).map_err(err)?;
+    let clock = DynamicClock::for_structure(&structure, penalty).map_err(err)?;
     let ring = Arc::new(RingRecorder::new());
     let recorder: Arc<dyn Recorder> = ring.clone();
     let policy = config
@@ -354,6 +354,8 @@ fn managed_lane(
 /// [`QueueIntervalSim`] of the same lane reading its own copy of the
 /// stream: every interval's configuration, sample and period, the switch
 /// count and penalty, and every decision, sample and clock-switch event.
+/// The first interval must be charged the period of the lane's initial
+/// configuration.
 ///
 /// # Errors
 ///
@@ -397,6 +399,13 @@ pub fn managed_lanes_vs_core(rng: &mut Rng) -> Result<(), String> {
         .map_err(|e| format!("{ctx}: core run failed: {e}"))?
         .run;
         compare_managed_runs(&ctx, &reference, run)?;
+        let initial_period = lane.structure.cycle_time(*initial).map_err(|e| format!("{ctx}: {e}"))?;
+        if run.intervals.first().is_some_and(|first| first.period != initial_period) {
+            return Err(format!(
+                "{ctx}: the first interval is charged {} but the structure starts at {initial_period}",
+                run.intervals[0].period
+            ));
+        }
         let events = |ring: &RingRecorder| ring.events().iter().map(|e| e.to_json()).collect::<Vec<_>>();
         let (want, got) = (events(&reference_ring), events(ring));
         if let Some(k) = (0..want.len().max(got.len())).find(|&k| want.get(k) != got.get(k)) {
