@@ -23,18 +23,16 @@
 
 use crate::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
 use crate::error::CapError;
-use crate::manager::{
-    run_managed, run_managed_lanes, ManagedRun, QueueIntervalSim, QueueLane, SwitchRetryPolicy,
-};
+use crate::manager::{run_managed_lanes, QueueLane};
 use crate::metrics::{BarChart, BarPair};
 use crate::plan::{run_leg, run_legs, Leg};
 use crate::policy::{PolicyConfig, PolicyKind};
 use crate::structure::{AdaptiveStructure, QueueStructure};
 use cap_cache::config::Boundary;
 use cap_cache::perf::PerfParams;
-use cap_ooo::config::{CoreConfig, WindowSize};
-use cap_ooo::core::OooCore;
-use cap_ooo::interval::{record_intervals, PAPER_INTERVAL_INSTS};
+use cap_ooo::config::WindowSize;
+use cap_ooo::interval::PAPER_INTERVAL_INSTS;
+use cap_ooo::multisweep::interval_lanes;
 use cap_obs::{
     CacheProbeEvent, CacheQuarantineEvent, CacheStoreEvent, Event, JournalLegEvent,
     LegTimeoutEvent, Recorder, RingRecorder,
@@ -50,7 +48,7 @@ use cap_timing::Technology;
 use cap_workloads::App;
 use serde::Serialize;
 use serde_json::{FromJson, Value};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// How much work each experiment simulates.
 ///
@@ -1085,10 +1083,8 @@ impl IntervalExperiment {
         self
     }
 
-    /// Per-interval TPI of one application under a fixed window size. A
-    /// series is one leg (a managed-clock trace cannot split), so the
-    /// policy contributes memoization, not fan-out — callers fan out
-    /// across windows.
+    /// Per-interval TPI of one application under a fixed window size, as
+    /// one plan leg: the policy contributes memoization, not fan-out.
     ///
     /// # Errors
     ///
@@ -1102,40 +1098,46 @@ impl IntervalExperiment {
         exec: &ExecPolicy,
     ) -> Result<Vec<f64>, CapError> {
         check_intervals(intervals)?;
-        run_leg("interval-series", self.series_leg(app, window, intervals), exec)
+        run_leg("interval-series", self.series_legs(app, &[window], intervals).remove(0), exec)
     }
 
-    fn series_key(&self, app: App, window: usize, intervals: u64) -> CacheKey {
+    /// The cache key of a `kind` leg over `intervals` of `app`'s stream.
+    fn interval_key(&self, kind: &str, app: App, intervals: u64, config_range: String, policy: Option<&str>) -> CacheKey {
         CacheKey {
-            kind: "interval-series".to_string(),
+            kind: kind.to_string(),
             app: app.name().to_string(),
             scale: format!("{intervals}x{PAPER_INTERVAL_INSTS}insts"),
             seed: self.seed,
-            config_range: format!("W {window}"),
+            config_range,
             version: SWEEP_RESULTS_VERSION,
-            policy: None,
+            policy: policy.map(str::to_string),
         }
     }
 
-    /// One fixed-window interval trace as a content-addressed plan leg.
-    /// A series is a single leg (a managed-clock trace cannot split), so
-    /// the plan contributes caching and dedup, not intra-leg fan-out.
-    pub(crate) fn series_leg(&self, app: App, window: usize, intervals: u64) -> Leg {
-        let me = self.clone();
-        Leg::cached(self.series_key(app, window, intervals), move |_exec| {
-            let cycle = me.timing.cycle_time(window)?;
-            let mut core = OooCore::try_new(CoreConfig::isca98(window)?)?;
-            let mut stream = me.stream(app);
-            let samples = record_intervals(&mut core, &mut stream, intervals, PAPER_INTERVAL_INSTS)?;
-            Ok(samples.iter().map(|s| s.tpi(cycle).value()).collect::<Vec<f64>>())
-        })
+    /// One fixed-window interval series leg per window (at most eight), in
+    /// `windows` order. The legs share one computation ([`Leg::shared`]):
+    /// every window's series is a lane of one pass ([`interval_lanes`]).
+    pub(crate) fn series_legs(&self, app: App, windows: &[usize], intervals: u64) -> Vec<Leg> {
+        let keys = windows.iter().map(|w| self.interval_key("interval-series", app, intervals, format!("W {w}"), None));
+        let (me, windows) = (self.clone(), windows.to_vec());
+        let compute = move |_: &ExecPolicy| {
+            let cycles = windows.iter().map(|&w| me.timing.cycle_time(w)).collect::<Result<Vec<_>, _>>()?;
+            let sizes = windows.iter().map(|&w| WindowSize::new(w)).collect::<Result<Vec<_>, _>>()?;
+            let lanes = interval_lanes(me.stream(app), &sizes, intervals, PAPER_INTERVAL_INSTS)?;
+            Ok(lanes
+                .iter()
+                .zip(cycles)
+                .map(|(samples, cycle)| samples.iter().map(|s| s.tpi(cycle).value()).collect())
+                .collect())
+        };
+        Leg::shared(keys.collect(), compute, |series: &Vec<f64>, _| series.clone())
     }
 
     /// The two fixed-window series legs one snapshot figure slices:
     /// `[small, large]`, each long enough for both snapshots.
-    pub(crate) fn snapshot_legs(&self, fig: &SnapshotWindows) -> [Leg; 2] {
+    pub(crate) fn snapshot_legs(&self, fig: &SnapshotWindows) -> Vec<Leg> {
         let total = fig.range_a.end.max(fig.range_b.end);
-        [self.series_leg(fig.app, fig.small, total), self.series_leg(fig.app, fig.large, total)]
+        self.series_legs(fig.app, &[fig.small, fig.large], total)
     }
 
     /// Slices the two fixed-window series of [`Self::snapshot_legs`] into
@@ -1178,9 +1180,7 @@ impl IntervalExperiment {
     /// propagates timing-model errors.
     pub fn ilp_variation(&self, app: App, intervals: u64) -> Result<(f64, f64, f64), CapError> {
         check_intervals(intervals)?;
-        let mut core = OooCore::try_new(CoreConfig::isca98(128)?)?;
-        let mut stream = self.stream(app);
-        let samples = record_intervals(&mut core, &mut stream, intervals, PAPER_INTERVAL_INSTS)?;
+        let samples = interval_lanes(self.stream(app), &[WindowSize::new(128)?], intervals, PAPER_INTERVAL_INSTS)?.remove(0);
         let ipcs: Vec<f64> = samples.iter().map(|s| s.insts as f64 / s.cycles as f64).collect();
         let min = ipcs.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = ipcs.iter().cloned().fold(0.0f64, f64::max);
@@ -1189,7 +1189,7 @@ impl IntervalExperiment {
 
     /// Figure 12: turb3d under 64- and 128-entry windows. Snapshot (a)
     /// falls in a 64-preferring phase, snapshot (b) in a 128-preferring
-    /// phase. The two window series run as parallel legs.
+    /// phase. The two window series are two lanes of one pass.
     ///
     /// # Errors
     ///
@@ -1200,8 +1200,8 @@ impl IntervalExperiment {
 
     /// Figure 13: vortex under 16- and 64-entry windows. Snapshot (a)
     /// covers the regular ~15-interval alternation; snapshot (b) covers
-    /// the irregular micro-phase stretch. The two window series run as
-    /// parallel legs.
+    /// the irregular micro-phase stretch. The two window series are two
+    /// lanes of one pass.
     ///
     /// # Errors
     ///
@@ -1215,8 +1215,8 @@ impl IntervalExperiment {
     /// oracle envelope, both averaged over `intervals`.
     fn offline_optima(&self, app: App, intervals: u64, exec: &ExecPolicy) -> Result<(f64, f64), CapError> {
         // Fixed runs at every configuration (for process level + oracle).
-        let legs = WindowSize::paper_sweep().map(|w| self.series_leg(app, w.entries(), intervals));
-        let series: Vec<Vec<f64>> = run_legs("offline-optima", legs, exec)?;
+        let windows: Vec<usize> = WindowSize::paper_sweep().map(WindowSize::entries).collect();
+        let series: Vec<Vec<f64>> = run_legs("offline-optima", self.series_legs(app, &windows, intervals), exec)?;
         let totals: Vec<f64> = series.iter().map(|s| s.iter().sum::<f64>()).collect();
         let process_level = totals.iter().cloned().fold(f64::INFINITY, f64::min) / intervals as f64;
         let oracle = (0..intervals as usize)
@@ -1224,30 +1224,6 @@ impl IntervalExperiment {
             .sum::<f64>()
             / intervals as f64;
         Ok((process_level, oracle))
-    }
-
-    /// Drives one managed run under an arbitrary policy configuration
-    /// and returns it.
-    fn managed_run(
-        &self,
-        app: App,
-        intervals: u64,
-        config: &PolicyConfig,
-        exec: &ExecPolicy,
-    ) -> Result<ManagedRun, CapError> {
-        let QueueLane { mut structure, mut policy, mut clock } =
-            self.managed_lane(app, config, exec.recorder().clone())?;
-        let mut stream = self.stream(app);
-        let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, PAPER_INTERVAL_INSTS)?;
-        let run = run_managed(
-            &mut sim,
-            &mut *policy,
-            &mut clock,
-            intervals,
-            None,
-            SwitchRetryPolicy::default(),
-        )?;
-        Ok(run.run)
     }
 
     /// A fresh managed queue, clock and `config` policy tracing to
@@ -1272,9 +1248,9 @@ impl IntervalExperiment {
     /// Runs the §6 interval-adaptive manager — or any other
     /// [`PolicyConfig`] in the catalog — on an application and compares
     /// it with the process-level choice and the per-interval oracle. The
-    /// fixed-configuration reference series (one per window size) run as
-    /// parallel legs; the managed run itself is inherently serial — its
-    /// clock and manager state are a chain.
+    /// fixed-configuration reference series are one leg per window size,
+    /// computed as the lanes of one pass; the managed run is one lane of
+    /// its own, as its clock and manager state are a chain.
     ///
     /// # Errors
     ///
@@ -1289,7 +1265,8 @@ impl IntervalExperiment {
     ) -> Result<AdaptiveComparison, CapError> {
         check_intervals(intervals)?;
         let (process_level, oracle) = self.offline_optima(app, intervals, exec)?;
-        let run = self.managed_run(app, intervals, config, exec)?;
+        let mut lane = [self.managed_lane(app, config, exec.recorder().clone())?];
+        let run = run_managed_lanes(self.stream(app), &mut lane, intervals, PAPER_INTERVAL_INSTS)?.remove(0);
         Ok(AdaptiveComparison {
             app: app.name().to_string(),
             process_level_tpi: process_level,
@@ -1318,39 +1295,23 @@ impl IntervalExperiment {
     /// plan legs: custom [`PolicyConfig`] knobs are not part of the cache
     /// key, so [`IntervalExperiment::policy_comparison`] stays off-plan.
     ///
-    /// The legs share one computation. The first of them to run
-    /// simulates every policy as a lane of one pass over the stream
-    /// ([`run_managed_lanes`]), buffering each lane's trace events; each
-    /// leg then replays its own lane's events as it takes its row, so a
-    /// leg traces what its run alone would have, and a leg taken from
-    /// the cache or the journal traces nothing.
+    /// The legs share one computation ([`Leg::shared`]). The first of
+    /// them to run simulates every policy as a lane of one pass over the
+    /// stream ([`run_managed_lanes`]), buffering each lane's trace events;
+    /// each leg then replays its own lane's events as it takes its row,
+    /// so a leg traces what its run alone would have, and a leg taken
+    /// from the cache or the journal traces nothing.
     pub(crate) fn policy_legs(&self, app: App, intervals: u64) -> Vec<Leg> {
-        let lanes: Arc<OnceLock<Result<Vec<PolicyLane>, CapError>>> = Arc::default();
-        PolicyKind::ALL
-            .iter()
-            .enumerate()
-            .map(|(lane, &kind)| {
-                let (me, lanes) = (self.clone(), lanes.clone());
-                let key = CacheKey {
-                    kind: "managed-policy".to_string(),
-                    app: app.name().to_string(),
-                    scale: format!("{intervals}x{PAPER_INTERVAL_INSTS}insts"),
-                    seed: self.seed,
-                    config_range: "W isca98".to_string(),
-                    version: SWEEP_RESULTS_VERSION,
-                    policy: Some(kind.name().to_string()),
-                };
-                Leg::cached(key, move |exec| {
-                    let recorder = exec.recorder();
-                    let lanes = lanes.get_or_init(|| me.policy_lanes(app, intervals, recorder.enabled()));
-                    let PolicyLane { row, events } = &lanes.as_ref().map_err(CapError::clone)?[lane];
-                    for event in events {
-                        recorder.record(event);
-                    }
-                    Ok(row.clone())
-                })
-            })
-            .collect()
+        let key = |kind: &PolicyKind| self.interval_key("managed-policy", app, intervals, "W isca98".into(), Some(kind.name()));
+        let keys = PolicyKind::ALL.iter().map(key).collect();
+        let me = self.clone();
+        let compute = move |exec: &ExecPolicy| me.policy_lanes(app, intervals, exec.recorder().enabled());
+        Leg::shared(keys, compute, |PolicyLane { row, events }, exec| {
+            for event in events {
+                exec.recorder().record(event);
+            }
+            row.clone()
+        })
     }
 
     /// Every policy in [`PolicyKind::ALL`] at its default knobs, as
@@ -1428,6 +1389,7 @@ impl Default for IntervalExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::{run_managed, QueueIntervalSim, SwitchRetryPolicy};
 
     #[test]
     fn scale_tiers_are_ordered() {
@@ -1666,8 +1628,12 @@ mod tests {
         let lanes = exp.policy_lanes(App::Turb3d, 30, true).unwrap();
         for (kind, lane) in PolicyKind::ALL.into_iter().zip(&lanes) {
             let ring = Arc::new(RingRecorder::new());
-            let exec = ExecPolicy::serial().with_recorder(ring.clone());
-            let run = exp.managed_run(App::Turb3d, 30, &PolicyConfig::new(kind), &exec).unwrap();
+            let QueueLane { mut structure, mut policy, mut clock } =
+                exp.managed_lane(App::Turb3d, &PolicyConfig::new(kind), ring.clone()).unwrap();
+            let mut stream = exp.stream(App::Turb3d);
+            let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, PAPER_INTERVAL_INSTS).unwrap();
+            let retry = SwitchRetryPolicy::default();
+            let run = run_managed(&mut sim, &mut *policy, &mut clock, 30, None, retry).unwrap().run;
             assert_eq!(lane.row.tpi_ns.to_bits(), run.average_tpi().value().to_bits(), "{kind}");
             assert_eq!(lane.row.switches, run.switches, "{kind}");
             assert_eq!(lane.events, ring.events(), "{kind}");

@@ -65,7 +65,6 @@ use crate::faults::{FaultInjector, SwitchFault};
 use crate::policy::ConfigPolicy;
 use crate::structure::{AdaptiveStructure, CacheStructure, QueueStructure};
 use cap_obs::{ClockSwitchEvent, Event, Recorder};
-use cap_ooo::config::CoreConfig;
 use cap_ooo::core::RunStats;
 use cap_ooo::interval::{record_sample, IntervalSample};
 use cap_ooo::multisweep::{run_intervals, IntervalEnds, NextInterval, LANES};
@@ -654,29 +653,10 @@ pub fn run_managed_lanes<S: InstStream>(
     let Some(config) = lanes.first().map(|lane| *lane.structure.core().config()) else {
         return Ok(Vec::new());
     };
-    match lanes.len() {
-        1 => lanes_of::<S, 1>(stream, config, lanes, intervals, interval_len),
-        2 => lanes_of::<S, 2>(stream, config, lanes, intervals, interval_len),
-        3 => lanes_of::<S, 3>(stream, config, lanes, intervals, interval_len),
-        4 => lanes_of::<S, 4>(stream, config, lanes, intervals, interval_len),
-        5 => lanes_of::<S, 5>(stream, config, lanes, intervals, interval_len),
-        6 => lanes_of::<S, 6>(stream, config, lanes, intervals, interval_len),
-        7 => lanes_of::<S, 7>(stream, config, lanes, intervals, interval_len),
-        _ => lanes_of::<S, 8>(stream, config, lanes, intervals, interval_len),
-    }
-}
-
-/// [`run_managed_lanes`] over exactly `L` lanes.
-fn lanes_of<S: InstStream, const L: usize>(
-    stream: S,
-    config: CoreConfig,
-    lanes: &mut [QueueLane],
-    intervals: u64,
-    interval_len: u64,
-) -> Result<Vec<ManagedRun>, CapError> {
-    let mut first = [NextInterval { insts: interval_len, resize: None }; L];
-    for (next, lane) in first.iter_mut().zip(lanes.iter()) {
-        next.resize = Some(lane.structure.window_at(lane.structure.current())?);
+    let mut first = Vec::with_capacity(lanes.len());
+    for lane in lanes.iter() {
+        let window = lane.structure.window_at(lane.structure.current())?;
+        first.push(NextInterval { insts: interval_len, resize: Some(window) });
     }
     let mut ends = ManagedLanes {
         states: lanes.iter().map(|_| ManagedState::new(intervals)).collect(),
@@ -684,7 +664,7 @@ fn lanes_of<S: InstStream, const L: usize>(
         intervals,
         interval_len,
     };
-    run_intervals(stream, config, first, &mut ends)?;
+    run_intervals(stream, config, &first, &mut ends)?;
     Ok(ends.states.into_iter().map(|state| state.out.run).collect())
 }
 

@@ -47,7 +47,7 @@ use serde::Serialize;
 use serde_json::{FromJson, Value};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 type Compute = Arc<dyn Fn(&ExecPolicy) -> Result<Value, CapError> + Send + Sync>;
 type Validate = fn(&Value) -> bool;
@@ -77,6 +77,27 @@ impl Leg {
     ) -> Self {
         let kind = cache_key.kind.clone();
         Self::typed(cache_key.canonical(), kind, Some(cache_key), compute)
+    }
+
+    /// Result-cacheable legs, one per key, that share one computation.
+    /// The first of them to run calls `compute`, which returns one part
+    /// per key; every leg then takes its own part with `take`. A leg taken
+    /// from the cache or the journal calls neither.
+    pub(crate) fn shared<P: Send + Sync + 'static, T: Serialize + FromJson>(
+        keys: Vec<CacheKey>,
+        compute: impl Fn(&ExecPolicy) -> Result<Vec<P>, CapError> + Send + Sync + 'static,
+        take: impl Fn(&P, &ExecPolicy) -> T + Send + Sync + 'static,
+    ) -> Vec<Self> {
+        let parts: Arc<OnceLock<Result<Vec<P>, CapError>>> = Arc::default();
+        let (compute, take) = (Arc::new(compute), Arc::new(take));
+        let leg = |(part, key)| {
+            let (parts, compute, take) = (parts.clone(), compute.clone(), take.clone());
+            Leg::cached(key, move |exec| {
+                let parts = parts.get_or_init(|| compute(exec)).as_ref().map_err(CapError::clone)?;
+                Ok(take(&parts[part], exec))
+            })
+        };
+        keys.into_iter().enumerate().map(leg).collect()
     }
 
     /// A journal-only leg (fault-campaign legs: resumable but not
@@ -642,7 +663,7 @@ pub fn figures_plan(scale: ExperimentScale, seed: u64) -> Result<ExperimentSpec,
     add_queue_reduces(&mut spec, scale, seed);
     let interval = IntervalExperiment::new().with_seed(seed);
     for fig in SNAPSHOT_FIGURES {
-        let ids = interval.snapshot_legs(&fig).map(|leg| spec.leg(leg)).to_vec();
+        let ids: Vec<LegId> = interval.snapshot_legs(&fig).into_iter().map(|leg| spec.leg(leg)).collect();
         let title = format!("{} ({}): TPI per interval", fig.name, fig.app.name());
         spec.reduce(fig.name, ids, move |deps| {
             let series = decode_all::<Vec<f64>>(deps)?;

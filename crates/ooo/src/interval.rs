@@ -1,9 +1,10 @@
 //! Interval-granular performance recording (paper §6).
 //!
 //! The paper's Figures 12–13 plot average TPI over consecutive intervals
-//! of 2000 instructions. This module runs a core and slices its progress
-//! into such intervals, attributing each cycle to the interval in which it
-//! retires.
+//! of 2000 instructions. This module holds the interval sample and its
+//! trace event, and records one interval of a managed core; each cycle
+//! counts towards the interval in which it retires. Fixed-window series
+//! run as lanes of one pass ([`crate::multisweep::interval_lanes`]).
 
 use crate::core::OooCore;
 use cap_obs::{Event, Recorder, SampleEvent};
@@ -37,53 +38,6 @@ impl IntervalSample {
     }
 }
 
-/// Runs `core` over `stream` for `intervals` intervals of `interval_len`
-/// committed instructions each, recording the cycle cost of every
-/// interval.
-///
-/// # Errors
-///
-/// Returns [`OooError::ZeroIntervalLength`](crate::error::OooError::ZeroIntervalLength) if `interval_len` is zero.
-pub fn record_intervals<S: InstStream>(
-    core: &mut OooCore,
-    stream: &mut S,
-    intervals: u64,
-    interval_len: u64,
-) -> Result<Vec<IntervalSample>, crate::error::OooError> {
-    record_intervals_observed(core, stream, intervals, interval_len, 0, &cap_obs::NoopRecorder, None)
-}
-
-/// [`record_intervals`] with trace emission, for intervals that continue
-/// a longer run: the samples are indexed `base_index ..`, and each also
-/// produces one [`cap_obs::SampleEvent`] carrying the raw cycle/instruction
-/// counters, numbered `base_index + 1 ..` so a managed run's samples line
-/// up with its decision events.
-///
-/// # Errors
-///
-/// Returns [`OooError::ZeroIntervalLength`](crate::error::OooError::ZeroIntervalLength) if `interval_len` is zero.
-pub fn record_intervals_observed<S: InstStream>(
-    core: &mut OooCore,
-    stream: &mut S,
-    intervals: u64,
-    interval_len: u64,
-    base_index: u64,
-    recorder: &dyn Recorder,
-    label: Option<&str>,
-) -> Result<Vec<IntervalSample>, crate::error::OooError> {
-    if interval_len == 0 {
-        return Err(crate::error::OooError::ZeroIntervalLength);
-    }
-    let mut out = Vec::with_capacity(intervals as usize);
-    for index in 0..intervals {
-        let stats = core.run(stream, interval_len);
-        let sample = IntervalSample { index: base_index + index, cycles: stats.cycles, insts: stats.committed };
-        record_sample(recorder, label, sample.index + 1, &sample);
-        out.push(sample);
-    }
-    Ok(out)
-}
-
 /// Records `sample` as the [`cap_obs::SampleEvent`] of the 1-based
 /// interval `interval` of the run `label`, if `recorder` is enabled.
 pub fn record_sample(recorder: &dyn Recorder, label: Option<&str>, interval: u64, sample: &IntervalSample) {
@@ -97,17 +51,14 @@ pub fn record_sample(recorder: &dyn Recorder, label: Option<&str>, interval: u64
     }
 }
 
-/// Records exactly one interval at position `index` of a longer run —
-/// the per-interval primitive of managed-run kernels. Equivalent to
-/// [`record_intervals_observed`] with `intervals == 1` and
-/// `base_index == index`; returns `None` only if the core produced no
-/// sample (which the batched API would surface as an empty vector).
+/// Records interval `index` of a managed run on one core: one
+/// [`OooCore::run`] of `interval_len` instructions, traced as the
+/// [`cap_obs::SampleEvent`] numbered `index + 1` so that samples line up
+/// with decision events. It always returns a sample.
 ///
 /// # Errors
 ///
-/// Returns [`OooError::ZeroIntervalLength`](crate::error::OooError::ZeroIntervalLength) if `interval_len` is zero.
-///
-/// [`OooError::ZeroIntervalLength`]: crate::error::OooError::ZeroIntervalLength
+/// [`OooError::ZeroIntervalLength`](crate::error::OooError::ZeroIntervalLength) if `interval_len` is zero.
 pub fn record_interval_observed<S: InstStream>(
     core: &mut OooCore,
     stream: &mut S,
@@ -116,14 +67,20 @@ pub fn record_interval_observed<S: InstStream>(
     recorder: &dyn Recorder,
     label: Option<&str>,
 ) -> Result<Option<IntervalSample>, crate::error::OooError> {
-    let samples = record_intervals_observed(core, stream, 1, interval_len, index, recorder, label)?;
-    Ok(samples.first().copied())
+    if interval_len == 0 {
+        return Err(crate::error::OooError::ZeroIntervalLength);
+    }
+    let stats = core.run(stream, interval_len);
+    let sample = IntervalSample { index, cycles: stats.cycles, insts: stats.committed };
+    record_sample(recorder, label, index + 1, &sample);
+    Ok(Some(sample))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CoreConfig;
+    use crate::config::{CoreConfig, WindowSize};
+    use crate::multisweep::interval_lanes;
     use cap_trace::inst::{IlpParams, SegmentIlp};
     use cap_trace::phase::{Phase, PhasedIlp};
 
@@ -144,11 +101,14 @@ mod tests {
         IlpParams { cross_dep_prob: 0.0, ..serial() }
     }
 
+    fn window64() -> WindowSize {
+        WindowSize::new(64).unwrap()
+    }
+
     #[test]
     fn intervals_cover_requested_span() {
-        let mut core = OooCore::new(CoreConfig::isca98(64).unwrap());
-        let mut s = SegmentIlp::new(IlpParams::balanced(), 1).unwrap();
-        let v = record_intervals(&mut core, &mut s, 10, PAPER_INTERVAL_INSTS).unwrap();
+        let s = SegmentIlp::new(IlpParams::balanced(), 1).unwrap();
+        let v = interval_lanes(s, &[window64()], 10, PAPER_INTERVAL_INSTS).unwrap().remove(0);
         assert_eq!(v.len(), 10);
         let total: u64 = v.iter().map(|i| i.insts).sum();
         // Commit width 8 can overshoot an interval boundary by < 8.
@@ -175,9 +135,8 @@ mod tests {
         // Alternate serial and parallel phases of 10_000 instructions:
         // interval cycle costs must alternate correspondingly.
         let schedule = vec![Phase::new(serial(), 10_000), Phase::new(parallel(), 10_000)];
-        let mut stream = PhasedIlp::new(schedule, 3).unwrap();
-        let mut core = OooCore::new(CoreConfig::isca98(64).unwrap());
-        let v = record_intervals(&mut core, &mut stream, 10, 2000).unwrap();
+        let stream = PhasedIlp::new(schedule, 3).unwrap();
+        let v = interval_lanes(stream, &[window64()], 10, 2000).unwrap().remove(0);
         // Intervals 0-4 are serial (slow), 5-9 parallel (fast).
         let slow: u64 = v[1..4].iter().map(|i| i.cycles).sum();
         let fast: u64 = v[6..9].iter().map(|i| i.cycles).sum();
@@ -195,11 +154,14 @@ mod tests {
 
     #[test]
     fn zero_interval_rejected() {
-        let mut core = OooCore::new(CoreConfig::isca98(64).unwrap());
-        let mut s = SegmentIlp::new(IlpParams::balanced(), 1).unwrap();
+        let s = SegmentIlp::new(IlpParams::balanced(), 1).unwrap();
         assert_eq!(
-            record_intervals(&mut core, &mut s, 1, 0).unwrap_err(),
+            interval_lanes(s, &[window64()], 1, 0).unwrap_err(),
             crate::error::OooError::ZeroIntervalLength
         );
+        let mut core = OooCore::new(CoreConfig::isca98(64).unwrap());
+        let mut s = SegmentIlp::new(IlpParams::balanced(), 1).unwrap();
+        let err = record_interval_observed(&mut core, &mut s, 0, 0, &cap_obs::NoopRecorder, None);
+        assert_eq!(err.unwrap_err(), crate::error::OooError::ZeroIntervalLength);
     }
 }

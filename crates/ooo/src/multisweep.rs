@@ -17,6 +17,11 @@
 //! dispatch floor and interval target, and one generator pass serves
 //! several managed runs of one stream.
 //!
+//! [`interval_lanes`] is the fixed-window counterpart of [`multisweep`]:
+//! each lane's first interval sets its window, which no interval end
+//! changes, so one generator pass yields the interval series of up to
+//! [`LANES`] fixed windows, each as a fresh core of its window records it.
+//!
 //! # Lanes
 //!
 //! The lanes keep `[u32; L]` rows of dispatch, completion and commit
@@ -75,6 +80,7 @@
 use crate::config::{CoreConfig, WindowSize};
 use crate::core::{read_contiguous, IssueSlots, RunStats};
 use crate::error::OooError;
+use crate::interval::IntervalSample;
 use crate::perf::{point, QueueSweepPoint};
 use cap_timing::queue::{QueueTimingModel, MAX_ENTRIES};
 use cap_trace::inst::InstStream;
@@ -232,7 +238,8 @@ pub trait IntervalEnds {
     fn end(&mut self, lane: usize, stats: RunStats) -> Result<Option<NextInterval>, Self::Error>;
 }
 
-/// Runs `L` managed cores over one pass of `stream`, in lock step.
+/// Runs managed cores, one lane per entry of `first`, over one pass of
+/// `stream`, in lock step.
 ///
 /// Each lane is a fresh core built with `config` whose first interval is
 /// `first[lane]`; its `resize`, if any, applies before anything is read.
@@ -246,6 +253,7 @@ pub trait IntervalEnds {
 ///
 /// # Errors
 ///
+/// * [`OooError::TooManyWindows`] for more than [`LANES`] lanes;
 /// * [`OooError::InvalidWidth`] if `config` has a zero width;
 /// * [`OooError::ZeroIntervalLength`] for an interval of no instructions;
 /// * [`OooError::InvalidWindow`] for a window larger than `config`'s;
@@ -256,20 +264,39 @@ pub trait IntervalEnds {
 /// # Panics
 ///
 /// Panics if the stream's seqs are not contiguous.
-pub fn run_intervals<S: InstStream, H: IntervalEnds, const L: usize>(
-    mut stream: S,
+pub fn run_intervals<S: InstStream, H: IntervalEnds>(
+    stream: S,
     config: CoreConfig,
-    first: [NextInterval; L],
+    first: &[NextInterval],
     ends: &mut H,
 ) -> Result<(), H::Error> {
+    match first.len() {
+        0 => Ok(Widths::of(&config).map(drop)?),
+        1 => lanes::<S, H, 1>(stream, config, first, ends),
+        2 => lanes::<S, H, 2>(stream, config, first, ends),
+        3 => lanes::<S, H, 3>(stream, config, first, ends),
+        4 => lanes::<S, H, 4>(stream, config, first, ends),
+        5 => lanes::<S, H, 5>(stream, config, first, ends),
+        6 => lanes::<S, H, 6>(stream, config, first, ends),
+        7 => lanes::<S, H, 7>(stream, config, first, ends),
+        8 => lanes::<S, H, 8>(stream, config, first, ends),
+        windows => Err(OooError::TooManyWindows { windows }.into()),
+    }
+}
+
+/// [`run_intervals`] over exactly `L` lanes.
+fn lanes<S: InstStream, H: IntervalEnds, const L: usize>(
+    mut stream: S,
+    config: CoreConfig,
+    first: &[NextInterval],
+    ends: &mut H,
+) -> Result<(), H::Error> {
+    let first: [NextInterval; L] = first.try_into().expect("one first interval per lane");
     let widths = Widths::of(&config)?;
     let physical = config.window.entries() as u64;
     let mut window = [physical; L];
     for (w, next) in window.iter_mut().zip(&first) {
         *w = checked_window(next, physical)?.unwrap_or(physical);
-    }
-    if L == 0 {
-        return Ok(());
     }
     let mut bounds = Bounds {
         ends,
@@ -283,6 +310,59 @@ pub fn run_intervals<S: InstStream, H: IntervalEnds, const L: usize>(
     };
     lock_step(&mut stream, widths, window, physical, u64::MAX, &mut bounds)?;
     Ok(())
+}
+
+/// The fixed-window interval series of each of `windows`, as
+/// [`run_intervals`]' lanes over one pass of `stream`: lane `l` holds the
+/// samples of `intervals` chained
+/// [`OooCore::run`](crate::core::OooCore::run) calls of
+/// `interval_len` instructions on a fresh core of `windows[l]`.
+///
+/// # Errors
+///
+/// [`OooError::ZeroIntervalLength`], [`OooError::TooManyWindows`] for
+/// more than [`LANES`] windows, and [`OooError::SweepCycleOverflow`].
+///
+/// # Panics
+///
+/// Panics if the stream's seqs are not contiguous.
+pub fn interval_lanes<S: InstStream>(
+    stream: S,
+    windows: &[WindowSize],
+    intervals: u64,
+    interval_len: u64,
+) -> Result<Vec<Vec<IntervalSample>>, OooError> {
+    if interval_len == 0 {
+        return Err(OooError::ZeroIntervalLength);
+    }
+    if windows.len() > LANES {
+        return Err(OooError::TooManyWindows { windows: windows.len() });
+    }
+    let mut series = FixedSeries { intervals, interval_len, samples: vec![Vec::new(); windows.len()] };
+    if let Some(largest) = windows.iter().max().filter(|_| intervals > 0) {
+        let first: Vec<_> = windows.iter().map(|&w| NextInterval { insts: interval_len, resize: Some(w) }).collect();
+        run_intervals(stream, CoreConfig::isca98(largest.entries())?, &first, &mut series)?;
+    }
+    Ok(series.samples)
+}
+
+/// The interval ends of [`interval_lanes`]: each keeps its sample, and
+/// the lane runs on at its window until it has `intervals` of them.
+struct FixedSeries {
+    intervals: u64,
+    interval_len: u64,
+    samples: Vec<Vec<IntervalSample>>,
+}
+
+impl IntervalEnds for FixedSeries {
+    type Error = OooError;
+
+    fn end(&mut self, lane: usize, stats: RunStats) -> Result<Option<NextInterval>, OooError> {
+        let samples = &mut self.samples[lane];
+        samples.push(IntervalSample { index: samples.len() as u64, cycles: stats.cycles, insts: stats.committed });
+        let more = (samples.len() as u64) < self.intervals;
+        Ok(more.then_some(NextInterval { insts: self.interval_len, resize: None }))
+    }
 }
 
 /// `next`'s window, if it resizes, checked against the physical window
@@ -757,7 +837,7 @@ mod tests {
         let mut script = Script { intervals: scripts.to_vec(), stats: vec![Vec::new(); L] };
         let mut stream = ShapeStream::new(shape, seed);
         let first: [NextInterval; L] = std::array::from_fn(|l| scripts[l][0]);
-        run_intervals(&mut stream, config, first, &mut script).unwrap();
+        run_intervals(&mut stream, config, &first, &mut script).unwrap();
         let mut most = 0;
         for (l, intervals) in scripts.iter().enumerate() {
             let (want, reads) = core_intervals(config, shape, seed, intervals);
@@ -822,7 +902,7 @@ mod tests {
         let first: [NextInterval; LANES] =
             std::array::from_fn(|l| NextInterval { insts: 2_500, resize: Some(windows[l]) });
         let mut script = Script { intervals: first.iter().map(|&n| vec![n]).collect(), stats: vec![Vec::new(); LANES] };
-        run_intervals(ShapeStream::new(BASE, 5), isca(256), first, &mut script).unwrap();
+        run_intervals(ShapeStream::new(BASE, 5), isca(256), &first, &mut script).unwrap();
         for (l, stats) in script.stats.iter().enumerate() {
             assert_eq!(stats, &[want[l]], "window {}", windows[l]);
         }
@@ -841,18 +921,80 @@ mod tests {
     #[test]
     fn bad_intervals_are_errors() {
         let mut script = Script { intervals: vec![vec![next(5, None), next(0, None)]], stats: vec![Vec::new()] };
-        let err = run_intervals(ShapeStream::new(BASE, 1), isca(64), [next(0, None)], &mut script);
+        let err = run_intervals(ShapeStream::new(BASE, 1), isca(64), &[next(0, None)], &mut script);
         assert_eq!(err.unwrap_err(), OooError::ZeroIntervalLength);
-        let err = run_intervals(ShapeStream::new(BASE, 1), isca(64), [next(5, None)], &mut script);
+        let err = run_intervals(ShapeStream::new(BASE, 1), isca(64), &[next(5, None)], &mut script);
         assert_eq!(err.unwrap_err(), OooError::ZeroIntervalLength);
-        let err = run_intervals(ShapeStream::new(BASE, 1), isca(64), [next(5, Some(128))], &mut script);
+        let err = run_intervals(ShapeStream::new(BASE, 1), isca(64), &[next(5, Some(128))], &mut script);
         assert_eq!(err.unwrap_err(), OooError::InvalidWindow { entries: 128 });
         let huge = Shape { dep_chance: 0, latencies: &[u32::MAX / 4], ..BASE };
-        let err = run_intervals(ShapeStream::new(huge, 1), isca(64), [next(50, None)], &mut script);
+        let err = run_intervals(ShapeStream::new(huge, 1), isca(64), &[next(50, None)], &mut script);
         assert_eq!(err.unwrap_err(), OooError::SweepCycleOverflow { inst: 3 });
         let mut none = Script { intervals: Vec::new(), stats: Vec::new() };
         let mut stream = ShapeStream::new(BASE, 1);
-        run_intervals(&mut stream, isca(64), [], &mut none).unwrap();
+        run_intervals(&mut stream, isca(64), &[], &mut none).unwrap();
         assert_eq!(stream.reads, 0);
+        let nine = [next(5, None); LANES + 1];
+        let err = run_intervals(&mut stream, isca(64), &nine, &mut none);
+        assert_eq!(err.unwrap_err(), OooError::TooManyWindows { windows: 9 });
+        assert_eq!(stream.reads, 0);
+    }
+
+    fn window(entries: usize) -> WindowSize {
+        WindowSize::new(entries).unwrap()
+    }
+
+    /// A fresh core of `window`'s chained `run(interval_len)` calls.
+    fn core_series(shape: Shape, seed: u64, window: WindowSize, intervals: u64, interval_len: u64) -> Vec<IntervalSample> {
+        let mut core = crate::core::OooCore::new(isca(window.entries()));
+        let mut stream = ShapeStream::new(shape, seed);
+        (0..intervals)
+            .map(|index| {
+                let stats = core.run(&mut stream, interval_len);
+                IntervalSample { index, cycles: stats.cycles, insts: stats.committed }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn interval_lanes_match_chained_cores() {
+        // Unsorted, with a duplicate, and with the largest window not first.
+        let windows = [window(48), window(16), window(128), window(48), window(96)];
+        let far = Shape { reach: 700, dep_chance: 200, ..BASE };
+        for (shape, seed) in [(BASE, 1), (far, 2)] {
+            for (intervals, len) in [(1, 1), (40, 7), (9, 333), (3, 2_000)] {
+                let lanes = interval_lanes(ShapeStream::new(shape, seed), &windows, intervals, len).unwrap();
+                for (series, &w) in lanes.iter().zip(&windows) {
+                    assert_eq!(*series, core_series(shape, seed, w, intervals, len), "{w}, {intervals}x{len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bad_interval_lanes_are_errors() {
+        let err = interval_lanes(ShapeStream::new(BASE, 1), &[window(64)], 3, 0).unwrap_err();
+        assert_eq!(err, OooError::ZeroIntervalLength);
+        let nine: Vec<WindowSize> = paper().into_iter().chain([window(144)]).collect();
+        let err = interval_lanes(ShapeStream::new(BASE, 1), &nine, 3, 100).unwrap_err();
+        assert_eq!(err, OooError::TooManyWindows { windows: 9 });
+    }
+
+    #[test]
+    fn zero_intervals_give_empty_lanes() {
+        let mut stream = ShapeStream::new(BASE, 1);
+        let lanes = interval_lanes(&mut stream, &paper(), 0, 2_000).unwrap();
+        assert_eq!(lanes, vec![Vec::new(); LANES]);
+        assert_eq!(interval_lanes(&mut stream, &[], 5, 2_000).unwrap(), Vec::<Vec<IntervalSample>>::new());
+        assert_eq!(stream.reads, 0);
+    }
+
+    #[test]
+    fn one_window_is_its_lane_of_eight() {
+        let eight = interval_lanes(ShapeStream::new(BASE, 6), &paper(), 12, 500).unwrap();
+        for (series, w) in eight.iter().zip(paper()) {
+            let one = interval_lanes(ShapeStream::new(BASE, 6), &[w], 12, 500).unwrap();
+            assert_eq!(one, std::slice::from_ref(series), "{w}");
+        }
     }
 }

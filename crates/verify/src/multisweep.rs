@@ -21,6 +21,10 @@
 //!   window, dispatch floor and interval ends
 //!   ([`cap_core::manager::run_managed_lanes`]), against
 //!   [`run_managed`] on a core per lane ([`managed_lanes_vs_core`]);
+//! * and they record fixed-window interval series
+//!   ([`cap_ooo::multisweep::interval_lanes`]), against
+//!   [`core_interval_series`], a core per window
+//!   ([`interval_lanes_vs_core`]);
 //! * the branch-predictor sweep reads its branch stream once and trains
 //!   every PHT size on each event ([`cap_ooo::bpred::sweep`]), against
 //!   [`per_size_bpred_sweep`], which regenerates the stream per size.
@@ -46,8 +50,8 @@ use cap_obs::{Recorder, RingRecorder};
 use cap_ooo::bpred::{BpredSweepPoint, Gshare, PhtConfig, MISPREDICT_PENALTY_CYCLES};
 use cap_ooo::config::{CoreConfig, WindowSize};
 use cap_ooo::core::{OooCore, RunStats};
-use cap_ooo::interval::PAPER_INTERVAL_INSTS;
-use cap_ooo::multisweep::{multisweep, LANES};
+use cap_ooo::interval::{IntervalSample, PAPER_INTERVAL_INSTS};
+use cap_ooo::multisweep::{interval_lanes, multisweep, LANES};
 use cap_ooo::perf::QueueSweepPoint;
 use cap_ooo::reference::ScanCore;
 use cap_timing::cacti::CacheTimingModel;
@@ -419,6 +423,93 @@ pub fn managed_lanes_vs_core(rng: &mut Rng) -> Result<(), String> {
     Ok(())
 }
 
+/// The reference fixed-window interval series: a fresh core of `window`
+/// reading `stream`, one chained [`OooCore::run`] of `interval_len`
+/// instructions per sample, indexed from 0.
+///
+/// # Errors
+///
+/// Returns a message if the core cannot be built.
+pub fn core_interval_series<S: InstStream>(
+    mut stream: S,
+    window: WindowSize,
+    intervals: u64,
+    interval_len: u64,
+) -> Result<Vec<IntervalSample>, String> {
+    let config = CoreConfig::isca98(window.entries()).map_err(|e| format!("config construction failed: {e}"))?;
+    let mut core = OooCore::try_new(config).map_err(|e| format!("production core rejected config: {e}"))?;
+    Ok((0..intervals)
+        .map(|index| {
+            let stats = core.run(&mut stream, interval_len);
+            IntervalSample { index, cycles: stats.cycles, insts: stats.committed }
+        })
+        .collect())
+}
+
+/// One fuzzed fixed-window interval case (`interval/fixed/lanes-vs-core`):
+/// one to eight windows of 16–256 entries, in any order and with
+/// duplicates, over a random suite application's stream or a stream of a
+/// random dependence shape, at one interval length — one instruction,
+/// `CW - 1`, an odd count or the paper's 2000 — for one or more
+/// intervals. Each lane of [`interval_lanes`] must equal
+/// [`core_interval_series`] of its window, sample by sample.
+///
+/// # Errors
+///
+/// Returns a message naming the first diverging lane and interval.
+pub fn interval_lanes_vs_core(rng: &mut Rng) -> Result<(), String> {
+    let odd = 2 * rng.range(1, 500) + 1;
+    let interval_len = *rng.pick(&[1, 7, odd, PAPER_INTERVAL_INSTS]);
+    let intervals = rng.range(1, (40_000 / interval_len).clamp(2, 60));
+    let mut windows = (0..rng.range(1, LANES as u64))
+        .map(|_| WindowSize::new(16 * rng.range(1, 16) as usize))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("window construction failed: {e}"))?;
+    if windows.len() > 1 && rng.chance(0.5) {
+        let (from, to) = (rng.below(windows.len() as u64) as usize, rng.below(windows.len() as u64) as usize);
+        windows[to] = windows[from];
+    }
+    let sizes: Vec<usize> = windows.iter().map(|w| w.entries()).collect();
+    let seed = rng.next_u64();
+    if rng.chance(0.5) {
+        let apps: Vec<App> = App::queue_suite().collect();
+        let app = *rng.pick(&apps);
+        let ctx = format!("app {} seed {seed} windows {sizes:?} {intervals}x{interval_len} insts", app.name());
+        compare_interval_lanes(&ctx, || app.ilp_profile().build(seed), &windows, intervals, interval_len)
+    } else {
+        let shape = Shape::random(rng);
+        let ctx = format!("{shape:?} seed {seed} windows {sizes:?} {intervals}x{interval_len} insts");
+        compare_interval_lanes(&ctx, || ShapeStream::new(shape, seed), &windows, intervals, interval_len)
+    }
+}
+
+/// The lanes of `windows` over `stream()` against a core per window, each
+/// reading its own `stream()`.
+fn compare_interval_lanes<S: InstStream>(
+    ctx: &str,
+    stream: impl Fn() -> S,
+    windows: &[WindowSize],
+    intervals: u64,
+    interval_len: u64,
+) -> Result<(), String> {
+    let lanes = interval_lanes(stream(), windows, intervals, interval_len)
+        .map_err(|e| format!("{ctx}: lanes failed: {e}"))?;
+    if lanes.len() != windows.len() {
+        return Err(format!("{ctx}: {} lanes for {} windows", lanes.len(), windows.len()));
+    }
+    for (l, (series, &w)) in lanes.iter().zip(windows).enumerate() {
+        let core = core_interval_series(stream(), w, intervals, interval_len)?;
+        if let Some(k) = (0..core.len().max(series.len())).find(|&k| core.get(k) != series.get(k)) {
+            return Err(format!(
+                "{ctx}, lane {l} ({w}): interval {k} differs — {:?} (core) vs {:?} (lanes)",
+                core.get(k),
+                series.get(k)
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn compare_managed_runs(ctx: &str, core: &ManagedRun, lanes: &ManagedRun) -> Result<(), String> {
     if core.intervals.len() != lanes.intervals.len() {
         return Err(format!(
@@ -736,6 +827,14 @@ mod tests {
         let mut rng = Rng::for_case(1, "bpred-sweep-unit", 0);
         for _ in 0..8 {
             bpred_fused_vs_per_size(&mut rng).unwrap();
+        }
+    }
+
+    #[test]
+    fn interval_lanes_agree_on_a_quick_sample() {
+        let mut rng = Rng::for_case(1, "interval-lanes-unit", 0);
+        for _ in 0..8 {
+            interval_lanes_vs_core(&mut rng).unwrap();
         }
     }
 

@@ -23,7 +23,7 @@ fn verify_run_is_deterministic_and_reports_every_property() {
     let a = verify_in(&dir, &["verify", "--cases", "3", "--seed", "5"]);
     assert!(a.status.success(), "{}", String::from_utf8_lossy(&a.stderr));
     let text = String::from_utf8_lossy(&a.stdout);
-    assert!(text.contains("40 properties passed"), "{text}");
+    assert!(text.contains("41 properties passed"), "{text}");
     assert!(text.contains("seed 5"), "{text}");
     let progress = String::from_utf8_lossy(&a.stderr);
     assert!(progress.contains("diff/confidence/queue/faulty"), "{progress}");
