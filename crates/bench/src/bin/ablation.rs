@@ -17,15 +17,14 @@ fn main() {
             "app", "policy", "process (ns)", "managed (ns)", "oracle (ns)", "switches"
         );
         let mut all = Vec::new();
+        let names = ["confident", "eager"];
+        let configs = [ConfidencePolicy::default_policy(), ConfidencePolicy::none()].map(|policy| {
+            PolicyConfig::new(PolicyKind::Confidence).with_explore_period(50).with_confidence(policy)
+        });
         for app in [App::Turb3d, App::Vortex, App::Compress, App::Appcg] {
-            for (name, policy, explore) in [
-                ("confident", ConfidencePolicy::default_policy(), 50),
-                ("eager", ConfidencePolicy::none(), 50),
-            ] {
-                let config = PolicyConfig::new(PolicyKind::Confidence)
-                    .with_explore_period(explore)
-                    .with_confidence(policy);
-                let r = exp.policy_comparison(app, intervals, &config, exec)?;
+            // Both settings share one set of offline series, and run as
+            // two lanes of one managed pass.
+            for (name, r) in names.into_iter().zip(exp.policy_comparison(app, intervals, &configs, exec)?) {
                 println!(
                     "{:>8} {:>12} {:>14.3} {:>12.3} {:>12.3} {:>9}",
                     r.app, name, r.process_level_tpi, r.managed_tpi, r.oracle_tpi, r.switches

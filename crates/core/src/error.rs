@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::time::Duration;
 
 /// Errors produced by the framework and experiment drivers.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,15 +43,14 @@ pub enum CapError {
         /// Human-readable description naming the variable and value.
         message: String,
     },
-    /// A leg exhausted its watchdog budget (`--leg-timeout` /
-    /// `CAP_LEG_TIMEOUT`): every attempt, retries included, hit the
-    /// per-attempt deadline. The campaign reports the leg instead of
-    /// hanging on it.
+    /// A leg was still computing at its deadline (`--leg-timeout` /
+    /// `CAP_LEG_TIMEOUT`) and was abandoned. The campaign reports the
+    /// leg instead of hanging on it.
     LegTimedOut {
-        /// The stable label of the abandoned leg.
+        /// The canonical key of the abandoned leg.
         leg: String,
-        /// Attempts made (first try + retries) before giving up.
-        attempts: u32,
+        /// The deadline it missed.
+        timeout: Duration,
     },
     /// The campaign stopped at a leg boundary after a graceful drain
     /// (SIGINT/SIGTERM). Completed legs are committed to the journal;
@@ -81,8 +81,8 @@ impl fmt::Display for CapError {
                 write!(f, "no viable configuration remains (all quarantined or unavailable)")
             }
             CapError::Environment { message } => write!(f, "{message}"),
-            CapError::LegTimedOut { leg, attempts } => {
-                write!(f, "leg `{leg}` timed out after {attempts} attempt(s)")
+            CapError::LegTimedOut { leg, timeout } => {
+                write!(f, "leg `{leg}` timed out: no result within its {timeout:?} deadline")
             }
             CapError::Interrupted => {
                 write!(f, "interrupted at a leg boundary (completed legs are journaled; rerun with --resume)")
@@ -146,8 +146,11 @@ mod tests {
         let env = CapError::Environment { message: "CAP_JOBS must be a positive integer, got `abc`".into() };
         assert!(env.to_string().contains("CAP_JOBS"));
         assert!(env.source().is_none());
-        let to = CapError::LegTimedOut { leg: "queue-sweep|gcc|point=3".into(), attempts: 3 };
-        assert!(to.to_string().contains("timed out after 3"));
+        let to = CapError::LegTimedOut {
+            leg: "queue-sweep|gcc|point=3".into(),
+            timeout: Duration::from_millis(50),
+        };
+        assert!(to.to_string().contains("timed out: no result within its 50ms deadline"));
         assert!(to.to_string().contains("queue-sweep|gcc|point=3"));
         assert!(CapError::Interrupted.to_string().contains("--resume"));
         let internal = CapError::Internal { what: "leg `x` neither resolved nor errored".into() };

@@ -23,7 +23,7 @@
 
 use crate::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
 use crate::error::CapError;
-use crate::manager::{run_managed_lanes, QueueLane};
+use crate::manager::{run_managed_lanes, ManagedRun, QueueLane};
 use crate::metrics::{BarChart, BarPair};
 use crate::plan::{run_leg, run_legs, Leg};
 use crate::policy::{PolicyConfig, PolicyKind};
@@ -34,14 +34,13 @@ use cap_ooo::config::WindowSize;
 use cap_ooo::interval::PAPER_INTERVAL_INSTS;
 use cap_ooo::multisweep::interval_lanes;
 use cap_obs::{
-    CacheProbeEvent, CacheQuarantineEvent, CacheStoreEvent, Event, JournalLegEvent,
-    LegTimeoutEvent, Recorder, RingRecorder,
+    CacheProbeEvent, CacheQuarantineEvent, CacheStoreEvent, Event, JournalLegEvent, Recorder,
+    RingRecorder,
 };
 use cap_par::{
-    CacheKey, ChaosInjector, Gate, GuardedOutcome, Journal, Pool, ResultCache, SingleFlight,
+    CacheKey, ChaosInjector, Gate, GatePermit, Journal, Pool, ResultCache, SingleFlight,
     WatchdogPolicy,
 };
-use cap_par::pool::GatePermit;
 use cap_timing::cacti::CacheTimingModel;
 use cap_timing::queue::QueueTimingModel;
 use cap_timing::Technology;
@@ -210,7 +209,8 @@ impl ExecPolicy {
         self
     }
 
-    /// Attaches a per-leg watchdog policy (deadline + bounded retries).
+    /// Attaches a per-leg watchdog policy (the deadline every computed
+    /// leg runs under).
     #[must_use]
     pub fn with_watchdog(mut self, watchdog: WatchdogPolicy) -> Self {
         self.watchdog = watchdog;
@@ -285,6 +285,11 @@ impl ExecPolicy {
         &self.watchdog
     }
 
+    /// The attached chaos injector, if any.
+    pub(crate) fn chaos(&self) -> Option<&ChaosInjector> {
+        self.chaos.as_ref()
+    }
+
     pub(crate) fn pool(&self) -> Pool {
         Pool::new(self.jobs).with_recorder(self.recorder.clone())
     }
@@ -295,9 +300,10 @@ impl ExecPolicy {
     }
 
     /// Claims a slot from the worker gate shared by every clone of this
-    /// policy. Callers hold the permit exactly for the duration of a
-    /// leg's compute — never while waiting on a single-flight slot.
-    pub(crate) fn acquire_worker(&self) -> GatePermit<'_> {
+    /// policy. The permit travels with a leg's compute and is freed when
+    /// the compute ends — never held while waiting on a single-flight
+    /// slot.
+    pub(crate) fn acquire_worker(&self) -> GatePermit {
         self.gate.acquire()
     }
 
@@ -333,45 +339,6 @@ impl ExecPolicy {
                 leg: leg.to_string(),
                 action: "appended",
             }));
-        }
-    }
-
-    /// Runs one leg computation under the watchdog (and, when attached,
-    /// the chaos injector). A leg that exhausts its attempt budget
-    /// becomes [`CapError::LegTimedOut`] instead of a hung pool.
-    pub(crate) fn guarded<T>(
-        &self,
-        leg: &str,
-        compute: impl Fn() -> Result<T, CapError>,
-    ) -> Result<T, CapError> {
-        if let Some(chaos) = &self.chaos {
-            if chaos.should_panic(leg) {
-                panic!("chaos: injected panic in leg `{leg}`");
-            }
-        }
-        let outcome = self.watchdog.run(|token| {
-            if let Some(chaos) = &self.chaos {
-                if !chaos.stall(leg, token) {
-                    return None; // cancelled mid-stall: a timed-out attempt
-                }
-            }
-            Some(compute())
-        });
-        match outcome {
-            GuardedOutcome::Done(result) => result,
-            GuardedOutcome::TimedOut { attempts } => {
-                if self.recorder.enabled() {
-                    self.recorder.record(&Event::LegTimeout(LegTimeoutEvent {
-                        leg: leg.to_string(),
-                        attempts,
-                        timeout_ms: self
-                            .watchdog
-                            .timeout
-                            .map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX)),
-                    }));
-                }
-                Err(CapError::LegTimedOut { leg: leg.to_string(), attempts })
-            }
         }
     }
 
@@ -578,17 +545,10 @@ impl CacheExperiment {
         }
     }
 
-    /// One application's curve as a content-addressed plan leg. The
-    /// compute closure runs the whole curve under the guarded leg label
-    /// `…|curve`.
+    /// One application's curve as a content-addressed plan leg.
     pub(crate) fn curve_leg(&self, app: App) -> Leg {
-        let key = self.curve_key(app);
-        let label = format!("{}|curve", key.canonical());
         let me = self.clone();
-        Leg::cached(key, move |exec| {
-            let points = exec.guarded(&label, || me.curve_points(app))?;
-            Ok(Self::assemble_curve(app, points))
-        })
+        Leg::cached(self.curve_key(app), move |_| Ok(Self::assemble_curve(app, me.curve_points(app)?)))
     }
 
     /// Sweeps every boundary for one application (one Figure 7 curve),
@@ -833,13 +793,8 @@ impl QueueExperiment {
     /// One application's curve as a content-addressed plan leg (see
     /// [`CacheExperiment::curve_leg`]).
     pub(crate) fn curve_leg(&self, app: App) -> Leg {
-        let key = self.curve_key(app);
-        let label = format!("{}|curve", key.canonical());
         let me = self.clone();
-        Leg::cached(key, move |exec| {
-            let points = exec.guarded(&label, || me.curve_points(app))?;
-            Ok(Self::assemble_curve(app, points))
-        })
+        Leg::cached(self.curve_key(app), move |_| Ok(Self::assemble_curve(app, me.curve_points(app)?)))
     }
 
     /// Sweeps every window size for one application (one Figure 10
@@ -1247,34 +1202,67 @@ impl IntervalExperiment {
 
     /// Runs the §6 interval-adaptive manager — or any other
     /// [`PolicyConfig`] in the catalog — on an application and compares
-    /// it with the process-level choice and the per-interval oracle. The
+    /// it with the process-level choice and the per-interval oracle: one
+    /// [`AdaptiveComparison`] per config, in `configs` order. The
     /// fixed-configuration reference series are one leg per window size,
-    /// computed as the lanes of one pass; the managed run is one lane of
-    /// its own, as its clock and manager state are a chain.
+    /// computed once as the lanes of one pass; the managed runs, one per
+    /// config (at most eight), are the lanes of another. Traced, each
+    /// run's events are replayed in `configs` order, as if the runs were
+    /// made one after another.
     ///
     /// # Errors
     ///
-    /// [`CapError::InvalidParameter`] for zero intervals; otherwise
-    /// propagates configuration errors.
+    /// [`CapError::InvalidParameter`] for zero intervals or more than
+    /// eight configs; otherwise propagates configuration errors.
     pub fn policy_comparison(
         &self,
         app: App,
         intervals: u64,
-        config: &PolicyConfig,
+        configs: &[PolicyConfig],
         exec: &ExecPolicy,
-    ) -> Result<AdaptiveComparison, CapError> {
+    ) -> Result<Vec<AdaptiveComparison>, CapError> {
         check_intervals(intervals)?;
         let (process_level, oracle) = self.offline_optima(app, intervals, exec)?;
-        let mut lane = [self.managed_lane(app, config, exec.recorder().clone())?];
-        let run = run_managed_lanes(self.stream(app), &mut lane, intervals, PAPER_INTERVAL_INSTS)?.remove(0);
-        Ok(AdaptiveComparison {
-            app: app.name().to_string(),
-            process_level_tpi: process_level,
-            managed_tpi: run.average_tpi().value(),
-            oracle_tpi: oracle,
-            switches: run.switches,
-            intervals,
-        })
+        let runs = self.managed_runs(app, configs, intervals, exec.recorder().enabled())?;
+        Ok(runs
+            .into_iter()
+            .map(|(run, events)| {
+                for event in &events {
+                    exec.recorder().record(event);
+                }
+                AdaptiveComparison {
+                    app: app.name().to_string(),
+                    process_level_tpi: process_level,
+                    managed_tpi: run.average_tpi().value(),
+                    oracle_tpi: oracle,
+                    switches: run.switches,
+                    intervals,
+                }
+            })
+            .collect())
+    }
+
+    /// One managed run of `app` per config, as the lanes of one pass
+    /// over its stream ([`run_managed_lanes`]), each with the trace
+    /// events it emitted if `traced`.
+    fn managed_runs(
+        &self,
+        app: App,
+        configs: &[PolicyConfig],
+        intervals: u64,
+        traced: bool,
+    ) -> Result<Vec<(ManagedRun, Vec<Event>)>, CapError> {
+        let buffers: Vec<Arc<RingRecorder>> = configs.iter().map(|_| Arc::new(RingRecorder::new())).collect();
+        let mut lanes = configs
+            .iter()
+            .zip(&buffers)
+            .map(|(config, buffer)| {
+                let recorder: Arc<dyn Recorder> = if traced { buffer.clone() } else { cap_obs::noop() };
+                self.managed_lane(app, config, recorder)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let runs = run_managed_lanes(self.stream(app), &mut lanes, intervals, PAPER_INTERVAL_INSTS)?;
+        Ok(runs.into_iter().zip(buffers).map(|(run, buffer)| (run, buffer.events())).collect())
     }
 
     /// Runs one application under every policy in [`PolicyKind::ALL`]
@@ -1318,28 +1306,18 @@ impl IntervalExperiment {
     /// lanes of one managed pass over `app`'s stream, with each lane's
     /// trace events if `traced`.
     fn policy_lanes(&self, app: App, intervals: u64, traced: bool) -> Result<Vec<PolicyLane>, CapError> {
-        let buffers: Vec<Arc<RingRecorder>> =
-            PolicyKind::ALL.iter().map(|_| Arc::new(RingRecorder::new())).collect();
-        let mut lanes = PolicyKind::ALL
-            .iter()
-            .zip(&buffers)
-            .map(|(&kind, buffer)| {
-                let recorder: Arc<dyn Recorder> = if traced { buffer.clone() } else { cap_obs::noop() };
-                self.managed_lane(app, &PolicyConfig::new(kind), recorder)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let runs = run_managed_lanes(self.stream(app), &mut lanes, intervals, PAPER_INTERVAL_INSTS)?;
+        let configs: Vec<PolicyConfig> = PolicyKind::ALL.iter().map(|&kind| PolicyConfig::new(kind)).collect();
+        let runs = self.managed_runs(app, &configs, intervals, traced)?;
         Ok(PolicyKind::ALL
             .iter()
             .zip(runs)
-            .zip(buffers)
-            .map(|((kind, run), buffer)| PolicyLane {
+            .map(|(kind, (run, events))| PolicyLane {
                 row: PolicyRow {
                     policy: kind.name().to_string(),
                     tpi_ns: run.average_tpi().value(),
                     switches: run.switches,
                 },
-                events: buffer.events(),
+                events,
             })
             .collect())
     }
@@ -1389,7 +1367,7 @@ impl Default for IntervalExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::{run_managed, QueueIntervalSim, SwitchRetryPolicy};
+    use crate::manager::{run_managed, ConfidencePolicy, QueueIntervalSim, SwitchRetryPolicy};
 
     #[test]
     fn scale_tiers_are_ordered() {
@@ -1509,7 +1487,7 @@ mod tests {
         );
         let config = PolicyConfig::new(PolicyKind::Confidence).with_explore_period(30);
         let cmp = |jobs| {
-            exp.policy_comparison(App::Vortex, 60, &config, &ExecPolicy::with_jobs(jobs)).unwrap()
+            exp.policy_comparison(App::Vortex, 60, std::slice::from_ref(&config), &ExecPolicy::with_jobs(jobs)).unwrap()
         };
         assert_eq!(cmp(1), cmp(8));
     }
@@ -1579,12 +1557,43 @@ mod tests {
             .policy_comparison(
                 App::Vortex,
                 60,
-                &PolicyConfig::new(PolicyKind::Confidence),
+                &[PolicyConfig::new(PolicyKind::Confidence)],
                 &ExecPolicy::serial(),
             )
             .unwrap();
-        assert_eq!(cmp.rows[2].tpi_ns, adaptive.managed_tpi);
-        assert_eq!(cmp.rows[2].switches, adaptive.switches);
+        assert_eq!(cmp.rows[2].tpi_ns, adaptive[0].managed_tpi);
+        assert_eq!(cmp.rows[2].switches, adaptive[0].switches);
+    }
+
+    #[test]
+    fn several_configs_compare_as_one_call_per_config() {
+        // Lanes of one pass, traced, against one call per config: the
+        // same comparisons and the same events in config order.
+        let exp = IntervalExperiment::new();
+        let configs = [
+            PolicyConfig::new(PolicyKind::Confidence).with_explore_period(30),
+            PolicyConfig::new(PolicyKind::Confidence).with_confidence(ConfidencePolicy::none()),
+            PolicyConfig::new(PolicyKind::Hysteresis),
+        ];
+        let traced = |configs: &[PolicyConfig]| {
+            let ring = Arc::new(RingRecorder::new());
+            let exec = ExecPolicy::serial().with_recorder(ring.clone());
+            let cmps = exp.policy_comparison(App::Vortex, 60, configs, &exec).unwrap();
+            let managed: Vec<Event> =
+                ring.events().into_iter().filter(|e| !matches!(e, Event::PoolBatch(_))).collect();
+            (cmps, managed)
+        };
+        let (together, together_events) = traced(&configs);
+        let mut apart = Vec::new();
+        let mut apart_events = Vec::new();
+        for config in &configs {
+            let (cmps, events) = traced(std::slice::from_ref(config));
+            apart.extend(cmps);
+            apart_events.extend(events);
+        }
+        assert_eq!(together, apart);
+        assert_eq!(together_events, apart_events);
+        assert!(!together_events.is_empty());
     }
 
     fn assert_rejects_zero_intervals<T: std::fmt::Debug>(what: &str, result: Result<T, CapError>) {
@@ -1603,7 +1612,7 @@ mod tests {
     #[test]
     fn policy_comparison_rejects_zero_intervals() {
         let config = PolicyConfig::new(PolicyKind::Confidence);
-        let cmp = IntervalExperiment::new().policy_comparison(App::Gcc, 0, &config, &ExecPolicy::serial());
+        let cmp = IntervalExperiment::new().policy_comparison(App::Gcc, 0, &[config], &ExecPolicy::serial());
         assert_rejects_zero_intervals("policy_comparison", cmp);
     }
 
@@ -1748,13 +1757,15 @@ mod tests {
         let exec = ExecPolicy::from_env(Some(1)).unwrap();
         assert!(exec.watchdog().timeout.is_some());
         let q = QueueExperiment::new(ExperimentScale::Smoke);
+        let started = std::time::Instant::now();
         match queue_curve(&q, App::Radar, &exec) {
-            Err(CapError::LegTimedOut { leg, attempts }) => {
-                assert!(leg.contains("queue-sweep|radar"), "{leg}");
-                assert!(attempts >= 1);
+            Err(CapError::LegTimedOut { leg, timeout }) => {
+                assert_eq!(leg, q.curve_key(App::Radar).canonical());
+                assert_eq!(timeout, std::time::Duration::from_millis(50));
             }
             other => panic!("expected LegTimedOut, got {other:?}"),
         }
+        assert!(started.elapsed() < std::time::Duration::from_secs(5), "one deadline, no retries");
         std::env::remove_var("CAP_CHAOS_STALL");
         std::env::remove_var("CAP_LEG_TIMEOUT");
 

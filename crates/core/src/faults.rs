@@ -508,7 +508,8 @@ impl FaultCampaign {
     /// Runs both legs serially and assembles the report. The legs are
     /// independent (separate structures, managers and streams; injector
     /// seeds derived per leg); [`FaultCampaign::plan`] runs them under
-    /// any execution policy, with journaling, resume and the watchdog.
+    /// any execution policy, with journaling, resume and the per-leg
+    /// deadline.
     ///
     /// # Errors
     ///
@@ -544,21 +545,17 @@ impl FaultCampaign {
     }
 
     /// One campaign leg (queue or cache) as a journaled plan leg. Fault
-    /// legs are journal-only — their results are campaign-specific, so
-    /// they carry no result-cache key — and guarded, so they inherit the
-    /// policy's watchdog and chaos hooks.
+    /// legs are journal-only: their results are campaign-specific, so
+    /// they carry no result-cache key.
     pub(crate) fn plan_leg(&self, queue: bool) -> crate::plan::Leg {
         let key = self.leg_key(if queue { "queue" } else { "cache" });
         let me = self.clone();
-        crate::plan::Leg::journaled(key.clone(), "fault-campaign", move |exec| {
-            let recorder = exec.recorder().clone();
-            exec.guarded(&key, || {
-                if queue {
-                    me.queue_leg(&recorder)
-                } else {
-                    me.cache_leg(&recorder)
-                }
-            })
+        crate::plan::Leg::journaled(key, "fault-campaign", move |exec| {
+            if queue {
+                me.queue_leg(exec.recorder())
+            } else {
+                me.cache_leg(exec.recorder())
+            }
         })
     }
 

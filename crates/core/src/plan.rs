@@ -4,14 +4,14 @@
 //! sweeps, interval series, managed runs, fault legs) plus pure
 //! [`Reduce`] nodes (figures, headlines, tables). ONE [`Executor`] runs
 //! any spec over an [`ExecPolicy`], inheriting `--jobs`, the result
-//! cache, journal/resume, the watchdog, chaos injection and `cap-obs`
-//! tracing uniformly — the per-driver leg loops that used to live in
-//! `experiments.rs`, `faults.rs` and the `capsim` subcommands are now
-//! thin plan builders over this module.
+//! cache, journal/resume, the per-leg deadline, chaos injection and
+//! `cap-obs` tracing uniformly — the per-driver leg loops that used to
+//! live in `experiments.rs`, `faults.rs` and the `capsim` subcommands
+//! are now thin plan builders over this module.
 //!
 //! **Content addressing and dedup.** A leg's identity is its canonical
-//! key string — the same string used as its journal identity and its
-//! guarded-leg label, and (for cacheable legs) derived from its
+//! key string — the same string used as its journal identity, its
+//! deadline and chaos label, and (for cacheable legs) derived from its
 //! [`CacheKey`]. [`ExperimentSpec::leg`] dedupes on that key, so a plan
 //! that mentions the same leg twice (figure 8 and figure 9 both reusing
 //! figure 7's curves; `compare-policies` sharing baseline legs) executes
@@ -21,14 +21,22 @@
 //! service. [`Executor::run`] replays journal hits on the calling
 //! thread, then sends every other leg through one pool batch. Inside the
 //! leg's slot in the policy's single-flight table, the leader probes the
-//! result cache once; on a miss it takes a gate permit, computes, and
-//! stores the value before the slot retires. Concurrent runs sharing the
-//! policy (the service's requests) wait on the slot and share the value.
-//! Completed legs — cache hits included, so warm and cold runs journal
-//! the same leg sequence — are committed to the journal in plan order,
-//! even when another leg failed or the batch drained, so `--resume`
-//! replays finished work instead of recomputing it. Reduces are pure
-//! functions of leg values and never touch the journal or cache.
+//! result cache once; on a miss it takes a gate permit, computes under
+//! the policy's per-leg guard, and stores the value before the slot
+//! retires. Concurrent runs sharing the policy (the service's requests)
+//! wait on the slot and share the value. Once a leg fails, no further
+//! leg starts. Completed legs — cache hits included, so warm and cold
+//! runs journal the same leg sequence — are committed to the journal in
+//! plan order, even when another leg failed or the batch drained, so
+//! `--resume` replays finished work instead of recomputing it. Reduces
+//! are pure functions of leg values and never touch the journal or
+//! cache.
+//!
+//! **The leg guard.** Every computed leg, of every kind, runs under one
+//! guard keyed by its canonical key: the chaos hooks, then the policy's
+//! [`WatchdogPolicy`](cap_par::WatchdogPolicy) deadline, past which the
+//! leg fails with [`CapError::LegTimedOut`] and its thread is abandoned
+//! with its gate permit.
 //!
 //! **Inspection.** [`Executor::resolve`] classifies every leg as a
 //! journal hit, a result-cache hit or a miss *without* executing or
@@ -40,13 +48,14 @@ use crate::experiments::{
     PolicyRow, QueueCurve, QueueExperiment, SNAPSHOT_FIGURES,
 };
 use crate::report;
-use cap_obs::{Event, LegDedupEvent};
-use cap_par::{BatchResult, CacheKey};
+use cap_obs::{Event, LegDedupEvent, LegTimeoutEvent};
+use cap_par::{BatchResult, CacheKey, TimedOut};
 use cap_workloads::App;
 use serde::Serialize;
 use serde_json::{FromJson, Value};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 type Compute = Arc<dyn Fn(&ExecPolicy) -> Result<Value, CapError> + Send + Sync>;
@@ -55,11 +64,11 @@ type Render = Arc<dyn Fn(&[&Value]) -> Result<String, CapError> + Send + Sync>;
 
 /// One content-addressed unit of campaign work.
 ///
-/// A leg owns its compute closure (including any `ExecPolicy::guarded`
-/// wrapping — the executor imposes none, so drivers keep their
-/// historical guard labels exactly). The closure's result type fixes
-/// the leg's shape: a journaled or cached [`Value`] that does not
-/// decode as that type is treated as a miss, never a panic.
+/// A leg owns its compute closure; the executor runs it under the one
+/// leg guard (see the module docs), so a driver adds no guard of its
+/// own. The closure's result type fixes the leg's shape: a journaled or
+/// cached [`Value`] that does not decode as that type is treated as a
+/// miss, never a panic.
 pub struct Leg {
     key: String,
     kind: String,
@@ -440,14 +449,22 @@ impl Executor {
         stats.journal_hits = values.iter().flatten().count() as u64;
 
         let pending: Vec<usize> = (0..legs.len()).filter(|&i| values[i].is_none()).collect();
-        let batch = exec
-            .pool()
-            .ordered_map_drain(pending, |_, i| (i, Self::run_leg(&legs[i], exec)));
-        let (results, drained) = match batch {
-            BatchResult::Complete(results) => {
-                (results.into_iter().map(Some).collect::<Vec<_>>(), false)
+        // Once a leg fails the run's result is that error, so no further
+        // leg starts (legs already running finish and are committed).
+        let failing = AtomicBool::new(false);
+        let batch = exec.pool().ordered_map_drain(pending, |_, i| {
+            if failing.load(Ordering::Relaxed) {
+                return None;
             }
-            BatchResult::Drained { partial, .. } => (partial, true),
+            let result = Self::run_leg(&legs[i], exec);
+            if result.is_err() {
+                failing.store(true, Ordering::Relaxed);
+            }
+            Some((i, result))
+        });
+        let (results, drained) = match batch {
+            BatchResult::Complete(results) => (results, false),
+            BatchResult::Drained { partial, .. } => (partial.into_iter().flatten().collect(), true),
         };
         // Commit every completed leg — even when another leg failed or
         // the batch drained — so `--resume` replays finished work.
@@ -505,10 +522,10 @@ impl Executor {
     /// Resolves one leg the journal did not hold, inside its slot in the
     /// policy's single-flight table: concurrent runs of the same leg
     /// elect one leader, the rest share its value. The leader probes the
-    /// result cache once; on a miss it claims a gate permit only for the
-    /// compute, and stores the value before the slot retires — so a later
-    /// run of the leg finds it in the cache, and "computed exactly once"
-    /// holds even against the cache.
+    /// result cache once; on a miss it computes under the leg guard, and
+    /// stores the value before the slot retires — so a later run of the
+    /// leg finds it in the cache, and "computed exactly once" holds even
+    /// against the cache.
     fn run_leg(leg: &Leg, exec: &ExecPolicy) -> Result<(Value, LegSource), CapError> {
         let (result, shared) = exec.flight().work(&leg.key, || {
             let cache_key = leg.cache_key.as_ref();
@@ -517,8 +534,7 @@ impl Executor {
             {
                 return Ok((hit, true));
             }
-            let _permit = exec.acquire_worker();
-            let value = (leg.compute)(exec)?;
+            let value = Self::compute(leg, exec)?;
             if let Some(key) = cache_key {
                 exec.store_cache(key, &value);
             }
@@ -531,6 +547,36 @@ impl Executor {
             (false, false) => LegSource::Computed,
         };
         Ok((value, source))
+    }
+
+    /// Computes one leg under the leg guard. The gate permit is claimed
+    /// first and moves into the compute, so it is held for exactly as
+    /// long as the computation runs — past the deadline, too, when the
+    /// leg is abandoned.
+    fn compute(leg: &Leg, exec: &ExecPolicy) -> Result<Value, CapError> {
+        let permit = exec.acquire_worker();
+        let chaos = exec.chaos().cloned();
+        if chaos.as_ref().is_some_and(|chaos| chaos.should_panic(&leg.key)) {
+            panic!("chaos: injected panic in leg `{}`", leg.key);
+        }
+        let (compute, key, leg_exec) = (leg.compute.clone(), leg.key.clone(), exec.clone());
+        let guarded = exec.watchdog().run(move || {
+            let _permit = permit;
+            if let Some(chaos) = chaos {
+                chaos.stall(&key);
+            }
+            compute(&leg_exec)
+        });
+        guarded.unwrap_or_else(|TimedOut(timeout)| {
+            let recorder = exec.recorder();
+            if recorder.enabled() {
+                recorder.record(&Event::LegTimeout(LegTimeoutEvent {
+                    leg: leg.key.clone(),
+                    timeout_ms: u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX),
+                }));
+            }
+            Err(CapError::LegTimedOut { leg: leg.key.clone(), timeout })
+        })
     }
 }
 
@@ -877,6 +923,32 @@ mod tests {
         }));
         let err = Executor::run(&spec, &ExecPolicy::serial()).unwrap_err();
         assert_eq!(err, CapError::InvalidParameter { what: "first" });
+    }
+
+    #[test]
+    fn a_leg_past_its_deadline_fails_the_run_and_keeps_its_permit() {
+        let exec = ExecPolicy::serial()
+            .with_watchdog(cap_par::WatchdogPolicy::with_timeout(std::time::Duration::from_millis(50)));
+        let ended = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let later_runs = Arc::new(AtomicUsize::new(0));
+        let mut spec = ExperimentSpec::new("unit");
+        let flag = ended.clone();
+        spec.leg(Leg::journaled("slow|0".to_string(), "slow", move |_| {
+            std::thread::sleep(std::time::Duration::from_secs(1));
+            flag.store(true, Ordering::SeqCst);
+            Ok(0u64)
+        }));
+        let runs = later_runs.clone();
+        spec.leg(Leg::journaled("later|1".to_string(), "later", move |_| Ok(runs.fetch_add(1, Ordering::SeqCst) as u64)));
+
+        let started = std::time::Instant::now();
+        let err = Executor::run(&spec, &exec).unwrap_err();
+        assert_eq!(err, CapError::LegTimedOut { leg: "slow|0".into(), timeout: std::time::Duration::from_millis(50) });
+        assert!(started.elapsed() < std::time::Duration::from_millis(900), "took {:?}", started.elapsed());
+        assert_eq!(later_runs.load(Ordering::SeqCst), 0, "no leg starts after a failure");
+        // The abandoned leg holds the one permit until its compute ends.
+        drop(exec.acquire_worker());
+        assert!(ended.load(Ordering::SeqCst), "the permit came back only when the leg ended");
     }
 
     fn probes(ring: &cap_obs::RingRecorder) -> usize {

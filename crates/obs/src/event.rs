@@ -213,14 +213,12 @@ pub struct CacheQuarantineEvent {
     pub outcome: &'static str,
 }
 
-/// A leg abandoned by the watchdog after exhausting its retry budget.
+/// A leg abandoned by the watchdog when its deadline passed.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LegTimeoutEvent {
-    /// The leg's stable label.
+    /// The leg's canonical key.
     pub leg: String,
-    /// Attempts made (first try + retries) before giving up.
-    pub attempts: u32,
-    /// The per-attempt deadline, in milliseconds.
+    /// The per-leg deadline, in milliseconds.
     pub timeout_ms: u64,
 }
 
@@ -479,7 +477,6 @@ mod tests {
             }),
             Event::LegTimeout(LegTimeoutEvent {
                 leg: "queue-sweep|gcc|point=3".into(),
-                attempts: 3,
                 timeout_ms: 500,
             }),
             Event::ServeRequest(ServeRequestEvent {

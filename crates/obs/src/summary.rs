@@ -435,7 +435,6 @@ mod tests {
             }),
             Event::LegTimeout(crate::LegTimeoutEvent {
                 leg: "queue-curve|gcc".into(),
-                attempts: 3,
                 timeout_ms: 250,
             }),
         ]);

@@ -3,15 +3,15 @@
 //! PR 1's fault harness perturbs the *simulated hardware*; this module
 //! perturbs the *campaign engine itself* — the thing `capsim chaos`
 //! exists to prove crash-safe. Three fault kinds are supported, all
-//! chosen deterministically from a seed and the leg's stable label so
+//! chosen deterministically from a seed and the leg's canonical key so
 //! the same faults fire regardless of `--jobs` or scheduling:
 //!
 //! * **panics** (`CAP_CHAOS_PANIC=pct:seed`) — the leg panics before
 //!   computing, exercising the pool's containment and the journal's
 //!   resumability;
-//! * **stalls** (`CAP_CHAOS_STALL=pct:seed:ms`) — the leg sleeps
-//!   cooperatively for `ms` milliseconds, polling its [`CancelToken`],
-//!   exercising the watchdog's deadline/retry path;
+//! * **stalls** (`CAP_CHAOS_STALL=pct:seed:ms`) — the leg sleeps for
+//!   `ms` milliseconds before computing, polling nothing, exercising
+//!   the per-leg deadline ([`crate::watchdog`]);
 //! * **kills** (`CAP_CHAOS_KILL_AFTER_LEG=n`, handled by the journal) —
 //!   the process exits abruptly after the `n`-th journal append,
 //!   simulating preemption at a leg boundary.
@@ -21,12 +21,12 @@
 //! they flow through every layer without widening any API.
 
 use crate::cache::fnv64;
-use crate::watchdog::CancelToken;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A seeded injector of harness-level faults, built from the
 /// environment. Probabilities are per-leg percentages keyed by the
-/// leg's label, so outcomes are independent of worker scheduling.
+/// leg's canonical key, so outcomes are independent of worker
+/// scheduling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosInjector {
     panic_pct: Option<(u8, u64)>,
@@ -78,7 +78,7 @@ impl ChaosInjector {
         Ok(Some(ChaosInjector { panic_pct, stall }))
     }
 
-    /// Deterministic per-leg roll: true for `pct`% of labels under `seed`.
+    /// Deterministic per-leg roll: true for `pct`% of keys under `seed`.
     fn roll(kind: &str, pct: u8, seed: u64, leg: &str) -> bool {
         let h = fnv64(&format!("{kind}|{seed:#x}|{leg}"));
         (h % 100) < u64::from(pct)
@@ -90,24 +90,15 @@ impl ChaosInjector {
             .is_some_and(|(pct, seed)| Self::roll("panic", pct, seed, leg))
     }
 
-    /// Runs the leg's injected stall, if it was chosen for one. Sleeps
-    /// cooperatively in short slices, polling `token`; returns `false`
-    /// if the watchdog cancelled the attempt mid-stall.
-    pub fn stall(&self, leg: &str, token: &CancelToken) -> bool {
-        let Some((pct, seed, ms)) = self.stall else {
-            return true;
-        };
-        if !Self::roll("stall", pct, seed, leg) {
-            return true;
-        }
-        let deadline = Instant::now() + Duration::from_millis(ms);
-        while Instant::now() < deadline {
-            if token.cancelled() {
-                return false;
+    /// Sleeps through the leg's injected stall, if it was chosen for
+    /// one. The sleep polls nothing: only the executor's deadline can
+    /// bound it.
+    pub fn stall(&self, leg: &str) {
+        if let Some((pct, seed, ms)) = self.stall {
+            if Self::roll("stall", pct, seed, leg) {
+                std::thread::sleep(Duration::from_millis(ms));
             }
-            std::thread::sleep(Duration::from_millis(2));
         }
-        !token.cancelled()
     }
 }
 
@@ -143,22 +134,12 @@ mod tests {
     }
 
     #[test]
-    fn stall_respects_cancellation() {
-        let c = injector(None, Some((100, 3, 60_000)));
-        let token = CancelToken::new();
-        token.cancel();
-        let started = Instant::now();
-        assert!(!c.stall("any-leg", &token), "cancelled stall reports failure");
-        assert!(started.elapsed() < Duration::from_secs(5));
-        // An un-chosen leg never stalls.
-        let none = injector(None, Some((0, 3, 60_000)));
-        assert!(none.stall("any-leg", &CancelToken::new()));
-    }
-
-    #[test]
-    fn short_stall_completes() {
-        let c = injector(None, Some((100, 3, 10)));
-        assert!(c.stall("leg", &CancelToken::new()));
+    fn stalls_sleep_only_on_chosen_legs() {
+        let started = std::time::Instant::now();
+        injector(None, Some((0, 3, 60_000))).stall("any-leg");
+        assert!(started.elapsed() < Duration::from_secs(5), "an un-chosen leg never stalls");
+        injector(None, Some((100, 3, 20))).stall("leg");
+        assert!(started.elapsed() >= Duration::from_millis(20), "a chosen leg sleeps its stall");
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   `capsim sweep --resume`: each completed leg is committed atomically
 //!   (temp file + rename), so a killed campaign resumes from its last
 //!   leg boundary with byte-identical output.
-//! * [`watchdog`] — a per-leg deadline (`CAP_LEG_TIMEOUT`) with bounded
-//!   exponential-backoff retries; a stalled leg becomes a `TimedOut`
-//!   error instead of a hung pool.
+//! * [`watchdog`] — a per-leg deadline (`CAP_LEG_TIMEOUT`): the leg
+//!   computes on a thread of its own, and a leg still running at its
+//!   deadline is abandoned as a `TimedOut` error instead of a hung pool.
 //! * [`shutdown`] — the process-wide graceful-drain flag set by the
 //!   `capsim` signal handler and polled at leg boundaries.
 //! * [`chaos`] — deterministic harness-level fault injection (leg
@@ -55,4 +55,4 @@ pub use journal::{Journal, JournalHeader, CHAOS_KILL_EXIT, JOURNAL_FORMAT_VERSIO
 pub use pool::{effective_jobs, jobs_from_env, BatchResult, Gate, GatePermit, Pool};
 pub use shutdown::{drain_requested, request_drain, reset_drain};
 pub use singleflight::SingleFlight;
-pub use watchdog::{CancelToken, GuardedOutcome, WatchdogPolicy};
+pub use watchdog::{TimedOut, WatchdogPolicy};

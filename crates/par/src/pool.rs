@@ -295,24 +295,26 @@ impl Gate {
     }
 
     /// Blocks until a slot is free and claims it; the permit returns
-    /// its slot when dropped.
-    pub fn acquire(&self) -> GatePermit<'_> {
+    /// its slot when dropped. The permit owns a handle to the gate, so
+    /// it can move to another thread and outlive the caller — a leg
+    /// abandoned at its deadline keeps its slot until it really ends.
+    pub fn acquire(self: &Arc<Self>) -> GatePermit {
         let mut free = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         while *free == 0 {
             free = self.freed.wait(free).unwrap_or_else(PoisonError::into_inner);
         }
         *free -= 1;
-        GatePermit { gate: self }
+        GatePermit { gate: Arc::clone(self) }
     }
 }
 
 /// An RAII slot claimed from a [`Gate`]; dropping it frees the slot.
 #[derive(Debug)]
-pub struct GatePermit<'a> {
-    gate: &'a Gate,
+pub struct GatePermit {
+    gate: Arc<Gate>,
 }
 
-impl Drop for GatePermit<'_> {
+impl Drop for GatePermit {
     fn drop(&mut self) {
         let mut free = self
             .gate
@@ -513,7 +515,7 @@ mod tests {
     #[test]
     fn gate_bounds_concurrency() {
         use std::sync::atomic::AtomicUsize;
-        let gate = Gate::new(2);
+        let gate = Arc::new(Gate::new(2));
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         std::thread::scope(|s| {
@@ -536,7 +538,7 @@ mod tests {
 
     #[test]
     fn gate_clamps_zero_to_one() {
-        let gate = Gate::new(0);
+        let gate = Arc::new(Gate::new(0));
         drop(gate.acquire());
     }
 

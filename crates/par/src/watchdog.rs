@@ -1,100 +1,51 @@
-//! A per-leg deadline watchdog with bounded retries.
+//! A per-leg deadline.
 //!
 //! A stalled leg (a livelocked simulation bug, an injected chaos stall,
-//! an NFS hiccup under the cache) must not hang the whole pool. The
-//! watchdog wraps one leg attempt in a deadline: a monitor thread trips
-//! a [`CancelToken`] when the deadline passes, the attempt notices the
-//! token at its next cooperative checkpoint and bails out, and the
-//! watchdog retries with exponential backoff up to a bounded budget.
-//! A leg that exhausts the budget is reported as
-//! [`GuardedOutcome::TimedOut`] — an error naming the leg, never a hang.
+//! an NFS hiccup under the cache) must not hang the whole pool. With a
+//! deadline set, [`WatchdogPolicy::run`] moves the leg's compute onto a
+//! thread of its own and waits for its result with `recv_timeout`. When
+//! the deadline passes first, the caller gets [`TimedOut`] at once and
+//! the thread is left to finish: safe Rust cannot kill a thread, and no
+//! leg needs to poll anything for the deadline to hold. Whatever the
+//! compute owns — its worker-gate permit included — is released only
+//! when the abandoned thread ends. A leg is deterministic, so there is
+//! no retry: a second attempt would stall the same way.
 //!
-//! Cancellation is **cooperative** because safe Rust cannot kill a
-//! thread: an attempt receives the token and is expected to poll it at
-//! its own checkpoints. The real simulation legs in this workspace are
-//! short, pure CPU and never block, so in practice only injected chaos
-//! stalls (which poll the token in their sleep loop) ever observe a
-//! cancellation — the watchdog exists so that *if* a leg ever does
-//! stall, the campaign degrades to a clean `TimedOut` report instead of
-//! an unbounded hang.
+//! A compute that panics before its deadline is re-raised on the
+//! caller's thread (`join` + `resume_unwind`), so the pool's per-task
+//! panic containment sees it exactly as it would a direct call. An
+//! abandoned thread is never joined: its leg has already failed, so a
+//! later panic there is reported only by the default panic hook.
 //!
 //! With no timeout configured ([`WatchdogPolicy::none`], the default)
-//! the guard is a direct call: no threads, no atomics on the leg path.
+//! the guard is a direct call: no thread, no channel on the leg path.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::panic::resume_unwind;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
-/// A shared cancellation flag handed to each guarded attempt.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    cancelled: Arc<AtomicBool>,
-}
+/// The deadline passed before the compute returned. Holds the deadline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimedOut(pub Duration);
 
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether the deadline has passed; attempts poll this at their
-    /// cooperative checkpoints and return `None` when it is set.
-    pub fn cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// Trips the token. Idempotent.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
-    }
-}
-
-/// What a guarded leg produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GuardedOutcome<T> {
-    /// The attempt completed (possibly after retries).
-    Done(T),
-    /// Every attempt hit the deadline; `attempts` were made in total.
-    TimedOut {
-        /// How many attempts were cancelled before giving up.
-        attempts: u32,
-    },
-}
-
-/// Deadline-and-retry policy for one leg attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The per-leg deadline policy.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WatchdogPolicy {
-    /// Per-attempt deadline; `None` disables the watchdog entirely.
+    /// Per-leg deadline; `None` disables the watchdog entirely.
     pub timeout: Option<Duration>,
-    /// Total attempt budget (first try + retries), at least 1.
-    pub max_attempts: u32,
-    /// Base backoff slept after the first cancelled attempt; doubles per
-    /// retry, capped at 2 s.
-    pub backoff: Duration,
-}
-
-/// Upper bound on a single backoff sleep.
-const BACKOFF_CAP: Duration = Duration::from_secs(2);
-
-impl Default for WatchdogPolicy {
-    fn default() -> Self {
-        WatchdogPolicy::none()
-    }
 }
 
 impl WatchdogPolicy {
     /// No deadline: `run` is a plain call with zero overhead.
     #[must_use]
     pub fn none() -> Self {
-        WatchdogPolicy { timeout: None, max_attempts: 3, backoff: Duration::from_millis(50) }
+        WatchdogPolicy { timeout: None }
     }
 
-    /// A watchdog with the given per-attempt deadline and the default
-    /// retry budget (3 attempts, 50 ms doubling backoff).
+    /// A watchdog with the given per-leg deadline.
     #[must_use]
     pub fn with_timeout(timeout: Duration) -> Self {
-        WatchdogPolicy { timeout: Some(timeout), ..WatchdogPolicy::none() }
+        WatchdogPolicy { timeout: Some(timeout) }
     }
 
     /// Parses `CAP_LEG_TIMEOUT` (fractional seconds, > 0). Unset means
@@ -128,51 +79,40 @@ impl WatchdogPolicy {
         }
     }
 
-    /// Runs one leg under this policy. `attempt` receives the token and
-    /// must return `None` if (and only if) it observed a cancellation.
-    pub fn run<T>(&self, attempt: impl Fn(&CancelToken) -> Option<T>) -> GuardedOutcome<T> {
+    /// Runs `compute` under this policy: directly without a deadline,
+    /// otherwise on a spawned thread that is abandoned (left to finish
+    /// on its own) once the deadline passes.
+    ///
+    /// # Errors
+    /// [`TimedOut`] when the deadline passed first.
+    ///
+    /// # Panics
+    /// Re-raises a panic of `compute` on the calling thread, and panics
+    /// if the OS refuses to spawn the thread.
+    pub fn run<T: Send + 'static>(
+        &self,
+        compute: impl FnOnce() -> T + Send + 'static,
+    ) -> Result<T, TimedOut> {
         let Some(timeout) = self.timeout else {
-            // No deadline: the token is never tripped, so a cooperative
-            // attempt always completes.
-            return match attempt(&CancelToken::new()) {
-                Some(v) => GuardedOutcome::Done(v),
-                None => GuardedOutcome::TimedOut { attempts: 1 },
-            };
+            return Ok(compute());
         };
-        let budget = self.max_attempts.max(1);
-        for attempt_no in 1..=budget {
-            let token = CancelToken::new();
-            let done = AtomicBool::new(false);
-            let result = std::thread::scope(|scope| {
-                let monitor_token = token.clone();
-                let done = &done;
-                scope.spawn(move || {
-                    let deadline = Instant::now() + timeout;
-                    // Sleep in short slices so the monitor notices a
-                    // finished attempt promptly instead of holding the
-                    // scope open for the full deadline.
-                    let slice = (timeout / 10).min(Duration::from_millis(10)).max(Duration::from_millis(1));
-                    while !done.load(Ordering::Relaxed) {
-                        if Instant::now() >= deadline {
-                            monitor_token.cancel();
-                            return;
-                        }
-                        std::thread::sleep(slice);
-                    }
-                });
-                let result = attempt(&token);
-                done.store(true, Ordering::Relaxed);
-                result
-            });
-            if let Some(v) = result {
-                return GuardedOutcome::Done(v);
-            }
-            if attempt_no < budget {
-                let exp = attempt_no.saturating_sub(1).min(8);
-                std::thread::sleep((self.backoff * 2u32.pow(exp)).min(BACKOFF_CAP));
-            }
+        let (tx, rx) = mpsc::sync_channel(1);
+        let thread = std::thread::Builder::new()
+            .name("cap-leg".to_string())
+            .spawn(move || {
+                // The receiver is gone only if the caller already timed out.
+                let _ = tx.send(compute());
+            })
+            .expect("spawn a leg thread");
+        match rx.recv_timeout(timeout) {
+            Ok(value) => Ok(value),
+            Err(RecvTimeoutError::Timeout) => Err(TimedOut(timeout)),
+            // The sender dropped without sending: `compute` panicked.
+            Err(RecvTimeoutError::Disconnected) => match thread.join() {
+                Err(payload) => resume_unwind(payload),
+                Ok(()) => unreachable!("a leg thread that returned has sent its value"),
+            },
         }
-        GuardedOutcome::TimedOut { attempts: budget }
     }
 }
 
@@ -189,61 +129,41 @@ pub fn parse_timeout_seconds(text: &str) -> Option<Duration> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn no_timeout_is_a_direct_call() {
-        let out = WatchdogPolicy::none().run(|token| {
-            assert!(!token.cancelled());
-            Some(42u32)
-        });
-        assert_eq!(out, GuardedOutcome::Done(42));
+        let caller = std::thread::current().id();
+        let out = WatchdogPolicy::none().run(move || std::thread::current().id() == caller);
+        assert_eq!(out, Ok(true), "no deadline runs on the caller's thread");
     }
 
     #[test]
-    fn fast_attempt_completes_under_a_deadline() {
-        let out = WatchdogPolicy::with_timeout(Duration::from_secs(5)).run(|_| Some(7u32));
-        assert_eq!(out, GuardedOutcome::Done(7));
+    fn fast_compute_completes_under_a_deadline() {
+        let out = WatchdogPolicy::with_timeout(Duration::from_secs(5)).run(|| 7u32);
+        assert_eq!(out, Ok(7));
     }
 
     #[test]
-    fn stubborn_stall_times_out_with_bounded_attempts() {
-        let policy = WatchdogPolicy {
-            timeout: Some(Duration::from_millis(30)),
-            max_attempts: 2,
-            backoff: Duration::from_millis(1),
-        };
+    fn a_compute_that_never_polls_is_bounded_by_the_deadline() {
         let started = Instant::now();
-        let out = policy.run(|token| -> Option<u32> {
-            // A cooperative stall that never finishes on its own.
-            while !token.cancelled() {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            None
+        let out = WatchdogPolicy::with_timeout(Duration::from_millis(50)).run(|| {
+            // Sleeps through its deadline without checking anything.
+            std::thread::sleep(Duration::from_secs(5));
+            9u32
         });
-        assert_eq!(out, GuardedOutcome::TimedOut { attempts: 2 });
-        // Two 30 ms deadlines plus backoff — nowhere near a hang.
-        assert!(started.elapsed() < Duration::from_secs(10));
+        assert_eq!(out, Err(TimedOut(Duration::from_millis(50))));
+        assert!(started.elapsed() < Duration::from_secs(1), "took {:?}", started.elapsed());
     }
 
     #[test]
-    fn transient_stall_succeeds_on_retry() {
-        let tries = AtomicBool::new(false);
-        let policy = WatchdogPolicy {
-            timeout: Some(Duration::from_millis(50)),
-            max_attempts: 3,
-            backoff: Duration::from_millis(1),
-        };
-        let out = policy.run(|token| -> Option<u32> {
-            if !tries.swap(true, Ordering::Relaxed) {
-                // First attempt stalls until cancelled.
-                while !token.cancelled() {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                return None;
-            }
-            Some(9)
+    fn a_panicking_compute_re_raises_on_the_caller() {
+        let caught = std::panic::catch_unwind(|| {
+            WatchdogPolicy::with_timeout(Duration::from_secs(5))
+                .run(|| -> u32 { panic!("leg exploded") })
         });
-        assert_eq!(out, GuardedOutcome::Done(9));
+        let payload = caught.expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"leg exploded"));
     }
 
     #[test]

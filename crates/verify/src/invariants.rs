@@ -285,8 +285,9 @@ pub fn offline_optima_match_series(app: App, intervals: u64) -> Result<(), Strin
         / intervals as f64;
 
     let cmp = exp
-        .policy_comparison(app, intervals, &PolicyConfig::new(PolicyKind::Confidence), &ExecPolicy::serial())
-        .map_err(|e| format!("policy comparison failed: {e}"))?;
+        .policy_comparison(app, intervals, &[PolicyConfig::new(PolicyKind::Confidence)], &ExecPolicy::serial())
+        .map_err(|e| format!("policy comparison failed: {e}"))?
+        .remove(0);
     if cmp.process_level_tpi.to_bits() != process_level.to_bits() {
         return Err(format!(
             "process-level optimum diverged: reported {} vs recomputed {process_level}",

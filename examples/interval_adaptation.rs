@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The summary comparison the ablation bench runs at scale.
     let exp = IntervalExperiment::new();
-    let cmp = exp.policy_comparison(app, intervals, &confidence, &ExecPolicy::serial())?;
+    let cmp = exp.policy_comparison(app, intervals, &[confidence], &ExecPolicy::serial())?.remove(0);
     println!("process-level best fixed config: {:.3} ns", cmp.process_level_tpi);
     println!("interval-adaptive manager:       {:.3} ns", cmp.managed_tpi);
     println!("per-interval oracle envelope:    {:.3} ns", cmp.oracle_tpi);

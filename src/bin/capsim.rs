@@ -44,8 +44,8 @@
 //! (`CAP_JOURNAL_DIR` overrides), SIGINT/SIGTERM drain at the next leg
 //! boundary with a salvage summary, and `--resume` replays the journal
 //! to produce output byte-identical to an uninterrupted run.
-//! `--leg-timeout SECS` (or `CAP_LEG_TIMEOUT`) bounds each leg with a
-//! retrying watchdog. `capsim chaos` exercises all of this end to end
+//! `--leg-timeout SECS` (or `CAP_LEG_TIMEOUT`) puts a deadline on every
+//! leg. `capsim chaos` exercises all of this end to end
 //! against deterministic injected faults.
 
 use cap::core::experiments::{
@@ -623,8 +623,9 @@ fn run(args: &[&str]) -> Result<String, String> {
                 config = config.with_pattern(64, 0.85);
             }
             let cmp = IntervalExperiment::new()
-                .policy_comparison(app, 400, &config, &exec)
-                .map_err(|e| e.to_string())?;
+                .policy_comparison(app, 400, &[config], &exec)
+                .map_err(|e| e.to_string())?
+                .remove(0);
             let label = if eager {
                 "eager (no confidence)".to_string()
             } else if kind == PolicyKind::Confidence && flags.policy.is_none() && !pattern {

@@ -128,6 +128,45 @@ fn campaign_flags_are_accepted_uniformly_on_every_campaign_command() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs `capsim args --leg-timeout 0.05` under a 60 s stall on every
+/// leg, with the result cache in `cache` if given: it must fail fast,
+/// and the timed-out line must name a leg of `kind`.
+fn assert_times_out_on(args: &[&str], cache: Option<&std::path::Path>, kind: &str) {
+    let mut args = args.to_vec();
+    args.extend(["--leg-timeout", "0.05"]);
+    let mut capsim = Capsim::new(&args).env("CAP_CHAOS_STALL", "100:1:60000");
+    if let Some(dir) = cache {
+        capsim = capsim.cache(dir);
+    }
+    let started = std::time::Instant::now();
+    let out = capsim.run();
+    let elapsed = started.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{args:?} must fail under a stall:\n{stderr}");
+    assert!(elapsed < std::time::Duration::from_secs(10), "{args:?} took {elapsed:?}");
+    let timed_out = stderr
+        .lines()
+        .find(|l| l.contains("timed out"))
+        .unwrap_or_else(|| panic!("{args:?}: no timed-out leg in:\n{stderr}"));
+    assert!(timed_out.contains(&format!("leg `{kind}|")), "{args:?}: {timed_out}");
+}
+
+#[test]
+fn every_leg_kind_is_bounded_by_its_deadline() {
+    // The deadline is the executor's, so it holds for every leg kind,
+    // although no leg polls anything while it stalls.
+    assert_times_out_on(&["compare-policies", "radar"], None, "managed-policy");
+    assert_times_out_on(&["faults", "radar"], None, "fault-campaign");
+    // The figures plan computes its curve legs first. Warm the result
+    // cache with them, so the stalled run computes only its
+    // interval-series legs.
+    let dir = common::tmp_dir("cli-leg-deadline");
+    let warm = Capsim::new(&["sweep", "all"]).cache(&dir).run();
+    assert!(warm.status.success(), "{}", String::from_utf8_lossy(&warm.stderr));
+    assert_times_out_on(&["plan", "figures"], Some(&dir), "interval-series");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn headline_and_its_plan_print_identical_bytes() {
     // `capsim headline` runs the same plan `capsim plan headline` does.

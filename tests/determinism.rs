@@ -34,7 +34,7 @@ fn managed_runs_reproduce_exactly() {
     let run = || {
         let config = PolicyConfig::new(PolicyKind::Confidence).with_explore_period(30);
         IntervalExperiment::new()
-            .policy_comparison(App::Vortex, 150, &config, &ExecPolicy::serial())
+            .policy_comparison(App::Vortex, 150, &[config], &ExecPolicy::serial())
             .expect("valid configuration")
     };
     assert_eq!(run(), run());

@@ -128,8 +128,9 @@ fn e4_interval_snapshots() {
 fn e4_interval_manager_between_fixed_and_oracle() {
     let exp = IntervalExperiment::new();
     let cmp = exp
-        .policy_comparison(App::Turb3d, 500, &confidence(ConfidencePolicy::default_policy()), &ExecPolicy::serial())
-        .expect("valid configuration");
+        .policy_comparison(App::Turb3d, 500, &[confidence(ConfidencePolicy::default_policy())], &ExecPolicy::serial())
+        .expect("valid configuration")
+        .remove(0);
     // The oracle bounds everything from below.
     assert!(cmp.oracle_tpi <= cmp.process_level_tpi + 1e-9);
     assert!(cmp.oracle_tpi <= cmp.managed_tpi + 1e-9);
@@ -147,12 +148,11 @@ fn e4_interval_manager_between_fixed_and_oracle() {
 #[test]
 fn e4_confidence_reduces_thrash_on_irregular_phases() {
     let exp = IntervalExperiment::new();
-    let confident = exp
-        .policy_comparison(App::Vortex, 400, &confidence(ConfidencePolicy::default_policy()), &ExecPolicy::serial())
-        .expect("valid configuration");
-    let eager = exp
-        .policy_comparison(App::Vortex, 400, &confidence(ConfidencePolicy::none()), &ExecPolicy::serial())
-        .expect("valid configuration");
+    let configs = [confidence(ConfidencePolicy::default_policy()), confidence(ConfidencePolicy::none())];
+    let [confident, eager] = <[_; 2]>::try_from(
+        exp.policy_comparison(App::Vortex, 400, &configs, &ExecPolicy::serial()).expect("valid configuration"),
+    )
+    .expect("one comparison per config");
     assert!(
         confident.switches < eager.switches,
         "confidence gating must suppress switches: {} vs {}",

@@ -301,6 +301,46 @@ fn admission_control_rejects_with_a_structured_busy_error() {
     server.drain();
 }
 
+/// A leg stalled past the server's deadline fails its request with a
+/// structured error naming the leg; the server keeps answering, and a
+/// drain exits at once although the abandoned stall still sleeps.
+#[test]
+fn a_leg_past_its_deadline_fails_the_request_not_the_server() {
+    let dir = tmp_dir("serve-deadline");
+    let addr_file = dir.join("addr");
+    let mut server = ServerGuard(Some(
+        Capsim::new(&[
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--addr-file",
+            addr_file.to_str().unwrap(),
+            "--jobs",
+            "1",
+        ])
+        .journal(&dir.join("journal"))
+        .env("CAP_LEG_TIMEOUT", "0.05")
+        .env("CAP_CHAOS_STALL", "100:1:60000")
+        .spawn(),
+    ));
+    let addr = wait_for_addr(&addr_file, server.child());
+
+    let out = Capsim::new(&["submit", "compare-policies", "radar", "--addr", &addr]).run();
+    assert!(!out.status.success(), "a stalled leg must fail the request");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("failed"), "{stderr}");
+    assert!(stderr.contains("leg `managed-policy|radar|") && stderr.contains("timed out"), "{stderr}");
+
+    let status = status_text(&addr);
+    assert!(status.contains("serve status: 0 campaign(s) in flight"), "{status}");
+    assert!(status.contains("1 accepted, 0 done, 1 failed"), "{status}");
+
+    let started = Instant::now();
+    let out = server.drain();
+    assert!(started.elapsed() < Duration::from_secs(20), "drain took {:?}", started.elapsed());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("1 failed"));
+}
+
 /// Client-side failure modes: no server, server-owned flags, unknown
 /// campaigns and malformed subcommands all fail loudly and precisely.
 #[test]

@@ -24,8 +24,9 @@ fn traced_comparison(app: App) -> (cap::core::experiments::AdaptiveComparison, V
     let ring = Arc::new(RingRecorder::new());
     let exec = ExecPolicy::serial().with_recorder(ring.clone());
     let cmp = IntervalExperiment::new()
-        .policy_comparison(app, INTERVALS, &PolicyConfig::new(PolicyKind::Confidence), &exec)
-        .unwrap();
+        .policy_comparison(app, INTERVALS, &[PolicyConfig::new(PolicyKind::Confidence)], &exec)
+        .unwrap()
+        .remove(0);
     let events = ring.events();
     (cmp, events)
 }
@@ -64,8 +65,9 @@ fn clock_switch_events_match_the_reported_switch_count() {
 fn tracing_does_not_perturb_the_managed_run() {
     let (traced, _) = traced_comparison(App::Gcc);
     let untraced = IntervalExperiment::new()
-        .policy_comparison(App::Gcc, INTERVALS, &PolicyConfig::new(PolicyKind::Confidence), &ExecPolicy::serial())
-        .unwrap();
+        .policy_comparison(App::Gcc, INTERVALS, &[PolicyConfig::new(PolicyKind::Confidence)], &ExecPolicy::serial())
+        .unwrap()
+        .remove(0);
     assert_eq!(traced.switches, untraced.switches);
     assert_eq!(traced.managed_tpi.to_bits(), untraced.managed_tpi.to_bits());
     assert_eq!(traced.process_level_tpi.to_bits(), untraced.process_level_tpi.to_bits());
@@ -88,8 +90,9 @@ fn jsonl_trace_round_trips_through_the_summary_reducer() {
     let recorder = Arc::new(JsonlRecorder::create(&path).unwrap());
     let exec = ExecPolicy::serial().with_recorder(recorder);
     let cmp = IntervalExperiment::new()
-        .policy_comparison(App::Radar, INTERVALS, &PolicyConfig::new(PolicyKind::Confidence), &exec)
-        .unwrap();
+        .policy_comparison(App::Radar, INTERVALS, &[PolicyConfig::new(PolicyKind::Confidence)], &exec)
+        .unwrap()
+        .remove(0);
 
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')), "JSONL shape");
