@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cap_core::experiments::{ExecPolicy, ExperimentScale};
+use cap_core::experiments::{ExecPolicy, ExperimentScale, RunFlags};
 use cap_core::CapError;
 use serde::Serialize;
 use std::path::PathBuf;
@@ -69,7 +69,7 @@ pub fn exec_from_args() -> ExecPolicy {
             std::process::exit(2);
         }
     };
-    match ExecPolicy::from_env(jobs) {
+    match ExecPolicy::from_env(&RunFlags { jobs, ..RunFlags::default() }) {
         Ok(exec) => exec,
         Err(e) => {
             eprintln!("{e}");

@@ -252,15 +252,6 @@ impl AdaptiveCacheHierarchy {
         self.way_hits = vec![0; self.way_hits.len()];
     }
 
-    /// Hits per physical way position since the last reset.
-    ///
-    /// Way `w` belongs to increment `w / increment_assoc`; increments
-    /// closer to the cache port have shorter bus delays, which is what
-    /// the paper's §4.1 asynchronous-design argument exploits.
-    pub fn way_hit_histogram(&self) -> &[u64] {
-        &self.way_hits
-    }
-
     /// Hits per increment since the last reset (sums the way histogram).
     pub fn increment_hit_histogram(&self) -> Vec<u64> {
         self.way_hits

@@ -47,7 +47,9 @@ use cap_timing::Technology;
 use cap_workloads::App;
 use serde::Serialize;
 use serde_json::{FromJson, Value};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
 /// How much work each experiment simulates.
 ///
@@ -134,6 +136,19 @@ pub const SWEEP_RESULTS_VERSION: u32 = 1;
 // Execution policy: how many legs in flight, and whether results memoize
 // ---------------------------------------------------------------------------
 
+/// The run options a command line may set. Each one that is present
+/// wins over its environment variable, which [`ExecPolicy::from_env`]
+/// then never reads.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct RunFlags {
+    /// `--jobs`: the worker count (else `CAP_JOBS`).
+    pub jobs: Option<usize>,
+    /// `--trace`: the JSONL trace path (else `CAP_TRACE`).
+    pub trace: Option<PathBuf>,
+    /// `--leg-timeout`: the per-leg deadline (else `CAP_LEG_TIMEOUT`).
+    pub leg_timeout: Option<Duration>,
+}
+
 /// How an experiment executes: worker count for the leg pool, an
 /// optional persistent result cache, an optional write-ahead leg
 /// journal, a per-leg watchdog, and the single-flight table and worker
@@ -217,19 +232,12 @@ impl ExecPolicy {
         self
     }
 
-    /// Attaches a deterministic chaos injector (harness-level fault
-    /// injection behind `capsim chaos`).
-    #[must_use]
-    pub fn with_chaos(mut self, chaos: ChaosInjector) -> Self {
-        self.chaos = Some(chaos);
-        self
-    }
-
-    /// The policy selected by the environment: `jobs` (CLI `--jobs`)
-    /// falls back to `CAP_JOBS`, then to the machine's parallelism; the
-    /// cache comes from `CAP_CACHE_DIR` unless `CAP_NO_CACHE` is set;
-    /// tracing comes from `CAP_TRACE` (a JSONL output path); the
-    /// watchdog deadline from `CAP_LEG_TIMEOUT`; chaos injection from
+    /// The policy a run asks for: each option in `flags` wins, and its
+    /// environment variable is read only when the flag is absent.
+    /// `--jobs` falls back to `CAP_JOBS`, then to the machine's
+    /// parallelism; `--trace` to `CAP_TRACE` (a JSONL output path);
+    /// `--leg-timeout` to `CAP_LEG_TIMEOUT`. The cache comes from
+    /// `CAP_CACHE_DIR` unless `CAP_NO_CACHE` is set, chaos injection from
     /// `CAP_CHAOS_PANIC` / `CAP_CHAOS_STALL`.
     ///
     /// A cache directory named by `CAP_CACHE_DIR` is probed for
@@ -241,21 +249,17 @@ impl ExecPolicy {
     /// Returns [`CapError::Environment`] for a malformed control
     /// variable or an unusable cache/trace path — loud failure instead
     /// of a silent fallback that would change what the run means.
-    pub fn from_env(jobs: Option<usize>) -> Result<Self, CapError> {
-        let jobs = cap_par::effective_jobs(jobs)
-            .map_err(|message| CapError::Environment { message })?;
-        let recorder = cap_obs::recorder_from_env()
-            .map_err(|message| CapError::Environment { message })?
+    pub fn from_env(flags: &RunFlags) -> Result<Self, CapError> {
+        let env = |message| CapError::Environment { message };
+        let jobs = cap_par::effective_jobs(flags.jobs).map_err(env)?;
+        let recorder = cap_obs::resolve_recorder(flags.trace.as_deref())
+            .map_err(env)?
             .unwrap_or_else(cap_obs::noop);
-        let watchdog = WatchdogPolicy::from_env()
-            .map_err(|message| CapError::Environment { message })?;
-        let chaos = ChaosInjector::from_env()
-            .map_err(|message| CapError::Environment { message })?;
+        let watchdog = WatchdogPolicy::resolve(flags.leg_timeout).map_err(env)?;
+        let chaos = ChaosInjector::from_env().map_err(env)?;
         let cache = ResultCache::from_env();
         if let Some(cache) = &cache {
-            cache.ensure_writable().map_err(|e| CapError::Environment {
-                message: format!("CAP_CACHE_DIR is unusable: {e}"),
-            })?;
+            cache.ensure_writable().map_err(|e| env(format!("CAP_CACHE_DIR is unusable: {e}")))?;
         }
         Ok(ExecPolicy { cache, recorder, watchdog, chaos, ..Self::with_jobs(jobs) })
     }
@@ -1754,7 +1758,7 @@ mod tests {
         std::env::set_var("CAP_CHAOS_STALL", "100:1:60000");
         std::env::set_var("CAP_LEG_TIMEOUT", "0.05");
         std::env::set_var("CAP_NO_CACHE", "1");
-        let exec = ExecPolicy::from_env(Some(1)).unwrap();
+        let exec = ExecPolicy::from_env(&RunFlags { jobs: Some(1), ..RunFlags::default() }).unwrap();
         assert!(exec.watchdog().timeout.is_some());
         let q = QueueExperiment::new(ExperimentScale::Smoke);
         let started = std::time::Instant::now();
@@ -1767,11 +1771,19 @@ mod tests {
         }
         assert!(started.elapsed() < std::time::Duration::from_secs(5), "one deadline, no retries");
         std::env::remove_var("CAP_CHAOS_STALL");
+
+        // A flag wins over a malformed variable, which is then never read.
+        std::env::set_var("CAP_LEG_TIMEOUT", "soon");
+        let two = std::time::Duration::from_secs(2);
+        let flags = RunFlags { jobs: Some(1), leg_timeout: Some(two), ..RunFlags::default() };
+        assert_eq!(ExecPolicy::from_env(&flags).unwrap().watchdog().timeout, Some(two));
+        let err = ExecPolicy::from_env(&RunFlags { jobs: Some(1), ..RunFlags::default() }).unwrap_err();
+        assert!(err.to_string().contains("CAP_LEG_TIMEOUT"), "{err}");
         std::env::remove_var("CAP_LEG_TIMEOUT");
 
         // A malformed chaos spec is a loud environment error.
         std::env::set_var("CAP_CHAOS_PANIC", "not-a-spec");
-        let err = ExecPolicy::from_env(Some(1)).unwrap_err();
+        let err = ExecPolicy::from_env(&RunFlags { jobs: Some(1), ..RunFlags::default() }).unwrap_err();
         assert!(err.to_string().contains("CAP_CHAOS_PANIC"), "{err}");
         std::env::remove_var("CAP_CHAOS_PANIC");
         std::env::remove_var("CAP_NO_CACHE");
@@ -1783,7 +1795,7 @@ mod tests {
         let file = dir.join("not-a-dir");
         std::fs::write(&file, "x").unwrap();
         std::env::set_var("CAP_CACHE_DIR", file.join("cache"));
-        let err = ExecPolicy::from_env(Some(1)).unwrap_err();
+        let err = ExecPolicy::from_env(&RunFlags { jobs: Some(1), ..RunFlags::default() }).unwrap_err();
         assert!(err.to_string().contains("CAP_CACHE_DIR"), "{err}");
         std::env::remove_var("CAP_CACHE_DIR");
         let _ = std::fs::remove_dir_all(&dir);

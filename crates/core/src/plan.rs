@@ -230,11 +230,6 @@ impl ExperimentSpec {
     pub fn legs(&self) -> &[Leg] {
         &self.legs
     }
-
-    /// The number of reduce nodes.
-    pub fn reduce_count(&self) -> usize {
-        self.reduces.len()
-    }
 }
 
 /// Where each leg's value came from during one [`Executor::run`],

@@ -82,17 +82,15 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A campaign compiled to its executable form: the same triple
-/// `run_campaign` uses on the direct CLI path, so a submitted campaign
-/// and a direct one render byte-identical reports.
+/// A campaign compiled to its executable form: the very value the
+/// direct CLI path runs, so a submitted campaign and a direct one
+/// render byte-identical reports.
 pub struct CompiledCampaign {
     /// The declarative leg/reduce plan.
     pub spec: ExperimentSpec,
     /// Journal file name + header when the campaign is resumable;
     /// `None` for cache-only plans (figures, headline).
     pub journal: Option<(String, JournalHeader)>,
-    /// Notice lines printed before the rendered reduces.
-    pub prelude: String,
 }
 
 impl std::fmt::Debug for CompiledCampaign {
@@ -105,9 +103,9 @@ impl std::fmt::Debug for CompiledCampaign {
 }
 
 /// Compiles submitted campaign tokens (e.g. `["sweep", "all"]`) exactly
-/// as the CLI would. Injected by the binary so the one `build_campaign`
-/// path keeps owning argument parsing; the service stays free of CLI
-/// knowledge.
+/// as the CLI would. Injected by the binary so its one flag table and
+/// campaign builder keep owning argument parsing; the service stays free
+/// of CLI knowledge.
 pub type CampaignCompiler =
     Arc<dyn Fn(&[String]) -> Result<CompiledCampaign, String> + Send + Sync>;
 
@@ -531,7 +529,7 @@ fn execute(
             ("internal", e.to_string())
         })?;
     match run {
-        Ok(run) => Ok((format!("{}{}", compiled.prelude, run.rendered()), run.stats())),
+        Ok(run) => Ok((run.rendered().to_string(), run.stats())),
         Err(CapError::Interrupted) => {
             Err(("interrupted", CapError::Interrupted.to_string()))
         }
@@ -677,7 +675,7 @@ mod tests {
                         panic!("injected leg panic")
                     }));
                     spec.reduce("boom-report", vec![id], |_| Ok(String::new()));
-                    return Ok(CompiledCampaign { spec, journal: None, prelude: String::new() });
+                    return Ok(CompiledCampaign { spec, journal: None });
                 }
                 _ => return Err(format!("unknown campaign `{}`", args.join(" "))),
             }
@@ -686,11 +684,7 @@ mod tests {
             spec.reduce("demo-report", vec![id], |deps| {
                 Ok(format!("demo value: {}\n", deps[0].as_u64().unwrap_or(0)))
             });
-            Ok(CompiledCampaign {
-                spec,
-                journal: None,
-                prelude: "demo prelude\n".to_string(),
-            })
+            Ok(CompiledCampaign { spec, journal: None })
         })
     }
 
@@ -756,9 +750,9 @@ mod tests {
     fn loopback_submit_status_and_errors() {
         let server = TestServer::start();
 
-        // A good campaign round-trips prelude + report and its stats.
+        // A good campaign round-trips its report and its stats.
         let outcome = submit(&server.addr, &["demo".to_string()]).unwrap();
-        assert_eq!(outcome.report, "demo prelude\ndemo value: 42\n");
+        assert_eq!(outcome.report, "demo value: 42\n");
         assert_eq!(outcome.stats.computed, 1);
         assert_eq!(outcome.stats.deduped, 0);
 
@@ -780,7 +774,7 @@ mod tests {
         let err = submit(&server.addr, &["boom".to_string()]).unwrap_err();
         assert!(err.contains("internal") && err.contains("injected leg panic"), "{err}");
         let after = submit(&server.addr, &["demo".to_string()]).unwrap();
-        assert_eq!(after.report, "demo prelude\ndemo value: 42\n");
+        assert_eq!(after.report, "demo value: 42\n");
 
         // Raw garbage on the wire gets an invalid response — nesting
         // deep enough to overflow a recursive parser included.
@@ -845,7 +839,7 @@ mod tests {
             spec.reduce("slow-report", vec![id], |deps| {
                 Ok(format!("slow value: {}\n", deps[0].as_u64().unwrap_or(0)))
             });
-            Ok(CompiledCampaign { spec, journal: None, prelude: String::new() })
+            Ok(CompiledCampaign { spec, journal: None })
         });
         let config = ServeConfig {
             addr: "127.0.0.1:0".to_string(),

@@ -42,7 +42,7 @@ pub use event::{
     ServeRequestEvent, SwitchResultEvent,
 };
 pub use metrics::DecisionCounts;
-pub use sink::{recorder_from_env, JsonlRecorder, RingRecorder};
+pub use sink::{resolve_recorder, JsonlRecorder, RingRecorder};
 
 use std::sync::Arc;
 

@@ -112,26 +112,30 @@ impl Recorder for RingRecorder {
     }
 }
 
-/// Build a recorder from the `CAP_TRACE` environment variable.
+/// The trace recorder a run asked for: the `--trace` path when one is
+/// given, in which case `CAP_TRACE` is never read, else `CAP_TRACE`.
 ///
-/// Unset means tracing stays off (`Ok(None)`). A set value is the JSONL
-/// output path; a path that cannot be created is a hard error so a mistyped
-/// directory does not silently discard the trace the user asked for.
+/// Neither set means tracing stays off (`Ok(None)`). A path that cannot
+/// be created is a hard error so a mistyped directory does not silently
+/// discard the trace the user asked for.
 ///
 /// # Errors
-/// Returns a human-readable message naming the variable, the path and the
-/// underlying I/O failure.
-pub fn recorder_from_env() -> Result<Option<Arc<dyn Recorder>>, String> {
-    let Some(raw) = std::env::var_os("CAP_TRACE") else {
-        return Ok(None);
-    };
-    let path = PathBuf::from(&raw);
-    match JsonlRecorder::create(&path) {
-        Ok(rec) => Ok(Some(Arc::new(rec))),
-        Err(e) => Err(format!(
-            "CAP_TRACE is set but `{}` cannot be created: {e}",
-            path.display()
-        )),
+/// Returns a human-readable message naming the flag or the variable, the
+/// path and the underlying I/O failure.
+pub fn resolve_recorder(flag: Option<&Path>) -> Result<Option<Arc<dyn Recorder>>, String> {
+    let created = |path: &Path| JsonlRecorder::create(path).map(|rec| Some(Arc::new(rec) as _));
+    match flag {
+        Some(path) => created(path)
+            .map_err(|e| format!("--trace: `{}` cannot be created: {e}", path.display())),
+        None => match std::env::var_os("CAP_TRACE") {
+            None => Ok(None),
+            Some(raw) => {
+                let path = PathBuf::from(raw);
+                created(&path).map_err(|e| {
+                    format!("CAP_TRACE is set but `{}` cannot be created: {e}", path.display())
+                })
+            }
+        },
     }
 }
 

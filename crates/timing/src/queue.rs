@@ -163,11 +163,6 @@ impl QueueTimingModel {
     pub fn cycle_time(&self, entries: usize) -> Result<Ns, TimingError> {
         Ok(self.wakeup_delay(entries)? + self.select_delay(entries)?)
     }
-
-    /// The paper's sweep of window sizes (16–128 by 16).
-    pub fn paper_sizes(&self) -> [usize; 8] {
-        PAPER_SIZES
-    }
 }
 
 impl Default for QueueTimingModel {

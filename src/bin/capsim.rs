@@ -1,56 +1,51 @@
 //! `capsim` — command-line front end to the CAP reproduction.
 //!
+//! Every subcommand and the flags it takes (`USAGE` says what each does):
+//!
 //! ```text
-//! capsim list                      the 22 evaluation applications
-//! capsim cache <app>               TPI vs L1/L2 boundary (Figure 7 row)
-//! capsim queue <app>               TPI vs window size (Figure 10 row)
-//! capsim sweep <cache|queue|all>   full-suite sweep on the parallel engine
-//!                                  [--jobs N] [--seed S] [--trace FILE]
-//! capsim managed <app> [--eager] [--policy NAME] [--pattern] [--trace FILE]
-//!                                  §6 interval-adaptive run
-//! capsim compare-policies <app>    per-policy TPI/switch table
-//! capsim joint <app>               online joint cache+queue management
-//! capsim power <app>               §4.1 performance/power frontier
-//! capsim headline                  paper-vs-measured headline numbers
-//! capsim faults <app> [--seed N] [--jobs N] [--trace FILE]
-//!                                  fault-injection degradation campaign
-//! capsim plan <cmd> [--dry-run]    resolve a campaign's leg graph
-//! capsim trace-summary <file>      reduce a JSONL trace to counters
-//! capsim doctor [dir]              scan/repair a result cache directory
-//! capsim chaos <cache|queue|all>   crash/corruption self-test
-//! capsim verify [--cases N] [--seed S] [--replay FILE] [--self-check]
-//!                                  differential-oracle + property-fuzz suite
-//! capsim bench [--quick] [--seed S] [--out FILE]
-//!                                  time cold and warm sweeps, emit BENCH_sweep.json
-//! capsim serve [--addr HOST:PORT] [--jobs N] [--max-inflight M]
-//!                                  run the campaign service
-//! capsim submit <campaign> [--addr HOST:PORT]
-//!                                  run a campaign on the service
-//! capsim status [--addr HOST:PORT] service in-flight campaigns + counters
+//! list | cache <app> | queue <app> | joint <app> | power <app>
+//! trace-summary <file> | doctor [dir]       no flags
+//! sweep <cache|queue|all> | compare-policies <app>
+//!                     --jobs N --seed S --trace FILE --resume --leg-timeout SECS
+//! faults <app>        the same, and --policy NAME
+//! headline            --jobs N --seed S --trace FILE --leg-timeout SECS
+//! managed <app>       --seed S --trace FILE --eager --policy NAME --pattern
+//! plan <campaign>     --dry-run, and the campaign's own flags
+//! chaos <cache|queue|all>  --seed S --jobs N
+//! verify              --cases N --seed S --replay FILE --self-check
+//! bench               --quick --seed S --out FILE
+//! serve               --addr HOST:PORT --jobs N --max-inflight M --addr-file FILE
+//! submit <campaign>   --addr HOST:PORT; the campaign's tokens go to the service
+//! status              --addr HOST:PORT
 //! ```
+//!
+//! One table, `COMMANDS`, holds that grammar, and one parser reads each
+//! command line against it: a flag the subcommand does not take is a
+//! usage error naming both. The catalogue campaigns (`sweep`,
+//! `compare-policies`, `faults`, `headline`, and `figures` under `plan`
+//! or `submit` only) take the same flags run directly, under `plan` or
+//! on the service, which rejects the flags it owns: all three paths
+//! parse them with the campaign's row and build them with one builder.
 //!
 //! Scale is taken from `CAP_SCALE` (`smoke`/`default`/`full`). Sweeps
 //! memoize per-curve results under `results/cache/` (override with
-//! `CAP_CACHE_DIR`, disable with `CAP_NO_CACHE=1`); `--jobs` defaults to
-//! `CAP_JOBS`, then to the machine's parallelism. `--trace FILE` (or the
-//! `CAP_TRACE` environment variable) streams structured decision events
-//! as JSON Lines; `capsim trace-summary` reduces such a file. None of
-//! these knobs change report bytes — only wall-clock (and the trace
-//! file).
+//! `CAP_CACHE_DIR`, disable with `CAP_NO_CACHE=1`). `--jobs`, `--trace`
+//! and `--leg-timeout` each win over `CAP_JOBS`, `CAP_TRACE` and
+//! `CAP_LEG_TIMEOUT`, which are read only when the flag is absent;
+//! `--jobs` then falls back to the machine's parallelism. A trace is a
+//! JSON Lines file of decision events that `capsim trace-summary`
+//! reduces. None of these knobs change report bytes.
 //!
-//! Campaign commands (`sweep`, `faults`, `compare-policies`) are
-//! crash-safe: every completed
-//! leg is committed to a write-ahead journal under `results/journal/`
-//! (`CAP_JOURNAL_DIR` overrides), SIGINT/SIGTERM drain at the next leg
-//! boundary with a salvage summary, and `--resume` replays the journal
-//! to produce output byte-identical to an uninterrupted run.
-//! `--leg-timeout SECS` (or `CAP_LEG_TIMEOUT`) puts a deadline on every
-//! leg. `capsim chaos` exercises all of this end to end
-//! against deterministic injected faults.
+//! Journaled campaigns (`sweep`, `faults`, `compare-policies`) commit
+//! every completed leg to a write-ahead journal under `results/journal/`
+//! (`CAP_JOURNAL_DIR` overrides); SIGINT/SIGTERM drain at the next leg
+//! boundary with a salvage summary, and `--resume` replays the journal to
+//! output byte-identical to an uninterrupted run. `capsim chaos`
+//! exercises this end to end against deterministic injected faults.
 
 use cap::core::experiments::{
-    CacheExperiment, ExecPolicy, ExperimentScale, IntervalExperiment, QueueExperiment, DEFAULT_SEED,
-    SWEEP_RESULTS_VERSION,
+    CacheExperiment, ExecPolicy, ExperimentScale, IntervalExperiment, QueueExperiment, RunFlags,
+    DEFAULT_SEED, SWEEP_RESULTS_VERSION,
 };
 use cap::core::extended::run_managed_combined;
 use cap::core::faults::FaultCampaign;
@@ -58,40 +53,42 @@ use cap::core::manager::ConfidencePolicy;
 use cap::core::plan;
 use cap::core::policy::{PolicyConfig, PolicyKind};
 use cap::core::power::{queue_frontier, PowerModel};
-use cap::core::serve;
+use cap::core::serve::{self, CompiledCampaign};
 use cap::core::CapError;
-use cap::obs::{recorder_from_env, summary::TraceSummary, JsonlRecorder, Recorder};
+use cap::obs::{resolve_recorder, summary::TraceSummary};
 use cap::par::{
     drain_requested, watchdog::parse_timeout_seconds, Journal, JournalHeader, ResultCache,
-    WatchdogPolicy, CHAOS_KILL_EXIT, QUARANTINE_DIR,
+    CHAOS_KILL_EXIT, QUARANTINE_DIR,
 };
 use cap::verify::{replay, run_self_check, run_verify, ReplayOutcome, VerifyConfig};
 use cap::workloads::App;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, PoisonError};
-use std::time::Duration;
 
-const USAGE: &str = "usage: capsim <list|cache|queue|sweep|managed|compare-policies|joint|power|headline|faults|plan|trace-summary|doctor|chaos|verify|bench|serve|submit|status> [app] [options]
+const USAGE: &str = "usage: capsim <list|cache|queue|sweep|managed|compare-policies|joint|power|headline|faults|plan|trace-summary|doctor|chaos|verify|bench|serve|submit|status> [operands] [flags]
   list                 the 22 evaluation applications
   cache <app>          TPI vs L1/L2 boundary (Figure 7 row)
   queue <app>          TPI vs window size (Figure 10 row)
   sweep <cache|queue|all>  full-suite sweep on the parallel engine
-                       (--jobs N: worker count, --seed S: root seed,
+                       (--jobs N: worker count, --seed S: root seed, --trace FILE,
                         --resume: replay the leg journal, --leg-timeout SECS)
-  managed <app>        Section 6 interval-adaptive run (--eager: no confidence,
-                       --policy NAME: configuration manager, --pattern: §6 pattern detection)
+  managed <app>        Section 6 interval-adaptive run (--seed S, --trace FILE,
+                       --eager: no confidence, --policy NAME: configuration manager,
+                       --pattern: §6 pattern detection)
   compare-policies <app>  one managed run per policy, tabulated (--jobs N,
-                       --seed S, --resume, --leg-timeout SECS, --trace FILE)
+                       --seed S, --trace FILE, --resume, --leg-timeout SECS)
   joint <app>          online joint cache+queue management
   power <app>          performance/power frontier
-  headline             paper-vs-measured headline numbers
-  faults <app>         clean-vs-faulty degradation campaign (--seed N, --jobs N,
-                       --policy NAME, --resume, --leg-timeout SECS)
-  plan <cmd> [--dry-run]  resolve a campaign's leg graph before running it:
-                       sweep <kind> | figures | headline | compare-policies <app>
-                       | faults <app>; --dry-run prints journal-hit/cache-hit/miss
-                       classification per leg without executing anything
+  headline             paper-vs-measured headline numbers (--jobs N, --seed S,
+                       --trace FILE, --leg-timeout SECS)
+  faults <app>         clean-vs-faulty degradation campaign (--jobs N, --seed S,
+                       --trace FILE, --resume, --leg-timeout SECS, --policy NAME)
+  plan <campaign>      print a campaign's leg graph on stderr, then run it: sweep
+                       <kind> | compare-policies <app> | faults <app> | headline with
+                       their own flags, or figures (--jobs, --seed, --trace,
+                       --leg-timeout); --dry-run only classifies each leg as
+                       journal-hit/cache-hit/miss, executing nothing
   trace-summary <file> reduce a JSONL decision trace to per-app counters
   doctor [dir]         scan a result cache, quarantine damage (default results/cache)
   chaos <cache|queue|all>  deterministic crash/corruption self-test over that sweep
@@ -126,8 +123,169 @@ seeds (--seed) in decimal or 0x hex
 sweep memoization under results/cache (CAP_CACHE_DIR overrides, CAP_NO_CACHE=1 disables)
 campaign leg journals under results/journal (CAP_JOURNAL_DIR overrides); SIGINT/SIGTERM
   drain at the next leg boundary and --resume replays completed legs byte-identically
-per-leg watchdog via --leg-timeout SECS or CAP_LEG_TIMEOUT
-decision tracing via --trace FILE (sweep/managed/faults) or CAP_TRACE=FILE";
+--jobs, --trace and --leg-timeout win over CAP_JOBS, CAP_TRACE and CAP_LEG_TIMEOUT,
+  which are read only when the flag is absent";
+
+// ---------------------------------------------------------------------------
+// The command grammar: one table, one parser
+// ---------------------------------------------------------------------------
+
+/// How a subcommand runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// A plain command.
+    Command,
+    /// A catalogue campaign: run directly, under `plan` or submitted.
+    Campaign,
+    /// A catalogue campaign run only under `plan` or submitted.
+    PlanOnly,
+    /// Takes a campaign (`plan`, `submit`): its own flags are parsed
+    /// here, every other token is handed on to the campaign.
+    Wrapper,
+}
+
+/// Operand or flag names.
+type Words = &'static [&'static str];
+
+/// One subcommand: its operands as `USAGE` shows them (`[..]` is
+/// optional) and the flags it takes.
+struct Command {
+    name: &'static str,
+    operands: Words,
+    flags: Words,
+    role: Role,
+}
+
+const fn row(name: &'static str, operands: Words, flags: Words, role: Role) -> Command {
+    Command { name, operands, flags, role }
+}
+
+/// The flags of a journaled campaign.
+const JOURNALED: Words = &["--jobs", "--seed", "--trace", "--resume", "--leg-timeout"];
+/// The flags of a cache-only plan: it keeps no journal to resume.
+const CACHE_ONLY: Words = &["--jobs", "--seed", "--trace", "--leg-timeout"];
+const APP: Words = &["<app>"];
+const TARGET: Words = &["<cache|queue|all>"];
+const CAMPAIGN: Words = &["<campaign>"];
+
+/// Every subcommand `capsim` has.
+const COMMANDS: &[Command] = &[
+    row("list", &[], &[], Role::Command),
+    row("cache", APP, &[], Role::Command),
+    row("queue", APP, &[], Role::Command),
+    row("sweep", TARGET, JOURNALED, Role::Campaign),
+    row("managed", APP, &["--seed", "--trace", "--eager", "--policy", "--pattern"], Role::Command),
+    row("compare-policies", APP, JOURNALED, Role::Campaign),
+    row("joint", APP, &[], Role::Command),
+    row("power", APP, &[], Role::Command),
+    row("headline", &[], CACHE_ONLY, Role::Campaign),
+    row("figures", &[], CACHE_ONLY, Role::PlanOnly),
+    row(
+        "faults",
+        APP,
+        &["--jobs", "--seed", "--trace", "--resume", "--leg-timeout", "--policy"],
+        Role::Campaign,
+    ),
+    row("plan", CAMPAIGN, &["--dry-run"], Role::Wrapper),
+    row("trace-summary", &["<file>"], &[], Role::Command),
+    row("doctor", &["[dir]"], &[], Role::Command),
+    row("chaos", TARGET, &["--seed", "--jobs"], Role::Command),
+    row("verify", &[], &["--cases", "--seed", "--replay", "--self-check"], Role::Command),
+    row("bench", &[], &["--quick", "--seed", "--out"], Role::Command),
+    row("serve", &[], &["--addr", "--jobs", "--max-inflight", "--addr-file"], Role::Command),
+    row("submit", CAMPAIGN, &["--addr"], Role::Wrapper),
+    row("status", &[], &["--addr"], Role::Command),
+];
+
+impl Command {
+    /// The name followed by the operands, as `USAGE` shows them.
+    fn synopsis(&self) -> String {
+        std::iter::once(self.name).chain(self.operands.iter().copied()).collect::<Vec<_>>().join(" ")
+    }
+
+    fn is_campaign(&self) -> bool {
+        matches!(self.role, Role::Campaign | Role::PlanOnly)
+    }
+}
+
+/// A command line parsed against its row of `COMMANDS`.
+#[derive(Debug, Default)]
+struct Args {
+    /// The subcommand; for a wrapper's campaign, the campaign.
+    cmd: &'static str,
+    /// The operands; a wrapper's are its campaign's tokens.
+    operands: Vec<String>,
+    /// `--jobs`, `--trace`, `--leg-timeout`.
+    run: RunFlags,
+    seed: Option<u64>,
+    policy: Option<PolicyKind>,
+    cases: Option<usize>,
+    max_inflight: Option<usize>,
+    replay: Option<String>,
+    out: Option<String>,
+    addr: Option<String>,
+    addr_file: Option<String>,
+    resume: bool,
+    dry_run: bool,
+    eager: bool,
+    pattern: bool,
+    self_check: bool,
+    quick: bool,
+}
+
+impl Args {
+    /// Records one flag, taking its value (if it has one) from `values`.
+    fn set<'a>(&mut self, flag: &str, values: &mut impl Iterator<Item = &'a str>) -> Result<(), String> {
+        match flag {
+            "--jobs" => self.run.jobs = Some(count(flag, values.next())?),
+            "--max-inflight" => self.max_inflight = Some(count(flag, values.next())?),
+            "--cases" => self.cases = Some(count(flag, values.next())?),
+            "--seed" => self.seed = Some(seed(values.next())?),
+            "--leg-timeout" => {
+                let wants = "a positive number of seconds";
+                self.run.leg_timeout = Some(value(flag, values.next(), wants, parse_timeout_seconds)?);
+            }
+            "--policy" => {
+                let wants = "a policy: process-level, interval-greedy, confidence or hysteresis";
+                self.policy = Some(value(flag, values.next(), wants, PolicyKind::parse)?);
+            }
+            "--trace" => self.run.trace = Some(path(flag, values.next())?.into()),
+            "--replay" => self.replay = Some(path(flag, values.next())?),
+            "--out" => self.out = Some(path(flag, values.next())?),
+            "--addr-file" => self.addr_file = Some(path(flag, values.next())?),
+            "--addr" => self.addr = Some(value(flag, values.next(), "HOST:PORT", |v| Some(v.to_string()))?),
+            "--resume" => self.resume = true,
+            "--dry-run" => self.dry_run = true,
+            "--eager" => self.eager = true,
+            "--pattern" => self.pattern = true,
+            "--self-check" => self.self_check = true,
+            "--quick" => self.quick = true,
+            _ => return Err(format!("unknown flag `{flag}`\n{USAGE}")),
+        }
+        Ok(())
+    }
+
+    /// The `<app>` operand.
+    fn app(&self) -> Result<App, String> {
+        find_app(&self.operands[0])
+    }
+
+    /// The `<cache|queue|all>` operand.
+    fn target(&self) -> Result<&str, String> {
+        match self.operands[0].as_str() {
+            kind @ ("cache" | "queue" | "all") => Ok(kind),
+            kind => Err(format!(
+                "unknown {} target `{kind}` (expected cache, queue or all)\n{USAGE}",
+                self.cmd
+            )),
+        }
+    }
+
+    /// The service address, defaulting to its well-known one.
+    fn addr(&self) -> &str {
+        self.addr.as_deref().unwrap_or(serve::DEFAULT_ADDR)
+    }
+}
 
 fn find_app(name: &str) -> Result<App, String> {
     App::ALL
@@ -136,111 +294,132 @@ fn find_app(name: &str) -> Result<App, String> {
         .ok_or_else(|| format!("unknown application `{name}` (try `capsim list`)"))
 }
 
-/// Parsed `--jobs N` / `--seed S` / `--trace FILE` / `--policy NAME` /
-/// `--resume` / `--leg-timeout SECS` trailing flags.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-struct Flags {
-    jobs: Option<usize>,
-    seed: Option<u64>,
-    trace: Option<String>,
-    policy: Option<PolicyKind>,
-    resume: bool,
-    leg_timeout: Option<Duration>,
+/// Parses one flag value: `wants` names what the flag takes, and `parse`
+/// returns `None` for a malformed value.
+fn value<'a, T>(
+    flag: &str,
+    raw: Option<&'a str>,
+    wants: &str,
+    parse: impl FnOnce(&'a str) -> Option<T>,
+) -> Result<T, String> {
+    let raw = raw.ok_or_else(|| format!("{flag} wants {wants}\n{USAGE}"))?;
+    parse(raw).ok_or_else(|| format!("{flag} wants {wants}, got `{raw}`\n{USAGE}"))
 }
 
-/// The value of a `--seed` flag: an unsigned integer in decimal, or in
-/// hex after `0x`, the form reports and journal names print seeds in.
-fn parse_seed(v: Option<&&str>) -> Result<u64, String> {
-    let v = v.ok_or_else(|| format!("--seed wants a value\n{USAGE}"))?;
-    let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => v.parse(),
-    };
-    parsed.map_err(|_| {
-        format!("--seed wants an unsigned integer, decimal or 0x hex, got `{v}`\n{USAGE}")
+/// A positive integer (`--jobs`, `--max-inflight`, `--cases`).
+fn count(flag: &str, raw: Option<&str>) -> Result<usize, String> {
+    value(flag, raw, "a positive integer", |v| v.parse().ok().filter(|&n| n >= 1))
+}
+
+/// A seed: an unsigned integer in decimal, or in hex after `0x`, the
+/// form reports and journal names print seeds in.
+fn seed(raw: Option<&str>) -> Result<u64, String> {
+    value("--seed", raw, "an unsigned integer, decimal or 0x hex", |v| {
+        match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16).ok(),
+            None => v.parse().ok(),
+        }
     })
 }
 
-fn parse_flags(rest: &[&str]) -> Result<Flags, String> {
-    let mut flags = Flags::default();
-    let mut it = rest.iter();
-    while let Some(&flag) = it.next() {
-        match flag {
-            "--jobs" => {
-                let v = it.next().ok_or_else(|| format!("--jobs wants a value\n{USAGE}"))?;
-                let n: usize = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--jobs wants a positive integer, got `{v}`\n{USAGE}"))?;
-                flags.jobs = Some(n);
-            }
-            "--seed" => flags.seed = Some(parse_seed(it.next())?),
-            "--trace" => {
-                let v = it.next().ok_or_else(|| format!("--trace wants a file path\n{USAGE}"))?;
-                flags.trace = Some((*v).to_string());
-            }
-            "--policy" => {
-                let v = it.next().ok_or_else(|| format!("--policy wants a name\n{USAGE}"))?;
-                flags.policy = Some(PolicyKind::parse(v).ok_or_else(|| {
-                    format!(
-                        "unknown policy `{v}` (expected process-level, interval-greedy, confidence or hysteresis)\n{USAGE}"
-                    )
-                })?);
-            }
-            "--resume" => flags.resume = true,
-            "--leg-timeout" => {
-                let v = it.next().ok_or_else(|| format!("--leg-timeout wants seconds\n{USAGE}"))?;
-                flags.leg_timeout = Some(parse_timeout_seconds(v).ok_or_else(|| {
-                    format!("--leg-timeout wants a positive number of seconds, got `{v}`\n{USAGE}")
-                })?);
-            }
-            _ => return Err(format!("unknown flag `{flag}`\n{USAGE}")),
-        }
-    }
-    Ok(flags)
+fn path(flag: &str, raw: Option<&str>) -> Result<String, String> {
+    value(flag, raw, "a file path", |v| Some(v.to_string()))
 }
 
-/// The trace recorder selected by the command line, falling back to
-/// `CAP_TRACE`. `None` means tracing is off (the zero-cost default).
-fn flag_recorder(flags: &Flags) -> Result<Option<Arc<dyn Recorder>>, String> {
-    match &flags.trace {
-        Some(path) => {
-            let recorder = JsonlRecorder::create(path)
-                .map_err(|e| format!("--trace: `{path}` cannot be created: {e}"))?;
-            Ok(Some(Arc::new(recorder)))
+/// Parses the tokens after a subcommand against its row. A wrapper
+/// takes its own flags and keeps every other token, in order, as its
+/// campaign's.
+fn parse<S: AsRef<str>>(cmd: &'static Command, rest: &[S]) -> Result<Args, String> {
+    let mut args = Args { cmd: cmd.name, ..Args::default() };
+    let mut tokens = rest.iter().map(AsRef::<str>::as_ref);
+    while let Some(tok) = tokens.next() {
+        if cmd.flags.contains(&tok) {
+            args.set(tok, &mut tokens)?;
+        } else if cmd.role == Role::Wrapper
+            || (!tok.starts_with("--") && args.operands.len() < cmd.operands.len())
+        {
+            args.operands.push(tok.to_string());
+        } else {
+            return Err(rejection(cmd, tok));
         }
-        None => recorder_from_env(),
+    }
+    match cmd.operands.get(args.operands.len()) {
+        Some(_) if cmd.role == Role::Wrapper => Err(campaign_wanted(cmd.name)),
+        Some(missing) if missing.starts_with('<') => {
+            Err(format!("{} wants {missing}\n{USAGE}", cmd.name))
+        }
+        _ => Ok(args),
     }
 }
 
-/// The execution policy for `capsim sweep` / `capsim faults`: `--jobs`
-/// (then `CAP_JOBS`, then machine parallelism) workers, memoizing under
-/// `results/cache` unless `CAP_CACHE_DIR` redirects or `CAP_NO_CACHE`
-/// disables it, tracing to `--trace` (then `CAP_TRACE`) when given.
-fn exec_policy(flags: &Flags) -> Result<ExecPolicy, String> {
-    let mut exec = ExecPolicy::from_env(flags.jobs).map_err(|e| e.to_string())?;
-    exec = exec.with_watchdog(WatchdogPolicy::resolve(flags.leg_timeout)?);
-    if let Some(recorder) = flag_recorder(flags)? {
-        exec = exec.with_recorder(recorder);
+/// Parses a wrapper's campaign tokens against the campaign's row.
+fn parse_campaign<S: AsRef<str>>(wrapper: &str, tokens: &[S]) -> Result<Args, String> {
+    let campaign = tokens
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.is_campaign() && c.name == name.as_ref()))
+        .ok_or_else(|| campaign_wanted(wrapper))?;
+    parse(campaign, &tokens[1..])
+}
+
+/// The usage error for a token `cmd` does not take: an unknown flag,
+/// another subcommand's flag, or an operand too many.
+fn rejection(cmd: &Command, tok: &str) -> String {
+    let (campaigns, others): (Vec<&Command>, Vec<&Command>) =
+        COMMANDS.iter().filter(|c| c.flags.contains(&tok)).partition(|c| c.is_campaign());
+    if tok.starts_with("--") && campaigns.is_empty() && others.is_empty() {
+        return format!("unknown flag `{tok}`\n{USAGE}");
     }
-    if exec.cache().is_none() && std::env::var_os("CAP_NO_CACHE").is_none() {
-        let cache = ResultCache::at("results/cache");
-        cache.ensure_writable().map_err(|e| {
-            format!("results/cache is unusable: {e} (set CAP_CACHE_DIR or CAP_NO_CACHE=1)")
-        })?;
-        Ok(exec.cached(cache))
+    let takes = if cmd.flags.is_empty() {
+        "no other arguments".to_string()
     } else {
-        Ok(exec)
+        format!("only {}", cmd.flags.join(", "))
+    };
+    let mut msg = format!("`{}` takes {takes}, not `{tok}`", cmd.synopsis());
+    let names = |cs: &[&Command]| cs.iter().map(|c| c.name).collect::<Vec<_>>().join(", ");
+    let mut takers = Vec::new();
+    if !campaigns.is_empty() {
+        takers.push(format!("the campaign commands ({})", names(&campaigns)));
     }
+    if !others.is_empty() {
+        takers.push(names(&others));
+    }
+    if !takers.is_empty() {
+        let _ = write!(msg, "; {tok} applies to {}", takers.join(" and "));
+    }
+    format!("{msg}\n{USAGE}")
+}
+
+/// The error for a wrapper given no campaign, or an unknown one.
+fn campaign_wanted(wrapper: &str) -> String {
+    let catalogue: Vec<String> =
+        COMMANDS.iter().filter(|c| c.is_campaign()).map(Command::synopsis).collect();
+    format!("{wrapper} wants a campaign: {}\n{USAGE}", catalogue.join(" | "))
+}
+
+// ---------------------------------------------------------------------------
+// Campaigns: one identity, one builder, one runner
+// ---------------------------------------------------------------------------
+
+/// The execution policy for a campaign or the service: the run options
+/// resolved once (flag first, then the environment), memoizing under
+/// `results/cache` unless `CAP_CACHE_DIR` redirects or `CAP_NO_CACHE`
+/// disables it.
+fn exec_policy(args: &Args) -> Result<ExecPolicy, String> {
+    let exec = ExecPolicy::from_env(&args.run).map_err(|e| e.to_string())?;
+    if exec.cache().is_some() || std::env::var_os("CAP_NO_CACHE").is_some() {
+        return Ok(exec);
+    }
+    let cache = ResultCache::at("results/cache");
+    cache.ensure_writable().map_err(|e| {
+        format!("results/cache is unusable: {e} (set CAP_CACHE_DIR or CAP_NO_CACHE=1)")
+    })?;
+    Ok(exec.cached(cache))
 }
 
 /// Directory for campaign leg journals: `CAP_JOURNAL_DIR`, defaulting to
 /// `results/journal`.
 fn journal_dir() -> PathBuf {
-    std::env::var_os("CAP_JOURNAL_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/journal"))
+    std::env::var_os("CAP_JOURNAL_DIR").map_or_else(|| "results/journal".into(), PathBuf::from)
 }
 
 /// Opens the write-ahead leg journal for a campaign command. Resume
@@ -277,282 +456,128 @@ fn campaign_err(e: CapError, exec: &ExecPolicy, resume_cmd: &str) -> String {
     }
 }
 
-/// One campaign resolved to a declarative spec plus its journaling
-/// identity — the ONE builder path shared by the direct commands
-/// (`sweep`, `faults`, `compare-policies`) and `capsim plan`, so every
-/// campaign accepts `--jobs`/`--seed`/`--trace`/`--resume`/
-/// `--leg-timeout` uniformly.
-struct Campaign {
-    spec: plan::ExperimentSpec,
-    /// Journal file name + header; `None` for the cache-only figure and
-    /// headline plans, which have nothing to resume.
-    journal: Option<(String, JournalHeader)>,
-    resume_cmd: String,
-    /// Notice lines printed before the rendered reduces.
-    prelude: String,
-}
-
-/// Builds the campaign named by `cmd` (the sub-command tokens without
-/// the leading `plan`, e.g. `["sweep", "all", "--jobs", "4"]`).
-fn build_campaign(cmd: &[&str], scale: ExperimentScale) -> Result<(Campaign, Flags), String> {
-    match cmd {
-        ["sweep", kind, rest @ ..] => {
-            if !matches!(*kind, "cache" | "queue" | "all") {
-                return Err(format!("unknown sweep kind `{kind}`\n{USAGE}"));
-            }
-            let flags = parse_flags(rest)?;
-            let seed = flags.seed.unwrap_or(DEFAULT_SEED);
-            let spec = plan::sweep_plan(kind, scale, seed).map_err(|e| e.to_string())?;
-            let header = JournalHeader {
-                experiment: format!("sweep-{kind}"),
-                seed,
-                scale: scale.name().to_string(),
-                policy: None,
-                results_version: SWEEP_RESULTS_VERSION,
-            };
-            let file = format!("sweep-{kind}-{}-{seed:016x}.jsonl", scale.name());
-            let mut prelude = String::new();
-            if let Some(policy) = flags.policy {
-                // Sweeps hold every configuration fixed; the flag is
-                // validated but cannot change the curves.
-                let _ = writeln!(prelude, "policy: {policy} (sweeps are policy-independent)");
-            }
-            let campaign = Campaign {
-                spec,
-                journal: Some((file, header)),
-                resume_cmd: format!("capsim sweep {kind} --seed {seed} --resume"),
-                prelude,
-            };
-            Ok((campaign, flags))
-        }
-        ["compare-policies", name, rest @ ..] => {
-            let app = find_app(name)?;
-            let flags = parse_flags(rest)?;
-            if flags.policy.is_some() {
-                return Err(format!("compare-policies runs every policy; drop --policy\n{USAGE}"));
-            }
-            let seed = flags.seed.unwrap_or(DEFAULT_SEED);
-            let header = JournalHeader {
-                experiment: format!("compare-policies-{}", app.name()),
-                seed,
-                scale: scale.name().to_string(),
-                policy: None,
-                results_version: SWEEP_RESULTS_VERSION,
-            };
-            let file =
-                format!("compare-policies-{}-{}-{seed:016x}.jsonl", app.name(), scale.name());
-            let campaign = Campaign {
-                spec: plan::compare_policies_plan(app, 400, seed),
-                journal: Some((file, header)),
-                resume_cmd: format!("capsim compare-policies {} --seed {seed} --resume", app.name()),
-                prelude: String::new(),
-            };
-            Ok((campaign, flags))
-        }
-        ["faults", name, rest @ ..] => {
-            let app = find_app(name)?;
-            let flags = parse_flags(rest)?;
-            let seed = flags.seed.unwrap_or(DEFAULT_SEED);
-            let policy = flags.policy.unwrap_or(PolicyKind::Confidence);
-            let header = JournalHeader {
-                experiment: format!("faults-{}", app.name()),
-                seed,
-                scale: scale.name().to_string(),
-                policy: Some(policy.name().to_string()),
-                results_version: SWEEP_RESULTS_VERSION,
-            };
-            let file = format!(
-                "faults-{}-{}-{seed:016x}-{}.jsonl",
-                app.name(),
-                scale.name(),
-                policy.name()
-            );
-            let campaign = Campaign {
-                spec: FaultCampaign::new(app, seed).with_policy(policy).plan(),
-                journal: Some((file, header)),
-                resume_cmd: format!(
-                    "capsim faults {} --seed {seed} --policy {} --resume",
-                    app.name(),
-                    policy.name()
-                ),
-                prelude: String::new(),
-            };
-            Ok((campaign, flags))
-        }
-        ["figures", rest @ ..] | ["headline", rest @ ..] => {
-            let figures = cmd[0] == "figures";
-            let flags = parse_flags(rest)?;
-            if flags.policy.is_some() {
-                return Err(format!("{} is policy-independent; drop --policy\n{USAGE}", cmd[0]));
-            }
-            if flags.resume {
-                return Err(format!(
-                    "{} plans have no journal to resume (they replay from the result cache)\n{USAGE}",
-                    cmd[0]
-                ));
-            }
-            let seed = flags.seed.unwrap_or(DEFAULT_SEED);
-            let spec = if figures {
-                plan::figures_plan(scale, seed).map_err(|e| e.to_string())?
-            } else {
-                plan::headline_plan(scale, seed).map_err(|e| e.to_string())?
-            };
-            let campaign = Campaign {
-                spec,
-                journal: None,
-                resume_cmd: String::new(),
-                prelude: String::new(),
-            };
-            Ok((campaign, flags))
-        }
-        _ => Err(format!(
-            "plan wants a campaign: sweep <kind> | figures | headline | compare-policies <app> | faults <app>\n{USAGE}"
-        )),
-    }
-}
-
-/// Executes a built campaign: attach the journal (when it has one),
-/// run the spec on the one executor, render the reduces.
-fn run_campaign(campaign: &Campaign, flags: &Flags) -> Result<String, String> {
-    let mut exec = exec_policy(flags)?;
-    if let Some((file, header)) = campaign.journal.clone() {
-        exec = exec.with_journal(open_journal(&file, header, flags.resume)?);
-    }
-    let run = plan::Executor::run(&campaign.spec, &exec)
-        .map_err(|e| campaign_err(e, &exec, &campaign.resume_cmd))?;
-    Ok(format!("{}{}", campaign.prelude, run.rendered()))
-}
-
-/// Parsed `capsim serve` options.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ServeOpts {
-    addr: String,
-    jobs: Option<usize>,
-    max_inflight: usize,
-    addr_file: Option<String>,
-}
-
-impl ServeOpts {
-    fn parse(rest: &[&str]) -> Result<Self, String> {
-        let mut opts = ServeOpts {
-            addr: serve::DEFAULT_ADDR.to_string(),
-            jobs: None,
-            max_inflight: 4,
-            addr_file: None,
-        };
-        let mut it = rest.iter();
-        while let Some(&flag) = it.next() {
-            match flag {
-                "--addr" => {
-                    let v = it.next().ok_or_else(|| format!("--addr wants HOST:PORT\n{USAGE}"))?;
-                    opts.addr = (*v).to_string();
-                }
-                "--jobs" => {
-                    let v = it.next().ok_or_else(|| format!("--jobs wants a value\n{USAGE}"))?;
-                    opts.jobs = Some(v.parse().ok().filter(|&n: &usize| n >= 1).ok_or_else(
-                        || format!("--jobs wants a positive integer, got `{v}`\n{USAGE}"),
-                    )?);
-                }
-                "--max-inflight" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| format!("--max-inflight wants a value\n{USAGE}"))?;
-                    opts.max_inflight = v.parse().ok().filter(|&n: &usize| n >= 1).ok_or_else(
-                        || format!("--max-inflight wants a positive integer, got `{v}`\n{USAGE}"),
-                    )?;
-                }
-                "--addr-file" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| format!("--addr-file wants a file path\n{USAGE}"))?;
-                    opts.addr_file = Some((*v).to_string());
-                }
-                other => return Err(format!("unknown serve flag `{other}`\n{USAGE}")),
-            }
-        }
-        Ok(opts)
-    }
-}
-
-/// Splits `--addr HOST:PORT` (defaulting to the service's well-known
-/// address) out of a `submit`/`status` argument list, returning the
-/// remaining tokens untouched.
-fn split_addr(rest: &[&str]) -> Result<(String, Vec<String>), String> {
-    let mut addr = serve::DEFAULT_ADDR.to_string();
-    let mut args = Vec::new();
-    let mut it = rest.iter();
-    while let Some(&tok) = it.next() {
-        if tok == "--addr" {
-            let v = it.next().ok_or_else(|| format!("--addr wants HOST:PORT\n{USAGE}"))?;
-            addr = (*v).to_string();
-        } else {
-            args.push(tok.to_string());
-        }
-    }
-    Ok((addr, args))
-}
-
-/// Parsed `capsim verify` options. The defaults give a quick but
-/// non-trivial local run; CI and the acceptance gate pass explicit
-/// `--cases`/`--seed`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct VerifyOpts {
-    cases: u64,
+/// What names one journaled campaign run. Its journal file name, its
+/// journal header and its resume command all derive from these four.
+struct CampaignId {
+    /// The command tokens, e.g. `sweep all` or `faults radar`.
+    command: String,
     seed: u64,
-    replay: Option<String>,
-    self_check: bool,
+    scale: ExperimentScale,
+    /// The policy of a campaign journaled per policy (`faults`).
+    policy: Option<PolicyKind>,
 }
 
-impl VerifyOpts {
-    fn parse(rest: &[&str]) -> Result<Self, String> {
-        let mut opts = VerifyOpts { cases: 1000, seed: 1, replay: None, self_check: false };
-        let mut it = rest.iter();
-        while let Some(&flag) = it.next() {
-            match flag {
-                "--cases" => {
-                    let v = it.next().ok_or_else(|| format!("--cases wants a value\n{USAGE}"))?;
-                    opts.cases = v
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| {
-                            format!("--cases wants a positive integer, got `{v}`\n{USAGE}")
-                        })?;
-                }
-                "--seed" => opts.seed = parse_seed(it.next())?,
-                "--replay" => {
-                    let v =
-                        it.next().ok_or_else(|| format!("--replay wants a file path\n{USAGE}"))?;
-                    opts.replay = Some((*v).to_string());
-                }
-                "--self-check" => opts.self_check = true,
-                other => return Err(format!("unknown verify flag `{other}`\n{USAGE}")),
-            }
-        }
-        if opts.replay.is_some() && opts.self_check {
-            return Err(format!("--replay and --self-check are mutually exclusive\n{USAGE}"));
-        }
-        Ok(opts)
+impl CampaignId {
+    fn journal(&self) -> (String, JournalHeader) {
+        let experiment = self.command.replace(' ', "-");
+        let policy = self.policy.map(|p| p.name().to_string());
+        let suffix = policy.as_ref().map_or(String::new(), |p| format!("-{p}"));
+        let file = format!("{experiment}-{}-{:016x}{suffix}.jsonl", self.scale.name(), self.seed);
+        let header = JournalHeader {
+            experiment,
+            seed: self.seed,
+            scale: self.scale.name().to_string(),
+            policy,
+            results_version: SWEEP_RESULTS_VERSION,
+        };
+        (file, header)
+    }
+
+    fn resume_cmd(&self) -> String {
+        let policy = self.policy.map_or(String::new(), |p| format!(" --policy {}", p.name()));
+        format!("capsim {} --seed {}{policy} --resume", self.command, self.seed)
     }
 }
 
-/// Where `capsim verify` writes repro files and journal scratch:
-/// `CAP_VERIFY_DIR`, defaulting to the current directory.
-fn verify_out_dir() -> Result<PathBuf, String> {
-    let dir = std::env::var_os("CAP_VERIFY_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| format!("cannot create verify directory `{}`: {e}", dir.display()))?;
-    Ok(dir)
+/// One campaign built for running: the value the service runs too, plus
+/// the command that resumes it (empty for the cache-only plans).
+struct Campaign {
+    compiled: CompiledCampaign,
+    resume_cmd: String,
 }
 
-/// Executes a parsed command line and renders the report.
-fn run(args: &[&str]) -> Result<String, String> {
+impl Campaign {
+    fn journaled(spec: plan::ExperimentSpec, id: &CampaignId) -> Self {
+        let compiled = CompiledCampaign { spec, journal: Some(id.journal()) };
+        Campaign { compiled, resume_cmd: id.resume_cmd() }
+    }
+
+    fn cache_only(spec: Result<plan::ExperimentSpec, CapError>) -> Result<Self, String> {
+        let spec = spec.map_err(|e| e.to_string())?;
+        Ok(Campaign { compiled: CompiledCampaign { spec, journal: None }, resume_cmd: String::new() })
+    }
+}
+
+/// Builds the campaign `args` names: the one builder behind the direct
+/// commands, `capsim plan` and the service.
+fn build_campaign(args: &Args, scale: ExperimentScale) -> Result<Campaign, String> {
+    let seed = args.seed.unwrap_or(DEFAULT_SEED);
+    let id = |command: String, policy| CampaignId { command, seed, scale, policy };
+    match args.cmd {
+        "sweep" => {
+            let kind = args.target()?;
+            let spec = plan::sweep_plan(kind, scale, seed).map_err(|e| e.to_string())?;
+            Ok(Campaign::journaled(spec, &id(format!("sweep {kind}"), None)))
+        }
+        "compare-policies" => {
+            let app = args.app()?;
+            let command = format!("compare-policies {}", app.name());
+            Ok(Campaign::journaled(plan::compare_policies_plan(app, 400, seed), &id(command, None)))
+        }
+        "faults" => {
+            let app = args.app()?;
+            let policy = args.policy.unwrap_or(PolicyKind::Confidence);
+            let spec = FaultCampaign::new(app, seed).with_policy(policy).plan();
+            Ok(Campaign::journaled(spec, &id(format!("faults {}", app.name()), Some(policy))))
+        }
+        "figures" => Campaign::cache_only(plan::figures_plan(scale, seed)),
+        "headline" => Campaign::cache_only(plan::headline_plan(scale, seed)),
+        other => unreachable!("`{other}` is not a campaign"),
+    }
+}
+
+/// Runs a built campaign. A dry run only resolves its leg graph against
+/// the result cache; otherwise the journal (when it has one) is
+/// attached, the spec runs on the one executor and its reduces render.
+/// Under `plan` the resolved graph goes to stderr first, so stdout stays
+/// byte-identical to the direct command.
+fn run_campaign(campaign: &Campaign, args: &Args, planned: bool) -> Result<String, String> {
+    if args.dry_run && args.resume {
+        return Err(format!("--dry-run only resolves the leg graph; drop --resume\n{USAGE}"));
+    }
+    let spec = &campaign.compiled.spec;
+    let mut exec = exec_policy(args)?;
+    if args.dry_run {
+        // A dry run never opens the journal: it classifies legs against
+        // the result cache alone, without touching disk state the real
+        // run would want to create.
+        return Ok(plan::Executor::resolve(spec, &exec).render());
+    }
+    if let Some((file, header)) = campaign.compiled.journal.clone() {
+        exec = exec.with_journal(open_journal(&file, header, args.resume)?);
+    }
+    if planned {
+        eprint!("{}", plan::Executor::resolve(spec, &exec).render());
+    }
+    let run = plan::Executor::run(spec, &exec)
+        .map_err(|e| campaign_err(e, &exec, &campaign.resume_cmd))?;
+    Ok(run.rendered().to_string())
+}
+
+/// Executes a command line and renders the report.
+fn run(tokens: &[&str]) -> Result<String, String> {
     let scale = ExperimentScale::from_env().map_err(|e| e.to_string())?;
+    let cmd = tokens
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.name == *name && c.role != Role::PlanOnly))
+        .ok_or_else(|| USAGE.to_string())?;
+    let args = parse(cmd, &tokens[1..])?;
+    if cmd.role == Role::Campaign {
+        return run_campaign(&build_campaign(&args, scale)?, &args, false);
+    }
     let mut out = String::new();
-    match args {
-        ["list"] => {
+    match cmd.name {
+        "list" => {
             for app in App::ALL {
                 let mem = app.memory_profile();
                 let _ = writeln!(
@@ -565,8 +590,8 @@ fn run(args: &[&str]) -> Result<String, String> {
                 );
             }
         }
-        ["cache", name] => {
-            let app = find_app(name)?;
+        "cache" => {
+            let app = args.app()?;
             let curve = CacheExperiment::new(scale)
                 .map_err(|e| e.to_string())?
                 .sweep(app)
@@ -582,8 +607,8 @@ fn run(args: &[&str]) -> Result<String, String> {
             let b = curve.best();
             let _ = writeln!(out, "best: L1={} KB ({}-way), TPI {:.3} ns", b.l1_kb, b.l1_assoc, b.tpi_ns);
         }
-        ["queue", name] => {
-            let app = find_app(name)?;
+        "queue" => {
+            let app = args.app()?;
             let curve = QueueExperiment::new(scale).sweep(app).map_err(|e| e.to_string())?;
             let _ = writeln!(out, "{:>8} {:>10} {:>8} {:>10}", "entries", "cycle ns", "IPC", "TPI ns");
             for p in &curve.points {
@@ -592,56 +617,45 @@ fn run(args: &[&str]) -> Result<String, String> {
             let b = curve.best();
             let _ = writeln!(out, "best: {} entries, TPI {:.3} ns (IPC {:.2})", b.entries, b.tpi_ns, b.ipc);
         }
-        ["managed", name, rest @ ..] => {
-            let app = find_app(name)?;
-            let eager = rest.contains(&"--eager");
-            let pattern = rest.contains(&"--pattern");
-            let rest: Vec<&str> =
-                rest.iter().copied().filter(|&a| a != "--eager" && a != "--pattern").collect();
-            let flags = parse_flags(&rest)?;
-            if flags.resume || flags.leg_timeout.is_some() {
-                return Err(format!(
-                    "--resume/--leg-timeout apply to the campaign commands (sweep, faults, compare-policies)\n{USAGE}"
-                ));
-            }
-            if eager && (flags.policy.is_some() || pattern) {
+        "managed" => {
+            let app = args.app()?;
+            if args.eager && (args.policy.is_some() || args.pattern) {
                 return Err(format!("--eager cannot be combined with --policy or --pattern\n{USAGE}"));
             }
-            let kind = flags.policy.unwrap_or(PolicyKind::Confidence);
-            if pattern && kind != PolicyKind::Confidence {
+            let kind = args.policy.unwrap_or(PolicyKind::Confidence);
+            if args.pattern && kind != PolicyKind::Confidence {
                 return Err(format!("--pattern requires the confidence policy\n{USAGE}"));
             }
-            // The managed run is a serial chain (clock and manager state
-            // carry across intervals); only the recorder is attached.
-            let exec = match flag_recorder(&flags)? {
-                Some(recorder) => ExecPolicy::serial().with_recorder(recorder),
-                None => ExecPolicy::serial(),
-            };
-            let confidence = if eager { ConfidencePolicy::none() } else { ConfidencePolicy::default_policy() };
+            // The managed run is one serial chain (clock and manager
+            // state carry across intervals); only the recorder is
+            // attached.
+            let mut exec = ExecPolicy::serial();
+            if let Some(recorder) = resolve_recorder(args.run.trace.as_deref())? {
+                exec = exec.with_recorder(recorder);
+            }
+            let confidence = if args.eager { ConfidencePolicy::none() } else { ConfidencePolicy::default_policy() };
             let mut config = PolicyConfig::new(kind).with_confidence(confidence);
-            if pattern {
+            if args.pattern {
                 config = config.with_pattern(64, 0.85);
             }
             let cmp = IntervalExperiment::new()
+                .with_seed(args.seed.unwrap_or(DEFAULT_SEED))
                 .policy_comparison(app, 400, &[config], &exec)
                 .map_err(|e| e.to_string())?
                 .remove(0);
-            let label = if eager {
-                "eager (no confidence)".to_string()
-            } else if kind == PolicyKind::Confidence && flags.policy.is_none() && !pattern {
-                "confident".to_string()
-            } else if pattern {
-                format!("{kind} (pattern detection)")
-            } else {
-                kind.to_string()
+            let label = match (args.eager, args.pattern, args.policy) {
+                (true, ..) => "eager (no confidence)".to_string(),
+                (_, true, _) => format!("{kind} (pattern detection)"),
+                (_, _, None) => "confident".to_string(),
+                _ => kind.to_string(),
             };
             let _ = writeln!(out, "policy:        {label}");
             let _ = writeln!(out, "process level: {:.3} ns", cmp.process_level_tpi);
             let _ = writeln!(out, "managed:       {:.3} ns ({} switches)", cmp.managed_tpi, cmp.switches);
             let _ = writeln!(out, "oracle:        {:.3} ns", cmp.oracle_tpi);
         }
-        ["joint", name] => {
-            let app = find_app(name)?;
+        "joint" => {
+            let app = args.app()?;
             let policy = ConfidencePolicy::default_policy();
             let r = run_managed_combined(app, 300, 0x15CA_1998, policy, &ExecPolicy::serial())
                 .map_err(|e| e.to_string())?;
@@ -650,8 +664,8 @@ fn run(args: &[&str]) -> Result<String, String> {
             let _ = writeln!(out, "switches:       {}", r.switches);
             let _ = writeln!(out, "settled config: L1={} KB, {}-entry window", r.final_l1_kb, r.final_entries);
         }
-        ["power", name] => {
-            let app = find_app(name)?;
+        "power" => {
+            let app = args.app()?;
             let curve = QueueExperiment::new(scale).sweep(app).map_err(|e| e.to_string())?;
             let frontier = queue_frontier(&curve, PowerModel::typical());
             let _ = writeln!(out, "{:>8} {:>10} {:>10} {:>8} {:>8}", "entries", "period ns", "TPI ns", "power", "EPI");
@@ -663,56 +677,19 @@ fn run(args: &[&str]) -> Result<String, String> {
                 );
             }
         }
-        ["plan", rest @ ..] => {
-            let dry_run = rest.contains(&"--dry-run");
-            let rest: Vec<&str> = rest.iter().copied().filter(|&a| a != "--dry-run").collect();
-            if rest.is_empty() {
-                return Err(format!(
-                    "plan wants a campaign: sweep <kind> | figures | headline | compare-policies <app> | faults <app>\n{USAGE}"
-                ));
-            }
-            let (campaign, flags) = build_campaign(&rest, scale)?;
-            if dry_run {
-                if flags.resume {
-                    return Err(format!(
-                        "--dry-run only resolves the leg graph; drop --resume\n{USAGE}"
-                    ));
-                }
-                // A dry run never opens the journal: it classifies legs
-                // against the result cache alone, without touching disk
-                // state the real run would want to create.
-                let exec = exec_policy(&flags)?;
-                let resolution = plan::Executor::resolve(&campaign.spec, &exec);
-                let _ = write!(out, "{}", resolution.render());
-            } else {
-                let mut exec = exec_policy(&flags)?;
-                if let Some((file, header)) = campaign.journal.clone() {
-                    exec = exec.with_journal(open_journal(&file, header, flags.resume)?);
-                }
-                // Show the resolved graph on stderr so stdout stays
-                // byte-identical to running the command directly.
-                eprint!("{}", plan::Executor::resolve(&campaign.spec, &exec).render());
-                let run = plan::Executor::run(&campaign.spec, &exec)
-                    .map_err(|e| campaign_err(e, &exec, &campaign.resume_cmd))?;
-                let _ = write!(out, "{}{}", campaign.prelude, run.rendered());
-            }
+        "plan" => {
+            let campaign = Args { dry_run: args.dry_run, ..parse_campaign("plan", &args.operands)? };
+            return run_campaign(&build_campaign(&campaign, scale)?, &campaign, true);
         }
-        ["sweep", _, ..] | ["compare-policies", _, ..] | ["faults", _, ..] | ["headline"] => {
-            let (campaign, flags) = build_campaign(args, scale)?;
-            let _ = write!(out, "{}", run_campaign(&campaign, &flags)?);
-        }
-        ["trace-summary", path] => {
+        "trace-summary" => {
+            let path = &args.operands[0];
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read trace `{path}`: {e}"))?;
             let summary = TraceSummary::from_jsonl(&text)?;
             let _ = write!(out, "{}", summary.render());
         }
-        ["doctor", rest @ ..] => {
-            let dir = match rest {
-                [] => "results/cache",
-                [d] => *d,
-                _ => return Err(format!("doctor takes at most one directory\n{USAGE}")),
-            };
+        "doctor" => {
+            let dir = args.operands.first().map_or("results/cache", String::as_str);
             let report = ResultCache::at(dir).doctor()?;
             let _ = writeln!(out, "cache doctor: {dir}");
             let _ = writeln!(out, "  scanned:          {}", report.scanned);
@@ -721,36 +698,30 @@ fn run(args: &[&str]) -> Result<String, String> {
             let _ = writeln!(out, "  misplaced:        {}", report.misplaced);
             let _ = writeln!(out, "  quarantine total: {}", report.quarantine_total);
         }
-        ["chaos", kind, rest @ ..] => {
-            if !matches!(*kind, "cache" | "queue" | "all") {
-                return Err(format!("unknown chaos target `{kind}` (expected cache, queue or all)\n{USAGE}"));
-            }
-            let flags = parse_flags(rest)?;
-            if flags.resume || flags.leg_timeout.is_some() || flags.trace.is_some() || flags.policy.is_some() {
-                return Err(format!("chaos accepts only --seed and --jobs\n{USAGE}"));
-            }
-            let harness = ChaosHarness::new(kind, &flags)?;
+        "chaos" => {
+            let kind = args.target()?;
+            let harness = ChaosHarness::new(kind, args.seed.unwrap_or(DEFAULT_SEED), args.run.jobs)?;
             let _ = writeln!(out, "== chaos: sweep {kind}, seed {}", harness.seed);
             eprintln!("chaos: recording uninterrupted reference run...");
             let reference = harness.reference()?;
-            let scenarios: [(&str, Result<(), String>); 5] = [
-                ("kill+resume", harness.kill_and_resume(&reference)),
-                ("cache-corruption", harness.corruption_recovery(&reference)),
-                ("stall-recovery", harness.stall_recovery(&reference)),
-                ("stall-timeout+resume", harness.stall_timeout_and_resume(&reference)),
-                ("panic+resume", harness.panic_and_resume(&reference)),
+            type Scenario = fn(&ChaosHarness, &[u8]) -> Result<(), String>;
+            let scenarios: [(&str, Scenario); 5] = [
+                ("kill+resume", ChaosHarness::kill_and_resume),
+                ("cache-corruption", ChaosHarness::corruption_recovery),
+                ("stall-recovery", ChaosHarness::stall_recovery),
+                ("stall-timeout+resume", ChaosHarness::stall_timeout_and_resume),
+                ("panic+resume", ChaosHarness::panic_and_resume),
             ];
             let mut failures = 0;
-            for (name, result) in scenarios {
-                match result {
-                    Ok(()) => {
-                        let _ = writeln!(out, "PASS {name}");
-                    }
+            for (name, scenario) in scenarios {
+                eprintln!("chaos: scenario {name}...");
+                let _ = match scenario(&harness, &reference) {
+                    Ok(()) => writeln!(out, "PASS {name}"),
                     Err(why) => {
                         failures += 1;
-                        let _ = writeln!(out, "FAIL {name}: {why}");
+                        writeln!(out, "FAIL {name}: {why}")
                     }
-                }
+                };
             }
             if failures > 0 {
                 return Err(format!(
@@ -761,10 +732,18 @@ fn run(args: &[&str]) -> Result<String, String> {
             let _ = std::fs::remove_dir_all(&harness.root);
             let _ = writeln!(out, "chaos: all 5 scenarios passed");
         }
-        ["verify", rest @ ..] => {
-            let opts = VerifyOpts::parse(rest)?;
-            let out_dir = verify_out_dir()?;
-            if let Some(path) = &opts.replay {
+        "verify" => {
+            if args.replay.is_some() && args.self_check {
+                return Err(format!("--replay and --self-check are mutually exclusive\n{USAGE}"));
+            }
+            let seed = args.seed.unwrap_or(1);
+            // Repro files and journal scratch: CAP_VERIFY_DIR, else the
+            // current directory.
+            let out_dir = std::env::var_os("CAP_VERIFY_DIR").map_or_else(|| ".".into(), PathBuf::from);
+            std::fs::create_dir_all(&out_dir).map_err(|e| {
+                format!("cannot create verify directory `{}`: {e}", out_dir.display())
+            })?;
+            if let Some(path) = &args.replay {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read repro `{path}`: {e}"))?;
                 match replay(&text, &out_dir)? {
@@ -775,8 +754,8 @@ fn run(args: &[&str]) -> Result<String, String> {
                         let _ = writeln!(out, "replay: clean — the property passes on this repro");
                     }
                 }
-            } else if opts.self_check {
-                let report = run_self_check(opts.seed, &out_dir)
+            } else if args.self_check {
+                let report = run_self_check(seed, &out_dir)
                     .map_err(|e| format!("self-check FAILED: {e}"))?;
                 let _ = writeln!(
                     out,
@@ -787,7 +766,7 @@ fn run(args: &[&str]) -> Result<String, String> {
                 let _ = writeln!(out, "  repro replayed twice from disk, byte-identical outcome");
                 let _ = std::fs::remove_file(&report.repro_path);
             } else {
-                let cfg = VerifyConfig { cases: opts.cases, seed: opts.seed, out_dir };
+                let cfg = VerifyConfig { cases: args.cases.unwrap_or(1000) as u64, seed, out_dir };
                 eprintln!("verify: {} cases/property, seed {}", cfg.cases, cfg.seed);
                 let report = run_verify(&cfg, &mut |p| {
                     let status = match &p.failure {
@@ -827,44 +806,30 @@ fn run(args: &[&str]) -> Result<String, String> {
                 );
             }
         }
-        ["bench", rest @ ..] => {
-            let opts = BenchOpts::parse(rest)?;
-            let scale = if opts.quick { ExperimentScale::Smoke } else { scale };
-            run_bench(&mut out, scale, &opts)?;
+        "bench" => {
+            let scale = if args.quick { ExperimentScale::Smoke } else { scale };
+            let path = args.out.as_deref().unwrap_or("BENCH_sweep.json");
+            run_bench(&mut out, scale, args.seed.unwrap_or(DEFAULT_SEED), path)?;
         }
-        ["serve", rest @ ..] => {
-            let opts = ServeOpts::parse(rest)?;
-            let flags = Flags { jobs: opts.jobs, ..Flags::default() };
-            let exec = exec_policy(&flags)?;
-            // The service compiles submitted campaigns through the ONE
-            // CLI builder, so a submitted campaign and a direct one are
-            // the same plan — and render the same bytes.
-            let compiler: serve::CampaignCompiler = Arc::new(move |args: &[String]| {
-                let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-                let (campaign, _flags) = build_campaign(&refs, scale)?;
-                Ok(serve::CompiledCampaign {
-                    spec: campaign.spec,
-                    journal: campaign.journal,
-                    prelude: campaign.prelude,
-                })
+        "serve" => {
+            let exec = exec_policy(&args)?;
+            // The service compiles a submitted campaign through the same
+            // parser and builder as the direct command, and runs the very
+            // value built — so both render the same bytes.
+            let compiler: serve::CampaignCompiler = Arc::new(move |tokens: &[String]| {
+                Ok(build_campaign(&parse_campaign("submit", tokens)?, scale)?.compiled)
             });
             let config = serve::ServeConfig {
-                addr: opts.addr,
-                max_inflight: opts.max_inflight,
+                addr: args.addr().to_string(),
+                max_inflight: args.max_inflight.unwrap_or(4),
                 journal_dir: journal_dir(),
-                addr_file: opts.addr_file.map(PathBuf::from),
+                addr_file: args.addr_file.map(PathBuf::from),
             };
             let summary = serve::serve(&config, exec, compiler)?;
             let _ = write!(out, "{}", summary.render());
         }
-        ["submit", rest @ ..] => {
-            let (addr, campaign) = split_addr(rest)?;
-            if campaign.is_empty() {
-                return Err(format!(
-                    "submit wants a campaign: sweep <kind> | figures | headline | compare-policies <app> | faults <app>\n{USAGE}"
-                ));
-            }
-            let outcome = serve::submit(&addr, &campaign)?;
+        "submit" => {
+            let outcome = serve::submit(args.addr(), &args.operands)?;
             // The tally goes to stderr so stdout stays byte-identical
             // to running the campaign directly.
             eprintln!(
@@ -877,45 +842,13 @@ fn run(args: &[&str]) -> Result<String, String> {
             );
             let _ = write!(out, "{}", outcome.report);
         }
-        ["status", rest @ ..] => {
-            let (addr, extra) = split_addr(rest)?;
-            if let Some(tok) = extra.first() {
-                return Err(format!("status accepts only --addr, got `{tok}`\n{USAGE}"));
-            }
-            let report = serve::status(&addr)?;
+        "status" => {
+            let report = serve::status(args.addr())?;
             let _ = write!(out, "{}", report.render());
         }
-        _ => return Err(USAGE.to_string()),
+        other => unreachable!("`{other}` has a row in COMMANDS but no arm here"),
     }
     Ok(out)
-}
-
-/// Parsed `capsim bench` options.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct BenchOpts {
-    quick: bool,
-    seed: u64,
-    out: String,
-}
-
-impl BenchOpts {
-    fn parse(rest: &[&str]) -> Result<Self, String> {
-        let mut opts =
-            BenchOpts { quick: false, seed: DEFAULT_SEED, out: "BENCH_sweep.json".to_string() };
-        let mut it = rest.iter();
-        while let Some(&flag) = it.next() {
-            match flag {
-                "--quick" => opts.quick = true,
-                "--seed" => opts.seed = parse_seed(it.next())?,
-                "--out" => {
-                    let v = it.next().ok_or_else(|| format!("--out wants a file path\n{USAGE}"))?;
-                    opts.out = (*v).to_string();
-                }
-                other => return Err(format!("unknown bench flag `{other}`\n{USAGE}")),
-            }
-        }
-        Ok(opts)
-    }
 }
 
 /// `capsim bench` — wall-clock timing of the full-suite sweeps.
@@ -926,11 +859,11 @@ impl BenchOpts {
 /// whole CLI that is *not* a pure function of the command line — they
 /// measure this machine — so they are never compared against goldens;
 /// the JSON exists for CI artifacts and README refreshes.
-fn run_bench(out: &mut String, scale: ExperimentScale, opts: &BenchOpts) -> Result<(), String> {
+fn run_bench(out: &mut String, scale: ExperimentScale, seed: u64, path: &str) -> Result<(), String> {
     use std::time::Instant;
     let cache_exp =
-        CacheExperiment::new(scale).map_err(|e| e.to_string())?.with_seed(opts.seed);
-    let queue_exp = QueueExperiment::new(scale).with_seed(opts.seed);
+        CacheExperiment::new(scale).map_err(|e| e.to_string())?.with_seed(seed);
+    let queue_exp = QueueExperiment::new(scale).with_seed(seed);
 
     let serial = ExecPolicy::serial();
     let t = Instant::now();
@@ -942,7 +875,7 @@ fn run_bench(out: &mut String, scale: ExperimentScale, opts: &BenchOpts) -> Resu
 
     // Warm: replay both figures from a populated result cache.
     let warm_dir =
-        std::env::temp_dir().join(format!("capsim-bench-{}-{:x}", std::process::id(), opts.seed));
+        std::env::temp_dir().join(format!("capsim-bench-{}-{:x}", std::process::id(), seed));
     let warm = (|| -> Result<f64, String> {
         let exec = ExecPolicy::serial().cached(ResultCache::at(&warm_dir));
         cache_exp.figure7(&exec).map_err(|e| e.to_string())?;
@@ -956,7 +889,7 @@ fn run_bench(out: &mut String, scale: ExperimentScale, opts: &BenchOpts) -> Resu
     let warm = warm?;
 
     let cold_total = cold_cache + cold_queue;
-    let _ = writeln!(out, "== sweep bench: scale {}, seed {:#x}", scale.name(), opts.seed);
+    let _ = writeln!(out, "== sweep bench: scale {}, seed {:#x}", scale.name(), seed);
     let _ = writeln!(
         out,
         "  cold: cache {cold_cache:.2} s + queue {cold_queue:.2} s = {cold_total:.2} s"
@@ -970,11 +903,11 @@ fn run_bench(out: &mut String, scale: ExperimentScale, opts: &BenchOpts) -> Resu
     let json = format!(
         "{{\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \"nproc\": {nproc},\n  \"avx2\": {avx2},\n  \"engines\": {{\n    \"single-pass\": {{ \"cache_cold_s\": {cold_cache:.6}, \"queue_cold_s\": {cold_queue:.6}, \"total_cold_s\": {cold_total:.6}, \"warm_s\": {warm:.6} }}\n  }}\n}}\n",
         scale.name(),
-        opts.seed,
+        seed,
     );
-    std::fs::write(&opts.out, json)
-        .map_err(|e| format!("cannot write bench summary `{}`: {e}", opts.out))?;
-    let _ = writeln!(out, "  wrote {}", opts.out);
+    std::fs::write(path, json)
+        .map_err(|e| format!("cannot write bench summary `{path}`: {e}"))?;
+    let _ = writeln!(out, "  wrote {path}");
     Ok(())
 }
 
@@ -994,16 +927,15 @@ struct ChaosHarness {
 }
 
 impl ChaosHarness {
-    fn new(kind: &str, flags: &Flags) -> Result<Self, String> {
+    fn new(kind: &str, seed: u64, jobs: Option<usize>) -> Result<Self, String> {
         let exe = std::env::current_exe()
             .map_err(|e| format!("chaos: cannot locate the capsim binary: {e}"))?;
-        let seed = flags.seed.unwrap_or(DEFAULT_SEED);
         let root = std::env::temp_dir()
             .join(format!("capsim-chaos-{}-{seed:x}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root)
             .map_err(|e| format!("chaos: cannot create {}: {e}", root.display()))?;
-        Ok(ChaosHarness { exe, kind: kind.to_string(), seed, jobs: flags.jobs, root })
+        Ok(ChaosHarness { exe, kind: kind.to_string(), seed, jobs, root })
     }
 
     fn sweep_args(&self, resume: bool, leg_timeout: Option<&str>) -> Vec<String> {
@@ -1050,13 +982,9 @@ impl ChaosHarness {
         cmd.env("CAP_SCALE", "smoke");
         cmd.env("CAP_JOURNAL_DIR", journal);
         match cache {
-            Some(dir) => {
-                cmd.env("CAP_CACHE_DIR", dir);
-            }
-            None => {
-                cmd.env("CAP_NO_CACHE", "1");
-            }
-        }
+            Some(dir) => cmd.env("CAP_CACHE_DIR", dir),
+            None => cmd.env("CAP_NO_CACHE", "1"),
+        };
         for (key, value) in extra {
             cmd.env(key, value);
         }
@@ -1064,22 +992,42 @@ impl ChaosHarness {
             .map_err(|e| format!("chaos: cannot spawn {}: {e}", self.exe.display()))
     }
 
+    /// Runs one sweep that must succeed and returns its stdout; `what`
+    /// names the run in the error.
+    fn sweep_ok(
+        &self,
+        args: &[String],
+        journal: &Path,
+        cache: Option<&Path>,
+        extra: &[(&str, String)],
+        what: &str,
+    ) -> Result<Vec<u8>, String> {
+        let out = self.spawn(args, journal, cache, extra)?;
+        if out.status.success() {
+            Ok(out.stdout)
+        } else {
+            Err(format!("{what}:\n{}", String::from_utf8_lossy(&out.stderr)))
+        }
+    }
+
+    /// A chaos-free `--resume` over `journal` must reproduce the
+    /// reference bytes.
+    fn resumes_to(&self, journal: &Path, reference: &[u8], after: &str) -> Result<(), String> {
+        let what = format!("resume after {after}");
+        let resumed =
+            self.sweep_ok(&self.sweep_args(true, None), journal, None, &[], &format!("{what} failed"))?;
+        same(&resumed, reference, &what)
+    }
+
     /// The uninterrupted, fault-free run every scenario must reproduce.
     fn reference(&self) -> Result<Vec<u8>, String> {
-        let out = self.spawn(&self.sweep_args(false, None), &self.root.join("ref-journal"), None, &[])?;
-        if !out.status.success() {
-            return Err(format!(
-                "chaos: reference run failed:\n{}",
-                String::from_utf8_lossy(&out.stderr)
-            ));
-        }
-        Ok(out.stdout)
+        let journal = self.root.join("ref-journal");
+        self.sweep_ok(&self.sweep_args(false, None), &journal, None, &[], "chaos: reference run failed")
     }
 
     /// A simulated kill at a seed-chosen leg boundary must leave a
     /// journal from which `--resume` reproduces the reference bytes.
     fn kill_and_resume(&self, reference: &[u8]) -> Result<(), String> {
-        eprintln!("chaos: scenario kill+resume...");
         let journal = self.root.join("kill-journal");
         let kill_after = 1 + self.seed % 10;
         let out = self.spawn(
@@ -1094,17 +1042,7 @@ impl ChaosHarness {
                 out.status.code()
             ));
         }
-        let resumed = self.spawn(&self.sweep_args(true, None), &journal, None, &[])?;
-        if !resumed.status.success() {
-            return Err(format!(
-                "resume after kill failed:\n{}",
-                String::from_utf8_lossy(&resumed.stderr)
-            ));
-        }
-        if resumed.stdout != reference {
-            return Err("resumed output differs from the uninterrupted run".into());
-        }
-        Ok(())
+        self.resumes_to(&journal, reference, "kill")
     }
 
     /// Damages the first (sorted) committed cache entry under `dir`.
@@ -1136,31 +1074,14 @@ impl ChaosHarness {
     /// A corrupted cache entry must be quarantined and recomputed — same
     /// bytes out — and `doctor` must flag further damage.
     fn corruption_recovery(&self, reference: &[u8]) -> Result<(), String> {
-        eprintln!("chaos: scenario cache-corruption...");
         let cache = self.root.join("cache");
-        let cold =
-            self.spawn(&self.sweep_args(false, None), &self.root.join("cc-j1"), Some(&cache), &[])?;
-        if !cold.status.success() {
-            return Err(format!(
-                "cold cached run failed:\n{}",
-                String::from_utf8_lossy(&cold.stderr)
-            ));
-        }
-        if cold.stdout != reference {
-            return Err("cached cold run differs from the no-cache reference".into());
-        }
+        let args = self.sweep_args(false, None);
+        let cold = self.sweep_ok(&args, &self.root.join("cc-j1"), Some(&cache), &[], "cold cached run failed")?;
+        same(&cold, reference, "cached cold run")?;
         Self::corrupt_one_entry(&cache)?;
-        let warm =
-            self.spawn(&self.sweep_args(false, None), &self.root.join("cc-j2"), Some(&cache), &[])?;
-        if !warm.status.success() {
-            return Err(format!(
-                "run over a corrupted cache failed:\n{}",
-                String::from_utf8_lossy(&warm.stderr)
-            ));
-        }
-        if warm.stdout != reference {
-            return Err("run over a corrupted cache differs from the reference".into());
-        }
+        let what = "run over a corrupted cache";
+        let warm = self.sweep_ok(&args, &self.root.join("cc-j2"), Some(&cache), &[], &format!("{what} failed"))?;
+        same(&warm, reference, what)?;
         let quarantined = std::fs::read_dir(cache.join(QUARANTINE_DIR))
             .map(Iterator::count)
             .unwrap_or(0);
@@ -1178,30 +1099,20 @@ impl ChaosHarness {
     /// Stalled legs under a generous deadline must still complete with
     /// reference bytes.
     fn stall_recovery(&self, reference: &[u8]) -> Result<(), String> {
-        eprintln!("chaos: scenario stall-recovery...");
-        let out = self.spawn(
+        let out = self.sweep_ok(
             &self.sweep_args(false, Some("30")),
             &self.root.join("stall-journal"),
             None,
             &[("CAP_CHAOS_STALL", format!("100:{}:20", self.seed))],
+            "stalled run should finish under a generous deadline",
         )?;
-        if !out.status.success() {
-            return Err(format!(
-                "stalled run should finish under a generous deadline:\n{}",
-                String::from_utf8_lossy(&out.stderr)
-            ));
-        }
-        if out.stdout != reference {
-            return Err("stalled run output differs from the reference".into());
-        }
-        Ok(())
+        same(&out, reference, "stalled run output")
     }
 
     /// Hopeless stalls under a tight deadline must fail naming the
     /// timed-out leg; a chaos-free `--resume` must then reproduce the
     /// reference.
     fn stall_timeout_and_resume(&self, reference: &[u8]) -> Result<(), String> {
-        eprintln!("chaos: scenario stall-timeout+resume...");
         let journal = self.root.join("timeout-journal");
         let out = self.spawn(
             &self.sweep_args(false, Some("0.05")),
@@ -1216,23 +1127,12 @@ impl ChaosHarness {
         if !stderr.contains("timed out") {
             return Err(format!("expected a timed-out leg, got:\n{stderr}"));
         }
-        let resumed = self.spawn(&self.sweep_args(true, None), &journal, None, &[])?;
-        if !resumed.status.success() {
-            return Err(format!(
-                "resume after timeout failed:\n{}",
-                String::from_utf8_lossy(&resumed.stderr)
-            ));
-        }
-        if resumed.stdout != reference {
-            return Err("resume after timeout differs from the reference".into());
-        }
-        Ok(())
+        self.resumes_to(&journal, reference, "timeout")
     }
 
     /// Injected leg panics must never corrupt state: the run either
     /// completes with reference bytes or a `--resume` reproduces them.
     fn panic_and_resume(&self, reference: &[u8]) -> Result<(), String> {
-        eprintln!("chaos: scenario panic+resume...");
         let journal = self.root.join("panic-journal");
         let out = self.spawn(
             &self.sweep_args(false, None),
@@ -1241,23 +1141,19 @@ impl ChaosHarness {
             &[("CAP_CHAOS_PANIC", format!("30:{}", self.seed))],
         )?;
         if out.status.success() {
-            return if out.stdout == reference {
-                Ok(())
-            } else {
-                Err("panic-free run differs from the reference".into())
-            };
+            return same(&out.stdout, reference, "panic-free run");
         }
-        let resumed = self.spawn(&self.sweep_args(true, None), &journal, None, &[])?;
-        if !resumed.status.success() {
-            return Err(format!(
-                "resume after panic failed:\n{}",
-                String::from_utf8_lossy(&resumed.stderr)
-            ));
-        }
-        if resumed.stdout != reference {
-            return Err("resume after panic differs from the reference".into());
-        }
+        self.resumes_to(&journal, reference, "panic")
+    }
+}
+
+/// `Ok` when a chaos run printed the reference bytes; otherwise an error
+/// naming the run.
+fn same(got: &[u8], reference: &[u8], what: &str) -> Result<(), String> {
+    if got == reference {
         Ok(())
+    } else {
+        Err(format!("{what} differs from the reference"))
     }
 }
 
@@ -1370,27 +1266,128 @@ mod tests {
         assert_eq!(find_app("APPCG").unwrap(), App::Appcg);
     }
 
+    fn command(name: &str) -> &'static Command {
+        COMMANDS.iter().find(|c| c.name == name).unwrap()
+    }
+
+    /// Parses flags as `faults radar` takes them: `faults` takes every
+    /// campaign flag, `--policy` included.
+    fn flags(rest: &[&str]) -> Result<Args, String> {
+        let tokens: Vec<&str> = std::iter::once("radar").chain(rest.iter().copied()).collect();
+        parse(command("faults"), &tokens)
+    }
+
     #[test]
     fn flags_parse_and_reject() {
-        let f = parse_flags(&["--jobs", "4", "--seed", "99"]).unwrap();
-        assert_eq!(f.jobs, Some(4));
+        let f = flags(&["--jobs", "4", "--seed", "99"]).unwrap();
+        assert_eq!(f.run.jobs, Some(4));
         assert_eq!(f.seed, Some(99));
-        assert_eq!(parse_flags(&[]).unwrap().jobs, None);
-        let t = parse_flags(&["--trace", "out.jsonl"]).unwrap();
-        assert_eq!(t.trace.as_deref(), Some("out.jsonl"));
-        let r = parse_flags(&["--resume", "--leg-timeout", "2.5"]).unwrap();
+        assert_eq!(flags(&[]).unwrap().run.jobs, None);
+        let t = flags(&["--trace", "out.jsonl"]).unwrap();
+        assert_eq!(t.run.trace.as_deref(), Some(Path::new("out.jsonl")));
+        let r = flags(&["--resume", "--leg-timeout", "2.5"]).unwrap();
         assert!(r.resume);
-        assert_eq!(r.leg_timeout, Some(std::time::Duration::from_millis(2500)));
-        assert!(!parse_flags(&[]).unwrap().resume);
-        assert!(parse_flags(&["--leg-timeout"]).unwrap_err().contains("usage:"));
-        assert!(parse_flags(&["--leg-timeout", "0"]).unwrap_err().contains("usage:"));
-        assert!(parse_flags(&["--leg-timeout", "soon"]).unwrap_err().contains("usage:"));
-        assert!(parse_flags(&["--trace"]).unwrap_err().contains("usage:"));
-        assert!(parse_flags(&["--jobs"]).unwrap_err().contains("usage:"));
-        assert!(parse_flags(&["--jobs", "0"]).unwrap_err().contains("usage:"));
-        assert!(parse_flags(&["--jobs", "many"]).unwrap_err().contains("usage:"));
-        assert!(parse_flags(&["--seed", "-1"]).unwrap_err().contains("usage:"));
-        assert!(parse_flags(&["--frobnicate"]).unwrap_err().contains("usage:"));
+        assert_eq!(r.run.leg_timeout, Some(std::time::Duration::from_millis(2500)));
+        assert!(!flags(&[]).unwrap().resume);
+        assert!(flags(&["--leg-timeout"]).unwrap_err().contains("usage:"));
+        assert!(flags(&["--leg-timeout", "0"]).unwrap_err().contains("usage:"));
+        assert!(flags(&["--leg-timeout", "soon"]).unwrap_err().contains("usage:"));
+        assert!(flags(&["--trace"]).unwrap_err().contains("usage:"));
+        assert!(flags(&["--jobs"]).unwrap_err().contains("usage:"));
+        assert!(flags(&["--jobs", "0"]).unwrap_err().contains("usage:"));
+        assert!(flags(&["--jobs", "many"]).unwrap_err().contains("usage:"));
+        assert!(flags(&["--seed", "-1"]).unwrap_err().contains("usage:"));
+        assert!(flags(&["--frobnicate"]).unwrap_err().contains("usage:"));
+    }
+
+    #[test]
+    fn every_table_flag_parses_and_every_row_is_documented() {
+        let entry = |name: &str| {
+            let head = format!("\n  {name} ");
+            let start = USAGE.find(&head).unwrap_or_else(|| panic!("no USAGE entry for {name}")) + 1;
+            let rest = &USAGE[start + head.len() - 1..];
+            // The entry runs until the next line that starts a new one.
+            let end = rest
+                .match_indices('\n')
+                .map(|(i, _)| i)
+                .find(|&i| !rest[i + 1..].starts_with("   "))
+                .unwrap_or(rest.len());
+            &USAGE[start..start + head.len() - 1 + end]
+        };
+        for cmd in COMMANDS {
+            // A plan-only campaign is documented under `plan`.
+            let (name, text) = match cmd.role {
+                Role::PlanOnly => ("plan", entry("plan")),
+                _ => (cmd.name, entry(cmd.name)),
+            };
+            if cmd.role != Role::PlanOnly {
+                assert!(text.starts_with(&format!("  {}", cmd.synopsis())), "{name}: {text}");
+            }
+            for flag in cmd.flags {
+                assert!(text.contains(flag), "USAGE entry of {name} omits {flag}:\n{text}");
+                let set = Args::default().set(flag, &mut std::iter::once("1"));
+                assert!(!set.is_err_and(|e| e.contains("unknown flag")), "{flag}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_flag_the_subcommand_does_not_take_names_both() {
+        let err = run(&["managed", "radar", "--jobs", "3"]).unwrap_err();
+        assert!(err.contains("`managed <app>` takes only") && err.contains("not `--jobs`"), "{err}");
+        assert!(err.contains("usage:"), "{err}");
+        let err = run(&["sweep", "cache", "--policy", "confidence"]).unwrap_err();
+        assert!(err.contains("not `--policy`") && err.contains("usage:"), "{err}");
+        let err = run(&["headline", "--resume"]).unwrap_err();
+        assert!(err.contains("`headline` takes only") && err.contains("campaign commands"), "{err}");
+        let err = run(&["plan", "figures", "--policy", "confidence"]).unwrap_err();
+        assert!(err.contains("`figures` takes only"), "{err}");
+        assert!(run(&["cache", "gcc", "extra"]).unwrap_err().contains("no other arguments"));
+        assert!(run(&["figures"]).unwrap_err().starts_with("usage:"), "figures runs under plan only");
+    }
+
+    #[test]
+    fn campaign_identity_keeps_journal_names_headers_and_resume_commands() {
+        let build = |tokens: &[&str]| {
+            let campaign = build_campaign(&parse_campaign("plan", tokens).unwrap(), ExperimentScale::Smoke).unwrap();
+            let (file, header) = campaign.compiled.journal.unwrap();
+            (file, header.experiment, header.seed, header.scale, header.policy, campaign.resume_cmd)
+        };
+        assert_eq!(
+            build(&["sweep", "queue", "--seed", "3"]),
+            (
+                "sweep-queue-smoke-0000000000000003.jsonl".to_string(),
+                "sweep-queue".to_string(),
+                3,
+                "smoke".to_string(),
+                None,
+                "capsim sweep queue --seed 3 --resume".to_string()
+            )
+        );
+        assert_eq!(
+            build(&["compare-policies", "GCC", "--seed", "0x10"]),
+            (
+                "compare-policies-gcc-smoke-0000000000000010.jsonl".to_string(),
+                "compare-policies-gcc".to_string(),
+                16,
+                "smoke".to_string(),
+                None,
+                "capsim compare-policies gcc --seed 16 --resume".to_string()
+            )
+        );
+        assert_eq!(
+            build(&["faults", "radar", "--seed", "42", "--policy", "hysteresis"]),
+            (
+                "faults-radar-smoke-000000000000002a-hysteresis.jsonl".to_string(),
+                "faults-radar".to_string(),
+                42,
+                "smoke".to_string(),
+                Some("hysteresis".to_string()),
+                "capsim faults radar --seed 42 --policy hysteresis --resume".to_string()
+            )
+        );
+        let headline = build_campaign(&parse_campaign("plan", &["headline"]).unwrap(), ExperimentScale::Smoke).unwrap();
+        assert!(headline.compiled.journal.is_none() && headline.resume_cmd.is_empty());
     }
 
     #[test]
@@ -1452,21 +1449,21 @@ mod tests {
 
     #[test]
     fn verify_flags_parse_and_reject() {
-        let d = VerifyOpts::parse(&[]).unwrap();
-        assert_eq!(d.cases, 1000);
-        assert_eq!(d.seed, 1);
+        let verify = |rest: &[&str]| parse(command("verify"), rest);
+        let d = verify(&[]).unwrap();
+        assert_eq!((d.cases, d.seed), (None, None), "run() applies 1000 cases, seed 1");
         assert!(d.replay.is_none());
         assert!(!d.self_check);
-        let f = VerifyOpts::parse(&["--cases", "50", "--seed", "9"]).unwrap();
-        assert_eq!((f.cases, f.seed), (50, 9));
-        let r = VerifyOpts::parse(&["--replay", "repro.json"]).unwrap();
+        let f = verify(&["--cases", "50", "--seed", "9"]).unwrap();
+        assert_eq!((f.cases, f.seed), (Some(50), Some(9)));
+        let r = verify(&["--replay", "repro.json"]).unwrap();
         assert_eq!(r.replay.as_deref(), Some("repro.json"));
-        assert!(VerifyOpts::parse(&["--self-check"]).unwrap().self_check);
-        assert!(VerifyOpts::parse(&["--cases"]).unwrap_err().contains("usage:"));
-        assert!(VerifyOpts::parse(&["--cases", "0"]).unwrap_err().contains("usage:"));
-        assert!(VerifyOpts::parse(&["--seed", "nope"]).unwrap_err().contains("usage:"));
-        assert!(VerifyOpts::parse(&["--jobs", "2"]).unwrap_err().contains("usage:"));
-        assert!(VerifyOpts::parse(&["--replay", "x", "--self-check"])
+        assert!(verify(&["--self-check"]).unwrap().self_check);
+        assert!(verify(&["--cases"]).unwrap_err().contains("usage:"));
+        assert!(verify(&["--cases", "0"]).unwrap_err().contains("usage:"));
+        assert!(verify(&["--seed", "nope"]).unwrap_err().contains("usage:"));
+        assert!(verify(&["--jobs", "2"]).unwrap_err().contains("usage:"));
+        assert!(run(&["verify", "--replay", "x", "--self-check"])
             .unwrap_err()
             .contains("mutually exclusive"));
     }
@@ -1500,12 +1497,13 @@ mod tests {
 
     #[test]
     fn serve_flags_parse_and_reject() {
-        let d = ServeOpts::parse(&[]).unwrap();
-        assert_eq!(d.addr, serve::DEFAULT_ADDR);
-        assert_eq!(d.max_inflight, 4);
-        assert!(d.jobs.is_none());
+        let serve = |rest: &[&str]| parse(command("serve"), rest);
+        let d = serve(&[]).unwrap();
+        assert_eq!(d.addr(), serve::DEFAULT_ADDR);
+        assert_eq!(d.max_inflight, None, "run() applies the default of 4");
+        assert!(d.run.jobs.is_none());
         assert!(d.addr_file.is_none());
-        let f = ServeOpts::parse(&[
+        let f = serve(&[
             "--addr",
             "127.0.0.1:0",
             "--jobs",
@@ -1516,25 +1514,26 @@ mod tests {
             "addr.txt",
         ])
         .unwrap();
-        assert_eq!(f.addr, "127.0.0.1:0");
-        assert_eq!(f.jobs, Some(2));
-        assert_eq!(f.max_inflight, 1);
+        assert_eq!(f.addr(), "127.0.0.1:0");
+        assert_eq!(f.run.jobs, Some(2));
+        assert_eq!(f.max_inflight, Some(1));
         assert_eq!(f.addr_file.as_deref(), Some("addr.txt"));
-        assert!(ServeOpts::parse(&["--addr"]).unwrap_err().contains("usage:"));
-        assert!(ServeOpts::parse(&["--jobs", "0"]).unwrap_err().contains("usage:"));
-        assert!(ServeOpts::parse(&["--max-inflight", "none"]).unwrap_err().contains("usage:"));
-        assert!(ServeOpts::parse(&["--resume"]).unwrap_err().contains("unknown serve flag"));
+        assert!(serve(&["--addr"]).unwrap_err().contains("usage:"));
+        assert!(serve(&["--jobs", "0"]).unwrap_err().contains("usage:"));
+        assert!(serve(&["--max-inflight", "none"]).unwrap_err().contains("usage:"));
+        assert!(serve(&["--resume"]).unwrap_err().contains("`serve` takes only"));
     }
 
     #[test]
     fn submit_and_status_validate_arguments() {
-        let (addr, args) = split_addr(&["sweep", "all", "--addr", "127.0.0.1:7777"]).unwrap();
-        assert_eq!(addr, "127.0.0.1:7777");
-        assert_eq!(args, ["sweep", "all"]);
-        let (addr, args) = split_addr(&["status"]).unwrap();
-        assert_eq!(addr, serve::DEFAULT_ADDR);
-        assert_eq!(args, ["status"]);
-        assert!(split_addr(&["--addr"]).unwrap_err().contains("usage:"));
+        let a = parse(command("submit"), &["sweep", "all", "--addr", "127.0.0.1:7777"]).unwrap();
+        assert_eq!(a.addr(), "127.0.0.1:7777");
+        assert_eq!(a.operands, ["sweep", "all"]);
+        // Every token but --addr is the campaign's, forwarded untouched.
+        let a = parse(command("submit"), &["sweep", "all", "--resume"]).unwrap();
+        assert_eq!(a.operands, ["sweep", "all", "--resume"]);
+        assert_eq!(parse(command("status"), &[] as &[&str]).unwrap().addr(), serve::DEFAULT_ADDR);
+        assert!(parse(command("status"), &["--addr"]).unwrap_err().contains("usage:"));
         assert!(run(&["submit"]).unwrap_err().contains("submit wants a campaign"));
         assert!(run(&["submit", "--addr", "127.0.0.1:9"])
             .unwrap_err()

@@ -307,3 +307,76 @@ fn unwritable_trace_path_fails_cleanly() {
     assert!(stderr.contains("--trace"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// Stdout of a `capsim` run that must succeed.
+fn ok_stdout(capsim: Capsim) -> Vec<u8> {
+    let out = capsim.run();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    out.stdout
+}
+
+#[test]
+fn managed_honours_seed_and_takes_no_jobs() {
+    // The seed moves turb3d's report. Radar's report rounds to the same
+    // three decimals at seed 7, but its per-interval decisions move.
+    let turb3d = |args: &[&str]| ok_stdout(Capsim::new(&[&["managed", "turb3d"], args].concat()));
+    assert_ne!(turb3d(&["--seed", "7"]), turb3d(&[]));
+    let dir = common::tmp_dir("managed-seed");
+    let trace = |seed: &str| {
+        let path = dir.join(format!("radar-{seed}.jsonl"));
+        let args = ["managed", "radar", "--seed", seed, "--trace", path.to_str().unwrap()];
+        ok_stdout(Capsim::new(&args));
+        std::fs::read(&path).unwrap()
+    };
+    assert_ne!(trace("7"), trace("0x15ca1998"));
+    // `managed` is one serial pass: there is no worker count to set.
+    assert_usage_failure(&["managed", "radar", "--jobs", "3"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn managed_turb3d_keeps_its_report() {
+    assert_eq!(
+        String::from_utf8(ok_stdout(Capsim::new(&["managed", "turb3d"]))).unwrap(),
+        "policy:        confident\nprocess level: 0.118 ns\nmanaged:       0.120 ns (31 switches)\noracle:        0.117 ns\n"
+    );
+}
+
+#[test]
+fn trace_flag_leaves_the_cap_trace_file_untouched() {
+    let dir = common::tmp_dir("trace-flag-wins");
+    let env_trace = dir.join("env.jsonl");
+    let flag_trace = dir.join("flag.jsonl");
+    std::fs::write(&env_trace, "written before the run\n").unwrap();
+    for cmd in [&["managed", "radar"][..], &["sweep", "queue"][..]] {
+        let args = [cmd, &["--trace", flag_trace.to_str().unwrap()]].concat();
+        ok_stdout(Capsim::new(&args).env("CAP_TRACE", env_trace.to_str().unwrap()));
+        assert_eq!(std::fs::read_to_string(&env_trace).unwrap(), "written before the run\n", "{cmd:?}");
+        assert!(!std::fs::read(&flag_trace).unwrap().is_empty(), "{cmd:?} traces to the flag's file");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn leg_timeout_flag_wins_over_a_malformed_variable() {
+    let malformed = |args: &[&str]| Capsim::new(args).env("CAP_LEG_TIMEOUT", "soon").run();
+    let out = malformed(&["sweep", "queue", "--leg-timeout", "2"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = malformed(&["sweep", "queue"]);
+    assert!(!out.status.success(), "without the flag the variable is read, and rejected");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("CAP_LEG_TIMEOUT"));
+}
+
+#[test]
+fn headline_takes_its_flags_directly_as_under_plan() {
+    let direct = ok_stdout(Capsim::new(&["headline", "--seed", "7"]));
+    assert_eq!(direct, ok_stdout(Capsim::new(&["plan", "headline", "--seed", "7"])));
+    assert_ne!(direct, ok_stdout(Capsim::new(&["headline"])), "the seed reaches the plan");
+}
+
+#[test]
+fn sweep_rejects_the_policy_flag() {
+    // Sweeps hold every configuration fixed; a policy cannot change them.
+    assert_usage_failure(&["sweep", "cache", "--policy", "confidence"]);
+    assert_usage_failure(&["plan", "sweep", "all", "--policy", "hysteresis"]);
+}
