@@ -406,20 +406,23 @@ fn campaign_wanted(wrapper: &str) -> String {
 /// disables it.
 fn exec_policy(args: &Args) -> Result<ExecPolicy, String> {
     let exec = ExecPolicy::from_env(&args.run).map_err(|e| e.to_string())?;
-    if exec.cache().is_some() || std::env::var_os("CAP_NO_CACHE").is_some() {
-        return Ok(exec);
+    if exec.cache().is_none() && std::env::var_os("CAP_NO_CACHE").is_none() {
+        let cache = ResultCache::at("results/cache");
+        cache.ensure_writable().map_err(|e| {
+            format!("results/cache is unusable: {e} (set CAP_CACHE_DIR or CAP_NO_CACHE=1)")
+        })?;
+        Ok(exec.cached(cache))
+    } else {
+        Ok(exec)
     }
-    let cache = ResultCache::at("results/cache");
-    cache.ensure_writable().map_err(|e| {
-        format!("results/cache is unusable: {e} (set CAP_CACHE_DIR or CAP_NO_CACHE=1)")
-    })?;
-    Ok(exec.cached(cache))
 }
 
 /// Directory for campaign leg journals: `CAP_JOURNAL_DIR`, defaulting to
 /// `results/journal`.
 fn journal_dir() -> PathBuf {
-    std::env::var_os("CAP_JOURNAL_DIR").map_or_else(|| "results/journal".into(), PathBuf::from)
+    std::env::var_os("CAP_JOURNAL_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("results/journal"))
 }
 
 /// Opens the write-ahead leg journal for a campaign command. Resume
@@ -626,13 +629,12 @@ fn run(tokens: &[&str]) -> Result<String, String> {
             if args.pattern && kind != PolicyKind::Confidence {
                 return Err(format!("--pattern requires the confidence policy\n{USAGE}"));
             }
-            // The managed run is one serial chain (clock and manager
-            // state carry across intervals); only the recorder is
-            // attached.
-            let mut exec = ExecPolicy::serial();
-            if let Some(recorder) = resolve_recorder(args.run.trace.as_deref())? {
-                exec = exec.with_recorder(recorder);
-            }
+            // The managed run is a serial chain (clock and manager state
+            // carry across intervals); only the recorder is attached.
+            let exec = match resolve_recorder(args.run.trace.as_deref())? {
+                Some(recorder) => ExecPolicy::serial().with_recorder(recorder),
+                None => ExecPolicy::serial(),
+            };
             let confidence = if args.eager { ConfidencePolicy::none() } else { ConfidencePolicy::default_policy() };
             let mut config = PolicyConfig::new(kind).with_confidence(confidence);
             if args.pattern {
@@ -643,11 +645,14 @@ fn run(tokens: &[&str]) -> Result<String, String> {
                 .policy_comparison(app, 400, &[config], &exec)
                 .map_err(|e| e.to_string())?
                 .remove(0);
-            let label = match (args.eager, args.pattern, args.policy) {
-                (true, ..) => "eager (no confidence)".to_string(),
-                (_, true, _) => format!("{kind} (pattern detection)"),
-                (_, _, None) => "confident".to_string(),
-                _ => kind.to_string(),
+            let label = if args.eager {
+                "eager (no confidence)".to_string()
+            } else if kind == PolicyKind::Confidence && args.policy.is_none() && !args.pattern {
+                "confident".to_string()
+            } else if args.pattern {
+                format!("{kind} (pattern detection)")
+            } else {
+                kind.to_string()
             };
             let _ = writeln!(out, "policy:        {label}");
             let _ = writeln!(out, "process level: {:.3} ns", cmp.process_level_tpi);
@@ -704,24 +709,24 @@ fn run(tokens: &[&str]) -> Result<String, String> {
             let _ = writeln!(out, "== chaos: sweep {kind}, seed {}", harness.seed);
             eprintln!("chaos: recording uninterrupted reference run...");
             let reference = harness.reference()?;
-            type Scenario = fn(&ChaosHarness, &[u8]) -> Result<(), String>;
-            let scenarios: [(&str, Scenario); 5] = [
-                ("kill+resume", ChaosHarness::kill_and_resume),
-                ("cache-corruption", ChaosHarness::corruption_recovery),
-                ("stall-recovery", ChaosHarness::stall_recovery),
-                ("stall-timeout+resume", ChaosHarness::stall_timeout_and_resume),
-                ("panic+resume", ChaosHarness::panic_and_resume),
+            let scenarios: [(&str, Result<(), String>); 5] = [
+                ("kill+resume", harness.kill_and_resume(&reference)),
+                ("cache-corruption", harness.corruption_recovery(&reference)),
+                ("stall-recovery", harness.stall_recovery(&reference)),
+                ("stall-timeout+resume", harness.stall_timeout_and_resume(&reference)),
+                ("panic+resume", harness.panic_and_resume(&reference)),
             ];
             let mut failures = 0;
-            for (name, scenario) in scenarios {
-                eprintln!("chaos: scenario {name}...");
-                let _ = match scenario(&harness, &reference) {
-                    Ok(()) => writeln!(out, "PASS {name}"),
+            for (name, result) in scenarios {
+                match result {
+                    Ok(()) => {
+                        let _ = writeln!(out, "PASS {name}");
+                    }
                     Err(why) => {
                         failures += 1;
-                        writeln!(out, "FAIL {name}: {why}")
+                        let _ = writeln!(out, "FAIL {name}: {why}");
                     }
-                };
+                }
             }
             if failures > 0 {
                 return Err(format!(
@@ -736,17 +741,11 @@ fn run(tokens: &[&str]) -> Result<String, String> {
             if args.replay.is_some() && args.self_check {
                 return Err(format!("--replay and --self-check are mutually exclusive\n{USAGE}"));
             }
-            let seed = args.seed.unwrap_or(1);
-            // Repro files and journal scratch: CAP_VERIFY_DIR, else the
-            // current directory.
-            let out_dir = std::env::var_os("CAP_VERIFY_DIR").map_or_else(|| ".".into(), PathBuf::from);
-            std::fs::create_dir_all(&out_dir).map_err(|e| {
-                format!("cannot create verify directory `{}`: {e}", out_dir.display())
-            })?;
+            let cfg = verify_config(&args, verify_out_dir()?);
             if let Some(path) = &args.replay {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read repro `{path}`: {e}"))?;
-                match replay(&text, &out_dir)? {
+                match replay(&text, &cfg.out_dir)? {
                     ReplayOutcome::Reproduced(message) => {
                         return Err(format!("replay: REPRODUCED\n  {message}"));
                     }
@@ -755,7 +754,7 @@ fn run(tokens: &[&str]) -> Result<String, String> {
                     }
                 }
             } else if args.self_check {
-                let report = run_self_check(seed, &out_dir)
+                let report = run_self_check(cfg.seed, &cfg.out_dir)
                     .map_err(|e| format!("self-check FAILED: {e}"))?;
                 let _ = writeln!(
                     out,
@@ -766,7 +765,6 @@ fn run(tokens: &[&str]) -> Result<String, String> {
                 let _ = writeln!(out, "  repro replayed twice from disk, byte-identical outcome");
                 let _ = std::fs::remove_file(&report.repro_path);
             } else {
-                let cfg = VerifyConfig { cases: args.cases.unwrap_or(1000) as u64, seed, out_dir };
                 eprintln!("verify: {} cases/property, seed {}", cfg.cases, cfg.seed);
                 let report = run_verify(&cfg, &mut |p| {
                     let status = match &p.failure {
@@ -819,13 +817,7 @@ fn run(tokens: &[&str]) -> Result<String, String> {
             let compiler: serve::CampaignCompiler = Arc::new(move |tokens: &[String]| {
                 Ok(build_campaign(&parse_campaign("submit", tokens)?, scale)?.compiled)
             });
-            let config = serve::ServeConfig {
-                addr: args.addr().to_string(),
-                max_inflight: args.max_inflight.unwrap_or(4),
-                journal_dir: journal_dir(),
-                addr_file: args.addr_file.map(PathBuf::from),
-            };
-            let summary = serve::serve(&config, exec, compiler)?;
+            let summary = serve::serve(&serve_config(&args), exec, compiler)?;
             let _ = write!(out, "{}", summary.render());
         }
         "submit" => {
@@ -849,6 +841,34 @@ fn run(tokens: &[&str]) -> Result<String, String> {
         other => unreachable!("`{other}` has a row in COMMANDS but no arm here"),
     }
     Ok(out)
+}
+
+/// Where `capsim verify` writes repro files and journal scratch:
+/// `CAP_VERIFY_DIR`, defaulting to the current directory.
+fn verify_out_dir() -> Result<PathBuf, String> {
+    let dir = std::env::var_os("CAP_VERIFY_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("."));
+    std::fs::create_dir_all(&dir)
+        .map_err(|e| format!("cannot create verify directory `{}`: {e}", dir.display()))?;
+    Ok(dir)
+}
+
+/// `verify`'s settings: 1000 fuzz cases per property and root seed 1
+/// unless `--cases`/`--seed` say otherwise.
+fn verify_config(args: &Args, out_dir: PathBuf) -> VerifyConfig {
+    VerifyConfig { cases: args.cases.map_or(1000, |n| n as u64), seed: args.seed.unwrap_or(1), out_dir }
+}
+
+/// `serve`'s settings: the well-known address and at most 4 campaigns
+/// in flight unless `--addr`/`--max-inflight` say otherwise.
+fn serve_config(args: &Args) -> serve::ServeConfig {
+    serve::ServeConfig {
+        addr: args.addr().to_string(),
+        max_inflight: args.max_inflight.unwrap_or(4),
+        journal_dir: journal_dir(),
+        addr_file: args.addr_file.as_ref().map(PathBuf::from),
+    }
 }
 
 /// `capsim bench` — wall-clock timing of the full-suite sweeps.
@@ -982,9 +1002,13 @@ impl ChaosHarness {
         cmd.env("CAP_SCALE", "smoke");
         cmd.env("CAP_JOURNAL_DIR", journal);
         match cache {
-            Some(dir) => cmd.env("CAP_CACHE_DIR", dir),
-            None => cmd.env("CAP_NO_CACHE", "1"),
-        };
+            Some(dir) => {
+                cmd.env("CAP_CACHE_DIR", dir);
+            }
+            None => {
+                cmd.env("CAP_NO_CACHE", "1");
+            }
+        }
         for (key, value) in extra {
             cmd.env(key, value);
         }
@@ -992,42 +1016,22 @@ impl ChaosHarness {
             .map_err(|e| format!("chaos: cannot spawn {}: {e}", self.exe.display()))
     }
 
-    /// Runs one sweep that must succeed and returns its stdout; `what`
-    /// names the run in the error.
-    fn sweep_ok(
-        &self,
-        args: &[String],
-        journal: &Path,
-        cache: Option<&Path>,
-        extra: &[(&str, String)],
-        what: &str,
-    ) -> Result<Vec<u8>, String> {
-        let out = self.spawn(args, journal, cache, extra)?;
-        if out.status.success() {
-            Ok(out.stdout)
-        } else {
-            Err(format!("{what}:\n{}", String::from_utf8_lossy(&out.stderr)))
-        }
-    }
-
-    /// A chaos-free `--resume` over `journal` must reproduce the
-    /// reference bytes.
-    fn resumes_to(&self, journal: &Path, reference: &[u8], after: &str) -> Result<(), String> {
-        let what = format!("resume after {after}");
-        let resumed =
-            self.sweep_ok(&self.sweep_args(true, None), journal, None, &[], &format!("{what} failed"))?;
-        same(&resumed, reference, &what)
-    }
-
     /// The uninterrupted, fault-free run every scenario must reproduce.
     fn reference(&self) -> Result<Vec<u8>, String> {
-        let journal = self.root.join("ref-journal");
-        self.sweep_ok(&self.sweep_args(false, None), &journal, None, &[], "chaos: reference run failed")
+        let out = self.spawn(&self.sweep_args(false, None), &self.root.join("ref-journal"), None, &[])?;
+        if !out.status.success() {
+            return Err(format!(
+                "chaos: reference run failed:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            ));
+        }
+        Ok(out.stdout)
     }
 
     /// A simulated kill at a seed-chosen leg boundary must leave a
     /// journal from which `--resume` reproduces the reference bytes.
     fn kill_and_resume(&self, reference: &[u8]) -> Result<(), String> {
+        eprintln!("chaos: scenario kill+resume...");
         let journal = self.root.join("kill-journal");
         let kill_after = 1 + self.seed % 10;
         let out = self.spawn(
@@ -1042,7 +1046,17 @@ impl ChaosHarness {
                 out.status.code()
             ));
         }
-        self.resumes_to(&journal, reference, "kill")
+        let resumed = self.spawn(&self.sweep_args(true, None), &journal, None, &[])?;
+        if !resumed.status.success() {
+            return Err(format!(
+                "resume after kill failed:\n{}",
+                String::from_utf8_lossy(&resumed.stderr)
+            ));
+        }
+        if resumed.stdout != reference {
+            return Err("resumed output differs from the uninterrupted run".into());
+        }
+        Ok(())
     }
 
     /// Damages the first (sorted) committed cache entry under `dir`.
@@ -1074,14 +1088,31 @@ impl ChaosHarness {
     /// A corrupted cache entry must be quarantined and recomputed — same
     /// bytes out — and `doctor` must flag further damage.
     fn corruption_recovery(&self, reference: &[u8]) -> Result<(), String> {
+        eprintln!("chaos: scenario cache-corruption...");
         let cache = self.root.join("cache");
-        let args = self.sweep_args(false, None);
-        let cold = self.sweep_ok(&args, &self.root.join("cc-j1"), Some(&cache), &[], "cold cached run failed")?;
-        same(&cold, reference, "cached cold run")?;
+        let cold =
+            self.spawn(&self.sweep_args(false, None), &self.root.join("cc-j1"), Some(&cache), &[])?;
+        if !cold.status.success() {
+            return Err(format!(
+                "cold cached run failed:\n{}",
+                String::from_utf8_lossy(&cold.stderr)
+            ));
+        }
+        if cold.stdout != reference {
+            return Err("cached cold run differs from the no-cache reference".into());
+        }
         Self::corrupt_one_entry(&cache)?;
-        let what = "run over a corrupted cache";
-        let warm = self.sweep_ok(&args, &self.root.join("cc-j2"), Some(&cache), &[], &format!("{what} failed"))?;
-        same(&warm, reference, what)?;
+        let warm =
+            self.spawn(&self.sweep_args(false, None), &self.root.join("cc-j2"), Some(&cache), &[])?;
+        if !warm.status.success() {
+            return Err(format!(
+                "run over a corrupted cache failed:\n{}",
+                String::from_utf8_lossy(&warm.stderr)
+            ));
+        }
+        if warm.stdout != reference {
+            return Err("run over a corrupted cache differs from the reference".into());
+        }
         let quarantined = std::fs::read_dir(cache.join(QUARANTINE_DIR))
             .map(Iterator::count)
             .unwrap_or(0);
@@ -1099,20 +1130,30 @@ impl ChaosHarness {
     /// Stalled legs under a generous deadline must still complete with
     /// reference bytes.
     fn stall_recovery(&self, reference: &[u8]) -> Result<(), String> {
-        let out = self.sweep_ok(
+        eprintln!("chaos: scenario stall-recovery...");
+        let out = self.spawn(
             &self.sweep_args(false, Some("30")),
             &self.root.join("stall-journal"),
             None,
             &[("CAP_CHAOS_STALL", format!("100:{}:20", self.seed))],
-            "stalled run should finish under a generous deadline",
         )?;
-        same(&out, reference, "stalled run output")
+        if !out.status.success() {
+            return Err(format!(
+                "stalled run should finish under a generous deadline:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            ));
+        }
+        if out.stdout != reference {
+            return Err("stalled run output differs from the reference".into());
+        }
+        Ok(())
     }
 
     /// Hopeless stalls under a tight deadline must fail naming the
     /// timed-out leg; a chaos-free `--resume` must then reproduce the
     /// reference.
     fn stall_timeout_and_resume(&self, reference: &[u8]) -> Result<(), String> {
+        eprintln!("chaos: scenario stall-timeout+resume...");
         let journal = self.root.join("timeout-journal");
         let out = self.spawn(
             &self.sweep_args(false, Some("0.05")),
@@ -1127,12 +1168,23 @@ impl ChaosHarness {
         if !stderr.contains("timed out") {
             return Err(format!("expected a timed-out leg, got:\n{stderr}"));
         }
-        self.resumes_to(&journal, reference, "timeout")
+        let resumed = self.spawn(&self.sweep_args(true, None), &journal, None, &[])?;
+        if !resumed.status.success() {
+            return Err(format!(
+                "resume after timeout failed:\n{}",
+                String::from_utf8_lossy(&resumed.stderr)
+            ));
+        }
+        if resumed.stdout != reference {
+            return Err("resume after timeout differs from the reference".into());
+        }
+        Ok(())
     }
 
     /// Injected leg panics must never corrupt state: the run either
     /// completes with reference bytes or a `--resume` reproduces them.
     fn panic_and_resume(&self, reference: &[u8]) -> Result<(), String> {
+        eprintln!("chaos: scenario panic+resume...");
         let journal = self.root.join("panic-journal");
         let out = self.spawn(
             &self.sweep_args(false, None),
@@ -1141,19 +1193,23 @@ impl ChaosHarness {
             &[("CAP_CHAOS_PANIC", format!("30:{}", self.seed))],
         )?;
         if out.status.success() {
-            return same(&out.stdout, reference, "panic-free run");
+            return if out.stdout == reference {
+                Ok(())
+            } else {
+                Err("panic-free run differs from the reference".into())
+            };
         }
-        self.resumes_to(&journal, reference, "panic")
-    }
-}
-
-/// `Ok` when a chaos run printed the reference bytes; otherwise an error
-/// naming the run.
-fn same(got: &[u8], reference: &[u8], what: &str) -> Result<(), String> {
-    if got == reference {
+        let resumed = self.spawn(&self.sweep_args(true, None), &journal, None, &[])?;
+        if !resumed.status.success() {
+            return Err(format!(
+                "resume after panic failed:\n{}",
+                String::from_utf8_lossy(&resumed.stderr)
+            ));
+        }
+        if resumed.stdout != reference {
+            return Err("resume after panic differs from the reference".into());
+        }
         Ok(())
-    } else {
-        Err(format!("{what} differs from the reference"))
     }
 }
 
@@ -1451,11 +1507,13 @@ mod tests {
     fn verify_flags_parse_and_reject() {
         let verify = |rest: &[&str]| parse(command("verify"), rest);
         let d = verify(&[]).unwrap();
-        assert_eq!((d.cases, d.seed), (None, None), "run() applies 1000 cases, seed 1");
+        let cfg = verify_config(&d, PathBuf::from("."));
+        assert_eq!(cfg.cases, 1000);
+        assert_eq!(cfg.seed, 1);
         assert!(d.replay.is_none());
         assert!(!d.self_check);
-        let f = verify(&["--cases", "50", "--seed", "9"]).unwrap();
-        assert_eq!((f.cases, f.seed), (Some(50), Some(9)));
+        let f = verify_config(&verify(&["--cases", "50", "--seed", "9"]).unwrap(), PathBuf::from("."));
+        assert_eq!((f.cases, f.seed), (50, 9));
         let r = verify(&["--replay", "repro.json"]).unwrap();
         assert_eq!(r.replay.as_deref(), Some("repro.json"));
         assert!(verify(&["--self-check"]).unwrap().self_check);
@@ -1499,10 +1557,11 @@ mod tests {
     fn serve_flags_parse_and_reject() {
         let serve = |rest: &[&str]| parse(command("serve"), rest);
         let d = serve(&[]).unwrap();
-        assert_eq!(d.addr(), serve::DEFAULT_ADDR);
-        assert_eq!(d.max_inflight, None, "run() applies the default of 4");
+        let cfg = serve_config(&d);
+        assert_eq!(cfg.addr, serve::DEFAULT_ADDR);
+        assert_eq!(cfg.max_inflight, 4);
         assert!(d.run.jobs.is_none());
-        assert!(d.addr_file.is_none());
+        assert!(cfg.addr_file.is_none());
         let f = serve(&[
             "--addr",
             "127.0.0.1:0",
@@ -1514,10 +1573,11 @@ mod tests {
             "addr.txt",
         ])
         .unwrap();
-        assert_eq!(f.addr(), "127.0.0.1:0");
+        let cfg = serve_config(&f);
+        assert_eq!(cfg.addr, "127.0.0.1:0");
         assert_eq!(f.run.jobs, Some(2));
-        assert_eq!(f.max_inflight, Some(1));
-        assert_eq!(f.addr_file.as_deref(), Some("addr.txt"));
+        assert_eq!(cfg.max_inflight, 1);
+        assert_eq!(cfg.addr_file.as_deref(), Some(Path::new("addr.txt")));
         assert!(serve(&["--addr"]).unwrap_err().contains("usage:"));
         assert!(serve(&["--jobs", "0"]).unwrap_err().contains("usage:"));
         assert!(serve(&["--max-inflight", "none"]).unwrap_err().contains("usage:"));
