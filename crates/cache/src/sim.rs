@@ -25,28 +25,13 @@ pub fn run<S: AddressStream>(mut stream: S, refs: u64, cache: &mut AdaptiveCache
         let r = stream.next_ref();
         cache.access(r);
     }
-    let after = cache.stats();
-    CacheStats {
-        refs: after.refs - before.refs,
-        l1_hits: after.l1_hits - before.l1_hits,
-        l2_hits: after.l2_hits - before.l2_hits,
-        misses: after.misses - before.misses,
-        writebacks: after.writebacks - before.writebacks,
-    }
+    cache.stats() - before
 }
 
-/// [`run`] with trace emission: the interval's hit/miss counters are also
-/// recorded as one [`cap_obs::CacheSimEvent`], numbered so a managed
-/// cache run's simulator events line up with its decision events.
-pub fn run_observed<S: AddressStream>(
-    stream: S,
-    refs: u64,
-    cache: &mut AdaptiveCacheHierarchy,
-    recorder: &dyn Recorder,
-    label: Option<&str>,
-    interval: u64,
-) -> CacheStats {
-    let stats = run(stream, refs, cache);
+/// Traces one interval's hit/miss counters as a [`cap_obs::CacheSimEvent`],
+/// numbered `interval` so a managed cache run's simulator events line up
+/// with its decision events.
+pub fn record_stats(recorder: &dyn Recorder, label: Option<&str>, interval: u64, stats: &CacheStats) {
     if recorder.enabled() {
         recorder.record(&Event::CacheSim(CacheSimEvent {
             app: label.map(str::to_string),
@@ -57,7 +42,6 @@ pub fn run_observed<S: AddressStream>(
             misses: stats.misses,
         }));
     }
-    stats
 }
 
 /// One point of a boundary sweep.

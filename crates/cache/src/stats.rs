@@ -1,7 +1,7 @@
 //! Access-outcome accounting for the cache hierarchy.
 
 use std::fmt;
-use std::ops::{Add, AddAssign};
+use std::ops::{Add, AddAssign, Sub};
 
 /// Where a reference was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,6 +95,20 @@ impl Add for CacheStats {
 impl AddAssign for CacheStats {
     fn add_assign(&mut self, rhs: Self) {
         *self = *self + rhs;
+    }
+}
+
+/// The counters accrued between an earlier snapshot `rhs` and `self`.
+impl Sub for CacheStats {
+    type Output = Self;
+    fn sub(self, rhs: Self) -> Self {
+        CacheStats {
+            refs: self.refs - rhs.refs,
+            l1_hits: self.l1_hits - rhs.l1_hits,
+            l2_hits: self.l2_hits - rhs.l2_hits,
+            misses: self.misses - rhs.misses,
+            writebacks: self.writebacks - rhs.writebacks,
+        }
     }
 }
 

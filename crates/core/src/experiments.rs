@@ -23,7 +23,7 @@
 
 use crate::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
 use crate::error::CapError;
-use crate::manager::{run_managed_lanes, ManagedRun, QueueLane};
+use crate::manager::{lane_recorders, run_managed_lanes, ManagedRun, QueueLane};
 use crate::metrics::{BarChart, BarPair};
 use crate::plan::{run_leg, run_legs, Leg};
 use crate::policy::{PolicyConfig, PolicyKind};
@@ -35,7 +35,6 @@ use cap_ooo::interval::PAPER_INTERVAL_INSTS;
 use cap_ooo::multisweep::interval_lanes;
 use cap_obs::{
     CacheProbeEvent, CacheQuarantineEvent, CacheStoreEvent, Event, JournalLegEvent, Recorder,
-    RingRecorder,
 };
 use cap_par::{
     CacheKey, ChaosInjector, Gate, GatePermit, Journal, Pool, ResultCache, SingleFlight,
@@ -1196,7 +1195,7 @@ impl IntervalExperiment {
         let structure = QueueStructure::isca98(self.timing, 0)?;
         let clock = DynamicClock::for_structure(&structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
         let policy = config.build(structure.num_configs(), recorder, Some(app.name().to_string()))?;
-        Ok(QueueLane { structure, policy, clock })
+        Ok(QueueLane { structure, policy, clock, injector: None })
     }
 
     /// `app`'s instruction stream under this driver's seed.
@@ -1256,17 +1255,14 @@ impl IntervalExperiment {
         intervals: u64,
         traced: bool,
     ) -> Result<Vec<(ManagedRun, Vec<Event>)>, CapError> {
-        let buffers: Vec<Arc<RingRecorder>> = configs.iter().map(|_| Arc::new(RingRecorder::new())).collect();
+        let (recorders, buffers) = lane_recorders(configs.len(), traced);
         let mut lanes = configs
             .iter()
-            .zip(&buffers)
-            .map(|(config, buffer)| {
-                let recorder: Arc<dyn Recorder> = if traced { buffer.clone() } else { cap_obs::noop() };
-                self.managed_lane(app, config, recorder)
-            })
+            .zip(recorders)
+            .map(|(config, recorder)| self.managed_lane(app, config, recorder))
             .collect::<Result<Vec<_>, _>>()?;
         let runs = run_managed_lanes(self.stream(app), &mut lanes, intervals, PAPER_INTERVAL_INSTS)?;
-        Ok(runs.into_iter().zip(buffers).map(|(run, buffer)| (run, buffer.events())).collect())
+        Ok(runs.into_iter().zip(buffers).map(|(run, buffer)| (run.run, buffer.events())).collect())
     }
 
     /// Runs one application under every policy in [`PolicyKind::ALL`]
@@ -1372,6 +1368,7 @@ impl Default for IntervalExperiment {
 mod tests {
     use super::*;
     use crate::manager::{run_managed, ConfidencePolicy, QueueIntervalSim, SwitchRetryPolicy};
+    use cap_obs::RingRecorder;
 
     #[test]
     fn scale_tiers_are_ordered() {
@@ -1641,7 +1638,7 @@ mod tests {
         let lanes = exp.policy_lanes(App::Turb3d, 30, true).unwrap();
         for (kind, lane) in PolicyKind::ALL.into_iter().zip(&lanes) {
             let ring = Arc::new(RingRecorder::new());
-            let QueueLane { mut structure, mut policy, mut clock } =
+            let QueueLane { mut structure, mut policy, mut clock, .. } =
                 exp.managed_lane(App::Turb3d, &PolicyConfig::new(kind), ring.clone()).unwrap();
             let mut stream = exp.stream(App::Turb3d);
             let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, PAPER_INTERVAL_INSTS).unwrap();

@@ -18,16 +18,17 @@
 //!   boundary configurations out of the manager's space.
 //!
 //! [`FaultCampaign`] packages the whole experiment: one clean and one
-//! faulty run per structure (same seeds, same streams), compared in a
-//! serializable [`DegradationReport`] — the data behind `capsim faults`.
+//! faulty run per structure (same seeds, one stream read by both runs in
+//! lock step), compared in a serializable [`DegradationReport`] — the
+//! data behind `capsim faults`.
 
 use crate::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
 use crate::error::CapError;
 use crate::manager::{
-    run_managed, CacheIntervalSim, FaultedRun, QueueIntervalSim, ResiliencePolicy,
-    ResilienceStats, SwitchRetryPolicy,
+    lane_recorders, run_managed_cache_lanes, run_managed_lanes, CacheLane, FaultedRun, ManagedLane,
+    QueueLane, ResiliencePolicy, ResilienceStats,
 };
-use crate::policy::{ConfigPolicy, PolicyConfig, PolicyKind};
+use crate::policy::{PolicyConfig, PolicyKind};
 use crate::structure::{AdaptiveStructure, CacheStructure, QueueStructure};
 use cap_obs::{DecisionCounts, Recorder};
 use cap_timing::cacti::CacheTimingModel;
@@ -285,6 +286,42 @@ pub struct LegReport {
     pub final_config_quarantined: bool,
 }
 
+impl LegReport {
+    /// Compares a leg's `clean` and `faulty` runs; the injected faults
+    /// and the manager's end state come from `faulty_lane`, the lane the
+    /// faulty run left behind.
+    pub fn new<S: AdaptiveStructure>(
+        structure_name: &str,
+        clean: &FaultedRun,
+        faulty: &FaultedRun,
+        faulty_lane: &ManagedLane<S>,
+    ) -> LegReport {
+        let clean_tpi = clean.run.average_tpi().value();
+        let faulty_tpi = faulty.run.average_tpi().value();
+        let (manager, structure) = (&*faulty_lane.policy, &faulty_lane.structure);
+        let final_config = structure.current();
+        LegReport {
+            structure: structure_name.to_string(),
+            clean_tpi_ns: clean_tpi,
+            faulty_tpi_ns: faulty_tpi,
+            tpi_degradation: crate::metrics::degradation(clean_tpi, faulty_tpi),
+            clean_switches: clean.run.switches,
+            faulty_switches: faulty.run.switches,
+            retries: faulty.retries,
+            retry_penalty_ns: faulty.retry_penalty.value(),
+            switch_failures: faulty.switch_failures,
+            faults: faulty_lane.injector.as_ref().map(FaultInjector::stats).unwrap_or_default(),
+            resilience: manager.resilience_stats(),
+            decisions: manager.decision_counts(),
+            quarantined_configs: manager.quarantined_count(),
+            safe_mode: manager.in_safe_mode(),
+            final_config,
+            final_config_label: structure.describe(final_config),
+            final_config_quarantined: manager.is_quarantined(final_config),
+        }
+    }
+}
+
 /// The full campaign result: both structures, clean vs faulted.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DegradationReport {
@@ -328,12 +365,16 @@ pub struct FaultCampaign {
     spec: FaultSpec,
     policy: PolicyKind,
     queue_intervals: u64,
-    interval_len: u64,
     cache_intervals: u64,
-    refs_per_interval: u64,
 }
 
 impl FaultCampaign {
+    /// Instructions per queue-leg interval.
+    pub const INTERVAL_INSTS: u64 = 1000;
+
+    /// References per cache-leg interval.
+    pub const INTERVAL_REFS: u64 = 4000;
+
     /// Creates a campaign with the standard spec, the default
     /// (confidence) policy and moderate run lengths (120 intervals per
     /// leg).
@@ -344,9 +385,7 @@ impl FaultCampaign {
             spec: FaultSpec::standard(),
             policy: PolicyKind::Confidence,
             queue_intervals: 120,
-            interval_len: 1000,
             cache_intervals: 120,
-            refs_per_interval: 4000,
         }
     }
 
@@ -371,145 +410,98 @@ impl FaultCampaign {
         self
     }
 
-    fn manager(
+    /// The seed of the stream both runs of a leg read.
+    fn stream_seed(&self) -> u64 {
+        self.seed ^ self.app.seed_salt()
+    }
+
+    /// A fresh lane over `structure`: its clock, and the campaign's
+    /// hardened manager labelled `<app>:<leg>`, tracing to `recorder`.
+    fn lane<S: AdaptiveStructure>(
         &self,
-        num_configs: usize,
-        recorder: &Arc<dyn Recorder>,
+        structure: S,
+        recorder: Arc<dyn Recorder>,
         leg: &str,
-    ) -> Result<Box<dyn ConfigPolicy>, CapError> {
-        PolicyConfig::new(self.policy)
+    ) -> Result<ManagedLane<S>, CapError> {
+        let clock = DynamicClock::for_structure(&structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
+        let policy = PolicyConfig::new(self.policy)
             .with_explore_period(25)
             .with_resilience(ResiliencePolicy::hardened())
-            .build(num_configs, recorder.clone(), Some(format!("{}:{leg}", self.app.name())))
+            .build(structure.num_configs(), recorder, Some(format!("{}:{leg}", self.app.name())))?;
+        Ok(ManagedLane { structure, policy, clock, injector: None })
     }
 
-    fn leg_report(
-        structure_name: &str,
-        clean: &FaultedRun,
-        faulty: &FaultedRun,
-        faults: FaultStats,
-        manager: &dyn ConfigPolicy,
-        structure: &dyn AdaptiveStructure,
-    ) -> LegReport {
-        let clean_tpi = clean.run.average_tpi().value();
-        let faulty_tpi = faulty.run.average_tpi().value();
-        let final_config = structure.current();
-        LegReport {
-            structure: structure_name.to_string(),
-            clean_tpi_ns: clean_tpi,
-            faulty_tpi_ns: faulty_tpi,
-            tpi_degradation: crate::metrics::degradation(clean_tpi, faulty_tpi),
-            clean_switches: clean.run.switches,
-            faulty_switches: faulty.run.switches,
-            retries: faulty.retries,
-            retry_penalty_ns: faulty.retry_penalty.value(),
-            switch_failures: faulty.switch_failures,
-            faults,
-            resilience: manager.resilience_stats(),
-            decisions: manager.decision_counts(),
-            quarantined_configs: manager.quarantined_count(),
-            safe_mode: manager.in_safe_mode(),
-            final_config,
-            final_config_label: structure.describe(final_config),
-            final_config_quarantined: manager.is_quarantined(final_config),
-        }
+    /// The queue leg's clean and faulty lanes as the campaign starts
+    /// them, tracing to `recorders` in that order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration errors.
+    pub fn queue_lanes(&self, [clean, faulty]: [Arc<dyn Recorder>; 2]) -> Result<[QueueLane; 2], CapError> {
+        let structure = || QueueStructure::isca98(QueueTimingModel::new(Technology::isca98_evaluation()), 0);
+        let clean = self.lane(structure()?, clean, "queue:clean")?;
+        let mut faulty = self.lane(structure()?, faulty, "queue:faulty")?;
+        let configs = faulty.structure.num_configs();
+        faulty.injector = Some(FaultInjector::new(self.spec, self.seed ^ 0xFA17_0001, configs)?);
+        Ok([clean, faulty])
     }
 
-    fn queue_leg(&self, recorder: &Arc<dyn Recorder>) -> Result<LegReport, CapError> {
-        let timing = QueueTimingModel::new(Technology::isca98_evaluation());
-        let retry = SwitchRetryPolicy::default_policy();
-        let stream_seed = self.seed ^ self.app.seed_salt();
-
-        let mut clean_structure = QueueStructure::isca98(timing, 0)?;
-        let mut clock = DynamicClock::for_structure(&clean_structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
-        let mut manager = self.manager(clean_structure.num_configs(), recorder, "queue:clean")?;
-        let mut stream = self.app.ilp_profile().build(stream_seed);
-        let clean = run_managed(
-            &mut QueueIntervalSim::new(&mut clean_structure, &mut stream, self.interval_len)?,
-            &mut *manager,
-            &mut clock,
-            self.queue_intervals,
-            None,
-            retry,
-        )?;
-
-        let mut structure = QueueStructure::isca98(timing, 0)?;
-        let mut clock = DynamicClock::for_structure(&structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
-        let mut manager = self.manager(structure.num_configs(), recorder, "queue:faulty")?;
-        let mut injector = FaultInjector::new(self.spec, self.seed ^ 0xFA17_0001, structure.num_configs())?;
-        let mut stream = self.app.ilp_profile().build(stream_seed);
-        let faulty = run_managed(
-            &mut QueueIntervalSim::new(&mut structure, &mut stream, self.interval_len)?,
-            &mut *manager,
-            &mut clock,
-            self.queue_intervals,
-            Some(&mut injector),
-            retry,
-        )?;
-
-        Ok(Self::leg_report("queue", &clean, &faulty, injector.stats(), &*manager, &structure))
-    }
-
-    fn cache_leg(&self, recorder: &Arc<dyn Recorder>) -> Result<LegReport, CapError> {
-        let timing = CacheTimingModel::isca98(Technology::isca98_evaluation());
-        let retry = SwitchRetryPolicy::default_policy();
-        let profile = self.app.memory_profile();
-        let stream_seed = self.seed ^ self.app.seed_salt();
-
-        let mut clean_structure = CacheStructure::isca98(timing, 0)?;
-        let mut clock = DynamicClock::for_structure(&clean_structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
-        let mut manager = self.manager(clean_structure.num_configs(), recorder, "cache:clean")?;
-        let mut stream = profile.build(stream_seed);
-        let clean = run_managed(
-            &mut CacheIntervalSim::new(
-                &mut clean_structure,
-                &mut stream,
-                self.refs_per_interval,
-                profile.insts_per_ref,
-            )?,
-            &mut *manager,
-            &mut clock,
-            self.cache_intervals,
-            None,
-            retry,
-        )?;
-
-        let mut structure = CacheStructure::isca98(timing, 0)?;
-        let mut clock = DynamicClock::for_structure(&structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
-        let mut manager = self.manager(structure.num_configs(), recorder, "cache:faulty")?;
-        let mut injector = FaultInjector::new(self.spec, self.seed ^ 0xFA17_0002, structure.num_configs())?;
+    /// The cache leg's clean and faulty lanes as the campaign starts
+    /// them, tracing to `recorders` in that order: the faulty lane's
+    /// dead increments are already retired and masked.
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration errors.
+    pub fn cache_lanes(&self, [clean, faulty]: [Arc<dyn Recorder>; 2]) -> Result<[CacheLane; 2], CapError> {
+        let structure = || CacheStructure::isca98(CacheTimingModel::isca98(Technology::isca98_evaluation()), 0);
+        let clean = self.lane(structure()?, clean, "cache:clean")?;
+        let mut faulty = self.lane(structure()?, faulty, "cache:faulty")?;
+        let mut injector = FaultInjector::new(self.spec, self.seed ^ 0xFA17_0002, faulty.structure.num_configs())?;
         // Dead increments shrink the usable boundary range up front; the
         // manager learns which boundaries the hardware can no longer
         // provide before the run starts, as configuration firmware would.
-        let total_increments = structure.timing().geometry().increments;
-        let dead = injector.draw_dead_increments(total_increments);
-        let unavailable = structure.retire_increments(dead);
+        let dead = injector.draw_dead_increments(faulty.structure.timing().geometry().increments);
+        let unavailable = faulty.structure.retire_increments(dead);
         if !unavailable.is_empty() {
-            manager.mask_unavailable(&unavailable)?;
+            faulty.policy.mask_unavailable(&unavailable)?;
         }
-        let mut stream = profile.build(stream_seed);
-        let faulty = run_managed(
-            &mut CacheIntervalSim::new(
-                &mut structure,
-                &mut stream,
-                self.refs_per_interval,
-                profile.insts_per_ref,
-            )?,
-            &mut *manager,
-            &mut clock,
-            self.cache_intervals,
-            Some(&mut injector),
-            retry,
-        )?;
-
-        Ok(Self::leg_report("cache", &clean, &faulty, injector.stats(), &*manager, &structure))
+        faulty.injector = Some(injector);
+        Ok([clean, faulty])
     }
 
-    /// Runs both legs serially and assembles the report. The legs are
-    /// independent (separate structures, managers and streams; injector
-    /// seeds derived per leg); [`FaultCampaign::plan`] runs them under
-    /// any execution policy, with journaling, resume and the per-leg
-    /// deadline.
+    fn queue_leg(&self, recorder: &Arc<dyn Recorder>) -> Result<LegReport, CapError> {
+        traced_lanes(recorder, |recorders| {
+            let mut lanes = self.queue_lanes(recorders)?;
+            let stream = self.app.ilp_profile().build(self.stream_seed());
+            let runs = run_managed_lanes(stream, &mut lanes, self.queue_intervals, Self::INTERVAL_INSTS)?;
+            Ok(LegReport::new("queue", &runs[0], &runs[1], &lanes[1]))
+        })
+    }
+
+    fn cache_leg(&self, recorder: &Arc<dyn Recorder>) -> Result<LegReport, CapError> {
+        traced_lanes(recorder, |recorders| {
+            let profile = self.app.memory_profile();
+            let mut lanes = self.cache_lanes(recorders)?;
+            let stream = profile.build(self.stream_seed());
+            let runs = run_managed_cache_lanes(
+                stream,
+                &mut lanes,
+                self.cache_intervals,
+                Self::INTERVAL_REFS,
+                profile.insts_per_ref,
+            )?;
+            Ok(LegReport::new("cache", &runs[0], &runs[1], &lanes[1]))
+        })
+    }
+
+    /// Runs both legs serially and assembles the report. Each leg runs
+    /// its clean and faulty runs as two lanes of one pass over the leg's
+    /// stream (separate structures, managers and clocks; the faulty
+    /// lane's injector seed derived per leg), bit-identical to running
+    /// them one after the other on two copies of the stream. The legs are
+    /// independent; [`FaultCampaign::plan`] runs them under any execution
+    /// policy, with journaling, resume and the per-leg deadline.
     ///
     /// # Errors
     ///
@@ -537,9 +529,9 @@ impl FaultCampaign {
             self.seed,
             self.policy.name(),
             self.queue_intervals,
-            self.interval_len,
+            Self::INTERVAL_INSTS,
             self.cache_intervals,
-            self.refs_per_interval,
+            Self::INTERVAL_REFS,
             crate::experiments::SWEEP_RESULTS_VERSION,
         )
     }
@@ -590,6 +582,22 @@ impl FaultCampaign {
         });
         spec
     }
+}
+
+/// Runs a leg's two lanes through `run`, each tracing to its own buffer
+/// when `recorder` is enabled, and then replays the buffers into
+/// `recorder` clean lane first: the trace reads as if the runs had been
+/// made one after the other.
+fn traced_lanes<T>(
+    recorder: &Arc<dyn Recorder>,
+    run: impl FnOnce([Arc<dyn Recorder>; 2]) -> Result<T, CapError>,
+) -> Result<T, CapError> {
+    let (recorders, buffers) = lane_recorders(2, recorder.enabled());
+    let out = run(std::array::from_fn(|lane| recorders[lane].clone()));
+    for event in buffers.iter().flat_map(|buffer| buffer.events()) {
+        recorder.record(&event);
+    }
+    out
 }
 
 #[cfg(test)]

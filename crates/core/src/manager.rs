@@ -29,9 +29,10 @@
 //!   [`CacheIntervalSim`] — under any manager, charging reconfigurations
 //!   with the dynamic clock's switch penalty and the slower period during
 //!   transition intervals;
-//! * [`run_managed_lanes`], which runs several clean managed queue runs
-//!   of one stream as lanes of one pass, each interval end running the
-//!   same per-interval step as [`run_managed`].
+//! * [`run_managed_lanes`] and [`run_managed_cache_lanes`], which run
+//!   several managed runs of one stream — clean or under their own
+//!   [`FaultInjector`] — as lanes of one pass over it, each interval end
+//!   running the same per-interval step as [`run_managed`].
 //!
 //! # Hardening
 //!
@@ -64,14 +65,18 @@ use crate::error::CapError;
 use crate::faults::{FaultInjector, SwitchFault};
 use crate::policy::ConfigPolicy;
 use crate::structure::{AdaptiveStructure, CacheStructure, QueueStructure};
-use cap_obs::{ClockSwitchEvent, Event, Recorder};
+use cap_cache::perf::PerfParams;
+use cap_cache::stats::CacheStats;
+use cap_obs::{ClockSwitchEvent, Event, Recorder, RingRecorder};
 use cap_ooo::core::RunStats;
 use cap_ooo::interval::{record_sample, IntervalSample};
 use cap_ooo::multisweep::{run_intervals, IntervalEnds, NextInterval, LANES};
 use cap_timing::units::Ns;
 use cap_trace::inst::InstStream;
+use cap_trace::mem::AddressStream;
 use serde::Serialize;
 use serde_json::FromJson;
+use std::sync::Arc;
 
 /// The manager's verdict for the next interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -448,15 +453,14 @@ impl<S: InstStream> IntervalSim for QueueIntervalSim<'_, S> {
 /// whole-cycle counters an interval recorder would have seen. Moving the
 /// L1/L2 boundary needs no drain (contents are preserved), so a switch
 /// costs only the dynamic clock's penalty.
-pub struct CacheIntervalSim<'a, S: cap_trace::mem::AddressStream> {
+pub struct CacheIntervalSim<'a, S: AddressStream> {
     structure: &'a mut CacheStructure,
     stream: &'a mut S,
     refs_per_interval: u64,
-    params: cap_cache::perf::PerfParams,
-    insts_per_ref: f64,
+    params: PerfParams,
 }
 
-impl<'a, S: cap_trace::mem::AddressStream> CacheIntervalSim<'a, S> {
+impl<'a, S: AddressStream> CacheIntervalSim<'a, S> {
     /// Binds the simulation to a structure and reference stream.
     ///
     /// # Errors
@@ -467,7 +471,7 @@ impl<'a, S: cap_trace::mem::AddressStream> CacheIntervalSim<'a, S> {
     /// # Panics
     ///
     /// Panics if `insts_per_ref < 1` (a reference is itself an
-    /// instruction), like [`cap_cache::perf::PerfParams::isca98`].
+    /// instruction), like [`PerfParams::isca98`].
     pub fn new(
         structure: &'a mut CacheStructure,
         stream: &'a mut S,
@@ -477,12 +481,12 @@ impl<'a, S: cap_trace::mem::AddressStream> CacheIntervalSim<'a, S> {
         if refs_per_interval == 0 {
             return Err(CapError::InvalidParameter { what: "interval length must be positive" });
         }
-        let params = cap_cache::perf::PerfParams::isca98(insts_per_ref);
-        Ok(CacheIntervalSim { structure, stream, refs_per_interval, params, insts_per_ref })
+        let params = PerfParams::isca98(insts_per_ref);
+        Ok(CacheIntervalSim { structure, stream, refs_per_interval, params })
     }
 }
 
-impl<S: cap_trace::mem::AddressStream> IntervalSim for CacheIntervalSim<'_, S> {
+impl<S: AddressStream> IntervalSim for CacheIntervalSim<'_, S> {
     fn structure(&mut self) -> &mut dyn AdaptiveStructure {
         self.structure
     }
@@ -493,21 +497,28 @@ impl<S: cap_trace::mem::AddressStream> IntervalSim for CacheIntervalSim<'_, S> {
         recorder: &dyn Recorder,
         label: Option<&str>,
     ) -> Result<Option<IntervalSample>, CapError> {
-        let config = self.structure.current();
-        let boundary = self.structure.boundary_at(config)?;
-        let timing = *self.structure.timing();
-        let stats = cap_cache::sim::run_observed(
-            &mut *self.stream,
-            self.refs_per_interval,
-            self.structure.cache_mut(),
-            recorder,
-            label,
-            index + 1,
-        );
-        let tpi = cap_cache::perf::evaluate(&stats, boundary, &timing, self.params)?;
-        let (cycles, insts) = tpi.interval_counts(stats.refs, self.insts_per_ref);
-        Ok(Some(IntervalSample { index, cycles, insts }))
+        let stats = cap_cache::sim::run(&mut *self.stream, self.refs_per_interval, self.structure.cache_mut());
+        cache_sample(self.structure, &stats, index, self.params, recorder, label).map(Some)
     }
+}
+
+/// The sample of cache interval `index`, whose references `structure`
+/// counted as `stats`: the counters are traced as the
+/// [`cap_obs::CacheSimEvent`] numbered `index + 1`, and the §5.1 blocking
+/// TPI model at the current boundary is quantized into whole cycles.
+fn cache_sample(
+    structure: &CacheStructure,
+    stats: &CacheStats,
+    index: u64,
+    params: PerfParams,
+    recorder: &dyn Recorder,
+    label: Option<&str>,
+) -> Result<IntervalSample, CapError> {
+    cap_cache::sim::record_stats(recorder, label, index + 1, stats);
+    let boundary = structure.boundary_at(structure.current())?;
+    let tpi = cap_cache::perf::evaluate(stats, boundary, structure.timing(), params)?;
+    let (cycles, insts) = tpi.interval_counts(stats.refs, params.insts_per_ref);
+    Ok(IntervalSample { index, cycles, insts })
 }
 
 /// The one generic managed-run kernel: drives any [`IntervalSim`] under
@@ -605,24 +616,63 @@ impl ManagedState {
     }
 }
 
-/// One lane of [`run_managed_lanes`]: a queue structure under its own
-/// policy and clock.
-pub struct QueueLane {
-    /// The structure, fresh. Its configuration sets the lane's window;
-    /// its core is never run, as the lanes schedule in its place.
-    pub structure: QueueStructure,
+/// One lane of a managed lanes pass: a structure under its own policy,
+/// clock and, for a faulty run, fault injector.
+pub struct ManagedLane<S> {
+    /// The structure under management.
+    pub structure: S,
     /// The lane's manager.
     pub policy: Box<dyn ConfigPolicy>,
     /// The lane's dynamic clock.
     pub clock: DynamicClock,
+    /// The lane's fault injector; `None` makes the lane a clean run.
+    pub injector: Option<FaultInjector>,
 }
 
-/// Clean managed queue runs of one stream, one per lane, over one pass
-/// of `stream`: each lane's [`ManagedRun`] and trace events are
+/// A lane of [`run_managed_lanes`]. Its structure must be fresh: its
+/// configuration sets the lane's window, and its core is never run, as
+/// the lanes schedule in its place.
+pub type QueueLane = ManagedLane<QueueStructure>;
+
+/// A lane of [`run_managed_cache_lanes`]. Its structure's hierarchy is
+/// the one the lane's references access.
+pub type CacheLane = ManagedLane<CacheStructure>;
+
+/// Trace buffers for `n` lanes of one pass: each lane's recorder (its
+/// own [`RingRecorder`] if `traced`, else the no-op recorder) and the
+/// buffers. Replaying the buffers' events in lane order after the pass
+/// makes the trace read as if the lanes had run one after another.
+pub fn lane_recorders(n: usize, traced: bool) -> (Vec<Arc<dyn Recorder>>, Vec<Arc<RingRecorder>>) {
+    let buffers: Vec<Arc<RingRecorder>> = (0..n).map(|_| Arc::new(RingRecorder::new())).collect();
+    let recorders = buffers
+        .iter()
+        .map(|buffer| -> Arc<dyn Recorder> { if traced { buffer.clone() } else { cap_obs::noop() } })
+        .collect();
+    (recorders, buffers)
+}
+
+/// Rejects a lanes pass of no intervals, empty intervals or more than
+/// [`LANES`] lanes.
+fn check_lanes(lanes: usize, intervals: u64, interval_len: u64) -> Result<(), CapError> {
+    if intervals == 0 {
+        return Err(CapError::InvalidParameter { what: "a managed run needs at least one interval" });
+    }
+    if interval_len == 0 {
+        return Err(CapError::InvalidParameter { what: "interval length must be positive" });
+    }
+    if lanes > LANES {
+        return Err(CapError::InvalidParameter { what: "too many managed lanes" });
+    }
+    Ok(())
+}
+
+/// Managed queue runs of one stream, one per lane, over one pass of
+/// `stream`: each lane's [`FaultedRun`] and trace events are
 /// bit-identical to [`run_managed`] over a [`QueueIntervalSim`] of the
-/// lane's structure reading its own copy of the stream, with no fault
-/// injector. The lanes are [`cap_ooo::multisweep::run_intervals`]'s; each
-/// interval end runs the same per-interval step as [`run_managed`].
+/// lane's structure reading its own copy of the stream, with the lane's
+/// injector and the default [`SwitchRetryPolicy`]. The lanes are
+/// [`cap_ooo::multisweep::run_intervals`]'s; each interval end runs the
+/// same per-interval step as [`run_managed`].
 ///
 /// # Errors
 ///
@@ -636,16 +686,8 @@ pub fn run_managed_lanes<S: InstStream>(
     lanes: &mut [QueueLane],
     intervals: u64,
     interval_len: u64,
-) -> Result<Vec<ManagedRun>, CapError> {
-    if intervals == 0 {
-        return Err(CapError::InvalidParameter { what: "a managed run needs at least one interval" });
-    }
-    if interval_len == 0 {
-        return Err(CapError::InvalidParameter { what: "interval length must be positive" });
-    }
-    if lanes.len() > LANES {
-        return Err(CapError::InvalidParameter { what: "too many managed lanes" });
-    }
+) -> Result<Vec<FaultedRun>, CapError> {
+    check_lanes(lanes.len(), intervals, interval_len)?;
     if lanes.iter().any(|lane| lane.structure.core().cycles() > 0) {
         return Err(CapError::InvalidParameter { what: "managed lanes need fresh structures" });
     }
@@ -665,7 +707,7 @@ pub fn run_managed_lanes<S: InstStream>(
         interval_len,
     };
     run_intervals(stream, config, &first, &mut ends)?;
-    Ok(ends.states.into_iter().map(|state| state.out.run).collect())
+    Ok(ends.states.into_iter().map(|state| state.out).collect())
 }
 
 /// The interval ends of [`run_managed_lanes`]: each is one managed-run
@@ -681,12 +723,12 @@ impl IntervalEnds for ManagedLanes<'_> {
     type Error = CapError;
 
     fn end(&mut self, lane: usize, stats: RunStats) -> Result<Option<NextInterval>, CapError> {
-        let (state, QueueLane { structure, policy, clock }) = (&mut self.states[lane], &mut self.lanes[lane]);
+        let (state, QueueLane { structure, policy, clock, injector }) = (&mut self.states[lane], &mut self.lanes[lane]);
         let index = state.out.run.intervals.len() as u64;
         let sample = IntervalSample { index, cycles: stats.cycles, insts: stats.committed };
         record_sample(&*policy.recorder(), policy.label(), index + 1, &sample);
         let config = structure.current();
-        state.interval(structure, &mut **policy, clock, sample, &mut None, SwitchRetryPolicy::default())?;
+        state.interval(structure, &mut **policy, clock, sample, &mut injector.as_mut(), SwitchRetryPolicy::default())?;
         if index + 1 == self.intervals {
             return Ok(None);
         }
@@ -698,10 +740,65 @@ impl IntervalEnds for ManagedLanes<'_> {
     }
 }
 
+/// Managed cache runs of one reference stream, one per lane, over one
+/// pass of `stream`: each reference is drawn once and accessed on every
+/// lane's hierarchy in turn, and each interval end runs the same
+/// per-interval step as [`run_managed`]. Each lane's [`FaultedRun`] and
+/// trace events are bit-identical to [`run_managed`] over a
+/// [`CacheIntervalSim`] of the lane's structure reading its own copy of
+/// the stream, with the lane's injector and the default
+/// [`SwitchRetryPolicy`].
+///
+/// # Errors
+///
+/// * [`CapError::InvalidParameter`] for zero intervals, zero
+///   `refs_per_interval` or more than [`LANES`] lanes;
+/// * the structures', clocks' and timing model's configuration errors.
+///
+/// # Panics
+///
+/// Panics if `insts_per_ref < 1`, like [`CacheIntervalSim::new`].
+pub fn run_managed_cache_lanes<S: AddressStream>(
+    mut stream: S,
+    lanes: &mut [CacheLane],
+    intervals: u64,
+    refs_per_interval: u64,
+    insts_per_ref: f64,
+) -> Result<Vec<FaultedRun>, CapError> {
+    check_lanes(lanes.len(), intervals, refs_per_interval)?;
+    let params = PerfParams::isca98(insts_per_ref);
+    let mut states: Vec<ManagedState> = lanes.iter().map(|_| ManagedState::new(intervals)).collect();
+    for index in 0..intervals {
+        let before: Vec<CacheStats> = lanes.iter().map(|lane| lane.structure.cache().stats()).collect();
+        for _ in 0..refs_per_interval {
+            let r = stream.next_ref();
+            for lane in lanes.iter_mut() {
+                lane.structure.cache_mut().access(r);
+            }
+        }
+        for ((lane, state), before) in lanes.iter_mut().zip(&mut states).zip(before) {
+            let CacheLane { structure, policy, clock, injector } = lane;
+            let stats = structure.cache().stats() - before;
+            let sample = cache_sample(structure, &stats, index, params, &*policy.recorder(), policy.label())?;
+            state.interval(structure, &mut **policy, clock, sample, &mut injector.as_mut(), SwitchRetryPolicy::default())?;
+        }
+    }
+    Ok(states.into_iter().map(|state| state.out).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultSpec;
     use crate::policy::{PolicyConfig, PolicyKind};
+    use crate::structure::{CacheStructure, QueueStructure};
+    use cap_obs::RingRecorder;
+    use cap_timing::cacti::CacheTimingModel;
+    use cap_timing::queue::QueueTimingModel;
+    use cap_timing::Technology;
+    use cap_trace::inst::{IlpParams, SegmentIlp};
+    use cap_trace::mem::{Region, RegionMix};
+    use std::sync::Arc;
 
     #[test]
     fn managed_run_accounting() {
@@ -728,10 +825,6 @@ mod tests {
 
     #[test]
     fn managed_queue_run_end_to_end() {
-        use crate::structure::QueueStructure;
-        use cap_timing::queue::QueueTimingModel;
-        use cap_trace::inst::{IlpParams, SegmentIlp};
-
         let timing = QueueTimingModel::default();
         let mut structure = QueueStructure::isca98(timing, 0).unwrap();
         let table = structure.period_table().unwrap();
@@ -755,46 +848,148 @@ mod tests {
         assert!(final_cfg >= 2, "settled on config {final_cfg}");
     }
 
+    fn queue_lane(recorder: Arc<dyn Recorder>) -> QueueLane {
+        let structure = QueueStructure::isca98(QueueTimingModel::default(), 0).unwrap();
+        let clock = DynamicClock::new(structure.period_table().unwrap(), 30).unwrap();
+        let policy = PolicyConfig::new(PolicyKind::Confidence).build(8, recorder, None).unwrap();
+        QueueLane { structure, policy, clock, injector: None }
+    }
+
+    fn ilp_stream() -> SegmentIlp {
+        SegmentIlp::new(IlpParams::balanced(), 9).unwrap()
+    }
+
+    fn rejects(result: Result<Vec<FaultedRun>, CapError>) {
+        assert!(matches!(result, Err(CapError::InvalidParameter { .. })), "{result:?}");
+    }
+
     #[test]
     fn managed_lanes_reject_bad_runs() {
-        use crate::structure::QueueStructure;
-        use cap_timing::queue::QueueTimingModel;
-        use cap_trace::inst::{IlpParams, SegmentIlp};
-
-        let lane = || {
-            let structure = QueueStructure::isca98(QueueTimingModel::default(), 0).unwrap();
-            let clock = DynamicClock::new(structure.period_table().unwrap(), 30).unwrap();
-            let policy = PolicyConfig::new(PolicyKind::Confidence).build(8, cap_obs::noop(), None).unwrap();
-            QueueLane { structure, policy, clock }
-        };
-        let stream = || SegmentIlp::new(IlpParams::balanced(), 9).unwrap();
-        let rejects = |result: Result<Vec<ManagedRun>, CapError>| {
-            assert!(matches!(result, Err(CapError::InvalidParameter { .. })), "{result:?}");
-        };
-        rejects(run_managed_lanes(stream(), &mut [lane(), lane()], 0, 2000));
-        rejects(run_managed_lanes(stream(), &mut [lane()], 10, 0));
-        rejects(run_managed_lanes(stream(), &mut (0..9).map(|_| lane()).collect::<Vec<_>>(), 10, 2000));
+        let lane = || queue_lane(cap_obs::noop());
+        rejects(run_managed_lanes(ilp_stream(), &mut [lane(), lane()], 0, 2000));
+        rejects(run_managed_lanes(ilp_stream(), &mut [lane()], 10, 0));
+        rejects(run_managed_lanes(ilp_stream(), &mut (0..9).map(|_| lane()).collect::<Vec<_>>(), 10, 2000));
         let mut used = lane();
-        used.structure.core_mut().run(&mut stream(), 10);
-        rejects(run_managed_lanes(stream(), &mut [lane(), used], 10, 2000));
-        assert_eq!(run_managed_lanes(stream(), &mut [], 10, 2000).unwrap(), Vec::new());
+        used.structure.core_mut().run(&mut ilp_stream(), 10);
+        rejects(run_managed_lanes(ilp_stream(), &mut [lane(), used], 10, 2000));
+        assert_eq!(run_managed_lanes(ilp_stream(), &mut [], 10, 2000).unwrap(), Vec::new());
 
         // One lane is the generator-fed run.
         let mut lanes = [lane()];
-        let runs = run_managed_lanes(stream(), &mut lanes, 40, 2000).unwrap();
-        let QueueLane { mut structure, mut policy, mut clock } = lane();
-        let mut stream = stream();
+        let runs = run_managed_lanes(ilp_stream(), &mut lanes, 40, 2000).unwrap();
+        let QueueLane { mut structure, mut policy, mut clock, .. } = lane();
+        let mut stream = ilp_stream();
         let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, 2000).unwrap();
         let run = run_managed(&mut sim, &mut *policy, &mut clock, 40, None, SwitchRetryPolicy::default());
-        assert_eq!(runs, [run.unwrap().run]);
+        assert_eq!(runs, [run.unwrap()]);
+    }
+
+    #[test]
+    fn a_queue_lane_with_an_injector_is_the_faulted_run() {
+        let spec = FaultSpec { sample_nan_prob: 0.1, ..FaultSpec::standard() };
+        let injector = || FaultInjector::new(spec, 77, 8).unwrap();
+        let (ring, lane_ring) = (Arc::new(RingRecorder::new()), Arc::new(RingRecorder::new()));
+        let mut lanes = [queue_lane(cap_obs::noop()), queue_lane(lane_ring.clone())];
+        lanes[1].injector = Some(injector());
+        let runs = run_managed_lanes(ilp_stream(), &mut lanes, 60, 1000).unwrap();
+
+        let QueueLane { mut structure, mut policy, mut clock, .. } = queue_lane(ring.clone());
+        let mut stream = ilp_stream();
+        let mut reference = injector();
+        let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, 1000).unwrap();
+        let retry = SwitchRetryPolicy::default();
+        let run = run_managed(&mut sim, &mut *policy, &mut clock, 60, Some(&mut reference), retry).unwrap();
+        assert_eq!(runs[1], run);
+        assert_ne!(runs[0], run, "the injector must reach its lane only");
+        assert_eq!(lanes[1].injector.as_ref().unwrap().stats(), reference.stats());
+        assert!(reference.stats().transient_switch_faults + reference.stats().samples_corrupted_nan > 0);
+        // Corrupted samples trace as NaN, so events compare as JSON.
+        assert_eq!(json_events(&lane_ring), json_events(&ring));
+    }
+
+    fn json_events(ring: &RingRecorder) -> Vec<String> {
+        ring.events().iter().map(Event::to_json).collect()
+    }
+
+    fn cache_lane(recorder: Arc<dyn Recorder>) -> CacheLane {
+        let structure = CacheStructure::isca98(CacheTimingModel::isca98(Technology::isca98_evaluation()), 0).unwrap();
+        let clock = DynamicClock::for_structure(&structure, 30).unwrap();
+        let policy = PolicyConfig::new(PolicyKind::Confidence)
+            .with_explore_period(25)
+            .build(structure.num_configs(), recorder, Some("lane".into()))
+            .unwrap();
+        CacheLane { structure, policy, clock, injector: None }
+    }
+
+    fn mem_stream() -> RegionMix {
+        RegionMix::builder(4)
+            .region(Region::sequential_loop(0, 24 * 1024, 32), 3.0)
+            .region(Region::random(1 << 30, 256 * 1024), 1.0)
+            .build()
+            .unwrap()
+    }
+
+    /// `lane` run alone by [`run_managed`] over a [`CacheIntervalSim`],
+    /// with its own stream.
+    fn serial_cache_run(lane: &mut CacheLane, intervals: u64, refs: u64) -> FaultedRun {
+        let CacheLane { structure, policy, clock, injector } = lane;
+        let mut stream = mem_stream();
+        let mut sim = CacheIntervalSim::new(structure, &mut stream, refs, 2.5).unwrap();
+        run_managed(&mut sim, &mut **policy, clock, intervals, injector.as_mut(), SwitchRetryPolicy::default())
+            .unwrap()
+    }
+
+    #[test]
+    fn one_cache_lane_is_the_generator_fed_run() {
+        let (ring, lane_ring) = (Arc::new(RingRecorder::new()), Arc::new(RingRecorder::new()));
+        let mut lanes = [cache_lane(lane_ring.clone())];
+        let runs = run_managed_cache_lanes(mem_stream(), &mut lanes, 50, 700, 2.5).unwrap();
+        let run = serial_cache_run(&mut cache_lane(ring.clone()), 50, 700);
+        assert_eq!(runs, [run]);
+        assert!(runs[0].run.switches > 0);
+        assert_eq!(json_events(&lane_ring), json_events(&ring));
+        assert!(ring.events().iter().any(|e| matches!(e, Event::CacheSim(_))));
+    }
+
+    #[test]
+    fn a_lane_with_retired_increments_runs_beside_a_pristine_lane() {
+        let spec = FaultSpec { max_dead_increments: 10, ..FaultSpec::standard() };
+        let lanes = || {
+            let mut faulty = cache_lane(cap_obs::noop());
+            let mut injector = FaultInjector::new(spec, 5, faulty.structure.num_configs()).unwrap();
+            let dead = injector.draw_dead_increments(faulty.structure.timing().geometry().increments);
+            let unavailable = faulty.structure.retire_increments(dead);
+            assert!(!unavailable.is_empty(), "seed 5 retires {dead} increments");
+            faulty.policy.mask_unavailable(&unavailable).unwrap();
+            faulty.injector = Some(injector);
+            [cache_lane(cap_obs::noop()), faulty]
+        };
+        let mut together = lanes();
+        let runs = run_managed_cache_lanes(mem_stream(), &mut together, 80, 500, 2.5).unwrap();
+        let mut apart = lanes();
+        let reference: Vec<FaultedRun> = apart.iter_mut().map(|lane| serial_cache_run(lane, 80, 500)).collect();
+        assert_eq!(runs, reference);
+        assert_ne!(runs[0], runs[1]);
+        for (lane, alone) in together.iter().zip(&apart) {
+            assert_eq!(lane.structure.cache().stats(), alone.structure.cache().stats());
+            assert_eq!(lane.structure.current(), alone.structure.current());
+        }
+        let stats = |lanes: &[CacheLane; 2]| lanes[1].injector.as_ref().unwrap().stats();
+        assert_eq!(stats(&together), stats(&apart));
+    }
+
+    #[test]
+    fn managed_cache_lanes_reject_bad_runs() {
+        let lane = || cache_lane(cap_obs::noop());
+        rejects(run_managed_cache_lanes(mem_stream(), &mut [lane()], 0, 500, 2.5));
+        rejects(run_managed_cache_lanes(mem_stream(), &mut [lane()], 10, 0, 2.5));
+        let mut many: Vec<CacheLane> = (0..=LANES).map(|_| lane()).collect();
+        rejects(run_managed_cache_lanes(mem_stream(), &mut many, 10, 500, 2.5));
+        assert_eq!(run_managed_cache_lanes(mem_stream(), &mut [], 10, 500, 2.5).unwrap(), Vec::new());
     }
 
     #[test]
     fn managed_cache_run_follows_memory_phases() {
-        use crate::structure::CacheStructure;
-        use cap_timing::cacti::CacheTimingModel;
-        use cap_timing::Technology;
-        use cap_trace::mem::{Region, RegionMix};
         use cap_trace::phase::PhasedMem;
 
         // Phase A: a 4 KB hot set (small L1 is ideal). Phase B: a 36 KB
@@ -836,11 +1031,6 @@ mod tests {
 
     #[test]
     fn managed_cache_rejects_zero_interval() {
-        use crate::structure::CacheStructure;
-        use cap_timing::cacti::CacheTimingModel;
-        use cap_timing::Technology;
-        use cap_trace::mem::{Region, RegionMix};
-
         let timing = CacheTimingModel::isca98(Technology::isca98_evaluation());
         let mut structure = CacheStructure::isca98(timing, 0).unwrap();
         let mut stream = RegionMix::builder(1).region(Region::random(0, 4096), 1.0).build().unwrap();

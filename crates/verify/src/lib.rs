@@ -23,6 +23,8 @@
 //!   lock-step queue multisweep, schedule-at-dispatch core) are
 //!   bit-identical to their per-configuration reference paths
 //!   ([`multisweep`]);
+//! * each fault-campaign leg's clean and faulty lanes equal the two
+//!   runs made one after the other ([`faults`]);
 //! * each synthetic generator's native packed instructions equal its
 //!   unpacked ones, packed ([`packed`]);
 //! * every derived JSON decoder inverts its derived encoder, and no
@@ -37,6 +39,7 @@
 
 pub mod diff;
 pub mod engine;
+pub mod faults;
 pub mod invariants;
 pub mod json;
 pub mod multisweep;

@@ -346,7 +346,7 @@ fn managed_lane(
     let policy = config
         .build(structure.num_configs(), recorder, Some(app.name().to_string()))
         .map_err(err)?;
-    Ok((QueueLane { structure, policy, clock }, ring))
+    Ok((QueueLane { structure, policy, clock, injector: None }, ring))
 }
 
 /// One fuzzed managed-lanes case (`managed/queue/lanes-vs-core`): one to
@@ -384,8 +384,11 @@ pub fn managed_lanes_vs_core(rng: &mut Rng) -> Result<(), String> {
         under_test.push(lane);
         rings.push(ring);
     }
-    let runs = run_managed_lanes(stream(), &mut under_test, intervals, interval_len)
-        .map_err(|e| format!("{ctx}: lanes failed: {e}"))?;
+    let runs: Vec<ManagedRun> = run_managed_lanes(stream(), &mut under_test, intervals, interval_len)
+        .map_err(|e| format!("{ctx}: lanes failed: {e}"))?
+        .into_iter()
+        .map(|run| run.run)
+        .collect();
     for (l, ((config, initial, penalty), (run, ring))) in lanes.iter().zip(runs.iter().zip(&rings)).enumerate() {
         let ctx = format!("{ctx}, lane {l} ({} from config {initial})", config.kind().name());
         let (mut lane, reference_ring) = managed_lane(app, config, *initial, *penalty)?;

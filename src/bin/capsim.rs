@@ -389,6 +389,12 @@ fn rejection(cmd: &Command, tok: &str) -> String {
     format!("{msg}\n{USAGE}")
 }
 
+/// A usage error's reason, without the `USAGE` text that follows it on
+/// a terminal.
+fn without_usage(msg: &str) -> String {
+    msg.strip_suffix(USAGE).map_or(msg, str::trim_end).to_string()
+}
+
 /// The error for a wrapper given no campaign, or an unknown one.
 fn campaign_wanted(wrapper: &str) -> String {
     let catalogue: Vec<String> =
@@ -814,8 +820,10 @@ fn run(tokens: &[&str]) -> Result<String, String> {
             // The service compiles a submitted campaign through the same
             // parser and builder as the direct command, and runs the very
             // value built — so both render the same bytes.
+            // A rejected campaign's error carries only its one-line reason.
             let compiler: serve::CampaignCompiler = Arc::new(move |tokens: &[String]| {
-                Ok(build_campaign(&parse_campaign("submit", tokens)?, scale)?.compiled)
+                let campaign = parse_campaign("submit", tokens).and_then(|args| build_campaign(&args, scale));
+                campaign.map(|campaign| campaign.compiled).map_err(|e| without_usage(&e))
             });
             let summary = serve::serve(&serve_config(&args), exec, compiler)?;
             let _ = write!(out, "{}", summary.render());
@@ -1548,7 +1556,7 @@ mod tests {
         std::env::set_var("CAP_VERIFY_DIR", &dir);
         let out = run(&["verify", "--cases", "3", "--seed", "5"]).unwrap();
         std::env::remove_var("CAP_VERIFY_DIR");
-        assert!(out.contains("41 properties passed"), "{out}");
+        assert!(out.contains("42 properties passed"), "{out}");
         assert!(out.contains("seed 5"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1599,6 +1607,12 @@ mod tests {
             .unwrap_err()
             .contains("submit wants a campaign"));
         assert!(run(&["status", "extra"]).unwrap_err().contains("only --addr"));
+        // A direct usage error ends in USAGE; the served one is the reason.
+        let wanted = campaign_wanted("submit");
+        assert!(wanted.ends_with(USAGE));
+        let reason = without_usage(&wanted);
+        assert!(reason.starts_with("submit wants a campaign: sweep") && !reason.contains('\n'), "{reason}");
+        assert_eq!(without_usage("unknown application `x`"), "unknown application `x`");
     }
 
     #[test]

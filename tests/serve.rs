@@ -377,6 +377,9 @@ fn submit_failures_are_structured_and_loud() {
     assert!(!unknown.status.success());
     let stderr = String::from_utf8_lossy(&unknown.stderr);
     assert!(stderr.contains("invalid"), "{stderr}");
+    assert!(stderr.contains("submit wants a campaign"), "{stderr}");
+    // The service sends the one-line reason, not the CLI's usage text.
+    assert!(!stderr.contains("usage: capsim"), "{stderr}");
 
     let status = status_text(&addr);
     assert!(status.contains("2 rejected"), "{status}");

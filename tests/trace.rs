@@ -2,7 +2,8 @@
 //! managed run exactly (one decision event per interval, one clock-switch
 //! event per counted switch), must never perturb it (traced and
 //! untraced runs produce identical reports), and must trace each
-//! computed leg of a comparison as one contiguous run.
+//! computed leg of a comparison, and each run of a fault campaign, as
+//! one contiguous run.
 
 mod common;
 
@@ -199,5 +200,40 @@ fn compare_policies_traces_each_computed_leg_as_one_block() {
     let (warm, blocks) = traced("warm.jsonl", ExecPolicy::serial().cached(cache));
     assert_eq!(warm, cold);
     assert_eq!(policies(&blocks), [catalog[1].clone(), catalog[3].clone()]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn faults_traces_each_lane_as_one_block_in_run_order() {
+    // The legs run their clean and faulty runs as lanes of one pass, yet
+    // the trace reads as if the four runs were made one after another.
+    let dir = common::tmp_dir("trace-faults");
+    let path = dir.join("faults.jsonl");
+    let out = common::Capsim::new(&["faults", "radar", "--jobs", "1", "--trace", path.to_str().unwrap()]).run();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&path).unwrap();
+    // (lane label, decisions) per block; an event of no lane ends a block.
+    let mut blocks: Vec<(String, u64)> = Vec::new();
+    let mut open = false;
+    for line in text.lines() {
+        if !line.contains("\"app\":\"radar:") {
+            open = false;
+            continue;
+        }
+        let lane = field(line, "app");
+        if !open || blocks.last().is_some_and(|(label, _)| label != lane) {
+            assert!(blocks.iter().all(|(label, _)| label != lane), "{lane} traces in two blocks: {line}");
+            blocks.push((lane.to_string(), 0));
+            open = true;
+        }
+        if field(line, "ev") == "decision" {
+            blocks.last_mut().unwrap().1 += 1;
+        }
+    }
+    let lanes: Vec<&str> = blocks.iter().map(|(label, _)| label.as_str()).collect();
+    assert_eq!(lanes, ["radar:queue:clean", "radar:queue:faulty", "radar:cache:clean", "radar:cache:faulty"]);
+    for (lane, decisions) in &blocks {
+        assert_eq!(*decisions, 120, "{lane}: one decision per interval");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
