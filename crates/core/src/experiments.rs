@@ -1261,7 +1261,7 @@ impl IntervalExperiment {
             .zip(recorders)
             .map(|(config, recorder)| self.managed_lane(app, config, recorder))
             .collect::<Result<Vec<_>, _>>()?;
-        let runs = run_managed_lanes(self.stream(app), &mut lanes, intervals, PAPER_INTERVAL_INSTS)?;
+        let runs = run_managed_lanes(self.stream(app), &mut lanes, &vec![(intervals, PAPER_INTERVAL_INSTS); configs.len()])?;
         Ok(runs.into_iter().zip(buffers).map(|(run, buffer)| (run.run, buffer.events())).collect())
     }
 

@@ -21,22 +21,29 @@
 //!   clock cost of a bigger window disappears, so the joint optimum can
 //!   use a larger window than the standalone study would pick.
 
+use crate::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
 use crate::error::CapError;
 use crate::experiments::{ExecPolicy, ExperimentScale, DEFAULT_SEED, SWEEP_RESULTS_VERSION};
+use crate::manager::{run_managed_lanes, FaultedRun, ManagerDecision, QueueLane};
 use crate::plan::{run_leg, Leg};
+use crate::policy::{ConfigPolicy, PolicyConfig, PolicyKind};
+use crate::structure::{AdaptiveStructure, CacheStructure, QueueStructure};
 use cap_par::CacheKey;
 use cap_cache::config::Boundary;
 use cap_cache::multisweep::stack_profile;
 use cap_cache::perf::{PerfParams, BASE_IPC};
 use cap_cache::tlb;
 use cap_ooo::bpred;
-use cap_ooo::config::{CoreConfig, WindowSize};
-use cap_ooo::core::OooCore;
+use cap_ooo::config::WindowSize;
+use cap_ooo::core::RunStats;
+use cap_ooo::interval::PAPER_INTERVAL_INSTS;
+use cap_ooo::multisweep::{run_intervals, IntervalEnds, NextInterval, LANES};
 use cap_timing::cacti::{CacheTimingModel, L1_LATENCY_CYCLES, MISS_LATENCY_NS};
 use cap_timing::cam::CamTimingModel;
 use cap_timing::queue::QueueTimingModel;
 use cap_timing::units::Ns;
 use cap_timing::Technology;
+use cap_trace::mem::AddressStream;
 use cap_workloads::App;
 use serde::Serialize;
 use serde_json::FromJson;
@@ -391,46 +398,33 @@ pub struct FrequencyStudyRow {
 }
 
 /// The reconfiguration-frequency study's computation (see
-/// [`reconfiguration_frequency_study`]).
+/// [`reconfiguration_frequency_study`]): each interval length is one lane
+/// of a managed lanes pass over the app's stream.
 fn frequency_rows(
     app: App,
     insts_budget: u64,
     interval_lens: &[u64],
     seed: u64,
 ) -> Result<Vec<FrequencyStudyRow>, CapError> {
-    use crate::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
-    use crate::manager::{run_managed, QueueIntervalSim, SwitchRetryPolicy};
-    use crate::policy::{PolicyConfig, PolicyKind};
-    use crate::structure::{AdaptiveStructure, QueueStructure};
-
     let timing = QueueTimingModel::new(Technology::isca98_evaluation());
     let mut rows = Vec::new();
-    for &len in interval_lens {
-        if len == 0 {
-            return Err(CapError::InvalidParameter { what: "interval length must be positive" });
+    for lens in interval_lens.chunks(LANES) {
+        let (mut lanes, mut lengths) = (Vec::new(), Vec::new());
+        for &len in lens {
+            if len == 0 || len > insts_budget {
+                return Err(CapError::InvalidParameter { what: "interval length must be positive and within the budget" });
+            }
+            let structure = QueueStructure::isca98(timing, 0)?;
+            let clock = DynamicClock::for_structure(&structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
+            let policy = PolicyConfig::new(PolicyKind::Confidence).build(structure.num_configs(), cap_obs::noop(), None)?;
+            lanes.push(QueueLane { structure, policy, clock, injector: None });
+            lengths.push((insts_budget / len, len));
         }
-        let mut structure = QueueStructure::isca98(timing, 0)?;
-        let mut clock = DynamicClock::for_structure(&structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
-        let mut manager = PolicyConfig::new(PolicyKind::Confidence).build(
-            structure.num_configs(),
-            cap_obs::noop(),
-            None,
-        )?;
-        let mut stream = app.ilp_profile().build(seed ^ app.seed_salt());
-        let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, len)?;
-        let run = run_managed(
-            &mut sim,
-            &mut *manager,
-            &mut clock,
-            insts_budget / len,
-            None,
-            SwitchRetryPolicy::default(),
-        )?;
-        rows.push(FrequencyStudyRow {
-            interval_len: len,
-            managed_tpi: run.run.average_tpi().value(),
-            switches: run.run.switches,
-        });
+        let stream = app.ilp_profile().build(seed ^ app.seed_salt());
+        let runs = run_managed_lanes(stream, &mut lanes, &lengths)?;
+        rows.extend(runs.iter().zip(lens).map(|(FaultedRun { run, .. }, &interval_len)| {
+            FrequencyStudyRow { interval_len, managed_tpi: run.average_tpi().value(), switches: run.switches }
+        }));
     }
     Ok(rows)
 }
@@ -453,110 +447,108 @@ pub struct ManagedCombined {
 }
 
 /// The online joint managed run's computation (see
-/// [`run_managed_combined`]).
-///
-/// Each interval simulates the out-of-order core for the interval's
-/// instructions (IPC at the current window) and the D-cache for the
-/// corresponding references (stalls at the current boundary); the joint
-/// clock is the slower structure's.
+/// [`run_managed_combined`]): one lane of [`run_intervals`]. Each
+/// interval schedules its instructions on the out-of-order core (IPC at
+/// the current window); its end simulates the D-cache for the
+/// corresponding references (stalls at the current boundary) and lets
+/// both managers observe the joint TPI at the slower structure's clock.
 fn managed_combined(
     app: App,
     intervals: u64,
     seed: u64,
     policy: crate::manager::ConfidencePolicy,
 ) -> Result<ManagedCombined, CapError> {
-    use crate::clock::DEFAULT_SWITCH_PENALTY_CYCLES;
-    use crate::manager::ManagerDecision;
-    use crate::policy::{PolicyConfig, PolicyKind};
-    use cap_cache::hierarchy::AdaptiveCacheHierarchy;
-    use cap_ooo::interval::PAPER_INTERVAL_INSTS;
-    use cap_trace::mem::AddressStream;
-
+    if intervals == 0 {
+        return Err(CapError::InvalidParameter { what: "a managed run needs at least one interval" });
+    }
     let tech = Technology::isca98_evaluation();
-    let cache_timing = CacheTimingModel::isca98(tech);
-    let queue_timing = QueueTimingModel::new(tech);
-    let boundaries: Vec<Boundary> = Boundary::paper_sweep().collect();
-    let windows: Vec<usize> = WindowSize::paper_sweep().map(|w| w.entries()).collect();
-
+    let cache = CacheStructure::isca98(CacheTimingModel::isca98(tech), 0)?;
+    let queue = QueueStructure::isca98(QueueTimingModel::new(tech), 0)?;
     let mem = app.memory_profile();
-    let mut mem_stream = mem.build(seed ^ app.seed_salt());
-    let mut inst_stream = app.ilp_profile().build(seed ^ app.seed_salt());
-
-    let mut cache =
-        AdaptiveCacheHierarchy::try_with_geometry(*cache_timing.geometry(), boundaries[0])?;
-    // The manager may later grow the window to any catalog size, so the
-    // physical window is the largest one; start shrunk to windows[0]
-    // (immediate: the window is empty).
-    let largest = *windows.last().expect("paper sweep is non-empty");
-    let mut core = OooCore::try_new(CoreConfig::isca98(largest)?)?;
-    core.request_resize(WindowSize::new(windows[0])?)?;
     let manager = |explore_period, num_configs| {
         PolicyConfig::new(PolicyKind::Confidence)
             .with_explore_period(explore_period)
             .with_confidence(policy)
             .build(num_configs, cap_obs::noop(), None)
     };
-    let mut cache_mgr = manager(31, boundaries.len())?;
-    let mut queue_mgr = manager(37, windows.len())?;
-    let mut cache_cfg = 0usize;
-    let mut queue_cfg = 0usize;
-    let mut switches = 0u64;
-    let mut total_time = 0.0f64;
-    let mut total_insts = 0u64;
-    let refs_per_interval = (PAPER_INTERVAL_INSTS as f64 / mem.insts_per_ref).ceil() as u64;
-
-    for _ in 0..intervals {
-        // Simulate the interval on both substrates.
-        let run = core.run(&mut inst_stream, PAPER_INTERVAL_INSTS);
-        let before = cache.stats();
-        for _ in 0..refs_per_interval {
-            let r = mem_stream.next_ref();
-            cache.access(r);
-        }
-        let after = cache.stats();
-        let k = boundaries[cache_cfg].increments();
-        let cache_cycle = cache_timing.cycle_time(k)?;
-        let queue_cycle = queue_timing.cycle_time(windows[queue_cfg])?;
-        let cycle = cache_cycle.max(queue_cycle);
-        let l2_extra = ((cache_timing.l2_access(k)? / cycle).ceil() as u64)
-            .saturating_sub(u64::from(L1_LATENCY_CYCLES));
-        let mem_extra = l2_extra + (Ns(MISS_LATENCY_NS) / cycle).ceil() as u64;
-        let l2_hits = after.l2_hits - before.l2_hits;
-        let misses = after.misses - before.misses;
-        let stall_cpi = (l2_hits as f64 * l2_extra as f64 + misses as f64 * mem_extra as f64)
-            / run.committed as f64;
-        let cpi = run.cycles as f64 / run.committed as f64 + stall_cpi;
-        let tpi = cycle.value() * cpi;
-        total_time += tpi * run.committed as f64;
-        total_insts += run.committed;
-
-        // Both managers observe the same joint TPI at their own config.
-        if let ManagerDecision::SwitchTo(next) = cache_mgr.observe(cache_cfg, tpi) {
-            if next != cache_cfg {
-                cache.set_boundary(boundaries[next]);
-                cache_cfg = next;
-                switches += 1;
-                total_time += DEFAULT_SWITCH_PENALTY_CYCLES as f64 * cycle.value();
-            }
-        }
-        if let ManagerDecision::SwitchTo(next) = queue_mgr.observe(queue_cfg, tpi) {
-            if next != queue_cfg {
-                core.request_resize(WindowSize::new(windows[next])?)?;
-                queue_cfg = next;
-                switches += 1;
-                total_time += DEFAULT_SWITCH_PENALTY_CYCLES as f64 * cycle.value();
-            }
-        }
-    }
-
+    let mut joint = JointLane {
+        managers: [manager(31, cache.num_configs())?, manager(37, queue.num_configs())?],
+        mem_stream: mem.build(seed ^ app.seed_salt()),
+        refs_per_interval: (PAPER_INTERVAL_INSTS as f64 / mem.insts_per_ref).ceil() as u64,
+        intervals_left: intervals,
+        switches: 0,
+        total_time: 0.0,
+        total_insts: 0,
+        cache,
+        queue,
+    };
+    let first = [NextInterval { insts: PAPER_INTERVAL_INSTS, resize: Some(joint.queue.window()) }];
+    run_intervals(app.ilp_profile().build(seed ^ app.seed_salt()), *joint.queue.core_config(), &first, &mut joint)?;
     Ok(ManagedCombined {
         app: app.name().to_string(),
         intervals,
-        avg_tpi: total_time / total_insts as f64,
-        switches,
-        final_l1_kb: boundaries[cache_cfg].l1_kb(),
-        final_entries: windows[queue_cfg],
+        avg_tpi: joint.total_time / joint.total_insts as f64,
+        switches: joint.switches,
+        final_l1_kb: joint.cache.boundary_at(joint.cache.current())?.l1_kb(),
+        final_entries: joint.queue.window().entries(),
     })
+}
+
+/// The joint managed run's one lane: both structures, their managers
+/// (cache first), the reference stream, and the run's totals.
+struct JointLane<M> {
+    cache: CacheStructure,
+    queue: QueueStructure,
+    managers: [Box<dyn ConfigPolicy>; 2],
+    mem_stream: M,
+    refs_per_interval: u64,
+    intervals_left: u64,
+    switches: u64,
+    total_time: f64,
+    total_insts: u64,
+}
+
+impl<M: AddressStream> IntervalEnds for JointLane<M> {
+    type Error = CapError;
+
+    fn end(&mut self, _lane: usize, run: RunStats) -> Result<Option<NextInterval>, CapError> {
+        // The interval's cache half.
+        let before = self.cache.cache().stats();
+        for _ in 0..self.refs_per_interval {
+            let r = self.mem_stream.next_ref();
+            self.cache.cache_mut().access(r);
+        }
+        let delta = self.cache.cache().stats() - before;
+        let (cache_cfg, queue_cfg) = (self.cache.current(), self.queue.current());
+        let k = self.cache.boundary_at(cache_cfg)?.increments();
+        let cycle = self.cache.cycle_time(cache_cfg)?.max(self.queue.cycle_time(queue_cfg)?);
+        let l2_extra = ((self.cache.timing().l2_access(k)? / cycle).ceil() as u64)
+            .saturating_sub(u64::from(L1_LATENCY_CYCLES));
+        let mem_extra = l2_extra + (Ns(MISS_LATENCY_NS) / cycle).ceil() as u64;
+        let stall_cpi = (delta.l2_hits as f64 * l2_extra as f64 + delta.misses as f64 * mem_extra as f64)
+            / run.committed as f64;
+        let tpi = cycle.value() * (run.cycles as f64 / run.committed as f64 + stall_cpi);
+        self.total_time += tpi * run.committed as f64;
+        self.total_insts += run.committed;
+
+        // Both managers observe the same joint TPI at their own config.
+        let [cache_mgr, queue_mgr] = &mut self.managers;
+        let structures: [(&mut dyn ConfigPolicy, &mut dyn AdaptiveStructure); 2] =
+            [(&mut **cache_mgr, &mut self.cache), (&mut **queue_mgr, &mut self.queue)];
+        for (manager, structure) in structures {
+            let config = structure.current();
+            if let ManagerDecision::SwitchTo(next) = manager.observe(config, tpi) {
+                if next != config {
+                    structure.reconfigure(next)?;
+                    self.switches += 1;
+                    self.total_time += DEFAULT_SWITCH_PENALTY_CYCLES as f64 * cycle.value();
+                }
+            }
+        }
+        self.intervals_left -= 1;
+        let resize = (self.queue.current() != queue_cfg).then(|| self.queue.window());
+        Ok((self.intervals_left > 0).then_some(NextInterval { insts: PAPER_INTERVAL_INSTS, resize }))
+    }
 }
 
 /// The paper's base pipeline IPC, re-exported for the combined model's
@@ -889,6 +881,10 @@ mod tests {
             assert!(r.managed_tpi > 0.0 && r.managed_tpi < 1.0, "{:?}", r);
         }
         assert!(frequency_rows(App::Turb3d, 1000, &[0], DEFAULT_SEED).is_err());
+        assert!(frequency_rows(App::Turb3d, 1000, &[2000], DEFAULT_SEED).is_err(), "no interval fits");
+        // More lengths than lanes run in passes of up to eight.
+        let nine = frequency_rows(App::Turb3d, 20_000, &[500; 9], DEFAULT_SEED).unwrap();
+        assert!(nine.len() == 9 && nine.iter().all(|r| *r == nine[0]), "{nine:?}");
     }
 
     #[test]
@@ -921,6 +917,7 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(run(), run());
+        assert!(managed_combined(App::Radar, 0, DEFAULT_SEED, ConfidencePolicy::default_policy()).is_err());
     }
 
     #[test]

@@ -474,7 +474,7 @@ impl FaultCampaign {
         traced_lanes(recorder, |recorders| {
             let mut lanes = self.queue_lanes(recorders)?;
             let stream = self.app.ilp_profile().build(self.stream_seed());
-            let runs = run_managed_lanes(stream, &mut lanes, self.queue_intervals, Self::INTERVAL_INSTS)?;
+            let runs = run_managed_lanes(stream, &mut lanes, &[(self.queue_intervals, Self::INTERVAL_INSTS); 2])?;
             Ok(LegReport::new("queue", &runs[0], &runs[1], &lanes[1]))
         })
     }

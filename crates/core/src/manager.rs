@@ -28,11 +28,12 @@
 //!   through [`QueueIntervalSim`], a [`CacheStructure`] through
 //!   [`CacheIntervalSim`] — under any manager, charging reconfigurations
 //!   with the dynamic clock's switch penalty and the slower period during
-//!   transition intervals;
+//!   transition intervals — the serial reference the lanes are held to;
 //! * [`run_managed_lanes`] and [`run_managed_cache_lanes`], which run
 //!   several managed runs of one stream — clean or under their own
-//!   [`FaultInjector`] — as lanes of one pass over it, each interval end
-//!   running the same per-interval step as [`run_managed`].
+//!   [`FaultInjector`], each queue lane at its own length — as lanes of
+//!   one pass over it, each interval end running the same per-interval
+//!   step as [`run_managed`].
 //!
 //! # Hardening
 //!
@@ -68,7 +69,7 @@ use crate::structure::{AdaptiveStructure, CacheStructure, QueueStructure};
 use cap_cache::perf::PerfParams;
 use cap_cache::stats::CacheStats;
 use cap_obs::{ClockSwitchEvent, Event, Recorder, RingRecorder};
-use cap_ooo::core::RunStats;
+use cap_ooo::core::{OooCore, RunStats};
 use cap_ooo::interval::{record_sample, IntervalSample};
 use cap_ooo::multisweep::{run_intervals, IntervalEnds, NextInterval, LANES};
 use cap_timing::units::Ns;
@@ -400,15 +401,20 @@ pub trait IntervalSim {
 }
 
 /// [`IntervalSim`] over a [`QueueStructure`]: each interval commits
-/// `interval_len` instructions on the out-of-order core.
+/// `interval_len` instructions on a serial [`OooCore`], the reference
+/// that [`run_managed_lanes`] is held to.
 pub struct QueueIntervalSim<'a, S: InstStream> {
     structure: &'a mut QueueStructure,
     stream: &'a mut S,
     interval_len: u64,
+    core: OooCore,
+    /// The configuration the core's window was last resized to.
+    resized_to: usize,
 }
 
 impl<'a, S: InstStream> QueueIntervalSim<'a, S> {
-    /// Binds the simulation to a structure and instruction stream.
+    /// Binds the simulation to a structure and instruction stream, on a
+    /// fresh core at the structure's current configuration.
     ///
     /// # Errors
     ///
@@ -421,7 +427,9 @@ impl<'a, S: InstStream> QueueIntervalSim<'a, S> {
         if interval_len == 0 {
             return Err(CapError::InvalidParameter { what: "interval length must be positive" });
         }
-        Ok(QueueIntervalSim { structure, stream, interval_len })
+        let mut core = OooCore::try_new(*structure.core_config())?;
+        core.request_resize(structure.window())?;
+        Ok(QueueIntervalSim { resized_to: structure.current(), structure, stream, interval_len, core })
     }
 }
 
@@ -436,8 +444,14 @@ impl<S: InstStream> IntervalSim for QueueIntervalSim<'_, S> {
         recorder: &dyn Recorder,
         label: Option<&str>,
     ) -> Result<Option<IntervalSample>, CapError> {
+        // The core idles between intervals, so resizing it as the next
+        // one starts is resizing it at the switch.
+        if self.structure.current() != self.resized_to {
+            self.core.request_resize(self.structure.window())?;
+            self.resized_to = self.structure.current();
+        }
         Ok(cap_ooo::interval::record_interval_observed(
-            self.structure.core_mut(),
+            &mut self.core,
             self.stream,
             self.interval_len,
             index,
@@ -629,9 +643,8 @@ pub struct ManagedLane<S> {
     pub injector: Option<FaultInjector>,
 }
 
-/// A lane of [`run_managed_lanes`]. Its structure must be fresh: its
-/// configuration sets the lane's window, and its core is never run, as
-/// the lanes schedule in its place.
+/// A lane of [`run_managed_lanes`]. Its structure's current
+/// configuration sets the lane's first window.
 pub type QueueLane = ManagedLane<QueueStructure>;
 
 /// A lane of [`run_managed_cache_lanes`]. Its structure's hierarchy is
@@ -651,8 +664,8 @@ pub fn lane_recorders(n: usize, traced: bool) -> (Vec<Arc<dyn Recorder>>, Vec<Ar
     (recorders, buffers)
 }
 
-/// Rejects a lanes pass of no intervals, empty intervals or more than
-/// [`LANES`] lanes.
+/// Rejects a lane of no intervals or empty intervals, and a lanes pass of
+/// more than [`LANES`] lanes.
 fn check_lanes(lanes: usize, intervals: u64, interval_len: u64) -> Result<(), CapError> {
     if intervals == 0 {
         return Err(CapError::InvalidParameter { what: "a managed run needs at least one interval" });
@@ -667,7 +680,8 @@ fn check_lanes(lanes: usize, intervals: u64, interval_len: u64) -> Result<(), Ca
 }
 
 /// Managed queue runs of one stream, one per lane, over one pass of
-/// `stream`: each lane's [`FaultedRun`] and trace events are
+/// `stream`. Lane `l` runs `lengths[l].0` intervals of `lengths[l].1`
+/// instructions. Each lane's [`FaultedRun`] and trace events are
 /// bit-identical to [`run_managed`] over a [`QueueIntervalSim`] of the
 /// lane's structure reading its own copy of the stream, with the lane's
 /// injector and the default [`SwitchRetryPolicy`]. The lanes are
@@ -676,36 +690,30 @@ fn check_lanes(lanes: usize, intervals: u64, interval_len: u64) -> Result<(), Ca
 ///
 /// # Errors
 ///
-/// * [`CapError::InvalidParameter`] for zero intervals, a zero interval
-///   length, more than [`LANES`] lanes, or a structure whose core has
-///   run;
+/// * [`CapError::InvalidParameter`] for a lane of zero intervals or a
+///   zero interval length, more than [`LANES`] lanes, or not one length
+///   pair per lane;
 /// * the lanes' cycle-overflow error, and the structures' and clocks'
 ///   configuration errors.
 pub fn run_managed_lanes<S: InstStream>(
     stream: S,
     lanes: &mut [QueueLane],
-    intervals: u64,
-    interval_len: u64,
+    lengths: &[(u64, u64)],
 ) -> Result<Vec<FaultedRun>, CapError> {
-    check_lanes(lanes.len(), intervals, interval_len)?;
-    if lanes.iter().any(|lane| lane.structure.core().cycles() > 0) {
-        return Err(CapError::InvalidParameter { what: "managed lanes need fresh structures" });
+    if lengths.len() != lanes.len() {
+        return Err(CapError::InvalidParameter { what: "managed lanes need one (intervals, length) pair each" });
+    }
+    for &(intervals, interval_len) in lengths {
+        check_lanes(lanes.len(), intervals, interval_len)?;
     }
     // Every queue structure is built on the same physical core.
-    let Some(config) = lanes.first().map(|lane| *lane.structure.core().config()) else {
+    let Some(config) = lanes.first().map(|lane| *lane.structure.core_config()) else {
         return Ok(Vec::new());
     };
-    let mut first = Vec::with_capacity(lanes.len());
-    for lane in lanes.iter() {
-        let window = lane.structure.window_at(lane.structure.current())?;
-        first.push(NextInterval { insts: interval_len, resize: Some(window) });
-    }
-    let mut ends = ManagedLanes {
-        states: lanes.iter().map(|_| ManagedState::new(intervals)).collect(),
-        lanes,
-        intervals,
-        interval_len,
-    };
+    let first: Vec<NextInterval> =
+        lanes.iter().zip(lengths).map(|(lane, &(_, insts))| NextInterval { insts, resize: Some(lane.structure.window()) }).collect();
+    let states = lengths.iter().map(|&(intervals, _)| ManagedState::new(intervals)).collect();
+    let mut ends = ManagedLanes { lanes, states, lengths };
     run_intervals(stream, config, &first, &mut ends)?;
     Ok(ends.states.into_iter().map(|state| state.out).collect())
 }
@@ -715,8 +723,7 @@ pub fn run_managed_lanes<S: InstStream>(
 struct ManagedLanes<'a> {
     lanes: &'a mut [QueueLane],
     states: Vec<ManagedState>,
-    intervals: u64,
-    interval_len: u64,
+    lengths: &'a [(u64, u64)],
 }
 
 impl IntervalEnds for ManagedLanes<'_> {
@@ -729,14 +736,14 @@ impl IntervalEnds for ManagedLanes<'_> {
         record_sample(&*policy.recorder(), policy.label(), index + 1, &sample);
         let config = structure.current();
         state.interval(structure, &mut **policy, clock, sample, &mut injector.as_mut(), SwitchRetryPolicy::default())?;
-        if index + 1 == self.intervals {
+        let (intervals, interval_len) = self.lengths[lane];
+        if index + 1 == intervals {
             return Ok(None);
         }
         // Only a completed switch resizes, and it always changes the
         // configuration.
-        let current = structure.current();
-        let resize = (current != config).then(|| structure.window_at(current)).transpose()?;
-        Ok(Some(NextInterval { insts: self.interval_len, resize }))
+        let resize = (structure.current() != config).then(|| structure.window());
+        Ok(Some(NextInterval { insts: interval_len, resize }))
     }
 }
 
@@ -866,22 +873,44 @@ mod tests {
     #[test]
     fn managed_lanes_reject_bad_runs() {
         let lane = || queue_lane(cap_obs::noop());
-        rejects(run_managed_lanes(ilp_stream(), &mut [lane(), lane()], 0, 2000));
-        rejects(run_managed_lanes(ilp_stream(), &mut [lane()], 10, 0));
-        rejects(run_managed_lanes(ilp_stream(), &mut (0..9).map(|_| lane()).collect::<Vec<_>>(), 10, 2000));
-        let mut used = lane();
-        used.structure.core_mut().run(&mut ilp_stream(), 10);
-        rejects(run_managed_lanes(ilp_stream(), &mut [lane(), used], 10, 2000));
-        assert_eq!(run_managed_lanes(ilp_stream(), &mut [], 10, 2000).unwrap(), Vec::new());
+        rejects(run_managed_lanes(ilp_stream(), &mut [lane(), lane()], &[(10, 2000), (0, 2000)]));
+        rejects(run_managed_lanes(ilp_stream(), &mut [lane()], &[(10, 0)]));
+        rejects(run_managed_lanes(ilp_stream(), &mut (0..9).map(|_| lane()).collect::<Vec<_>>(), &[(10, 2000); 9]));
+        rejects(run_managed_lanes(ilp_stream(), &mut [lane(), lane()], &[(10, 2000)]));
+        assert_eq!(run_managed_lanes(ilp_stream(), &mut [], &[]).unwrap(), Vec::new());
 
         // One lane is the generator-fed run.
-        let mut lanes = [lane()];
-        let runs = run_managed_lanes(ilp_stream(), &mut lanes, 40, 2000).unwrap();
-        let QueueLane { mut structure, mut policy, mut clock, .. } = lane();
+        let runs = run_managed_lanes(ilp_stream(), &mut [lane()], &[(40, 2000)]).unwrap();
+        assert_eq!(runs, [serial_queue_run(&mut lane(), 40, 2000)]);
+    }
+
+    /// `lane` run alone by [`run_managed`] over a [`QueueIntervalSim`],
+    /// with its own stream.
+    fn serial_queue_run(lane: &mut QueueLane, intervals: u64, interval_len: u64) -> FaultedRun {
+        let QueueLane { structure, policy, clock, injector } = lane;
         let mut stream = ilp_stream();
-        let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, 2000).unwrap();
-        let run = run_managed(&mut sim, &mut *policy, &mut clock, 40, None, SwitchRetryPolicy::default());
-        assert_eq!(runs, [run.unwrap()]);
+        let mut sim = QueueIntervalSim::new(structure, &mut stream, interval_len).unwrap();
+        run_managed(&mut sim, &mut **policy, clock, intervals, injector.as_mut(), SwitchRetryPolicy::default())
+            .unwrap()
+    }
+
+    #[test]
+    fn lanes_of_their_own_lengths_and_windows_are_each_their_own_run() {
+        let lengths = [(200, 500), (50, 2000), (13, 7777), (1, 32_000)];
+        let lane = |initial: usize| {
+            let mut lane = queue_lane(cap_obs::noop());
+            lane.structure.reconfigure(initial).unwrap();
+            lane.clock = DynamicClock::for_structure(&lane.structure, 30).unwrap();
+            lane
+        };
+        let mut lanes: Vec<QueueLane> = (0..lengths.len()).map(|l| lane(2 * l + 1)).collect();
+        let runs = run_managed_lanes(ilp_stream(), &mut lanes, &lengths).unwrap();
+        for (l, (run, &(intervals, len))) in runs.iter().zip(&lengths).enumerate() {
+            assert_eq!(*run, serial_queue_run(&mut lane(2 * l + 1), intervals, len), "{intervals}x{len}");
+            assert_eq!(run.run.intervals.len() as u64, intervals);
+            assert_eq!(run.run.intervals[0].config, 2 * l + 1);
+        }
+        assert!(runs[0].run.switches > 0);
     }
 
     #[test]
@@ -891,18 +920,15 @@ mod tests {
         let (ring, lane_ring) = (Arc::new(RingRecorder::new()), Arc::new(RingRecorder::new()));
         let mut lanes = [queue_lane(cap_obs::noop()), queue_lane(lane_ring.clone())];
         lanes[1].injector = Some(injector());
-        let runs = run_managed_lanes(ilp_stream(), &mut lanes, 60, 1000).unwrap();
+        let runs = run_managed_lanes(ilp_stream(), &mut lanes, &[(60, 1000); 2]).unwrap();
 
-        let QueueLane { mut structure, mut policy, mut clock, .. } = queue_lane(ring.clone());
-        let mut stream = ilp_stream();
-        let mut reference = injector();
-        let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, 1000).unwrap();
-        let retry = SwitchRetryPolicy::default();
-        let run = run_managed(&mut sim, &mut *policy, &mut clock, 60, Some(&mut reference), retry).unwrap();
+        let mut reference = QueueLane { injector: Some(injector()), ..queue_lane(ring.clone()) };
+        let run = serial_queue_run(&mut reference, 60, 1000);
         assert_eq!(runs[1], run);
         assert_ne!(runs[0], run, "the injector must reach its lane only");
-        assert_eq!(lanes[1].injector.as_ref().unwrap().stats(), reference.stats());
-        assert!(reference.stats().transient_switch_faults + reference.stats().samples_corrupted_nan > 0);
+        let stats = reference.injector.unwrap().stats();
+        assert_eq!(lanes[1].injector.as_ref().unwrap().stats(), stats);
+        assert!(stats.transient_switch_faults + stats.samples_corrupted_nan > 0);
         // Corrupted samples trace as NaN, so events compare as JSON.
         assert_eq!(json_events(&lane_ring), json_events(&ring));
     }

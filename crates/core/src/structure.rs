@@ -12,7 +12,6 @@ use crate::error::CapError;
 use cap_cache::config::Boundary;
 use cap_cache::hierarchy::AdaptiveCacheHierarchy;
 use cap_ooo::config::{CoreConfig, WindowSize};
-use cap_ooo::core::OooCore;
 use cap_timing::cacti::CacheTimingModel;
 use cap_timing::queue::QueueTimingModel;
 use cap_timing::units::Ns;
@@ -57,11 +56,14 @@ pub trait AdaptiveStructure {
     }
 }
 
-/// The complexity-adaptive instruction queue: an [`OooCore`] plus the
-/// wakeup/select timing model.
+/// The complexity-adaptive instruction queue: the out-of-order core's
+/// configuration, its window table and the wakeup/select timing model.
+/// It holds no core: the lanes of [`crate::manager::run_managed_lanes`]
+/// schedule it, and [`crate::manager::QueueIntervalSim`] builds the
+/// serial reference core.
 #[derive(Debug, Clone)]
 pub struct QueueStructure {
-    core: OooCore,
+    config: CoreConfig,
     sizes: Vec<WindowSize>,
     timing: QueueTimingModel,
     current: usize,
@@ -81,22 +83,21 @@ impl QueueStructure {
             return Err(CapError::UnknownConfiguration { index: initial, available: sizes.len() });
         }
         // The physical window must cover every configuration the manager
-        // can select, so build the core at the largest catalog size and
-        // shrink to the initial one (immediate: the window is empty).
+        // can select, so the core is built at the largest catalog size.
         let largest = *sizes.last().expect("paper sweep is non-empty");
-        let mut core = OooCore::try_new(CoreConfig::isca98(largest.entries())?)?;
-        core.request_resize(sizes[initial])?;
-        Ok(QueueStructure { core, sizes, timing, current: initial })
+        let config = CoreConfig::isca98(largest.entries())?;
+        Ok(QueueStructure { config, sizes, timing, current: initial })
     }
 
-    /// The underlying core (for stepping / interval recording).
-    pub fn core_mut(&mut self) -> &mut OooCore {
-        &mut self.core
+    /// The physical core every configuration runs on: its window is the
+    /// largest configuration's.
+    pub fn core_config(&self) -> &CoreConfig {
+        &self.config
     }
 
-    /// The underlying core, read-only.
-    pub fn core(&self) -> &OooCore {
-        &self.core
+    /// The active configuration's window size.
+    pub fn window(&self) -> WindowSize {
+        self.sizes[self.current]
     }
 
     /// The window size at a configuration index.
@@ -122,8 +123,7 @@ impl AdaptiveStructure for QueueStructure {
     }
 
     fn reconfigure(&mut self, index: usize) -> Result<(), CapError> {
-        let w = self.window_at(index)?;
-        self.core.request_resize(w)?;
+        self.window_at(index)?;
         self.current = index;
         Ok(())
     }
@@ -267,14 +267,15 @@ mod tests {
         assert_eq!(q.num_configs(), 8);
         assert_eq!(q.current(), 3);
         assert_eq!(q.describe(3), "64-entry");
-        assert_eq!(q.core().active_window(), 64);
+        assert_eq!(q.window_at(3).unwrap().entries(), 64);
+        assert_eq!(q.core_config().window.entries(), 128);
     }
 
     #[test]
-    fn queue_reconfigure_propagates_to_core() {
+    fn queue_reconfigure_selects_the_window() {
         let mut q = queue();
         q.reconfigure(7).unwrap();
-        assert_eq!(q.core().active_window(), 128);
+        assert_eq!(q.window_at(q.current()).unwrap().entries(), 128);
         assert_eq!(q.current(), 7);
         assert!(q.reconfigure(8).is_err());
     }

@@ -63,20 +63,23 @@
 //!
 //! # One schedule, two copies
 //!
-//! The core runs it in one dispatch loop, which reads instructions in
-//! packed form ([`InstStream::next_packed`]), with producers as distances
-//! back, and asserts that their seqs are contiguous. [`OooCore::step`]
-//! and [`OooCore::run`], and so managed runs, read straight from a
-//! generator through it.
+//! Production runs only the lanes: [`crate::multisweep`] schedules an
+//! instruction in several `u32` lanes in lock step, over one pass of the
+//! generator, with this module's issue-slot ring per lane. Each lane has
+//! its own window, dispatch floor and interval target, so a lane is
+//! either a fixed-window sweep point or a managed core whose window
+//! changes at its own interval ends. Every curve, interval series and
+//! managed run of the campaigns is a lane.
 //!
-//! The lanes run a second copy of the same recurrence:
-//! [`crate::multisweep`] schedules an instruction in several `u32` lanes
-//! in lock step, over one pass of the generator, with this module's
-//! issue-slot ring per lane. Each lane has its own window, dispatch
-//! floor and interval target, so a lane is either a fixed-window sweep
-//! point or a managed core whose window changes at its own interval
-//! ends. The unit tests and `cap-verify` hold the two copies
-//! bit-identical.
+//! [`OooCore`] is the second copy of the recurrence, kept as the serial
+//! reference the lanes are held to, as [`crate::reference::ScanCore`]
+//! is this core's. It runs in one dispatch loop, which reads
+//! instructions in packed form ([`InstStream::next_packed`]), with
+//! producers as distances back, and asserts that their seqs are
+//! contiguous; [`OooCore::step`] and [`OooCore::run`] read straight from
+//! a generator through it. `cap-core`'s `QueueIntervalSim` drives it
+//! under the managed-run reference. The unit tests and `cap-verify`
+//! hold the two copies bit-identical.
 
 use crate::config::{CoreConfig, WindowSize};
 use crate::error::OooError;

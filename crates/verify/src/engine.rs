@@ -14,6 +14,7 @@ use crate::invariants::{
     offline_optima_match_series, oracle_bound, reference_oracle_bound,
 };
 use crate::faults::faults_lanes_vs_serial;
+use crate::joint::joint_lane_vs_core;
 use crate::json::derive_roundtrip;
 use crate::multisweep::{
     bpred_fused_vs_per_size, cache_one_pass_vs_legacy, core_run_vs_scan, core_vs_scan_reference,
@@ -337,6 +338,10 @@ pub fn run_verify(cfg: &VerifyConfig, progress: &mut dyn FnMut(&PropertyReport))
         faults_lanes_vs_serial(rng)
     });
     push(r, progress);
+    let r = run_seeded_property("extended/joint-lane-vs-core", cfg, sweep_cases, &|rng, _| {
+        joint_lane_vs_core(rng)
+    });
+    push(r, progress);
 
     // The generators' native packed path against packing `next_inst`.
     let r = run_seeded_property("trace/packed-vs-inst", cfg, cfg.cases, &packed_vs_inst);
@@ -424,6 +429,7 @@ pub fn replay(text: &str, scratch: &Path) -> Result<ReplayOutcome, String> {
         "managed/queue/lanes-vs-core" => outcome_of(managed_lanes_vs_core(&mut rng).map(|()| true)),
         "interval/fixed/lanes-vs-core" => outcome_of(interval_lanes_vs_core(&mut rng).map(|()| true)),
         "faults/lanes-vs-serial" => outcome_of(faults_lanes_vs_serial(&mut rng).map(|()| true)),
+        "extended/joint-lane-vs-core" => outcome_of(joint_lane_vs_core(&mut rng).map(|()| true)),
         "trace/packed-vs-inst" => outcome_of(packed_vs_inst(&mut rng, case).map(|()| true)),
         "json/derive-roundtrip" => outcome_of(derive_roundtrip(&mut rng).map(|()| true)),
         other => Err(format!("repro names an unknown property {other:?}")),
@@ -453,8 +459,9 @@ mod tests {
         // 16 diff + 2 hardened diff + 8 oracle + 2 equiv + curve
         // + journal + offline + 6 sweep-engine differentials + managed
         // lanes + fixed-window interval lanes + fault-campaign lanes + the
-        // packed generator path + the JSON round trip.
-        assert_eq!(report.properties.len(), 42);
+        // joint run's lane + the packed generator path + the JSON round
+        // trip.
+        assert_eq!(report.properties.len(), 43);
     }
 
     #[test]

@@ -126,7 +126,7 @@ fn check_legs(
             let mut sim = QueueIntervalSim::new(structure, &mut stream, interval_len)?;
             run_managed(&mut sim, &mut **policy, clock, queue_intervals, injector.as_mut(), retry)
         },
-        |lanes| run_managed_lanes(app.ilp_profile().build(stream_seed), lanes, queue_intervals, interval_len),
+        |lanes| run_managed_lanes(app.ilp_profile().build(stream_seed), lanes, &[(queue_intervals, interval_len); 2]),
     )?;
     let profile = app.memory_profile();
     let cache = check_leg(
@@ -208,7 +208,7 @@ fn is_run_event(event: &Event) -> bool {
 }
 
 /// Compares two runs of one lane, every time as bits.
-fn same_run(ctx: &str, serial: &FaultedRun, lanes: &FaultedRun) -> Result<(), String> {
+pub(crate) fn same_run(ctx: &str, serial: &FaultedRun, lanes: &FaultedRun) -> Result<(), String> {
     let interval = |i: &ManagedInterval| (i.config, i.sample, i.period.value().to_bits(), i.tpi().value().to_bits());
     let (want, got) = (&serial.run.intervals, &lanes.run.intervals);
     if let Some(k) = (0..want.len().max(got.len())).find(|&k| want.get(k).map(interval) != got.get(k).map(interval)) {
@@ -252,7 +252,7 @@ fn same_report(ctx: &str, want: &LegReport, got: &LegReport) -> Result<(), Strin
 
 /// Compares two traces, given as JSON lines (a corrupted sample traces
 /// as NaN, which no `Event` equals).
-fn same_events(ctx: &str, want: &[String], got: &[String]) -> Result<(), String> {
+pub(crate) fn same_events(ctx: &str, want: &[String], got: &[String]) -> Result<(), String> {
     match (0..want.len().max(got.len())).find(|&k| want.get(k) != got.get(k)) {
         Some(k) => Err(format!("{ctx}: trace event {k} differs — {:?} (serial) vs {:?} (lanes)", want.get(k), got.get(k))),
         None => Ok(()),

@@ -25,6 +25,8 @@
 //!   ([`multisweep`]);
 //! * each fault-campaign leg's clean and faulty lanes equal the two
 //!   runs made one after the other ([`faults`]);
+//! * the joint (cache + queue) managed run's lane equals a serial core
+//!   run one interval at a time ([`joint`]);
 //! * each synthetic generator's native packed instructions equal its
 //!   unpacked ones, packed ([`packed`]);
 //! * every derived JSON decoder inverts its derived encoder, and no
@@ -41,6 +43,7 @@ pub mod diff;
 pub mod engine;
 pub mod faults;
 pub mod invariants;
+pub mod joint;
 pub mod json;
 pub mod multisweep;
 pub mod packed;

@@ -35,13 +35,14 @@
 //! workload apps × seeds × trace lengths, counters compared as integers
 //! and every derived time as `f64::to_bits`.
 
+use crate::faults::{same_events, same_run};
 use crate::rng::Rng;
 use cap_cache::config::Boundary;
 use cap_cache::perf::PerfParams;
 use cap_cache::sim::SweepPoint;
 use cap_core::clock::DynamicClock;
 use cap_core::manager::{
-    run_managed, run_managed_lanes, ConfidencePolicy, ManagedRun, QueueIntervalSim, QueueLane,
+    run_managed, run_managed_lanes, ConfidencePolicy, QueueIntervalSim, QueueLane,
     ResiliencePolicy, SwitchRetryPolicy,
 };
 use cap_core::policy::{PolicyConfig, PolicyKind};
@@ -352,14 +353,15 @@ fn managed_lane(
 /// One fuzzed managed-lanes case (`managed/queue/lanes-vs-core`): one to
 /// eight lanes over a random suite application and seed, each with a
 /// random policy kind and knobs, initial configuration and switch
-/// penalty, all at one interval length — one instruction, `CW - 1`, an
-/// odd count or the paper's 2000. Each lane's [`ManagedRun`] and trace
-/// events must be bit-identical to [`run_managed`] over a
-/// [`QueueIntervalSim`] of the same lane reading its own copy of the
-/// stream: every interval's configuration, sample and period, the switch
-/// count and penalty, and every decision, sample and clock-switch event.
-/// The first interval must be charged the period of the lane's initial
-/// configuration.
+/// penalty, and its own run length: one to forty intervals of one
+/// instruction, `CW - 1`, an odd count or 500–32000 instructions. Each
+/// lane's [`FaultedRun`](cap_core::manager::FaultedRun) (every
+/// interval's configuration, sample, period and TPI, the switch counts
+/// and penalties, as bits) and trace events must be those of
+/// [`run_managed`] over a [`QueueIntervalSim`] of the same lane reading
+/// its own copy of the stream: every decision, sample and clock-switch
+/// event. The first interval must be charged the period of the lane's
+/// initial configuration.
 ///
 /// # Errors
 ///
@@ -368,60 +370,45 @@ pub fn managed_lanes_vs_core(rng: &mut Rng) -> Result<(), String> {
     let apps: Vec<App> = App::queue_suite().collect();
     let app = *rng.pick(&apps);
     let seed = rng.next_u64();
-    let odd = 2 * rng.range(1, 500) + 1;
-    let interval_len = *rng.pick(&[1, 7, odd, PAPER_INTERVAL_INSTS]);
-    let intervals = rng.range(1, (40_000 / interval_len).clamp(2, 60));
-    let lanes: Vec<(PolicyConfig, usize, u64)> = (0..rng.range(1, LANES as u64))
-        .map(|_| (random_policy(rng), rng.below(8) as usize, *rng.pick(&[0, 30, 100])))
+    let lanes: Vec<(PolicyConfig, usize, u64, (u64, u64))> = (0..rng.range(1, LANES as u64))
+        .map(|_| {
+            let (odd, long) = (2 * rng.range(1, 500) + 1, rng.range(500, 32_000));
+            let length = (rng.range(1, 40), *rng.pick(&[1, 7, odd, long]));
+            (random_policy(rng), rng.below(8) as usize, *rng.pick(&[0, 30, 100]), length)
+        })
         .collect();
-    let ctx = format!("app {} seed {seed} {intervals}x{interval_len} insts", app.name());
+    let ctx = format!("app {} seed {seed}", app.name());
     let stream = || app.ilp_profile().build(seed);
 
     let mut under_test = Vec::new();
     let mut rings = Vec::new();
-    for (config, initial, penalty) in &lanes {
+    for (config, initial, penalty, _) in &lanes {
         let (lane, ring) = managed_lane(app, config, *initial, *penalty)?;
         under_test.push(lane);
         rings.push(ring);
     }
-    let runs: Vec<ManagedRun> = run_managed_lanes(stream(), &mut under_test, intervals, interval_len)
-        .map_err(|e| format!("{ctx}: lanes failed: {e}"))?
-        .into_iter()
-        .map(|run| run.run)
-        .collect();
-    for (l, ((config, initial, penalty), (run, ring))) in lanes.iter().zip(runs.iter().zip(&rings)).enumerate() {
-        let ctx = format!("{ctx}, lane {l} ({} from config {initial})", config.kind().name());
+    let lengths: Vec<(u64, u64)> = lanes.iter().map(|lane| lane.3).collect();
+    let runs = run_managed_lanes(stream(), &mut under_test, &lengths).map_err(|e| format!("{ctx}: lanes failed: {e}"))?;
+    for (l, ((config, initial, penalty, (intervals, interval_len)), (run, ring))) in
+        lanes.iter().zip(runs.iter().zip(&rings)).enumerate()
+    {
+        let ctx = format!("{ctx}, lane {l} ({} from config {initial}, {intervals}x{interval_len} insts)", config.kind().name());
         let (mut lane, reference_ring) = managed_lane(app, config, *initial, *penalty)?;
         let mut stream = stream();
-        let mut sim = QueueIntervalSim::new(&mut lane.structure, &mut stream, interval_len)
+        let mut sim = QueueIntervalSim::new(&mut lane.structure, &mut stream, *interval_len)
             .map_err(|e| format!("{ctx}: {e}"))?;
-        let reference = run_managed(
-            &mut sim,
-            &mut *lane.policy,
-            &mut lane.clock,
-            intervals,
-            None,
-            SwitchRetryPolicy::default(),
-        )
-        .map_err(|e| format!("{ctx}: core run failed: {e}"))?
-        .run;
-        compare_managed_runs(&ctx, &reference, run)?;
+        let reference = run_managed(&mut sim, &mut *lane.policy, &mut lane.clock, *intervals, None, SwitchRetryPolicy::default())
+            .map_err(|e| format!("{ctx}: core run failed: {e}"))?;
+        same_run(&ctx, &reference, run)?;
         let initial_period = lane.structure.cycle_time(*initial).map_err(|e| format!("{ctx}: {e}"))?;
-        if run.intervals.first().is_some_and(|first| first.period != initial_period) {
+        if run.run.intervals.first().is_some_and(|first| first.period != initial_period) {
             return Err(format!(
                 "{ctx}: the first interval is charged {} but the structure starts at {initial_period}",
-                run.intervals[0].period
+                run.run.intervals[0].period
             ));
         }
         let events = |ring: &RingRecorder| ring.events().iter().map(|e| e.to_json()).collect::<Vec<_>>();
-        let (want, got) = (events(&reference_ring), events(ring));
-        if let Some(k) = (0..want.len().max(got.len())).find(|&k| want.get(k) != got.get(k)) {
-            return Err(format!(
-                "{ctx}: trace event {k} differs — {:?} (core) vs {:?} (lanes)",
-                want.get(k),
-                got.get(k)
-            ));
-        }
+        same_events(&ctx, &events(&reference_ring), &events(ring))?;
     }
     Ok(())
 }
@@ -509,30 +496,6 @@ fn compare_interval_lanes<S: InstStream>(
                 series.get(k)
             ));
         }
-    }
-    Ok(())
-}
-
-fn compare_managed_runs(ctx: &str, core: &ManagedRun, lanes: &ManagedRun) -> Result<(), String> {
-    if core.intervals.len() != lanes.intervals.len() {
-        return Err(format!(
-            "{ctx}: interval counts differ (core {} vs lanes {})",
-            core.intervals.len(),
-            lanes.intervals.len()
-        ));
-    }
-    for (k, (c, l)) in core.intervals.iter().zip(&lanes.intervals).enumerate() {
-        if c.config != l.config || c.sample != l.sample || c.period.value().to_bits() != l.period.value().to_bits() {
-            return Err(format!("{ctx}: interval {k} differs — {c:?} (core) vs {l:?} (lanes)"));
-        }
-    }
-    if core.switches != lanes.switches
-        || core.switch_penalty.value().to_bits() != lanes.switch_penalty.value().to_bits()
-    {
-        return Err(format!(
-            "{ctx}: switches {} / penalty {} (core) vs {} / {} (lanes)",
-            core.switches, core.switch_penalty, lanes.switches, lanes.switch_penalty
-        ));
     }
     Ok(())
 }

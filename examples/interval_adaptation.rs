@@ -8,7 +8,7 @@
 
 use cap::core::clock::{DynamicClock, DEFAULT_SWITCH_PENALTY_CYCLES};
 use cap::core::experiments::{ExecPolicy, IntervalExperiment};
-use cap::core::manager::{run_managed, QueueIntervalSim, SwitchRetryPolicy};
+use cap::core::manager::{run_managed_lanes, QueueLane};
 use cap::core::policy::{PolicyConfig, PolicyKind};
 use cap::core::structure::{AdaptiveStructure, QueueStructure};
 use cap::timing::queue::QueueTimingModel;
@@ -19,18 +19,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let intervals = 400;
 
     // Managed run, narrated: watch the manager explore, settle, and
-    // follow turb3d's phase change.
-    let timing = QueueTimingModel::default();
-    let mut structure = QueueStructure::isca98(timing, 0)?;
-    let table = structure.period_table()?;
-    let mut clock = DynamicClock::new(table, DEFAULT_SWITCH_PENALTY_CYCLES)?;
+    // follow turb3d's phase change. The run is one lane of the lock-step
+    // OoO engine, as every managed run in the library is.
+    let structure = QueueStructure::isca98(QueueTimingModel::default(), 0)?;
+    let clock = DynamicClock::for_structure(&structure, DEFAULT_SWITCH_PENALTY_CYCLES)?;
     let confidence = PolicyConfig::new(PolicyKind::Confidence);
-    let mut manager = confidence.build(structure.num_configs(), cap::obs::noop(), None)?;
-    let mut stream = app.ilp_profile().build(7);
-    let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, 2000)?;
-    let run =
-        run_managed(&mut sim, &mut *manager, &mut clock, intervals, None, SwitchRetryPolicy::default())?
-            .run;
+    let policy = confidence.build(structure.num_configs(), cap::obs::noop(), None)?;
+    let mut lanes = [QueueLane { structure, policy, clock, injector: None }];
+    let stream = app.ilp_profile().build(7);
+    let run = run_managed_lanes(stream, &mut lanes, &[(intervals, 2000)])?.remove(0).run;
+    let structure = &lanes[0].structure;
 
     println!("Managed run of {app} over {intervals} intervals of 2000 instructions:");
     let mut last = usize::MAX;

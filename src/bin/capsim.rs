@@ -1556,7 +1556,7 @@ mod tests {
         std::env::set_var("CAP_VERIFY_DIR", &dir);
         let out = run(&["verify", "--cases", "3", "--seed", "5"]).unwrap();
         std::env::remove_var("CAP_VERIFY_DIR");
-        assert!(out.contains("42 properties passed"), "{out}");
+        assert!(out.contains("43 properties passed"), "{out}");
         assert!(out.contains("seed 5"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
