@@ -49,13 +49,13 @@ use crate::experiments::{
 };
 use crate::report;
 use cap_obs::{Event, LegDedupEvent, LegTimeoutEvent};
-use cap_par::{BatchResult, CacheKey, TimedOut};
+use cap_par::{drain_requested, CacheKey, TimedOut};
 use cap_workloads::App;
 use serde::Serialize;
 use serde_json::{FromJson, Value};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
 type Compute = Arc<dyn Fn(&ExecPolicy) -> Result<Value, CapError> + Send + Sync>;
@@ -444,30 +444,25 @@ impl Executor {
         stats.journal_hits = values.iter().flatten().count() as u64;
 
         let pending: Vec<usize> = (0..legs.len()).filter(|&i| values[i].is_none()).collect();
-        // Once a leg fails the run's result is that error, so no further
-        // leg starts (legs already running finish and are committed).
-        let failing = AtomicBool::new(false);
-        let batch = exec.pool().ordered_map_drain(pending, |_, i| {
-            if failing.load(Ordering::Relaxed) {
-                return None;
-            }
-            let result = Self::run_leg(&legs[i], exec);
+        // A failed leg stops the batch: the run's result is that error,
+        // so no further leg starts (legs already running finish and are
+        // committed).
+        let results = exec.pool().run(pending.len(), |k| {
+            let result = Self::run_leg(&legs[pending[k]], exec);
             if result.is_err() {
-                failing.store(true, Ordering::Relaxed);
+                ControlFlow::Break(result)
+            } else {
+                ControlFlow::Continue(result)
             }
-            Some((i, result))
         });
-        let (results, drained) = match batch {
-            BatchResult::Complete(results) => (results, false),
-            BatchResult::Drained { partial, .. } => (partial.into_iter().flatten().collect(), true),
-        };
         // Commit every completed leg — even when another leg failed or
         // the batch drained — so `--resume` replays finished work.
         // `pending` ascends, so commits land in plan order.
         let mut failed: Option<CapError> = None;
-        for item in results {
-            match item {
-                Some((i, Ok((value, source)))) => {
+        let mut unfinished = false;
+        for (&i, result) in pending.iter().zip(results) {
+            match result {
+                Some(Ok((value, source))) => {
                     exec.journal_append(&legs[i].key, &value);
                     match source {
                         LegSource::Computed => stats.computed += 1,
@@ -484,13 +479,13 @@ impl Executor {
                     }
                     values[i] = Some(value);
                 }
-                Some((_, Err(e))) => {
+                Some(Err(e)) => {
                     failed.get_or_insert(e);
                 }
-                None => {}
+                None => unfinished = true,
             }
         }
-        if drained {
+        if unfinished && drain_requested() {
             return Err(CapError::Interrupted);
         }
         if let Some(e) = failed {
@@ -944,6 +939,68 @@ mod tests {
         // The abandoned leg holds the one permit until its compute ends.
         drop(exec.acquire_worker());
         assert!(ended.load(Ordering::SeqCst), "the permit came back only when the leg ended");
+    }
+
+    /// Six journaled legs whose second fails; each compute records its
+    /// index as it starts. At more than one worker the first two legs meet
+    /// at a barrier, so the first is running when the second fails.
+    fn second_leg_fails(started: &Arc<std::sync::Mutex<Vec<usize>>>, jobs: usize) -> ExperimentSpec {
+        let mut spec = ExperimentSpec::new("unit");
+        let both_running = Arc::new(std::sync::Barrier::new(2));
+        for i in 0..6u64 {
+            let (started, both_running) = (started.clone(), both_running.clone());
+            spec.leg(Leg::journaled(format!("leg|{i}"), "leg", move |_| {
+                started.lock().unwrap().push(i as usize);
+                if i < 2 && jobs > 1 {
+                    both_running.wait();
+                }
+                if i == 1 {
+                    return Err(CapError::InvalidParameter { what: "second leg" });
+                }
+                Ok(i)
+            }));
+        }
+        spec
+    }
+
+    #[test]
+    fn a_failed_leg_stops_the_batch_and_started_legs_are_committed_in_plan_order() {
+        for jobs in [1, 2] {
+            let dir = std::env::temp_dir().join(format!("cap-plan-stop-{jobs}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let header = cap_par::JournalHeader {
+                experiment: "unit".into(),
+                seed: 7,
+                scale: "smoke".into(),
+                policy: None,
+                results_version: 1,
+            };
+            let journal = cap_par::Journal::begin(dir.join("unit.jsonl"), header, false).unwrap();
+            let ring = Arc::new(cap_obs::RingRecorder::new());
+            let exec = ExecPolicy::with_jobs(jobs).with_journal(journal).with_recorder(ring.clone());
+            let started = Arc::new(std::sync::Mutex::new(Vec::new()));
+
+            let err = Executor::run(&second_leg_fails(&started, jobs), &exec).unwrap_err();
+            assert_eq!(err, CapError::InvalidParameter { what: "second leg" });
+            let mut started = started.lock().unwrap().clone();
+            started.sort_unstable();
+            if jobs == 1 {
+                assert_eq!(started, vec![0, 1], "no later leg computes after the failure");
+            }
+            let committed: Vec<String> = ring
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    Event::JournalLeg(j) if j.action == "appended" => Some(j.leg.clone()),
+                    _ => None,
+                })
+                .collect();
+            let expected: Vec<String> =
+                started.iter().filter(|&&i| i != 1).map(|i| format!("leg|{i}")).collect();
+            assert_eq!(committed, expected, "jobs={jobs}: every started leg commits, in plan order");
+            assert!(exec.journal().unwrap().lock().unwrap().lookup("leg|0").is_some(), "jobs={jobs}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     fn probes(ring: &cap_obs::RingRecorder) -> usize {

@@ -153,11 +153,11 @@ pub struct CacheSimEvent {
     pub misses: u64,
 }
 
-/// Per-batch counters from one `Pool::ordered_map` dispatch.
+/// Per-batch counters from one `Pool::run` dispatch.
 ///
-/// The only event whose content depends on OS scheduling (steal counts and
-/// the per-worker split vary run to run); it is emitted for tuning the pool
-/// and deliberately kept out of every report.
+/// The only event whose content depends on OS scheduling (the per-worker
+/// split varies run to run); it is emitted for tuning the pool and
+/// deliberately kept out of every report.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PoolBatchEvent {
     /// Worker threads the batch ran on.
@@ -166,8 +166,6 @@ pub struct PoolBatchEvent {
     pub tasks: u64,
     /// Tasks executed by each worker, indexed by worker id.
     pub executed: Vec<u64>,
-    /// Tasks obtained by stealing from a sibling's deque.
-    pub steals: u64,
 }
 
 /// A result-cache lookup by the sweep engine.
@@ -454,7 +452,6 @@ mod tests {
                 jobs: 4,
                 tasks: 12,
                 executed: vec![3, 3, 3, 3],
-                steals: 2,
             }),
             Event::CacheProbe(CacheProbeEvent {
                 kind: "cache-curve".into(),

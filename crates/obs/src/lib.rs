@@ -21,7 +21,7 @@
 //!   (interval numbers, configs, TPI nanoseconds) — no wall-clock timestamps,
 //!   thread ids or other sources of nondeterminism, so same-seed runs emit
 //!   identical decision streams. The only exception is the per-batch pool
-//!   counters, whose steal counts depend on scheduling; they are confined to
+//!   counters, whose per-worker split depends on scheduling; they are confined to
 //!   [`Event::PoolBatch`] and never embedded in reports.
 //!
 //! The crate is dependency-free beyond the vendored `serde`/`serde_json`

@@ -57,8 +57,6 @@ pub struct TraceSummary {
     pub pool_batches: u64,
     /// Tasks executed across all pool batches.
     pub pool_tasks: u64,
-    /// Tasks obtained by work stealing.
-    pub pool_steals: u64,
     /// Result-cache probe outcomes keyed by the stable `outcome` tag.
     pub cache_probes: BTreeMap<String, u64>,
     /// Result-cache stores that succeeded.
@@ -177,7 +175,6 @@ impl TraceSummary {
                 "pool-batch" => {
                     sum.pool_batches += 1;
                     sum.pool_tasks += field::<u64>(&v, "tasks", line)?;
-                    sum.pool_steals += field::<u64>(&v, "steals", line)?;
                 }
                 "result-cache-probe" => {
                     let outcome = field::<String>(&v, "outcome", line)?;
@@ -256,8 +253,8 @@ impl TraceSummary {
         }
         if self.pool_batches > 0 {
             out.push_str(&format!(
-                "\npool: {} batches, {} tasks, {} steals\n",
-                self.pool_batches, self.pool_tasks, self.pool_steals
+                "\npool: {} batches, {} tasks\n",
+                self.pool_batches, self.pool_tasks
             ));
         }
         if !self.cache_probes.is_empty() || self.cache_stores_ok + self.cache_stores_failed > 0 {
@@ -352,7 +349,6 @@ mod tests {
                 jobs: 2,
                 tasks: 8,
                 executed: vec![5, 3],
-                steals: 1,
             }),
             Event::CacheProbe(CacheProbeEvent {
                 kind: "cache-curve".into(),
@@ -378,7 +374,6 @@ mod tests {
         assert_eq!(app.time_in_config.get(&1), Some(&2));
         assert_eq!(sum.pool_batches, 1);
         assert_eq!(sum.pool_tasks, 8);
-        assert_eq!(sum.pool_steals, 1);
         assert_eq!(sum.cache_probes.get("miss"), Some(&1));
         assert_eq!(app.pattern_detections, 1);
         let text = sum.render();

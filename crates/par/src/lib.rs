@@ -6,9 +6,11 @@
 //! experiment drivers fan those legs out without giving up
 //! reproducibility — and without trusting the machine to stay up:
 //!
-//! * [`pool`] — a small work-stealing thread pool built on scoped
-//!   spawning. Results are collected **in submission order**, so a
-//!   parallel run merges to exactly the bytes a serial run produces.
+//! * [`pool`] — a small thread pool built on scoped spawning: workers
+//!   claim task indices from one shared counter, and one worker runs
+//!   inline on the caller's thread. Results are collected **in
+//!   submission order**, so a parallel run merges to exactly the bytes a
+//!   serial run produces.
 //! * [`cache`] — a versioned, content-addressed result cache persisted
 //!   under `results/cache/`. Every entry embeds an FNV-1a checksum of
 //!   its value; corrupt or truncated entries are quarantined and
@@ -30,8 +32,8 @@
 //!   across independent executors to one worker budget.
 //!
 //! The pool and cache report into the [`cap_obs`] observability layer
-//! when a recorder is attached: the pool emits per-batch execution/steal
-//! counters, and [`cache::ResultCache::probe`] classifies every lookup
+//! when a recorder is attached: the pool emits per-batch, per-worker
+//! execution counters, and [`cache::ResultCache::probe`] classifies every lookup
 //! (hit / miss / invalid / corrupt / collision) for the
 //! `result-cache-probe` trace events. With the default no-op recorder
 //! neither path allocates.
@@ -52,7 +54,7 @@ pub use cache::{
 };
 pub use chaos::ChaosInjector;
 pub use journal::{Journal, JournalHeader, CHAOS_KILL_EXIT, JOURNAL_FORMAT_VERSION};
-pub use pool::{effective_jobs, jobs_from_env, BatchResult, Gate, GatePermit, Pool};
+pub use pool::{effective_jobs, Gate, GatePermit, Pool};
 pub use shutdown::{drain_requested, request_drain, reset_drain};
 pub use singleflight::SingleFlight;
 pub use watchdog::{TimedOut, WatchdogPolicy};

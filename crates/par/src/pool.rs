@@ -1,58 +1,40 @@
-//! A work-stealing thread pool with deterministic ordered collection.
+//! A scoped thread pool with deterministic ordered collection.
 //!
-//! The design is the classic per-worker-deque scheme scaled down to what
-//! the sweep engine needs: tasks are known up front, so there is no
-//! injector churn — items are dealt round-robin into per-worker deques,
-//! each worker pops from the *front* of its own deque and, when empty,
-//! steals from the *back* of a sibling's. Every task carries its
-//! submission index and writes its result into a dedicated slot, so
-//! [`Pool::ordered_map`] returns results in input order no matter which
-//! worker ran what — the property the parallel/serial equivalence tests
-//! lock down.
+//! A batch is `tasks` indices and one task function. Every worker runs
+//! the same loop: check the stop condition, claim the next index from
+//! one shared counter, run the task and write its result into that
+//! index's slot. Results therefore come back in input order no matter
+//! which worker ran what — the property the parallel/serial equivalence
+//! tests lock down. At one worker the loop runs on the caller's thread
+//! with no spawn, so the serial reference path is the same code.
+//!
+//! One stop condition is checked before every claim. A batch stops when
+//! a task panics, when a task returns [`ControlFlow::Break`], or when a
+//! drain is requested ([`crate::shutdown::drain_requested`]). In-flight
+//! tasks finish and keep their results; unclaimed tasks never start and
+//! their slots stay `None`, so a caller can salvage and journal what
+//! finished.
 //!
 //! Panics inside a task are contained per task: the first failing task's
-//! index and message are captured, dispatch stops cleanly, and the batch
+//! index and message are captured, the batch stops, and the call
 //! re-panics with `pool task <index> panicked: <message>` instead of a
-//! generic scope-join payload that hides which leg failed. Every lock is
-//! taken poison-recovering (`PoisonError::into_inner`), so a contained
-//! panic can never cascade into a second "poisoned" panic in another
-//! worker — the data under the lock is a plain slot or deque that is
-//! valid at every instruction boundary.
-//!
-//! [`Pool::ordered_map_drain`] is the graceful-shutdown variant: it
-//! checks the process-wide [`crate::shutdown::drain_requested`] flag at
-//! every dispatch point and, once a drain is requested, stops pulling
-//! new tasks and returns the completed prefix as
-//! [`BatchResult::Drained`] so the caller can salvage and journal it.
+//! generic scope-join payload that hides which leg failed. Slots are
+//! locked poison-recovering (`PoisonError::into_inner`), so a contained
+//! panic never cascades into a second "poisoned" panic in another worker.
 
 use crate::shutdown::drain_requested;
 use cap_obs::{Event, PoolBatchEvent, Recorder};
-use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A fixed-width thread pool. `jobs == 1` runs everything inline on the
-/// caller's thread (the serial reference path — same code, no spawns).
+/// caller's thread (the serial reference path — same loop, no spawns).
 #[derive(Debug, Clone)]
 pub struct Pool {
     jobs: usize,
     recorder: Arc<dyn Recorder>,
-}
-
-/// What a drain-aware batch produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchResult<T> {
-    /// Every task ran; results are in input order.
-    Complete(Vec<T>),
-    /// A drain was requested mid-batch: `partial[i]` holds task `i`'s
-    /// result if it finished before dispatch stopped.
-    Drained {
-        /// Per-task results, input-indexed, `None` for undispatched tasks.
-        partial: Vec<Option<T>>,
-        /// How many tasks completed.
-        completed: usize,
-    },
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -75,195 +57,95 @@ impl Pool {
         }
     }
 
-    /// Attach a trace recorder; each `ordered_map` batch then emits one
-    /// [`cap_obs::PoolBatchEvent`] with per-worker execution and steal
-    /// counters.
+    /// Attach a trace recorder; each batch then emits one
+    /// [`cap_obs::PoolBatchEvent`] with per-worker execution counters.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = recorder;
         self
     }
 
-    /// The worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Applies `f` to every item, in parallel across the pool's workers,
-    /// and returns the results **in input order**.
+    /// Runs `task(0) .. task(tasks - 1)` across the pool's workers and
+    /// returns their results **in input order**.
     ///
-    /// `f` receives `(index, item)` and must be a pure function of them
-    /// for parallel runs to equal serial runs (every caller in this
-    /// workspace passes seeded, self-contained simulation legs).
+    /// `task` must be a pure function of its index for parallel runs to
+    /// equal serial runs (every caller in this workspace runs seeded,
+    /// self-contained simulation legs). A task returns
+    /// [`ControlFlow::Continue`] to let the batch go on, or
+    /// [`ControlFlow::Break`] to keep its result and stop the batch.
+    /// Slot `i` is `None` exactly when task `i` never started: the batch
+    /// stopped on a `Break` or on a drain request first.
     ///
     /// # Panics
     ///
-    /// If a task panics, dispatch stops and the call re-panics with
+    /// If a task panics, the batch stops and the call re-panics with
     /// `pool task <index> panicked: <message>` naming the first failing
     /// task (in completion order).
-    pub fn ordered_map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
+    pub fn run<T, F>(&self, tasks: usize, task: F) -> Vec<Option<T>>
     where
-        I: Send,
         T: Send,
-        F: Fn(usize, I) -> T + Sync,
+        F: Fn(usize) -> ControlFlow<T, T> + Sync,
     {
-        match self.run_batch(items, f, false) {
-            BatchResult::Complete(out) => out,
-            BatchResult::Drained { .. } => unreachable!("non-drain batches always complete"),
-        }
-    }
+        let workers = self.jobs.min(tasks).max(1);
+        let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+        // `Relaxed` suffices: the counter and the flag publish no data.
+        // Results travel through the slots' locks and are read after
+        // every worker has joined.
+        let next = AtomicUsize::new(0);
+        let halt = AtomicBool::new(false);
+        let failure: OnceLock<(usize, String)> = OnceLock::new();
 
-    /// Like [`Pool::ordered_map`], but honours the process-wide drain
-    /// flag: once [`crate::shutdown::request_drain`] has been called,
-    /// in-flight tasks finish, nothing new is dispatched, and the
-    /// completed prefix comes back as [`BatchResult::Drained`].
-    ///
-    /// # Panics
-    /// Same contract as [`Pool::ordered_map`] for task panics.
-    pub fn ordered_map_drain<I, T, F>(&self, items: Vec<I>, f: F) -> BatchResult<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, I) -> T + Sync,
-    {
-        self.run_batch(items, f, true)
-    }
-
-    fn run_batch<I, T, F>(&self, items: Vec<I>, f: F, drain_aware: bool) -> BatchResult<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, I) -> T + Sync,
-    {
-        let n = items.len();
-        let workers = self.jobs.min(n);
-        if workers <= 1 {
-            let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-            for (i, item) in items.into_iter().enumerate() {
-                if drain_aware && drain_requested() {
+        // One worker's loop; returns how many tasks it ran to completion.
+        let worker = || {
+            let mut executed = 0u64;
+            while !halt.load(Ordering::Relaxed) && !drain_requested() {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= tasks {
                     break;
                 }
-                match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                    Ok(v) => out.push(Some(v)),
+                let (result, go_on) = match catch_unwind(AssertUnwindSafe(|| task(index))) {
+                    Ok(ControlFlow::Continue(result)) => (result, true),
+                    Ok(ControlFlow::Break(result)) => (result, false),
                     Err(payload) => {
-                        panic!("pool task {i} panicked: {}", panic_message(payload.as_ref()))
+                        let _ = failure.set((index, panic_message(payload.as_ref())));
+                        halt.store(true, Ordering::Relaxed);
+                        break;
                     }
+                };
+                *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+                executed += 1;
+                if !go_on {
+                    halt.store(true, Ordering::Relaxed);
                 }
             }
-            let completed = out.len();
-            if self.recorder.enabled() {
-                self.recorder.record(&Event::PoolBatch(PoolBatchEvent {
-                    jobs: 1,
-                    tasks: n as u64,
-                    executed: vec![completed as u64],
-                    steals: 0,
-                }));
-            }
-            if completed < n {
-                out.resize_with(n, || None);
-                return BatchResult::Drained { partial: out, completed };
-            }
-            return BatchResult::Complete(out.into_iter().flatten().collect());
-        }
+            executed
+        };
+        let executed: Vec<u64> = if workers == 1 {
+            vec![worker()]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("a pool worker's own loop never panics"))
+                    .collect()
+            })
+        };
 
-        // Deal tasks round-robin into per-worker deques.
-        let mut queues: Vec<VecDeque<(usize, I)>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            queues[i % workers].push_back((i, item));
-        }
-        let queues: Vec<Mutex<VecDeque<(usize, I)>>> = queues.into_iter().map(Mutex::new).collect();
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let executed: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        let steals = AtomicU64::new(0);
-        let abort = AtomicBool::new(false);
-        let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
-
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let queues = &queues;
-                let slots = &slots;
-                let executed = &executed;
-                let steals = &steals;
-                let abort = &abort;
-                let failure = &failure;
-                let f = &f;
-                scope.spawn(move || loop {
-                    // A failed sibling means the batch result is already
-                    // forfeit — and a requested drain means no new work
-                    // may start. Either way, stop pulling tasks.
-                    if abort.load(Ordering::Relaxed) || (drain_aware && drain_requested()) {
-                        return;
-                    }
-                    // Own work first (front of own deque)...
-                    let task = queues[me]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .pop_front();
-                    let (index, item) = match task {
-                        Some(t) => t,
-                        // ...then steal from the back of a sibling's.
-                        None => {
-                            let stolen = (1..workers).find_map(|d| {
-                                queues[(me + d) % workers]
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .pop_back()
-                            });
-                            match stolen {
-                                Some(t) => {
-                                    steals.fetch_add(1, Ordering::Relaxed);
-                                    t
-                                }
-                                None => return,
-                            }
-                        }
-                    };
-                    match catch_unwind(AssertUnwindSafe(|| f(index, item))) {
-                        Ok(result) => {
-                            *slots[index].lock().unwrap_or_else(PoisonError::into_inner) =
-                                Some(result);
-                            executed[me].fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(payload) => {
-                            let mut first =
-                                failure.lock().unwrap_or_else(PoisonError::into_inner);
-                            if first.is_none() {
-                                *first = Some((index, panic_message(payload.as_ref())));
-                            }
-                            drop(first);
-                            abort.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-
-        if let Some((index, message)) =
-            failure.into_inner().unwrap_or_else(PoisonError::into_inner)
-        {
+        if let Some((index, message)) = failure.into_inner() {
             panic!("pool task {index} panicked: {message}");
         }
-
         if self.recorder.enabled() {
             self.recorder.record(&Event::PoolBatch(PoolBatchEvent {
                 jobs: workers,
-                tasks: n as u64,
-                executed: executed.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                steals: steals.load(Ordering::Relaxed),
+                tasks: tasks as u64,
+                executed,
             }));
         }
-
-        let partial: Vec<Option<T>> = slots
+        slots
             .into_iter()
             .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        let completed = partial.iter().filter(|s| s.is_some()).count();
-        if completed < n {
-            debug_assert!(drain_aware, "only a drain may leave tasks unrun");
-            return BatchResult::Drained { partial, completed };
-        }
-        BatchResult::Complete(partial.into_iter().flatten().collect())
+            .collect()
     }
 }
 
@@ -336,7 +218,7 @@ impl Drop for GatePermit {
 /// # Errors
 /// Returns a human-readable message naming the variable and the rejected
 /// value.
-pub fn jobs_from_env() -> Result<Option<usize>, String> {
+fn jobs_from_env() -> Result<Option<usize>, String> {
     let Some(raw) = std::env::var_os("CAP_JOBS") else {
         return Ok(None);
     };
@@ -354,7 +236,8 @@ pub fn jobs_from_env() -> Result<Option<usize>, String> {
 /// available parallelism.
 ///
 /// # Errors
-/// Propagates the [`jobs_from_env`] error for an invalid `CAP_JOBS`.
+/// Returns a message naming `CAP_JOBS` and the rejected value when the
+/// variable is set to anything but a positive integer.
 pub fn effective_jobs(requested: Option<usize>) -> Result<usize, String> {
     if let Some(n) = requested {
         return Ok(n.max(1));
@@ -367,76 +250,130 @@ pub fn effective_jobs(requested: Option<usize>) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shutdown::{request_drain, reset_drain};
     use cap_obs::RingRecorder;
+    use std::ops::ControlFlow::{Break, Continue};
+
+    /// Runs a batch whose tasks never stop it and unwraps every slot.
+    fn map_all<T: Send>(jobs: usize, tasks: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let out = Pool::new(jobs).run(tasks, |i| Continue(f(i)));
+        out.into_iter().map(|slot| slot.expect("an unstopped batch runs every task")).collect()
+    }
+
+    fn batch_event(ring: &RingRecorder) -> PoolBatchEvent {
+        let events = ring.events();
+        assert_eq!(events.len(), 1, "one pool-batch event per batch");
+        match &events[0] {
+            Event::PoolBatch(b) => b.clone(),
+            other => panic!("expected a pool-batch event, got {other:?}"),
+        }
+    }
 
     #[test]
-    fn ordered_map_preserves_input_order() {
+    fn results_come_back_in_input_order() {
         for jobs in [1, 2, 3, 8, 33] {
-            let out = Pool::new(jobs).ordered_map((0..100u64).collect(), |i, x| {
-                assert_eq!(i as u64, x);
-                x * x
-            });
+            let out = map_all(jobs, 100, |i| (i as u64) * (i as u64));
             assert_eq!(out, (0..100u64).map(|x| x * x).collect::<Vec<_>>(), "jobs={jobs}");
         }
     }
 
     #[test]
     fn parallel_equals_serial() {
-        let work = |i: usize, x: u64| -> u64 {
+        let work = |i: usize| -> u64 {
             // A little CPU burn so workers genuinely interleave.
-            (0..1000).fold(x, |acc, k| acc.wrapping_mul(6364136223846793005).wrapping_add(k + i as u64))
+            (0..1000).fold(i as u64, |acc, k| acc.wrapping_mul(6364136223846793005).wrapping_add(k))
         };
-        let serial = Pool::new(1).ordered_map((0..64u64).collect(), work);
-        let parallel = Pool::new(8).ordered_map((0..64u64).collect(), work);
-        assert_eq!(serial, parallel);
+        assert_eq!(map_all(1, 64, work), map_all(8, 64, work));
     }
 
     #[test]
-    fn handles_empty_and_single_inputs() {
-        let empty: Vec<u64> = Pool::new(4).ordered_map(Vec::<u64>::new(), |_, x| x);
-        assert!(empty.is_empty());
-        assert_eq!(Pool::new(4).ordered_map(vec![7u64], |_, x| x + 1), vec![8]);
+    fn handles_empty_and_single_batches() {
+        assert!(map_all(4, 0, |i| i).is_empty());
+        assert_eq!(map_all(4, 1, |i| i + 8), vec![8]);
     }
 
     #[test]
-    fn more_workers_than_items_is_fine() {
-        let out = Pool::new(64).ordered_map(vec![1u64, 2, 3], |_, x| x * 10);
-        assert_eq!(out, vec![10, 20, 30]);
+    fn more_workers_than_tasks_is_fine() {
+        assert_eq!(map_all(64, 3, |i| (i + 1) * 10), vec![10, 20, 30]);
     }
 
     #[test]
     fn zero_jobs_clamps_to_one() {
-        assert_eq!(Pool::new(0).jobs(), 1);
+        let ring = Arc::new(RingRecorder::new());
+        Pool::new(0).with_recorder(ring.clone()).run(5, Continue);
+        assert_eq!(batch_event(&ring).jobs, 1);
+    }
+
+    #[test]
+    fn a_one_worker_batch_runs_every_task_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let threads = map_all(1, 16, |_| std::thread::current().id());
+        assert!(threads.iter().all(|&t| t == caller), "a one-worker batch spawned a thread");
+    }
+
+    #[test]
+    fn a_task_that_returns_stop_starts_no_later_task() {
+        const STOPPER: usize = 3;
+        for jobs in [1, 4] {
+            let started: Vec<AtomicBool> = (0..32).map(|_| AtomicBool::new(false)).collect();
+            // At 4 workers the barrier makes each worker claim one of the
+            // first four tasks. The stop is set inside the pool, where no
+            // task can wait on it, so the other three outlast the stopper
+            // by a sleep: every later claim then comes after the stop.
+            let first_wave = std::sync::Barrier::new(jobs);
+            let ring = Arc::new(RingRecorder::new());
+            let pool = Pool::new(jobs).with_recorder(ring.clone());
+            let out = pool.run(started.len(), |i| {
+                started[i].store(true, Ordering::SeqCst);
+                if jobs > 1 && i <= STOPPER {
+                    first_wave.wait();
+                }
+                if i == STOPPER {
+                    return Break(i * 10);
+                }
+                if jobs > 1 {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                }
+                Continue(i * 10)
+            });
+            let expected: Vec<Option<usize>> =
+                (0..32).map(|i| (i <= STOPPER).then_some(i * 10)).collect();
+            assert_eq!(out, expected, "jobs={jobs}: finished results are kept, later tasks never run");
+            for (i, flag) in started.iter().enumerate() {
+                assert_eq!(flag.load(Ordering::SeqCst), i <= STOPPER, "jobs={jobs} task {i}");
+            }
+            let event = batch_event(&ring);
+            assert_eq!(event.executed.len(), jobs);
+            assert_eq!(event.executed.iter().sum::<u64>(), STOPPER as u64 + 1, "jobs={jobs}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "pool task 3 panicked: leg 3 exploded")]
     fn worker_panic_names_the_failing_task() {
-        Pool::new(4).ordered_map((0..8usize).collect(), |_, x| {
-            assert!(x != 3, "leg 3 exploded");
-            x
+        map_all(4, 8, |i| {
+            assert!(i != 3, "leg 3 exploded");
+            i
         });
     }
 
     #[test]
     #[should_panic(expected = "pool task 2 panicked: leg 2 exploded")]
     fn serial_panic_names_the_failing_task_too() {
-        Pool::new(1).ordered_map((0..4usize).collect(), |_, x| {
-            assert!(x != 2, "leg 2 exploded");
-            x
+        map_all(1, 4, |i| {
+            assert!(i != 2, "leg 2 exploded");
+            i
         });
     }
 
     #[test]
     fn panic_stops_dispatch_cleanly() {
-        // The panic must not cascade into "pool queue poisoned" or
-        // "every submitted task completes" — the reported failure is the
-        // real one, whichever task hits it first on this schedule.
+        // The panic must not cascade into "poisoned" or "every submitted
+        // task completes" — the reported failure is the real one,
+        // whichever task hits it first on this schedule.
         let err = std::panic::catch_unwind(|| {
-            Pool::new(2).ordered_map((0..100usize).collect(), |_, x| {
-                assert!(x % 7 != 3, "leg {x} exploded");
-                x
+            map_all(2, 100, |i| {
+                assert!(i % 7 != 3, "leg {i} exploded");
+                i
             });
         })
         .expect_err("a leg must fail");
@@ -448,68 +385,18 @@ mod tests {
     #[test]
     fn batches_emit_pool_counters_when_traced() {
         let ring = Arc::new(RingRecorder::new());
-        let pool = Pool::new(3).with_recorder(ring.clone());
-        let out = pool.ordered_map((0..20u64).collect(), |_, x| x + 1);
-        assert_eq!(out.len(), 20);
-        let events = ring.events();
-        assert_eq!(events.len(), 1);
-        match &events[0] {
-            Event::PoolBatch(b) => {
-                assert_eq!(b.tasks, 20);
-                assert_eq!(b.executed.len(), b.jobs);
-                assert_eq!(b.executed.iter().sum::<u64>(), 20);
-            }
-            other => panic!("expected a pool-batch event, got {other:?}"),
-        }
+        let out = Pool::new(3).with_recorder(ring.clone()).run(20, |i| Continue(i + 1));
+        assert_eq!(out.iter().flatten().count(), 20);
+        let event = batch_event(&ring);
+        assert_eq!((event.jobs, event.tasks), (3, 20));
+        assert_eq!(event.executed.len(), event.jobs);
+        assert_eq!(event.executed.iter().sum::<u64>(), 20);
     }
 
     #[test]
     fn effective_jobs_prefers_explicit_request() {
         assert_eq!(effective_jobs(Some(3)), Ok(3));
         assert_eq!(effective_jobs(Some(0)), Ok(1));
-    }
-
-    // The sole test driving the process-global drain flag in this
-    // process; `ordered_map` (used by every other test) ignores it.
-    #[test]
-    fn drain_stops_dispatch_and_returns_the_completed_prefix() {
-        reset_drain();
-        // Serial: drain before the batch → nothing runs.
-        request_drain();
-        match Pool::new(1).ordered_map_drain(vec![1u64, 2, 3], |_, x| x) {
-            BatchResult::Drained { partial, completed } => {
-                assert_eq!(completed, 0);
-                assert_eq!(partial, vec![None, None, None]);
-            }
-            BatchResult::Complete(_) => panic!("a pre-drained batch must not complete"),
-        }
-        reset_drain();
-        // No drain → identical to ordered_map, parallel and serial.
-        for jobs in [1, 4] {
-            match Pool::new(jobs).ordered_map_drain((0..10u64).collect(), |_, x| x * 2) {
-                BatchResult::Complete(out) => {
-                    assert_eq!(out, (0..10u64).map(|x| x * 2).collect::<Vec<_>>())
-                }
-                BatchResult::Drained { .. } => panic!("undrained batch must complete"),
-            }
-        }
-        // Parallel: a task trips the drain mid-batch; the batch ends with
-        // a completed prefix and no hang.
-        match Pool::new(2).ordered_map_drain((0..64u64).collect(), |i, x| {
-            if i == 5 {
-                request_drain();
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            x
-        }) {
-            BatchResult::Drained { partial, completed } => {
-                assert!(completed >= 1, "the tripping task itself completes");
-                assert!(completed < 64, "drain must stop dispatch early");
-                assert_eq!(partial.iter().flatten().count(), completed);
-            }
-            BatchResult::Complete(_) => panic!("a mid-batch drain must not complete"),
-        }
-        reset_drain();
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   complexity-adaptive instruction queue.
 //! * [`core`] — the CAP framework: dynamic clock, configuration managers,
 //!   TPI metrics, and the paper's experiment drivers.
-//! * [`par`] — the execution layer: a work-stealing thread pool with
+//! * [`par`] — the execution layer: a scoped thread pool with
 //!   deterministic ordered collection and the persistent result cache
 //!   behind `capsim sweep --jobs`.
 //! * [`obs`] — the observability layer: structured decision/switch/sweep
