@@ -26,7 +26,11 @@
 //!   boundary, is the tests' reference);
 //! * [`multisweep`] — the single-pass stack-distance engine that answers
 //!   every boundary from one traversal, bit-identical to [`sim::sweep`];
-//!   every production sweep runs it.
+//!   every production sweep runs it;
+//! * [`inclusive`] — the inclusive strawman that §5.2 rejects, whose
+//!   boundary moves must flush the L1;
+//! * [`tlb`] — the adaptive primary/backup TLB of §4.2: the hierarchy's
+//!   one-set geometry, swept on the same stack-distance pass.
 //!
 //! # Example
 //!

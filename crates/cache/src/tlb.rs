@@ -1,25 +1,39 @@
-//! A complexity-adaptive TLB with primary and backup sections.
+//! A complexity-adaptive TLB with primary and backup sections: the cache
+//! hierarchy's one-set geometry.
 //!
 //! The paper names TLBs as prime complexity-adaptive candidates and
-//! sketches the organization implemented here (§4.2): instead of
-//! disabling elements, the structure "may consist of single and two
-//! cycle lookup elements" — a fast **primary** section sized to the
-//! cycle budget, backed by the remaining entries as a slower **backup**
-//! section. The boundary between the sections is movable, exactly like
-//! the cache hierarchy's L1/L2 boundary: entries keep their contents
-//! when the split moves.
+//! sketches their organization (§4.2): instead of disabling elements,
+//! the structure "may consist of single and two cycle lookup elements" —
+//! a fast **primary** section sized to the cycle budget, backed by the
+//! remaining entries as a slower **backup** section. The boundary
+//! between the sections is movable, and entries keep their contents when
+//! the split moves.
+//!
+//! That is the exclusive L1/L2 structure of [`crate::hierarchy`] with a
+//! single set. [`geometry`] lays the 128 entries out as 8 increments of
+//! 16 ways with page-sized blocks, so the primary section is the L1 and
+//! the backup section is the L2:
 //!
 //! * a hit in the primary section costs the pipelined single-cycle (or
 //!   however many cycles the primary's CAM delay needs at the current
 //!   clock) lookup;
 //! * a hit in the backup section costs a second, full-length lookup and
-//!   swaps the entry into the primary (exclusive promotion);
-//! * a miss costs a page walk.
+//!   swaps the entry with the primary's LRU entry (exclusive promotion);
+//! * a miss costs a page walk, and demotes the primary's LRU entry to
+//!   the backup.
 //!
-//! [`sweep`] reproduces, for the TLB, the same process-level adaptive
-//! study the paper runs for the cache and the queue.
+//! [`AdaptiveCacheHierarchy`](crate::hierarchy::AdaptiveCacheHierarchy)
+//! on [`geometry`] is therefore the TLB, at every split that leaves a
+//! backup section. [`sweep`] reproduces, for the TLB, the same
+//! process-level adaptive study the paper runs for the cache and the
+//! queue: one stack-distance pass over that geometry
+//! ([`stack_profile`]) answers every split, including the all-primary
+//! one, which is a plain 128-entry LRU TLB.
 
 use crate::error::CacheError;
+use crate::multisweep::stack_profile;
+use crate::stats::CacheStats;
+use cap_timing::cacti::CacheGeometry;
 use cap_timing::cam::CamTimingModel;
 use cap_timing::units::Ns;
 use cap_trace::mem::AddressStream;
@@ -37,6 +51,19 @@ pub const ENTRY_INCREMENT: usize = 16;
 
 /// Page-walk latency on a full miss, in cycles.
 pub const WALK_CYCLES: u64 = 30;
+
+/// The TLB as a cache geometry: one set of [`TOTAL_ENTRIES`] ways, in
+/// increments of [`ENTRY_INCREMENT`] ways, with one page per block.
+pub fn geometry() -> CacheGeometry {
+    let page_bytes = PAGE_BYTES as usize;
+    CacheGeometry {
+        increments: TOTAL_ENTRIES / ENTRY_INCREMENT,
+        increment_bytes: ENTRY_INCREMENT * page_bytes,
+        increment_assoc: ENTRY_INCREMENT,
+        banks: 1,
+        block_bytes: page_bytes,
+    }
+}
 
 /// The primary/backup split: the number of entries in the fast primary
 /// section.
@@ -85,176 +112,6 @@ impl fmt::Display for TlbConfig {
     }
 }
 
-/// Where a translation was found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TlbOutcome {
-    /// Hit in the primary section.
-    PrimaryHit,
-    /// Hit in the backup section (entry promoted).
-    BackupHit,
-    /// Not resident: page walk.
-    Miss,
-}
-
-/// Lookup counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TlbStats {
-    /// Total lookups.
-    pub lookups: u64,
-    /// Primary-section hits.
-    pub primary_hits: u64,
-    /// Backup-section hits.
-    pub backup_hits: u64,
-    /// Full misses (page walks).
-    pub misses: u64,
-}
-
-impl TlbStats {
-    /// Fraction of lookups that missed both sections.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.lookups as f64
-        }
-    }
-
-    /// Fraction of lookups served by the backup section.
-    pub fn backup_ratio(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.backup_hits as f64 / self.lookups as f64
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct TlbEntry {
-    vpn: u64,
-    recency: u64,
-}
-
-/// The adaptive TLB structure.
-#[derive(Debug, Clone)]
-pub struct AdaptiveTlb {
-    slots: Vec<Option<TlbEntry>>,
-    config: TlbConfig,
-    clock: u64,
-    stats: TlbStats,
-}
-
-impl AdaptiveTlb {
-    /// Creates an empty TLB with the given split.
-    pub fn new(config: TlbConfig) -> Self {
-        AdaptiveTlb { slots: vec![None; TOTAL_ENTRIES], config, clock: 0, stats: TlbStats::default() }
-    }
-
-    /// The current split.
-    pub fn config(&self) -> TlbConfig {
-        self.config
-    }
-
-    /// Moves the primary/backup split; entries keep their slots (and are
-    /// merely re-labelled), mirroring the cache hierarchy's movable
-    /// boundary.
-    pub fn set_config(&mut self, config: TlbConfig) {
-        self.config = config;
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> TlbStats {
-        self.stats
-    }
-
-    /// Clears the counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
-
-    /// Number of resident translations.
-    pub fn resident(&self) -> usize {
-        self.slots.iter().flatten().count()
-    }
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    fn victim_in(&self, lo: usize, hi: usize) -> usize {
-        let mut lru = lo;
-        let mut lru_rec = u64::MAX;
-        for (i, s) in self.slots[lo..hi].iter().enumerate() {
-            match s {
-                None => return lo + i,
-                Some(e) if e.recency < lru_rec => {
-                    lru_rec = e.recency;
-                    lru = lo + i;
-                }
-                Some(_) => {}
-            }
-        }
-        lru
-    }
-
-    /// Translates one byte address.
-    pub fn access(&mut self, addr: u64) -> TlbOutcome {
-        let vpn = addr / PAGE_BYTES;
-        let primary = self.config.primary();
-        self.stats.lookups += 1;
-        let hit = self.slots.iter().position(|s| matches!(s, Some(e) if e.vpn == vpn));
-        match hit {
-            Some(i) if i < primary => {
-                let now = self.tick();
-                self.slots[i].as_mut().expect("hit slot is occupied").recency = now;
-                self.stats.primary_hits += 1;
-                TlbOutcome::PrimaryHit
-            }
-            Some(i) => {
-                // Promote from backup: swap with the primary LRU victim.
-                let demote_rec = self.tick();
-                let promote_rec = self.tick();
-                let victim = self.victim_in(0, primary);
-                let mut promoted = self.slots[i].take().expect("hit slot is occupied");
-                promoted.recency = promote_rec;
-                if let Some(mut demoted) = self.slots[victim].take() {
-                    demoted.recency = demote_rec;
-                    self.slots[i] = Some(demoted);
-                }
-                self.slots[victim] = Some(promoted);
-                self.stats.backup_hits += 1;
-                TlbOutcome::BackupHit
-            }
-            None => {
-                let demote_rec = self.tick();
-                let fill_rec = self.tick();
-                let victim = self.victim_in(0, primary);
-                if let Some(mut demoted) = self.slots[victim].take() {
-                    // With no backup section the victim is simply evicted.
-                    if primary < TOTAL_ENTRIES {
-                        demoted.recency = demote_rec;
-                        let slot = self.victim_in(primary, TOTAL_ENTRIES);
-                        self.slots[slot] = Some(demoted);
-                    }
-                }
-                self.slots[victim] = Some(TlbEntry { vpn, recency: fill_rec });
-                self.stats.misses += 1;
-                TlbOutcome::Miss
-            }
-        }
-    }
-
-    /// Verifies that no page is resident twice.
-    pub fn check_exclusive(&self) -> bool {
-        let mut vpns: Vec<u64> = self.slots.iter().flatten().map(|e| e.vpn).collect();
-        let before = vpns.len();
-        vpns.sort_unstable();
-        vpns.dedup();
-        vpns.len() == before
-    }
-}
-
 /// The TLB's contribution to TPI at a given split, clock and reference
 /// density.
 ///
@@ -273,13 +130,15 @@ pub struct TlbTpi {
     pub tpi_ns: f64,
 }
 
-/// Evaluates [`TlbTpi`] from the counters.
+/// Evaluates [`TlbTpi`] from the counters of a run over [`geometry`]:
+/// `refs` are the lookups, L1 hits the primary section's hits and L2
+/// hits the backup section's.
 ///
 /// # Errors
 ///
 /// Propagates CAM-timing errors.
 pub fn evaluate(
-    stats: &TlbStats,
+    stats: &CacheStats,
     config: TlbConfig,
     cam: &CamTimingModel,
     cycle: Ns,
@@ -289,10 +148,10 @@ pub fn evaluate(
     let full_cycles = (cam.lookup_delay(TOTAL_ENTRIES)? / cycle).ceil().max(1.0) as u64;
     let backup_cycles = primary_cycles + full_cycles;
     let extra_per_access = (primary_cycles - 1) as f64;
-    let total_extra = stats.lookups as f64 * extra_per_access
-        + stats.backup_hits as f64 * full_cycles as f64
+    let total_extra = stats.refs as f64 * extra_per_access
+        + stats.l2_hits as f64 * full_cycles as f64
         + stats.misses as f64 * (full_cycles + WALK_CYCLES) as f64;
-    let instructions = stats.lookups as f64 * insts_per_ref;
+    let instructions = stats.refs as f64 * insts_per_ref;
     let tpi_ns = if instructions > 0.0 { cycle.value() * total_extra / instructions } else { 0.0 };
     Ok(TlbTpi { primary_cycles, backup_cycles, tpi_ns })
 }
@@ -302,52 +161,59 @@ pub fn evaluate(
 pub struct TlbSweepPoint {
     /// The split simulated.
     pub config: TlbConfig,
-    /// Counters.
-    pub stats: TlbStats,
+    /// Counters: L1 is the primary section, L2 the backup.
+    pub stats: CacheStats,
     /// The TLB TPI contribution.
     pub tpi: TlbTpi,
 }
 
-/// Runs the same reference stream at every split (process-level adaptive
-/// methodology, applied to the TLB).
+/// Runs one reference stream at every split (process-level adaptive
+/// methodology, applied to the TLB), from one stack-distance pass over
+/// [`geometry`].
 ///
 /// # Errors
 ///
 /// Propagates CAM-timing errors.
-pub fn sweep<S, F>(
-    mut make_stream: F,
+pub fn sweep<S: AddressStream>(
+    stream: S,
     refs: u64,
     cam: &CamTimingModel,
     cycle: Ns,
     insts_per_ref: f64,
-) -> Result<Vec<TlbSweepPoint>, CacheError>
-where
-    S: AddressStream,
-    F: FnMut() -> S,
-{
-    let mut out = Vec::new();
-    for config in TlbConfig::sweep() {
-        let mut tlb = AdaptiveTlb::new(config);
-        let mut stream = make_stream();
-        for _ in 0..refs {
-            let r = stream.next_ref();
-            tlb.access(r.addr);
-        }
-        let stats = tlb.stats();
-        let tpi = evaluate(&stats, config, cam, cycle, insts_per_ref)?;
-        out.push(TlbSweepPoint { config, stats, tpi });
-    }
-    Ok(out)
+) -> Result<Vec<TlbSweepPoint>, CacheError> {
+    let profile = stack_profile(stream, refs, &geometry());
+    TlbConfig::sweep()
+        .map(|config| {
+            let stats = profile.stats_at(config.primary());
+            let tpi = evaluate(&stats, config, cam, cycle, insts_per_ref)?;
+            Ok(TlbSweepPoint { config, stats, tpi })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Boundary;
+    use crate::hierarchy::AdaptiveCacheHierarchy;
+    use crate::stats::AccessOutcome;
     use cap_timing::Technology;
-    use cap_trace::mem::{Region, RegionMix};
+    use cap_trace::mem::{AccessKind, MemRef, Region, RegionMix};
 
     fn cam() -> CamTimingModel {
         CamTimingModel::tlb(Technology::isca98_evaluation())
+    }
+
+    fn page(p: u64) -> MemRef {
+        MemRef { addr: p * PAGE_BYTES, kind: AccessKind::Read }
+    }
+
+    fn one_page_mix(seed: u64, pages: u64) -> RegionMix {
+        RegionMix::builder(seed).region(Region::random(0, pages * PAGE_BYTES), 1.0).build().unwrap()
+    }
+
+    fn best(points: &[TlbSweepPoint]) -> &TlbSweepPoint {
+        points.iter().min_by(|a, b| a.tpi.tpi_ns.total_cmp(&b.tpi.tpi_ns)).unwrap()
     }
 
     #[test]
@@ -363,49 +229,30 @@ mod tests {
     }
 
     #[test]
+    fn geometry_is_one_set_of_every_entry() {
+        let g = geometry();
+        assert!(g.validate().is_ok());
+        assert_eq!(g.sets(), 1);
+        assert_eq!(g.increments * g.increment_assoc, TOTAL_ENTRIES);
+        assert_eq!(g.l1_assoc(2), 32, "two increments are a 32-entry primary");
+    }
+
+    #[test]
     fn hit_miss_promote() {
-        let mut tlb = AdaptiveTlb::new(TlbConfig::new(16).unwrap());
-        assert_eq!(tlb.access(0x1000), TlbOutcome::Miss);
-        assert_eq!(tlb.access(0x1FFF), TlbOutcome::PrimaryHit, "same page");
-        // Fill the primary (16 entries) with other pages; 0x1000's page
-        // is demoted to backup, then promoted on re-access.
+        let mut tlb = AdaptiveCacheHierarchy::with_geometry(
+            geometry(),
+            Boundary::for_geometry(1, &geometry()).unwrap(),
+        );
+        assert_eq!(tlb.access(page(1)), AccessOutcome::Miss);
+        let same_page = MemRef { addr: 0x1FFF, kind: AccessKind::Read };
+        assert_eq!(tlb.access(same_page), AccessOutcome::L1Hit, "same page");
+        // Fill the 16-entry primary with other pages; page 1 is demoted
+        // to the backup, then promoted on re-access.
         for p in 2..=17u64 {
-            tlb.access(p * PAGE_BYTES);
+            tlb.access(page(p));
         }
-        assert_eq!(tlb.access(0x1000), TlbOutcome::BackupHit);
-        assert_eq!(tlb.access(0x1000), TlbOutcome::PrimaryHit);
-        assert!(tlb.check_exclusive());
-    }
-
-    #[test]
-    fn capacity_is_total_entries() {
-        let mut tlb = AdaptiveTlb::new(TlbConfig::new(32).unwrap());
-        for p in 0..200u64 {
-            tlb.access(p * PAGE_BYTES);
-        }
-        assert_eq!(tlb.resident(), TOTAL_ENTRIES);
-        assert!(tlb.check_exclusive());
-        // A working set within 128 pages eventually stops missing.
-        tlb.reset_stats();
-        for _ in 0..3 {
-            for p in 100..200u64 {
-                tlb.access(p * PAGE_BYTES);
-            }
-        }
-        assert!(tlb.stats().miss_ratio() < 0.05, "got {}", tlb.stats().miss_ratio());
-    }
-
-    #[test]
-    fn split_move_preserves_contents() {
-        let mut tlb = AdaptiveTlb::new(TlbConfig::new(64).unwrap());
-        for p in 0..100u64 {
-            tlb.access(p * PAGE_BYTES);
-        }
-        let resident = tlb.resident();
-        tlb.set_config(TlbConfig::new(16).unwrap());
-        assert_eq!(tlb.resident(), resident);
-        tlb.set_config(TlbConfig::new(128).unwrap());
-        assert_eq!(tlb.resident(), resident);
+        assert_eq!(tlb.access(page(1)), AccessOutcome::L2Hit);
+        assert_eq!(tlb.access(page(1)), AccessOutcome::L1Hit);
         assert!(tlb.check_exclusive());
     }
 
@@ -413,16 +260,8 @@ mod tests {
     fn small_working_set_prefers_small_primary() {
         // 12 hot pages: they fit any primary; a small primary keeps the
         // single-cycle lookup fast.
-        let pristine = RegionMix::builder(1)
-            .region(Region::random(0, 12 * PAGE_BYTES), 1.0)
-            .build()
-            .unwrap();
-        let cycle = Ns(0.60);
-        let points = sweep(|| pristine.clone(), 30_000, &cam(), cycle, 3.0).unwrap();
-        let best = points
-            .iter()
-            .min_by(|a, b| a.tpi.tpi_ns.partial_cmp(&b.tpi.tpi_ns).unwrap())
-            .unwrap();
+        let points = sweep(one_page_mix(1, 12), 30_000, &cam(), Ns(0.60), 3.0).unwrap();
+        let best = best(&points);
         assert!(best.config.primary() <= 32, "best was {}", best.config);
     }
 
@@ -431,16 +270,8 @@ mod tests {
         // ~100 hot pages at a fast clock: a big primary avoids constant
         // backup swapping; the extra primary lookup cycles are cheap
         // relative to the second lookup on every backup hit.
-        let pristine = RegionMix::builder(2)
-            .region(Region::random(0, 100 * PAGE_BYTES), 1.0)
-            .build()
-            .unwrap();
-        let cycle = Ns(0.60);
-        let points = sweep(|| pristine.clone(), 60_000, &cam(), cycle, 3.0).unwrap();
-        let best = points
-            .iter()
-            .min_by(|a, b| a.tpi.tpi_ns.partial_cmp(&b.tpi.tpi_ns).unwrap())
-            .unwrap();
+        let points = sweep(one_page_mix(2, 100), 60_000, &cam(), Ns(0.60), 3.0).unwrap();
+        let best = best(&points);
         assert!(best.config.primary() >= 64, "best was {}", best.config);
         // And the small split is measurably worse.
         let small = &points[0];
@@ -448,35 +279,47 @@ mod tests {
     }
 
     #[test]
+    fn working_set_under_one_increment_misses_only_cold() {
+        // 12 pages fit the smallest primary: after the 12 cold misses,
+        // every split serves every lookup from its primary.
+        let points = sweep(one_page_mix(3, 12), 20_000, &cam(), Ns(0.60), 3.0).unwrap();
+        assert_eq!(points.len(), 8);
+        for p in &points {
+            let s = p.stats;
+            assert_eq!(s.misses, 12, "{}", p.config);
+            assert_eq!(s.l2_hits, 0, "{}", p.config);
+            assert_eq!(s.l1_hits, 20_000 - 12, "{}", p.config);
+        }
+    }
+
+    #[test]
+    fn all_primary_split_is_a_128_entry_lru() {
+        // 200 pages cycle through a 128-entry structure: with no backup
+        // section, every lookup is a primary hit or a page walk, and the
+        // walks are the same as at every other split.
+        let points = sweep(one_page_mix(4, 200), 40_000, &cam(), Ns(0.60), 3.0).unwrap();
+        let all = points.last().unwrap();
+        assert_eq!(all.config.primary(), TOTAL_ENTRIES);
+        assert_eq!(all.stats.l2_hits, 0);
+        assert!(all.stats.misses > 200, "capacity misses occur");
+        for p in &points {
+            assert_eq!(p.stats.misses, all.stats.misses, "{}", p.config);
+            assert_eq!(p.stats.l1_hits + p.stats.l2_hits, all.stats.l1_hits, "{}", p.config);
+        }
+    }
+
+    #[test]
     fn evaluate_charges_the_right_components() {
         let cam = cam();
         let cycle = Ns(0.60);
-        let stats = TlbStats { lookups: 1000, primary_hits: 900, backup_hits: 80, misses: 20 };
+        let stats = CacheStats { refs: 1000, l1_hits: 900, l2_hits: 80, misses: 20, writebacks: 0 };
         let t = evaluate(&stats, TlbConfig::new(16).unwrap(), &cam, cycle, 3.0).unwrap();
         assert!(t.primary_cycles >= 1);
         assert!(t.backup_cycles > t.primary_cycles);
         assert!(t.tpi_ns > 0.0);
         // No backup hits, no misses, one-cycle primary => zero extra.
-        let clean = TlbStats { lookups: 1000, primary_hits: 1000, backup_hits: 0, misses: 0 };
+        let clean = CacheStats { refs: 1000, l1_hits: 1000, l2_hits: 0, misses: 0, writebacks: 0 };
         let t = evaluate(&clean, TlbConfig::new(16).unwrap(), &cam, Ns(1.2), 3.0).unwrap();
         assert_eq!(t.tpi_ns, 0.0);
-    }
-
-    #[test]
-    fn all_primary_split_evicts_instead_of_demoting() {
-        let mut tlb = AdaptiveTlb::new(TlbConfig::new(128).unwrap());
-        for p in 0..300u64 {
-            tlb.access(p * PAGE_BYTES);
-        }
-        assert_eq!(tlb.resident(), TOTAL_ENTRIES);
-        assert!(tlb.check_exclusive());
-    }
-
-    #[test]
-    fn stats_ratios() {
-        let s = TlbStats { lookups: 100, primary_hits: 80, backup_hits: 15, misses: 5 };
-        assert!((s.miss_ratio() - 0.05).abs() < 1e-12);
-        assert!((s.backup_ratio() - 0.15).abs() < 1e-12);
-        assert_eq!(TlbStats::default().miss_ratio(), 0.0);
     }
 }

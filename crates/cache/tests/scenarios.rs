@@ -6,7 +6,7 @@ use cap_cache::config::Boundary;
 use cap_cache::hierarchy::{AdaptiveCacheHierarchy, Level};
 use cap_cache::inclusive::InclusiveCacheHierarchy;
 use cap_cache::stats::AccessOutcome;
-use cap_cache::tlb::{AdaptiveTlb, TlbConfig, TlbOutcome, PAGE_BYTES, TOTAL_ENTRIES};
+use cap_cache::tlb::{self, PAGE_BYTES, TOTAL_ENTRIES};
 use cap_trace::mem::{AccessKind, MemRef};
 use proptest::prelude::*;
 
@@ -107,23 +107,33 @@ fn boundary_shrink_then_grow_roundtrip_preserves_hits() {
     assert_eq!(c.stats().l1_hits, 256);
 }
 
+/// The adaptive TLB: the hierarchy over the TLB's one-set geometry,
+/// with `k` increments of 16 entries in the primary section.
+fn tlb_at(k: usize) -> AdaptiveCacheHierarchy {
+    AdaptiveCacheHierarchy::try_with_geometry(tlb::geometry(), tlb_split(k)).unwrap()
+}
+
+fn tlb_split(k: usize) -> Boundary {
+    Boundary::for_geometry(k, &tlb::geometry()).unwrap()
+}
+
 #[test]
 fn tlb_backup_section_behaves_like_l2() {
-    let mut t = AdaptiveTlb::new(TlbConfig::new(16).unwrap());
+    let mut t = tlb_at(1);
     // 20 pages: 16 in primary, 4 demoted.
     for p in 0..20u64 {
-        assert_eq!(t.access(p * PAGE_BYTES), TlbOutcome::Miss);
+        assert_eq!(t.access(rd(p * PAGE_BYTES)), AccessOutcome::Miss);
     }
-    assert_eq!(t.resident(), 20);
+    assert_eq!(t.resident_blocks(), 20);
     let s0 = t.stats();
     assert_eq!(s0.misses, 20);
     // Touch everything again: no page walk may occur.
     for p in 0..20u64 {
-        let o = t.access(p * PAGE_BYTES);
-        assert_ne!(o, TlbOutcome::Miss, "page {p}");
+        let o = t.access(rd(p * PAGE_BYTES));
+        assert_ne!(o, AccessOutcome::Miss, "page {p}");
     }
     assert_eq!(t.stats().misses, 20, "no new walks");
-    assert!(t.stats().backup_hits >= 4, "the demoted pages came from backup");
+    assert!(t.stats().l2_hits >= 4, "the demoted pages came from backup");
 }
 
 proptest! {
@@ -149,25 +159,25 @@ proptest! {
     }
 
     /// TLB exclusion and capacity hold for arbitrary page streams and
-    /// split moves.
+    /// split moves (every split that leaves a backup section).
     #[test]
     fn tlb_invariants(
         pages in prop::collection::vec(0u64..400, 100..500),
-        splits in prop::collection::vec(1usize..9, 1..4),
+        splits in prop::collection::vec(1usize..8, 1..4),
     ) {
-        let mut t = AdaptiveTlb::new(TlbConfig::new(64).unwrap());
+        let mut t = tlb_at(4);
         let chunk = (pages.len() / splits.len()).max(1);
         for (i, &p) in pages.iter().enumerate() {
             if i % chunk == 0 {
-                t.set_config(TlbConfig::new(splits[(i / chunk) % splits.len()] * 16).unwrap());
+                t.set_boundary(tlb_split(splits[(i / chunk) % splits.len()]));
             }
-            t.access(p * PAGE_BYTES);
+            t.access(rd(p * PAGE_BYTES));
         }
         prop_assert!(t.check_exclusive());
-        prop_assert!(t.resident() <= TOTAL_ENTRIES);
+        prop_assert!(t.resident_blocks() <= TOTAL_ENTRIES);
         let s = t.stats();
-        prop_assert_eq!(s.lookups as usize, pages.len());
-        prop_assert_eq!(s.primary_hits + s.backup_hits + s.misses, s.lookups);
+        prop_assert_eq!(s.refs as usize, pages.len());
+        prop_assert!(s.is_consistent());
     }
 
     /// The inclusive strawman keeps inclusion under arbitrary traffic and

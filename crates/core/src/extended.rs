@@ -73,8 +73,8 @@ fn tlb_rows(scale: ExperimentScale, seed: u64) -> Result<Vec<TlbStudyRow>, CapEr
     let mut rows = Vec::new();
     for app in App::cache_suite() {
         let profile = app.memory_profile();
-        let pristine = profile.build(seed ^ app.seed_salt());
-        let points = tlb::sweep(|| pristine.clone(), refs, &cam, cycle, profile.insts_per_ref)?;
+        let stream = profile.build(seed ^ app.seed_salt());
+        let points = tlb::sweep(stream, refs, &cam, cycle, profile.insts_per_ref)?;
         let best = points
             .iter()
             .min_by(|a, b| a.tpi.tpi_ns.total_cmp(&b.tpi.tpi_ns))
@@ -84,7 +84,7 @@ fn tlb_rows(scale: ExperimentScale, seed: u64) -> Result<Vec<TlbStudyRow>, CapEr
             best_primary: best.config.primary(),
             tpi_smallest: points[0].tpi.tpi_ns,
             tpi_best: best.tpi.tpi_ns,
-            miss_ratio: best.stats.miss_ratio(),
+            miss_ratio: best.stats.global_miss_ratio(),
         });
     }
     Ok(rows)

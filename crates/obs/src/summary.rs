@@ -174,7 +174,7 @@ impl TraceSummary {
                 }
                 "pool-batch" => {
                     sum.pool_batches += 1;
-                    sum.pool_tasks += field::<u64>(&v, "tasks", line)?;
+                    sum.pool_tasks += field::<Vec<u64>>(&v, "executed", line)?.iter().sum::<u64>();
                 }
                 "result-cache-probe" => {
                     let outcome = field::<String>(&v, "outcome", line)?;
@@ -480,5 +480,14 @@ mod tests {
         let report = sum.render();
         assert!(report.contains("serve requests:"), "{report}");
         assert!(report.contains("deduped legs (single-flight): 2"), "{report}");
+    }
+
+    #[test]
+    fn pool_tasks_count_executed_tasks_not_submitted_ones() {
+        // A stopped batch: four tasks submitted, one ran before the stop.
+        let text = jsonl(&[Event::PoolBatch(PoolBatchEvent { jobs: 1, tasks: 4, executed: vec![1] })]);
+        let sum = TraceSummary::from_jsonl(&text).expect("summarizes");
+        assert_eq!(sum.pool_tasks, 1);
+        assert!(sum.render().contains("pool: 1 batches, 1 tasks"), "{}", sum.render());
     }
 }

@@ -19,7 +19,7 @@ use crate::json::derive_roundtrip;
 use crate::multisweep::{
     bpred_fused_vs_per_size, cache_one_pass_vs_legacy, core_run_vs_scan, core_vs_scan_reference,
     interval_lanes_vs_core, managed_lanes_vs_core, queue_lanes_vs_legacy,
-    queue_lanes_vs_legacy_shapes,
+    queue_lanes_vs_legacy_shapes, tlb_one_pass_vs_splits,
 };
 use crate::packed::packed_vs_inst;
 use crate::rng::Rng;
@@ -326,6 +326,10 @@ pub fn run_verify(cfg: &VerifyConfig, progress: &mut dyn FnMut(&PropertyReport))
         bpred_fused_vs_per_size(rng)
     });
     push(r, progress);
+    let r = run_seeded_property("sweep/tlb/one-pass-vs-splits", cfg, sweep_cases, &|rng, _| {
+        tlb_one_pass_vs_splits(rng)
+    });
+    push(r, progress);
     let r = run_seeded_property("managed/queue/lanes-vs-core", cfg, sweep_cases, &|rng, _| {
         managed_lanes_vs_core(rng)
     });
@@ -426,6 +430,9 @@ pub fn replay(text: &str, scratch: &Path) -> Result<ReplayOutcome, String> {
         "sweep/bpred/fused-vs-per-size" => {
             outcome_of(bpred_fused_vs_per_size(&mut rng).map(|()| true))
         }
+        "sweep/tlb/one-pass-vs-splits" => {
+            outcome_of(tlb_one_pass_vs_splits(&mut rng).map(|()| true))
+        }
         "managed/queue/lanes-vs-core" => outcome_of(managed_lanes_vs_core(&mut rng).map(|()| true)),
         "interval/fixed/lanes-vs-core" => outcome_of(interval_lanes_vs_core(&mut rng).map(|()| true)),
         "faults/lanes-vs-serial" => outcome_of(faults_lanes_vs_serial(&mut rng).map(|()| true)),
@@ -457,11 +464,11 @@ mod tests {
         assert!(!report.failed());
         assert_eq!(lines, report.properties.len());
         // 16 diff + 2 hardened diff + 8 oracle + 2 equiv + curve
-        // + journal + offline + 6 sweep-engine differentials + managed
+        // + journal + offline + 7 sweep-engine differentials + managed
         // lanes + fixed-window interval lanes + fault-campaign lanes + the
         // joint run's lane + the packed generator path + the JSON round
         // trip.
-        assert_eq!(report.properties.len(), 43);
+        assert_eq!(report.properties.len(), 44);
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   ([`invariants::journal_replay_roundtrip`]);
 //! * the experiment layer's offline optima equal a from-scratch
 //!   recomputation ([`invariants::offline_optima_match_series`]);
-//! * the single-pass sweep engines (stack-distance cache multisweep,
-//!   lock-step queue multisweep, schedule-at-dispatch core) are
+//! * the single-pass sweep engines (stack-distance cache multisweep and
+//!   the TLB sweep on the same pass, lock-step queue multisweep,
+//!   schedule-at-dispatch core) are
 //!   bit-identical to their per-configuration reference paths
 //!   ([`multisweep`]);
 //! * each fault-campaign leg's clean and faulty lanes equal the two

@@ -27,7 +27,11 @@
 //!   ([`interval_lanes_vs_core`]);
 //! * the branch-predictor sweep reads its branch stream once and trains
 //!   every PHT size on each event ([`cap_ooo::bpred::sweep`]), against
-//!   [`per_size_bpred_sweep`], which regenerates the stream per size.
+//!   [`per_size_bpred_sweep`], which regenerates the stream per size;
+//! * the TLB sweep answers every primary/backup split from one
+//!   stack-distance pass over the TLB's one-set cache geometry
+//!   ([`cap_cache::tlb::sweep`]), against the cache hierarchy on that
+//!   geometry at each split ([`tlb_one_pass_vs_splits`]).
 //!
 //! Each fast path is claimed *bit-identical* to its reference — that is
 //! what lets the goldens stay byte-for-byte stable across the engine
@@ -38,8 +42,10 @@
 use crate::faults::{same_events, same_run};
 use crate::rng::Rng;
 use cap_cache::config::Boundary;
+use cap_cache::hierarchy::AdaptiveCacheHierarchy;
 use cap_cache::perf::PerfParams;
 use cap_cache::sim::SweepPoint;
+use cap_cache::tlb::{self, TlbConfig, PAGE_BYTES};
 use cap_core::clock::DynamicClock;
 use cap_core::manager::{
     run_managed, run_managed_lanes, ConfidencePolicy, QueueIntervalSim, QueueLane,
@@ -56,11 +62,13 @@ use cap_ooo::multisweep::{interval_lanes, multisweep, LANES};
 use cap_ooo::perf::QueueSweepPoint;
 use cap_ooo::reference::ScanCore;
 use cap_timing::cacti::CacheTimingModel;
+use cap_timing::cam::CamTimingModel;
 use cap_timing::queue::QueueTimingModel;
 use cap_timing::units::Ns;
 use cap_timing::Technology;
 use cap_trace::branch::BranchStream;
 use cap_trace::inst::{Inst, InstStream};
+use cap_trace::mem::{Region, RegionMix};
 use cap_trace::tape::InstTape;
 use cap_workloads::App;
 use std::sync::Arc;
@@ -593,6 +601,111 @@ pub fn bpred_fused_vs_per_size(rng: &mut Rng) -> Result<(), String> {
                 ));
             }
         }
+    }
+    Ok(())
+}
+
+/// A page stream for [`tlb_one_pass_vs_splits`] and its description:
+/// a cache-suite profile, or a synthetic mix whose working set lies under
+/// one 16-entry increment, within the 128 entries, or past them. The
+/// synthetic mix touches its pages at random, with a page-stride loop or
+/// a pointer chase over a prefix of them for skewed reuse.
+fn tlb_page_stream(rng: &mut Rng) -> (String, RegionMix) {
+    let seed = rng.next_u64();
+    if rng.chance(0.25) {
+        let apps: Vec<App> = App::cache_suite().collect();
+        let app = *rng.pick(&apps);
+        return (format!("app {} seed {seed}", app.name()), app.memory_profile().build(seed));
+    }
+    let pages = match rng.below(3) {
+        0 => rng.range(1, 15),
+        1 => rng.range(16, 128),
+        _ => rng.range(129, 600),
+    };
+    let hot = rng.range(1, pages);
+    let mut mix = RegionMix::builder(seed).region(Region::random(0, pages * PAGE_BYTES), 1.0);
+    let reuse = match rng.below(3) {
+        0 => None,
+        1 => Some(("loop", Region::sequential_loop(0, hot * PAGE_BYTES, PAGE_BYTES))),
+        _ => Some(("chase", Region::pointer_chase(0, hot * PAGE_BYTES))),
+    };
+    let mut ctx = format!("{pages} random pages");
+    if let Some((name, region)) = reuse {
+        mix = mix.region(region, rng.range(1, 4) as f64);
+        ctx = format!("{ctx} + {name} over {hot}");
+    }
+    let mix = mix.build().expect("page mixes are valid");
+    (format!("{ctx} seed {seed}"), mix)
+}
+
+/// One fuzzed TLB case: [`tlb::sweep`]'s one stack-distance pass against
+/// the cache hierarchy on [`tlb::geometry`] at every split that leaves a
+/// backup section (`k` = 1..7 increments of primary). The all-primary
+/// split has no hierarchy boundary; it must serve as primary hits what
+/// every other split serves from either section, with no backup hits and
+/// the same page walks.
+///
+/// # Errors
+///
+/// Returns a message naming the first diverging split and counter.
+pub fn tlb_one_pass_vs_splits(rng: &mut Rng) -> Result<(), String> {
+    let (stream_ctx, pristine) = tlb_page_stream(rng);
+    let refs = rng.range(1_000, 6_000);
+    let cycle = Ns(rng.range(40, 120) as f64 / 100.0);
+    let insts_per_ref = rng.range(2, 5) as f64;
+    let cam = CamTimingModel::tlb(Technology::isca98_evaluation());
+    let points = tlb::sweep(pristine.clone(), refs, &cam, cycle, insts_per_ref)
+        .map_err(|e| format!("one-pass TLB sweep failed: {e}"))?;
+    let ctx = format!("{stream_ctx} refs {refs}");
+    let configs: Vec<TlbConfig> = TlbConfig::sweep().collect();
+    if points.iter().map(|p| p.config).ne(configs.iter().copied()) {
+        return Err(format!("{ctx}: the sweep's splits are not {configs:?}"));
+    }
+    let geometry = tlb::geometry();
+    let (all_primary, with_backup) = points.split_last().expect("the sweep is nonempty");
+    let all = all_primary.stats;
+    for (k, point) in (1..).zip(with_backup) {
+        let split = point.config;
+        let boundary = Boundary::for_geometry(k, &geometry)
+            .map_err(|e| format!("{ctx}: no boundary for {split}: {e}"))?;
+        let mut tlb = AdaptiveCacheHierarchy::try_with_geometry(geometry, boundary)
+            .map_err(|e| format!("{ctx}: the TLB geometry is invalid: {e}"))?;
+        let simulated = cap_cache::sim::run(pristine.clone(), refs, &mut tlb);
+        let counters = [
+            ("lookups", simulated.refs, point.stats.refs),
+            ("primary hits", simulated.l1_hits, point.stats.l1_hits),
+            ("backup hits", simulated.l2_hits, point.stats.l2_hits),
+            ("misses", simulated.misses, point.stats.misses),
+        ];
+        for (name, sv, ov) in counters {
+            if sv != ov {
+                return Err(format!("{ctx} {split}: {name} {sv} (hierarchy) != {ov} (one-pass)"));
+            }
+        }
+        let tpi = tlb::evaluate(&simulated, split, &cam, cycle, insts_per_ref)
+            .map_err(|e| format!("{ctx}: pricing {split} failed: {e}"))?;
+        if tpi.tpi_ns.to_bits() != point.tpi.tpi_ns.to_bits() {
+            return Err(format!(
+                "{ctx} {split}: tpi_ns bits differ — {} (hierarchy) vs {} (one-pass)",
+                tpi.tpi_ns, point.tpi.tpi_ns
+            ));
+        }
+        let checks = [
+            ("lookups", all.refs, simulated.refs),
+            ("hits", all.l1_hits, simulated.l1_hits + simulated.l2_hits),
+            ("misses", all.misses, simulated.misses),
+        ];
+        for (name, av, sv) in checks {
+            if av != sv {
+                return Err(format!(
+                    "{ctx}: {name} {av} at {} != {sv} at {split}",
+                    all_primary.config
+                ));
+            }
+        }
+    }
+    if all.l2_hits != 0 {
+        return Err(format!("{ctx}: {} has {} backup hits", all_primary.config, all.l2_hits));
     }
     Ok(())
 }
