@@ -21,14 +21,12 @@
 //! * [`hierarchy`] — the cycle-level structure itself;
 //! * [`stats`] — access outcome counters;
 //! * [`perf`] — the blocking-cache TPI model (paper §5.1 methodology);
-//! * [`sim`] — drivers that run an address stream through one or many
-//!   boundary configurations ([`sim::sweep`], one simulation per
-//!   boundary, is the tests' reference);
+//! * [`sim`] — the driver that runs an address stream through one
+//!   hierarchy, and the sweep point type;
 //! * [`multisweep`] — the single-pass stack-distance engine that answers
-//!   every boundary from one traversal, bit-identical to [`sim::sweep`];
-//!   every production sweep runs it;
-//! * [`inclusive`] — the inclusive strawman that §5.2 rejects, whose
-//!   boundary moves must flush the L1;
+//!   every boundary from one traversal; every production sweep runs it,
+//!   and `cap-verify` holds it bit-identical to one hierarchy per
+//!   boundary;
 //! * [`tlb`] — the adaptive primary/backup TLB of §4.2: the hierarchy's
 //!   one-set geometry, swept on the same stack-distance pass.
 //!
@@ -53,7 +51,6 @@
 pub mod config;
 pub mod error;
 pub mod hierarchy;
-pub mod inclusive;
 pub mod multisweep;
 pub mod perf;
 pub mod sim;

@@ -1,7 +1,7 @@
 //! Single-pass multi-boundary sweeps (Mattson stack-distance counting).
 //!
-//! The reference [`crate::sim::sweep`] replays the same address stream
-//! once per boundary — 8 full traversals for the paper's Figure 7. But the
+//! The paper's method replays the same address stream once per
+//! boundary — 8 full traversals for Figure 7. But the
 //! adaptive structure's replacement discipline makes every boundary's
 //! counters recoverable from **one** traversal:
 //!
@@ -193,8 +193,8 @@ pub fn one_pass_supported(geometry: &CacheGeometry, boundaries: &[Boundary]) -> 
 }
 
 /// Simulates every boundary from a single traversal of `stream` — the
-/// one-pass equivalent of [`crate::sim::sweep`], bit-identical on every
-/// [`SweepPoint`], and the same error where that returns one.
+/// one-pass equivalent of a fresh hierarchy per boundary, bit-identical
+/// on every [`SweepPoint`], and the same error where that returns one.
 ///
 /// # Errors
 ///
@@ -213,12 +213,29 @@ pub fn multisweep<S: AddressStream>(
 mod tests {
     use super::*;
     use crate::hierarchy::AdaptiveCacheHierarchy;
-    use crate::sim::{run, sweep, sweep_point};
+    use crate::sim::run;
     use cap_timing::Technology;
     use cap_trace::mem::{Region, RegionMix};
 
     fn timing() -> CacheTimingModel {
         CacheTimingModel::isca98(Technology::isca98_evaluation())
+    }
+
+    /// The per-boundary reference: a fresh hierarchy per boundary, each
+    /// reading a clone of `pristine`.
+    fn sweep(
+        pristine: &RegionMix,
+        refs: u64,
+        boundaries: Vec<Boundary>,
+        timing: &CacheTimingModel,
+        params: PerfParams,
+    ) -> Result<Vec<SweepPoint>, CacheError> {
+        let point = |boundary| {
+            let mut cache = AdaptiveCacheHierarchy::try_with_geometry(*timing.geometry(), boundary)?;
+            let stats = run(pristine.clone(), refs, &mut cache);
+            Ok(SweepPoint { boundary, stats, tpi: evaluate(&stats, boundary, timing, params)? })
+        };
+        boundaries.into_iter().map(point).collect()
     }
 
     fn mixed_stream(seed: u64) -> RegionMix {
@@ -239,7 +256,7 @@ mod tests {
         let pristine = mixed_stream(11);
         let refs = 60_000;
         let params = PerfParams::isca98(3.0);
-        let legacy = sweep(|| pristine.clone(), refs, all_boundaries(), &timing(), params).unwrap();
+        let legacy = sweep(&pristine, refs, all_boundaries(), &timing(), params).unwrap();
         let onepass =
             multisweep(pristine.clone(), refs, all_boundaries(), &timing(), params).unwrap();
         assert_eq!(legacy.len(), onepass.len());
@@ -265,7 +282,7 @@ mod tests {
             .build()
             .unwrap();
         let params = PerfParams::isca98(2.5);
-        let legacy = sweep(|| pristine.clone(), 40_000, all_boundaries(), &timing(), params).unwrap();
+        let legacy = sweep(&pristine, 40_000, all_boundaries(), &timing(), params).unwrap();
         let onepass =
             multisweep(pristine.clone(), 40_000, all_boundaries(), &timing(), params).unwrap();
         for (a, b) in legacy.iter().zip(&onepass) {
@@ -341,7 +358,7 @@ mod tests {
         let pristine = mixed_stream(2);
         let params = PerfParams::isca98(3.0);
         let legacy =
-            sweep(|| pristine.clone(), 20_000, boundaries.clone(), &timing, params).unwrap_err();
+            sweep(&pristine, 20_000, boundaries.clone(), &timing, params).unwrap_err();
         let onepass =
             multisweep(pristine.clone(), 20_000, boundaries, &timing, params).unwrap_err();
         assert_eq!(legacy, onepass);
@@ -350,7 +367,7 @@ mod tests {
         // per-boundary counters.
         let ok = vec![Boundary::for_geometry(1, &geometry).unwrap(), Boundary::for_geometry(3, &geometry).unwrap()];
         assert!(one_pass_supported(&geometry, &ok));
-        let legacy = sweep(|| pristine.clone(), 20_000, ok.clone(), &timing, params).unwrap();
+        let legacy = sweep(&pristine, 20_000, ok.clone(), &timing, params).unwrap();
         let onepass = multisweep(pristine.clone(), 20_000, ok, &timing, params).unwrap();
         assert_eq!(legacy, onepass);
     }
@@ -385,8 +402,7 @@ mod tests {
                 .unwrap();
         assert_eq!(points.len(), 8);
         for p in &points {
-            let legacy =
-                sweep_point(pristine.clone(), 30_000, p.boundary, &timing(), params).unwrap();
+            let legacy = &sweep(&pristine, 30_000, vec![p.boundary], &timing(), params).unwrap()[0];
             assert_eq!(p.stats, legacy.stats);
             assert_eq!(
                 p.tpi.total_tpi().value().to_bits(),

@@ -1,19 +1,17 @@
 //! Simulation drivers: run an address stream through the hierarchy.
 //!
 //! The paper fixes the boundary for an application's whole run
-//! (process-level adaptivity), so a *sweep* re-runs the same trace at each
-//! boundary position — reproduced here by cloning a pristine generator per
-//! configuration (generators are deterministic, so every configuration
-//! sees the identical reference stream, exactly like replaying an ATOM
-//! trace file).
+//! (process-level adaptivity) and re-runs the trace at each boundary
+//! position. [`run`] drives one hierarchy over a stream; production
+//! sweeps answer every boundary from one traversal in
+//! [`crate::multisweep`], which returns these [`SweepPoint`]s, and
+//! `cap-verify` keeps the one-hierarchy-per-boundary reference.
 
 use crate::config::Boundary;
-use crate::error::CacheError;
 use crate::hierarchy::AdaptiveCacheHierarchy;
-use crate::perf::{evaluate, PerfParams, TpiBreakdown};
+use crate::perf::TpiBreakdown;
 use crate::stats::CacheStats;
 use cap_obs::{CacheSimEvent, Event, Recorder};
-use cap_timing::cacti::CacheTimingModel;
 use cap_trace::mem::AddressStream;
 
 /// Runs `refs` references from `stream` through `cache`, returning the
@@ -55,53 +53,6 @@ pub struct SweepPoint {
     pub tpi: TpiBreakdown,
 }
 
-/// Simulates the same trace at every given boundary (Figure 7
-/// methodology: "the L1/L2 boundary is fixed throughout execution").
-///
-/// `make_stream` must return an identical pristine stream each call —
-/// typically a clone of a seeded generator.
-///
-/// This is the per-boundary reference: production sweeps run
-/// [`crate::multisweep::multisweep`], which the unit tests and
-/// `cap-verify` hold bit-identical to it.
-///
-/// # Errors
-///
-/// Propagates timing-model errors for out-of-range boundaries.
-pub fn sweep<S, F>(
-    mut make_stream: F,
-    refs: u64,
-    boundaries: impl IntoIterator<Item = Boundary>,
-    timing: &CacheTimingModel,
-    params: PerfParams,
-) -> Result<Vec<SweepPoint>, CacheError>
-where
-    S: AddressStream,
-    F: FnMut() -> S,
-{
-    boundaries.into_iter().map(|b| sweep_point(make_stream(), refs, b, timing, params)).collect()
-}
-
-/// Simulates one fixed boundary — a single leg of the reference
-/// [`sweep`], which is exactly a serial fold over it. Like [`sweep`], it
-/// is a test reference for [`crate::multisweep::multisweep`].
-///
-/// # Errors
-///
-/// Propagates timing-model errors for out-of-range boundaries.
-pub fn sweep_point<S: AddressStream>(
-    stream: S,
-    refs: u64,
-    boundary: Boundary,
-    timing: &CacheTimingModel,
-    params: PerfParams,
-) -> Result<SweepPoint, CacheError> {
-    let mut cache = AdaptiveCacheHierarchy::try_with_geometry(*timing.geometry(), boundary)?;
-    let stats = run(stream, refs, &mut cache);
-    let tpi = evaluate(&stats, boundary, timing, params)?;
-    Ok(SweepPoint { boundary, stats, tpi })
-}
-
 /// The sweep point with the lowest total TPI (the process-level adaptive
 /// choice for this application).
 ///
@@ -118,6 +69,9 @@ pub fn best_point(points: &[SweepPoint]) -> Option<&SweepPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multisweep::multisweep;
+    use crate::perf::PerfParams;
+    use cap_timing::cacti::CacheTimingModel;
     use cap_timing::Technology;
     use cap_trace::mem::{Region, RegionMix};
 
@@ -148,17 +102,14 @@ mod tests {
         assert_eq!(second.refs, 300);
     }
 
+    /// The paper sweep of `refs` references of `stream`.
+    fn paper_sweep(stream: RegionMix, refs: u64) -> Vec<SweepPoint> {
+        multisweep(stream, refs, Boundary::paper_sweep(), &timing(), PerfParams::isca98(3.0)).unwrap()
+    }
+
     #[test]
-    fn sweep_visits_all_boundaries_with_identical_traces() {
-        let pristine = loop_stream(32 * 1024);
-        let points = sweep(
-            || pristine.clone(),
-            60_000,
-            Boundary::paper_sweep(),
-            &timing(),
-            PerfParams::isca98(3.0),
-        )
-        .unwrap();
+    fn sweep_visits_all_boundaries() {
+        let points = paper_sweep(loop_stream(32 * 1024), 60_000);
         assert_eq!(points.len(), 8);
         for p in &points {
             assert_eq!(p.stats.refs, 60_000);
@@ -176,33 +127,18 @@ mod tests {
         // A hot working set that fits everywhere plus a stream that misses
         // everywhere: the miss time is clock-independent, so the fastest
         // clock (smallest boundary) wins on the base component.
-        let pristine = RegionMix::builder(6)
+        let mixed = RegionMix::builder(6)
             .region(Region::sequential_loop(0, 4 * 1024, 32), 9.0)
             .region(Region::random(1 << 30, 4 << 20), 1.0)
             .build()
             .unwrap();
-        let points = sweep(
-            || pristine.clone(),
-            30_000,
-            Boundary::paper_sweep(),
-            &timing(),
-            PerfParams::isca98(3.0),
-        )
-        .unwrap();
+        let points = paper_sweep(mixed, 30_000);
         let best = best_point(&points).unwrap();
         assert!(best.boundary.l1_kb() <= 16, "best was {}", best.boundary);
 
         // For a 48 KB working set, a boundary that captures it wins
         // despite the slower clock.
-        let pristine = loop_stream(48 * 1024);
-        let points = sweep(
-            || pristine.clone(),
-            60_000,
-            Boundary::paper_sweep(),
-            &timing(),
-            PerfParams::isca98(3.0),
-        )
-        .unwrap();
+        let points = paper_sweep(loop_stream(48 * 1024), 60_000);
         let best = best_point(&points).unwrap();
         assert!(best.boundary.l1_kb() >= 48, "best was {}", best.boundary);
     }
@@ -214,17 +150,9 @@ mod tests {
 
     #[test]
     fn sweep_points_expose_tpi_decomposition() {
-        let pristine = loop_stream(8 * 1024);
-        let points = sweep(
-            || pristine.clone(),
-            5_000,
-            [Boundary::new(2).unwrap()],
-            &timing(),
-            PerfParams::isca98(3.0),
-        )
-        .unwrap();
-        let p = &points[0];
-        assert!(p.tpi.total_tpi() >= p.tpi.base_tpi);
-        assert!(p.tpi.ipc() <= crate::perf::BASE_IPC + 1e-9);
+        for p in &paper_sweep(loop_stream(8 * 1024), 5_000) {
+            assert!(p.tpi.total_tpi() >= p.tpi.base_tpi);
+            assert!(p.tpi.ipc() <= crate::perf::BASE_IPC + 1e-9);
+        }
     }
 }

@@ -4,7 +4,6 @@
 
 use cap_cache::config::Boundary;
 use cap_cache::hierarchy::{AdaptiveCacheHierarchy, Level};
-use cap_cache::inclusive::InclusiveCacheHierarchy;
 use cap_cache::stats::AccessOutcome;
 use cap_cache::tlb::{self, PAGE_BYTES, TOTAL_ENTRIES};
 use cap_trace::mem::{AccessKind, MemRef};
@@ -178,29 +177,6 @@ proptest! {
         let s = t.stats();
         prop_assert_eq!(s.refs as usize, pages.len());
         prop_assert!(s.is_consistent());
-    }
-
-    /// The inclusive strawman keeps inclusion under arbitrary traffic and
-    /// boundary moves, and never outperforms the exclusive design's
-    /// unique capacity on a resident working set.
-    #[test]
-    fn inclusive_invariants(
-        ops in prop::collection::vec(0u64..4096, 100..400),
-        boundaries in prop::collection::vec(1usize..9, 1..4),
-    ) {
-        let mut inc = InclusiveCacheHierarchy::isca98(Boundary::new(2).unwrap());
-        let chunk = (ops.len() / boundaries.len()).max(1);
-        for (i, &blk) in ops.iter().enumerate() {
-            if i % chunk == 0 {
-                inc.set_boundary(Boundary::new(boundaries[(i / chunk) % boundaries.len()]).unwrap());
-            }
-            inc.access(rd(blk * 32));
-        }
-        prop_assert!(inc.check_inclusive());
-        prop_assert!(inc.stats().is_consistent());
-        // Unique capacity can never exceed the L2's ways per set.
-        let l2_ways = 32 - 2 * inc.boundary().increments();
-        prop_assert!(inc.resident_blocks() <= 128 * l2_ways);
     }
 
     /// A second touch of the same address is always an L1 hit, at any

@@ -495,8 +495,8 @@ impl CacheExperiment {
     /// The whole curve in one traversal: every reference is classified
     /// by stack distance once and all boundaries are answered from the
     /// histogram ([`cap_cache::multisweep`]). `cap-verify` holds it
-    /// bit-identical to the per-boundary reference
-    /// [`cap_cache::sim::sweep_point`].
+    /// bit-identical to the per-boundary reference, a fresh
+    /// [`cap_cache::hierarchy::AdaptiveCacheHierarchy`] per boundary.
     fn curve_points(&self, app: App) -> Result<Vec<CachePoint>, CapError> {
         let profile = app.memory_profile();
         let points = cap_cache::multisweep::multisweep(
@@ -744,8 +744,8 @@ impl QueueExperiment {
 
     /// The whole curve from one pass over the generated stream: every
     /// window size is scheduled in lock step ([`cap_ooo::multisweep`]).
-    /// `cap-verify` holds it bit-identical to the per-window reference
-    /// [`cap_ooo::perf::sweep_point`].
+    /// `cap-verify` holds it bit-identical to the per-window reference, a
+    /// fresh [`cap_ooo::core::OooCore`] per window.
     fn curve_points(&self, app: App) -> Result<Vec<QueuePoint>, CapError> {
         let stream = app.ilp_profile().build(self.seed ^ app.seed_salt());
         let points = cap_ooo::multisweep::multisweep(

@@ -840,6 +840,7 @@ mod tests {
     #[test]
     fn technology_rows_match_a_per_node_per_boundary_sweep() {
         // The reference: one full simulation per node and boundary.
+        use cap_cache::hierarchy::AdaptiveCacheHierarchy;
         let scale = ExperimentScale::Smoke;
         let rows = technology_rows(scale, DEFAULT_SEED).unwrap();
         for (tech, row) in Technology::paper_sweep().into_iter().zip(&rows) {
@@ -848,18 +849,14 @@ mod tests {
             for app in App::cache_suite() {
                 let mem = app.memory_profile();
                 let pristine = mem.build(DEFAULT_SEED ^ app.seed_salt());
-                let points = cap_cache::sim::sweep(
-                    || pristine.clone(),
-                    scale.cache_refs() / 4,
-                    Boundary::paper_sweep(),
-                    &timing,
-                    PerfParams::isca98(mem.insts_per_ref),
-                )
-                .unwrap();
-                let tpi = |p: &cap_cache::sim::SweepPoint| p.tpi.total_tpi().value();
-                let conv = points.iter().find(|p| p.boundary == Boundary::best_conventional());
-                conv_sum += tpi(conv.unwrap());
-                best_sum += points.iter().map(tpi).fold(f64::INFINITY, f64::min);
+                let tpi = |boundary| {
+                    let mut cache = AdaptiveCacheHierarchy::with_geometry(*timing.geometry(), boundary);
+                    let stats = cap_cache::sim::run(pristine.clone(), scale.cache_refs() / 4, &mut cache);
+                    let params = PerfParams::isca98(mem.insts_per_ref);
+                    cap_cache::perf::evaluate(&stats, boundary, &timing, params).unwrap().total_tpi().value()
+                };
+                conv_sum += tpi(Boundary::best_conventional());
+                best_sum += Boundary::paper_sweep().map(tpi).fold(f64::INFINITY, f64::min);
             }
             let spread = timing.cycle_time(8).unwrap() / timing.cycle_time(1).unwrap();
             assert_eq!(row.feature_um.to_bits(), tech.feature_um().to_bits());

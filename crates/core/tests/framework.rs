@@ -181,16 +181,16 @@ fn managed_runs_respect_the_clock_table() {
     // Every interval of a managed run must be charged at one of the
     // structure's table periods (or the max of two adjacent ones during
     // a transition).
-    use cap_core::manager::{run_managed, QueueIntervalSim, SwitchRetryPolicy};
+    use cap_core::manager::{run_managed_lanes, QueueLane};
     let timing = QueueTimingModel::default();
-    let mut structure = QueueStructure::isca98(timing, 0).unwrap();
+    let structure = QueueStructure::isca98(timing, 0).unwrap();
     let table = structure.period_table().unwrap();
-    let mut clock = DynamicClock::new(table.clone(), 30).unwrap();
-    let mut manager = manager(8, ConfidencePolicy::default_policy());
-    let mut stream = App::Gcc.ilp_profile().build(13);
-    let mut sim = QueueIntervalSim::new(&mut structure, &mut stream, 1000).unwrap();
-    let run = run_managed(&mut sim, &mut *manager, &mut clock, 30, None, SwitchRetryPolicy::default())
-        .unwrap();
+    let clock = DynamicClock::new(table.clone(), 30).unwrap();
+    let policy = manager(8, ConfidencePolicy::default_policy());
+    let mut lanes = [QueueLane { structure, policy, clock, injector: None }];
+    let stream = App::Gcc.ilp_profile().build(13);
+    let run = run_managed_lanes(stream, &mut lanes, &[(30, 1000)]).unwrap().remove(0);
+    assert_eq!(run.run.intervals.len(), 30);
     for rec in &run.run.intervals {
         let ok = table.iter().any(|&p| (p - rec.period).value().abs() < 1e-12);
         assert!(ok, "period {} not in table", rec.period);

@@ -50,8 +50,8 @@
 //! cycle for the instructions not yet dispatched. A draining shrink needs
 //! no special case in the schedule: with `W` already at the new size, the
 //! first undispatched instruction cannot dispatch before the shrink has
-//! drained. [`crate::reference::ScanCore`] keeps the naive cycle-stepped
-//! full scan alive, and `cap-verify` diffs the two at scale.
+//! drained. `cap-verify` keeps the naive cycle-stepped full scan alive
+//! (its `scan` module), and diffs the two cycle for cycle.
 //!
 //! `D`, `C` and `R` live in a ring over the most recent instructions,
 //! long enough for every lookback above, and the previous instruction's
@@ -72,8 +72,8 @@
 //! managed run of the campaigns is a lane.
 //!
 //! [`OooCore`] is the second copy of the recurrence, kept as the serial
-//! reference the lanes are held to, as [`crate::reference::ScanCore`]
-//! is this core's. It runs in one dispatch loop, which reads
+//! reference the lanes are held to, as `cap-verify`'s full scan is this
+//! core's. It runs in one dispatch loop, which reads
 //! instructions in packed form ([`InstStream::next_packed`]), with
 //! producers as distances back, and asserts that their seqs are
 //! contiguous; [`OooCore::step`] and [`OooCore::run`] read straight from
@@ -472,7 +472,6 @@ impl OooCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::ScanCore;
     use crate::testing::{Counted, Shape, ShapeStream, BASE};
     use cap_trace::inst::{IlpParams, Inst, SegmentIlp};
     use cap_trace::tape::InstTape;
@@ -690,61 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_scan_core_cycle_for_cycle() {
-        // The schedule-at-dispatch engine against the naive full-scan
-        // reference, compared at every step over diverse dependence
-        // structures (cap-verify fuzzes the same pairing at scale).
-        let mut cases: Vec<(IlpParams, u64)> = Vec::new();
-        for seed in 0..4u64 {
-            cases.push((IlpParams::balanced(), seed));
-        }
-        let mut serial = IlpParams::balanced();
-        serial.cross_dep_prob = 1.0;
-        serial.burst_chain_len = 1;
-        cases.push((serial, 5));
-        let mut sparse = IlpParams::balanced();
-        sparse.cross_dep_prob = 0.0;
-        sparse.far_dep_prob = 0.5;
-        cases.push((sparse, 6));
-        for (params, seed) in cases {
-            for w in [16usize, 48, 128] {
-                let mut fast = OooCore::new(CoreConfig::isca98(w).unwrap());
-                let mut slow = ScanCore::new(CoreConfig::isca98(w).unwrap());
-                let mut s1 = SegmentIlp::new(params, seed).unwrap();
-                let mut s2 = SegmentIlp::new(params, seed).unwrap();
-                for step in 0..3000 {
-                    let a = fast.step(&mut s1);
-                    let b = slow.step(&mut s2);
-                    assert_eq!(a, b, "retire count diverged at step {step} (w={w}, seed={seed})");
-                    assert_eq!(fast.committed(), slow.committed());
-                    assert_eq!(fast.occupancy(), slow.occupancy());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn matches_reference_across_resizes() {
-        let mut fast = OooCore::new(CoreConfig::isca98(128).unwrap());
-        let mut slow = ScanCore::new(CoreConfig::isca98(128).unwrap());
-        let mut s1 = SegmentIlp::new(IlpParams::balanced(), 9).unwrap();
-        let mut s2 = SegmentIlp::new(IlpParams::balanced(), 9).unwrap();
-        let sizes = [16usize, 128, 64, 32, 128, 48];
-        for (round, &n) in sizes.iter().enumerate() {
-            let w = WindowSize::new(n).unwrap();
-            fast.request_resize(w).unwrap();
-            slow.request_resize(w).unwrap();
-            assert_eq!(fast.active_window(), slow.active_window(), "round {round}");
-            assert_eq!(fast.resize_pending(), slow.resize_pending(), "round {round}");
-            for _ in 0..500 {
-                assert_eq!(fast.step(&mut s1), slow.step(&mut s2));
-            }
-            assert_eq!(fast.cycles(), slow.cycles());
-            assert_eq!(fast.committed(), slow.committed());
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "instruction stream must be contiguous")]
     fn a_gap_in_the_stream_panics() {
         let mut list = chain(10, 1);
@@ -779,78 +723,6 @@ mod tests {
         ]
     }
 
-    /// The core has read exactly the instructions it committed or holds,
-    /// as did the reference, and both agree on the window state.
-    fn assert_reads_match<S, T>(
-        core: &OooCore,
-        reads: &Counted<S>,
-        scan: &ScanCore,
-        scan_reads: &Counted<T>,
-        ctx: &str,
-    ) {
-        assert_eq!(reads.reads, core.committed() + core.occupancy() as u64, "{ctx}: core reads");
-        assert_eq!(reads.reads, scan_reads.reads, "{ctx}: reads differ from the reference");
-        assert_eq!(core.active_window(), scan.active_window(), "{ctx}: active window");
-        assert_eq!(core.resize_pending(), scan.resize_pending(), "{ctx}: resize pending");
-    }
-
-    /// Steps a core reading `s1` and the reference reading a fresh
-    /// `shape` stream in lockstep, with resizes, comparing every step.
-    fn assert_steps_match_reference<S: InstStream>(
-        name: &str,
-        config: CoreConfig,
-        shape: Shape,
-        seed: u64,
-        s1: &mut Counted<S>,
-    ) {
-        let mut fast = OooCore::new(config);
-        let mut slow = ScanCore::new(config);
-        let mut s2 = ShapeStream::new(shape, seed);
-        for step in 0..4000 {
-            if step % 700 == 699 {
-                let sizes = config.window.entries() / 16;
-                let w = WindowSize::new(16 * (1 + (step / 700 + seed as usize) % sizes));
-                let w = w.unwrap();
-                fast.request_resize(w).unwrap();
-                slow.request_resize(w).unwrap();
-            }
-            let ctx = format!("{name}, seed {seed}, step {step}");
-            assert_eq!(fast.step(s1), slow.step(&mut s2), "{ctx}: retired");
-            assert_eq!(fast.committed(), slow.committed(), "{ctx}");
-            assert_eq!(fast.occupancy(), slow.occupancy(), "{ctx}");
-            assert_reads_match(&fast, s1, &slow, &s2, &ctx);
-        }
-        assert!(fast.committed() > 100, "{name}: the shape must make progress");
-    }
-
-    #[test]
-    fn unprofiled_shapes_match_reference_cycle_for_cycle() {
-        for (name, config, shape) in unprofiled_shapes() {
-            for seed in 0..3u64 {
-                let mut stream = ShapeStream::new(shape, seed);
-                assert_steps_match_reference(name, config, shape, seed, &mut stream);
-            }
-        }
-    }
-
-    #[test]
-    fn tape_fed_core_matches_reference_cycle_for_cycle() {
-        // The reference reads the generator; the core reads the packed
-        // records of a tape, including the shape that starts at seq 1000
-        // with producers before the stream's first instruction. Another
-        // cursor has read ahead, so the core reads sealed blocks, then
-        // the open block, then records it generates itself.
-        for (name, config, shape) in unprofiled_shapes() {
-            for seed in 0..3u64 {
-                let tape = InstTape::new(ShapeStream::new(shape, seed));
-                let _ = tape.cursor().take_insts(1500 * seed as usize);
-                let mut cursor = Counted::new(tape.cursor());
-                assert_steps_match_reference(name, config, shape, seed, &mut cursor);
-                assert_eq!(cursor.unpacked, 0, "{name}: the core reads records as they are");
-            }
-        }
-    }
-
     #[test]
     fn run_through_a_reborrowed_cursor_matches_a_direct_run() {
         for (name, config, shape) in unprofiled_shapes() {
@@ -863,33 +735,6 @@ mod tests {
                 assert_eq!(a.reads, b.reads, "{name}: span {span}");
             }
             assert_eq!((a.unpacked, b.unpacked), (0, 0), "{name}: `&mut` forwards packed reads");
-        }
-    }
-
-    #[test]
-    fn run_matches_stepped_reference_across_resizes() {
-        // Spans end mid-drain, and requests supersede draining shrinks.
-        let spans = [1u64, 7, 2000, 3, 500, 1, 2000, 64, 9];
-        let sizes = [16usize, 128, 32, 16, 112, 48, 16, 64, 128];
-        for (name, config, shape) in unprofiled_shapes() {
-            let physical = config.window.entries();
-            let mut fast = OooCore::new(config);
-            let mut slow = ScanCore::new(config);
-            let mut s1 = ShapeStream::new(shape, 11);
-            let mut s2 = ShapeStream::new(shape, 11);
-            for (round, (&span, &n)) in spans.iter().zip(&sizes).enumerate() {
-                let ctx = format!("{name}, round {round}");
-                let a = fast.run(&mut s1, span);
-                let b = slow.run(&mut s2, span);
-                assert_eq!(a, b, "{ctx}: run stats");
-                assert_eq!(fast.cycles(), slow.cycles(), "{ctx}");
-                assert_eq!(fast.occupancy(), slow.occupancy(), "{ctx}");
-                assert_reads_match(&fast, &s1, &slow, &s2, &ctx);
-                let w = WindowSize::new(n.min(physical)).unwrap();
-                fast.request_resize(w).unwrap();
-                slow.request_resize(w).unwrap();
-                assert_reads_match(&fast, &s1, &slow, &s2, &ctx);
-            }
         }
     }
 

@@ -18,9 +18,11 @@
 //! * a **single-pass window sweep** ([`multisweep`]) that reads the
 //!   instruction stream once and schedules every window size in lock
 //!   step, one `u32` lane per window, whose lanes can also run as
-//!   managed cores with their own interval ends and resizes, and the
-//!   preserved full-scan engine ([`mod@reference`]) that pins the fast
-//!   core's schedule differentially.
+//!   managed cores with their own interval ends and resizes.
+//!
+//! The naive full-scan core that pins [`OooCore`]'s schedule cycle for
+//! cycle, and the one-core-per-window reference sweep, live in
+//! `cap-verify` beside the properties that compare against them.
 //!
 //! The cycle time of each window size comes from
 //! [`cap_timing::QueueTimingModel`]; combining it with measured IPC gives
@@ -50,7 +52,6 @@ pub mod error;
 pub mod interval;
 pub mod multisweep;
 pub mod perf;
-pub mod reference;
 #[cfg(test)]
 mod testing;
 

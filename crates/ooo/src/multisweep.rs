@@ -2,13 +2,13 @@
 //! one pass, each lane with its own window.
 //!
 //! The paper's Figure 10 method runs each application at all eight
-//! window sizes. The reference sweep ([`crate::perf::sweep`], which
-//! `cap-verify` diffs against) builds one [`OooCore`] per window and
-//! re-generates the stream for each. [`multisweep`] reads the generator
-//! once, and schedules each instruction in up to [`LANES`] lanes, one per
-//! window, with the core's recurrence (see [`crate::core`]). Every
-//! [`QueueSweepPoint`] is bit-identical to the reference sweep's; the
-//! tests and `cap-verify` hold this as an invariant.
+//! window sizes. The reference sweep (in `cap-verify`) builds one
+//! [`OooCore`] per window and re-generates the stream for each.
+//! [`multisweep`] reads the generator once, and schedules each
+//! instruction in up to [`LANES`] lanes, one per window, with the core's
+//! recurrence (see [`crate::core`]). Every [`QueueSweepPoint`] is
+//! bit-identical to the reference sweep's; the tests and `cap-verify`
+//! hold this as an invariant.
 //!
 //! [`run_intervals`] runs the same lanes as managed cores: each lane
 //! commits consecutive intervals, as chained [`OooCore::run`] calls
@@ -151,8 +151,8 @@ impl Widths {
 /// Simulates every window size over one pass of `gen` (Figure 10
 /// methodology).
 ///
-/// Results are bit-identical to [`crate::perf::sweep`] called with a
-/// fresh clone of `gen` per window.
+/// Results are bit-identical to a fresh [`OooCore`](crate::core::OooCore)
+/// per window, each running a fresh clone of `gen`.
 ///
 /// # Errors
 ///
@@ -615,7 +615,7 @@ fn lock_step<S: InstStream, E: Ends<L>, const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::{sweep, sweep_point};
+    use crate::core::OooCore;
     use crate::testing::{Shape, ShapeStream, BASE};
     use cap_timing::Technology;
     use cap_trace::inst::{IlpParams, Inst, SegmentIlp};
@@ -625,13 +625,20 @@ mod tests {
         QueueTimingModel::new(Technology::isca98_evaluation())
     }
 
-    /// The lane sweep of a shape against a fresh `sweep_point` per window.
+    /// The reference sweep point: a fresh paper core of `window` entries
+    /// running `insts` instructions of `stream`.
+    fn core_point<S: InstStream>(mut stream: S, insts: u64, window: WindowSize) -> QueueSweepPoint {
+        let stats = OooCore::new(isca(window.entries())).run(&mut stream, insts);
+        point(window, stats, &timing()).unwrap()
+    }
+
+    /// The lane sweep of a shape against a fresh core per window.
     fn assert_matches_sweep_points(shape: Shape, seed: u64, insts: u64, windows: &[WindowSize]) {
         let lanes = multisweep(ShapeStream::new(shape, seed), insts, windows.to_vec(), &timing());
         let lanes = lanes.unwrap();
         assert_eq!(lanes.len(), windows.len());
         for (p, &w) in lanes.iter().zip(windows) {
-            let fresh = sweep_point(ShapeStream::new(shape, seed), insts, w, &timing()).unwrap();
+            let fresh = core_point(ShapeStream::new(shape, seed), insts, w);
             assert_eq!(*p, fresh, "seed {seed}, {insts} insts, window {w}");
         }
     }
@@ -644,13 +651,9 @@ mod tests {
     fn matches_legacy_sweep_bit_for_bit() {
         for seed in [2u64, 19] {
             let params = IlpParams::balanced();
-            let legacy = sweep(
-                || SegmentIlp::new(params, seed).unwrap(),
-                30_000,
-                WindowSize::paper_sweep(),
-                &timing(),
-            )
-            .unwrap();
+            let legacy: Vec<_> = WindowSize::paper_sweep()
+                .map(|w| core_point(SegmentIlp::new(params, seed).unwrap(), 30_000, w))
+                .collect();
             let single = multisweep(
                 SegmentIlp::new(params, seed).unwrap(),
                 30_000,
@@ -673,7 +676,7 @@ mod tests {
         let gen = SegmentIlp::new(IlpParams::balanced(), 5).unwrap();
         let tape = InstTape::new(gen);
         let points: Vec<_> = WindowSize::paper_sweep()
-            .map(|w| sweep_point(tape.cursor(), 10_000, w, &timing()).unwrap())
+            .map(|w| core_point(tape.cursor(), 10_000, w))
             .collect();
         assert_eq!(points.len(), 8);
         // The hungriest configuration reads target + commit overshoot +
@@ -731,10 +734,7 @@ mod tests {
         assert_matches_sweep_points(BASE, 9, 1_500, &reversed);
         let mut repeated = vec![WindowSize::new(48).unwrap(); 8];
         repeated[3] = WindowSize::new(256).unwrap();
-        let stats = |w| {
-            let mut core = crate::perf::window_core(w).unwrap();
-            core.run(&mut ShapeStream::new(BASE, 2), 1_500)
-        };
+        let stats = |w| core_point(ShapeStream::new(BASE, 2), 1_500, w).stats;
         let got = schedule(&mut ShapeStream::new(BASE, 2), 1_500, &repeated).unwrap();
         assert!(got.iter().zip(&repeated).all(|(s, &w)| *s == stats(w)), "{got:?}");
     }
@@ -811,7 +811,7 @@ mod tests {
         seed: u64,
         script: &[NextInterval],
     ) -> (Vec<RunStats>, u64) {
-        let mut core = crate::core::OooCore::new(config);
+        let mut core = OooCore::new(config);
         let mut stream = ShapeStream::new(shape, seed);
         let stats = script
             .iter()
@@ -946,7 +946,7 @@ mod tests {
 
     /// A fresh core of `window`'s chained `run(interval_len)` calls.
     fn core_series(shape: Shape, seed: u64, window: WindowSize, intervals: u64, interval_len: u64) -> Vec<IntervalSample> {
-        let mut core = crate::core::OooCore::new(isca(window.entries()));
+        let mut core = OooCore::new(isca(window.entries()));
         let mut stream = ShapeStream::new(shape, seed);
         (0..intervals)
             .map(|index| {

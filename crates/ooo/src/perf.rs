@@ -1,15 +1,16 @@
-//! TPI evaluation and window sweeps for the instruction-queue study.
+//! TPI evaluation for the instruction-queue study.
 //!
 //! The paper's Figure 10 methodology: run each application at every window
 //! size 16–128, with the clock set by that size's wakeup+select delay, and
-//! report `TPI = cycle time / IPC`.
+//! report `TPI = cycle time / IPC`. The sweep itself runs every window in
+//! one pass ([`crate::multisweep::multisweep`]); `cap-verify` keeps the
+//! one-core-per-window reference.
 
-use crate::config::{CoreConfig, WindowSize};
-use crate::core::{OooCore, RunStats};
+use crate::config::WindowSize;
+use crate::core::RunStats;
 use crate::error::OooError;
 use cap_timing::queue::QueueTimingModel;
 use cap_timing::units::Ns;
-use cap_trace::inst::InstStream;
 
 /// One point of a window sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,52 +39,6 @@ pub fn tpi(window: WindowSize, stats: RunStats, timing: &QueueTimingModel) -> Re
     Ok((cycle, t))
 }
 
-/// Simulates the same instruction stream at every given window size
-/// (Figure 10 methodology). `make_stream` must return an identical
-/// pristine stream each call.
-///
-/// This is the per-window reference: production sweeps run
-/// [`crate::multisweep::multisweep`], which the unit tests and
-/// `cap-verify` hold bit-identical to it.
-///
-/// # Errors
-///
-/// Propagates timing-model errors.
-pub fn sweep<S, F>(
-    mut make_stream: F,
-    insts: u64,
-    windows: impl IntoIterator<Item = WindowSize>,
-    timing: &QueueTimingModel,
-) -> Result<Vec<QueueSweepPoint>, OooError>
-where
-    S: InstStream,
-    F: FnMut() -> S,
-{
-    windows.into_iter().map(|w| sweep_point(make_stream(), insts, w, timing)).collect()
-}
-
-/// Simulates one fixed window size — a single leg of the reference
-/// [`sweep`], which is exactly a serial fold over it. Like [`sweep`], it
-/// is a test reference for [`crate::multisweep::multisweep`].
-///
-/// # Errors
-///
-/// Propagates timing-model errors.
-pub fn sweep_point<S: InstStream>(
-    mut stream: S,
-    insts: u64,
-    window: WindowSize,
-    timing: &QueueTimingModel,
-) -> Result<QueueSweepPoint, OooError> {
-    let stats = window_core(window)?.run(&mut stream, insts);
-    point(window, stats, timing)
-}
-
-/// A fresh paper core with `window` entries, as one sweep leg runs it.
-pub(crate) fn window_core(window: WindowSize) -> Result<OooCore, OooError> {
-    OooCore::try_new(CoreConfig::isca98(window.entries())?)
-}
-
 /// The sweep point of a run at `window`.
 pub(crate) fn point(
     window: WindowSize,
@@ -105,6 +60,7 @@ pub fn best_point(points: &[QueueSweepPoint]) -> Option<&QueueSweepPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multisweep::multisweep;
     use cap_timing::Technology;
     use cap_trace::inst::{IlpParams, SegmentIlp};
 
@@ -112,16 +68,16 @@ mod tests {
         QueueTimingModel::new(Technology::isca98_evaluation())
     }
 
+    /// The paper sweep of `insts` instructions of `params` at seed 4.
+    fn paper_sweep(params: IlpParams, insts: u64) -> Vec<QueueSweepPoint> {
+        let stream = SegmentIlp::new(params, 4).unwrap();
+        multisweep(stream, insts, WindowSize::paper_sweep(), &timing()).unwrap()
+    }
+
     #[test]
     fn sweep_visits_all_sizes() {
         let params = IlpParams::balanced();
-        let points = sweep(
-            || SegmentIlp::new(params, 4).unwrap(),
-            20_000,
-            WindowSize::paper_sweep(),
-            &timing(),
-        )
-        .unwrap();
+        let points = paper_sweep(params, 20_000);
         assert_eq!(points.len(), 8);
         for p in &points {
             assert!((20_000..20_008).contains(&p.stats.committed));
@@ -142,13 +98,7 @@ mod tests {
             far_dep_prob: 0.0,
             jitter: 0.0,
         };
-        let points = sweep(
-            || SegmentIlp::new(params, 4).unwrap(),
-            30_000,
-            WindowSize::paper_sweep(),
-            &timing(),
-        )
-        .unwrap();
+        let points = paper_sweep(params, 30_000);
         assert_eq!(best_point(&points).unwrap().window.entries(), 16);
     }
 
@@ -165,13 +115,7 @@ mod tests {
             far_dep_prob: 0.0,
             jitter: 0.0,
         };
-        let points = sweep(
-            || SegmentIlp::new(params, 4).unwrap(),
-            60_000,
-            WindowSize::paper_sweep(),
-            &timing(),
-        )
-        .unwrap();
+        let points = paper_sweep(params, 60_000);
         let best = best_point(&points).unwrap();
         assert!(best.window.entries() >= 96, "best was {}", best.window);
     }

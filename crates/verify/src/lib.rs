@@ -33,6 +33,10 @@
 //! * every derived JSON decoder inverts its derived encoder, and no
 //!   corrupted text panics the decoder or the parser ([`json`]).
 //!
+//! The reference models these properties compare against live here, not
+//! in the production crates: the full-scan core ([`scan`]), and a fresh
+//! core per window or hierarchy per boundary ([`multisweep`]).
+//!
 //! Everything is deterministic: cases are a pure function of
 //! `(seed, property, case)` ([`rng::Rng::for_case`]), failures shrink
 //! greedily to a minimal scenario ([`shrink()`]), repro files replay
@@ -50,6 +54,7 @@ pub mod multisweep;
 pub mod packed;
 pub mod reference;
 pub mod rng;
+pub mod scan;
 pub mod scenario;
 pub mod selfcheck;
 pub mod shrink;

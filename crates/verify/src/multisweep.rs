@@ -11,7 +11,7 @@
 //!   ([`cap_ooo::multisweep`]), with the recurrence of a core that
 //!   schedules each instruction once, at dispatch, rather than scanning
 //!   the window every cycle ([`cap_ooo::core::OooCore`] vs
-//!   [`cap_ooo::reference::ScanCore`]). The lanes are checked against a
+//!   [`crate::scan::ScanCore`]). The lanes are checked against a
 //!   core per window on the suite's streams and on dependence shapes the
 //!   suite never produces; the core against the scan, both cycle by
 //!   cycle and over the interval-sized `run` calls of a managed run — the
@@ -41,10 +41,12 @@
 
 use crate::faults::{same_events, same_run};
 use crate::rng::Rng;
+use crate::scan::ScanCore;
 use cap_cache::config::Boundary;
 use cap_cache::hierarchy::AdaptiveCacheHierarchy;
-use cap_cache::perf::PerfParams;
-use cap_cache::sim::SweepPoint;
+use cap_cache::perf::{evaluate, PerfParams};
+use cap_cache::sim::{run, SweepPoint};
+use cap_cache::CacheError;
 use cap_cache::tlb::{self, TlbConfig, PAGE_BYTES};
 use cap_core::clock::DynamicClock;
 use cap_core::manager::{
@@ -60,7 +62,6 @@ use cap_ooo::core::{OooCore, RunStats};
 use cap_ooo::interval::{IntervalSample, PAPER_INTERVAL_INSTS};
 use cap_ooo::multisweep::{interval_lanes, multisweep, LANES};
 use cap_ooo::perf::QueueSweepPoint;
-use cap_ooo::reference::ScanCore;
 use cap_timing::cacti::CacheTimingModel;
 use cap_timing::cam::CamTimingModel;
 use cap_timing::queue::QueueTimingModel;
@@ -68,7 +69,7 @@ use cap_timing::units::Ns;
 use cap_timing::Technology;
 use cap_trace::branch::BranchStream;
 use cap_trace::inst::{Inst, InstStream};
-use cap_trace::mem::{Region, RegionMix};
+use cap_trace::mem::{AddressStream, Region, RegionMix};
 use cap_trace::tape::InstTape;
 use cap_workloads::App;
 use std::sync::Arc;
@@ -87,14 +88,8 @@ pub fn cache_one_pass_vs_legacy(rng: &mut Rng) -> Result<(), String> {
     let profile = app.memory_profile();
     let params = PerfParams::isca98(profile.insts_per_ref);
     let timing = CacheTimingModel::isca98(Technology::isca98_evaluation());
-    let legacy = cap_cache::sim::sweep(
-        || profile.build(seed),
-        refs,
-        Boundary::paper_sweep(),
-        &timing,
-        params,
-    )
-    .map_err(|e| format!("legacy sweep failed: {e}"))?;
+    let legacy = per_boundary_sweep(|| profile.build(seed), refs, &timing, params)
+        .map_err(|e| format!("legacy sweep failed: {e}"))?;
     let one_pass = cap_cache::multisweep::multisweep(
         profile.build(seed),
         refs,
@@ -105,6 +100,22 @@ pub fn cache_one_pass_vs_legacy(rng: &mut Rng) -> Result<(), String> {
     .map_err(|e| format!("one-pass sweep failed: {e}"))?;
     let ctx = format!("app {} seed {seed} refs {refs}", app.name());
     compare_cache_points(&ctx, &legacy, &one_pass)
+}
+
+/// The per-boundary reference (the paper's method): a fresh hierarchy
+/// at each paper boundary, reading a fresh stream from `make_stream`.
+fn per_boundary_sweep<S: AddressStream>(
+    mut make_stream: impl FnMut() -> S,
+    refs: u64,
+    timing: &CacheTimingModel,
+    params: PerfParams,
+) -> Result<Vec<SweepPoint>, CacheError> {
+    let point = |boundary| {
+        let mut cache = AdaptiveCacheHierarchy::try_with_geometry(*timing.geometry(), boundary)?;
+        let stats = run(make_stream(), refs, &mut cache);
+        Ok(SweepPoint { boundary, stats, tpi: evaluate(&stats, boundary, timing, params)? })
+    };
+    Boundary::paper_sweep().map(point).collect()
 }
 
 fn compare_cache_points(
@@ -170,9 +181,7 @@ pub fn queue_lanes_vs_legacy(rng: &mut Rng) -> Result<(), String> {
     let insts = rng.range(1_000, 4_000);
     let profile = app.ilp_profile();
     let timing = QueueTimingModel::new(Technology::isca98_evaluation());
-    let legacy =
-        cap_ooo::perf::sweep(|| profile.build(seed), insts, WindowSize::paper_sweep(), &timing)
-            .map_err(|e| format!("legacy sweep failed: {e}"))?;
+    let legacy = per_window_sweep(|| profile.build(seed), insts, WindowSize::paper_sweep(), &timing)?;
     let lanes =
         cap_ooo::multisweep::multisweep(profile.build(seed), insts, WindowSize::paper_sweep(), &timing)
             .map_err(|e| format!("lane sweep failed: {e}"))?;
@@ -182,19 +191,19 @@ pub fn queue_lanes_vs_legacy(rng: &mut Rng) -> Result<(), String> {
 
 /// A dependence shape the workload profiles never produce.
 #[derive(Debug, Clone, Copy)]
-struct Shape {
+pub(crate) struct Shape {
     /// Producers lie up to this many instructions back: past the lanes'
     /// 512-instruction ring, and before the stream's first instruction.
-    reach: u64,
+    pub(crate) reach: u64,
     /// Chances in 256 of a first and of a second operand.
-    operand_chance: [u64; 2],
+    pub(crate) operand_chance: [u64; 2],
     /// Chance in 256 that the second operand repeats the first's
     /// producer.
-    same_chance: u64,
+    pub(crate) same_chance: u64,
     /// The latencies drawn from, zero and long ones included.
-    latencies: [u32; 4],
+    pub(crate) latencies: [u32; 4],
     /// The seq of the stream's first instruction.
-    first_seq: u64,
+    pub(crate) first_seq: u64,
 }
 
 impl Shape {
@@ -218,14 +227,14 @@ impl Shape {
 
 /// The instructions of a [`Shape`], a pure function of the shape and a
 /// seed.
-struct ShapeStream {
+pub(crate) struct ShapeStream {
     shape: Shape,
     rng: Rng,
     next: u64,
 }
 
 impl ShapeStream {
-    fn new(shape: Shape, seed: u64) -> Self {
+    pub(crate) fn new(shape: Shape, seed: u64) -> Self {
         ShapeStream { shape, rng: Rng::new(seed), next: shape.first_seq }
     }
 
@@ -268,14 +277,31 @@ pub fn queue_lanes_vs_legacy_shapes(rng: &mut Rng) -> Result<(), String> {
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| format!("window construction failed: {e}"))?;
     let timing = QueueTimingModel::new(Technology::isca98_evaluation());
-    let legacy =
-        cap_ooo::perf::sweep(|| ShapeStream::new(shape, seed), insts, windows.clone(), &timing)
-            .map_err(|e| format!("legacy sweep failed: {e}"))?;
+    let legacy = per_window_sweep(|| ShapeStream::new(shape, seed), insts, windows.clone(), &timing)?;
     let lanes = multisweep(ShapeStream::new(shape, seed), insts, windows.clone(), &timing)
         .map_err(|e| format!("lane sweep failed: {e}"))?;
     let sizes: Vec<usize> = windows.iter().map(|w| w.entries()).collect();
     let ctx = format!("{shape:?} seed {seed} insts {insts} windows {sizes:?}");
     compare_queue_points(&ctx, &legacy, &lanes)
+}
+
+/// The per-window reference (the paper's method): a fresh paper core of
+/// each window, reading a fresh stream from `make_stream`.
+fn per_window_sweep<S: InstStream>(
+    mut make_stream: impl FnMut() -> S,
+    insts: u64,
+    windows: impl IntoIterator<Item = WindowSize>,
+    timing: &QueueTimingModel,
+) -> Result<Vec<QueueSweepPoint>, String> {
+    let point = |window: WindowSize| {
+        let config = CoreConfig::isca98(window.entries()).map_err(|e| format!("config construction failed: {e}"))?;
+        let stats = OooCore::try_new(config)
+            .map_err(|e| format!("production core rejected config: {e}"))?
+            .run(&mut make_stream(), insts);
+        let (cycle, tpi) = cap_ooo::perf::tpi(window, stats, timing).map_err(|e| format!("legacy sweep failed: {e}"))?;
+        Ok(QueueSweepPoint { window, stats, cycle, tpi })
+    };
+    windows.into_iter().map(point).collect()
 }
 
 fn compare_queue_points(

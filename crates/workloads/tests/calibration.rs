@@ -1,15 +1,17 @@
 //! Calibration tests: the synthetic profiles must reproduce the paper's
-//! per-application optimum structure when run through the *actual*
-//! simulators (not just the analytic stack-distance view).
+//! per-application optimum structure when run through the sweep engines
+//! that produce the figures.
 //!
 //! These use scaled-down trace lengths; the bench harness runs the same
 //! experiments at full scale.
 
 use cap_cache::config::Boundary;
 use cap_cache::perf::PerfParams;
-use cap_cache::sim::{best_point, sweep, SweepPoint};
+use cap_cache::multisweep::multisweep;
+use cap_cache::sim::{best_point, SweepPoint};
 use cap_ooo::config::WindowSize;
-use cap_ooo::perf::{best_point as q_best, sweep as q_sweep, QueueSweepPoint};
+use cap_ooo::multisweep::multisweep as q_multisweep;
+use cap_ooo::perf::{best_point as q_best, QueueSweepPoint};
 use cap_timing::cacti::CacheTimingModel;
 use cap_timing::queue::QueueTimingModel;
 use cap_timing::Technology;
@@ -21,9 +23,8 @@ const QUEUE_INSTS: u64 = 100_000;
 fn cache_sweep(app: App) -> Vec<SweepPoint> {
     let timing = CacheTimingModel::isca98(Technology::isca98_evaluation());
     let profile = app.memory_profile();
-    let pristine = profile.build(0xCAB5 + app.seed_salt());
-    sweep(
-        || pristine.clone(),
+    multisweep(
+        profile.build(0xCAB5 + app.seed_salt()),
         CACHE_REFS,
         Boundary::paper_sweep(),
         &timing,
@@ -40,8 +41,8 @@ fn cache_argmin_kb(app: App) -> usize {
 fn queue_sweep(app: App) -> Vec<QueueSweepPoint> {
     let timing = QueueTimingModel::new(Technology::isca98_evaluation());
     let profile = app.ilp_profile();
-    q_sweep(
-        || profile.build(0x0E5 + app.seed_salt()),
+    q_multisweep(
+        profile.build(0x0E5 + app.seed_salt()),
         QUEUE_INSTS,
         WindowSize::paper_sweep(),
         &timing,

@@ -2,9 +2,11 @@
 //! application's cache and queue argmin for calibration work.
 use cap_cache::config::Boundary;
 use cap_cache::perf::PerfParams;
-use cap_cache::sim::{best_point, sweep};
+use cap_cache::multisweep::multisweep;
+use cap_cache::sim::best_point;
 use cap_ooo::config::WindowSize;
-use cap_ooo::perf::{best_point as qbest, sweep as qsweep};
+use cap_ooo::multisweep::multisweep as qmultisweep;
+use cap_ooo::perf::best_point as qbest;
 use cap_timing::cacti::CacheTimingModel;
 use cap_timing::queue::QueueTimingModel;
 use cap_timing::Technology;
@@ -17,14 +19,13 @@ fn print_argmins() {
     let qt = QueueTimingModel::new(Technology::isca98_evaluation());
     for app in App::ALL {
         let mp = app.memory_profile();
-        let pristine = mp.build(0xCAB5 + app.seed_salt());
-        let pts = sweep(|| pristine.clone(), 150_000, Boundary::paper_sweep(), &ct, PerfParams::isca98(mp.insts_per_ref)).unwrap();
+        let pts = multisweep(mp.build(0xCAB5 + app.seed_salt()), 150_000, Boundary::paper_sweep(), &ct, PerfParams::isca98(mp.insts_per_ref)).unwrap();
         let b = best_point(&pts).unwrap();
         let conv = pts.iter().find(|p| p.boundary == Boundary::best_conventional()).unwrap();
         let red = 100.0 * (1.0 - b.tpi.total_tpi() / conv.tpi.total_tpi());
         let redm = 100.0 * (1.0 - b.tpi.miss_tpi / conv.tpi.miss_tpi.max(cap_timing::Ns(1e-12)));
         let ip = app.ilp_profile();
-        let qpts = qsweep(|| ip.build(0x0E5 + app.seed_salt()), 100_000, WindowSize::paper_sweep(), &qt).unwrap();
+        let qpts = qmultisweep(ip.build(0x0E5 + app.seed_salt()), 100_000, WindowSize::paper_sweep(), &qt).unwrap();
         let qb = qbest(&qpts).unwrap();
         let qconv = qpts.iter().find(|p| p.window.entries() == 64).unwrap();
         let qred = 100.0 * (1.0 - qb.tpi / qconv.tpi);
